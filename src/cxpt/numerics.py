@@ -13,6 +13,10 @@ Conventions used throughout the library:
   nodes for the weight (1-xi^2)^{(m-2)/2}.
 * Summation order within a rule is fixed (ascending node index), so a
   given invocation is bitwise reproducible.
+* Integrands and field evaluators are vectorized: ``integrate_interval``
+  hands the integrand the array of a rule's nodes, and
+  ``mean_on_sphere`` hands the evaluator the array of all sphere points,
+  in one call each.  Errors they raise reach the caller unchanged.
 """
 
 from __future__ import annotations
@@ -174,30 +178,8 @@ def _as_batch_eval(f) -> Callable[[np.ndarray], np.ndarray]:
     return fn
 
 
-def _eval_batch(fn: Callable, pts: np.ndarray) -> np.ndarray:
-    """Evaluate fn on an (m, n) point array, tolerating scalar-only callables."""
-    try:
-        vals = np.asarray(fn(pts))
-        if vals.shape[:1] == (pts.shape[0],):
-            return vals
-    except Exception:
-        pass
-    return np.asarray([fn(p) for p in pts])
-
-
-def _eval_scalar_function(g: Callable, x: np.ndarray) -> np.ndarray:
-    """Evaluate a real->complex function on a 1-D node array."""
-    try:
-        vals = np.asarray(g(x))
-        if vals.shape == x.shape:
-            return vals
-    except Exception:
-        pass
-    return np.asarray([g(float(t)) for t in x])
-
-
 def integrate_interval(
-    g: Callable[[float], complex],
+    g: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     order: int = 16,
@@ -205,8 +187,10 @@ def integrate_interval(
 ) -> IntervalIntegral:
     """Gauss-Legendre integral of ``g`` over [lo, hi] with an error estimate.
 
-    The error estimate is the difference against the rule with doubled
-    node count; the returned value is the refined one.
+    ``g`` receives the array of a rule's nodes, once per rule, and must
+    accept it; it returns one value per node or a scalar, which is
+    broadcast.  The error estimate is the difference against the rule
+    with doubled node count; the returned value is the refined one.
     """
     if not lo < hi:
         raise ValueError(f"integrate_interval needs lo < hi, got [{lo}, {hi}]")
@@ -215,7 +199,7 @@ def integrate_interval(
 
     def apply(r: QuadratureRule) -> complex:
         x = 0.5 * (hi - lo) * r.nodes + 0.5 * (hi + lo)
-        vals = _eval_scalar_function(g, x)
+        vals = np.broadcast_to(g(x), x.shape)
         if not np.all(np.isfinite(vals)):
             raise NonFiniteIntegrandError(
                 f"integrand returned a non-finite value on [{lo}, {hi}]"
@@ -241,7 +225,9 @@ def mean_on_sphere(
     ``sphere_dim`` defaults to the full sphere S^{n-1} about ``center``.
     For ``sphere_dim == n-2`` an ``axis`` vector must be supplied; the
     sphere then lies in the hyperplane through ``center`` orthogonal to
-    it.  A zero radius returns ``f(center)``.
+    it.  A zero radius returns ``f(center)``.  ``f`` (a TestField-like
+    object or a callable) receives the (m, n) array of all the rule's
+    points in one call and must accept it.
     """
     center = np.asarray(center, dtype=float)
     n = center.shape[0]
@@ -263,8 +249,7 @@ def mean_on_sphere(
         pts = center[None, :] + radius * (rule.nodes @ frame.T)
     else:
         raise ValueError("only full (n-1) and axis-orthogonal (n-2) spheres are supported")
-    vals = _eval_batch(fn, pts)
-    return complex(np.dot(rule.weights, vals))
+    return complex(np.dot(rule.weights, fn(pts)))
 
 
 # Central stencils: (derivative order, accuracy) -> (offsets, coefficients).

@@ -29,10 +29,20 @@ its action takes closed quadrature-ready forms:
 
 The monopole is Q = 1, the dipole P = -iy, and the centroid of a source
 at z_S is z_S itself; as a -> 0 every action contracts to f(0).
+
+Every formula reaches the field only through the means fbar and their
+slopes fbar_zeta, fbar_rho and d/dp fbar#.  One kernel, ``_AxialField``,
+evaluates both at whole arrays of quadrature nodes, handing the field at
+most ``MAX_POINTS`` points per call; each q-integrand takes the node
+array of its rule at once.  Slopes come from the field's exact gradient
+when it has one, and from central differences of batched means (steps
+``zeta_step`` and ``p_step``) when it does not.  Derivatives in u = rho^2
+are central differences with step ``u_step``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -80,8 +90,10 @@ class SourceOptions:
     q_order: int = 32            # Gauss-Legendre order of the q-integrals
     panel_order: int = 16        # per-panel order for the regularized action
     zeta_step: float = 1e-3      # FD step for fbar_zeta / fbar_rho, relative to a
+                                 # (only for fields without an exact gradient)
     u_step: float = 0.04         # FD step in u = rho^2, relative to a^2
     p_step: float = 1e-2         # FD step in p (regularized action), relative to a
+                                 # (only for fields without an exact gradient)
     series_cut: float = 1e-3     # q below cut*a switches to the series integrand
     sphere_orders: Mapping[int, tuple[int, ...]] | None = None
 
@@ -92,6 +104,10 @@ class SourceOptions:
 
 
 _DEFAULT = SourceOptions()
+
+#: Most points handed to one evaluator or gradient call of a test field;
+#: bounds the memory of a batch of sphere means (S^4 rules have 20,000 nodes).
+MAX_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -137,9 +153,10 @@ def _require_smoothness(f: TestField, needed: float, op: str) -> None:
 class _AxialField:
     """Sphere means of a test field relative to a fixed axis y != 0.
 
-    Provides fbar(rho, zeta) over the (n-2)-sphere in y-perp, its FD
-    derivatives, and the functions F(rho) / F#(gamma) entering the
-    source formulas.
+    ``means`` gives fbar(rho, zeta) over the (n-2)-sphere in y-perp and
+    ``slopes`` the mean of grad f . (drho omega + dzeta y_hat), both at
+    arrays of (rho, zeta) nodes; ``Ghat`` and ``Fhat`` build the
+    functions of u = rho^2 entering the source formulas from them.
     """
 
     def __init__(self, f: TestField, y: np.ndarray, n: int,
@@ -159,50 +176,110 @@ class _AxialField:
         self._zeta_scheme = FDScheme(h=options.zeta_step * self.a, order=4, richardson=True)
         self._u_scheme = FDScheme(h=options.u_step * self.a**2, order=4, richardson=True)
 
-    # -- means in cylindrical coordinates ---------------------------------
-    def mean(self, rho: float, zeta: float) -> complex:
-        pts = zeta * self.yhat[None, :] + rho * self._dirs
-        return complex(np.dot(self._weights, self.f.evaluate(pts)))
+    def _sphere_sums(self, rho: np.ndarray, zeta: np.ndarray, values) -> np.ndarray:
+        """Rule-weighted sums over omega of ``values`` at zeta y_hat + rho omega.
 
-    def mean_dzeta(self, rho: float, zeta: float = 0.0) -> complex:
-        return derivative(lambda z: self.mean(rho, z), zeta, self._zeta_scheme, 1)
+        ``rho`` and ``zeta`` are 1-D node arrays.  The rule is cut into
+        equal slices of at most ``MAX_POINTS`` directions, and the nodes
+        into blocks whose points fill at most ``MAX_POINTS``;
+        ``values(pts, dirs, nodes)`` gets the (block, slice, n) points with
+        the slice's directions and the block's node slice, and returns a
+        (block, slice) array.
+        """
+        m = self._weights.size
+        per_slice = math.ceil(m / math.ceil(m / MAX_POINTS))
+        out = np.zeros(rho.size, dtype=complex)
+        for lo in range(0, m, per_slice):
+            dirs = self._dirs[lo:lo + per_slice]
+            weights = self._weights[lo:lo + per_slice]
+            block = MAX_POINTS // weights.size
+            for i in range(0, rho.size, block):
+                nodes = slice(i, i + block)
+                pts = zeta[nodes, None, None] * self.yhat + rho[nodes, None, None] * dirs
+                out[nodes] += values(pts, dirs, nodes) @ weights
+        return out
 
-    def mean_drho(self, rho: float, zeta: float = 0.0) -> complex:
-        # means are even in rho, so a central stencil may cross rho = 0
-        return derivative(lambda r: self.mean(r, zeta), rho, self._zeta_scheme, 1)
+    def means(self, rho, zeta) -> np.ndarray:
+        """fbar(rho, zeta) at broadcast arrays of nodes."""
+        rho, zeta = np.broadcast_arrays(np.asarray(rho, dtype=float),
+                                        np.asarray(zeta, dtype=float))
+
+        def values(pts, dirs, nodes):
+            return self.f.evaluate(pts.reshape(-1, self.n)).reshape(pts.shape[:2])
+
+        sums = self._sphere_sums(rho.ravel(), zeta.ravel(), values)
+        return sums.reshape(rho.shape)
+
+    def slopes(self, rho, zeta, drho, dzeta, scheme: FDScheme | None = None) -> np.ndarray:
+        """Mean of grad f . (drho omega + dzeta y_hat) at broadcast arrays of nodes.
+
+        Exact when the field carries a gradient.  Otherwise a central
+        difference of ``means`` along (drho, dzeta), with ``scheme`` in
+        the line parameter (default: the ``zeta_step`` scheme).
+        """
+        rho, zeta, drho, dzeta = np.broadcast_arrays(
+            *(np.asarray(v, dtype=float) for v in (rho, zeta, drho, dzeta)))
+        if self.f.gradient is None:
+            return derivative(lambda s: self.means(rho + s * drho, zeta + s * dzeta),
+                              0.0, scheme or self._zeta_scheme, 1)
+        shape = rho.shape
+        drho, dzeta = drho.ravel(), dzeta.ravel()
+
+        def along(pts, dirs, nodes):
+            grad = self.f.gradient_at(pts.reshape(-1, self.n)).reshape(pts.shape)
+            return (drho[nodes, None] * np.einsum("bdn,dn->bd", grad, dirs)
+                    + dzeta[nodes, None] * (grad @ self.yhat))
+
+        return self._sphere_sums(rho.ravel(), zeta.ravel(), along).reshape(shape)
 
     # -- means in oblate coordinates ---------------------------------------
-    def rho_zeta(self, p: float, q: float) -> tuple[float, float]:
+    def rho_zeta(self, p: float, q):
+        """Cylindrical nodes (rho, zeta) of the oblate coordinates (p, q)."""
         a = self.a
-        rho = math.sqrt(max((a**2 + p**2) * (a**2 - q**2), 0.0)) / a
+        q = np.asarray(q, dtype=float)
+        rho = np.sqrt(np.maximum((a**2 + p**2) * (a**2 - q**2), 0.0)) / a
         return rho, p * q / a
 
-    def mean_pq(self, p: float, q: float) -> complex:
-        return self.mean(*self.rho_zeta(p, q))
+    def mean_pq(self, p: float, q) -> np.ndarray:
+        return self.means(*self.rho_zeta(p, q))
 
-    def mean_pq_dp(self, p: float, q: float) -> complex:
-        """d/dp of the mean at fixed q; needs p > 0 (central stencil stays p > 0)."""
+    def mean_pq_dp(self, p: float, q) -> np.ndarray:
+        """d/dp of the mean at fixed q, through (d rho/dp, d zeta/dp); needs p > 0."""
         if p <= 0:
             raise ValueError("mean_pq_dp needs p > 0; use the cylindrical identity at p = 0")
-        h = min(self.options.p_step * self.a, p / 4.0)
-        scheme = FDScheme(h=h, order=4, richardson=False)
-        return derivative(lambda pp: self.mean_pq(pp, q), p, scheme, 1)
+        a = self.a
+        q = np.asarray(q, dtype=float)
+        rho, zeta = self.rho_zeta(p, q)
+        drho = p * np.sqrt(np.maximum(a**2 - q**2, 0.0)) / (a * math.sqrt(a**2 + p**2))
+        scheme = FDScheme(h=min(self.options.p_step * a, p / 4.0), order=4, richardson=False)
+        return self.slopes(rho, zeta, drho, q / a, scheme)
 
     # -- the cylindrical F and helpers -------------------------------------
-    def Ghat(self, u: float) -> complex:
+    def Ghat(self, u) -> np.ndarray:
         """fbar(sqrt(u), 0) as a function of u = rho^2."""
-        return self.mean(math.sqrt(u), 0.0)
+        return self.means(np.sqrt(u), 0.0)
 
-    def Fhat(self, u: float) -> complex:
+    def Fhat(self, u) -> np.ndarray:
         """F(rho)|_{rho = sqrt(u)} = rho^{n-3} [fbar + i (a^2-u)/((n-2) a) fbar_zeta]."""
         a, n = self.a, self.n
-        rho = math.sqrt(u)
-        rho_pow = u ** ((n - 3) / 2.0) if n != 3 else 1.0
-        val = self.mean(rho, 0.0) + 1j * (a**2 - u) / ((n - 2) * a) * self.mean_dzeta(rho, 0.0)
-        return rho_pow * val
+        u = np.asarray(u, dtype=float)
+        rho = np.sqrt(u)
+        fbar_zeta = self.slopes(rho, 0.0, 0.0, 1.0)
+        val = self.means(rho, 0.0) + 1j * (a**2 - u) / ((n - 2) * a) * fbar_zeta
+        return u ** ((n - 3) / 2.0) * val
 
     def u_derivative(self, fun, order_of_derivative: int) -> complex:
-        return derivative(fun, self.a**2, self._u_scheme, order_of_derivative)
+        return complex(derivative(fun, self.a**2, self._u_scheme, order_of_derivative))
+
+
+def _split_at(q: np.ndarray, cut: float, near, far) -> np.ndarray:
+    """near(q) on the nodes q < cut and far(q) on the rest, each only when non-empty."""
+    low = q < cut
+    out = np.empty(q.shape, dtype=complex)
+    for mask, fun in ((low, near), (~low, far)):
+        if mask.any():
+            out[mask] = fun(q[mask])
+    return out
 
 
 def singular_action_r3(f: TestField, y: Sequence[float] | np.ndarray,
@@ -215,30 +292,28 @@ def singular_action_r3(f: TestField, y: Sequence[float] | np.ndarray,
     _require_smoothness(f, 1, "singular_action_r3")
     af = _AxialField(f, y, 3, options)
     a = af.a
-    l0 = af.mean(a, 0.0)
+    l0 = complex(af.means(a, 0.0))
 
-    # single layer: -a Int_0^a (fbar(rho(q),0) - fbar(a,0)) / q^2 dq, even integrand
-    cut = options.series_cut * a
-    series = None
+    # single layer: -a Int_0^a (fbar(rho(q),0) - fbar(a,0)) / q^2 dq, even integrand;
+    # the quotient cancels below q = cut*a, where its Taylor series in q^2 is used
+    ghat = functools.cache(af.Ghat)  # the three u-stencils share their nodes
 
-    def l1_integrand(q: float) -> complex:
-        nonlocal series
-        if q < cut:
-            if series is None:
-                d1 = af.u_derivative(af.Ghat, 1)
-                d2 = af.u_derivative(af.Ghat, 2)
-                d3 = af.u_derivative(af.Ghat, 3)
-                series = (-d1, d2 / 2.0, -d3 / 6.0)
-            c0, c1, c2 = series
-            return c0 + c1 * q**2 + c2 * q**4
+    def l1_series(q: np.ndarray) -> np.ndarray:
+        d1, d2, d3 = (af.u_derivative(ghat, m) for m in (1, 2, 3))
+        return -d1 + d2 / 2.0 * q**2 - d3 / 6.0 * q**4
+
+    def l1_quotient(q: np.ndarray) -> np.ndarray:
         return (af.Ghat(a**2 - q**2) - l0) / q**2
 
-    int1 = integrate_interval(l1_integrand, 0.0, a, order=options.q_order)
+    int1 = integrate_interval(
+        lambda q: _split_at(q, options.series_cut * a, l1_series, l1_quotient),
+        0.0, a, order=options.q_order,
+    )
     l1 = -a * int1.value
 
     # double layer: -Int_0^a fbar_zeta(rho(q), 0) dq, smooth
     int2 = integrate_interval(
-        lambda q: af.mean_dzeta(math.sqrt(max(a**2 - q**2, 0.0)), 0.0),
+        lambda q: af.slopes(np.sqrt(np.maximum(a**2 - q**2, 0.0)), 0.0, 0.0, 1.0),
         0.0, a, order=options.q_order,
     )
     l2 = -int2.value
@@ -257,7 +332,8 @@ def singular_action_r4(f: TestField, y: Sequence[float] | np.ndarray,
     _require_smoothness(f, 1, "singular_action_r4")
     af = _AxialField(f, y, 4, options)
     a = af.a
-    return af.mean(a, 0.0) + a * af.mean_drho(a, 0.0) - 1j * a * af.mean_dzeta(a, 0.0)
+    d_rho, d_zeta = af.slopes(a, 0.0, [1.0, 0.0], [0.0, 1.0])
+    return complex(af.means(a, 0.0) + a * d_rho - 1j * a * d_zeta)
 
 
 def singular_action_even(f: TestField, y: Sequence[float] | np.ndarray, n: int,
@@ -288,29 +364,25 @@ def singular_action_odd(f: TestField, y: Sequence[float] | np.ndarray, n: int,
     af = _AxialField(f, y, n, options)
     a = af.a
     ratio = _omega_ratio(n)
+    fhat = functools.cache(af.Fhat)  # the u-stencils of all orders share their nodes
 
-    # T_{2m} = ((-1)^m / m!) d^m/du^m Fhat at u = a^2
-    t2 = [af.Fhat(a**2) if m == 0 else
-          (-1.0) ** m / math.factorial(m) * af.u_derivative(af.Fhat, m)
-          for m in range(k + 1)]
+    def taylor(m: int) -> complex:
+        """((-1)^m / m!) d^m/du^m Fhat at u = a^2."""
+        return (-1.0) ** m / math.factorial(m) * af.u_derivative(fhat, m)
 
-    cut = options.series_cut * a
-    series = None
+    t2 = [complex(fhat(a**2))] + [taylor(m) for m in range(1, k + 1)]
 
-    def v_integrand(q: float) -> complex:
-        nonlocal series
-        if q < cut:
-            if series is None:
-                cs = []
-                for j in (1, 2):
-                    m = k + j
-                    cs.append((-1.0) ** m / math.factorial(m) * af.u_derivative(af.Fhat, m))
-                series = tuple(cs)
-            return series[0] + series[1] * q**2
-        taylor = sum(t2[m] * q ** (2 * m) for m in range(k + 1))
-        return (af.Fhat(a**2 - q**2) - taylor) / q ** (n - 1)
+    def v_series(q: np.ndarray) -> np.ndarray:
+        return taylor(k + 1) + taylor(k + 2) * q**2
 
-    integral = integrate_interval(v_integrand, 0.0, a, order=options.q_order)
+    def v_quotient(q: np.ndarray) -> np.ndarray:
+        head = sum(t2[m] * q ** (2 * m) for m in range(k + 1))
+        return (af.Fhat(a**2 - q**2) - head) / q ** (n - 1)
+
+    integral = integrate_interval(
+        lambda q: _split_at(q, options.series_cut * a, v_series, v_quotient),
+        0.0, a, order=options.q_order,
+    )
     i_power = (1j) ** ((1 - n) % 4)
     v_n = 2.0 * i_power * a / ratio * integral.value
 
@@ -361,12 +433,12 @@ def regularized_action(f: TestField, y: Sequence[float] | np.ndarray, n: int,
     a = af.a
     nu = (n - 3) / 2.0
 
-    def integrand(theta: float) -> complex:
-        q = a * math.sin(theta)
-        gamma = complex(eps, q)
+    def integrand(theta: np.ndarray) -> np.ndarray:
+        q = a * np.sin(theta)
+        gamma = eps + 1j * q
         fs = af.mean_pq(eps, q)
         fsp = af.mean_pq_dp(eps, q)
-        return (a * math.cos(theta)) ** (n - 2) * (fs + gamma * fsp / (n - 2)) / gamma ** (n - 1)
+        return (a * np.cos(theta)) ** (n - 2) * (fs + gamma * fsp / (n - 2)) / gamma ** (n - 1)
 
     half = math.pi / 2.0
     first = min(max(eps / a, 1e-6), half)

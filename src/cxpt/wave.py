@@ -55,8 +55,6 @@ class WaveOptions:
     radial_fd: FDScheme = FDScheme(h=1e-2, order=4, richardson=True)
     time_fd: FDScheme = FDScheme(h=5e-3, order=4, richardson=True)
     s_fd: FDScheme = FDScheme(h=1e-3, order=4, richardson=True)
-    xi_rel_step: float = 0.02    # FD step in xi = t^2, relative scale
-    xi_min: float = 0.05         # below this xi, use the expanded radial form
     sphere_orders: Mapping[int, tuple[int, ...]] | None = None
 
     def orders_for(self, dim: int) -> tuple[int, ...]:
@@ -139,32 +137,10 @@ def _kirchhoff3(mv, mw, t: float, options: WaveOptions):
 
 
 def _poisson5(mv, mw, t: float, options: WaveOptions):
-    """n = 5 (k = 2) radial operators, nested FD in xi = t^2.
+    """n = 5 (k = 2) in expanded radial form, valid for every t:
 
-    For xi below ``xi_min`` (stencil would cross xi = 0) the algebraically
-    identical expanded form in radial derivatives is used instead.
+    u = m + (5/3) t m' + (1/3) t^2 m'' + t w + (1/3) t^2 w'.
     """
-    xi = t * t
-    sgn = 1.0 if t >= 0 else -1.0
-    if xi > options.xi_min:
-        def av(u: float):
-            return u**1.5 * mv(math.sqrt(u))
-
-        def bw(u: float):
-            return u**1.5 * mw(math.sqrt(u))
-
-        def xi_scheme(u: float) -> FDScheme:
-            return FDScheme(h=min(options.xi_rel_step * max(u, 1.0), u / 4.0),
-                            order=4, richardson=False)
-
-        def inner(tt: float):
-            u = tt * tt
-            return 2.0 * sgn * derivative(av, u, xi_scheme(u), 1)
-
-        upart = derivative(inner, t, options.time_fd, 1) / 3.0
-        wpart = sgn * (2.0 / 3.0) * derivative(bw, xi, xi_scheme(xi), 1)
-        return upart + wpart
-    # expanded: u = m + (5/3) t m' + (1/3) t^2 m'' + t w + (1/3) t^2 w'
     fd = options.radial_fd
     m0 = mv(t)
     m1 = derivative(mv, t, fd, 1)

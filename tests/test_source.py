@@ -1,9 +1,11 @@
 """Extended source functionals: oracles, identities, and limits."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from conftest import random_poly_field
 from cxpt.errors import (
@@ -14,6 +16,7 @@ from cxpt.errors import (
 )
 from cxpt.fields import TestField, bump, constant, coordinate, gaussian, polynomial
 from cxpt.geometry import ComplexPoint
+from cxpt.numerics import integrate_interval, mean_on_sphere
 from cxpt.source import (
     _AxialField,
     centroid,
@@ -57,8 +60,6 @@ def test_lambda_coefficients():
 
 def test_lambda_against_eps_integral_oracle():
     """lambda^m_k(0) is the eps->0 limit of int i^m q^m / (eps+iq)^k dq."""
-    from cxpt.numerics import integrate_interval
-
     a = 1.0
     eps_list = [1.6e-2, 8e-3, 4e-3, 2e-3]
 
@@ -112,25 +113,28 @@ def test_r3_dense_quadrature_oracle(rng):
     y = np.array([0.0, 0.0, 1.0])
     a = 1.0
     f = gaussian(1.0, center=[0.3, -0.1, 0.2])
+    m = 4096
+    th = 2 * np.pi * np.arange(m) / m
+    circle = np.stack([np.cos(th), np.sin(th), np.zeros(m)], axis=1)
 
-    def circle_mean(rho, zeta, m=4096):
-        th = 2 * np.pi * np.arange(m) / m
-        pts = np.stack([rho * np.cos(th), rho * np.sin(th), np.full(m, zeta)], axis=1)
-        return complex(np.mean(f.evaluate(pts)))
+    def circle_means(rho, zeta, block=8):
+        """Trapezoid means over the circles (rho_i, zeta), a block of circles at a time."""
+        out = []
+        for i in range(0, rho.size, block):
+            pts = rho[i:i + block, None, None] * circle + [0.0, 0.0, zeta]
+            out.append(f.evaluate(pts.reshape(-1, 3)).reshape(-1, m).mean(axis=1))
+        return np.concatenate(out)
 
-    # q-parametrized integrals on a dense Gauss grid (10^4 nodes total)
-    from cxpt.numerics import gauss_legendre
-
-    leg = gauss_legendre(5000)
-    qs = 0.5 * a * (leg.nodes + 1.0)
-    wq = 0.5 * a * leg.weights
-    l0 = circle_mean(a, 0.0)
+    # q-parametrized integrals on a dense 5000-node Gauss grid; scipy builds
+    # it without numpy's 5000 x 5000 eigenproblem, agreeing to 1e-13
+    nodes, weights = roots_legendre(5000)
+    qs = 0.5 * a * (nodes + 1.0)
+    wq = 0.5 * a * weights
+    rho = np.sqrt(a**2 - qs**2)
+    l0 = circle_means(np.array([a]), 0.0)[0]
     hz = 1e-5
-    l1 = l2 = 0.0
-    for q, w in zip(qs, wq):
-        rho = math.sqrt(a**2 - q**2)
-        l1 += w * (circle_mean(rho, 0.0) - l0) / q**2
-        l2 += w * (circle_mean(rho, hz) - circle_mean(rho, -hz)) / (2 * hz)
+    l1 = np.dot(wq, (circle_means(rho, 0.0) - l0) / qs**2)
+    l2 = np.dot(wq, (circle_means(rho, hz) - circle_means(rho, -hz)) / (2 * hz))
     oracle = l0 - a * l1 - 1j * l2
     got = singular_action_r3(f, y).value
     assert got == pytest.approx(oracle, abs=1e-8)
@@ -286,8 +290,8 @@ def test_parity_of_parametrized_halves():
         assert plus == pytest.approx(minus, abs=1e-10)
         # the half-integrals of the single layer
         rho = math.sqrt(a**2 - q**2)
-        g_plus = af.mean(rho, 0.0)
-        g_minus = af.mean(-rho, 0.0)
+        g_plus = af.means(rho, 0.0)
+        g_minus = af.means(-rho, 0.0)
         assert g_plus == pytest.approx(g_minus, abs=1e-12)
 
 
@@ -353,3 +357,67 @@ def test_action_smoothness_guards():
         singular_action_r3(rough, y)
     with pytest.raises(InsufficientSmoothnessError):
         singular_action_odd(rough, np.zeros(5) + np.array([0, 0, 0, 0, 1.0]), 5)
+
+
+def test_gradient_and_stencil_slopes_agree(rng):
+    """Exact-gradient slopes and the FD stencils of a field without one agree."""
+    for n in (3, 4, 5, 6):
+        f = gaussian(1.3, center=0.2 * rng.normal(size=n))
+        stencil_only = dataclasses.replace(f, gradient=None)
+        y = rng.normal(size=n)
+        y *= 0.9 / np.linalg.norm(y)
+        assert singular_action(f, y, n) == pytest.approx(
+            singular_action(stencil_only, y, n), abs=1e-8)
+        for eps in {3: (1e-1, 1e-2), 4: (1e-1, 1e-2), 5: (1e-1,), 6: ()}[n]:
+            assert regularized_action(f, y, n, eps) == pytest.approx(
+                regularized_action(stencil_only, y, n, eps), abs=1e-8)
+
+
+def _counting(f):
+    """Copy of f whose evaluator and gradient log the number of points of each call."""
+    sizes = {"evaluate": [], "gradient": []}
+
+    def logged(kind, fn):
+        def wrapper(pts):
+            sizes[kind].append(pts.shape[0])
+            return fn(pts)
+        return wrapper
+
+    counted = dataclasses.replace(f, evaluator=logged("evaluate", f.evaluator),
+                                  gradient=logged("gradient", f.gradient))
+    return counted, sizes
+
+
+def test_sphere_means_are_batched_and_chunked():
+    counted, sizes = _counting(gaussian(1.0, center=[0.3, -0.1, 0.2]))
+    singular_action(counted, [0.2, -0.4, 0.9], 3)
+    assert 0 < len(sizes["evaluate"]) <= 40
+    assert len(sizes["gradient"]) >= 1
+    for n in (5, 6):
+        counted, sizes = _counting(gaussian(1.3, center=np.full(n, 0.1)))
+        y = np.zeros(n)
+        y[-1] = 0.8
+        singular_action(counted, y, n)
+        if n == 5:
+            regularized_action(counted, y, 5, 1e-1)
+        assert max(sizes["evaluate"] + sizes["gradient"]) <= 4096
+
+
+def test_errors_reach_the_caller():
+    calls = []
+
+    def bad_integrand(q):
+        calls.append(q)
+        raise ValueError("integrand")
+
+    with pytest.raises(ValueError, match="integrand"):
+        integrate_interval(bad_integrand, 0.0, 1.0)
+    assert len(calls) == 1
+
+    def bad_evaluator(pts):
+        raise ValueError("evaluator")
+
+    with pytest.raises(ValueError, match="evaluator"):
+        mean_on_sphere(bad_evaluator, np.zeros(3), 0.5)
+    with pytest.raises(ValueError, match="evaluator"):
+        singular_action(TestField(bad_evaluator), [0.0, 0.0, 1.0], 3)

@@ -51,23 +51,16 @@ def test_plane_wave_n2_descent():
 
 
 def test_plane_wave_n5_both_paths():
+    """The expanded radial form holds at small and moderate |t| and both signs."""
     k5 = np.zeros(5)
     k5[0] = 1.0
-    data = CauchyData(cosine_wave(k5), constant(0.0), 5)
+    data_v = CauchyData(cosine_wave(k5), constant(0.0), 5)
+    data_w = CauchyData(constant(0.0), cosine_wave(k5), 5)
     x = np.array([0.2, 0.1, 0.0, -0.3, 0.0])
-    exact = lambda t: math.cos(x[0]) * math.cos(t)  # noqa: E731
-    # moderate t exercises the nested xi = t^2 finite differences
-    assert solve_cauchy(data, x, 0.9) == pytest.approx(exact(0.9), abs=1e-6)
-    assert solve_cauchy(data, x, -0.9) == pytest.approx(exact(-0.9), abs=1e-6)
-    # small t falls back to the expanded radial form
-    assert solve_cauchy(data, x, 0.15) == pytest.approx(exact(0.15), abs=1e-9)
-    # the two paths agree where both apply
-    opts_nested = WaveOptions(xi_min=0.05)
-    opts_expanded = WaveOptions(xi_min=10.0)
-    for t in (0.7, 1.1):
-        u1 = solve_cauchy(data, x, t, opts_nested)
-        u2 = solve_cauchy(data, x, t, opts_expanded)
-        assert u1 == pytest.approx(u2, abs=1e-6)
+    c = math.cos(x[0])
+    for t in (0.15, 0.25, 0.3, -0.3, 0.4, 0.5, 0.7, 0.9, -0.9, 1.1):
+        assert solve_cauchy(data_v, x, t) == pytest.approx(c * math.cos(t), abs=1e-9)
+        assert solve_cauchy(data_w, x, t) == pytest.approx(c * math.sin(t), abs=1e-9)
 
 
 def test_initial_conditions():
