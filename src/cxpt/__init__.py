@@ -64,7 +64,6 @@ from .fields import (
     polynomial,
 )
 from .potential import (
-    PotentialValue,
     holomorphic_potential,
     newtonian,
     regularized_jump,

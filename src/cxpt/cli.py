@@ -28,7 +28,13 @@ import numpy as np
 from . import clifford as cf
 from . import source as src
 from . import wave as wv
-from .acceptance import CRITERIA, run_acceptance
+from .acceptance import (
+    CRITERIA,
+    clifford_test_field,
+    ebp_oracle,
+    maxwell_demo_field,
+    run_acceptance,
+)
 from .config import Config, config_from_env, load_config
 from .errors import CxptError
 from .fields import parse_field_spec
@@ -207,63 +213,26 @@ def _cmd_wave_verify(args, cfg: Config) -> int:
     return 0
 
 
-def _clifford_test_field(alg) -> cf.MultivectorField:
-    return cf.poly_field(alg, 3, {
-        (1,): {(1, 0, 0): 1.0, (0, 2, 0): 0.5},
-        (2,): {(0, 0, 1): 1.0},
-        (): {(0, 0, 0): 0.3, (0, 1, 0): -0.2},
-    })
-
-
 def _cmd_clifford(args, cfg: Config) -> int:
-    alg = cf.Cl(3)
     ball = cf.Ball(np.zeros(3), args.radius)
     if args.mode == "bp-check":
-        f = _clifford_test_field(alg)
+        f = clifford_test_field()
         x_in = _vector(args.x, 3)
         interior = (cf.borel_pompeiu(f, ball, x_in) - f.value(x_in)).norm()
         exterior = cf.borel_pompeiu(f, ball, _vector(args.exterior, 3)).norm()
         _emit({"interior_error": interior, "exterior_leakage": exterior})
         return 0
     if args.mode == "ebp-check":
-        f = _clifford_test_field(alg)
+        f = clifford_test_field()
         z = ComplexPoint(_vector(args.x, 3), _vector(args.y, 3))
         value = cf.extended_borel_pompeiu(f, ball, z)
-        oracle = np.zeros(alg.dim, dtype=complex)
-        from .fields import TestField
-
-        for mask, table in f.poly.items():
-            def ev(pts, table=table):
-                sh = pts + z.x[None, :]
-                out = np.zeros(pts.shape[0], dtype=complex)
-                for alpha, c in table.items():
-                    term = np.full(pts.shape[0], complex(c))
-                    for kk, e in enumerate(alpha):
-                        if e:
-                            term = term * sh[:, kk] ** e
-                    out += term
-                return out
-
-            oracle[mask] = src.singular_action_r3(TestField(ev), -z.y).value
-        diff = (value - cf.Multivector(alg, oracle)).norm()
+        oracle = ebp_oracle(f, z)
         _emit({"value": [_cnum(c) for c in value.coeffs],
-               "oracle": [_cnum(c) for c in oracle],
-               "abs_diff": diff})
+               "oracle": [_cnum(c) for c in oracle.coeffs],
+               "abs_diff": (value - oracle).norm()})
         return 0
     # maxwell-demo
-    st = cf.spacetime_algebra(3)
-    mask01 = st.mask_of((0, 1))
-
-    def ev(pts):
-        out = np.zeros((pts.shape[0], st.dim), dtype=complex)
-        out[:, mask01] = np.cos(pts[:, 1])
-        return out
-
-    fst = cf.SpacetimeMultivectorField(
-        st, 3, ev,
-        s_derivative=lambda pts: np.zeros((pts.shape[0], st.dim), dtype=complex),
-    )
-    ft, jt, resid = cf.maxwell_extend(fst, _vector(args.x, 3), 0.0, args.t)
+    ft, jt, resid = cf.maxwell_extend(maxwell_demo_field(), _vector(args.x, 3), 0.0, args.t)
     _emit({
         "f_extension": [_cnum(c) for c in ft.coeffs],
         "current": [_cnum(c) for c in jt.coeffs],
@@ -289,10 +258,7 @@ def _cmd_verify(args, cfg: Config) -> int:
     for res in results:
         payload = {"criterion": res.cid, "title": res.title,
                    "passed": res.passed, "elapsed_s": round(res.elapsed, 3)}
-        payload["details"] = {
-            k: (v if isinstance(v, (int, float, bool, str)) else str(v))
-            for k, v in res.details.items()
-        }
+        payload["details"] = res.details
         _emit(payload)
         sys.stderr.write(res.line() + "\n")
     failed = [r.cid for r in results if not r.passed]

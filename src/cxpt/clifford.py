@@ -36,6 +36,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import wave as wv
 from .errors import (
     AmbiguousBranchError,
     DimensionMismatchError,
@@ -44,6 +45,7 @@ from .errors import (
     SingularPointError,
     UnsupportedDimensionError,
 )
+from .fields import poly_eval
 from .geometry import ComplexPoint, PointClass, classify_point, complex_distance
 from .numerics import (
     DEFAULT_SPHERE_ORDERS,
@@ -287,17 +289,6 @@ def _blade_mul_batch(alg: CliffordAlgebra, mask: int, V: np.ndarray,
 Poly = Mapping[tuple[int, ...], complex]
 
 
-def _poly_eval(poly: Poly, pts: np.ndarray) -> np.ndarray:
-    out = np.zeros(pts.shape[0], dtype=complex)
-    for alpha, c in poly.items():
-        term = np.full(pts.shape[0], complex(c))
-        for k, e in enumerate(alpha):
-            if e:
-                term = term * pts[:, k] ** e
-        out += term
-    return out
-
-
 def _poly_diff(poly: Poly, axis: int) -> dict[tuple[int, ...], complex]:
     out: dict[tuple[int, ...], complex] = {}
     for alpha, c in poly.items():
@@ -338,7 +329,7 @@ class MultivectorField:
         if self.poly is not None:
             out = np.zeros((pts.shape[0], self.algebra.dim), dtype=complex)
             for mask, table in self.poly.items():
-                out[:, mask] = _poly_eval(table, pts)
+                out[:, mask] = poly_eval(table, pts)
             return out
         return np.asarray(self.evaluator(pts))
 
@@ -913,40 +904,6 @@ class SpacetimeMultivectorField:
         return Multivector(self.algebra, self.batch(pt[None, :])[0])
 
 
-def _extend_mv_coeffs(f: SpacetimeMultivectorField, x: np.ndarray, s: float,
-                      t: float, wave_options) -> np.ndarray:
-    """Componentwise wave extension of all blade coefficients at (x, s + it)."""
-    from .wave import WaveOptions
-
-    wopt = wave_options or WaveOptions()
-    if t == 0.0:
-        return f.batch(np.append(x, s)[None, :])[0]
-    rule = sphere_rule(f.n - 1, wopt.orders_for(f.n - 1))
-
-    def mean_v(r: float) -> np.ndarray:
-        pts = x[None, :] + abs(r) * rule.nodes
-        cols = np.column_stack([pts, np.full(pts.shape[0], s)])
-        return rule.weights @ f.batch(cols)
-
-    if f.s_derivative is not None:
-        def mean_w(r: float) -> np.ndarray:
-            pts = x[None, :] + abs(r) * rule.nodes
-            cols = np.column_stack([pts, np.full(pts.shape[0], s)])
-            return 1j * (rule.weights @ np.asarray(f.s_derivative(cols)))
-    else:
-        def mean_w(r: float) -> np.ndarray:
-            pts = x[None, :] + abs(r) * rule.nodes
-
-            def slice_at(ss: float) -> np.ndarray:
-                cols = np.column_stack([pts, np.full(pts.shape[0], ss)])
-                return rule.weights @ f.batch(cols)
-
-            return 1j * derivative(slice_at, s, wopt.s_fd, 1)
-
-    upart = derivative(lambda r: r * mean_v(r), t, wopt.radial_fd, 1)
-    return upart + t * mean_w(abs(t))
-
-
 def dirac_tilde_apply(g: Callable[[np.ndarray, float], np.ndarray],
                       algebra: CliffordAlgebra, x: np.ndarray, t: float,
                       scheme: FDScheme, n: int = 3) -> np.ndarray:
@@ -974,9 +931,13 @@ def maxwell_extend(f: SpacetimeMultivectorField, x: Sequence[float] | np.ndarray
     if f.n != 3:
         raise UnsupportedDimensionError("Maxwell extension is fixed at n = 3")
     alg = f.algebra
+    # every blade coefficient is extended at once: the wave solver's means
+    # and radial derivatives act row-wise on the (m, dim) coefficient batch
+    coeffs = wv.SpacetimeField(f.batch, f.s_derivative, f.smoothness, f.name)
+    wopt = wave_options or wv.WaveOptions()
 
     def ftilde(xx: np.ndarray, tt: float) -> np.ndarray:
-        return _extend_mv_coeffs(f, xx, s, tt, wave_options)
+        return wv.extend(coeffs, xx, s, tt, 3, wopt)
 
     f_val = ftilde(x, t)
 

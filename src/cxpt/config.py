@@ -5,17 +5,11 @@ Recognized keys (defaults in parentheses):
     quadrature.interval.order   (32)   Gauss-Legendre order for q-integrals
     quadrature.circle.order     (64)   trapezoid nodes on S^1
     quadrature.sphere.order     (24)   polar order on S^2 (azimuth = 2x)
-    quadrature.radial.order     (16)   radial order for volume integrals
     quadrature.panel.order      (16)   per-panel order, regularized action
-    fd.step                     (1e-4) base finite-difference step
-    fd.order                    (4)    stencil accuracy (2 or 4)
-    fd.richardson               (true) one Richardson level
-    tolerance.classify          (1e-12) point-classification tolerance scale
     default.a                   (1.0)  default |y| for CLI demos
-    output.format               (json) 'json' or 'csv' where applicable
 
 Unknown keys and malformed lines are rejected with the line number; all
-orders must be >= 4, steps and tolerances positive.
+orders must be >= 4 and ``default.a`` positive.
 """
 
 from __future__ import annotations
@@ -24,7 +18,6 @@ import os
 from dataclasses import dataclass, replace
 
 from .errors import ConfigParseError
-from .numerics import FDScheme
 
 __all__ = ["Config", "load_config", "config_from_env", "DOCUMENTED_KEYS"]
 
@@ -34,18 +27,8 @@ class Config:
     interval_order: int = 32
     circle_order: int = 64
     sphere_order: int = 24
-    radial_order: int = 16
     panel_order: int = 16
-    fd_step: float = 1e-4
-    fd_order: int = 4
-    fd_richardson: bool = True
-    tol_classify: float = 1e-12
     default_a: float = 1.0
-    output_format: str = "json"
-
-    def fd_scheme(self) -> FDScheme:
-        return FDScheme(h=self.fd_step, order=self.fd_order,
-                        richardson=self.fd_richardson)
 
     def sphere_orders(self) -> dict[int, tuple[int, ...]]:
         polar = self.sphere_order
@@ -57,23 +40,11 @@ class Config:
         }
 
 
-def _parse_bool(text: str) -> bool:
-    val = text.strip().lower()
-    if val in ("true", "yes", "1", "on"):
-        return True
-    if val in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-def _order(minimum: int = 4):
-    def parse(text: str) -> int:
-        val = int(text)
-        if val < minimum:
-            raise ValueError(f"order must be >= {minimum}, got {val}")
-        return val
-
-    return parse
+def _order(text: str) -> int:
+    val = int(text)
+    if val < 4:
+        raise ValueError(f"order must be >= 4, got {val}")
+    return val
 
 
 def _positive_float(text: str) -> float:
@@ -83,31 +54,17 @@ def _positive_float(text: str) -> float:
     return val
 
 
-def _format(text: str) -> str:
-    val = text.strip().lower()
-    if val not in ("json", "csv"):
-        raise ValueError(f"output format must be json or csv, got {text!r}")
-    return val
-
-
 DOCUMENTED_KEYS = {
-    "quadrature.interval.order": ("interval_order", _order()),
-    "quadrature.circle.order": ("circle_order", _order()),
-    "quadrature.sphere.order": ("sphere_order", _order()),
-    "quadrature.radial.order": ("radial_order", _order()),
-    "quadrature.panel.order": ("panel_order", _order()),
-    "fd.step": ("fd_step", _positive_float),
-    "fd.order": ("fd_order", _order(2)),
-    "fd.richardson": ("fd_richardson", _parse_bool),
-    "tolerance.classify": ("tol_classify", _positive_float),
+    "quadrature.interval.order": ("interval_order", _order),
+    "quadrature.circle.order": ("circle_order", _order),
+    "quadrature.sphere.order": ("sphere_order", _order),
+    "quadrature.panel.order": ("panel_order", _order),
     "default.a": ("default_a", _positive_float),
-    "output.format": ("output_format", _format),
 }
 
 
 def load_config(path: str) -> Config:
     """Parse a config file; defaults fill missing keys, unknown keys reject."""
-    cfg = Config()
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
     updates: dict = {}
@@ -126,9 +83,7 @@ def load_config(path: str) -> Config:
             updates[attr] = parser(value.strip())
         except ValueError as exc:
             raise ConfigParseError(f"{path}:{lineno}: {exc}") from exc
-    if cfg.fd_order not in (2, 4) or updates.get("fd_order", 4) not in (2, 4):
-        raise ConfigParseError(f"{path}: fd.order must be 2 or 4")
-    return replace(cfg, **updates)
+    return replace(Config(), **updates)
 
 
 def config_from_env() -> Config:

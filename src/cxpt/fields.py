@@ -20,6 +20,7 @@ __all__ = [
     "constant",
     "coordinate",
     "polynomial",
+    "poly_eval",
     "gaussian",
     "plane_wave",
     "cosine_wave",
@@ -30,12 +31,19 @@ __all__ = [
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
 
+def _single(values) -> complex | np.ndarray:
+    """Row 0 of a batch result: a complex scalar, or the row of an array-valued field."""
+    row = np.asarray(values)[0]
+    return complex(row) if row.ndim == 0 else row
+
+
 @dataclass(frozen=True)
 class TestField:
     """Scalar-valued field on R^n with declared smoothness.
 
     ``evaluator`` maps an (m, n) point array to an (m,) complex array
-    (a single (n,) point is also accepted by ``evaluate``).
+    (a single (n,) point is also accepted by ``evaluate``).  The wave
+    solver also accepts array-valued evaluators returning (m, dim) rows.
     """
 
     __test__ = False  # not a pytest collection target
@@ -49,7 +57,7 @@ class TestField:
     def evaluate(self, points: np.ndarray):
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
-            return complex(np.asarray(self.evaluator(pts[None, :]))[0])
+            return _single(self.evaluator(pts[None, :]))
         return np.asarray(self.evaluator(pts))
 
     __call__ = evaluate
@@ -125,6 +133,18 @@ def coordinate(index: int) -> TestField:
     )
 
 
+def poly_eval(table: Mapping[tuple[int, ...], complex], pts: np.ndarray) -> np.ndarray:
+    """sum_alpha c_alpha x^alpha at an (m, n) point array, from an exponent table."""
+    out = np.zeros(pts.shape[0], dtype=complex)
+    for alpha, c in table.items():
+        term = np.full(pts.shape[0], complex(c))
+        for k, e in enumerate(alpha):
+            if e:
+                term = term * pts[:, k] ** e
+        out += term
+    return out
+
+
 def polynomial(n: int, coeffs: Mapping[tuple[int, ...], complex]) -> TestField:
     """Multivariate polynomial sum_alpha c_alpha x^alpha on R^n."""
     table = {tuple(k): complex(v) for k, v in coeffs.items()}
@@ -133,14 +153,7 @@ def polynomial(n: int, coeffs: Mapping[tuple[int, ...], complex]) -> TestField:
             raise ValueError(f"exponent tuple {alpha} does not match n={n}")
 
     def ev(pts: np.ndarray) -> np.ndarray:
-        out = np.zeros(pts.shape[0], dtype=complex)
-        for alpha, c in table.items():
-            term = np.full(pts.shape[0], c)
-            for k, e in enumerate(alpha):
-                if e:
-                    term = term * pts[:, k] ** e
-            out += term
-        return out
+        return poly_eval(table, pts)
 
     def grad(pts: np.ndarray) -> np.ndarray:
         out = np.zeros(pts.shape, dtype=complex)
@@ -223,9 +236,7 @@ class FieldSpec:
     """Declarative description of a built-in field family.
 
     Families: ``constant``, ``coordinate(index)``, ``polynomial`` (term
-    table), ``gaussian(width)``, ``plane_wave(k)``,
-    ``cauchy_kernel_shifted(x0)`` (multivector-valued; built by the
-    clifford module).
+    table), ``gaussian(width)``, ``plane_wave(k)``.
     """
 
     family: str
@@ -255,7 +266,7 @@ def parse_field_spec(text: str) -> FieldSpec:
     """Parse CLI field syntax ``family`` or ``family:p1,p2,...``.
 
     Examples: ``constant:1``, ``coordinate:2``, ``gaussian:0.5``,
-    ``plane_wave:1,0,0``, ``cauchy_kernel_shifted:5,0,0``.
+    ``plane_wave:1,0,0``, ``polynomial:0,0,0=1;1,0,0=0.5``.
     """
     name, _, rest = text.partition(":")
     name = name.strip()

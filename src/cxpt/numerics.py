@@ -27,7 +27,6 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import (
     InvalidRadiusError,
@@ -155,6 +154,10 @@ def sphere_rule(dim: int, orders: tuple[int, ...] | None = None) -> QuadratureRu
     if dim == 1:
         return circle_rule(orders[0])
     # Polar measure on S^dim is (1 - xi^2)^{(dim-2)/2} dxi: Gauss-Jacobi nodes.
+    # scipy.special is imported here: it dominates the package's import time,
+    # and commands that build no sphere rule never need it.
+    from scipy.special import roots_jacobi
+
     alpha = (dim - 2) / 2.0
     xi, wxi = roots_jacobi(orders[0], alpha, alpha)
     wxi = wxi / wxi.sum()

@@ -17,7 +17,6 @@ outside; the spheroid itself carries the jump.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,21 +26,11 @@ from .geometry import ComplexPoint, PointClass, classify_point, complex_distance
 from .numerics import sphere_area
 
 __all__ = [
-    "PotentialValue",
     "newtonian",
     "holomorphic_potential",
     "regularized_potential",
     "regularized_jump",
 ]
-
-
-@dataclass(frozen=True)
-class PotentialValue:
-    """Evaluated potential with its kind tag ('newtonian' | 'holomorphic' | 'regularized')."""
-
-    value: complex
-    at: ComplexPoint
-    kind: str
 
 
 def newtonian(x: Sequence[float] | np.ndarray, n: int) -> float:

@@ -21,6 +21,11 @@ on Euclidean spacetime: solve the Cauchy problem with v = f(., s) and
 w = i f_s(., s).  Then f~ -> f as t -> 0, f~ obeys the wave equation in
 (x, t), and (d_s + i d_t) f~ = 0 at t = 0; when f is harmonic in (x, s)
 the extension coincides with the analytic continuation in s + it.
+
+Evaluators may be array-valued, mapping (m, n) points to (m, dim) rows:
+sphere means and radial derivatives act row-wise, so ``solve_cauchy``
+and ``extend`` then return a (dim,) array.  ``clifford.maxwell_extend``
+extends all blade coefficients of a multivector field this way.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import InsufficientSmoothnessError, UnsupportedDimensionError
-from .fields import TestField
+from .fields import TestField, _single
 from .numerics import DEFAULT_SPHERE_ORDERS, FDScheme, derivative, sphere_rule
 
 __all__ = [
@@ -53,7 +58,6 @@ class WaveOptions:
     """Quadrature orders and FD steps of the propagator."""
 
     radial_fd: FDScheme = FDScheme(h=1e-2, order=4, richardson=True)
-    time_fd: FDScheme = FDScheme(h=5e-3, order=4, richardson=True)
     s_fd: FDScheme = FDScheme(h=1e-3, order=4, richardson=True)
     sphere_orders: Mapping[int, tuple[int, ...]] | None = None
 
@@ -87,7 +91,7 @@ class SpacetimeField:
     def evaluate(self, points: np.ndarray):
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
-            return complex(np.asarray(self.evaluator(pts[None, :]))[0])
+            return _single(self.evaluator(pts[None, :]))
         return np.asarray(self.evaluator(pts))
 
 

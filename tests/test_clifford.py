@@ -22,7 +22,6 @@ from cxpt.clifford import (
     Cl,
     Multivector,
     SpacetimeMultivectorField,
-    _extend_mv_coeffs,
     borel_pompeiu,
     cauchy_kernel,
     cauchy_kernel_field,
@@ -37,7 +36,13 @@ from cxpt.clifford import (
     spacetime_algebra,
 )
 from cxpt.source import singular_action_r3
-from cxpt.wave import CauchyData, from_cauchy_data, wave_residual_at
+from cxpt.wave import (
+    CauchyData,
+    SpacetimeField,
+    extend,
+    from_cauchy_data,
+    wave_residual_at,
+)
 
 
 def random_mv(alg, rng):
@@ -375,12 +380,12 @@ def test_dirac_tilde_squared_matches_wave_residual():
         out[:, 0] = np.asarray(fa.s_derivative(pts))
         return out
 
-    f_mv = SpacetimeMultivectorField(st, 3, ev, s_derivative=evs)
+    f_mv_st = SpacetimeField(ev, s_derivative=evs)
     big_h = 0.1
     sch = FDScheme(h=big_h / 2.0, order=2, richardson=False)
 
     def ftil(xx, tt):
-        return _extend_mv_coeffs(f_mv, xx, 0.0, tt, None)
+        return extend(f_mv_st, xx, 0.0, tt)
 
     def inner(xx, tt):
         return dirac_tilde_apply(ftil, st, xx, tt, sch)
@@ -395,8 +400,8 @@ def test_dirac_tilde_squared_matches_wave_residual():
 
 
 def test_maxwell_component_matches_scalar_extend():
-    """The batched multivector extension agrees with the scalar wave path."""
-    from cxpt.wave import extend, harmonic_mode
+    """The array-valued extension of maxwell_extend agrees with the scalar path."""
+    from cxpt.wave import harmonic_mode
 
     st = spacetime_algebra(3)
     mode = harmonic_mode([0.7, 0.0, 0.5])
@@ -415,7 +420,7 @@ def test_maxwell_component_matches_scalar_extend():
     f = SpacetimeMultivectorField(st, 3, ev, s_derivative=evs)
     x = np.array([0.3, -0.1, 0.2])
     s, t = 0.25, 0.8
-    coeffs = _extend_mv_coeffs(f, x, s, t, None)
+    coeffs = maxwell_extend(f, x, s, t)[0].coeffs
     scalar = extend(mode, x, s, t)
     assert coeffs[mask] == pytest.approx(scalar, abs=1e-12)
     others = np.delete(coeffs, mask)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cxpt.cli import OPERATION_COVERAGE, run
-from cxpt.config import Config, load_config
+from cxpt.config import DOCUMENTED_KEYS, Config, load_config
 from cxpt.errors import ConfigParseError
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -42,15 +42,16 @@ def test_empty_config_gives_defaults(tmp_path):
 
 
 def test_config_overrides(tmp_path):
-    cfg = load_config(write(tmp_path, "fd.step = 1e-5\nquadrature.circle.order = 96\n"))
-    assert cfg.fd_step == 1e-5
+    cfg = load_config(write(tmp_path,
+                            "quadrature.panel.order = 24\nquadrature.circle.order = 96\n"))
+    assert cfg.panel_order == 24
     assert cfg.circle_order == 96
     assert cfg.interval_order == Config().interval_order
 
 
 def test_config_comments_and_blanks(tmp_path):
-    cfg = load_config(write(tmp_path, "# comment\n\nfd.order = 2\n"))
-    assert cfg.fd_order == 2
+    cfg = load_config(write(tmp_path, "# comment\n\nquadrature.panel.order = 8\n"))
+    assert cfg.panel_order == 8
 
 
 def test_config_rejections(tmp_path):
@@ -61,9 +62,39 @@ def test_config_rejections(tmp_path):
     with pytest.raises(ConfigParseError):
         load_config(write(tmp_path, "quadrature.sphere.order = 3\n"))
     with pytest.raises(ConfigParseError):
-        load_config(write(tmp_path, "fd.step = -1\n"))
-    with pytest.raises(ConfigParseError):
-        load_config(write(tmp_path, "output.format = yaml\n"))
+        load_config(write(tmp_path, "default.a = -1\n"))
+
+
+@pytest.mark.parametrize("line", [
+    "fd.step = 1e-4",
+    "fd.order = 4",
+    "fd.richardson = true",
+    "quadrature.radial.order = 16",
+    "tolerance.classify = 1e-12",
+    "output.format = json",
+])
+def test_config_deleted_keys_rejected(tmp_path, line):
+    """Keys that never reached a computation are gone, not silently accepted."""
+    with pytest.raises(ConfigParseError, match="unknown key"):
+        load_config(write(tmp_path, line + "\n"))
+
+
+def test_readme_config_block_matches_code():
+    """The README's key list and defaults are exactly DOCUMENTED_KEYS and Config()."""
+    readme = (SCHEMA_DIR.parent.parent / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1]
+    block = section.split("```", 2)[1]
+    documented = {}
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line:
+            key, _, value = line.partition("=")
+            documented[key.strip()] = value.strip()
+    assert set(documented) == set(DOCUMENTED_KEYS)
+    defaults = Config()
+    for key, text in documented.items():
+        attr, parse = DOCUMENTED_KEYS[key]
+        assert parse(text) == getattr(defaults, attr), key
 
 
 def test_config_env(tmp_path, monkeypatch):
