@@ -182,6 +182,11 @@ def _cmd_descent(args, cfg: Config) -> int:
 
 def _cmd_wave(args, cfg: Config) -> int:
     n = args.n
+    m = args.lattice_half
+    if m < 0:
+        raise ValueError(f"--lattice-half must be >= 0, got {m}")
+    if m > 0 and not args.step > 0:
+        raise ValueError(f"--step must be > 0 on a lattice, got {args.step}")
     v = parse_field_spec(args.v).to_field(n)
     w = parse_field_spec(args.w).to_field(n)
     data = wv.CauchyData(v, w, n)
@@ -189,7 +194,6 @@ def _cmd_wave(args, cfg: Config) -> int:
     x0 = _vector(args.x, n)
     cols = [f"x{k + 1}" for k in range(n)] + ["t", "re_u", "im_u"]
     sys.stdout.write(",".join(cols) + "\n")
-    m = args.lattice_half
     offsets = range(-m, m + 1)
     for axis_off in np.ndindex(*((2 * m + 1,) * n)):
         dx = np.asarray([offsets[i] for i in axis_off], dtype=float) * args.step

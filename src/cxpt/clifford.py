@@ -494,6 +494,11 @@ class CliffordOptions:
 
 _DEFAULT = CliffordOptions()
 
+#: Most points one array pass of ``extended_borel_pompeiu`` hands to the
+#: field or its Dirac derivative (at 4,096 the passes ran slower and the
+#: transient arrays raised the peak memory).
+_EBP_CHUNK = 1024
+
 
 class Domain:
     """Bounded integration domain with piecewise smooth boundary."""
@@ -748,6 +753,11 @@ def _disk_position(M: Domain, x: np.ndarray, y: np.ndarray) -> str:
     raise NotRegularError("the branch disk straddles the boundary of M")
 
 
+def _chunked_sum(count: int, chunk: int, term: Callable[[slice], np.ndarray]) -> np.ndarray:
+    """Sum of ``term(sl)`` over consecutive slices of range(count), ``chunk`` long at most."""
+    return sum(term(slice(lo, lo + chunk)) for lo in range(0, count, chunk))
+
+
 def extended_borel_pompeiu(f: MultivectorField, M: Domain, z: ComplexPoint,
                            options: CliffordOptions = _DEFAULT) -> Multivector:
     """Extension f~_M(z) by boundary-minus-volume quadrature with kernel C(x'-z).
@@ -758,6 +768,13 @@ def extended_borel_pompeiu(f: MultivectorField, M: Domain, z: ComplexPoint,
     integral is smooth, and its volume integral is evaluated in the
     oblate coordinates adapted to (x, -y), where gamma = p + iq exactly
     and a Duffy substitution removes the 1/|gamma| corner.
+
+    The Dirac field Df is derived once per call: exactly from the
+    polynomial table when there is one, else by ``_dirac_batch`` on each
+    chunk of points.  Every layer (boundary, volume and, inside, the
+    branch cut) is evaluated as array passes over chunks of at most
+    ``_EBP_CHUNK`` points: whole (p, q) rings of ``phi_order`` points
+    inside, runs of the domain's quadrature points outside.
     """
     n = M.n
     if np.linalg.norm(z.y) == 0.0:
@@ -769,17 +786,28 @@ def extended_borel_pompeiu(f: MultivectorField, M: Domain, z: ComplexPoint,
     alg = f.algebra
     x, y = z.x, z.y
     where = _disk_position(M, x, y)
+    if f.poly is not None:
+        dirac = dirac_field(f).batch
+    else:
+        def dirac(pts: np.ndarray) -> np.ndarray:
+            return _dirac_batch(f, pts, "left", options.dirac_fd)
 
     if where == "outside":
         # all integrands are smooth on M-bar: plain product quadrature
         pts, normals, wts = M.boundary_quadrature()
-        ck = _kernel_batch_complex(pts - x[None, :], y, alg, n)
-        nv = _normals_batch(alg, normals, n)
-        term_b = _triple_weighted_sum(alg, wts, ck, nv, f.batch(pts))
         vpts, vwts = M.volume_quadrature()
-        ckv = _kernel_batch_complex(vpts - x[None, :], y, alg, n)
-        dv = _dirac_batch(f, vpts, "left", options.dirac_fd)
-        term_v = _triple_weighted_sum(alg, vwts, ckv, dv)
+
+        def boundary(sl: slice) -> np.ndarray:
+            ck = _kernel_batch_complex(pts[sl] - x[None, :], y, alg, n)
+            return _triple_weighted_sum(alg, wts[sl], ck, _normals_batch(alg, normals[sl], n),
+                                        f.batch(pts[sl]))
+
+        def volume(sl: slice) -> np.ndarray:
+            ck = _kernel_batch_complex(vpts[sl] - x[None, :], y, alg, n)
+            return _triple_weighted_sum(alg, vwts[sl], ck, dirac(vpts[sl]))
+
+        term_b = _chunked_sum(wts.size, _EBP_CHUNK, boundary)
+        term_v = _chunked_sum(vwts.size, _EBP_CHUNK, volume)
         return Multivector(alg, term_b - term_v)
 
     # disk inside M: shrink the domain to an inscribed oblate spheroid E_P
@@ -794,38 +822,38 @@ def extended_borel_pompeiu(f: MultivectorField, M: Domain, z: ComplexPoint,
     yloc = -y
     yhat = yloc / a
     frame = orthonormal_complement_frame(yloc)
-    phis = 2.0 * np.pi * np.arange(options.phi_order) / options.phi_order
+    nphi = options.phi_order
+    phis = 2.0 * np.pi * np.arange(nphi) / nphi
     sig = (np.cos(phis)[:, None] * frame[:, 0][None, :]
            + np.sin(phis)[:, None] * frame[:, 1][None, :])
-    wphi = 1.0 / options.phi_order
+    wphi = 1.0 / nphi
 
-    def batch_terms(p_arr: np.ndarray, q_arr: np.ndarray, w_arr: np.ndarray,
-                    boundary: bool) -> np.ndarray:
-        """Assemble either surface or volume contributions over (p, q) nodes x phi."""
-        total = np.zeros(alg.dim, dtype=complex)
-        for p, q, w in zip(p_arr, q_arr, w_arr):
-            rho = math.sqrt(max((a**2 + p**2) * (a**2 - q**2), 0.0)) / a
-            zeta = p * q / a
-            u = rho * sig + zeta * yhat[None, :]          # (phi, 3)
-            pts = x[None, :] + u
-            gamma = complex(p, q)
-            wv = u.astype(complex) + 1j * yloc[None, :]   # (x' - x) - i y
-            ck = np.zeros((pts.shape[0], alg.dim), dtype=complex)
-            scale = 1.0 / (sphere_area(n) * gamma**n)
-            for k_ax in range(n):
-                ck[:, alg.mask_of((k_ax + 1,))] = wv[:, k_ax] * scale
-            if boundary:
-                normal = (p * u - q * y[None, :]) / math.sqrt(
-                    (a**2 + p**2) * (p**2 + q**2)
-                )
-                nv = _normals_batch(alg, normal, n)
-                fv = f.batch(pts)
-                contrib = _batch_mul(alg, _batch_mul(alg, ck, nv), fv)
-            else:
-                dv = _dirac_batch(f, pts, "left", options.dirac_fd)
-                contrib = _batch_mul(alg, ck, dv)
-            total += w * wphi * contrib.sum(axis=0)
-        return total
+    def rings(p: np.ndarray, q: np.ndarray, w: np.ndarray, term) -> np.ndarray:
+        """Sum of w * wphi * term over the phi rings of the (p, q) nodes.
+
+        ``term(p, q, u)`` gets per-point p, q and offsets u = x' - x of a
+        chunk of whole rings and returns (points, dim) contributions.
+        """
+        def chunk(sl: slice) -> np.ndarray:
+            rho = np.sqrt(np.maximum((a**2 + p[sl]**2) * (a**2 - q[sl]**2), 0.0)) / a
+            zeta = p[sl] * q[sl] / a
+            u = (rho[:, None, None] * sig + zeta[:, None, None] * yhat).reshape(-1, n)
+            contrib = term(np.repeat(p[sl], nphi), np.repeat(q[sl], nphi), u)
+            return np.repeat(w[sl] * wphi, nphi) @ contrib
+
+        return _chunked_sum(p.size, max(1, _EBP_CHUNK // nphi), chunk)
+
+    def kernel(p: np.ndarray, q: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return _kernel_batch_complex(u, y, alg, n, p + 1j * q)   # C((x' - x) - i y)
+
+    def boundary(p: np.ndarray, q: np.ndarray, u: np.ndarray) -> np.ndarray:
+        normal = (p[:, None] * u - q[:, None] * y[None, :]) / np.sqrt(
+            (a**2 + p**2) * (p**2 + q**2))[:, None]
+        nv = _normals_batch(alg, normal, n)
+        return _batch_mul(alg, _batch_mul(alg, kernel(p, q, u), nv), f.batch(x + u))
+
+    def volume(p: np.ndarray, q: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return _batch_mul(alg, kernel(p, q, u), dirac(x + u))
 
     # boundary of E_P: parametrized by (q, phi), area element
     # (sqrt(a^2+P^2)/a) sqrt(P^2+q^2) dq dphi_normalized * 2 pi
@@ -834,49 +862,39 @@ def extended_borel_pompeiu(f: MultivectorField, M: Domain, z: ComplexPoint,
     q_wts = a * leg.weights
     area_fact = (2.0 * np.pi * math.sqrt(a**2 + big_p**2) / a
                  * np.sqrt(big_p**2 + q_nodes**2))
-    term_b = batch_terms(np.full_like(q_nodes, big_p), q_nodes,
-                         q_wts * area_fact, boundary=True)
+    term_b = rings(np.full_like(q_nodes, big_p), q_nodes, q_wts * area_fact, boundary)
 
-    # volume of E_P in oblate coordinates, Duffy-transformed about (p, q) = 0
+    # volume of E_P in oblate coordinates, Duffy-transformed about (p, q) = 0:
+    # two triangles per sign of q, (p, q) = (P u, +-a u v) and (P u v, +-a u)
     duffy = gauss_legendre(options.duffy_order)
     t_nodes = 0.5 * (duffy.nodes + 1.0)
     t_wts = 0.5 * duffy.weights
-    ps, qs, ws = [], [], []
+    uu, vv = np.meshgrid(t_nodes, t_nodes, indexing="ij")
+    ps, qs = [], []
     for sq in (1.0, -1.0):
-        for tri in (1, 2):
-            for uu, wu in zip(t_nodes, t_wts):
-                for vv, wv_ in zip(t_nodes, t_wts):
-                    if tri == 1:
-                        p_val, q_val = big_p * uu, sq * a * uu * vv
-                    else:
-                        p_val, q_val = big_p * uu * vv, sq * a * uu
-                    ps.append(p_val)
-                    qs.append(q_val)
-                    ws.append(wu * wv_ * big_p * a * uu)
-    ps = np.asarray(ps)
-    qs = np.asarray(qs)
-    ws = np.asarray(ws)
+        ps += [big_p * uu, big_p * uu * vv]
+        qs += [sq * a * uu * vv, sq * a * uu]
+    ps = np.concatenate([v.ravel() for v in ps])
+    qs = np.concatenate([v.ravel() for v in qs])
+    ws = np.tile((np.outer(t_wts, t_wts) * big_p * a * uu).ravel(), 4)
     # volume measure (omega_2 / a)(p^2 + q^2) dp dq dsigma (n = 3)
     vol_fact = sphere_area(2) / a * (ps**2 + qs**2)
-    term_v = batch_terms(ps, qs, ws * vol_fact, boundary=False)
+    term_v = rings(ps, qs, ws * vol_fact, volume)
 
     # Branch-cut layer of the kernel: the potential jumps across the disk
     # ([phi] = i / (2 pi sqrt(a^2 - rho'^2)) for n = 3), so the distributional
     # derivative C = D phi carries a single layer there and the volume pairing
-    # gains i Int_0^a mean_phi[ yloc (Df) ](rho' = sqrt(a^2 - q0^2)) dq0.
+    # gains i Int_0^a mean_phi[ yloc (Df) ](rho' = sqrt(a^2 - q0^2)) dq0,
+    # the ring p = 0, q = q0 of the oblate coordinates.
+    yhat_mv = _normals_batch(alg, yhat[None, :], n)
+
+    def branch_cut(p: np.ndarray, q: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return 1j * _batch_mul(alg, yhat_mv, dirac(x + u))
+
     leg_d = gauss_legendre(options.spheroid_q_order)
     q0 = 0.5 * a * (leg_d.nodes + 1.0)
     wq0 = 0.5 * a * leg_d.weights
-    yloc_mv = np.zeros((1, alg.dim), dtype=complex)
-    for k_ax in range(n):
-        yloc_mv[0, alg.mask_of((k_ax + 1,))] = yhat[k_ax]
-    term_d = np.zeros(alg.dim, dtype=complex)
-    for q0_i, w_i in zip(q0, wq0):
-        rho_d = math.sqrt(max(a**2 - q0_i**2, 0.0))
-        pts = x[None, :] + rho_d * sig
-        dv = _dirac_batch(f, pts, "left", options.dirac_fd)
-        prod = _batch_mul(alg, np.broadcast_to(yloc_mv, dv.shape), dv)
-        term_d += 1j * w_i * wphi * prod.sum(axis=0)
+    term_d = rings(np.zeros_like(q0), q0, wq0, branch_cut)
 
     return Multivector(alg, term_b - term_v - term_d)
 

@@ -14,9 +14,17 @@ Conventions used throughout the library:
 * Summation order within a rule is fixed (ascending node index), so a
   given invocation is bitwise reproducible.
 * Integrands and field evaluators are vectorized: ``integrate_interval``
-  hands the integrand the array of a rule's nodes, and
-  ``mean_on_sphere`` hands the evaluator the array of all sphere points,
-  in one call each.  Errors they raise reach the caller unchanged.
+  hands the integrand the array of a rule's nodes in one call.  Errors
+  they raise reach the caller unchanged.
+* ``sphere_sums`` is the one sphere-mean kernel: rule-weighted sums over
+  the spheres ``center + radius * dirs`` for a whole array of radii (and
+  centers) at once, handing the field at most ``MAX_POINTS`` points per
+  call.  Values may carry a trailing axis, so (m, dim) evaluators give
+  (dim,) means.  ``mean_on_sphere``, the source actions' axial means and
+  the wave solver all reach the field through it.
+* ``fd_stencil`` exposes the distinct nodes and folded weights of the
+  stencil ``derivative`` applies, so a caller can evaluate all the nodes
+  of several stencils in one batch.
 """
 
 from __future__ import annotations
@@ -43,13 +51,17 @@ __all__ = [
     "sphere_rule",
     "integrate_interval",
     "mean_on_sphere",
+    "sphere_sums",
+    "point_values",
     "derivative",
+    "fd_stencil",
     "partial_derivative",
     "fd_gradient",
     "fd_laplacian",
     "orthonormal_complement_frame",
     "sphere_area",
     "DEFAULT_SPHERE_ORDERS",
+    "MAX_POINTS",
 ]
 
 #: Default per-level node counts for product rules on S^dim.
@@ -59,6 +71,10 @@ DEFAULT_SPHERE_ORDERS: dict[int, tuple[int, ...]] = {
     3: (14, 14, 28),
     4: (10, 10, 10, 20),
 }
+
+#: Most points handed to one evaluator or gradient call by ``sphere_sums``;
+#: bounds the memory of a batch of sphere means (S^4 rules have 20,000 nodes).
+MAX_POINTS = 4096
 
 
 def sphere_area(n: int) -> float:
@@ -106,9 +122,6 @@ class FDScheme:
             raise ValueError("FD step h must be positive")
         if self.order not in (2, 4):
             raise ValueError("FD accuracy order must be 2 or 4")
-
-    def with_h(self, h: float) -> "FDScheme":
-        return FDScheme(h=h, order=self.order, richardson=self.richardson)
 
 
 @lru_cache(maxsize=None)
@@ -214,6 +227,57 @@ def integrate_interval(
     return IntervalIntegral(refined, abs(refined - coarse))
 
 
+def sphere_sums(values, centers, radii, dirs: np.ndarray, weights: np.ndarray,
+                max_points: int = MAX_POINTS) -> np.ndarray:
+    """Rule-weighted sums over ``dirs`` of ``values`` at centers_i + radii_i dirs_j.
+
+    ``radii`` is a 1-D array of k radii and ``centers`` one (n,) center
+    or a (k, n) array, one per radius.  The rule is cut into equal slices
+    of at most ``max_points`` directions, and the radii into blocks whose
+    points fill at most ``max_points`` (never more than ``MAX_POINTS``,
+    the default).  ``values(pts, dirs, block)`` gets the (b, s, n) points
+    of one block with the slice's directions and the block's slice of the
+    k radii, and returns (b, s) or (b, s, dim) values.  The result is a
+    complex (k,) or (k, dim) array.
+    """
+    radii = np.asarray(radii, dtype=float)
+    k = radii.size
+    centers = np.asarray(centers, dtype=float)
+    cap = min(max_points, MAX_POINTS)
+    m = weights.size
+    per_slice = math.ceil(m / math.ceil(m / cap))
+    out = None
+    for lo in range(0, m, per_slice):
+        part_dirs = dirs[lo:lo + per_slice]
+        part_weights = weights[lo:lo + per_slice]
+        block = cap // part_weights.size
+        for i in range(0, k, block):
+            nodes = slice(i, i + block)
+            at = centers if centers.ndim == 1 else centers[nodes, None, :]
+            pts = at + radii[nodes, None, None] * part_dirs
+            vals = np.asarray(values(pts, part_dirs, nodes))
+            if out is None:
+                out = np.zeros((k,) + vals.shape[2:], dtype=complex)
+            # (b, s) @ (s,) -> (b,);  (s,) @ (b, s, dim) -> (b, dim)
+            out[nodes] += vals @ part_weights if vals.ndim == 2 else part_weights @ vals
+    return out
+
+
+def point_values(f):
+    """``sphere_sums`` values of a field: f at the flattened points, reshaped back.
+
+    ``f`` is a TestField-like object or a callable taking (m, n) points
+    and returning (m,) or (m, dim) values.
+    """
+    fn = _as_batch_eval(f)
+
+    def values(pts: np.ndarray, dirs: np.ndarray, nodes: slice) -> np.ndarray:
+        vals = np.asarray(fn(pts.reshape(-1, pts.shape[-1])))
+        return vals.reshape(pts.shape[:2] + vals.shape[1:])
+
+    return values
+
+
 def mean_on_sphere(
     f,
     center: Sequence[float] | np.ndarray,
@@ -229,8 +293,8 @@ def mean_on_sphere(
     For ``sphere_dim == n-2`` an ``axis`` vector must be supplied; the
     sphere then lies in the hyperplane through ``center`` orthogonal to
     it.  A zero radius returns ``f(center)``.  ``f`` (a TestField-like
-    object or a callable) receives the (m, n) array of all the rule's
-    points in one call and must accept it.
+    object or a callable) receives (m, n) arrays of the rule's points
+    through ``sphere_sums`` and must accept them.
     """
     center = np.asarray(center, dtype=float)
     n = center.shape[0]
@@ -242,17 +306,15 @@ def mean_on_sphere(
         raise ValueError(f"sphere_dim must be in [1, {n - 1}], got {sphere_dim}")
     if rule is None:
         rule = sphere_rule(sphere_dim, orders)
-    fn = _as_batch_eval(f)
     if sphere_dim == n - 1:
-        pts = center[None, :] + radius * rule.nodes
+        dirs = rule.nodes
     elif sphere_dim == n - 2:
         if axis is None:
             raise ValueError("sphere_dim = n-2 requires an axis vector")
-        frame = orthonormal_complement_frame(np.asarray(axis, dtype=float))
-        pts = center[None, :] + radius * (rule.nodes @ frame.T)
+        dirs = rule.nodes @ orthonormal_complement_frame(np.asarray(axis, dtype=float)).T
     else:
         raise ValueError("only full (n-1) and axis-orthogonal (n-2) spheres are supported")
-    return complex(np.dot(rule.weights, fn(pts)))
+    return complex(sphere_sums(point_values(f), center, [radius], dirs, rule.weights)[0])
 
 
 # Central stencils: (derivative order, accuracy) -> (offsets, coefficients).
@@ -274,6 +336,43 @@ def _stencil_value(g, at, h, offsets, coeffs, power):
         term = c * g(at + k * h)
         acc = term if acc is None else acc + term
     return acc / h**power
+
+
+def fd_stencil(at: float, scheme: FDScheme | None = None,
+               order_of_derivative: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct nodes and weights of ``derivative``'s stencil about ``at``.
+
+    ``weights @ g(nodes)`` equals ``derivative(g, at, scheme,
+    order_of_derivative)`` up to rounding: the Richardson combination is
+    folded into the weights, and a node shared by both levels (at +- h)
+    appears once.
+    """
+    if scheme is None:
+        scheme = FDScheme()
+    if not 1 <= order_of_derivative <= 4:
+        raise ValueError("order_of_derivative must be in 1..4")
+    steps, weights = _folded_stencil(scheme, order_of_derivative)
+    return at + steps, weights
+
+
+@lru_cache(maxsize=None)
+def _folded_stencil(scheme: FDScheme, order_of_derivative: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct offsets k h and folded weights of a stencil (at + k h as in ``derivative``)."""
+    offsets, coeffs = _STENCILS[(order_of_derivative, scheme.order)]
+    if scheme.richardson:
+        gain = 2.0**scheme.order
+        levels = [(scheme.h, -1.0 / (gain - 1.0)), (scheme.h / 2.0, gain / (gain - 1.0))]
+    else:
+        levels = [(scheme.h, 1.0)]
+    folded: dict[float, float] = {}
+    for h, share in levels:
+        for k, c in zip(offsets, coeffs):
+            folded[k * h] = folded.get(k * h, 0.0) + share * c / h**order_of_derivative
+    steps = np.fromiter(folded, dtype=float)
+    weights = np.fromiter(folded.values(), dtype=float)
+    steps.setflags(write=False)
+    weights.setflags(write=False)
+    return steps, weights
 
 
 def derivative(

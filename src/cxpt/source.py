@@ -31,9 +31,10 @@ The monopole is Q = 1, the dipole P = -iy, and the centroid of a source
 at z_S is z_S itself; as a -> 0 every action contracts to f(0).
 
 Every formula reaches the field only through the means fbar and their
-slopes fbar_zeta, fbar_rho and d/dp fbar#.  One kernel, ``_AxialField``,
-evaluates both at whole arrays of quadrature nodes, handing the field at
-most ``MAX_POINTS`` points per call; each q-integrand takes the node
+slopes fbar_zeta, fbar_rho and d/dp fbar#.  ``_AxialField`` evaluates
+both at whole arrays of quadrature nodes through the shared kernel
+``numerics.sphere_sums``, which hands the field at most
+``numerics.MAX_POINTS`` points per call; each q-integrand takes the node
 array of its rule at once.  Slopes come from the field's exact gradient
 when it has one, and from central differences of batched means (steps
 ``zeta_step`` and ``p_step``) when it does not.  Derivatives in u = rho^2
@@ -63,8 +64,10 @@ from .numerics import (
     gauss_legendre,
     integrate_interval,
     orthonormal_complement_frame,
+    point_values,
     sphere_area,
     sphere_rule,
+    sphere_sums,
 )
 
 __all__ = [
@@ -104,10 +107,6 @@ class SourceOptions:
 
 
 _DEFAULT = SourceOptions()
-
-#: Most points handed to one evaluator or gradient call of a test field;
-#: bounds the memory of a batch of sphere means (S^4 rules have 20,000 nodes).
-MAX_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -177,37 +176,15 @@ class _AxialField:
         self._u_scheme = FDScheme(h=options.u_step * self.a**2, order=4, richardson=True)
 
     def _sphere_sums(self, rho: np.ndarray, zeta: np.ndarray, values) -> np.ndarray:
-        """Rule-weighted sums over omega of ``values`` at zeta y_hat + rho omega.
-
-        ``rho`` and ``zeta`` are 1-D node arrays.  The rule is cut into
-        equal slices of at most ``MAX_POINTS`` directions, and the nodes
-        into blocks whose points fill at most ``MAX_POINTS``;
-        ``values(pts, dirs, nodes)`` gets the (block, slice, n) points with
-        the slice's directions and the block's node slice, and returns a
-        (block, slice) array.
-        """
-        m = self._weights.size
-        per_slice = math.ceil(m / math.ceil(m / MAX_POINTS))
-        out = np.zeros(rho.size, dtype=complex)
-        for lo in range(0, m, per_slice):
-            dirs = self._dirs[lo:lo + per_slice]
-            weights = self._weights[lo:lo + per_slice]
-            block = MAX_POINTS // weights.size
-            for i in range(0, rho.size, block):
-                nodes = slice(i, i + block)
-                pts = zeta[nodes, None, None] * self.yhat + rho[nodes, None, None] * dirs
-                out[nodes] += values(pts, dirs, nodes) @ weights
-        return out
+        """``numerics.sphere_sums`` over the (n-2)-spheres about zeta y_hat of radius rho."""
+        return sphere_sums(values, zeta[:, None] * self.yhat, rho, self._dirs, self._weights)
 
     def means(self, rho, zeta) -> np.ndarray:
         """fbar(rho, zeta) at broadcast arrays of nodes."""
         rho, zeta = np.broadcast_arrays(np.asarray(rho, dtype=float),
                                         np.asarray(zeta, dtype=float))
 
-        def values(pts, dirs, nodes):
-            return self.f.evaluate(pts.reshape(-1, self.n)).reshape(pts.shape[:2])
-
-        sums = self._sphere_sums(rho.ravel(), zeta.ravel(), values)
+        sums = self._sphere_sums(rho.ravel(), zeta.ravel(), point_values(self.f))
         return sums.reshape(rho.shape)
 
     def slopes(self, rho, zeta, drho, dzeta, scheme: FDScheme | None = None) -> np.ndarray:

@@ -22,6 +22,15 @@ w = i f_s(., s).  Then f~ -> f as t -> 0, f~ obeys the wave equation in
 (x, t), and (d_s + i d_t) f~ = 0 at t = 0; when f is harmonic in (x, s)
 the extension coincides with the analytic continuation in s + it.
 
+One solve first collects every radius its Richardson radial stencils
+touch (``numerics.fd_stencil``), as |r| since the means are even in r,
+and takes the means of v and of w at the distinct radii with one call of
+the shared kernel ``numerics.sphere_sums`` per field; the stencil sums
+are then weighted sums of those means.  An n = 3 solve takes 7 means (6
+of v, 1 of w) and an n = 5 solve 14 (7 of each).  The evaluator gets one
+sphere per call, cut into slices of at most ``numerics.MAX_POINTS``
+points where the rule is larger (S^4 has 20,000 nodes).
+
 Evaluators may be array-valued, mapping (m, n) points to (m, dim) rows:
 sphere means and radial derivatives act row-wise, so ``solve_cauchy``
 and ``extend`` then return a (dim,) array.  ``clifford.maxwell_extend``
@@ -36,9 +45,21 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InsufficientSmoothnessError, UnsupportedDimensionError
+from .errors import (
+    InsufficientSmoothnessError,
+    NonFiniteIntegrandError,
+    UnsupportedDimensionError,
+)
 from .fields import TestField, _single
-from .numerics import DEFAULT_SPHERE_ORDERS, FDScheme, derivative, sphere_rule
+from .numerics import (
+    DEFAULT_SPHERE_ORDERS,
+    FDScheme,
+    derivative,
+    fd_stencil,
+    point_values,
+    sphere_rule,
+    sphere_sums,
+)
 
 __all__ = [
     "WaveOptions",
@@ -124,33 +145,44 @@ def harmonic_mode(k: Sequence[float]) -> SpacetimeField:
     )
 
 
-def _mean_fn(field: TestField, x: np.ndarray, rule) -> Callable[[float], complex]:
-    """r -> mean of field over the sphere of radius |r| about x (even in r)."""
+def _radial_means(field: TestField, x: np.ndarray, rule, radii) -> np.ndarray:
+    """Means of ``field`` over the spheres of radii |r| about x, one kernel call.
 
-    def mean(r: float):
-        pts = x[None, :] + abs(r) * rule.nodes
-        return np.dot(rule.weights, field.evaluate(pts))
+    Each distinct |r| is evaluated once; the result has one row per
+    entry of ``radii``.  The evaluator gets one sphere per call (or a
+    slice of one, past ``MAX_POINTS``): an array-valued evaluator returns
+    dim values per point, and for the 16 blade coefficients of
+    ``maxwell_extend`` several spheres' worth of rows per call (0.9 MB)
+    cost more per point than one sphere's worth, while a scalar
+    evaluator costs the same per point either way.
+    """
+    mags = np.abs(np.asarray(radii, dtype=float)).tolist()
+    distinct = sorted(set(mags))
+    means = sphere_sums(point_values(field), x, distinct, rule.nodes, rule.weights,
+                        max_points=rule.weights.size)
+    return means[[distinct.index(r) for r in mags]]
 
-    return mean
 
-
-def _kirchhoff3(mv, mw, t: float, options: WaveOptions):
+def _kirchhoff3(data: CauchyData, x: np.ndarray, rule, t: float, options: WaveOptions):
     """n = 3: u = d/dr(r vbar)|_{r=t} + t wbar(|t|)."""
-    upart = derivative(lambda r: r * mv(r), t, options.radial_fd, 1)
-    return upart + t * mw(abs(t))
+    r, c = fd_stencil(t, options.radial_fd, 1)
+    mv = _radial_means(data.v, x, rule, r)
+    mw = _radial_means(data.w, x, rule, [t])
+    return (c * r) @ mv + t * mw[0]
 
 
-def _poisson5(mv, mw, t: float, options: WaveOptions):
+def _poisson5(data: CauchyData, x: np.ndarray, rule, t: float, options: WaveOptions):
     """n = 5 (k = 2) in expanded radial form, valid for every t:
 
     u = m + (5/3) t m' + (1/3) t^2 m'' + t w + (1/3) t^2 w'.
     """
-    fd = options.radial_fd
-    m0 = mv(t)
-    m1 = derivative(mv, t, fd, 1)
-    m2 = derivative(mv, t, fd, 2)
-    w0 = mw(t)
-    w1 = derivative(mw, t, fd, 1)
+    r1, c1 = fd_stencil(t, options.radial_fd, 1)
+    r2, c2 = fd_stencil(t, options.radial_fd, 2)
+    k1 = r1.size
+    mv = _radial_means(data.v, x, rule, np.concatenate([[t], r1, r2]))
+    mw = _radial_means(data.w, x, rule, np.concatenate([[t], r1]))
+    m0, m1, m2 = mv[0], c1 @ mv[1:1 + k1], c2 @ mv[1 + k1:]
+    w0, w1 = mw[0], c1 @ mw[1:]
     return m0 + (5.0 / 3.0) * t * m1 + (t * t / 3.0) * m2 + t * w0 + (t * t / 3.0) * w1
 
 
@@ -181,11 +213,9 @@ def solve_cauchy(data: CauchyData, x: Sequence[float] | np.ndarray, t: float,
     if t == 0.0:
         return data.v.evaluate(x)
     rule = sphere_rule(data.n - 1, options.orders_for(data.n - 1))
-    mv = _mean_fn(data.v, x, rule)
-    mw = _mean_fn(data.w, x, rule)
     if data.n == 3:
-        return _kirchhoff3(mv, mw, t, options)
-    return _poisson5(mv, mw, t, options)
+        return _kirchhoff3(data, x, rule, t, options)
+    return _poisson5(data, x, rule, t, options)
 
 
 def _lift_planar(field: TestField) -> TestField:
@@ -233,9 +263,15 @@ def extend(f: SpacetimeField, x: Sequence[float] | np.ndarray, s: float, t: floa
     return solve_cauchy(data, x, t, options)
 
 
+def _check_step(h: float) -> None:
+    if not h > 0:
+        raise ValueError(f"wave residual needs a lattice step h > 0, got {h}")
+
+
 def wave_residual_at(data: CauchyData, x: Sequence[float] | np.ndarray, t: float,
                      h: float = 0.05, options: WaveOptions = _DEFAULT) -> complex:
     """u_tt - Lap u at one spacetime point, by 2nd-order FD on solver samples."""
+    _check_step(h)
     x = np.asarray(x, dtype=float)
 
     def u(dx: np.ndarray, dt: float):
@@ -257,9 +293,14 @@ def wave_residual(data: CauchyData, x_center: Sequence[float] | np.ndarray,
                   options: WaveOptions = _DEFAULT) -> float:
     """Max |u_tt - Lap u| over the interior of a (2m+1)^{n+1} lattice.
 
-    The lattice is centered at (x_center, t_center) with spacing ``h``;
-    solver samples are cached and shared between neighboring stencils.
+    The lattice is centered at (x_center, t_center) with spacing ``h`` >
+    0 and ``half_points`` >= 1; solver samples are cached and shared
+    between neighboring stencils.  A non-finite sample raises
+    ``NonFiniteIntegrandError`` rather than dropping out of the maximum.
     """
+    _check_step(h)
+    if half_points < 1:
+        raise ValueError(f"wave_residual needs half_points >= 1, got {half_points}")
     x_center = np.asarray(x_center, dtype=float)
     n = data.n
     m = half_points
@@ -268,8 +309,11 @@ def wave_residual(data: CauchyData, x_center: Sequence[float] | np.ndarray,
     def uval(offs: tuple[int, ...]):
         if offs not in cache:
             dx = np.asarray(offs[:n], dtype=float) * h
-            cache[offs] = solve_cauchy(data, x_center + dx, t_center + offs[n] * h,
-                                       options)
+            val = solve_cauchy(data, x_center + dx, t_center + offs[n] * h, options)
+            if not np.all(np.isfinite(val)):
+                raise NonFiniteIntegrandError(
+                    f"solver sample at lattice offset {offs} is not finite")
+            cache[offs] = val
         return cache[offs]
 
     def bump_axis(offs: tuple[int, ...], axis: int, step: int) -> tuple[int, ...]:

@@ -21,6 +21,7 @@ from cxpt.clifford import (
     Box,
     Cl,
     Multivector,
+    MultivectorField,
     SpacetimeMultivectorField,
     borel_pompeiu,
     cauchy_kernel,
@@ -281,6 +282,29 @@ def test_extended_bp_general_position():
 
         oracle[mask] = singular_action_r3(TestField(ev), -z.y).value
     assert (got - Multivector(alg, oracle)).norm() <= 1e-6
+
+
+@pytest.mark.parametrize("x", [[0.25, 0.1, -0.05], [1.8, 0.4, -0.3]],
+                         ids=["disk-inside", "disk-outside"])
+def test_extended_bp_evaluator_only_field_matches_table(x):
+    """Without a table, EBP takes the FD Dirac field chunk by chunk and agrees."""
+    alg = Cl(3)
+    ball = Ball(np.array([0.1, -0.1, 0.2]), 1.3)
+    f = poly_field(alg, 3, {(1,): {(1, 0, 0): 1.0, (0, 2, 0): 0.5, (0, 0, 3): -0.2},
+                            (2, 3): {(1, 1, 0): 0.7},
+                            (): {(0, 0, 0): 0.3, (0, 0, 1): 0.4}})
+    sizes = []
+
+    def ev(pts):
+        sizes.append(pts.shape[0])
+        return f.batch(pts)
+
+    g = MultivectorField(alg, 3, evaluator=ev)
+    z = ComplexPoint(x, 0.12 * np.array([1.0, 2.0, 2.0]) / 3.0)
+    want = extended_borel_pompeiu(f, ball, z)
+    got = extended_borel_pompeiu(g, ball, z)
+    assert (got - want).norm() <= 1e-12
+    assert sizes and max(sizes) <= 1024
 
 
 def test_extended_bp_box_domain():

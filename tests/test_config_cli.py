@@ -1,7 +1,10 @@
 """Configuration parsing and the command-line surface."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -164,6 +167,39 @@ def test_cli_wave_verify(capsys):
                                     "--x", "0.2,0,0.1", "--t", "0.4", "--half", "1"])
     assert code == 0
     assert json.loads(out)["residual"] <= 1e-3
+
+
+@pytest.mark.parametrize("extra", [["--step", "0"], ["--step", "-0.05"], ["--half", "0"]])
+def test_cli_wave_verify_rejects_bad_lattice(capsys, extra):
+    code, out, err = run_cli(capsys, ["wave-verify", "--n", "3",
+                                      "--v", "plane_wave:1,0,0", "--w", "constant:0",
+                                      "--x", "0.2,0,0.1", "--t", "0.4", *extra])
+    assert code == 1
+    assert out == ""
+    assert "error" in err
+
+
+@pytest.mark.parametrize("extra", [["--lattice-half", "1", "--step", "0"],
+                                   ["--lattice-half", "-1"]])
+def test_cli_wave_rejects_bad_lattice(capsys, extra):
+    code, out, err = run_cli(capsys, ["wave", "--n", "3", "--v", "plane_wave:1,0,0",
+                                      "--w", "constant:0", "--x", "0,0,0", "--t", "0.5",
+                                      *extra])
+    assert code == 1
+    assert out == ""
+    assert "error" in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """``import cxpt.cli`` must not load scipy; only building a sphere rule does."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH"))
+                                          if p))
+    probe = "import sys, cxpt.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_cli_descent(capsys):

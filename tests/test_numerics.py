@@ -12,15 +12,19 @@ from cxpt.errors import (
 )
 from cxpt.fields import cosine_wave, gaussian, plane_wave, polynomial
 from cxpt.numerics import (
+    MAX_POINTS,
     FDScheme,
     circle_rule,
     derivative,
+    fd_stencil,
     gauss_legendre,
     integrate_interval,
     mean_on_sphere,
     orthonormal_complement_frame,
+    point_values,
     sphere_area,
     sphere_rule,
+    sphere_sums,
 )
 
 E_MINUS_1 = math.e - 1.0  # closed-form antiderivative of exp on [0, 1]
@@ -118,6 +122,55 @@ def test_mean_odd_function_cancels(rng):
 def test_mean_negative_radius_raises():
     with pytest.raises(InvalidRadiusError):
         mean_on_sphere(lambda pts: np.ones(pts.shape[0]), np.zeros(3), -0.1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_sphere_sums_matches_direct_means(rng, dim):
+    """One multi-radius kernel call equals per-radius weights @ f(center + r nodes)."""
+    rule = sphere_rule(dim)
+    n = dim + 1
+    k = rng.normal(size=n)
+    radii = np.array([0.0, 0.05, 0.3, 0.3, 1.2, 2.0, 0.7])
+    centers = rng.normal(size=(radii.size, n))
+    sizes = []
+
+    def scalar(pts):
+        sizes.append(pts.shape[0])
+        return np.exp(1j * pts @ k) + pts[:, 0] ** 2
+
+    def rows(pts):
+        sizes.append(pts.shape[0])
+        return np.column_stack([np.exp(1j * pts @ k), pts[:, -1], np.cos(pts @ k) * pts[:, 0]])
+
+    for fn in (scalar, rows):
+        for c in (centers, centers[0]):
+            got = sphere_sums(point_values(fn), c, radii, rule.nodes, rule.weights)
+            assert max(sizes) <= MAX_POINTS
+            cs = np.broadcast_to(c, centers.shape)
+            want = np.array([np.tensordot(rule.weights, fn(ci + r * rule.nodes), axes=1)
+                             for ci, r in zip(cs, radii)])
+            assert got.shape == want.shape
+            # the 20,000-node S^4 rule is summed in slices of at most MAX_POINTS,
+            # so its sums differ from one dot product by ~sqrt(m) eps, not eps
+            tol = 1e-14 if rule.weights.size <= MAX_POINTS else 1e-13
+            assert np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
+            sizes.clear()
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("scheme", [FDScheme(h=5e-2, order=4, richardson=True),
+                                    FDScheme(h=5e-2, order=2, richardson=False)])
+def test_fd_stencil_is_the_derivative_stencil(order, scheme):
+    nodes, weights = fd_stencil(0.3, scheme, order)
+    assert np.unique(nodes).size == nodes.size
+    want = derivative(np.exp, 0.3, scheme, order)
+    # both round differently; a stencil of order d amplifies rounding by (2/h)^d
+    assert weights @ np.exp(nodes) == pytest.approx(want, abs=1e-14 * (2.0 / scheme.h) ** order)
+
+
+def test_fd_stencil_merges_shared_richardson_nodes():
+    nodes, _ = fd_stencil(0.5, FDScheme(h=1e-2, order=4, richardson=True), 1)
+    assert sorted(nodes) == pytest.approx([0.48, 0.49, 0.495, 0.505, 0.51, 0.52], abs=1e-15)
 
 
 def test_derivative_examples():

@@ -5,8 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from cxpt.errors import InsufficientSmoothnessError, UnsupportedDimensionError
+from cxpt.errors import (
+    InsufficientSmoothnessError,
+    NonFiniteIntegrandError,
+    UnsupportedDimensionError,
+)
 from cxpt.fields import TestField, bump, constant, cosine_wave, gaussian, plane_wave
+from cxpt.numerics import MAX_POINTS
 from cxpt.wave import (
     CauchyData,
     SpacetimeField,
@@ -169,6 +174,49 @@ def test_wave_residual_plane_wave_and_gaussian():
     res_g = abs(wave_residual_at(CauchyData(gaussian(1.5), constant(0.0), 3),
                                  np.array([0.3, 0.1, 0.0]), 0.6, h=0.05))
     assert res_g <= 1e-3
+
+
+def test_wave_residual_rejects_bad_lattices():
+    data = CauchyData(plane_wave(K_UNIT), constant(0.0), 3)
+    for h in (0.0, -0.05, float("nan")):
+        with pytest.raises(ValueError):
+            wave_residual(data, np.zeros(3), 0.4, h=h, half_points=1)
+        with pytest.raises(ValueError):
+            wave_residual_at(data, np.zeros(3), 0.4, h=h)
+    for half in (0, -1):
+        with pytest.raises(ValueError):
+            wave_residual(data, np.zeros(3), 0.4, h=0.05, half_points=half)
+
+
+def test_wave_residual_non_finite_sample_raises():
+    nan = TestField(lambda pts: np.full(pts.shape[0], np.nan + 0j))
+    with pytest.raises(NonFiniteIntegrandError):
+        wave_residual(CauchyData(nan, constant(0.0), 3), np.zeros(3), 0.4,
+                      h=0.05, half_points=1)
+
+
+def _counted(field, sizes):
+    def ev(pts):
+        sizes.append(pts.shape[0])
+        return field.evaluate(pts)
+
+    return TestField(ev, smoothness=field.smoothness)
+
+
+@pytest.mark.parametrize("n, means, rule_points", [(3, 7, 1152), (5, 14, 20000)])
+def test_solve_takes_each_stencil_radius_once(n, means, rule_points):
+    """One solve evaluates each distinct |r| of its radial stencils once per field."""
+    k = np.linspace(0.4, 0.9, n)
+    sizes = []
+    data = CauchyData(_counted(plane_wave(k), sizes), _counted(cosine_wave(k), sizes), n)
+    for t in (0.7, -0.25, 0.015):
+        sizes.clear()
+        solve_cauchy(data, np.full(n, 0.1), t)
+        assert sum(sizes) <= means * rule_points
+        assert max(sizes) <= MAX_POINTS
+    sizes.clear()
+    solve_cauchy(data, np.full(n, 0.1), 0.7)
+    assert sum(sizes) == means * rule_points
 
 
 def test_energy_conservation_periodic_cell():
