@@ -11,6 +11,7 @@ from .errors import (
     AmbiguousBranchError,
     AxisDegenerateError,
     ConfigParseError,
+    ConvergenceError,
     CxptError,
     DimensionMismatchError,
     InsufficientSmoothnessError,

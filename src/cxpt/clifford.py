@@ -494,9 +494,9 @@ class CliffordOptions:
 
 _DEFAULT = CliffordOptions()
 
-#: Most points one array pass of ``extended_borel_pompeiu`` hands to the
-#: field or its Dirac derivative (at 4,096 the passes ran slower and the
-#: transient arrays raised the peak memory).
+#: Most points one array pass of ``extended_borel_pompeiu`` (or ``borel_pompeiu``)
+#: hands to the field or its Dirac derivative (at 4,096 the passes ran slower and
+#: the transient arrays raised the peak memory).
 _EBP_CHUNK = 1024
 
 
@@ -707,10 +707,11 @@ def borel_pompeiu(f: MultivectorField, M: Domain, x: Sequence[float] | np.ndarra
         raise OnBoundaryError("x lies on the boundary (trace limits out of scope)")
 
     pts, normals, wts = M.boundary_quadrature()
-    ck = _kernel_batch_real(pts - x[None, :], alg, n)
-    nv = _normals_batch(alg, normals, n)
-    fv = f.batch(pts)
-    term_b = _triple_weighted_sum(alg, wts, ck, nv, fv)
+
+    def boundary(sl: slice) -> np.ndarray:
+        ck = _kernel_batch_real(pts[sl] - x[None, :], alg, n)
+        return _triple_weighted_sum(alg, wts[sl], ck, _normals_batch(alg, normals[sl], n),
+                                    f.batch(pts[sl]))
 
     if sd > 0:
         dirs_rule = sphere_rule(n - 1, options.dirs_orders or DEFAULT_SPHERE_ORDERS[n - 1])
@@ -720,17 +721,21 @@ def borel_pompeiu(f: MultivectorField, M: Domain, x: Sequence[float] | np.ndarra
         # radial nodes per direction on [0, t_exit]; kernel * r^{n-1} * omega_n = dir
         radii = 0.5 * t_exit[:, None] * (leg.nodes[None, :] + 1.0)
         wrad = 0.5 * t_exit[:, None] * leg.weights[None, :]
-        p_all = (x[None, None, :] + radii[:, :, None] * dirs[:, None, :]).reshape(-1, n)
-        dv = _dirac_batch(f, p_all, "left", options.dirac_fd)
-        dir_mv = _normals_batch(alg, np.repeat(dirs, leg.nodes.size, axis=0), n)
-        w_all = (dirs_rule.weights[:, None] * wrad).reshape(-1)
-        term_v = _triple_weighted_sum(alg, w_all, dir_mv, dv)
+        vpts = (x[None, None, :] + radii[:, :, None] * dirs[:, None, :]).reshape(-1, n)
+        vdirs = np.repeat(dirs, leg.nodes.size, axis=0)
+        vwts = (dirs_rule.weights[:, None] * wrad).reshape(-1)
+
+        def kernel(sl: slice) -> np.ndarray:
+            return _normals_batch(alg, vdirs[sl], n)
     else:
         vpts, vwts = M.volume_quadrature()
-        ckv = _kernel_batch_real(vpts - x[None, :], alg, n)
-        dv = _dirac_batch(f, vpts, "left", options.dirac_fd)
-        term_v = _triple_weighted_sum(alg, vwts, ckv, dv)
 
+        def kernel(sl: slice) -> np.ndarray:
+            return _kernel_batch_real(vpts[sl] - x[None, :], alg, n)
+
+    term_b = _chunked_sum(wts.size, _EBP_CHUNK, boundary)
+    term_v = _chunked_sum(vwts.size, _EBP_CHUNK, lambda sl: _triple_weighted_sum(
+        alg, vwts[sl], kernel(sl), _dirac_batch(f, vpts[sl], "left", options.dirac_fd)))
     return Multivector(alg, term_b - term_v)
 
 

@@ -17,6 +17,7 @@ __all__ = [
     "OnBoundaryError",
     "NotRegularError",
     "ConfigParseError",
+    "ConvergenceError",
 ]
 
 
@@ -82,3 +83,7 @@ class NotRegularError(CxptError):
 
 class ConfigParseError(CxptError):
     """A configuration file line could not be parsed or validated."""
+
+
+class ConvergenceError(CxptError):
+    """An adaptive approximation did not reach rounding level within its cap."""

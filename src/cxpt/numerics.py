@@ -330,14 +330,6 @@ _STENCILS: dict[tuple[int, int], tuple[tuple[int, ...], tuple[float, ...]]] = {
 }
 
 
-def _stencil_value(g, at, h, offsets, coeffs, power):
-    acc = None
-    for k, c in zip(offsets, coeffs):
-        term = c * g(at + k * h)
-        acc = term if acc is None else acc + term
-    return acc / h**power
-
-
 def fd_stencil(at: float, scheme: FDScheme | None = None,
                order_of_derivative: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Distinct nodes and weights of ``derivative``'s stencil about ``at``.
@@ -386,29 +378,17 @@ def derivative(
 
     Supports derivative orders 1-4 at accuracy 2 or 4, with one optional
     Richardson level (``scheme.richardson``).  ``g`` may return complex
-    scalars or numpy arrays; linearity of the stencil does the rest.
+    scalars or numpy arrays; it is called once per node of ``fd_stencil``.
     ``domain`` bounds, when given, are enforced for every stencil point.
     """
-    if scheme is None:
-        scheme = FDScheme()
-    if not 1 <= order_of_derivative <= 4:
-        raise ValueError("order_of_derivative must be in 1..4")
-    offsets, coeffs = _STENCILS[(order_of_derivative, scheme.order)]
-    steps = [scheme.h, scheme.h / 2.0] if scheme.richardson else [scheme.h]
+    nodes, weights = fd_stencil(at, scheme, order_of_derivative)
     if domain is not None:
         lo, hi = domain
-        reach = max(abs(k) for k in offsets)
-        for h in steps:
-            if at - reach * h < lo or at + reach * h > hi:
-                raise StencilOutOfDomainError(
-                    f"stencil around {at} (reach {reach * h}) leaves [{lo}, {hi}]"
-                )
-    d_full = _stencil_value(g, at, steps[0], offsets, coeffs, order_of_derivative)
-    if not scheme.richardson:
-        return d_full
-    d_half = _stencil_value(g, at, steps[1], offsets, coeffs, order_of_derivative)
-    gain = 2.0**scheme.order
-    return (gain * d_half - d_full) / (gain - 1.0)
+        if nodes.min() < lo or nodes.max() > hi:
+            raise StencilOutOfDomainError(
+                f"stencil around {at} (reach {np.abs(nodes - at).max()}) leaves [{lo}, {hi}]"
+            )
+    return sum(w * g(float(x)) for x, w in zip(nodes, weights))
 
 
 def partial_derivative(

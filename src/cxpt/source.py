@@ -32,35 +32,43 @@ at z_S is z_S itself; as a -> 0 every action contracts to f(0).
 
 Every formula reaches the field only through the means fbar and their
 slopes fbar_zeta, fbar_rho and d/dp fbar#.  ``_AxialField`` evaluates
-both at whole arrays of quadrature nodes through the shared kernel
+both at whole arrays of nodes through the shared kernel
 ``numerics.sphere_sums``, which hands the field at most
-``numerics.MAX_POINTS`` points per call; each q-integrand takes the node
-array of its rule at once.  Slopes come from the field's exact gradient
-when it has one, and from central differences of batched means (steps
-``zeta_step`` and ``p_step``) when it does not.  Derivatives in u = rho^2
-are central differences with step ``u_step``.
+``numerics.MAX_POINTS`` points per call.  Slopes come from the field's
+exact gradient when it has one, and from central differences of batched
+means (steps ``ZETA_STEP`` and ``P_STEP``) when it does not.  The singular
+actions interpolate the means in u = rho^2, where they are smooth, on
+16-node Chebyshev panels in u that are halved until their
+trailing coefficients reach rounding level, or raise ``ConvergenceError``
+below a^2 / 2^8.  The even-n actions take their rim derivatives inside
+one panel centred on u = a^2.  The odd-n ones take the rim Taylor terms
+and the Taylor-subtracted q-quotient by exact division on the panel
+ending at the rim, and the quotients directly elsewhere, where nothing
+cancels.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.polynomial import Chebyshev
 
 from .errors import (
+    ConvergenceError,
     InsufficientSmoothnessError,
     InvalidIndexError,
     UnsupportedDimensionError,
     WindowTooSmallError,
 )
-from .fields import TestField, constant, polynomial
+from .fields import TestField, constant, coordinate
 from .numerics import (
     DEFAULT_SPHERE_ORDERS,
     FDScheme,
     derivative,
+    fd_stencil,
     gauss_legendre,
     integrate_interval,
     orthonormal_complement_frame,
@@ -86,18 +94,23 @@ __all__ = [
 ]
 
 
+#: FD steps (relative to a) in zeta / rho and in p for fields without a gradient.
+ZETA_STEP = 1e-3
+P_STEP = 1e-2
+#: Nodes of a u-panel (the rim derivatives amplify rounding by about N^4, so a
+#: panel that 16 nodes miss is halved instead), the rounding level of a sample
+#: (about 450 ulps) and the most halvings of [0, a^2].
+U_NODES = 16
+U_ROUNDING = 1e-13
+U_SPLITS = 8
+
+
 @dataclass(frozen=True)
 class SourceOptions:
-    """Quadrature orders and FD steps used by the source functionals."""
+    """Quadrature orders used by the source functionals."""
 
     q_order: int = 32            # Gauss-Legendre order of the q-integrals
     panel_order: int = 16        # per-panel order for the regularized action
-    zeta_step: float = 1e-3      # FD step for fbar_zeta / fbar_rho, relative to a
-                                 # (only for fields without an exact gradient)
-    u_step: float = 0.04         # FD step in u = rho^2, relative to a^2
-    p_step: float = 1e-2         # FD step in p (regularized action), relative to a
-                                 # (only for fields without an exact gradient)
-    series_cut: float = 1e-3     # q below cut*a switches to the series integrand
     sphere_orders: Mapping[int, tuple[int, ...]] | None = None
 
     def orders_for(self, dim: int) -> tuple[int, ...]:
@@ -154,8 +167,8 @@ class _AxialField:
 
     ``means`` gives fbar(rho, zeta) over the (n-2)-sphere in y-perp and
     ``slopes`` the mean of grad f . (drho omega + dzeta y_hat), both at
-    arrays of (rho, zeta) nodes; ``Ghat`` and ``Fhat`` build the
-    functions of u = rho^2 entering the source formulas from them.
+    arrays of (rho, zeta) nodes; ``u_panels`` turns functions of
+    u = rho^2 built from them into piecewise Chebyshev interpolants.
     """
 
     def __init__(self, f: TestField, y: np.ndarray, n: int,
@@ -166,14 +179,16 @@ class _AxialField:
         self.a = float(np.linalg.norm(self.y))
         if self.a == 0.0:
             raise ValueError("axis vector y must be nonzero here")
-        self.options = options
         self.yhat = self.y / self.a
         frame = orthonormal_complement_frame(self.y)
         rule = sphere_rule(n - 2, options.orders_for(n - 2))
         self._dirs = rule.nodes @ frame.T      # (m, n) unit vectors in y-perp
         self._weights = rule.weights
-        self._zeta_scheme = FDScheme(h=options.zeta_step * self.a, order=4, richardson=True)
-        self._u_scheme = FDScheme(h=options.u_step * self.a**2, order=4, richardson=True)
+        self._zeta_scheme = FDScheme(h=ZETA_STEP * self.a, order=4, richardson=True)
+        # rounding of a times a slope sample, in U_ROUNDING: eps a sum|w| for FD stencils
+        weights = fd_stencil(0.0, self._zeta_scheme)[1]
+        self.slope_noise = 1.0 if f.gradient is not None else max(
+            1.0, np.finfo(float).eps * self.a * np.abs(weights).sum() / U_ROUNDING)
 
     def _sphere_sums(self, rho: np.ndarray, zeta: np.ndarray, values) -> np.ndarray:
         """``numerics.sphere_sums`` over the (n-2)-spheres about zeta y_hat of radius rho."""
@@ -192,7 +207,7 @@ class _AxialField:
 
         Exact when the field carries a gradient.  Otherwise a central
         difference of ``means`` along (drho, dzeta), with ``scheme`` in
-        the line parameter (default: the ``zeta_step`` scheme).
+        the line parameter (default: the ``ZETA_STEP`` scheme).
         """
         rho, zeta, drho, dzeta = np.broadcast_arrays(
             *(np.asarray(v, dtype=float) for v in (rho, zeta, drho, dzeta)))
@@ -228,35 +243,119 @@ class _AxialField:
         q = np.asarray(q, dtype=float)
         rho, zeta = self.rho_zeta(p, q)
         drho = p * np.sqrt(np.maximum(a**2 - q**2, 0.0)) / (a * math.sqrt(a**2 + p**2))
-        scheme = FDScheme(h=min(self.options.p_step * a, p / 4.0), order=4, richardson=False)
+        scheme = FDScheme(h=min(P_STEP * a, p / 4.0), order=4, richardson=False)
         return self.slopes(rho, zeta, drho, q / a, scheme)
 
-    # -- the cylindrical F and helpers -------------------------------------
-    def Ghat(self, u) -> np.ndarray:
-        """fbar(sqrt(u), 0) as a function of u = rho^2."""
-        return self.means(np.sqrt(u), 0.0)
+    # -- functions of u = rho^2 on the disk ---------------------------------
+    def u_panels(self, *parts, cover: bool = True) -> list[list[Chebyshev]]:
+        """Piecewise Chebyshev interpolants in u = rho^2, one list of panels per part.
 
-    def Fhat(self, u) -> np.ndarray:
-        """F(rho)|_{rho = sqrt(u)} = rho^{n-3} [fbar + i (a^2-u)/((n-2) a) fbar_zeta]."""
+        Each part is ``(fun, noise)``: ``fun`` maps u-nodes to samples in the
+        units of f, whose rounding is ``noise`` times ``U_ROUNDING`` of the
+        field scale.  A panel is kept when every part's last three
+        coefficients are below that rounding, and halved when not.  With
+        ``cover`` the panels cover [0, a^2], the rim panel (the one ending
+        at a^2) last, and the scale is the largest of the rim mean of |f|
+        and every sample so far.  Without it there is one panel, centred on
+        a^2 so that rim derivatives are taken inside it, from [a^2/2, 3a^2/2]
+        down, and it is resolved against the rim mean of |f| and its own
+        samples, since a rim derivative is as small as the field there.
+        """
+        magnitude = point_values(lambda pts: np.abs(self.f.evaluate(pts)))
+        rim = float(self._sphere_sums(np.array([self.a]), np.zeros(1), magnitude)[0].real)
+        level, a2 = rim, self.a**2
+        todo, panels = [(0.0, a2, 0) if cover else (0.5 * a2, 1.5 * a2, 0)], []
+        while todo:
+            lo, hi, depth = todo.pop()
+            fits = [_chebyshev_fit(fun, U_NODES, [lo, hi]) for fun, _ in parts]
+            peak = max(peak for _, peak in fits)
+            level = max(level, peak) if cover else max(rim, peak)
+            tail = max(_tail(interp) / noise for (interp, _), (_, noise) in zip(fits, parts))
+            if tail <= U_ROUNDING * level:
+                panels.append([interp for interp, _ in fits])
+                continue
+            if depth == U_SPLITS:
+                raise ConvergenceError(
+                    f"means of {self.f.name or 'the field'} about |y| = {self.a:g} are not "
+                    f"resolved on panels of a^2 / 2^{U_SPLITS} in rho^2 "
+                    f"(tail {tail:.2e} on [{lo:.3g}, {hi:.3g}], field scale {level:.2e})")
+            if cover:
+                mid = 0.5 * (lo + hi)
+                todo += [(mid, hi, depth + 1), (lo, mid, depth + 1)]
+            else:
+                todo.append((0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi, depth + 1))
+        panels.sort(key=lambda panel: panel[0].domain[0])
+        return [list(part) for part in zip(*panels)]
+
+    def g_panels(self, cover: bool = True) -> list[Chebyshev]:
+        """g(u) = fbar + i (a^2-u)/((n-2) a) fbar_zeta at (sqrt(u), 0); F = u^{(n-3)/2} g."""
         a, n = self.a, self.n
-        u = np.asarray(u, dtype=float)
-        rho = np.sqrt(u)
-        fbar_zeta = self.slopes(rho, 0.0, 0.0, 1.0)
-        val = self.means(rho, 0.0) + 1j * (a**2 - u) / ((n - 2) * a) * fbar_zeta
-        return u ** ((n - 3) / 2.0) * val
 
-    def u_derivative(self, fun, order_of_derivative: int) -> complex:
-        return complex(derivative(fun, self.a**2, self._u_scheme, order_of_derivative))
+        def g(u: np.ndarray) -> np.ndarray:
+            rho = np.sqrt(u)
+            slope = self.slopes(rho, 0.0, 0.0, 1.0)
+            return self.means(rho, 0.0) + 1j * (a**2 - u) / ((n - 2) * a) * slope
+
+        return self.u_panels((g, self.slope_noise), cover=cover)[0]
 
 
-def _split_at(q: np.ndarray, cut: float, near, far) -> np.ndarray:
-    """near(q) on the nodes q < cut and far(q) on the rest, each only when non-empty."""
-    low = q < cut
-    out = np.empty(q.shape, dtype=complex)
-    for mask, fun in ((low, near), (~low, far)):
-        if mask.any():
-            out[mask] = fun(q[mask])
-    return out
+def _chebyshev_fit(fun, nodes: int, domain: list[float]) -> tuple[Chebyshev, float]:
+    """Interpolant of ``fun`` at ``nodes`` first-kind Chebyshev points of ``domain``,
+    and the largest sample magnitude.
+
+    The coefficients are cosine sums of the samples, each cos(j theta_i) taken
+    at its angle reduced exactly mod 2 pi: ``Chebyshev.interpolate`` builds
+    them by a recurrence whose rounding made harmonic n = 6 actions 7 times,
+    and acceptance criterion 4, 12 times less accurate.
+    """
+    turns = np.outer(np.arange(nodes), 2 * np.arange(nodes) + 1) % (4 * nodes)
+    x = np.cos(np.pi * (2 * np.arange(nodes) + 1) / (2 * nodes))
+    samples = fun(domain[0] + 0.5 * (domain[1] - domain[0]) * (x + 1.0))
+    coef = np.cos(np.pi * turns / (2 * nodes)) @ samples * (2.0 / nodes)
+    coef[0] /= 2.0
+    return Chebyshev(coef, domain), float(np.abs(samples).max())
+
+
+def _tail(interp: Chebyshev) -> float:
+    """Largest of the last three Chebyshev coefficients in magnitude."""
+    return float(np.abs(interp.coef[-3:]).max())
+
+
+def _integrate_panels(integrand, pieces: list[Chebyshev], a: float,
+                      order: int) -> tuple[complex, float]:
+    """Sum over u-panels of Int integrand(piece, q) dq on the panel's q = sqrt(a^2 - u) range.
+
+    Returns the value and the summed ``integrate_interval`` error estimates.
+    """
+    value, error = 0j, 0.0
+    for piece in pieces:
+        lo, hi = piece.domain
+        part = integrate_interval(lambda q: integrand(piece, q), math.sqrt(a**2 - hi),
+                                  math.sqrt(a**2 - lo), order=order)
+        value, error = value + part.value, error + part.error
+    return value, error
+
+
+def _taylor_subtracted(pieces: list[Chebyshev], k: int, a: float,
+                       order: int) -> tuple[list[complex], complex, float]:
+    """Rim Taylor coefficients T_2m = ((-1)^m / m!) D_u^m F(a^2), m <= k, of the
+    panels of F, and Int_0^a (F(a^2-q^2) - Sum_m T_2m q^2m) / q^{2k+2} dq with its error.
+
+    On the rim panel F = (u - a^2)^{k+1} Q + R with R the Taylor polynomial, so
+    the integrand is (-1)^{k+1} Q(a^2-q^2) and nothing cancels near q = 0; on
+    the other panels it is taken directly.
+    """
+    rim_f = pieces[-1]
+    quotient, taylor = divmod(rim_f, Chebyshev.fromroots([a**2] * (k + 1), domain=rim_f.domain))
+    t2 = [(-1.0) ** m / math.factorial(m) * complex(taylor.deriv(m)(a**2)) for m in range(k + 1)]
+
+    def integrand(f_hat: Chebyshev, q: np.ndarray) -> np.ndarray:
+        if f_hat is rim_f:
+            return (-1.0) ** (k + 1) * quotient(a**2 - q**2)
+        head = sum(t2[m] * q ** (2 * m) for m in range(k + 1))
+        return (f_hat(a**2 - q**2) - head) / q ** (2 * k + 2)
+
+    return (t2, *_integrate_panels(integrand, pieces, a, order))
 
 
 def singular_action_r3(f: TestField, y: Sequence[float] | np.ndarray,
@@ -269,33 +368,28 @@ def singular_action_r3(f: TestField, y: Sequence[float] | np.ndarray,
     _require_smoothness(f, 1, "singular_action_r3")
     af = _AxialField(f, y, 3, options)
     a = af.a
-    l0 = complex(af.means(a, 0.0))
+    g_pieces, ah_pieces = af.u_panels(      # G = fbar(sqrt(u), 0), a H = a fbar_zeta
+        (lambda u: af.means(np.sqrt(u), 0.0), 1.0),
+        (lambda u: a * af.slopes(np.sqrt(u), 0.0, 0.0, 1.0), af.slope_noise))
+    # rim L0 = G(a^2); single layer: -a Int_0^a (G(a^2-q^2) - L0) / q^2 dq
+    (l0,), int1, err1 = _taylor_subtracted(g_pieces, 0, a, options.q_order)
+    l1 = -a * int1
 
-    # single layer: -a Int_0^a (fbar(rho(q),0) - fbar(a,0)) / q^2 dq, even integrand;
-    # the quotient cancels below q = cut*a, where its Taylor series in q^2 is used
-    ghat = functools.cache(af.Ghat)  # the three u-stencils share their nodes
+    # double layer: -Int_0^a fbar_zeta(rho(q), 0) dq
+    int2, err2 = _integrate_panels(lambda ah_hat, q: ah_hat(a**2 - q**2), ah_pieces, a,
+                                   options.q_order)
+    l2 = -int2 / a
 
-    def l1_series(q: np.ndarray) -> np.ndarray:
-        d1, d2, d3 = (af.u_derivative(ghat, m) for m in (1, 2, 3))
-        return -d1 + d2 / 2.0 * q**2 - d3 / 6.0 * q**4
+    # the q-rules are near exact on polynomials: add the interpolants' tails, carried
+    # through the single layer's 1/q^2 or, on the rim panel, through Q by Markov
+    def single_tail(g_hat: Chebyshev) -> float:
+        lo, hi = g_hat.domain
+        if g_hat is g_pieces[-1]:
+            return (1.0 + 2.0 * U_NODES**2 * a**2 / (hi - lo)) * _tail(g_hat)
+        return a * _tail(g_hat) * (1.0 / math.sqrt(a**2 - hi) - 1.0 / math.sqrt(a**2 - lo))
 
-    def l1_quotient(q: np.ndarray) -> np.ndarray:
-        return (af.Ghat(a**2 - q**2) - l0) / q**2
-
-    int1 = integrate_interval(
-        lambda q: _split_at(q, options.series_cut * a, l1_series, l1_quotient),
-        0.0, a, order=options.q_order,
-    )
-    l1 = -a * int1.value
-
-    # double layer: -Int_0^a fbar_zeta(rho(q), 0) dq, smooth
-    int2 = integrate_interval(
-        lambda q: af.slopes(np.sqrt(np.maximum(a**2 - q**2, 0.0)), 0.0, 0.0, 1.0),
-        0.0, a, order=options.q_order,
-    )
-    l2 = -int2.value
-
-    err = a * int1.error + int2.error + 1e-15 * (abs(l0) + abs(l1) + abs(l2))
+    tails = sum(single_tail(g) + _tail(ah) for g, ah in zip(g_pieces, ah_pieces))
+    err = a * err1 + err2 / a + tails + 1e-15 * (abs(l0) + abs(l1) + abs(l2))
     value = l0 + l1 + 1j * l2
     return SourceAction(value, {"rim": l0, "single_layer": l1, "double_layer": 1j * l2}, err)
 
@@ -324,8 +418,12 @@ def singular_action_even(f: TestField, y: Sequence[float] | np.ndarray, n: int,
     k = (n - 2) // 2
     _require_smoothness(f, k, "singular_action_even")
     af = _AxialField(f, y, n, options)
-    dk = af.u_derivative(af.Fhat, k)
-    return af.a * math.sqrt(math.pi) / math.gamma(k + 0.5) * dk
+    a = af.a
+    g_hat = af.g_panels(cover=False)[0]
+    p = (n - 3) / 2.0   # D^k (u^p g) by Leibniz, the power kept analytic
+    dk = sum(math.comb(k, j) * math.prod(p - i for i in range(j)) * a ** (2.0 * (p - j))
+             * complex(g_hat.deriv(k - j)(a**2)) for j in range(k + 1))
+    return a * math.sqrt(math.pi) / math.gamma(k + 0.5) * dk
 
 
 def singular_action_odd(f: TestField, y: Sequence[float] | np.ndarray, n: int,
@@ -341,27 +439,10 @@ def singular_action_odd(f: TestField, y: Sequence[float] | np.ndarray, n: int,
     af = _AxialField(f, y, n, options)
     a = af.a
     ratio = _omega_ratio(n)
-    fhat = functools.cache(af.Fhat)  # the u-stencils of all orders share their nodes
-
-    def taylor(m: int) -> complex:
-        """((-1)^m / m!) d^m/du^m Fhat at u = a^2."""
-        return (-1.0) ** m / math.factorial(m) * af.u_derivative(fhat, m)
-
-    t2 = [complex(fhat(a**2))] + [taylor(m) for m in range(1, k + 1)]
-
-    def v_series(q: np.ndarray) -> np.ndarray:
-        return taylor(k + 1) + taylor(k + 2) * q**2
-
-    def v_quotient(q: np.ndarray) -> np.ndarray:
-        head = sum(t2[m] * q ** (2 * m) for m in range(k + 1))
-        return (af.Fhat(a**2 - q**2) - head) / q ** (n - 1)
-
-    integral = integrate_interval(
-        lambda q: _split_at(q, options.series_cut * a, v_series, v_quotient),
-        0.0, a, order=options.q_order,
-    )
+    f_pieces = [g * Chebyshev.identity(domain=g.domain) ** k for g in af.g_panels()]
+    t2, integral, _ = _taylor_subtracted(f_pieces, k, a, options.q_order)
     i_power = (1j) ** ((1 - n) % 4)
-    v_n = 2.0 * i_power * a / ratio * integral.value
+    v_n = 2.0 * i_power * a / ratio * integral
 
     tail = 2.0 * (-1.0) ** k / ratio * sum(
         a ** (2 * l - 2 * k) * t2[l] / (2 * k - 2 * l + 1) for l in range(k + 1)
@@ -437,15 +518,8 @@ def moments(n: int, y: Sequence[float] | np.ndarray,
     """Monopole Q and dipole vector P of the source with axis y."""
     y = np.asarray(y, dtype=float)
     q_val = singular_action(constant(1.0), y, n, options)
-    p_vec = np.asarray(
-        [singular_action(_coordinate_field(n, j), y, n, options) for j in range(n)]
-    )
+    p_vec = np.asarray([singular_action(coordinate(j), y, n, options) for j in range(n)])
     return q_val, p_vec
-
-
-def _coordinate_field(n: int, j: int) -> TestField:
-    alpha = tuple(1 if i == j else 0 for i in range(n))
-    return polynomial(n, {alpha: 1.0})
 
 
 def centroid(z_s, options: SourceOptions = _DEFAULT) -> np.ndarray:
@@ -458,15 +532,8 @@ def centroid(z_s, options: SourceOptions = _DEFAULT) -> np.ndarray:
     y_s = np.asarray(z_s.y, dtype=float)
     if x_s.shape[0] != 3:
         raise UnsupportedDimensionError("centroid is computed for n = 3")
-    out = np.zeros(3, dtype=complex)
-    zero = (0, 0, 0)
-    for j in range(3):
-        alpha = tuple(1 if i == j else 0 for i in range(3))
-        table = {alpha: 1.0}
-        if x_s[j] != 0.0:
-            table[zero] = complex(x_s[j])
-        out[j] = singular_action(polynomial(3, table), -y_s, 3, options)
-    return out
+    return np.asarray([singular_action(coordinate(j).shifted(x_s), -y_s, 3, options)
+                       for j in range(3)])
 
 
 def descent_check(f: TestField, y: Sequence[float] | np.ndarray,

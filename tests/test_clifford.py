@@ -284,10 +284,15 @@ def test_extended_bp_general_position():
     assert (got - Multivector(alg, oracle)).norm() <= 1e-6
 
 
-@pytest.mark.parametrize("x", [[0.25, 0.1, -0.05], [1.8, 0.4, -0.3]],
-                         ids=["disk-inside", "disk-outside"])
-def test_extended_bp_evaluator_only_field_matches_table(x):
-    """Without a table, EBP takes the FD Dirac field chunk by chunk and agrees."""
+@pytest.mark.parametrize("x, a", [([0.25, 0.1, -0.05], 0.12), ([1.8, 0.4, -0.3], 0.12),
+                                  ([0.1, 0.2, 0.0], 0.0)],
+                         ids=["disk-inside", "disk-outside", "real-z"])
+def test_extended_bp_evaluator_only_field_matches_table(x, a):
+    """Without a table, EBP takes the FD Dirac field chunk by chunk and agrees.
+
+    At real z (a = 0) it is the Borel-Pompeiu formula, whose boundary and
+    volume terms are chunked the same way.
+    """
     alg = Cl(3)
     ball = Ball(np.array([0.1, -0.1, 0.2]), 1.3)
     f = poly_field(alg, 3, {(1,): {(1, 0, 0): 1.0, (0, 2, 0): 0.5, (0, 0, 3): -0.2},
@@ -300,7 +305,7 @@ def test_extended_bp_evaluator_only_field_matches_table(x):
         return f.batch(pts)
 
     g = MultivectorField(alg, 3, evaluator=ev)
-    z = ComplexPoint(x, 0.12 * np.array([1.0, 2.0, 2.0]) / 3.0)
+    z = ComplexPoint(x, a * np.array([1.0, 2.0, 2.0]) / 3.0)
     want = extended_borel_pompeiu(f, ball, z)
     got = extended_borel_pompeiu(g, ball, z)
     assert (got - want).norm() <= 1e-12

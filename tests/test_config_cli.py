@@ -1,5 +1,6 @@
 """Configuration parsing and the command-line surface."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -9,9 +10,10 @@ import sys
 import numpy as np
 import pytest
 
-from cxpt.cli import OPERATION_COVERAGE, run
+from cxpt.cli import OPERATION_COVERAGE, _source_options, run
 from cxpt.config import DOCUMENTED_KEYS, Config, load_config
 from cxpt.errors import ConfigParseError
+from cxpt.source import SourceOptions
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -98,6 +100,15 @@ def test_readme_config_block_matches_code():
     for key, text in documented.items():
         attr, parse = DOCUMENTED_KEYS[key]
         assert parse(text) == getattr(defaults, attr), key
+
+
+def test_cli_sets_every_source_option():
+    """Each SourceOptions field is driven by the config: none keeps its default."""
+    cfg = Config(interval_order=20, circle_order=40, sphere_order=12, panel_order=8)
+    opts = _source_options(cfg)
+    default = SourceOptions()
+    for field in dataclasses.fields(SourceOptions):
+        assert getattr(opts, field.name) != getattr(default, field.name), field.name
 
 
 def test_config_env(tmp_path, monkeypatch):

@@ -173,6 +173,23 @@ def test_fd_stencil_merges_shared_richardson_nodes():
     assert sorted(nodes) == pytest.approx([0.48, 0.49, 0.495, 0.505, 0.51, 0.52], abs=1e-15)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("scheme", [FDScheme(h=5e-2, order=4, richardson=True),
+                                    FDScheme(h=5e-2, order=2, richardson=True),
+                                    FDScheme(h=5e-2, order=4, richardson=False)])
+def test_derivative_evaluates_each_stencil_node_once(order, scheme):
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        return np.exp(t)
+
+    got = derivative(g, 0.3, scheme, order)
+    nodes, weights = fd_stencil(0.3, scheme, order)
+    assert sorted(calls) == sorted(nodes)
+    assert got == pytest.approx(weights @ np.exp(nodes), abs=1e-14 * (2.0 / scheme.h) ** order)
+
+
 def test_derivative_examples():
     assert derivative(lambda x: x**2, 1.0) == pytest.approx(2.0, abs=1e-10)
     scheme = FDScheme(h=1e-4, order=4, richardson=False)

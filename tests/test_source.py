@@ -9,6 +9,7 @@ from scipy.special import roots_legendre
 
 from conftest import random_poly_field
 from cxpt.errors import (
+    ConvergenceError,
     InsufficientSmoothnessError,
     InvalidIndexError,
     UnsupportedDimensionError,
@@ -16,7 +17,7 @@ from cxpt.errors import (
 )
 from cxpt.fields import TestField, bump, constant, coordinate, gaussian, polynomial
 from cxpt.geometry import ComplexPoint
-from cxpt.numerics import integrate_interval, mean_on_sphere
+from cxpt.numerics import integrate_interval, mean_on_sphere, sphere_area
 from cxpt.source import (
     _AxialField,
     centroid,
@@ -278,17 +279,12 @@ def test_regularized_smoothness_guard():
 
 
 def test_parity_of_parametrized_halves():
-    """The two q-half evaluations of the V-integrand agree (even symmetry)."""
+    """The sphere means behind the two q-halves of the single layer agree (even in rho)."""
     f = gaussian(1.0, center=[0.3, 0.2, -0.1])
     y = np.array([0.0, 0.0, 1.0])
     af = _AxialField(f, y, 3)
     a = 1.0
     for q in (0.2, 0.5, 0.8):
-        # F#(iq) evaluated through the two disk sides
-        plus = af.Fhat(a**2 - q**2)
-        minus = af.Fhat(a**2 - (-q) ** 2)
-        assert plus == pytest.approx(minus, abs=1e-10)
-        # the half-integrals of the single layer
         rho = math.sqrt(a**2 - q**2)
         g_plus = af.means(rho, 0.0)
         g_minus = af.means(-rho, 0.0)
@@ -421,3 +417,92 @@ def test_errors_reach_the_caller():
         mean_on_sphere(bad_evaluator, np.zeros(3), 0.5)
     with pytest.raises(ValueError, match="evaluator"):
         singular_action(TestField(bad_evaluator), [0.0, 0.0, 1.0], 3)
+
+
+def _harmonic_exponential(n, s):
+    """exp(k.x) with k = (s, i s, 0, ...): k.k = 0, so the field is harmonic and
+    its action is f(-iy)."""
+    k = np.zeros(n, dtype=complex)
+    k[:2] = s, 1j * s
+
+    def ev(pts):
+        return np.exp(pts @ k)
+
+    return TestField(ev, gradient=lambda pts: k[None, :] * ev(pts)[:, None],
+                     name=f"exp(k.x), s={s}"), k
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("n, s, rel", [(5, 1.0, 1e-8), (5, 2.0, 1e-8), (5, 3.0, 1e-8),
+                                       (6, 1.0, 1e-9)])
+def test_harmonic_exponential_actions(n, s, rel, a):
+    f, k = _harmonic_exponential(n, s)
+    y = np.zeros(n)
+    y[0], y[-1] = 0.6 * a, 0.8 * a
+    want = np.exp(k @ (-1j * y))
+    assert abs(singular_action(f, y, n) - want) <= rel * max(1.0, abs(want))
+
+
+def _radial_gaussian_n5_oracle(width, a):
+    """<delta~, exp(-|x|^2/w^2)> for n = 5 from the closed-form means.
+
+    The sphere means are exactly exp(-beta u) (beta = 1/w^2), so F(u) =
+    u exp(-beta u); the Taylor-subtracted V-integrand is summed as a
+    series where beta q^2 < 1 and in closed form elsewhere, on a dense
+    Gauss-Legendre grid.
+    """
+    beta = 1.0 / width**2
+    ratio = sphere_area(5) / sphere_area(4)
+    nodes, weights = roots_legendre(4000)
+    q = 0.5 * a * (nodes + 1.0)
+    s = q**2
+    quotient = np.empty_like(s)
+    small = beta * s < 1.0
+    ss = s[small]
+    quotient[small] = sum(beta**j * ss ** (j - 2) / math.factorial(j) * (a**2 - j / beta)
+                          for j in range(2, 40))
+    xs, sl = beta * s[~small], s[~small]
+    quotient[~small] = a**2 * (np.expm1(xs) - xs) / sl**2 - np.expm1(xs) / sl
+    quotient *= math.exp(-beta * a**2)
+    v_n = 2.0 * a / ratio * np.dot(0.5 * a * weights, quotient)
+    t0 = a**2 * math.exp(-beta * a**2)
+    t2 = -math.exp(-beta * a**2) * (1.0 - beta * a**2)
+    return v_n - 2.0 / ratio * (t0 / (3.0 * a**2) + t2)
+
+
+@pytest.mark.parametrize("width, a", [(1.0, 1.0), (0.5, 2.0), (0.2, 2.0), (0.15, 2.0),
+                                      (0.1, 2.0)])
+def test_radial_gaussian_n5_oracle(width, a):
+    """Sharper fields need narrower u-panels near u = 0; the action keeps its relative accuracy."""
+    y = np.zeros(5)
+    y[-1] = a
+    got = singular_action(gaussian(width), y, 5)
+    assert got == pytest.approx(_radial_gaussian_n5_oracle(width, a), rel=1e-10)
+
+
+@pytest.mark.parametrize("width, a", [(1.0, 1.0), (0.7, 2.0), (0.5, 2.0), (0.3, 2.0),
+                                      (0.2, 2.0), (0.1, 2.0)])
+def test_radial_gaussian_n6_closed_form(width, a):
+    """exp(-|x|^2/w^2) has means exp(-beta u), so the n = 6 action is
+    (a sqrt(pi)/Gamma(5/2)) D_u^2 [u^{3/2} exp(-beta u)] at u = a^2.  The rim
+    value falls to 4e-169 at w = 0.1; the panel about the rim is resolved against it."""
+    beta, u, p = 1.0 / width**2, a**2, 1.5
+    d2 = math.exp(-beta * u) * (p * (p - 1.0) * u ** (p - 2.0) - 2.0 * p * beta * u ** (p - 1.0)
+                                + beta**2 * u**p)
+    y = np.zeros(6)
+    y[-1] = a
+    got = singular_action(gaussian(width), y, 6)
+    assert got == pytest.approx(a * math.sqrt(math.pi) / math.gamma(2.5) * d2, rel=1e-10)
+
+
+def test_unresolved_field_raises_convergence_error():
+    """gaussian(0.05) about |y| = 2 needs u-panels narrower than a^2 / 256 at u = 0;
+    with u-differences and 96 direct q-samples its n = 3 action was off by 4 %."""
+    with pytest.raises(ConvergenceError, match="not resolved on panels of a\\^2 / 2\\^8"):
+        singular_action(gaussian(0.05), [0.0, 0.0, 2.0], 3)
+
+
+def test_r3_error_estimate_covers_the_error():
+    y = np.array([0.0, 0.0, 1.0])
+    act = singular_action_r3(gaussian(1.0), y)
+    assert abs(act.value - GAUSSIAN_R3_ACTION) <= act.err_estimate <= 1e-12
