@@ -32,6 +32,7 @@ from .numerics import (
     derivative,
     fd_gradient,
     fd_laplacian,
+    gauss_kronrod,
     gauss_legendre,
     integrate_interval,
     mean_on_sphere,

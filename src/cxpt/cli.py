@@ -148,9 +148,9 @@ def _cmd_source_action(args, cfg: Config) -> int:
     f = parse_field_spec(args.field).to_field(args.n)
     options = _source_options(cfg)
     if args.eps is not None:
-        value = src.regularized_action(f, y, args.n, args.eps, options)
-        _emit({"value_re": value.real, "value_im": value.imag,
-               "parts": None, "err_estimate": None, "eps": args.eps})
+        act = src._regularized(f, y, args.n, args.eps, options)
+        _emit({"value_re": act.value.real, "value_im": act.value.imag,
+               "parts": None, "err_estimate": act.err_estimate, "eps": args.eps})
         return 0
     if args.n == 3:
         act = src.singular_action_r3(f, y, options)

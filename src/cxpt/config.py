@@ -2,10 +2,10 @@
 
 Recognized keys (defaults in parentheses):
 
-    quadrature.interval.order   (32)   Gauss-Legendre order for q-integrals
+    quadrature.interval.order   (32)   Gauss order N of the Gauss-Kronrod q-integrals
     quadrature.circle.order     (64)   trapezoid nodes on S^1
     quadrature.sphere.order     (24)   polar order on S^2 (azimuth = 2x)
-    quadrature.panel.order      (16)   per-panel order, regularized action
+    quadrature.panel.order      (16)   Gauss order N of the regularized action's panels
     default.a                   (1.0)  default |y| for CLI demos
 
 Unknown keys and malformed lines are rejected with the line number; all

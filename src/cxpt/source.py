@@ -45,6 +45,14 @@ one panel centred on u = a^2.  The odd-n ones take the rim Taylor terms
 and the Taylor-subtracted q-quotient by exact division on the panel
 ending at the rim, and the quotients directly elsewhere, where nothing
 cancels.
+
+The regularized action integrates over theta-panels (q = a sin theta)
+that grow by ``THETA_GROWTH`` from eps / a, each one Gauss-Kronrod call,
+and halves the panel with the largest |K - G| until the estimates sum to
+``U_ROUNDING`` of Sum |K|, raising ``ConvergenceError`` once a panel has
+been halved ``U_SPLITS`` times.  ``_regularized`` also returns its error
+estimate, (Sum |K - G| + 2^-52 Sum |K|) times the prefactor; the second
+term is the rounding floor of the kernel's cancellation at small eps.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ from .errors import (
     ConvergenceError,
     InsufficientSmoothnessError,
     InvalidIndexError,
+    NonFiniteIntegrandError,
     UnsupportedDimensionError,
     WindowTooSmallError,
 )
@@ -69,7 +78,6 @@ from .numerics import (
     FDScheme,
     derivative,
     fd_stencil,
-    gauss_legendre,
     integrate_interval,
     orthonormal_complement_frame,
     point_values,
@@ -99,18 +107,26 @@ ZETA_STEP = 1e-3
 P_STEP = 1e-2
 #: Nodes of a u-panel (the rim derivatives amplify rounding by about N^4, so a
 #: panel that 16 nodes miss is halved instead), the rounding level of a sample
-#: (about 450 ulps) and the most halvings of [0, a^2].
+#: (about 450 ulps) and the most halvings of [0, a^2].  The regularized action
+#: halves its theta-panels to the same level, at most as often.
 U_NODES = 16
 U_ROUNDING = 1e-13
 U_SPLITS = 8
+#: Ratio of consecutive theta-panel ends of the regularized action, from eps / a.
+THETA_GROWTH = 4.0
 
 
 @dataclass(frozen=True)
 class SourceOptions:
-    """Quadrature orders used by the source functionals."""
+    """Quadrature orders used by the source functionals.
 
-    q_order: int = 32            # Gauss-Legendre order of the q-integrals
-    panel_order: int = 16        # per-panel order for the regularized action
+    Both interval orders are the Gauss order N of ``numerics.gauss_kronrod``:
+    every q-integral and every regularized-action panel evaluates its
+    integrand on 2N+1 nodes once.
+    """
+
+    q_order: int = 32            # Gauss order N of the 2N+1-node Gauss-Kronrod q-integrals
+    panel_order: int = 16        # Gauss order N of the regularized action's Gauss-Kronrod panels
     sphere_orders: Mapping[int, tuple[int, ...]] | None = None
 
     def orders_for(self, dim: int) -> tuple[int, ...]:
@@ -177,6 +193,8 @@ class _AxialField:
         self.y = np.asarray(y, dtype=float)
         self.n = n
         self.a = float(np.linalg.norm(self.y))
+        if not math.isfinite(self.a):
+            raise ValueError(f"axis vector y must be finite, got {self.y.tolist()}")
         if self.a == 0.0:
             raise ValueError("axis vector y must be nonzero here")
         self.yhat = self.y / self.a
@@ -475,12 +493,21 @@ def regularized_action(f: TestField, y: Sequence[float] | np.ndarray, n: int,
                        eps: float, options: SourceOptions = _DEFAULT) -> complex:
     """Action I_eps of the regularized source supported on the spheroid p = eps.
 
-    The q-integral is evaluated with q = a sin(theta) (absorbing the
-    (a^2-q^2)^nu endpoint weight) on dyadically refined panels toward
-    theta = 0, where the kernel (eps + iq)^{1-n} peaks.
+    The q-integral is taken in q = a sin(theta) (absorbing the
+    (a^2-q^2)^nu endpoint weight) on Gauss-Kronrod theta-panels that grow
+    geometrically away from theta = 0, where the kernel (eps + iq)^{1-n}
+    peaks; the panel with the largest |K - G| is halved until the sum of
+    those estimates falls to ``U_ROUNDING`` of Sum |K|.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    return _regularized(f, y, n, eps, options).value
+
+
+def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
+                 eps: float, options: SourceOptions = _DEFAULT) -> SourceAction:
+    """``regularized_action`` with its error estimate: (Sum |K - G| + 2^-52 Sum |K|)
+    times the prefactor, the second term the floor of the kernel's cancellation."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if not 3 <= n <= 6:
         raise UnsupportedDimensionError(f"regularized action supports n in 3..6, got {n}")
     y = np.asarray(y, dtype=float)
@@ -498,19 +525,37 @@ def regularized_action(f: TestField, y: Sequence[float] | np.ndarray, n: int,
         fsp = af.mean_pq_dp(eps, q)
         return (a * np.cos(theta)) ** (n - 2) * (fs + gamma * fsp / (n - 2)) / gamma ** (n - 1)
 
+    def panel(lo: float, hi: float, depth: int):
+        return lo, hi, depth, integrate_interval(integrand, lo, hi, order=options.panel_order)
+
     half = math.pi / 2.0
-    first = min(max(eps / a, 1e-6), half)
-    breaks = [0.0, first]
+    breaks = [0.0, min(max(eps / a, 1e-6), half)]
     while breaks[-1] < half:
-        breaks.append(min(half, 2.0 * breaks[-1]))
-    total = 0.0 + 0.0j
-    rule = gauss_legendre(options.panel_order)
+        breaks.append(min(half, THETA_GROWTH * breaks[-1]))
+    panels = []
     for lo, hi in zip(breaks[:-1], breaks[1:]):
-        for sign in (1.0, -1.0):
-            seg_lo, seg_hi = (lo, hi) if sign > 0 else (-hi, -lo)
-            total += integrate_interval(integrand, seg_lo, seg_hi, rule=rule).value
+        panels += [panel(lo, hi, 0), panel(-hi, -lo, 0)]
+    while True:
+        error = sum(part.error for *_, part in panels)
+        scale = sum(abs(part.value) for *_, part in panels)
+        if not math.isfinite(error + scale):
+            raise NonFiniteIntegrandError(
+                f"regularized action at eps = {eps:g} is not finite (estimate {error}, "
+                f"size {scale})")
+        if error <= U_ROUNDING * scale:
+            break
+        worst = max(range(len(panels)), key=lambda i: panels[i][3].error)
+        lo, hi, depth, part = panels[worst]
+        if depth == U_SPLITS:
+            raise ConvergenceError(
+                f"regularized action of {f.name or 'the field'} at eps = {eps:g}, "
+                f"|y| = {a:g} is not resolved on theta-panels halved {U_SPLITS} times "
+                f"(estimate {part.error:.2e} on [{lo:.3g}, {hi:.3g}], size {scale:.2e})")
+        mid = 0.5 * (lo + hi)
+        panels[worst:worst + 1] = [panel(lo, mid, depth + 1), panel(mid, hi, depth + 1)]
     prefactor = (a**2 + eps**2) ** (nu + 1.0) / (a ** (n - 2) * _omega_ratio(n))
-    return prefactor * total
+    value = prefactor * sum(part.value for *_, part in panels)
+    return SourceAction(value, None, prefactor * (error + 2.0**-52 * scale))
 
 
 def moments(n: int, y: Sequence[float] | np.ndarray,

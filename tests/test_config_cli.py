@@ -159,6 +159,21 @@ def test_cli_regularized_action(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["value_re"] == pytest.approx(1.0, abs=1e-6)
+    assert abs(payload["value_re"] - 1.0) <= payload["err_estimate"] <= 1e-10
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--eps", "nan"], "eps must be positive and finite"),
+    (["--eps", "inf"], "eps must be positive and finite"),
+    (["--y", "nan,0,1"], "axis vector y must be finite"),
+    (["--y", "0,inf,1", "--eps", "0.1"], "axis vector y must be finite"),
+])
+def test_cli_source_action_rejects_nonfinite_input(capsys, argv, message):
+    code, out, err = run_cli(capsys, ["source-action", "--n", "3", "--field", "gaussian:1"]
+                             + argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
 
 
 def test_cli_wave_csv(capsys):
@@ -283,6 +298,8 @@ def test_cli_outputs_match_schemas(capsys):
          "potential.schema.json"),
         (["source-action", "--n", "3", "--y", "0,0,1", "--field", "constant:1"],
          "source-action.schema.json"),
+        (["source-action", "--n", "3", "--y", "0,0,1", "--field", "gaussian:1", "--eps",
+          "0.1"], "source-action.schema.json"),
         (["moments", "--n", "4", "--y", "0,0,0,1"], "moments.schema.json"),
         (["descent-check", "--y", "0,0,1", "--field", "constant:1"],
          "descent-check.schema.json"),

@@ -17,6 +17,7 @@ from cxpt.numerics import (
     circle_rule,
     derivative,
     fd_stencil,
+    gauss_kronrod,
     gauss_legendre,
     integrate_interval,
     mean_on_sphere,
@@ -59,6 +60,43 @@ def test_gauss_legendre_polynomial_exactness():
             exact = (1.0 - (-1.0) ** (deg + 1)) / (deg + 1)
             got = float(rule.weights @ rule.nodes**deg)
             assert abs(got - exact) <= 1e-13 * max(1.0, abs(exact))
+
+
+@pytest.mark.parametrize("order", [4, 7, 8, 16, 32])
+def test_gauss_kronrod_nests_gauss_legendre(order):
+    rule, gauss = gauss_kronrod(order), gauss_legendre(order)
+    assert rule.nodes.shape == (2 * order + 1,)
+    assert np.all(np.diff(rule.nodes) > 0)
+    assert np.abs(rule.nodes[1::2] - gauss.nodes).max() <= 1e-15
+    assert np.abs(rule.gauss_weights[1::2] - gauss.weights).max() <= 1e-14
+    assert np.all(rule.gauss_weights[::2] == 0.0)
+    assert np.all(rule.weights > 0)
+    assert rule.weights.sum() == pytest.approx(2.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("order", [4, 7, 8, 16, 32])
+def test_gauss_kronrod_polynomial_exactness(order):
+    rule = gauss_kronrod(order)
+    for deg in range(3 * order + 2):
+        exact = (1.0 - (-1.0) ** (deg + 1)) / (deg + 1)
+        assert abs(rule.weights @ rule.nodes**deg - exact) <= 1e-14, deg
+
+
+def test_interval_one_call_on_kronrod_nodes():
+    """One integrand call on the 2N+1 nodes; the estimate is |K - G| on the same values."""
+    calls = []
+
+    def g(q):
+        calls.append(q.size)
+        return q**40
+
+    val, err = integrate_interval(g, 0.0, 1.0, order=8)
+    assert calls == [17]
+    assert val == pytest.approx(1.0 / 41.0, rel=1e-3)   # beyond K's degree 25
+    rule = gauss_kronrod(8)
+    x = 0.5 * (rule.nodes + 1.0)
+    assert err == pytest.approx(abs(0.5 * ((rule.weights - rule.gauss_weights) @ x**40)),
+                                rel=1e-12)
 
 
 def test_rule_weight_sums():

@@ -8,18 +8,27 @@ import pytest
 from scipy.special import roots_legendre
 
 from conftest import random_poly_field
+from cxpt import source
 from cxpt.errors import (
     ConvergenceError,
     InsufficientSmoothnessError,
     InvalidIndexError,
+    NonFiniteIntegrandError,
     UnsupportedDimensionError,
     WindowTooSmallError,
 )
 from cxpt.fields import TestField, bump, constant, coordinate, gaussian, polynomial
 from cxpt.geometry import ComplexPoint
-from cxpt.numerics import integrate_interval, mean_on_sphere, sphere_area
+from cxpt.numerics import (
+    IntervalIntegral,
+    integrate_interval,
+    mean_on_sphere,
+    sphere_area,
+    sphere_rule,
+)
 from cxpt.source import (
     _AxialField,
+    _regularized,
     centroid,
     descent_check,
     lambda_coeff,
@@ -506,3 +515,91 @@ def test_r3_error_estimate_covers_the_error():
     y = np.array([0.0, 0.0, 1.0])
     act = singular_action_r3(gaussian(1.0), y)
     assert abs(act.value - GAUSSIAN_R3_ACTION) <= act.err_estimate <= 1e-12
+
+
+@pytest.mark.parametrize("n, eps_set", [(3, (1e-1, 1e-2, 1e-3)), (4, (1e-1, 1e-2, 1e-3)),
+                                        (5, (1e-1, 1e-2)), (6, (1e-1,))])
+def test_regularized_error_estimate_covers_the_error(n, eps_set):
+    """On a harmonic field I_eps = f(-iy) for every eps, so the whole error is numerical."""
+    f, k = _harmonic_exponential(n, 1.0)
+    y = np.zeros(n)
+    y[0], y[-1] = 0.48, 0.64
+    want = np.exp(k @ (-1j * y))
+    for eps in eps_set:
+        act = _regularized(f, y, n, eps)
+        assert act.value == regularized_action(f, y, n, eps)
+        assert abs(act.value - want) <= act.err_estimate <= 1e-6 * abs(want), eps
+
+
+def test_regularized_refines_a_sharp_field(monkeypatch):
+    """exp(i k.x) with isotropic k = 20 (1, i, 0) is harmonic; its theta-panels are halved
+    until |K - G| reaches rounding, and the action still equals f(-iy)."""
+    panels = []
+
+    def counted(g, lo, hi, *args, **kwargs):
+        panels.append((lo, hi))
+        return integrate_interval(g, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(source, "integrate_interval", counted)
+    y = np.array([0.6, 0.0, 0.8])
+    regularized_action(constant(1.0), y, 3, 0.1)
+    geometric = len(panels)
+    panels.clear()
+    f, k = _harmonic_exponential(3, 20j)
+    got = regularized_action(f, y, 3, 0.1)
+    want = np.exp(k @ (-1j * y))
+    assert len(panels) > geometric
+    assert abs(got - want) <= 1e-9 * abs(want)
+
+
+def test_regularized_unresolved_field_raises_convergence_error():
+    """A radial step has a jump in q that no halving of a theta-panel resolves."""
+    step = TestField(lambda pts: (np.sum(pts**2, axis=1) < 0.5).astype(float), name="step")
+    with pytest.raises(ConvergenceError, match="theta-panels halved 8 times"):
+        regularized_action(step, [0.0, 0.0, 1.0], 3, 0.1)
+
+
+def test_regularized_nonfinite_estimate_stops_at_once(monkeypatch):
+    """A NaN estimate neither passes nor drives the halving: it raises at once."""
+    panels = []
+
+    def nan_estimate(g, lo, hi, *args, **kwargs):
+        panels.append((lo, hi))
+        return IntervalIntegral(1.0 + 0.0j, math.nan)
+
+    monkeypatch.setattr(source, "integrate_interval", nan_estimate)
+    with pytest.raises(NonFiniteIntegrandError):
+        regularized_action(gaussian(1.0), [0.0, 0.0, 1.0], 3, 0.1)
+    assert len(panels) == 6     # the geometric panels, none halved
+    monkeypatch.undo()
+    nan_field = TestField(lambda pts: np.full(pts.shape[0], math.nan))
+    with pytest.raises(NonFiniteIntegrandError):
+        regularized_action(nan_field, [0.0, 0.0, 1.0], 3, 0.1)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_regularized_rejects_bad_eps(eps):
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        regularized_action(gaussian(1.0), [0.0, 0.0, 1.0], 3, eps)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_actions_reject_nonfinite_axis(bad):
+    for n in (3, 4, 5, 6):
+        y = np.zeros(n)
+        y[0], y[-1] = bad, 1.0
+        with pytest.raises(ValueError, match="axis vector y must be finite"):
+            singular_action(gaussian(1.0), y, n)
+    with pytest.raises(ValueError, match="axis vector y must be finite"):
+        regularized_action(gaussian(1.0), [0.0, bad, 1.0], 3, 0.1)
+
+
+def test_regularized_q_node_count():
+    """Three theta-panels a side of 33 Gauss-Kronrod nodes: 198 q-nodes (dyadic
+    panels of G_16 + G_32 took 480)."""
+    counted, sizes = _counting(gaussian(1.3))
+    y = np.zeros(5)
+    y[-1] = 0.8
+    regularized_action(counted, y, 5, 0.1)
+    q_nodes = sum(sizes["evaluate"]) / sphere_rule(3).nodes.shape[0]
+    assert q_nodes <= 200
