@@ -28,6 +28,7 @@ from .errors import (
 )
 from .numerics import (
     FDScheme,
+    Quadrature,
     QuadratureRule,
     derivative,
     fd_gradient,
@@ -73,7 +74,6 @@ from .potential import (
 )
 from .source import (
     SourceAction,
-    SourceOptions,
     centroid,
     descent_check,
     lambda_coeff,
@@ -88,7 +88,6 @@ from .source import (
 from .wave import (
     CauchyData,
     SpacetimeField,
-    WaveOptions,
     extend,
     from_cauchy_data,
     harmonic_mode,
@@ -101,7 +100,6 @@ from .clifford import (
     Box,
     Cl,
     CliffordAlgebra,
-    CliffordOptions,
     Domain,
     Multivector,
     MultivectorField,

@@ -28,7 +28,7 @@ from .fields import (
     polynomial,
 )
 from .geometry import ComplexPoint, complex_distance, grad_pq
-from .numerics import FDScheme, fd_gradient, fd_laplacian
+from .numerics import FDScheme, Quadrature, fd_gradient, fd_laplacian
 from .potential import holomorphic_potential
 
 __all__ = [
@@ -401,7 +401,8 @@ def clifford_test_field() -> cf.MultivectorField:
     })
 
 
-def ebp_oracle(f: cf.MultivectorField, z: ComplexPoint) -> cf.Multivector:
+def ebp_oracle(f: cf.MultivectorField, z: ComplexPoint,
+               quadrature: Quadrature = Quadrature()) -> cf.Multivector:
     """f~(z) blade by blade as the R^3 source action <delta~_{-y}, f(. + x)>.
 
     Each blade is handed over by its values only, so the action takes its
@@ -412,7 +413,7 @@ def ebp_oracle(f: cf.MultivectorField, z: ComplexPoint) -> cf.Multivector:
     oracle = np.zeros(f.algebra.dim, dtype=complex)
     for mask, table in f.poly.items():
         shifted = TestField(polynomial(3, table).shifted(z.x).evaluator)
-        oracle[mask] = src.singular_action_r3(shifted, -z.y).value
+        oracle[mask] = src.singular_action_r3(shifted, -z.y, quadrature).value
     return cf.Multivector(f.algebra, oracle)
 
 

@@ -105,18 +105,6 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload) + "\n")
 
 
-def _source_options(cfg: Config) -> src.SourceOptions:
-    return src.SourceOptions(
-        q_order=cfg.interval_order,
-        panel_order=cfg.panel_order,
-        sphere_orders=cfg.sphere_orders(),
-    )
-
-
-def _wave_options(cfg: Config) -> wv.WaveOptions:
-    return wv.WaveOptions(sphere_orders=cfg.sphere_orders())
-
-
 def _cmd_gamma(args, cfg: Config) -> int:
     x = _vector(args.x, args.n)
     y = _axis(args.y, args.n, cfg)
@@ -146,19 +134,19 @@ def _cmd_potential(args, cfg: Config) -> int:
 def _cmd_source_action(args, cfg: Config) -> int:
     y = _axis(args.y, args.n, cfg)
     f = parse_field_spec(args.field).to_field(args.n)
-    options = _source_options(cfg)
+    quadrature = cfg.quadrature()
     if args.eps is not None:
-        act = src._regularized(f, y, args.n, args.eps, options)
+        act = src._regularized(f, y, args.n, args.eps, quadrature)
         _emit({"value_re": act.value.real, "value_im": act.value.imag,
                "parts": None, "err_estimate": act.err_estimate, "eps": args.eps})
         return 0
     if args.n == 3:
-        act = src.singular_action_r3(f, y, options)
+        act = src.singular_action_r3(f, y, quadrature)
         parts = {k: _cnum(v) for k, v in act.parts.items()}
         _emit({"value_re": act.value.real, "value_im": act.value.imag,
                "parts": parts, "err_estimate": act.err_estimate})
         return 0
-    value = src.singular_action(f, y, args.n, options)
+    value = src.singular_action(f, y, args.n, quadrature)
     _emit({"value_re": value.real, "value_im": value.imag,
            "parts": None, "err_estimate": None})
     return 0
@@ -166,7 +154,7 @@ def _cmd_source_action(args, cfg: Config) -> int:
 
 def _cmd_moments(args, cfg: Config) -> int:
     y = _axis(args.y, args.n, cfg)
-    q_val, p_vec = src.moments(args.n, y, _source_options(cfg))
+    q_val, p_vec = src.moments(args.n, y, cfg.quadrature())
     _emit({"Q": _cnum(q_val), "P": [_cnum(v) for v in p_vec]})
     return 0
 
@@ -174,8 +162,7 @@ def _cmd_moments(args, cfg: Config) -> int:
 def _cmd_descent(args, cfg: Config) -> int:
     y = _axis(args.y, 3, cfg)
     f = parse_field_spec(args.field).to_field(3)
-    lhs, rhs = src.descent_check(f, y, window=args.window,
-                                 options=_source_options(cfg))
+    lhs, rhs = src.descent_check(f, y, window=args.window, quadrature=cfg.quadrature())
     _emit({"lhs": _cnum(lhs), "rhs": _cnum(rhs), "abs_diff": abs(lhs - rhs)})
     return 0
 
@@ -190,7 +177,7 @@ def _cmd_wave(args, cfg: Config) -> int:
     v = parse_field_spec(args.v).to_field(n)
     w = parse_field_spec(args.w).to_field(n)
     data = wv.CauchyData(v, w, n)
-    options = _wave_options(cfg)
+    quadrature = cfg.quadrature()
     x0 = _vector(args.x, n)
     cols = [f"x{k + 1}" for k in range(n)] + ["t", "re_u", "im_u"]
     sys.stdout.write(",".join(cols) + "\n")
@@ -199,7 +186,7 @@ def _cmd_wave(args, cfg: Config) -> int:
         dx = np.asarray([offsets[i] for i in axis_off], dtype=float) * args.step
         for jt in offsets:
             t = args.t + jt * args.step
-            u = wv.solve_cauchy(data, x0 + dx, t, options)
+            u = wv.solve_cauchy(data, x0 + dx, t, quadrature)
             row = [f"{c:.17g}" for c in (x0 + dx)] + [
                 f"{t:.17g}", f"{np.real(u):.17g}", f"{np.imag(u):.17g}"]
             sys.stdout.write(",".join(row) + "\n")
@@ -212,31 +199,33 @@ def _cmd_wave_verify(args, cfg: Config) -> int:
     w = parse_field_spec(args.w).to_field(n)
     data = wv.CauchyData(v, w, n)
     res = wv.wave_residual(data, _vector(args.x, n), args.t, h=args.step,
-                           half_points=args.half, options=_wave_options(cfg))
+                           half_points=args.half, quadrature=cfg.quadrature())
     _emit({"residual": res, "step": args.step, "half_points": args.half})
     return 0
 
 
 def _cmd_clifford(args, cfg: Config) -> int:
     ball = cf.Ball(np.zeros(3), args.radius)
+    quadrature = cfg.quadrature()
     if args.mode == "bp-check":
         f = clifford_test_field()
         x_in = _vector(args.x, 3)
-        interior = (cf.borel_pompeiu(f, ball, x_in) - f.value(x_in)).norm()
-        exterior = cf.borel_pompeiu(f, ball, _vector(args.exterior, 3)).norm()
+        interior = (cf.borel_pompeiu(f, ball, x_in, quadrature) - f.value(x_in)).norm()
+        exterior = cf.borel_pompeiu(f, ball, _vector(args.exterior, 3), quadrature).norm()
         _emit({"interior_error": interior, "exterior_leakage": exterior})
         return 0
     if args.mode == "ebp-check":
         f = clifford_test_field()
         z = ComplexPoint(_vector(args.x, 3), _vector(args.y, 3))
-        value = cf.extended_borel_pompeiu(f, ball, z)
-        oracle = ebp_oracle(f, z)
+        value = cf.extended_borel_pompeiu(f, ball, z, quadrature)
+        oracle = ebp_oracle(f, z, quadrature)
         _emit({"value": [_cnum(c) for c in value.coeffs],
                "oracle": [_cnum(c) for c in oracle.coeffs],
                "abs_diff": (value - oracle).norm()})
         return 0
     # maxwell-demo
-    ft, jt, resid = cf.maxwell_extend(maxwell_demo_field(), _vector(args.x, 3), 0.0, args.t)
+    ft, jt, resid = cf.maxwell_extend(maxwell_demo_field(), _vector(args.x, 3), 0.0, args.t,
+                                      quadrature)
     _emit({
         "f_extension": [_cnum(c) for c in ft.coeffs],
         "current": [_cnum(c) for c in jt.coeffs],

@@ -46,10 +46,10 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .fields import poly_eval
-from .geometry import ComplexPoint, PointClass, classify_point, complex_distance
+from .geometry import ComplexPoint, PointClass, classify_point, complex_distance, oblate_rho_zeta
 from .numerics import (
-    DEFAULT_SPHERE_ORDERS,
     FDScheme,
+    Quadrature,
     derivative,
     gauss_legendre,
     orthonormal_complement_frame,
@@ -62,7 +62,6 @@ __all__ = [
     "Multivector",
     "MultivectorField",
     "SpacetimeMultivectorField",
-    "CliffordOptions",
     "Domain",
     "Ball",
     "Box",
@@ -477,22 +476,17 @@ def _kernel_batch_complex(diffs: np.ndarray, y: np.ndarray, alg: CliffordAlgebra
 # Domains
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CliffordOptions:
-    """Quadrature orders and FD steps for the integral formulas."""
-
-    boundary_orders: tuple[int, ...] | None = None   # sphere rule on dM (ball)
-    dirs_orders: tuple[int, ...] | None = None       # directions for interior volume
-    radial_order: int = 16
-    spheroid_q_order: int = 24
-    phi_order: int = 48
-    duffy_order: int = 16
-    dirac_fd: FDScheme = FDScheme(h=1e-2, order=4, richardson=False)
-    continuity_fd: FDScheme = FDScheme(h=3e-2, order=4, richardson=False)
-    boundary_tol: float = 1e-9
-
-
-_DEFAULT = CliffordOptions()
+#: Gauss-Legendre nodes per radius of a ball's volume rule and of the
+#: Borel-Pompeiu interior rays, and per side of the Duffy square of the
+#: spheroid's volume rule.
+RADIAL_ORDER = 16
+DUFFY_ORDER = 16
+#: FD stencil of the Dirac derivative (of fields without a polynomial table,
+#: and of the Maxwell current), and that of the continuity residual D~ j~.
+DIRAC_FD = FDScheme(h=1e-2, order=4, richardson=False)
+CONTINUITY_FD = FDScheme(h=3e-2, order=4, richardson=False)
+#: Distance to the boundary below which ``borel_pompeiu`` refuses a point.
+BOUNDARY_TOL = 1e-9
 
 #: Most points one array pass of ``extended_borel_pompeiu`` (or ``borel_pompeiu``)
 #: hands to the field or its Dirac derivative (at 4,096 the passes ran slower and
@@ -505,10 +499,15 @@ class Domain:
 
     n: int
 
-    def boundary_quadrature(self):
+    def boundary_quadrature(self, quadrature: Quadrature = Quadrature()):
+        """Boundary nodes, unit outward normals and area weights.
+
+        ``quadrature`` sets the sphere rule of a round boundary.
+        """
         raise NotImplementedError
 
-    def volume_quadrature(self):
+    def volume_quadrature(self, quadrature: Quadrature = Quadrature()):
+        """Interior nodes and volume weights."""
         raise NotImplementedError
 
     def contains(self, x: np.ndarray, margin: float = 0.0) -> bool:
@@ -527,8 +526,6 @@ class Ball(Domain):
 
     center: np.ndarray
     radius: float
-    boundary_orders: tuple[int, ...] | None = None
-    radial_order: int = 16
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
@@ -539,18 +536,15 @@ class Ball(Domain):
     def n(self) -> int:
         return self.center.shape[0]
 
-    def _sphere(self):
-        return sphere_rule(self.n - 1, self.boundary_orders or DEFAULT_SPHERE_ORDERS[self.n - 1])
-
-    def boundary_quadrature(self):
-        rule = self._sphere()
+    def boundary_quadrature(self, quadrature: Quadrature = Quadrature()):
+        rule = sphere_rule(self.n - 1, quadrature.sphere_orders(self.n - 1))
         pts = self.center[None, :] + self.radius * rule.nodes
         area = sphere_area(self.n) * self.radius ** (self.n - 1)
         return pts, rule.nodes.copy(), rule.weights * area
 
-    def volume_quadrature(self):
-        rule = self._sphere()
-        leg = gauss_legendre(self.radial_order)
+    def volume_quadrature(self, quadrature: Quadrature = Quadrature()):
+        rule = sphere_rule(self.n - 1, quadrature.sphere_orders(self.n - 1))
+        leg = gauss_legendre(RADIAL_ORDER)
         radii = 0.5 * self.radius * (leg.nodes + 1.0)
         wr = 0.5 * self.radius * leg.weights
         pts = (self.center[None, None, :]
@@ -596,7 +590,7 @@ class Box(Domain):
         half = 0.5 * (self.hi[axis] - self.lo[axis])
         return mid + half * leg.nodes, half * leg.weights
 
-    def boundary_quadrature(self):
+    def boundary_quadrature(self, quadrature: Quadrature = Quadrature()):
         pts_all, nrm_all, wts_all = [], [], []
         n = self.n
         for axis in range(n):
@@ -619,7 +613,7 @@ class Box(Domain):
                 wts_all.append(wface)
         return np.concatenate(pts_all), np.concatenate(nrm_all), np.concatenate(wts_all)
 
-    def volume_quadrature(self):
+    def volume_quadrature(self, quadrature: Quadrature = Quadrature()):
         grids = [self._axis_rule(k) for k in range(self.n)]
         mesh = np.meshgrid(*[g[0] for g in grids], indexing="ij")
         wmesh = np.meshgrid(*[g[1] for g in grids], indexing="ij")
@@ -653,7 +647,7 @@ class Box(Domain):
 # ----------------------------------------------------------------------
 
 def regular_point(z: ComplexPoint, M: Domain, n: int | None = None,
-                  tol: float = 1e-8) -> bool:
+                  tol: float = 1e-8, quadrature: Quadrature = Quadrature()) -> bool:
     """True iff z - x' stays off the singular set S_n for every boundary x'.
 
     The membership measure minimized over boundary quadrature nodes is
@@ -666,7 +660,7 @@ def regular_point(z: ComplexPoint, M: Domain, n: int | None = None,
     """
     if n is None:
         n = z.n
-    pts, _, wts = M.boundary_quadrature()
+    pts, _, wts = M.boundary_quadrature(quadrature)
     spacing = float(np.max(wts)) ** (1.0 / (n - 1))
     eff_tol = max(tol, spacing)
     # z - x' has real part x - x' and imaginary part y
@@ -692,7 +686,7 @@ def _normals_batch(alg: CliffordAlgebra, normals: np.ndarray, n: int) -> np.ndar
 
 
 def borel_pompeiu(f: MultivectorField, M: Domain, x: Sequence[float] | np.ndarray,
-                  options: CliffordOptions = _DEFAULT) -> Multivector:
+                  quadrature: Quadrature = Quadrature()) -> Multivector:
     """Boundary-minus-volume representation of f at a real point x.
 
     Reproduces f(x) for x inside M and 0 outside.  The interior volume
@@ -703,10 +697,10 @@ def borel_pompeiu(f: MultivectorField, M: Domain, x: Sequence[float] | np.ndarra
     n = M.n
     alg = f.algebra
     sd = M.signed_boundary_distance(x)
-    if abs(sd) <= options.boundary_tol:
+    if abs(sd) <= BOUNDARY_TOL:
         raise OnBoundaryError("x lies on the boundary (trace limits out of scope)")
 
-    pts, normals, wts = M.boundary_quadrature()
+    pts, normals, wts = M.boundary_quadrature(quadrature)
 
     def boundary(sl: slice) -> np.ndarray:
         ck = _kernel_batch_real(pts[sl] - x[None, :], alg, n)
@@ -714,10 +708,10 @@ def borel_pompeiu(f: MultivectorField, M: Domain, x: Sequence[float] | np.ndarra
                                     f.batch(pts[sl]))
 
     if sd > 0:
-        dirs_rule = sphere_rule(n - 1, options.dirs_orders or DEFAULT_SPHERE_ORDERS[n - 1])
+        dirs_rule = sphere_rule(n - 1, quadrature.sphere_orders(n - 1))
         dirs = dirs_rule.nodes
         t_exit = M.ray_exit(x, dirs)
-        leg = gauss_legendre(options.radial_order)
+        leg = gauss_legendre(RADIAL_ORDER)
         # radial nodes per direction on [0, t_exit]; kernel * r^{n-1} * omega_n = dir
         radii = 0.5 * t_exit[:, None] * (leg.nodes[None, :] + 1.0)
         wrad = 0.5 * t_exit[:, None] * leg.weights[None, :]
@@ -728,14 +722,14 @@ def borel_pompeiu(f: MultivectorField, M: Domain, x: Sequence[float] | np.ndarra
         def kernel(sl: slice) -> np.ndarray:
             return _normals_batch(alg, vdirs[sl], n)
     else:
-        vpts, vwts = M.volume_quadrature()
+        vpts, vwts = M.volume_quadrature(quadrature)
 
         def kernel(sl: slice) -> np.ndarray:
             return _kernel_batch_real(vpts[sl] - x[None, :], alg, n)
 
     term_b = _chunked_sum(wts.size, _EBP_CHUNK, boundary)
     term_v = _chunked_sum(vwts.size, _EBP_CHUNK, lambda sl: _triple_weighted_sum(
-        alg, vwts[sl], kernel(sl), _dirac_batch(f, vpts[sl], "left", options.dirac_fd)))
+        alg, vwts[sl], kernel(sl), _dirac_batch(f, vpts[sl], "left", DIRAC_FD)))
     return Multivector(alg, term_b - term_v)
 
 
@@ -764,7 +758,7 @@ def _chunked_sum(count: int, chunk: int, term: Callable[[slice], np.ndarray]) ->
 
 
 def extended_borel_pompeiu(f: MultivectorField, M: Domain, z: ComplexPoint,
-                           options: CliffordOptions = _DEFAULT) -> Multivector:
+                           quadrature: Quadrature = Quadrature()) -> Multivector:
     """Extension f~_M(z) by boundary-minus-volume quadrature with kernel C(x'-z).
 
     Real z reduces to the usual Borel-Pompeiu formula.  For complex z
@@ -772,21 +766,23 @@ def extended_borel_pompeiu(f: MultivectorField, M: Domain, z: ComplexPoint,
     f~_{E_P}(z) over an inscribed spheroid E_P is used: its boundary
     integral is smooth, and its volume integral is evaluated in the
     oblate coordinates adapted to (x, -y), where gamma = p + iq exactly
-    and a Duffy substitution removes the 1/|gamma| corner.
+    and a Duffy substitution removes the 1/|gamma| corner.  The spheroid's
+    rules in (q, phi) are the S^2 orders of ``quadrature``: polar q-nodes
+    and twice as many azimuths.
 
     The Dirac field Df is derived once per call: exactly from the
     polynomial table when there is one, else by ``_dirac_batch`` on each
     chunk of points.  Every layer (boundary, volume and, inside, the
     branch cut) is evaluated as array passes over chunks of at most
-    ``_EBP_CHUNK`` points: whole (p, q) rings of ``phi_order`` points
+    ``_EBP_CHUNK`` points: whole (p, q) rings of phi points
     inside, runs of the domain's quadrature points outside.
     """
     n = M.n
     if np.linalg.norm(z.y) == 0.0:
-        return borel_pompeiu(f, M, z.x, options)
+        return borel_pompeiu(f, M, z.x, quadrature)
     if n != 3:
         raise UnsupportedDimensionError("complex-argument formula implemented for n = 3")
-    if not regular_point(z, M, n):
+    if not regular_point(z, M, n, quadrature=quadrature):
         raise NotRegularError("z is not regular with respect to the boundary of M")
     alg = f.algebra
     x, y = z.x, z.y
@@ -795,12 +791,12 @@ def extended_borel_pompeiu(f: MultivectorField, M: Domain, z: ComplexPoint,
         dirac = dirac_field(f).batch
     else:
         def dirac(pts: np.ndarray) -> np.ndarray:
-            return _dirac_batch(f, pts, "left", options.dirac_fd)
+            return _dirac_batch(f, pts, "left", DIRAC_FD)
 
     if where == "outside":
         # all integrands are smooth on M-bar: plain product quadrature
-        pts, normals, wts = M.boundary_quadrature()
-        vpts, vwts = M.volume_quadrature()
+        pts, normals, wts = M.boundary_quadrature(quadrature)
+        vpts, vwts = M.volume_quadrature(quadrature)
 
         def boundary(sl: slice) -> np.ndarray:
             ck = _kernel_batch_complex(pts[sl] - x[None, :], y, alg, n)
@@ -827,7 +823,7 @@ def extended_borel_pompeiu(f: MultivectorField, M: Domain, z: ComplexPoint,
     yloc = -y
     yhat = yloc / a
     frame = orthonormal_complement_frame(yloc)
-    nphi = options.phi_order
+    q_order, nphi = quadrature.sphere_orders(2)
     phis = 2.0 * np.pi * np.arange(nphi) / nphi
     sig = (np.cos(phis)[:, None] * frame[:, 0][None, :]
            + np.sin(phis)[:, None] * frame[:, 1][None, :])
@@ -840,8 +836,7 @@ def extended_borel_pompeiu(f: MultivectorField, M: Domain, z: ComplexPoint,
         chunk of whole rings and returns (points, dim) contributions.
         """
         def chunk(sl: slice) -> np.ndarray:
-            rho = np.sqrt(np.maximum((a**2 + p[sl]**2) * (a**2 - q[sl]**2), 0.0)) / a
-            zeta = p[sl] * q[sl] / a
+            rho, zeta = oblate_rho_zeta(p[sl], q[sl], a)
             u = (rho[:, None, None] * sig + zeta[:, None, None] * yhat).reshape(-1, n)
             contrib = term(np.repeat(p[sl], nphi), np.repeat(q[sl], nphi), u)
             return np.repeat(w[sl] * wphi, nphi) @ contrib
@@ -862,7 +857,7 @@ def extended_borel_pompeiu(f: MultivectorField, M: Domain, z: ComplexPoint,
 
     # boundary of E_P: parametrized by (q, phi), area element
     # (sqrt(a^2+P^2)/a) sqrt(P^2+q^2) dq dphi_normalized * 2 pi
-    leg = gauss_legendre(options.spheroid_q_order)
+    leg = gauss_legendre(q_order)
     q_nodes = a * leg.nodes
     q_wts = a * leg.weights
     area_fact = (2.0 * np.pi * math.sqrt(a**2 + big_p**2) / a
@@ -871,7 +866,7 @@ def extended_borel_pompeiu(f: MultivectorField, M: Domain, z: ComplexPoint,
 
     # volume of E_P in oblate coordinates, Duffy-transformed about (p, q) = 0:
     # two triangles per sign of q, (p, q) = (P u, +-a u v) and (P u v, +-a u)
-    duffy = gauss_legendre(options.duffy_order)
+    duffy = gauss_legendre(DUFFY_ORDER)
     t_nodes = 0.5 * (duffy.nodes + 1.0)
     t_wts = 0.5 * duffy.weights
     uu, vv = np.meshgrid(t_nodes, t_nodes, indexing="ij")
@@ -896,9 +891,8 @@ def extended_borel_pompeiu(f: MultivectorField, M: Domain, z: ComplexPoint,
     def branch_cut(p: np.ndarray, q: np.ndarray, u: np.ndarray) -> np.ndarray:
         return 1j * _batch_mul(alg, yhat_mv, dirac(x + u))
 
-    leg_d = gauss_legendre(options.spheroid_q_order)
-    q0 = 0.5 * a * (leg_d.nodes + 1.0)
-    wq0 = 0.5 * a * leg_d.weights
+    q0 = 0.5 * a * (leg.nodes + 1.0)
+    wq0 = 0.5 * a * leg.weights
     term_d = rings(np.zeros_like(q0), q0, wq0, branch_cut)
 
     return Multivector(alg, term_b - term_v - term_d)
@@ -943,8 +937,8 @@ def dirac_tilde_apply(g: Callable[[np.ndarray, float], np.ndarray],
 
 
 def maxwell_extend(f: SpacetimeMultivectorField, x: Sequence[float] | np.ndarray,
-                   s: float, t: float, options: CliffordOptions = _DEFAULT,
-                   wave_options=None) -> tuple[Multivector, Multivector, float]:
+                   s: float, t: float, quadrature: Quadrature = Quadrature()
+                   ) -> tuple[Multivector, Multivector, float]:
     """Extension f~, current j~ = D~ f~, and the continuity residual |scalar D~ j~|.
 
     n = 3 (the physical Maxwell case: f a bivector field, j a
@@ -957,17 +951,16 @@ def maxwell_extend(f: SpacetimeMultivectorField, x: Sequence[float] | np.ndarray
     # every blade coefficient is extended at once: the wave solver's means
     # and radial derivatives act row-wise on the (m, dim) coefficient batch
     coeffs = wv.SpacetimeField(f.batch, f.s_derivative, f.smoothness, f.name)
-    wopt = wave_options or wv.WaveOptions()
 
     def ftilde(xx: np.ndarray, tt: float) -> np.ndarray:
-        return wv.extend(coeffs, xx, s, tt, 3, wopt)
+        return wv.extend(coeffs, xx, s, tt, 3, quadrature)
 
     f_val = ftilde(x, t)
 
     def jtilde(xx: np.ndarray, tt: float) -> np.ndarray:
-        return dirac_tilde_apply(ftilde, alg, xx, tt, options.dirac_fd)
+        return dirac_tilde_apply(ftilde, alg, xx, tt, DIRAC_FD)
 
     j_val = jtilde(x, t)
-    dj = dirac_tilde_apply(jtilde, alg, x, t, options.continuity_fd)
+    dj = dirac_tilde_apply(jtilde, alg, x, t, CONTINUITY_FD)
     residual = abs(dj[0])
     return Multivector(alg, f_val), Multivector(alg, j_val), float(residual)

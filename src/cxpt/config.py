@@ -4,12 +4,16 @@ Recognized keys (defaults in parentheses):
 
     quadrature.interval.order   (32)   Gauss order N of the Gauss-Kronrod q-integrals
     quadrature.circle.order     (64)   trapezoid nodes on S^1
-    quadrature.sphere.order     (24)   polar order on S^2 (azimuth = 2x)
+    quadrature.sphere.order     (24)   polar order s on S^2 (azimuth 2s); S^3 and S^4
+                                       take 7s/12 and 5s/12 (rounded down) polar
+                                       nodes per level and a base circle of twice that
     quadrature.panel.order      (16)   Gauss order N of the regularized action's panels
     default.a                   (1.0)  default |y| for CLI demos
 
-Unknown keys and malformed lines are rejected with the line number; all
-orders must be >= 4 and ``default.a`` positive.
+The four orders make up the ``numerics.Quadrature`` that ``Config.quadrature``
+returns and the CLI hands to every subcommand.  Unknown keys and malformed
+lines are rejected with the line number; all orders must be >= 4 and
+``default.a`` positive.
 """
 
 from __future__ import annotations
@@ -18,26 +22,22 @@ import os
 from dataclasses import dataclass, replace
 
 from .errors import ConfigParseError
+from .numerics import Quadrature
 
 __all__ = ["Config", "load_config", "config_from_env", "DOCUMENTED_KEYS"]
 
 
 @dataclass(frozen=True)
 class Config:
-    interval_order: int = 32
-    circle_order: int = 64
-    sphere_order: int = 24
-    panel_order: int = 16
+    interval_order: int = Quadrature.interval_order
+    circle_order: int = Quadrature.circle_order
+    sphere_order: int = Quadrature.sphere_order
+    panel_order: int = Quadrature.panel_order
     default_a: float = 1.0
 
-    def sphere_orders(self) -> dict[int, tuple[int, ...]]:
-        polar = self.sphere_order
-        return {
-            1: (self.circle_order,),
-            2: (polar, 2 * polar),
-            3: (max(polar // 2, 4),) * 2 + (polar,),
-            4: (max(polar // 2, 4),) * 3 + (polar,),
-        }
+    def quadrature(self) -> Quadrature:
+        return Quadrature(interval_order=self.interval_order, panel_order=self.panel_order,
+                          circle_order=self.circle_order, sphere_order=self.sphere_order)
 
 
 def _order(text: str) -> int:

@@ -44,6 +44,7 @@ __all__ = [
     "classify_point",
     "to_oblate",
     "from_oblate",
+    "oblate_rho_zeta",
     "to_cylindrical",
     "jacobian_volume",
     "grad_pq",
@@ -224,8 +225,7 @@ def from_oblate(
     if abs(q) > a * (1.0 + 1e-12):
         raise ValueError(f"|q| <= a required, got q={q}, a={a}")
     yhat = y / a
-    zeta = p * q / a
-    rho = math.sqrt(max((a**2 + p**2) * (a**2 - q**2), 0.0)) / a
+    rho, zeta = oblate_rho_zeta(p, q, a)
     if rho <= default_tolerance(a):
         return zeta * yhat
     if coords.sigma is None:
@@ -233,6 +233,17 @@ def from_oblate(
     sigma = np.asarray(coords.sigma, dtype=float)
     frame = orthonormal_complement_frame(y)
     return rho * (frame @ sigma) + zeta * yhat
+
+
+def oblate_rho_zeta(p, q, a: float):
+    """Cylindrical (rho, zeta) of the oblate coordinates (p, q) about an axis of length a.
+
+    ``p`` and ``q`` are scalars or broadcast arrays: rho = sqrt((a^2 + p^2)
+    (a^2 - q^2)) / a, clipped at 0 where rounding puts |q| past a, and
+    zeta = p q / a.
+    """
+    rho = np.sqrt(np.maximum((a**2 + p**2) * (a**2 - q**2), 0.0)) / a
+    return rho, p * q / a
 
 
 def to_cylindrical(

@@ -47,6 +47,7 @@ from .errors import (
 )
 
 __all__ = [
+    "Quadrature",
     "QuadratureRule",
     "KronrodRule",
     "FDScheme",
@@ -66,17 +67,8 @@ __all__ = [
     "fd_laplacian",
     "orthonormal_complement_frame",
     "sphere_area",
-    "DEFAULT_SPHERE_ORDERS",
     "MAX_POINTS",
 ]
-
-#: Default per-level node counts for product rules on S^dim.
-DEFAULT_SPHERE_ORDERS: dict[int, tuple[int, ...]] = {
-    1: (64,),
-    2: (24, 48),
-    3: (14, 14, 28),
-    4: (10, 10, 10, 20),
-}
 
 #: Most points handed to one evaluator or gradient call by ``sphere_sums``;
 #: bounds the memory of a batch of sphere means (S^4 rules have 20,000 nodes).
@@ -88,6 +80,42 @@ def sphere_area(n: int) -> float:
     if n < 1:
         raise ValueError(f"sphere_area needs n >= 1, got {n}")
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+
+
+@dataclass(frozen=True)
+class Quadrature:
+    """Quadrature orders of every layer: the four order keys of the config file.
+
+    ``interval_order`` and ``panel_order`` are the Gauss order N of the
+    2N+1-node Gauss-Kronrod q-integrals of the singular actions and of the
+    regularized action's panels.  ``circle_order`` is the node count of the
+    trapezoid rule on S^1, and ``sphere_order`` the polar order of the
+    product rules on S^2, S^3 and S^4 (see ``sphere_orders``).
+    """
+
+    interval_order: int = 32
+    panel_order: int = 16
+    circle_order: int = 64
+    sphere_order: int = 24
+
+    def sphere_orders(self, dim: int) -> tuple[int, ...]:
+        """Per-level node counts of the product rule on S^dim, outermost level first.
+
+        S^1 has ``circle_order`` nodes and S^2 ``sphere_order`` polar nodes
+        times twice that many azimuths.  S^3 and S^4 take 7/12 and 5/12 of
+        ``sphere_order`` (rounded down) polar nodes per level and a base
+        circle of twice that: (14, 14, 28) and (10, 10, 10, 20) at the
+        default 24.
+        """
+        s = self.sphere_order
+        if dim == 1:
+            return (self.circle_order,)
+        if dim == 2:
+            return (s, 2 * s)
+        if dim in (3, 4):
+            polar = (7 if dim == 3 else 5) * s // 12
+            return (polar,) * (dim - 1) + (2 * polar,)
+        raise ValueError(f"no sphere orders for S^{dim}; pass orders")
 
 
 @dataclass(frozen=True)
@@ -244,15 +272,13 @@ def sphere_rule(dim: int, orders: tuple[int, ...] | None = None) -> QuadratureRu
     """Product rule on the unit sphere S^dim with normalized measure.
 
     ``orders`` gives the per-level node counts, outermost polar level
-    first (the last entry is the base circle).  Defaults come from
-    ``DEFAULT_SPHERE_ORDERS``.
+    first (the last entry is the base circle).  They default to
+    ``Quadrature().sphere_orders(dim)``.
     """
     if dim < 1:
         raise ValueError("sphere_rule needs dim >= 1")
     if orders is None:
-        orders = DEFAULT_SPHERE_ORDERS.get(dim)
-        if orders is None:
-            raise ValueError(f"no default orders for S^{dim}; pass orders")
+        orders = Quadrature().sphere_orders(dim)
     if len(orders) != dim:
         raise ValueError(f"S^{dim} needs {dim} order entries, got {orders}")
     if dim == 1:
@@ -367,8 +393,6 @@ def mean_on_sphere(
     radius: float,
     sphere_dim: int | None = None,
     axis: Sequence[float] | np.ndarray | None = None,
-    rule: QuadratureRule | None = None,
-    orders: tuple[int, ...] | None = None,
 ) -> complex:
     """Mean of ``f`` over a sphere, with respect to the unit-mass measure.
 
@@ -387,8 +411,7 @@ def mean_on_sphere(
         raise InvalidRadiusError(f"sphere radius must be >= 0, got {radius}")
     if not 1 <= sphere_dim <= n - 1:
         raise ValueError(f"sphere_dim must be in [1, {n - 1}], got {sphere_dim}")
-    if rule is None:
-        rule = sphere_rule(sphere_dim, orders)
+    rule = sphere_rule(sphere_dim)
     if sphere_dim == n - 1:
         dirs = rule.nodes
     elif sphere_dim == n - 2:

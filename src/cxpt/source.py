@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import Chebyshev
@@ -73,9 +73,10 @@ from .errors import (
     WindowTooSmallError,
 )
 from .fields import TestField, constant, coordinate
+from .geometry import oblate_rho_zeta
 from .numerics import (
-    DEFAULT_SPHERE_ORDERS,
     FDScheme,
+    Quadrature,
     derivative,
     fd_stencil,
     integrate_interval,
@@ -87,7 +88,6 @@ from .numerics import (
 )
 
 __all__ = [
-    "SourceOptions",
     "SourceAction",
     "lambda_coeff",
     "regularized_action",
@@ -114,28 +114,6 @@ U_ROUNDING = 1e-13
 U_SPLITS = 8
 #: Ratio of consecutive theta-panel ends of the regularized action, from eps / a.
 THETA_GROWTH = 4.0
-
-
-@dataclass(frozen=True)
-class SourceOptions:
-    """Quadrature orders used by the source functionals.
-
-    Both interval orders are the Gauss order N of ``numerics.gauss_kronrod``:
-    every q-integral and every regularized-action panel evaluates its
-    integrand on 2N+1 nodes once.
-    """
-
-    q_order: int = 32            # Gauss order N of the 2N+1-node Gauss-Kronrod q-integrals
-    panel_order: int = 16        # Gauss order N of the regularized action's Gauss-Kronrod panels
-    sphere_orders: Mapping[int, tuple[int, ...]] | None = None
-
-    def orders_for(self, dim: int) -> tuple[int, ...]:
-        if self.sphere_orders and dim in self.sphere_orders:
-            return tuple(self.sphere_orders[dim])
-        return DEFAULT_SPHERE_ORDERS[dim]
-
-
-_DEFAULT = SourceOptions()
 
 
 @dataclass(frozen=True)
@@ -188,7 +166,7 @@ class _AxialField:
     """
 
     def __init__(self, f: TestField, y: np.ndarray, n: int,
-                 options: SourceOptions = _DEFAULT) -> None:
+                 quadrature: Quadrature = Quadrature()) -> None:
         self.f = f
         self.y = np.asarray(y, dtype=float)
         self.n = n
@@ -199,7 +177,7 @@ class _AxialField:
             raise ValueError("axis vector y must be nonzero here")
         self.yhat = self.y / self.a
         frame = orthonormal_complement_frame(self.y)
-        rule = sphere_rule(n - 2, options.orders_for(n - 2))
+        rule = sphere_rule(n - 2, quadrature.sphere_orders(n - 2))
         self._dirs = rule.nodes @ frame.T      # (m, n) unit vectors in y-perp
         self._weights = rule.weights
         self._zeta_scheme = FDScheme(h=ZETA_STEP * self.a, order=4, richardson=True)
@@ -243,15 +221,8 @@ class _AxialField:
         return self._sphere_sums(rho.ravel(), zeta.ravel(), along).reshape(shape)
 
     # -- means in oblate coordinates ---------------------------------------
-    def rho_zeta(self, p: float, q):
-        """Cylindrical nodes (rho, zeta) of the oblate coordinates (p, q)."""
-        a = self.a
-        q = np.asarray(q, dtype=float)
-        rho = np.sqrt(np.maximum((a**2 + p**2) * (a**2 - q**2), 0.0)) / a
-        return rho, p * q / a
-
     def mean_pq(self, p: float, q) -> np.ndarray:
-        return self.means(*self.rho_zeta(p, q))
+        return self.means(*oblate_rho_zeta(p, np.asarray(q, dtype=float), self.a))
 
     def mean_pq_dp(self, p: float, q) -> np.ndarray:
         """d/dp of the mean at fixed q, through (d rho/dp, d zeta/dp); needs p > 0."""
@@ -259,7 +230,7 @@ class _AxialField:
             raise ValueError("mean_pq_dp needs p > 0; use the cylindrical identity at p = 0")
         a = self.a
         q = np.asarray(q, dtype=float)
-        rho, zeta = self.rho_zeta(p, q)
+        rho, zeta = oblate_rho_zeta(p, q, a)
         drho = p * np.sqrt(np.maximum(a**2 - q**2, 0.0)) / (a * math.sqrt(a**2 + p**2))
         scheme = FDScheme(h=min(P_STEP * a, p / 4.0), order=4, richardson=False)
         return self.slopes(rho, zeta, drho, q / a, scheme)
@@ -377,25 +348,25 @@ def _taylor_subtracted(pieces: list[Chebyshev], k: int, a: float,
 
 
 def singular_action_r3(f: TestField, y: Sequence[float] | np.ndarray,
-                       options: SourceOptions = _DEFAULT) -> SourceAction:
+                       quadrature: Quadrature = Quadrature()) -> SourceAction:
     """Action of the extended source in R^3: rim + single layer + i double layer."""
     y = np.asarray(y, dtype=float)
     if np.linalg.norm(y) == 0.0:
         v = f.evaluate(np.zeros(3))
         return SourceAction(v, {"rim": v, "single_layer": 0j, "double_layer": 0j}, 0.0)
     _require_smoothness(f, 1, "singular_action_r3")
-    af = _AxialField(f, y, 3, options)
+    af = _AxialField(f, y, 3, quadrature)
     a = af.a
     g_pieces, ah_pieces = af.u_panels(      # G = fbar(sqrt(u), 0), a H = a fbar_zeta
         (lambda u: af.means(np.sqrt(u), 0.0), 1.0),
         (lambda u: a * af.slopes(np.sqrt(u), 0.0, 0.0, 1.0), af.slope_noise))
     # rim L0 = G(a^2); single layer: -a Int_0^a (G(a^2-q^2) - L0) / q^2 dq
-    (l0,), int1, err1 = _taylor_subtracted(g_pieces, 0, a, options.q_order)
+    (l0,), int1, err1 = _taylor_subtracted(g_pieces, 0, a, quadrature.interval_order)
     l1 = -a * int1
 
     # double layer: -Int_0^a fbar_zeta(rho(q), 0) dq
     int2, err2 = _integrate_panels(lambda ah_hat, q: ah_hat(a**2 - q**2), ah_pieces, a,
-                                   options.q_order)
+                                   quadrature.interval_order)
     l2 = -int2 / a
 
     # the q-rules are near exact on polynomials: add the interpolants' tails, carried
@@ -413,20 +384,20 @@ def singular_action_r3(f: TestField, y: Sequence[float] | np.ndarray,
 
 
 def singular_action_r4(f: TestField, y: Sequence[float] | np.ndarray,
-                       options: SourceOptions = _DEFAULT) -> complex:
+                       quadrature: Quadrature = Quadrature()) -> complex:
     """Action in R^4: fbar(a,0) + a fbar_rho(a,0) - i a fbar_zeta(a,0)."""
     y = np.asarray(y, dtype=float)
     if np.linalg.norm(y) == 0.0:
         return f.evaluate(np.zeros(4))
     _require_smoothness(f, 1, "singular_action_r4")
-    af = _AxialField(f, y, 4, options)
+    af = _AxialField(f, y, 4, quadrature)
     a = af.a
     d_rho, d_zeta = af.slopes(a, 0.0, [1.0, 0.0], [0.0, 1.0])
     return complex(af.means(a, 0.0) + a * d_rho - 1j * a * d_zeta)
 
 
 def singular_action_even(f: TestField, y: Sequence[float] | np.ndarray, n: int,
-                         options: SourceOptions = _DEFAULT) -> complex:
+                         quadrature: Quadrature = Quadrature()) -> complex:
     """Action for even n = 2k+2 in {4, 6}: (a sqrt(pi)/Gamma(k+1/2)) D_rho^k F |_{rho=a}."""
     if n % 2 != 0 or not 4 <= n <= 6:
         raise UnsupportedDimensionError(f"even-n action supports n in {{4, 6}}, got {n}")
@@ -435,7 +406,7 @@ def singular_action_even(f: TestField, y: Sequence[float] | np.ndarray, n: int,
         return f.evaluate(np.zeros(n))
     k = (n - 2) // 2
     _require_smoothness(f, k, "singular_action_even")
-    af = _AxialField(f, y, n, options)
+    af = _AxialField(f, y, n, quadrature)
     a = af.a
     g_hat = af.g_panels(cover=False)[0]
     p = (n - 3) / 2.0   # D^k (u^p g) by Leibniz, the power kept analytic
@@ -445,7 +416,7 @@ def singular_action_even(f: TestField, y: Sequence[float] | np.ndarray, n: int,
 
 
 def singular_action_odd(f: TestField, y: Sequence[float] | np.ndarray, n: int,
-                        options: SourceOptions = _DEFAULT) -> complex:
+                        quadrature: Quadrature = Quadrature()) -> complex:
     """Action for odd n = 2k+3 in {3, 5}: V_n plus the rim Taylor block."""
     if n % 2 != 1 or not 3 <= n <= 5:
         raise UnsupportedDimensionError(f"odd-n action supports n in {{3, 5}}, got {n}")
@@ -454,11 +425,11 @@ def singular_action_odd(f: TestField, y: Sequence[float] | np.ndarray, n: int,
         return f.evaluate(np.zeros(n))
     _require_smoothness(f, n - 2, "singular_action_odd")
     k = (n - 3) // 2
-    af = _AxialField(f, y, n, options)
+    af = _AxialField(f, y, n, quadrature)
     a = af.a
     ratio = _omega_ratio(n)
     f_pieces = [g * Chebyshev.identity(domain=g.domain) ** k for g in af.g_panels()]
-    t2, integral, _ = _taylor_subtracted(f_pieces, k, a, options.q_order)
+    t2, integral, _ = _taylor_subtracted(f_pieces, k, a, quadrature.interval_order)
     i_power = (1j) ** ((1 - n) % 4)
     v_n = 2.0 * i_power * a / ratio * integral
 
@@ -469,7 +440,7 @@ def singular_action_odd(f: TestField, y: Sequence[float] | np.ndarray, n: int,
 
 
 def singular_action(f: TestField, y: Sequence[float] | np.ndarray, n: int | None = None,
-                    options: SourceOptions = _DEFAULT) -> complex:
+                    quadrature: Quadrature = Quadrature()) -> complex:
     """Dispatch <delta~, f> to the dimension-specific evaluator (n in 3..6)."""
     y = np.asarray(y, dtype=float)
     if n is None:
@@ -479,18 +450,18 @@ def singular_action(f: TestField, y: Sequence[float] | np.ndarray, n: int | None
     if np.linalg.norm(y) == 0.0:
         return f.evaluate(np.zeros(n))
     if n == 3:
-        return singular_action_r3(f, y, options).value
+        return singular_action_r3(f, y, quadrature).value
     if n == 4:
-        return singular_action_r4(f, y, options)
+        return singular_action_r4(f, y, quadrature)
     if n == 5:
-        return singular_action_odd(f, y, 5, options)
+        return singular_action_odd(f, y, 5, quadrature)
     if n == 6:
-        return singular_action_even(f, y, 6, options)
+        return singular_action_even(f, y, 6, quadrature)
     raise UnsupportedDimensionError(f"singular action supports n in 3..6, got {n}")
 
 
 def regularized_action(f: TestField, y: Sequence[float] | np.ndarray, n: int,
-                       eps: float, options: SourceOptions = _DEFAULT) -> complex:
+                       eps: float, quadrature: Quadrature = Quadrature()) -> complex:
     """Action I_eps of the regularized source supported on the spheroid p = eps.
 
     The q-integral is taken in q = a sin(theta) (absorbing the
@@ -499,11 +470,11 @@ def regularized_action(f: TestField, y: Sequence[float] | np.ndarray, n: int,
     peaks; the panel with the largest |K - G| is halved until the sum of
     those estimates falls to ``U_ROUNDING`` of Sum |K|.
     """
-    return _regularized(f, y, n, eps, options).value
+    return _regularized(f, y, n, eps, quadrature).value
 
 
 def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
-                 eps: float, options: SourceOptions = _DEFAULT) -> SourceAction:
+                 eps: float, quadrature: Quadrature = Quadrature()) -> SourceAction:
     """``regularized_action`` with its error estimate: (Sum |K - G| + 2^-52 Sum |K|)
     times the prefactor, the second term the floor of the kernel's cancellation."""
     if not (math.isfinite(eps) and eps > 0):
@@ -514,7 +485,7 @@ def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
     if np.linalg.norm(y) == 0.0:
         raise ValueError("regularized action needs y != 0")
     _require_smoothness(f, n - 2, "regularized_action")
-    af = _AxialField(f, y, n, options)
+    af = _AxialField(f, y, n, quadrature)
     a = af.a
     nu = (n - 3) / 2.0
 
@@ -526,7 +497,7 @@ def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
         return (a * np.cos(theta)) ** (n - 2) * (fs + gamma * fsp / (n - 2)) / gamma ** (n - 1)
 
     def panel(lo: float, hi: float, depth: int):
-        return lo, hi, depth, integrate_interval(integrand, lo, hi, order=options.panel_order)
+        return lo, hi, depth, integrate_interval(integrand, lo, hi, order=quadrature.panel_order)
 
     half = math.pi / 2.0
     breaks = [0.0, min(max(eps / a, 1e-6), half)]
@@ -559,15 +530,15 @@ def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
 
 
 def moments(n: int, y: Sequence[float] | np.ndarray,
-            options: SourceOptions = _DEFAULT) -> tuple[complex, np.ndarray]:
+            quadrature: Quadrature = Quadrature()) -> tuple[complex, np.ndarray]:
     """Monopole Q and dipole vector P of the source with axis y."""
     y = np.asarray(y, dtype=float)
-    q_val = singular_action(constant(1.0), y, n, options)
-    p_vec = np.asarray([singular_action(coordinate(j), y, n, options) for j in range(n)])
+    q_val = singular_action(constant(1.0), y, n, quadrature)
+    p_vec = np.asarray([singular_action(coordinate(j), y, n, quadrature) for j in range(n)])
     return q_val, p_vec
 
 
-def centroid(z_s, options: SourceOptions = _DEFAULT) -> np.ndarray:
+def centroid(z_s, quadrature: Quadrature = Quadrature()) -> np.ndarray:
     """Centroid of a source placed at complex position z_S in C^3; equals z_S.
 
     Evaluated by translating the coordinate test fields: the component j
@@ -577,13 +548,13 @@ def centroid(z_s, options: SourceOptions = _DEFAULT) -> np.ndarray:
     y_s = np.asarray(z_s.y, dtype=float)
     if x_s.shape[0] != 3:
         raise UnsupportedDimensionError("centroid is computed for n = 3")
-    return np.asarray([singular_action(coordinate(j).shifted(x_s), -y_s, 3, options)
+    return np.asarray([singular_action(coordinate(j).shifted(x_s), -y_s, 3, quadrature)
                        for j in range(3)])
 
 
 def descent_check(f: TestField, y: Sequence[float] | np.ndarray,
                   n: int = 3, window: float | None = None,
-                  options: SourceOptions = _DEFAULT) -> tuple[complex, complex]:
+                  quadrature: Quadrature = Quadrature()) -> tuple[complex, complex]:
     """Both sides of the descent identity <delta~_n, f> = <delta~_{n+1}, f x 1>.
 
     The right side lifts f to R^{n+1} as f(x) on the slab |s| <= window
@@ -609,6 +580,6 @@ def descent_check(f: TestField, y: Sequence[float] | np.ndarray,
 
     lifted = TestField(evaluator=lifted_eval, smoothness=f.smoothness,
                        name=f"lift[{f.name}]")
-    lhs = singular_action_r3(f, y, options).value
-    rhs = singular_action_r4(lifted, np.append(y, 0.0), options)
+    lhs = singular_action_r3(f, y, quadrature).value
+    rhs = singular_action_r4(lifted, np.append(y, 0.0), quadrature)
     return lhs, rhs

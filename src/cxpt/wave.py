@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -52,8 +52,8 @@ from .errors import (
 )
 from .fields import TestField, _single
 from .numerics import (
-    DEFAULT_SPHERE_ORDERS,
     FDScheme,
+    Quadrature,
     derivative,
     fd_stencil,
     point_values,
@@ -62,7 +62,6 @@ from .numerics import (
 )
 
 __all__ = [
-    "WaveOptions",
     "CauchyData",
     "SpacetimeField",
     "from_cauchy_data",
@@ -74,21 +73,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WaveOptions:
-    """Quadrature orders and FD steps of the propagator."""
-
-    radial_fd: FDScheme = FDScheme(h=1e-2, order=4, richardson=True)
-    s_fd: FDScheme = FDScheme(h=1e-3, order=4, richardson=True)
-    sphere_orders: Mapping[int, tuple[int, ...]] | None = None
-
-    def orders_for(self, dim: int) -> tuple[int, ...]:
-        if self.sphere_orders and dim in self.sphere_orders:
-            return tuple(self.sphere_orders[dim])
-        return DEFAULT_SPHERE_ORDERS[dim]
-
-
-_DEFAULT = WaveOptions()
+#: Radial stencils of the Kirchhoff and Poisson formulas, and the s-stencil of
+#: ``extend`` for fields without an exact s-derivative.
+RADIAL_FD = FDScheme(h=1e-2, order=4, richardson=True)
+S_FD = FDScheme(h=1e-3, order=4, richardson=True)
 
 
 @dataclass(frozen=True)
@@ -163,21 +151,21 @@ def _radial_means(field: TestField, x: np.ndarray, rule, radii) -> np.ndarray:
     return means[[distinct.index(r) for r in mags]]
 
 
-def _kirchhoff3(data: CauchyData, x: np.ndarray, rule, t: float, options: WaveOptions):
+def _kirchhoff3(data: CauchyData, x: np.ndarray, rule, t: float):
     """n = 3: u = d/dr(r vbar)|_{r=t} + t wbar(|t|)."""
-    r, c = fd_stencil(t, options.radial_fd, 1)
+    r, c = fd_stencil(t, RADIAL_FD, 1)
     mv = _radial_means(data.v, x, rule, r)
     mw = _radial_means(data.w, x, rule, [t])
     return (c * r) @ mv + t * mw[0]
 
 
-def _poisson5(data: CauchyData, x: np.ndarray, rule, t: float, options: WaveOptions):
+def _poisson5(data: CauchyData, x: np.ndarray, rule, t: float):
     """n = 5 (k = 2) in expanded radial form, valid for every t:
 
     u = m + (5/3) t m' + (1/3) t^2 m'' + t w + (1/3) t^2 w'.
     """
-    r1, c1 = fd_stencil(t, options.radial_fd, 1)
-    r2, c2 = fd_stencil(t, options.radial_fd, 2)
+    r1, c1 = fd_stencil(t, RADIAL_FD, 1)
+    r2, c2 = fd_stencil(t, RADIAL_FD, 2)
     k1 = r1.size
     mv = _radial_means(data.v, x, rule, np.concatenate([[t], r1, r2]))
     mw = _radial_means(data.w, x, rule, np.concatenate([[t], r1]))
@@ -198,24 +186,24 @@ def _check_smoothness(data: CauchyData, k: int) -> None:
 
 
 def solve_cauchy(data: CauchyData, x: Sequence[float] | np.ndarray, t: float,
-                 options: WaveOptions = _DEFAULT):
+                 quadrature: Quadrature = Quadrature()):
     """Wave-equation solution u(x, t) from Cauchy data at t = 0 (n in {2, 3, 5})."""
     x = np.asarray(x, dtype=float)
     if x.shape[0] != data.n:
         raise ValueError(f"point has dimension {x.shape[0]}, data has n={data.n}")
     if data.n == 2:
         lifted = CauchyData(_lift_planar(data.v), _lift_planar(data.w), 3)
-        return solve_cauchy(lifted, np.append(x, 0.0), t, options)
+        return solve_cauchy(lifted, np.append(x, 0.0), t, quadrature)
     if data.n not in (3, 5):
         raise UnsupportedDimensionError(f"solver supports n in {{2, 3, 5}}, got {data.n}")
     k = (data.n - 1) // 2
     _check_smoothness(data, k)
     if t == 0.0:
         return data.v.evaluate(x)
-    rule = sphere_rule(data.n - 1, options.orders_for(data.n - 1))
+    rule = sphere_rule(data.n - 1, quadrature.sphere_orders(data.n - 1))
     if data.n == 3:
-        return _kirchhoff3(data, x, rule, t, options)
-    return _poisson5(data, x, rule, t, options)
+        return _kirchhoff3(data, x, rule, t)
+    return _poisson5(data, x, rule, t)
 
 
 def _lift_planar(field: TestField) -> TestField:
@@ -229,7 +217,7 @@ def _lift_planar(field: TestField) -> TestField:
 
 
 def extend(f: SpacetimeField, x: Sequence[float] | np.ndarray, s: float, t: float,
-           n: int = 3, options: WaveOptions = _DEFAULT):
+           n: int = 3, quadrature: Quadrature = Quadrature()):
     """Extension f~(x, s + it) of a Euclidean-spacetime field (n = 3).
 
     Solves the Cauchy problem with v = f(., s) and w = i f_s(., s); the
@@ -253,14 +241,14 @@ def extend(f: SpacetimeField, x: Sequence[float] | np.ndarray, s: float, t: floa
             def slice_at(ss: float) -> np.ndarray:
                 return f.evaluate(np.column_stack([pts, np.full(pts.shape[0], ss)]))
 
-            return 1j * derivative(slice_at, s, options.s_fd, 1)
+            return 1j * derivative(slice_at, s, S_FD, 1)
 
     data = CauchyData(
         TestField(v_eval, smoothness=f.smoothness, name="extend-v"),
         TestField(w_eval, smoothness=f.smoothness, name="extend-w"),
         3,
     )
-    return solve_cauchy(data, x, t, options)
+    return solve_cauchy(data, x, t, quadrature)
 
 
 def _check_step(h: float) -> None:
@@ -269,13 +257,13 @@ def _check_step(h: float) -> None:
 
 
 def wave_residual_at(data: CauchyData, x: Sequence[float] | np.ndarray, t: float,
-                     h: float = 0.05, options: WaveOptions = _DEFAULT) -> complex:
+                     h: float = 0.05, quadrature: Quadrature = Quadrature()) -> complex:
     """u_tt - Lap u at one spacetime point, by 2nd-order FD on solver samples."""
     _check_step(h)
     x = np.asarray(x, dtype=float)
 
     def u(dx: np.ndarray, dt: float):
-        return solve_cauchy(data, x + dx, t + dt, options)
+        return solve_cauchy(data, x + dx, t + dt, quadrature)
 
     zero = np.zeros_like(x)
     center = u(zero, 0.0)
@@ -290,7 +278,7 @@ def wave_residual_at(data: CauchyData, x: Sequence[float] | np.ndarray, t: float
 
 def wave_residual(data: CauchyData, x_center: Sequence[float] | np.ndarray,
                   t_center: float, h: float = 0.05, half_points: int = 2,
-                  options: WaveOptions = _DEFAULT) -> float:
+                  quadrature: Quadrature = Quadrature()) -> float:
     """Max |u_tt - Lap u| over the interior of a (2m+1)^{n+1} lattice.
 
     The lattice is centered at (x_center, t_center) with spacing ``h`` >
@@ -309,7 +297,7 @@ def wave_residual(data: CauchyData, x_center: Sequence[float] | np.ndarray,
     def uval(offs: tuple[int, ...]):
         if offs not in cache:
             dx = np.asarray(offs[:n], dtype=float) * h
-            val = solve_cauchy(data, x_center + dx, t_center + offs[n] * h, options)
+            val = solve_cauchy(data, x_center + dx, t_center + offs[n] * h, quadrature)
             if not np.all(np.isfinite(val)):
                 raise NonFiniteIntegrandError(
                     f"solver sample at lattice offset {offs} is not finite")

@@ -10,10 +10,13 @@ import sys
 import numpy as np
 import pytest
 
-from cxpt.cli import OPERATION_COVERAGE, _source_options, run
+from cxpt.cli import OPERATION_COVERAGE, run
 from cxpt.config import DOCUMENTED_KEYS, Config, load_config
 from cxpt.errors import ConfigParseError
-from cxpt.source import SourceOptions
+from cxpt.fields import parse_field_spec
+from cxpt.numerics import Quadrature, sphere_rule
+from cxpt.source import moments, singular_action
+from cxpt.wave import CauchyData, solve_cauchy
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -102,13 +105,66 @@ def test_readme_config_block_matches_code():
         assert parse(text) == getattr(defaults, attr), key
 
 
-def test_cli_sets_every_source_option():
-    """Each SourceOptions field is driven by the config: none keeps its default."""
-    cfg = Config(interval_order=20, circle_order=40, sphere_order=12, panel_order=8)
-    opts = _source_options(cfg)
-    default = SourceOptions()
-    for field in dataclasses.fields(SourceOptions):
-        assert getattr(opts, field.name) != getattr(default, field.name), field.name
+#: Per Quadrature field: its config line and a subcommand whose output depends on it.
+QUADRATURE_PROBES = {
+    "interval_order": ("quadrature.interval.order = 4",
+                       ["source-action", "--n", "3", "--field", "plane_wave:2,1,0"]),
+    "panel_order": ("quadrature.panel.order = 4",
+                    ["source-action", "--n", "3", "--field", "plane_wave:2,1,0", "--eps", "0.1"]),
+    "circle_order": ("quadrature.circle.order = 6",
+                     ["source-action", "--n", "3", "--field", "plane_wave:2,1,0"]),
+    "sphere_order": ("quadrature.sphere.order = 6",
+                     ["source-action", "--n", "4", "--field", "plane_wave:2,1,0,0"]),
+}
+
+
+def test_cli_sets_every_quadrature_field(tmp_path, capsys):
+    """Each Quadrature field is set by its config key and changes the CLI's output."""
+    assert set(QUADRATURE_PROBES) == {f.name for f in dataclasses.fields(Quadrature)}
+    for name, (line, argv) in QUADRATURE_PROBES.items():
+        path = write(tmp_path, line + "\n")
+        quadrature = load_config(path).quadrature()
+        default = getattr(Quadrature(), name)
+        assert getattr(quadrature, name) != default, name
+        assert dataclasses.replace(quadrature, **{name: default}) == Quadrature(), name
+        _, default_out, _ = run_cli(capsys, argv)
+        code, out, _ = run_cli(capsys, ["--config", path] + argv)
+        assert code == 0 and out != default_out, name
+
+
+def test_config_quadrature_defaults_are_the_library_defaults():
+    """Config() builds Quadrature(), and sphere_rule's default orders are Quadrature()'s."""
+    assert Config().quadrature() == Quadrature()
+    expected = {1: (64,), 2: (24, 48), 3: (14, 14, 28), 4: (10, 10, 10, 20)}
+    for dim in range(1, 5):
+        orders = Quadrature().sphere_orders(dim)
+        assert orders == expected[dim]
+        default, explicit = sphere_rule(dim), sphere_rule(dim, orders)
+        assert np.array_equal(default.nodes, explicit.nodes)
+        assert np.array_equal(default.weights, explicit.weights)
+
+
+def test_cli_matches_the_library_at_default_config(capsys):
+    """The CLI prints exactly the in-process library values for n = 3..6."""
+    for n in range(3, 7):
+        y = np.zeros(n)
+        y[-1] = Config().default_a
+        field = parse_field_spec("gaussian:1.0").to_field(n)
+        _, out, _ = run_cli(capsys, ["source-action", "--n", str(n), "--field", "gaussian:1.0"])
+        payload = json.loads(out)
+        assert complex(payload["value_re"], payload["value_im"]) == singular_action(field, y, n)
+        _, out, _ = run_cli(capsys, ["moments", "--n", str(n)])
+        payload = json.loads(out)
+        q_val, p_vec = moments(n, y)
+        assert complex(payload["Q"]["re"], payload["Q"]["im"]) == q_val
+        assert [complex(c["re"], c["im"]) for c in payload["P"]] == list(p_vec)
+    spec = "plane_wave:1,0,0,0,0"
+    _, out, _ = run_cli(capsys, ["wave", "--n", "5", "--v", spec, "--w", "constant:0",
+                                 "--x", "0,0,0,0,0", "--t", "0.5", "--lattice-half", "0"])
+    row = out.strip().splitlines()[1].split(",")
+    data = CauchyData(parse_field_spec(spec).to_field(5),
+                      parse_field_spec("constant:0").to_field(5), 5)
+    assert complex(float(row[-2]), float(row[-1])) == solve_cauchy(data, np.zeros(5), 0.5)
 
 
 def test_config_env(tmp_path, monkeypatch):
@@ -241,6 +297,20 @@ def test_cli_clifford_bp(capsys):
     payload = json.loads(out)
     assert payload["interior_error"] <= 1e-6
     assert payload["exterior_leakage"] <= 1e-6
+
+
+def test_cli_clifford_reads_the_sphere_order(tmp_path, capsys):
+    """quadrature.sphere.order reaches every clifford mode, which keeps criterion 11's bounds."""
+    path = write(tmp_path, "quadrature.sphere.order = 16\n")
+    bounds = {"bp-check": ("interior_error", "exterior_leakage"),
+              "ebp-check": ("abs_diff",), "maxwell-demo": ("continuity_residual",)}
+    for mode, keys in bounds.items():
+        _, default_out, _ = run_cli(capsys, ["clifford", mode])
+        code, out, _ = run_cli(capsys, ["--config", path, "clifford", mode])
+        assert code == 0 and out != default_out, mode
+        payload = json.loads(out)
+        for key in keys:
+            assert payload[key] <= 1e-4, (mode, key)
 
 
 def test_cli_verify_subset(capsys):

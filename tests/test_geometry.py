@@ -17,6 +17,7 @@ from cxpt.geometry import (
     from_oblate,
     grad_pq,
     jacobian_volume,
+    oblate_rho_zeta,
     to_cylindrical,
     to_oblate,
 )
@@ -141,6 +142,21 @@ def test_from_oblate_disk_front():
     assert np.allclose(out, [rho, 0.0, 0.0], atol=1e-12)
     d = complex_distance(ComplexPoint(out, [0, 0, 1]))
     assert d.q == pytest.approx(q, abs=1e-12)
+
+
+def test_oblate_rho_zeta_arrays_match_points(rng):
+    """The vectorized (p, q) -> (rho, zeta) map gives from_oblate's point, node by node."""
+    y = np.array([0.0, 0.6, 0.8]) * 1.7
+    a = float(np.linalg.norm(y))
+    p = rng.uniform(0.0, 2.0, size=20)
+    q = rng.uniform(-a, a, size=20)
+    q[0] = a * (1.0 + 1e-13)    # rounding past the rim clips rho to 0
+    rho, zeta = oblate_rho_zeta(p, q, a)
+    assert rho[0] == 0.0
+    for pk, qk, rk, zk in zip(p[1:], q[1:], rho[1:], zeta[1:]):
+        cyl = to_cylindrical(from_oblate(OblateCoords(pk, qk, np.array([1.0, 0.0])), y), y)
+        assert cyl.rho == pytest.approx(rk, rel=1e-12)
+        assert cyl.zeta == pytest.approx(zk, abs=1e-12)
 
 
 def test_oblate_errors():

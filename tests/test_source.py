@@ -21,6 +21,7 @@ from cxpt.fields import TestField, bump, constant, coordinate, gaussian, polynom
 from cxpt.geometry import ComplexPoint
 from cxpt.numerics import (
     IntervalIntegral,
+    Quadrature,
     integrate_interval,
     mean_on_sphere,
     sphere_area,
@@ -450,6 +451,15 @@ def test_harmonic_exponential_actions(n, s, rel, a):
     y[0], y[-1] = 0.6 * a, 0.8 * a
     want = np.exp(k @ (-1j * y))
     assert abs(singular_action(f, y, n) - want) <= rel * max(1.0, abs(want))
+
+
+def test_larger_sphere_order_resolves_a_sharp_n6_harmonic():
+    """The default S^4 rule (10, 10, 10, 20) leaves exp(3 x_1 + 3i x_2) about
+    |y| = 2 off by 9e-4 at n = 6; sphere_order 36, (15, 15, 15, 30), resolves it."""
+    f, k = _harmonic_exponential(6, 3.0)
+    y = 2.0 * np.array([0.6, 0.0, 0.0, 0.0, 0.0, 0.8])
+    want = np.exp(k @ (-1j * y))
+    assert abs(singular_action(f, y, 6, Quadrature(sphere_order=36)) - want) < 1e-8
 
 
 def _radial_gaussian_n5_oracle(width, a):

@@ -11,11 +11,10 @@ from cxpt.errors import (
     UnsupportedDimensionError,
 )
 from cxpt.fields import TestField, bump, constant, cosine_wave, gaussian, plane_wave
-from cxpt.numerics import MAX_POINTS
+from cxpt.numerics import MAX_POINTS, Quadrature
 from cxpt.wave import (
     CauchyData,
     SpacetimeField,
-    WaveOptions,
     extend,
     from_cauchy_data,
     harmonic_mode,
@@ -83,7 +82,7 @@ def test_time_symmetry_backward_then_forward():
     """Solve to -t0, use the result as new Cauchy data, solve forward."""
     t0 = 0.4
     data = CauchyData(cosine_wave(K_UNIT), constant(0.0), 3)
-    small = WaveOptions(sphere_orders={2: (12, 24)})
+    small = Quadrature(sphere_order=12)
 
     def u_back(pts):
         return np.asarray([solve_cauchy(data, p, -t0, small) for p in np.atleast_2d(pts)])
@@ -222,7 +221,7 @@ def test_solve_takes_each_stencil_radius_once(n, means, rule_points):
 def test_energy_conservation_periodic_cell():
     """E(t) = Int (u_t^2 + |grad u|^2) over one periodic cell stays constant."""
     data = CauchyData(cosine_wave([1.0, 0.0, 0.0]), constant(0.0), 3)
-    opts = WaveOptions(sphere_orders={2: (12, 24)})
+    opts = Quadrature(sphere_order=12)
     m = 6
     cell = 2.0 * math.pi
     grid1d = cell * np.arange(m) / m
