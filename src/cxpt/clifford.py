@@ -21,7 +21,8 @@ Borel-Pompeiu identity
 
 and its extension with kernel C(x'-z) evaluates the complexified field
 f~_M(z) at regular points z (those with z - x' outside the singular set
-for every boundary x').  The hyperbolic operator D~ = D - i e_0 d_t
+for every boundary x').  Both formulas share one kernel, C(x' - z) for
+z = x + iy, whose y = 0 restriction is the real one.  The hyperbolic operator D~ = D - i e_0 d_t
 squares to the wave operator; extending f componentwise in time and
 setting j~ = D~ f~ yields D~ j~ = 0 with f~, j~ matching f, Df at t = 0
 (the time-dependent Maxwell system for n = 3, bivector f).
@@ -55,6 +56,7 @@ from .numerics import (
     orthonormal_complement_frame,
     sphere_area,
     sphere_rule,
+    sphere_sums,
 )
 
 __all__ = [
@@ -262,12 +264,18 @@ def _batch_mul(alg: CliffordAlgebra, U: np.ndarray, V: np.ndarray) -> np.ndarray
     signs = alg.signs
     dim = alg.dim
     out = np.zeros(np.broadcast_shapes(U.shape, V.shape), dtype=complex)
+    V = np.broadcast_to(V, out.shape)
+    term = np.empty_like(out)
     masks = np.arange(dim)
     for a in range(dim):
         col = U[..., a]
         if not np.any(col):
             continue
-        out[..., masks ^ a] += col[..., None] * V * signs[a, :]
+        perm = masks ^ a   # out[k ^ a] += col V[k] s[a, k], in one reused buffer
+        np.take(V, perm, axis=-1, out=term)
+        term *= col[..., None]
+        term *= signs[a, perm]
+        out += term
     return out
 
 
@@ -368,108 +376,101 @@ def dirac_field(f: MultivectorField, side: str = "left") -> MultivectorField:
 
 
 def dirac_apply(f: MultivectorField, x: Sequence[float] | np.ndarray,
-                side: str = "left", mode: str = "exact_poly",
-                scheme: FDScheme | None = None) -> Multivector:
+                side: str = "left", scheme: FDScheme | None = None) -> Multivector:
     """Left- or right-acting Dirac operator at a point.
 
-    ``exact_poly`` differentiates the polynomial table; ``fd`` uses
-    central differences on the evaluator.
+    Exact from the polynomial table when the field has one; otherwise
+    central differences of the evaluator with ``scheme`` (default
+    h = 1e-5, order 4, one Richardson level).
     """
+    x = np.asarray(x, dtype=float)
+    dirac = _dirac_evaluator(f, side, scheme or FDScheme(h=1e-5, order=4, richardson=True))
+    return Multivector(f.algebra, dirac(x[None, :])[0])
+
+
+def _dirac_evaluator(f: MultivectorField, side: str,
+                     scheme: FDScheme) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch evaluator of D f (side 'left') or f D ('right'): the exact
+    polynomial field's when f has a table, else ``scheme``'s central differences."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    x = np.asarray(x, dtype=float)
-    if mode == "exact_poly":
-        if f.poly is None:
-            raise ValueError("field has no polynomial representation; use mode='fd'")
-        return dirac_field(f, side).value(x)
-    if mode != "fd":
-        raise ValueError("mode must be 'exact_poly' or 'fd'")
-    return Multivector(f.algebra, _dirac_batch(f, x[None, :], side, scheme)[0])
-
-
-def _dirac_batch(f: MultivectorField, pts: np.ndarray, side: str = "left",
-                 scheme: FDScheme | None = None) -> np.ndarray:
-    """Dirac derivative coefficients at a batch of points."""
-    alg = f.algebra
     if f.poly is not None:
-        return dirac_field(f, side).batch(pts)
-    scheme = scheme or FDScheme(h=1e-5, order=4, richardson=True)
-    out = np.zeros((pts.shape[0], alg.dim), dtype=complex)
-    for axis, lab in enumerate(f.labels):
-        ek = np.zeros(f.n)
-        ek[axis] = 1.0
-        part = derivative(lambda d: f.batch(pts + d * ek), 0.0, scheme, 1)
-        out += _blade_mul_batch(alg, alg.mask_of((lab,)), part, from_left=(side == "left"))
-    return out
+        return dirac_field(f, side).batch
+    alg = f.algebra
+
+    def fd(pts: np.ndarray) -> np.ndarray:
+        out = np.zeros((pts.shape[0], alg.dim), dtype=complex)
+        for axis, lab in enumerate(f.labels):
+            ek = np.zeros(f.n)
+            ek[axis] = 1.0
+            part = derivative(lambda d: f.batch(pts + d * ek), 0.0, scheme, 1)
+            out += _blade_mul_batch(alg, alg.mask_of((lab,)), part, from_left=(side == "left"))
+        return out
+
+    return fd
 
 
 # ----------------------------------------------------------------------
 # Cauchy kernel
 # ----------------------------------------------------------------------
 
-def cauchy_kernel(z: ComplexPoint | Sequence[float] | np.ndarray, n: int | None = None,
+def cauchy_kernel(z: ComplexPoint | Sequence[float] | np.ndarray,
                   side: int | None = None) -> Multivector:
     """Vector-valued kernel C(z) = z / (omega_n gamma^n); C(x) = x / (omega_n r^n).
 
-    Valid for all n >= 2 (for n = 2 with the logarithmic potential).
-    Raises on the singular set: gamma = 0, or the branch disk for odd n
-    without an approach side.
+    Valid for all n >= 2 (for n = 2 with the logarithmic potential); n is
+    ``z.n`` or the length of a real ``z``.  Raises on the singular set:
+    gamma = 0, or the branch disk for odd n without an approach side.
     """
     if isinstance(z, ComplexPoint):
-        if n is None:
-            n = z.n
         cls = classify_point(z.x, z.y)
         if cls is PointClass.ON_RIM:
             raise SingularPointError("Cauchy kernel is singular on the rim")
-        if n % 2 == 1 and cls in (PointClass.ON_DISK_FRONT, PointClass.ON_DISK_BACK):
+        if z.n % 2 == 1 and cls in (PointClass.ON_DISK_FRONT, PointClass.ON_DISK_BACK):
             if side is None:
                 raise AmbiguousBranchError("disk point: pass side=+1 or -1")
         gamma = complex_distance(z, side=side if side is not None else 1).gamma
         if gamma == 0:
             raise SingularPointError("gamma = 0")
-        comps = (z.x + 1j * z.y) / (sphere_area(n) * gamma**n)
+        x, y, gamma = z.x, -z.y, np.array([gamma])
     else:
         x = np.asarray(z, dtype=float)
-        if n is None:
-            n = x.shape[0]
-        r = float(np.linalg.norm(x))
-        if r == 0.0:
+        if float(np.linalg.norm(x)) == 0.0:
             raise SingularPointError("Cauchy kernel is singular at the origin")
-        comps = x.astype(complex) / (sphere_area(n) * r**n)
-    return Cl(n).vector(comps, labels=tuple(range(1, n + 1)))
+        y, gamma = np.zeros_like(x), None
+    alg = Cl(x.size)
+    return Multivector(alg, _kernel_batch(x[None, :], y, alg, gamma)[0])
 
 
 def cauchy_kernel_field(x0: Sequence[float] | np.ndarray, n: int) -> MultivectorField:
     """Field x -> C(x - x0): left- and right-monogenic away from x0."""
     x0 = np.asarray(x0, dtype=float)
     alg = Cl(n)
+    zero = np.zeros(n)
 
     def ev(pts: np.ndarray) -> np.ndarray:
-        return _kernel_batch_real(pts - x0, alg, n)
+        return _kernel_batch(pts - x0, zero, alg)
 
     return MultivectorField(alg, n, evaluator=ev, name=f"C(x - {x0.tolist()})")
 
 
-def _kernel_batch_real(diffs: np.ndarray, alg: CliffordAlgebra, n: int) -> np.ndarray:
-    r = np.linalg.norm(diffs, axis=1)
-    out = np.zeros((diffs.shape[0], alg.dim), dtype=complex)
-    scale = 1.0 / (sphere_area(n) * r**n)
-    for k in range(n):
-        out[:, alg.mask_of((k + 1,))] = diffs[:, k] * scale
+def _vectors(alg: CliffordAlgebra, comps: np.ndarray) -> np.ndarray:
+    """Blade coefficients (m, dim) of the vectors sum_k comps[:, k] e_{k+1}."""
+    out = np.zeros((comps.shape[0], alg.dim), dtype=complex)
+    for k in range(comps.shape[1]):
+        out[:, alg.mask_of((k + 1,))] = comps[:, k]
     return out
 
 
-def _kernel_batch_complex(diffs: np.ndarray, y: np.ndarray, alg: CliffordAlgebra,
-                          n: int, gamma: np.ndarray | None = None) -> np.ndarray:
-    """C((x' - x) - i y) for a batch of real offsets x' - x."""
+def _kernel_batch(diffs: np.ndarray, y: np.ndarray, alg: CliffordAlgebra,
+                  gamma: np.ndarray | None = None) -> np.ndarray:
+    """C((x' - x) - i y) for real offsets x' - x; y = 0 gives (x' - x) / (omega_n r^n)."""
+    n = diffs.shape[1]
     w = diffs.astype(complex) - 1j * y[None, :]
     if gamma is None:
         gamma = np.sqrt(np.sum(w * w, axis=1))  # principal root: Re >= 0
-    out = np.zeros((diffs.shape[0], alg.dim), dtype=complex)
     scale = 1.0 / (sphere_area(n) * gamma**n)
-    for k in range(n):
-        out[:, alg.mask_of((k + 1,))] = w[:, k] * scale
-    return out
+    return _vectors(alg, w * scale[:, None])
 
 
 # ----------------------------------------------------------------------
@@ -646,20 +647,19 @@ class Box(Domain):
 # Regularity and the Borel-Pompeiu formulas
 # ----------------------------------------------------------------------
 
-def regular_point(z: ComplexPoint, M: Domain, n: int | None = None,
-                  tol: float = 1e-8, quadrature: Quadrature = Quadrature()) -> bool:
+def regular_point(z: ComplexPoint, M: Domain, tol: float = 1e-8,
+                  quadrature: Quadrature = Quadrature()) -> bool:
     """True iff z - x' stays off the singular set S_n for every boundary x'.
 
     The membership measure minimized over boundary quadrature nodes is
     p(z - x') for odd n (distance to the branch disk in the p
     coordinate) and |gamma(z - x')| for even n (distance to the null
-    cone).  Because the minimum runs over discrete nodes, the effective
-    tolerance is floored at the boundary mesh spacing (a point cannot be
-    certified regular below the resolution of the rule), making the test
-    conservative near the boundary.
+    cone), n = ``z.n``.  Because the minimum runs over discrete nodes, the
+    effective tolerance is floored at the boundary mesh spacing (a point
+    cannot be certified regular below the resolution of the rule), making
+    the test conservative near the boundary.
     """
-    if n is None:
-        n = z.n
+    n = z.n
     pts, _, wts = M.boundary_quadrature(quadrature)
     spacing = float(np.max(wts)) ** (1.0 / (n - 1))
     eff_tol = max(tol, spacing)
@@ -678,11 +678,37 @@ def _triple_weighted_sum(alg: CliffordAlgebra, wts: np.ndarray, A: np.ndarray,
     return (wts[:, None] * prod).sum(axis=0)
 
 
-def _normals_batch(alg: CliffordAlgebra, normals: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros((normals.shape[0], alg.dim), dtype=complex)
-    for k in range(n):
-        out[:, alg.mask_of((k + 1,))] = normals[:, k]
-    return out
+def _chunked_sum(count: int, chunk: int, term: Callable[[slice], np.ndarray]) -> np.ndarray:
+    """Sum of ``term(sl)`` over consecutive slices of range(count), ``chunk`` long at most."""
+    return sum(term(slice(lo, lo + chunk)) for lo in range(0, count, chunk))
+
+
+def _boundary_term(f: MultivectorField, M: Domain, x: np.ndarray, y: np.ndarray,
+                   quadrature: Quadrature) -> np.ndarray:
+    """Int_{dM} C(x' - z) n(x') f(x') dS for z = x + iy, on M's boundary rule."""
+    alg = f.algebra
+    pts, normals, wts = M.boundary_quadrature(quadrature)
+
+    def chunk(sl: slice) -> np.ndarray:
+        ck = _kernel_batch(pts[sl] - x[None, :], y, alg)
+        return _triple_weighted_sum(alg, wts[sl], ck, _vectors(alg, normals[sl]),
+                                    f.batch(pts[sl]))
+
+    return _chunked_sum(wts.size, _EBP_CHUNK, chunk)
+
+
+def _exterior_sum(f: MultivectorField, dirac: Callable, M: Domain, x: np.ndarray,
+                  y: np.ndarray, quadrature: Quadrature) -> np.ndarray:
+    """Boundary minus volume term of kernel C(x' - z), z = x + iy, on M's own rules:
+    with z's singular set outside M, every integrand is smooth on M-bar."""
+    alg = f.algebra
+    vpts, vwts = M.volume_quadrature(quadrature)
+
+    def volume(sl: slice) -> np.ndarray:
+        ck = _kernel_batch(vpts[sl] - x[None, :], y, alg)
+        return _triple_weighted_sum(alg, vwts[sl], ck, dirac(vpts[sl]))
+
+    return _boundary_term(f, M, x, y, quadrature) - _chunked_sum(vwts.size, _EBP_CHUNK, volume)
 
 
 def borel_pompeiu(f: MultivectorField, M: Domain, x: Sequence[float] | np.ndarray,
@@ -699,37 +725,24 @@ def borel_pompeiu(f: MultivectorField, M: Domain, x: Sequence[float] | np.ndarra
     sd = M.signed_boundary_distance(x)
     if abs(sd) <= BOUNDARY_TOL:
         raise OnBoundaryError("x lies on the boundary (trace limits out of scope)")
+    dirac = _dirac_evaluator(f, "left", DIRAC_FD)
+    y = np.zeros(n)
+    if sd < 0:
+        return Multivector(alg, _exterior_sum(f, dirac, M, x, y, quadrature))
 
-    pts, normals, wts = M.boundary_quadrature(quadrature)
-
-    def boundary(sl: slice) -> np.ndarray:
-        ck = _kernel_batch_real(pts[sl] - x[None, :], alg, n)
-        return _triple_weighted_sum(alg, wts[sl], ck, _normals_batch(alg, normals[sl], n),
-                                    f.batch(pts[sl]))
-
-    if sd > 0:
-        dirs_rule = sphere_rule(n - 1, quadrature.sphere_orders(n - 1))
-        dirs = dirs_rule.nodes
-        t_exit = M.ray_exit(x, dirs)
-        leg = gauss_legendre(RADIAL_ORDER)
-        # radial nodes per direction on [0, t_exit]; kernel * r^{n-1} * omega_n = dir
-        radii = 0.5 * t_exit[:, None] * (leg.nodes[None, :] + 1.0)
-        wrad = 0.5 * t_exit[:, None] * leg.weights[None, :]
-        vpts = (x[None, None, :] + radii[:, :, None] * dirs[:, None, :]).reshape(-1, n)
-        vdirs = np.repeat(dirs, leg.nodes.size, axis=0)
-        vwts = (dirs_rule.weights[:, None] * wrad).reshape(-1)
-
-        def kernel(sl: slice) -> np.ndarray:
-            return _normals_batch(alg, vdirs[sl], n)
-    else:
-        vpts, vwts = M.volume_quadrature(quadrature)
-
-        def kernel(sl: slice) -> np.ndarray:
-            return _kernel_batch_real(vpts[sl] - x[None, :], alg, n)
-
-    term_b = _chunked_sum(wts.size, _EBP_CHUNK, boundary)
+    term_b = _boundary_term(f, M, x, y, quadrature)
+    dirs_rule = sphere_rule(n - 1, quadrature.sphere_orders(n - 1))
+    dirs = dirs_rule.nodes
+    t_exit = M.ray_exit(x, dirs)
+    leg = gauss_legendre(RADIAL_ORDER)
+    # radial nodes per direction on [0, t_exit]; kernel * r^{n-1} * omega_n = dir
+    radii = 0.5 * t_exit[:, None] * (leg.nodes[None, :] + 1.0)
+    wrad = 0.5 * t_exit[:, None] * leg.weights[None, :]
+    vpts = (x[None, None, :] + radii[:, :, None] * dirs[:, None, :]).reshape(-1, n)
+    vdirs = np.repeat(dirs, leg.nodes.size, axis=0)
+    vwts = (dirs_rule.weights[:, None] * wrad).reshape(-1)
     term_v = _chunked_sum(vwts.size, _EBP_CHUNK, lambda sl: _triple_weighted_sum(
-        alg, vwts[sl], kernel(sl), _dirac_batch(f, vpts[sl], "left", DIRAC_FD)))
+        alg, vwts[sl], _vectors(alg, vdirs[sl]), dirac(vpts[sl])))
     return Multivector(alg, term_b - term_v)
 
 
@@ -752,64 +765,39 @@ def _disk_position(M: Domain, x: np.ndarray, y: np.ndarray) -> str:
     raise NotRegularError("the branch disk straddles the boundary of M")
 
 
-def _chunked_sum(count: int, chunk: int, term: Callable[[slice], np.ndarray]) -> np.ndarray:
-    """Sum of ``term(sl)`` over consecutive slices of range(count), ``chunk`` long at most."""
-    return sum(term(slice(lo, lo + chunk)) for lo in range(0, count, chunk))
-
-
 def extended_borel_pompeiu(f: MultivectorField, M: Domain, z: ComplexPoint,
                            quadrature: Quadrature = Quadrature()) -> Multivector:
     """Extension f~_M(z) by boundary-minus-volume quadrature with kernel C(x'-z).
 
-    Real z reduces to the usual Borel-Pompeiu formula.  For complex z
-    (n = 3) with the source disk inside M, the identity f~_M(z) =
-    f~_{E_P}(z) over an inscribed spheroid E_P is used: its boundary
-    integral is smooth, and its volume integral is evaluated in the
-    oblate coordinates adapted to (x, -y), where gamma = p + iq exactly
-    and a Duffy substitution removes the 1/|gamma| corner.  The spheroid's
-    rules in (q, phi) are the S^2 orders of ``quadrature``: polar q-nodes
-    and twice as many azimuths.
+    Real z reduces to the usual Borel-Pompeiu formula, and a source disk
+    outside M to its exterior sum with the complex kernel.  For complex z
+    (n = 3) with the disk inside M, the identity f~_M(z) = f~_{E_P}(z)
+    over an inscribed spheroid E_P is used: its boundary integral is
+    smooth, and its volume integral is evaluated in the oblate coordinates
+    adapted to (x, -y), where gamma = p + iq exactly and a Duffy
+    substitution removes the 1/|gamma| corner.  The spheroid's rules in
+    (q, phi) are the S^2 orders of ``quadrature``: polar q-nodes and twice
+    as many azimuths.
 
     The Dirac field Df is derived once per call: exactly from the
-    polynomial table when there is one, else by ``_dirac_batch`` on each
-    chunk of points.  Every layer (boundary, volume and, inside, the
-    branch cut) is evaluated as array passes over chunks of at most
-    ``_EBP_CHUNK`` points: whole (p, q) rings of phi points
-    inside, runs of the domain's quadrature points outside.
+    polynomial table when there is one, else by finite differences on
+    each chunk of points.  Every layer (boundary, volume and, inside, the
+    branch cut) is evaluated in chunks of at most ``_EBP_CHUNK`` points:
+    whole (p, q) rings of phi points (``numerics.sphere_sums``) inside,
+    runs of the domain's quadrature points outside.
     """
     n = M.n
     if np.linalg.norm(z.y) == 0.0:
         return borel_pompeiu(f, M, z.x, quadrature)
     if n != 3:
         raise UnsupportedDimensionError("complex-argument formula implemented for n = 3")
-    if not regular_point(z, M, n, quadrature=quadrature):
+    if not regular_point(z, M, quadrature=quadrature):
         raise NotRegularError("z is not regular with respect to the boundary of M")
     alg = f.algebra
     x, y = z.x, z.y
-    where = _disk_position(M, x, y)
-    if f.poly is not None:
-        dirac = dirac_field(f).batch
-    else:
-        def dirac(pts: np.ndarray) -> np.ndarray:
-            return _dirac_batch(f, pts, "left", DIRAC_FD)
-
-    if where == "outside":
-        # all integrands are smooth on M-bar: plain product quadrature
-        pts, normals, wts = M.boundary_quadrature(quadrature)
-        vpts, vwts = M.volume_quadrature(quadrature)
-
-        def boundary(sl: slice) -> np.ndarray:
-            ck = _kernel_batch_complex(pts[sl] - x[None, :], y, alg, n)
-            return _triple_weighted_sum(alg, wts[sl], ck, _normals_batch(alg, normals[sl], n),
-                                        f.batch(pts[sl]))
-
-        def volume(sl: slice) -> np.ndarray:
-            ck = _kernel_batch_complex(vpts[sl] - x[None, :], y, alg, n)
-            return _triple_weighted_sum(alg, vwts[sl], ck, dirac(vpts[sl]))
-
-        term_b = _chunked_sum(wts.size, _EBP_CHUNK, boundary)
-        term_v = _chunked_sum(vwts.size, _EBP_CHUNK, volume)
-        return Multivector(alg, term_b - term_v)
+    dirac = _dirac_evaluator(f, "left", DIRAC_FD)
+    if _disk_position(M, x, y) == "outside":
+        return Multivector(alg, _exterior_sum(f, dirac, M, x, y, quadrature))
 
     # disk inside M: shrink the domain to an inscribed oblate spheroid E_P
     a = float(np.linalg.norm(y))
@@ -827,30 +815,32 @@ def extended_borel_pompeiu(f: MultivectorField, M: Domain, z: ComplexPoint,
     phis = 2.0 * np.pi * np.arange(nphi) / nphi
     sig = (np.cos(phis)[:, None] * frame[:, 0][None, :]
            + np.sin(phis)[:, None] * frame[:, 1][None, :])
-    wphi = 1.0 / nphi
+    wphi = np.full(nphi, 1.0 / nphi)
 
     def rings(p: np.ndarray, q: np.ndarray, w: np.ndarray, term) -> np.ndarray:
-        """Sum of w * wphi * term over the phi rings of the (p, q) nodes.
+        """Sum of w times the phi-ring mean of term over the (p, q) nodes.
 
+        The ring of (p, q) is the circle rho sig(phi) about zeta yhat.
         ``term(p, q, u)`` gets per-point p, q and offsets u = x' - x of a
         chunk of whole rings and returns (points, dim) contributions.
         """
-        def chunk(sl: slice) -> np.ndarray:
-            rho, zeta = oblate_rho_zeta(p[sl], q[sl], a)
-            u = (rho[:, None, None] * sig + zeta[:, None, None] * yhat).reshape(-1, n)
-            contrib = term(np.repeat(p[sl], nphi), np.repeat(q[sl], nphi), u)
-            return np.repeat(w[sl] * wphi, nphi) @ contrib
+        rho, zeta = oblate_rho_zeta(p, q, a)
 
-        return _chunked_sum(p.size, max(1, _EBP_CHUNK // nphi), chunk)
+        def values(u: np.ndarray, dirs: np.ndarray, nodes: slice) -> np.ndarray:
+            b, s = u.shape[:2]
+            vals = term(np.repeat(p[nodes], s), np.repeat(q[nodes], s), u.reshape(-1, n))
+            return vals.reshape(b, s, -1)
+
+        return w @ sphere_sums(values, zeta[:, None] * yhat, rho, sig, wphi, _EBP_CHUNK)
 
     def kernel(p: np.ndarray, q: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return _kernel_batch_complex(u, y, alg, n, p + 1j * q)   # C((x' - x) - i y)
+        return _kernel_batch(u, y, alg, p + 1j * q)   # C((x' - x) - i y)
 
     def boundary(p: np.ndarray, q: np.ndarray, u: np.ndarray) -> np.ndarray:
         normal = (p[:, None] * u - q[:, None] * y[None, :]) / np.sqrt(
             (a**2 + p**2) * (p**2 + q**2))[:, None]
-        nv = _normals_batch(alg, normal, n)
-        return _batch_mul(alg, _batch_mul(alg, kernel(p, q, u), nv), f.batch(x + u))
+        return _batch_mul(alg, _batch_mul(alg, kernel(p, q, u), _vectors(alg, normal)),
+                          f.batch(x + u))
 
     def volume(p: np.ndarray, q: np.ndarray, u: np.ndarray) -> np.ndarray:
         return _batch_mul(alg, kernel(p, q, u), dirac(x + u))
@@ -886,7 +876,7 @@ def extended_borel_pompeiu(f: MultivectorField, M: Domain, z: ComplexPoint,
     # derivative C = D phi carries a single layer there and the volume pairing
     # gains i Int_0^a mean_phi[ yloc (Df) ](rho' = sqrt(a^2 - q0^2)) dq0,
     # the ring p = 0, q = q0 of the oblate coordinates.
-    yhat_mv = _normals_batch(alg, yhat[None, :], n)
+    yhat_mv = _vectors(alg, yhat[None, :])
 
     def branch_cut(p: np.ndarray, q: np.ndarray, u: np.ndarray) -> np.ndarray:
         return 1j * _batch_mul(alg, yhat_mv, dirac(x + u))
@@ -923,8 +913,12 @@ class SpacetimeMultivectorField:
 
 def dirac_tilde_apply(g: Callable[[np.ndarray, float], np.ndarray],
                       algebra: CliffordAlgebra, x: np.ndarray, t: float,
-                      scheme: FDScheme, n: int = 3) -> np.ndarray:
-    """Hyperbolic Dirac D~ = D - i e0 d_t applied by FD to coefficient-valued g(x, t)."""
+                      scheme: FDScheme) -> np.ndarray:
+    """Hyperbolic Dirac D~ = D - i e0 d_t applied by FD to coefficient-valued g(x, t).
+
+    The spatial axes are those of ``x`` (e_1..e_n for n = ``x.size``).
+    """
+    n = x.size
     out = np.zeros(algebra.dim, dtype=complex)
     for axis in range(n):
         ek = np.zeros(n)
@@ -953,7 +947,7 @@ def maxwell_extend(f: SpacetimeMultivectorField, x: Sequence[float] | np.ndarray
     coeffs = wv.SpacetimeField(f.batch, f.s_derivative, f.smoothness, f.name)
 
     def ftilde(xx: np.ndarray, tt: float) -> np.ndarray:
-        return wv.extend(coeffs, xx, s, tt, 3, quadrature)
+        return wv.extend(coeffs, xx, s, tt, quadrature)
 
     f_val = ftilde(x, t)
 

@@ -217,15 +217,16 @@ def _lift_planar(field: TestField) -> TestField:
 
 
 def extend(f: SpacetimeField, x: Sequence[float] | np.ndarray, s: float, t: float,
-           n: int = 3, quadrature: Quadrature = Quadrature()):
+           quadrature: Quadrature = Quadrature()):
     """Extension f~(x, s + it) of a Euclidean-spacetime field (n = 3).
 
     Solves the Cauchy problem with v = f(., s) and w = i f_s(., s); the
     s-derivative uses the exact evaluator when the field carries one.
+    ``x`` must be a 3-vector.
     """
-    if n != 3:
-        raise UnsupportedDimensionError("extend is implemented for n = 3")
     x = np.asarray(x, dtype=float)
+    if x.shape != (3,):
+        raise UnsupportedDimensionError("extend is implemented for n = 3")
     if t == 0.0:
         return f.evaluate(np.append(x, s))
 

@@ -257,5 +257,4 @@ def test_guards():
     with pytest.raises(InsufficientSmoothnessError):
         solve_cauchy(CauchyData(rough, constant(0.0), 3), np.zeros(3), 0.1)
     with pytest.raises(UnsupportedDimensionError):
-        extend(SpacetimeField(lambda pts: np.ones(pts.shape[0])), np.zeros(5), 0.0,
-               0.1, n=5)
+        extend(SpacetimeField(lambda pts: np.ones(pts.shape[0])), np.zeros(5), 0.0, 0.1)
