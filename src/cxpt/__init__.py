@@ -89,6 +89,7 @@ from .wave import (
     CauchyData,
     SpacetimeField,
     extend,
+    extend_jet,
     from_cauchy_data,
     harmonic_mode,
     solve_cauchy,

@@ -442,9 +442,10 @@ def cauchy_kernel(z: ComplexPoint | Sequence[float] | np.ndarray,
     return Multivector(alg, _kernel_batch(x[None, :], y, alg, gamma)[0])
 
 
-def cauchy_kernel_field(x0: Sequence[float] | np.ndarray, n: int) -> MultivectorField:
-    """Field x -> C(x - x0): left- and right-monogenic away from x0."""
+def cauchy_kernel_field(x0: Sequence[float] | np.ndarray) -> MultivectorField:
+    """Field x -> C(x - x0) on R^n, n = len(x0): left- and right-monogenic away from x0."""
     x0 = np.asarray(x0, dtype=float)
+    n = x0.size
     alg = Cl(n)
     zero = np.zeros(n)
 
@@ -482,8 +483,8 @@ def _kernel_batch(diffs: np.ndarray, y: np.ndarray, alg: CliffordAlgebra,
 #: spheroid's volume rule.
 RADIAL_ORDER = 16
 DUFFY_ORDER = 16
-#: FD stencil of the Dirac derivative (of fields without a polynomial table,
-#: and of the Maxwell current), and that of the continuity residual D~ j~.
+#: FD stencil of the Dirac derivative of fields without a polynomial table,
+#: and that of the continuity residual D~ j~ of the Maxwell current.
 DIRAC_FD = FDScheme(h=1e-2, order=4, richardson=False)
 CONTINUITY_FD = FDScheme(h=3e-2, order=4, richardson=False)
 #: Distance to the boundary below which ``borel_pompeiu`` refuses a point.
@@ -911,6 +912,15 @@ class SpacetimeMultivectorField:
         return Multivector(self.algebra, self.batch(pt[None, :])[0])
 
 
+def _dirac_tilde(algebra: CliffordAlgebra, grad: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """Sum_k e_k grad[k] - i e0 dt for coefficient rows grad (n, dim) and dt (dim,)."""
+    out = np.zeros(algebra.dim, dtype=complex)
+    for axis, part in enumerate(grad):
+        out += _blade_mul_batch(algebra, algebra.mask_of((axis + 1,)), part[None, :])[0]
+    out += -1j * _blade_mul_batch(algebra, algebra.mask_of((0,)), dt[None, :])[0]
+    return out
+
+
 def dirac_tilde_apply(g: Callable[[np.ndarray, float], np.ndarray],
                       algebra: CliffordAlgebra, x: np.ndarray, t: float,
                       scheme: FDScheme) -> np.ndarray:
@@ -919,15 +929,13 @@ def dirac_tilde_apply(g: Callable[[np.ndarray, float], np.ndarray],
     The spatial axes are those of ``x`` (e_1..e_n for n = ``x.size``).
     """
     n = x.size
-    out = np.zeros(algebra.dim, dtype=complex)
+    grad = []
     for axis in range(n):
         ek = np.zeros(n)
         ek[axis] = 1.0
-        part = derivative(lambda d: g(x + d * ek, t), 0.0, scheme, 1)
-        out += _blade_mul_batch(algebra, algebra.mask_of((axis + 1,)), part[None, :])[0]
+        grad.append(derivative(lambda d: g(x + d * ek, t), 0.0, scheme, 1))
     dt_part = derivative(lambda d: g(x, t + d), 0.0, scheme, 1)
-    out += -1j * _blade_mul_batch(algebra, algebra.mask_of((0,)), dt_part[None, :])[0]
-    return out
+    return _dirac_tilde(algebra, grad, dt_part)
 
 
 def maxwell_extend(f: SpacetimeMultivectorField, x: Sequence[float] | np.ndarray,
@@ -937,24 +945,26 @@ def maxwell_extend(f: SpacetimeMultivectorField, x: Sequence[float] | np.ndarray
 
     n = 3 (the physical Maxwell case: f a bivector field, j a
     four-vector).  At t = 0 the pair (f~, j~) reduces to (f, Df + e0 f_s).
+    f~ and j~ = Sum_k e_k d_k f~ - i e0 d_t f~ come from one
+    ``wave.extend_jet`` at (x, t): the x- and t-derivatives of the
+    Kirchhoff solution are taken under the sphere means about x, not by
+    solving again at shifted points.  The residual stays a measurement:
+    ``dirac_tilde_apply`` with ``CONTINUITY_FD`` over the jets of its 16
+    stencil points.
     """
     x = np.asarray(x, dtype=float)
     if f.n != 3:
         raise UnsupportedDimensionError("Maxwell extension is fixed at n = 3")
     alg = f.algebra
     # every blade coefficient is extended at once: the wave solver's means
-    # and radial derivatives act row-wise on the (m, dim) coefficient batch
+    # and moments act row-wise on the (m, dim) coefficient batch
     coeffs = wv.SpacetimeField(f.batch, f.s_derivative, f.smoothness, f.name)
 
-    def ftilde(xx: np.ndarray, tt: float) -> np.ndarray:
-        return wv.extend(coeffs, xx, s, tt, quadrature)
+    def jet(xx: np.ndarray, tt: float):
+        u, grad, u_t = wv.extend_jet(coeffs, xx, s, tt, quadrature)
+        return u, _dirac_tilde(alg, grad, u_t)
 
-    f_val = ftilde(x, t)
-
-    def jtilde(xx: np.ndarray, tt: float) -> np.ndarray:
-        return dirac_tilde_apply(ftilde, alg, xx, tt, DIRAC_FD)
-
-    j_val = jtilde(x, t)
-    dj = dirac_tilde_apply(jtilde, alg, x, t, CONTINUITY_FD)
+    f_val, j_val = jet(x, t)
+    dj = dirac_tilde_apply(lambda xx, tt: jet(xx, tt)[1], alg, x, t, CONTINUITY_FD)
     residual = abs(dj[0])
     return Multivector(alg, f_val), Multivector(alg, j_val), float(residual)

@@ -24,8 +24,10 @@ Conventions used throughout the library:
   the spheres ``center + radius * dirs`` for a whole array of radii (and
   centers) at once, handing the field at most ``MAX_POINTS`` points per
   call.  Values may carry a trailing axis, so (m, dim) evaluators give
-  (dim,) means.  ``mean_on_sphere``, the source actions' axial means and
-  the wave solver all reach the field through it.
+  (dim,) means, and an (m, q) weight matrix gives q weighted sums (a mean
+  and first moments, say) of one evaluation.  ``mean_on_sphere``, the
+  source actions' axial means and the wave solver all reach the field
+  through it.
 * ``fd_stencil`` exposes the distinct nodes and folded weights of the
   stencil ``derivative`` applies, so a caller can evaluate all the nodes
   of several stencils in one batch.
@@ -348,27 +350,40 @@ def sphere_sums(values, centers, radii, dirs: np.ndarray, weights: np.ndarray,
     of one block with the slice's directions and the block's slice of the
     k radii, and returns (b, s) or (b, s, dim) values.  The result is a
     complex (k,) or (k, dim) array.
+
+    ``weights`` may also be an (m, q) matrix, one column per weighting of
+    the same evaluations (the columns w and w * dirs[:, l] give a mean and
+    the first moments); the result is then (k, q) or (k, q, dim).
     """
     radii = np.asarray(radii, dtype=float)
     k = radii.size
     centers = np.asarray(centers, dtype=float)
     cap = min(max_points, MAX_POINTS)
-    m = weights.size
+    if weights.ndim == 2:
+        # one contiguous row per column, each summed as its own product, so a
+        # column sums exactly as a 1-D call with it does
+        weights = np.ascontiguousarray(weights.T)
+    m = weights.shape[-1]
     per_slice = math.ceil(m / math.ceil(m / cap))
     out = None
     for lo in range(0, m, per_slice):
         part_dirs = dirs[lo:lo + per_slice]
-        part_weights = weights[lo:lo + per_slice]
-        block = cap // part_weights.size
+        part_weights = weights[..., lo:lo + per_slice]
+        block = cap // part_weights.shape[-1]
         for i in range(0, k, block):
             nodes = slice(i, i + block)
             at = centers if centers.ndim == 1 else centers[nodes, None, :]
             pts = at + radii[nodes, None, None] * part_dirs
             vals = np.asarray(values(pts, part_dirs, nodes))
+            if part_weights.ndim == 1:
+                # (b, s) @ (s,) -> (b,);  (s,) @ (b, s, dim) -> (b, dim)
+                sums = vals @ part_weights if vals.ndim == 2 else part_weights @ vals
+            else:
+                sums = np.stack([vals @ w if vals.ndim == 2 else w @ vals
+                                 for w in part_weights], axis=1)
             if out is None:
-                out = np.zeros((k,) + vals.shape[2:], dtype=complex)
-            # (b, s) @ (s,) -> (b,);  (s,) @ (b, s, dim) -> (b, dim)
-            out[nodes] += vals @ part_weights if vals.ndim == 2 else part_weights @ vals
+                out = np.zeros((k,) + sums.shape[1:], dtype=complex)
+            out[nodes] += sums
     return out
 
 

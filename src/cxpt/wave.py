@@ -22,19 +22,33 @@ w = i f_s(., s).  Then f~ -> f as t -> 0, f~ obeys the wave equation in
 (x, t), and (d_s + i d_t) f~ = 0 at t = 0; when f is harmonic in (x, s)
 the extension coincides with the analytic continuation in s + it.
 
-One solve first collects every radius its Richardson radial stencils
-touch (``numerics.fd_stencil``), as |r| since the means are even in r,
-and takes the means of v and of w at the distinct radii with one call of
-the shared kernel ``numerics.sphere_sums`` per field; the stencil sums
-are then weighted sums of those means.  An n = 3 solve takes 7 means (6
-of v, 1 of w) and an n = 5 solve 14 (7 of each).  The evaluator gets one
-sphere per call, cut into slices of at most ``numerics.MAX_POINTS``
-points where the rule is larger (S^4 has 20,000 nodes).
+When v carries an exact gradient, an n = 3 solve is one sphere at the
+signed radius t: d/dt(t vbar) = vbar + t mean(omega . grad v), so
+u = mean(v + t omega . grad v + t w) over x + t omega (n = 2 lifts the
+gradient as [grad v, 0]).  Otherwise a solve first collects every radius
+its Richardson radial stencils touch (``numerics.fd_stencil``), as |r|
+since the means are even in r, and takes the means of v and of w at the
+distinct radii with one call of the shared kernel ``numerics.sphere_sums``
+per field; the stencil sums are then weighted sums of those means.  Such
+an n = 3 solve takes 7 means (6 of v, 1 of w) and an n = 5 solve 14 (7 of
+each; n = 5 keeps its stencils, since its second radial derivative would
+need a Hessian).  The evaluator gets one sphere per call, cut into slices
+of at most ``numerics.MAX_POINTS`` points where the rule is larger (S^4
+has 20,000 nodes).
+
+``extend_jet`` differentiates the n = 3 solution under the sphere means:
+the means M and first moments N_l = mean(omega_l f(x + r omega)) of v and
+w at the 7 radii of the first- and second-derivative stencils about t,
+from one kernel call per field with the weight columns [w, w omega], give
+grad u and d_t u through d_l M = r^-2 d_r(r^2 N_l) (the divergence
+theorem), so the x- and t-derivatives of an extension cost no solves at
+shifted points.
 
 Evaluators may be array-valued, mapping (m, n) points to (m, dim) rows:
 sphere means and radial derivatives act row-wise, so ``solve_cauchy``
 and ``extend`` then return a (dim,) array.  ``clifford.maxwell_extend``
-extends all blade coefficients of a multivector field this way.
+extends all blade coefficients of a multivector field this way, and
+takes its current from ``extend_jet``.
 """
 
 from __future__ import annotations
@@ -68,6 +82,7 @@ __all__ = [
     "harmonic_mode",
     "solve_cauchy",
     "extend",
+    "extend_jet",
     "wave_residual",
     "wave_residual_at",
 ]
@@ -133,30 +148,96 @@ def harmonic_mode(k: Sequence[float]) -> SpacetimeField:
     )
 
 
-def _radial_means(field: TestField, x: np.ndarray, rule, radii) -> np.ndarray:
+def _radial_means(field: TestField, x: np.ndarray, rule, radii,
+                  weights: np.ndarray | None = None) -> np.ndarray:
     """Means of ``field`` over the spheres of radii |r| about x, one kernel call.
 
     Each distinct |r| is evaluated once; the result has one row per
-    entry of ``radii``.  The evaluator gets one sphere per call (or a
-    slice of one, past ``MAX_POINTS``): an array-valued evaluator returns
-    dim values per point, and for the 16 blade coefficients of
-    ``maxwell_extend`` several spheres' worth of rows per call (0.9 MB)
-    cost more per point than one sphere's worth, while a scalar
-    evaluator costs the same per point either way.
+    entry of ``radii``.  ``weights`` replaces the rule's weights, and an
+    (m, q) matrix gives q sums per radius (``_moments``).  The evaluator
+    gets one sphere per call (or a slice of one, past ``MAX_POINTS``):
+    an array-valued evaluator returns dim values per point, and for the
+    16 blade coefficients of ``maxwell_extend`` several spheres' worth of
+    rows per call (0.9 MB) cost more per point than one sphere's worth,
+    while a scalar evaluator costs the same per point either way.
     """
     mags = np.abs(np.asarray(radii, dtype=float)).tolist()
     distinct = sorted(set(mags))
-    means = sphere_sums(point_values(field), x, distinct, rule.nodes, rule.weights,
+    means = sphere_sums(point_values(field), x, distinct, rule.nodes,
+                        rule.weights if weights is None else weights,
                         max_points=rule.weights.size)
     return means[[distinct.index(r) for r in mags]]
 
 
+def _moments(field: TestField, x: np.ndarray, rule, radii) -> np.ndarray:
+    """Mean M and first moments N_l = mean(omega_l f(x + r omega)) at signed radii.
+
+    Row i is [M, N_1, N_2, N_3] at radii[i], (4,) or (4, dim): one kernel
+    call with the weight columns [w, w omega_1, w omega_2, w omega_3],
+    each distinct |r| once.  M is even in r and N odd, so the moments of
+    a negative radius are those of |r| with their sign flipped.
+    """
+    radii = np.asarray(radii, dtype=float)
+    cols = np.column_stack([rule.weights, rule.weights[:, None] * rule.nodes])
+    out = _radial_means(field, x, rule, radii, cols)
+    out[:, 1:] *= np.sign(radii).reshape((-1,) + (1,) * (out.ndim - 1))
+    return out
+
+
+def _kirchhoff(t: float, r: np.ndarray, c: np.ndarray, mv: np.ndarray, mw_t):
+    """u = d/dr(r vbar)|_{r=t} + t wbar(t), from vbar at the stencil nodes r (weights c)."""
+    return (c * r) @ mv + t * mw_t
+
+
 def _kirchhoff3(data: CauchyData, x: np.ndarray, rule, t: float):
-    """n = 3: u = d/dr(r vbar)|_{r=t} + t wbar(|t|)."""
+    """n = 3: u = d/dr(r vbar)|_{r=t} + t wbar(t).
+
+    When v carries an exact gradient, d/dr(r vbar) = vbar + r mean(omega.grad v),
+    so u is one sphere at the signed radius t: the mean of v + t omega.grad v
+    + t w over x + t omega.  Otherwise vbar is sampled at the radii of
+    ``RADIAL_FD``'s stencil about t.
+    """
+    if data.v.gradient is not None:
+        v_vals, w_vals = point_values(data.v), point_values(data.w)
+
+        def values(pts: np.ndarray, dirs: np.ndarray, nodes: slice) -> np.ndarray:
+            grad = data.v.gradient_at(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape)
+            slope = np.einsum("bsn,sn->bs", grad, dirs)
+            return v_vals(pts, dirs, nodes) + t * (slope + w_vals(pts, dirs, nodes))
+
+        return sphere_sums(values, x, [t], rule.nodes, rule.weights,
+                           max_points=rule.weights.size)[0]
     r, c = fd_stencil(t, RADIAL_FD, 1)
     mv = _radial_means(data.v, x, rule, r)
     mw = _radial_means(data.w, x, rule, [t])
-    return (c * r) @ mv + t * mw[0]
+    return _kirchhoff(t, r, c, mv, mw[0])
+
+
+def _kirchhoff3_jet(data: CauchyData, x: np.ndarray, rule, t: float):
+    """(u, grad_x u, d_t u) of the n = 3 solution from the sphere samples about x.
+
+    The means M and moments N of v and w at the 7 distinct radii of
+    ``RADIAL_FD``'s first- and second-derivative stencils about t give,
+    with the divergence theorem d_l M(x, r) = r^-2 d_r(r^2 N_l(x, r)),
+
+        grad u = 3 N_v' + t N_v'' + 2 N_w + t N_w',
+        d_t u  = 2 M_v' + t M_v'' + M_w + t M_w',
+
+    and u is ``_kirchhoff3``'s stencil sum (v at t = 0).
+    """
+    r1, c1 = fd_stencil(t, RADIAL_FD, 1)
+    r2, c2 = fd_stencil(t, RADIAL_FD, 2)
+    k1 = r1.size
+    radii = np.concatenate([[t], r1, r2])
+    mv = _moments(data.v, x, rule, radii)
+    mw = _moments(data.w, x, rule, radii)
+    v1 = np.tensordot(c1, mv[1:1 + k1], axes=1)
+    v2 = np.tensordot(c2, mv[1 + k1:], axes=1)
+    w0, w1 = mw[0], np.tensordot(c1, mw[1:1 + k1], axes=1)
+    u = data.v.evaluate(x) if t == 0.0 else _kirchhoff(t, r1, c1, mv[1:1 + k1, 0], w0[0])
+    grad = 3.0 * v1[1:] + t * v2[1:] + 2.0 * w0[1:] + t * w1[1:]
+    u_t = 2.0 * v1[0] + t * v2[0] + w0[0] + t * w1[0]
+    return u, grad, u_t
 
 
 def _poisson5(data: CauchyData, x: np.ndarray, rule, t: float):
@@ -207,29 +288,35 @@ def solve_cauchy(data: CauchyData, x: Sequence[float] | np.ndarray, t: float,
 
 
 def _lift_planar(field: TestField) -> TestField:
-    """Extend a field on R^2 to R^3, constant in the third coordinate."""
+    """Extend a field on R^2 to R^3, constant in the third coordinate (gradient [grad f, 0])."""
+    grad = None
+    if field.gradient is not None:
+        def grad(pts: np.ndarray) -> np.ndarray:
+            g = field.gradient_at(pts[:, :2])
+            return np.column_stack([g, np.zeros(g.shape[0], dtype=g.dtype)])
+
     return TestField(
         evaluator=lambda pts: field.evaluate(pts[:, :2]),
         smoothness=field.smoothness,
+        gradient=grad,
         support_radius=None,
         name=f"lift2to3[{field.name}]",
     )
 
 
-def extend(f: SpacetimeField, x: Sequence[float] | np.ndarray, s: float, t: float,
-           quadrature: Quadrature = Quadrature()):
-    """Extension f~(x, s + it) of a Euclidean-spacetime field (n = 3).
-
-    Solves the Cauchy problem with v = f(., s) and w = i f_s(., s); the
-    s-derivative uses the exact evaluator when the field carries one.
-    ``x`` must be a 3-vector.
-    """
+def _extension_point(x: Sequence[float] | np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (3,):
         raise UnsupportedDimensionError("extend is implemented for n = 3")
-    if t == 0.0:
-        return f.evaluate(np.append(x, s))
+    return x
 
+
+def _slices(f: SpacetimeField, s: float) -> CauchyData:
+    """Cauchy data v = f(., s) and w = i f_s(., s) of the extension at s (n = 3).
+
+    w uses the exact s-derivative when the field carries one, else the
+    ``S_FD`` stencil in s.
+    """
     def v_eval(pts: np.ndarray) -> np.ndarray:
         return f.evaluate(np.column_stack([pts, np.full(pts.shape[0], s)]))
 
@@ -244,12 +331,41 @@ def extend(f: SpacetimeField, x: Sequence[float] | np.ndarray, s: float, t: floa
 
             return 1j * derivative(slice_at, s, S_FD, 1)
 
-    data = CauchyData(
+    return CauchyData(
         TestField(v_eval, smoothness=f.smoothness, name="extend-v"),
         TestField(w_eval, smoothness=f.smoothness, name="extend-w"),
         3,
     )
-    return solve_cauchy(data, x, t, quadrature)
+
+
+def extend(f: SpacetimeField, x: Sequence[float] | np.ndarray, s: float, t: float,
+           quadrature: Quadrature = Quadrature()):
+    """Extension f~(x, s + it) of a Euclidean-spacetime field (n = 3).
+
+    Solves the Cauchy problem with v = f(., s) and w = i f_s(., s); the
+    s-derivative uses the exact evaluator when the field carries one.
+    ``x`` must be a 3-vector.
+    """
+    x = _extension_point(x)
+    if t == 0.0:
+        return f.evaluate(np.append(x, s))
+    return solve_cauchy(_slices(f, s), x, t, quadrature)
+
+
+def extend_jet(f: SpacetimeField, x: Sequence[float] | np.ndarray, s: float, t: float,
+               quadrature: Quadrature = Quadrature()):
+    """f~(x, s + it), its x-gradient and its t-derivative, from one centre (n = 3).
+
+    Returns (u, grad, u_t): u is ``extend``'s value, grad has one row per
+    axis of x.  All three come from the sphere means and first moments
+    of v and w about x at the 7 radii of ``RADIAL_FD``'s first- and
+    second-derivative stencils about t, so no solve is repeated at
+    shifted points.
+    """
+    x = _extension_point(x)
+    data = _slices(f, s)
+    _check_smoothness(data, 1)
+    return _kirchhoff3_jet(data, x, sphere_rule(2, quadrature.sphere_orders(2)), t)
 
 
 def _check_step(h: float) -> None:

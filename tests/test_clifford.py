@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cxpt.acceptance import clifford_test_field, ebp_oracle
+from cxpt.acceptance import clifford_test_field, ebp_oracle, maxwell_demo_field
 from cxpt.errors import (
     AmbiguousBranchError,
     DimensionMismatchError,
@@ -18,6 +18,7 @@ from cxpt.fields import TestField
 from cxpt.geometry import ComplexPoint
 from cxpt.numerics import FDScheme
 from cxpt.clifford import (
+    DIRAC_FD,
     Ball,
     Box,
     Cl,
@@ -149,10 +150,16 @@ def test_cauchy_kernel_values():
         cauchy_kernel(ComplexPoint([1, 0, 0], [0, 0, 1]))
     with pytest.raises(AmbiguousBranchError):
         cauchy_kernel(ComplexPoint([0.5, 0, 0], [0, 0, 1]))
+    # the kernel field takes its dimension from x0
+    for x0 in ([5.0, 0.0, 0.0], [0.5, -1.0]):
+        field = cauchy_kernel_field(x0)
+        x = np.full(len(x0), 0.3)
+        assert field.algebra.dim == 2 ** len(x0)
+        assert (field.value(x) - cauchy_kernel(x - np.asarray(x0))).norm() <= 1e-15
 
 
 def test_kernel_is_monogenic_fd(rng):
-    field = cauchy_kernel_field(np.zeros(3), 3)
+    field = cauchy_kernel_field(np.zeros(3))
     scheme = FDScheme(h=1e-5, order=4, richardson=True)
     for _ in range(50):
         x = rng.normal(size=3)
@@ -206,7 +213,7 @@ def test_borel_pompeiu_monogenic_boundary_only():
     """For a monogenic field the volume term vanishes; the boundary alone
     reproduces the value (Cauchy integral formula)."""
     ball = Ball(np.zeros(3), 1.0)
-    field = cauchy_kernel_field([5.0, 0.0, 0.0], 3)
+    field = cauchy_kernel_field([5.0, 0.0, 0.0])
     x = np.array([0.3, -0.2, 0.1])
     total = borel_pompeiu(field, ball, x)
     assert (total - field.value(x)).norm() <= 1e-8
@@ -422,6 +429,67 @@ def test_maxwell_initial_conditions():
     assert ft.coeff((0, 1)) == pytest.approx(math.cos(x[1]), abs=1e-12)
     # j~(t=0) = D f + e0 f_s = -sin(x2) e2 e0 e1 = -sin(x2) e012
     assert jt.coeff((0, 1, 2)) == pytest.approx(-math.sin(x[1]), abs=1e-8)
+
+
+#: Criterion 11's three points, and one time of each sign near and far from 0.
+MAXWELL_POINTS = [((0.3, 0.7, -0.2), 0.6), ((0.0, 0.2, 0.5), 1.1), ((-0.4, 1.0, 0.0), 0.3),
+                  ((0.3, 0.7, -0.2), -0.7), ((0.3, 0.7, -0.2), 0.02)]
+
+
+def _demo_current(st, x, t):
+    """j~ of cos(x_2) e0e1: (-sin x_2 cos t) e2 e0e1 + (i cos x_2 sin t) e0 e0e1."""
+    e01 = st.blade((0, 1))
+    return (st.basis(2) * e01 * (-math.sin(x[1]) * math.cos(t))
+            + st.basis(0) * e01 * (1j * math.cos(x[1]) * math.sin(t)))
+
+
+@pytest.mark.parametrize("xt", MAXWELL_POINTS)
+def test_maxwell_current_from_one_jet(xt):
+    """j~ from the sphere moments about x: the closed form, the nested-FD oracle
+    (D~ by DIRAC_FD over ``extend``), and f~ equal to ``extend``'s value."""
+    f = maxwell_demo_field()
+    st = f.algebra
+    x, t = np.asarray(xt[0]), xt[1]
+    ft, jt, _ = maxwell_extend(f, x, 0.0, t)
+    assert (jt - _demo_current(st, x, t)).norm() <= 1e-10
+    coeffs = SpacetimeField(f.batch, f.s_derivative)
+    oracle = dirac_tilde_apply(lambda xx, tt: extend(coeffs, xx, 0.0, tt), st, x, t, DIRAC_FD)
+    assert np.max(np.abs(jt.coeffs - oracle)) <= 1e-9
+    want = extend(coeffs, x, 0.0, t)
+    assert np.max(np.abs(ft.coeffs - want)) <= 1e-15 * np.max(np.abs(want))
+    assert np.all(np.delete(ft.coeffs, st.mask_of((0, 1))) == 0.0)
+
+
+def test_maxwell_current_without_s_derivative():
+    """A field without an exact s-derivative takes w from the S_FD stencil in s."""
+    f = maxwell_demo_field()
+    seen_s = set()
+
+    def ev(pts):
+        seen_s.update(np.unique(pts[:, -1]).tolist())
+        return f.evaluator(pts)
+
+    bare = SpacetimeMultivectorField(f.algebra, 3, ev)
+    for xx, t in MAXWELL_POINTS:
+        x = np.asarray(xx)
+        _, jt, _ = maxwell_extend(bare, x, 0.0, t)
+        assert (jt - _demo_current(f.algebra, x, t)).norm() <= 1e-8
+    assert len(seen_s) > 1
+
+
+def test_maxwell_evaluator_cost():
+    """One maxwell_extend is 17 jets (the point and the residual's 16 stencil
+    points), each one sphere of 1,152 points at 7 radii per field."""
+    f = maxwell_demo_field()
+    sizes = []
+
+    def ev(pts):
+        sizes.append(pts.shape[0])
+        return f.evaluator(pts)
+
+    g = SpacetimeMultivectorField(f.algebra, 3, ev, s_derivative=f.s_derivative)
+    maxwell_extend(g, np.array([0.3, 0.7, -0.2]), 0.0, 0.6)
+    assert (len(sizes), sum(sizes), max(sizes)) == (119, 137_088, 1152)
 
 
 def test_dirac_tilde_squared_matches_wave_residual():

@@ -195,6 +195,28 @@ def test_sphere_sums_matches_direct_means(rng, dim):
             sizes.clear()
 
 
+@pytest.mark.parametrize("max_points", [MAX_POINTS, 500])
+def test_sphere_sums_weight_matrix_matches_columns(rng, max_points):
+    """An (m, q) weight matrix gives the q sums of q separate 1-D calls."""
+    rule = sphere_rule(2)
+    k = rng.normal(size=3)
+    radii = np.array([0.0, 0.3, 1.2, -0.7])
+    cols = np.column_stack([rule.weights, rule.weights[:, None] * rule.nodes])
+
+    def scalar(pts):
+        return np.exp(1j * pts @ k) + pts[:, 0] ** 2
+
+    def rows(pts):
+        return np.column_stack([np.exp(1j * pts @ k), pts[:, -1], np.cos(pts @ k) * pts[:, 0]])
+
+    for fn in (scalar, rows):
+        got = sphere_sums(point_values(fn), np.zeros(3), radii, rule.nodes, cols, max_points)
+        want = np.stack([sphere_sums(point_values(fn), np.zeros(3), radii, rule.nodes,
+                                     np.ascontiguousarray(c), max_points) for c in cols.T], axis=1)
+        assert got.shape == want.shape == (radii.size, 4) + want.shape[2:]
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 @pytest.mark.parametrize("scheme", [FDScheme(h=5e-2, order=4, richardson=True),
                                     FDScheme(h=5e-2, order=2, richardson=False)])

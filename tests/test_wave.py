@@ -16,6 +16,7 @@ from cxpt.wave import (
     CauchyData,
     SpacetimeField,
     extend,
+    extend_jet,
     from_cauchy_data,
     harmonic_mode,
     solve_cauchy,
@@ -158,6 +159,57 @@ def test_extend_cauchy_riemann_at_t0():
     ds = (extend(f, x, s + h, 1e-9) - extend(f, x, s - h, 1e-9)) / (2 * h)
     dt = (extend(f, x, s, h) - extend(f, x, s, -h)) / (2 * h)
     assert abs(ds + 1j * dt) <= 1e-6
+
+
+def test_extend_jet_harmonic_mode():
+    """(f~, grad f~, d_t f~) from one centre: the continuation exp(i k.x + |k| (s + it))
+    and its derivatives i k f~ and i |k| f~, with u equal to ``extend``'s value; a
+    copy without the exact s-derivative takes the S_FD stencil in s."""
+    k = np.array([0.8, 0.0, 0.6])
+    f = harmonic_mode(k)
+    bare = SpacetimeField(f.evaluator)
+    x = np.array([0.3, 0.7, -0.2])
+    for s, t in ((0.1, 0.6), (-0.2, 1.1), (0.0, -0.7), (0.0, 0.02), (0.0, 0.0)):
+        want = np.exp(1j * (k @ x) + complex(s, t))
+        for field in (f, bare):
+            u, grad, u_t = extend_jet(field, x, s, t)
+            assert u == extend(field, x, s, t)
+            assert abs(u - want) <= 1e-12
+            assert np.max(np.abs(grad - 1j * k * want)) <= 1e-10
+            assert abs(u_t - 1j * want) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_exact_slope_matches_stencil_and_closed_form(n):
+    """v with an exact gradient takes one sphere at the signed radius t; an
+    evaluator-only copy takes the radial stencil.  Both solve the plane wave."""
+    k = K_UNIT if n == 3 else np.array([0.8, 0.6])
+    x = np.array([0.3, 0.1, -0.2])[:n]
+    pw = plane_wave(k)
+    bare = TestField(pw.evaluator)
+    for t in (-0.7, 0.02, 0.6, 1.1):
+        exact = np.exp(1j * (k @ x)) * (math.cos(t) + math.sin(t))
+        got = solve_cauchy(CauchyData(pw, pw, n), x, t)
+        assert abs(got - exact) <= 1e-14
+        assert abs(got - solve_cauchy(CauchyData(bare, bare, n), x, t)) <= 1e-12
+
+
+def test_gradient_solve_takes_one_sphere():
+    """An n = 3 solve with an exact gradient of v evaluates v, its gradient and
+    w once each, on the 1,152 points of one sphere."""
+    calls = []
+
+    def logged(name, fn):
+        def wrapped(pts):
+            calls.append((name, pts.shape[0]))
+            return fn(pts)
+        return wrapped
+
+    pw, cw = plane_wave(K_UNIT), cosine_wave(K_UNIT)
+    data = CauchyData(TestField(logged("v", pw.evaluator), gradient=logged("grad", pw.gradient)),
+                      TestField(logged("w", cw.evaluator)), 3)
+    solve_cauchy(data, np.full(3, 0.1), 0.7)
+    assert sorted(calls) == [("grad", 1152), ("v", 1152), ("w", 1152)]
 
 
 def test_wave_residual_zero_data():
