@@ -94,7 +94,6 @@ from .wave import (
     harmonic_mode,
     solve_cauchy,
     wave_residual,
-    wave_residual_at,
 )
 from .clifford import (
     Ball,

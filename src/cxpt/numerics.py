@@ -12,9 +12,14 @@ Conventions used throughout the library:
   S^m.  The area factor omega_n = 2 pi^{n/2} / Gamma(n/2) is applied
   explicitly by callers where a formula demands it, never implicitly.
 * S^1 means use the trapezoid rule (spectrally accurate for periodic
-  integrands); S^2 uses Gauss-Legendre in the polar cosine times uniform
-  azimuth; S^m for m >= 3 is built recursively with Gauss-Jacobi polar
-  nodes for the weight (1-xi^2)^{(m-2)/2}.
+  integrands); S^m for m >= 2 is built recursively, Gauss-Jacobi polar
+  nodes for the weight (1-xi^2)^{(m-2)/2} (Gauss-Legendre on S^2) times
+  the rule on S^{m-1}.
+* Gauss rules are built here, with numpy alone: one Golub-Welsch step
+  (``_gauss``: eigenvalues of the Jacobi matrix, Christoffel weights)
+  serves the polar levels, fed by ``_jacobi_recurrence``, and the
+  Gauss-Kronrod rules, fed by Laurie's ``_kronrod_recurrence``.  The
+  interval Gauss-Legendre rules are numpy's ``leggauss``.
 * Summation order within a rule is fixed (ascending node index), so a
   given invocation is bitwise reproducible.
 * Integrands and field evaluators are vectorized: ``integrate_interval``
@@ -31,11 +36,16 @@ Conventions used throughout the library:
 * ``fd_stencil`` exposes the distinct nodes and folded weights of the
   stencil ``derivative`` applies, so a caller can evaluate all the nodes
   of several stencils in one batch.
+* Importing this module pads glibc's heap (``_pad_heap``), so the
+  transients of the sphere-sum chunks reuse memory instead of faulting
+  it in afresh; other C libraries are left alone.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
@@ -75,6 +85,31 @@ __all__ = [
 #: Most points handed to one evaluator or gradient call by ``sphere_sums``;
 #: bounds the memory of a batch of sphere means (S^4 rules have 20,000 nodes).
 MAX_POINTS = 4096
+
+
+def _pad_heap() -> None:
+    """Serve allocations below 4 MiB from the heap and keep 4 MiB free at its top (glibc).
+
+    Every ``sphere_sums`` chunk allocates and frees transients of a few
+    hundred KB.  By default glibc maps those afresh (above its 128 KiB
+    mmap threshold) or trims them off the heap top, so each chunk faults
+    its memory in again: 1,000 pairs of 320 KB arrays cost about 125,000
+    minor page faults, and about 100 with this pad.  M_TOP_PAD alone is
+    not enough: setting it freezes glibc's self-raising mmap threshold at
+    128 KiB.  Other C libraries, whose ``mallopt`` (if any) reads other
+    parameter numbers, are left alone.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, OSError, ValueError):  # no confstr, or not glibc
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-2, 4 << 20)  # M_TOP_PAD
+
+
+_pad_heap()
 
 
 def sphere_area(n: int) -> float:
@@ -185,18 +220,59 @@ def gauss_legendre(order: int) -> QuadratureRule:
     return QuadratureRule("gauss-legendre", order, nodes, weights)
 
 
+def _christoffel(x: np.ndarray, a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
+    """Weights 1 / Sum_{k < size} p_k(x)^2 of the orthonormal polynomials of (a, b)."""
+    prev, p = np.zeros_like(x), np.full_like(x, 1.0 / math.sqrt(b[0]))
+    total = p**2
+    for k in range(size - 1):
+        prev, p = p, ((x - a[k]) * p - math.sqrt(b[k]) * prev) / math.sqrt(b[k + 1])
+        total += p**2
+    return 1.0 / total
+
+
+def _jacobi_recurrence(alpha: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (a_k, b_k), k < size, of the monic orthogonal polynomials of (1 - x^2)^alpha.
+
+    p_{k+1} = (x - a_k) p_k - b_k p_{k-1} on [-1, 1]: a_k = 0,
+    b_k = k (k + 2 alpha) / ((2k + 2 alpha)^2 - 1) and b_0 the total mass
+    sqrt(pi) Gamma(alpha + 1) / Gamma(alpha + 3/2), exactly 2 for Legendre
+    (alpha = 0).  alpha = (m - 2) / 2 gives the polar weight of S^m
+    (Gegenbauer).
+    """
+    k = np.arange(1, size, dtype=float)
+    b = np.empty(size)
+    b[0] = 2.0 if alpha == 0 else (
+        math.sqrt(math.pi) * math.gamma(alpha + 1.0) / math.gamma(alpha + 1.5))
+    b[1:] = k * (k + 2.0 * alpha) / ((2.0 * k + 2.0 * alpha) ** 2 - 1.0)
+    return np.zeros(size), b
+
+
+def _gauss(a: np.ndarray, b: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule of ``size`` nodes of the recurrence (a, b) (Golub and Welsch).
+
+    The nodes are the eigenvalues of the symmetric Jacobi matrix of the
+    first ``size`` coefficients, ascending and made symmetric (the
+    recurrences here have a_k = 0), and the weights are the
+    ``_christoffel`` numbers; they sum to b_0.
+    """
+    off = np.sqrt(b[1:size])
+    nodes = np.linalg.eigvalsh(np.diag(a[:size]) + np.diag(off, 1) + np.diag(off, -1))
+    nodes = 0.5 * (nodes - nodes[::-1])
+    return nodes, _christoffel(nodes, a, b, size)
+
+
 def _kronrod_recurrence(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients (a_k, b_k), k <= 2N, of the Jacobi-Kronrod matrix of G_N.
 
     Laurie's algorithm (Math. Comp. 66, 1997, 1133-1145): the matrix
     shares its first ceil(3N/2) + 1 coefficients with the monic Legendre
-    recurrence (a_k = 0, b_0 = 2, b_k = k^2 / (4k^2 - 1)), and the rest
-    follow from the mixed moments s, t of a two-term recurrence.
+    recurrence (``_jacobi_recurrence(0, .)``), and the rest follow from
+    the mixed moments s, t of a two-term recurrence.
     """
     n = order
     a, b = np.zeros(2 * n + 1), np.zeros(2 * n + 1)
-    k = np.arange(1, math.ceil(3 * n / 2) + 1, dtype=float)
-    b[0], b[1:k.size + 1] = 2.0, k**2 / (4.0 * k**2 - 1.0)
+    shared = math.ceil(3 * n / 2) + 1
+    b[:shared] = _jacobi_recurrence(0.0, shared)[1]
     s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
     t[1] = b[n + 1]
     for m in range(n - 1):
@@ -223,16 +299,6 @@ def _kronrod_recurrence(order: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _christoffel(x: np.ndarray, a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
-    """Weights 1 / Sum_{k < size} p_k(x)^2 of the orthonormal polynomials of (a, b)."""
-    prev, p = np.zeros_like(x), np.full_like(x, 1.0 / math.sqrt(b[0]))
-    total = p**2
-    for k in range(size - 1):
-        prev, p = p, ((x - a[k]) * p - math.sqrt(b[k]) * prev) / math.sqrt(b[k + 1])
-        total += p**2
-    return 1.0 / total
-
-
 @lru_cache(maxsize=None)
 def gauss_kronrod(order: int) -> KronrodRule:
     """Gauss-Kronrod rule of 2N+1 nodes on [-1, 1] around the Gauss rule of N = ``order``.
@@ -245,10 +311,7 @@ def gauss_kronrod(order: int) -> KronrodRule:
     if order < 1:
         raise ValueError("Gauss-Kronrod order must be >= 1")
     a, b = _kronrod_recurrence(order)
-    off = np.sqrt(b[1:])
-    nodes = np.linalg.eigvalsh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
-    nodes = 0.5 * (nodes - nodes[::-1])
-    weights = _christoffel(nodes, a, b, 2 * order + 1)
+    nodes, weights = _gauss(a, b, 2 * order + 1)
     gauss_weights = np.zeros_like(nodes)
     gauss_weights[1::2] = _christoffel(nodes[1::2], a, b, order)
     for arr in (nodes, weights, gauss_weights):
@@ -285,13 +348,12 @@ def sphere_rule(dim: int, orders: tuple[int, ...] | None = None) -> QuadratureRu
         raise ValueError(f"S^{dim} needs {dim} order entries, got {orders}")
     if dim == 1:
         return circle_rule(orders[0])
+    polar = orders[0]
+    if polar < 1 or polar != int(polar):
+        raise ValueError(f"polar order must be a positive integer, got {polar}")
+    polar = int(polar)
     # Polar measure on S^dim is (1 - xi^2)^{(dim-2)/2} dxi: Gauss-Jacobi nodes.
-    # scipy.special is imported here: it dominates the package's import time,
-    # and commands that build no sphere rule never need it.
-    from scipy.special import roots_jacobi
-
-    alpha = (dim - 2) / 2.0
-    xi, wxi = roots_jacobi(orders[0], alpha, alpha)
+    xi, wxi = _gauss(*_jacobi_recurrence((dim - 2) / 2.0, polar), polar)
     wxi = wxi / wxi.sum()
     sub = sphere_rule(dim - 1, tuple(orders[1:]))
     sin_pol = np.sqrt(np.clip(1.0 - xi**2, 0.0, None))

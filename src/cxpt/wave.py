@@ -84,7 +84,6 @@ __all__ = [
     "extend",
     "extend_jet",
     "wave_residual",
-    "wave_residual_at",
 ]
 
 
@@ -368,31 +367,6 @@ def extend_jet(f: SpacetimeField, x: Sequence[float] | np.ndarray, s: float, t: 
     return _kirchhoff3_jet(data, x, sphere_rule(2, quadrature.sphere_orders(2)), t)
 
 
-def _check_step(h: float) -> None:
-    if not h > 0:
-        raise ValueError(f"wave residual needs a lattice step h > 0, got {h}")
-
-
-def wave_residual_at(data: CauchyData, x: Sequence[float] | np.ndarray, t: float,
-                     h: float = 0.05, quadrature: Quadrature = Quadrature()) -> complex:
-    """u_tt - Lap u at one spacetime point, by 2nd-order FD on solver samples."""
-    _check_step(h)
-    x = np.asarray(x, dtype=float)
-
-    def u(dx: np.ndarray, dt: float):
-        return solve_cauchy(data, x + dx, t + dt, quadrature)
-
-    zero = np.zeros_like(x)
-    center = u(zero, 0.0)
-    u_tt = (u(zero, h) - 2.0 * center + u(zero, -h)) / h**2
-    lap = 0.0
-    for axis in range(x.shape[0]):
-        step = np.zeros_like(x)
-        step[axis] = h
-        lap = lap + (u(step, 0.0) - 2.0 * center + u(-step, 0.0)) / h**2
-    return u_tt - lap
-
-
 def wave_residual(data: CauchyData, x_center: Sequence[float] | np.ndarray,
                   t_center: float, h: float = 0.05, half_points: int = 2,
                   quadrature: Quadrature = Quadrature()) -> float:
@@ -403,7 +377,8 @@ def wave_residual(data: CauchyData, x_center: Sequence[float] | np.ndarray,
     between neighboring stencils.  A non-finite sample raises
     ``NonFiniteIntegrandError`` rather than dropping out of the maximum.
     """
-    _check_step(h)
+    if not h > 0:
+        raise ValueError(f"wave residual needs a lattice step h > 0, got {h}")
     if half_points < 1:
         raise ValueError(f"wave_residual needs half_points >= 1, got {half_points}")
     x_center = np.asarray(x_center, dtype=float)

@@ -273,12 +273,28 @@ def test_cli_wave_rejects_bad_lattice(capsys, extra):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """``import cxpt.cli`` must not load scipy; only building a sphere rule does."""
+    """numpy is the only runtime dependency: commands that build S^2, S^3 and S^4
+    rules, the wave solver and the Clifford layer load no scipy module."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH"))
                                           if p))
-    probe = "import sys, cxpt.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env.pop("CXPT_CONFIG", None)
+    commands = [
+        ["source-action", "--n", "4", "--field", "gaussian:1.0", "--eps", "1e-2"],
+        ["wave", "--n", "5", "--v", "plane_wave:1,0,0,0,0", "--w", "constant:0",
+         "--x", "0,0,0,0,0", "--t", "0.5", "--lattice-half", "0"],
+        ["clifford", "ebp-check"],
+        ["verify", "--suite", "7"],
+    ]
+    probe = (
+        "import contextlib, io, sys\n"
+        "from cxpt.cli import run\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert run(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"
@@ -320,6 +336,17 @@ def test_cli_verify_subset(capsys):
     assert [entry["criterion"] for entry in lines] == [1, 12]
     assert all(entry["passed"] for entry in lines)
     assert "PASS" in err
+
+
+def test_cli_verify_ignores_the_config_quadrature(tmp_path, capsys):
+    """``verify`` runs at the default rules, at which its thresholds are calibrated."""
+    conf = write(tmp_path, "quadrature.sphere.order = 12\n")
+    details = []
+    for prefix in ([], ["--config", conf]):
+        code, out, _ = run_cli(capsys, [*prefix, "verify", "--suite", "9"])
+        assert code == 0
+        details.append(json.loads(out)["details"])
+    assert details[0] == details[1]
 
 
 def test_cli_validation_errors(capsys):

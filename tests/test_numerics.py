@@ -1,9 +1,15 @@
 """Quadrature and finite-difference kernels against closed-form oracles."""
 
 import math
+import os
+import pathlib
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from cxpt.errors import (
     InvalidRadiusError,
@@ -13,6 +19,8 @@ from cxpt.errors import (
 from cxpt.fields import cosine_wave, gaussian, plane_wave, polynomial
 from cxpt.numerics import (
     MAX_POINTS,
+    _gauss,
+    _jacobi_recurrence,
     FDScheme,
     circle_rule,
     derivative,
@@ -80,6 +88,58 @@ def test_gauss_kronrod_polynomial_exactness(order):
     for deg in range(3 * order + 2):
         exact = (1.0 - (-1.0) ** (deg + 1)) / (deg + 1)
         assert abs(rule.weights @ rule.nodes**deg - exact) <= 1e-14, deg
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_gauss_jacobi_matches_scipy(alpha):
+    """The in-house Gauss-Jacobi rules of (1 - x^2)^alpha against SciPy's, N = 1..64.
+
+    Weights are normalized to sum 1 and compared as vectors: SciPy's
+    smallest weights are themselves off by up to 3e-12 relative at these
+    orders, so an elementwise comparison would measure SciPy.
+    """
+    for order in range(1, 65):
+        nodes, weights = _gauss(*_jacobi_recurrence(alpha, order), order)
+        ref_nodes, ref_weights = roots_jacobi(order, alpha, alpha)
+        assert weights.sum() == pytest.approx(ref_weights.sum(), rel=1e-14)  # the mass b_0
+        weights, ref_weights = weights / weights.sum(), ref_weights / ref_weights.sum()
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.abs(nodes - ref_nodes).max() <= 1e-15, order
+        assert (np.linalg.norm(weights - ref_weights)
+                <= 1e-13 * np.linalg.norm(ref_weights)), order
+        for k in range(order):
+            # E[x^{2k}] of the normalized weight: prod_{j<k} (j + 1/2) / (j + alpha + 3/2)
+            exact = math.prod((j + 0.5) / (j + alpha + 1.5) for j in range(k))
+            assert abs(weights @ nodes ** (2 * k) - exact) <= 2e-15, (order, k)
+
+
+@pytest.mark.parametrize("orders", [(0, 8), (-2, 8), (2.5, 8), (6, 0, 12), (6, 1.5, 12)])
+def test_sphere_rule_rejects_bad_polar_orders(orders):
+    with pytest.raises(ValueError):
+        sphere_rule(len(orders), orders)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap pad is glibc's")
+def test_import_pads_the_heap():
+    """After ``import cxpt``, freed 320 KB arrays are reused, not faulted in again.
+
+    Without the pad, glibc maps or trims such arrays afresh: this loop
+    costs about 124,000 minor page faults.
+    """
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH"))
+                                          if p))
+    probe = (
+        "import resource, numpy as np, cxpt\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(1000):\n"
+        "    a = np.ones(20_000, complex); b = a * 2.0; del a, b\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert int(done.stdout) < 10_000
 
 
 def test_interval_one_call_on_kronrod_nodes():

@@ -21,7 +21,6 @@ from cxpt.wave import (
     harmonic_mode,
     solve_cauchy,
     wave_residual,
-    wave_residual_at,
 )
 
 K_UNIT = np.array([0.6, -0.48, 0.64])
@@ -222,8 +221,8 @@ def test_wave_residual_plane_wave_and_gaussian():
     res = wave_residual(CauchyData(pw, pw, 3), np.array([0.2, 0.0, 0.1]), 0.4,
                         h=0.05, half_points=1)
     assert res <= 1e-3
-    res_g = abs(wave_residual_at(CauchyData(gaussian(1.5), constant(0.0), 3),
-                                 np.array([0.3, 0.1, 0.0]), 0.6, h=0.05))
+    res_g = wave_residual(CauchyData(gaussian(1.5), constant(0.0), 3),
+                          np.array([0.3, 0.1, 0.0]), 0.6, h=0.05, half_points=1)
     assert res_g <= 1e-3
 
 
@@ -232,8 +231,6 @@ def test_wave_residual_rejects_bad_lattices():
     for h in (0.0, -0.05, float("nan")):
         with pytest.raises(ValueError):
             wave_residual(data, np.zeros(3), 0.4, h=h, half_points=1)
-        with pytest.raises(ValueError):
-            wave_residual_at(data, np.zeros(3), 0.4, h=h)
     for half in (0, -1):
         with pytest.raises(ValueError):
             wave_residual(data, np.zeros(3), 0.4, h=0.05, half_points=half)
