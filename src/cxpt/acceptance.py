@@ -25,6 +25,7 @@ from .fields import (
     cosine_wave,
     gaussian,
     plane_wave,
+    poly_diff,
     polynomial,
 )
 from .geometry import ComplexPoint, complex_distance, grad_pq
@@ -359,7 +360,7 @@ def criterion_11() -> CriterionResult:
         for mask, table in f.poly.items():
             lap: dict = {}
             for axis in range(3):
-                for alpha, c in cf._poly_diff(cf._poly_diff(table, axis), axis).items():
+                for alpha, c in poly_diff(poly_diff(table, axis), axis).items():
                     lap[alpha] = lap.get(alpha, 0.0) + c
             expected[mask] = lap
         for mask in set(expected) | set(dd.poly or {}):

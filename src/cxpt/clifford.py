@@ -46,7 +46,7 @@ from .errors import (
     SingularPointError,
     UnsupportedDimensionError,
 )
-from .fields import poly_eval
+from .fields import poly_diff, poly_eval
 from .geometry import ComplexPoint, PointClass, classify_point, complex_distance, oblate_rho_zeta
 from .numerics import (
     FDScheme,
@@ -296,17 +296,6 @@ def _blade_mul_batch(alg: CliffordAlgebra, mask: int, V: np.ndarray,
 Poly = Mapping[tuple[int, ...], complex]
 
 
-def _poly_diff(poly: Poly, axis: int) -> dict[tuple[int, ...], complex]:
-    out: dict[tuple[int, ...], complex] = {}
-    for alpha, c in poly.items():
-        e = alpha[axis]
-        if not e:
-            continue
-        beta = tuple(a - 1 if k == axis else a for k, a in enumerate(alpha))
-        out[beta] = out.get(beta, 0.0) + c * e
-    return out
-
-
 @dataclass(frozen=True)
 class MultivectorField:
     """Multivector-valued field on R^n.
@@ -363,7 +352,7 @@ def dirac_field(f: MultivectorField, side: str = "left") -> MultivectorField:
     for axis, lab in enumerate(f.labels):
         emask = alg.mask_of((lab,))
         for mask, table in f.poly.items():
-            dtab = _poly_diff(table, axis)
+            dtab = poly_diff(table, axis)
             if not dtab:
                 continue
             sign = alg.signs[emask, mask] if side == "left" else alg.signs[mask, emask]

@@ -21,6 +21,7 @@ __all__ = [
     "coordinate",
     "polynomial",
     "poly_eval",
+    "poly_diff",
     "gaussian",
     "plane_wave",
     "cosine_wave",
@@ -145,6 +146,19 @@ def poly_eval(table: Mapping[tuple[int, ...], complex], pts: np.ndarray) -> np.n
     return out
 
 
+def poly_diff(table: Mapping[tuple[int, ...], complex],
+              axis: int) -> dict[tuple[int, ...], complex]:
+    """Exponent table of the partial derivative along ``axis``."""
+    out: dict[tuple[int, ...], complex] = {}
+    for alpha, c in table.items():
+        e = alpha[axis]
+        if not e:
+            continue
+        beta = tuple(a - 1 if k == axis else a for k, a in enumerate(alpha))
+        out[beta] = out.get(beta, 0.0) + c * e
+    return out
+
+
 def polynomial(n: int, coeffs: Mapping[tuple[int, ...], complex]) -> TestField:
     """Multivariate polynomial sum_alpha c_alpha x^alpha on R^n."""
     table = {tuple(k): complex(v) for k, v in coeffs.items()}
@@ -155,19 +169,10 @@ def polynomial(n: int, coeffs: Mapping[tuple[int, ...], complex]) -> TestField:
     def ev(pts: np.ndarray) -> np.ndarray:
         return poly_eval(table, pts)
 
+    partials = [poly_diff(table, axis) for axis in range(n)]
+
     def grad(pts: np.ndarray) -> np.ndarray:
-        out = np.zeros(pts.shape, dtype=complex)
-        for alpha, c in table.items():
-            for axis, e in enumerate(alpha):
-                if not e:
-                    continue
-                term = np.full(pts.shape[0], c * e)
-                for k, ek in enumerate(alpha):
-                    pw = ek - 1 if k == axis else ek
-                    if pw:
-                        term = term * pts[:, k] ** pw
-                out[:, axis] += term
-        return out
+        return np.stack([poly_eval(partial, pts) for partial in partials], axis=1)
 
     return TestField(evaluator=ev, gradient=grad, name=f"poly({len(table)} terms)")
 

@@ -30,21 +30,20 @@ its action takes closed quadrature-ready forms:
 The monopole is Q = 1, the dipole P = -iy, and the centroid of a source
 at z_S is z_S itself; as a -> 0 every action contracts to f(0).
 
-Every formula reaches the field only through the means fbar and their
-slopes fbar_zeta, fbar_rho and d/dp fbar#.  ``_AxialField`` evaluates
-both at whole arrays of nodes through the shared kernel
-``numerics.sphere_sums``, which hands the field at most
-``numerics.MAX_POINTS`` points per call.  Slopes come from the field's
-exact gradient when it has one, and from central differences of batched
-means (steps ``ZETA_STEP`` and ``P_STEP``) when it does not.  The singular
-actions interpolate the means in u = rho^2, where they are smooth, on
-16-node Chebyshev panels in u that are halved until their
-trailing coefficients reach rounding level, or raise ``ConvergenceError``
-below a^2 / 2^8.  The even-n actions take their rim derivatives inside
-one panel centred on u = a^2.  The odd-n ones take the rim Taylor terms
-and the Taylor-subtracted q-quotient by exact division on the panel
-ending at the rim, and the quotients directly elsewhere, where nothing
-cancels.
+Every formula reaches the field only through the means fbar and one
+slope of them at the same nodes (fbar_zeta, fbar_rho or d/dp fbar#),
+which ``_AxialField.sample`` gives at whole arrays of nodes through the
+shared kernel ``numerics.sphere_sums`` (at most ``numerics.MAX_POINTS``
+points per field call): one pass over f and its exact gradient when the
+field has one, central differences of batched means (step ``ZETA_STEP``)
+when it does not.  The singular actions interpolate the means in
+u = rho^2, where they are smooth, on 16-node Chebyshev panels in u that are
+halved until their trailing coefficients reach rounding level, or raise
+``ConvergenceError`` below a^2 / 2^8.  The even-n actions take their rim
+derivatives inside one panel centred on u = a^2.  The odd-n ones take
+the rim Taylor terms and the Taylor-subtracted q-quotient by exact
+division on the panel ending at the rim, and the quotients directly
+elsewhere, where nothing cancels.
 
 The regularized action integrates over theta-panels (q = a sin theta)
 that grow by ``THETA_GROWTH`` from eps / a, each one Gauss-Kronrod call,
@@ -102,9 +101,8 @@ __all__ = [
 ]
 
 
-#: FD steps (relative to a) in zeta / rho and in p for fields without a gradient.
+#: FD step (relative to a) of the slopes of fields without a gradient.
 ZETA_STEP = 1e-3
-P_STEP = 1e-2
 #: Nodes of a u-panel (the rim derivatives amplify rounding by about N^4, so a
 #: panel that 16 nodes miss is halved instead), the rounding level of a sample
 #: (about 450 ulps) and the most halvings of [0, a^2].  The regularized action
@@ -159,10 +157,10 @@ def _require_smoothness(f: TestField, needed: float, op: str) -> None:
 class _AxialField:
     """Sphere means of a test field relative to a fixed axis y != 0.
 
-    ``means`` gives fbar(rho, zeta) over the (n-2)-sphere in y-perp and
-    ``slopes`` the mean of grad f . (drho omega + dzeta y_hat), both at
-    arrays of (rho, zeta) nodes; ``u_panels`` turns functions of
-    u = rho^2 built from them into piecewise Chebyshev interpolants.
+    ``sample`` gives fbar(rho, zeta) over the (n-2)-sphere in y-perp and
+    its slope, the mean of grad f . (drho omega + dzeta y_hat), at arrays
+    of (rho, zeta) nodes; ``u_panels`` turns functions of u = rho^2 built
+    from them into piecewise Chebyshev interpolants.
     """
 
     def __init__(self, f: TestField, y: np.ndarray, n: int,
@@ -194,54 +192,43 @@ class _AxialField:
         """fbar(rho, zeta) at broadcast arrays of nodes."""
         rho, zeta = np.broadcast_arrays(np.asarray(rho, dtype=float),
                                         np.asarray(zeta, dtype=float))
-
         sums = self._sphere_sums(rho.ravel(), zeta.ravel(), point_values(self.f))
         return sums.reshape(rho.shape)
 
-    def slopes(self, rho, zeta, drho, dzeta, scheme: FDScheme | None = None) -> np.ndarray:
-        """Mean of grad f . (drho omega + dzeta y_hat) at broadcast arrays of nodes.
+    def sample(self, rho, zeta, drho, dzeta) -> tuple[np.ndarray, np.ndarray]:
+        """fbar(rho, zeta) and the mean of grad f . (drho omega + dzeta y_hat).
 
-        Exact when the field carries a gradient.  Otherwise a central
-        difference of ``means`` along (drho, dzeta), with ``scheme`` in
-        the line parameter (default: the ``ZETA_STEP`` scheme).
+        The mean has the broadcast shape of (rho, zeta), the slope that of
+        all four.  With an exact gradient both come from one sphere pass at
+        the (rho, zeta) nodes over f, omega . grad f and y_hat . grad f; without
+        one the slope is a central difference of ``means`` along (drho, dzeta).
         """
-        rho, zeta, drho, dzeta = np.broadcast_arrays(
-            *(np.asarray(v, dtype=float) for v in (rho, zeta, drho, dzeta)))
+        rho, zeta = np.broadcast_arrays(np.asarray(rho, dtype=float),
+                                        np.asarray(zeta, dtype=float))
         if self.f.gradient is None:
-            return derivative(lambda s: self.means(rho + s * drho, zeta + s * dzeta),
-                              0.0, scheme or self._zeta_scheme, 1)
-        shape = rho.shape
-        drho, dzeta = drho.ravel(), dzeta.ravel()
+            slope = derivative(lambda s: self.means(rho + s * drho, zeta + s * dzeta),
+                               0.0, self._zeta_scheme, 1)
+            return self.means(rho, zeta), slope
 
-        def along(pts, dirs, nodes):
-            grad = self.f.gradient_at(pts.reshape(-1, self.n)).reshape(pts.shape)
-            return (drho[nodes, None] * np.einsum("bdn,dn->bd", grad, dirs)
-                    + dzeta[nodes, None] * (grad @ self.yhat))
+        def values(pts, dirs, nodes):
+            flat = pts.reshape(-1, self.n)
+            grad = self.f.gradient_at(flat).reshape(pts.shape)
+            block = np.empty(pts.shape[:2] + (3,), dtype=complex)
+            block[..., 0] = self.f.evaluate(flat).reshape(pts.shape[:2])
+            block[..., 1] = np.einsum("bdn,dn->bd", grad, dirs)
+            block[..., 2] = grad @ self.yhat
+            return block
 
-        return self._sphere_sums(rho.ravel(), zeta.ravel(), along).reshape(shape)
-
-    # -- means in oblate coordinates ---------------------------------------
-    def mean_pq(self, p: float, q) -> np.ndarray:
-        return self.means(*oblate_rho_zeta(p, np.asarray(q, dtype=float), self.a))
-
-    def mean_pq_dp(self, p: float, q) -> np.ndarray:
-        """d/dp of the mean at fixed q, through (d rho/dp, d zeta/dp); needs p > 0."""
-        if p <= 0:
-            raise ValueError("mean_pq_dp needs p > 0; use the cylindrical identity at p = 0")
-        a = self.a
-        q = np.asarray(q, dtype=float)
-        rho, zeta = oblate_rho_zeta(p, q, a)
-        drho = p * np.sqrt(np.maximum(a**2 - q**2, 0.0)) / (a * math.sqrt(a**2 + p**2))
-        scheme = FDScheme(h=min(P_STEP * a, p / 4.0), order=4, richardson=False)
-        return self.slopes(rho, zeta, drho, q / a, scheme)
+        sums = self._sphere_sums(rho.ravel(), zeta.ravel(), values).reshape(rho.shape + (3,))
+        return sums[..., 0], drho * sums[..., 1] + dzeta * sums[..., 2]
 
     # -- functions of u = rho^2 on the disk ---------------------------------
-    def u_panels(self, *parts, cover: bool = True) -> list[list[Chebyshev]]:
-        """Piecewise Chebyshev interpolants in u = rho^2, one list of panels per part.
+    def u_panels(self, fun, noise: Sequence[float], cover: bool = True) -> list[list[Chebyshev]]:
+        """Piecewise Chebyshev interpolants in u = rho^2, one list of panels per column.
 
-        Each part is ``(fun, noise)``: ``fun`` maps u-nodes to samples in the
-        units of f, whose rounding is ``noise`` times ``U_ROUNDING`` of the
-        field scale.  A panel is kept when every part's last three
+        ``fun`` maps u-nodes to (nodes, q) samples in the units of f, whose
+        column j has a rounding of ``noise[j]`` times ``U_ROUNDING`` of the
+        field scale.  A panel is kept when every column's last three
         coefficients are below that rounding, and halved when not.  With
         ``cover`` the panels cover [0, a^2], the rim panel (the one ending
         at a^2) last, and the scale is the largest of the rim mean of |f|
@@ -256,12 +243,11 @@ class _AxialField:
         todo, panels = [(0.0, a2, 0) if cover else (0.5 * a2, 1.5 * a2, 0)], []
         while todo:
             lo, hi, depth = todo.pop()
-            fits = [_chebyshev_fit(fun, U_NODES, [lo, hi]) for fun, _ in parts]
-            peak = max(peak for _, peak in fits)
+            fits, peak = _chebyshev_fit(fun, U_NODES, [lo, hi])
             level = max(level, peak) if cover else max(rim, peak)
-            tail = max(_tail(interp) / noise for (interp, _), (_, noise) in zip(fits, parts))
+            tail = max(_tail(interp) / scale for interp, scale in zip(fits, noise))
             if tail <= U_ROUNDING * level:
-                panels.append([interp for interp, _ in fits])
+                panels.append(fits)
                 continue
             if depth == U_SPLITS:
                 raise ConvergenceError(
@@ -274,23 +260,22 @@ class _AxialField:
             else:
                 todo.append((0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi, depth + 1))
         panels.sort(key=lambda panel: panel[0].domain[0])
-        return [list(part) for part in zip(*panels)]
+        return [list(column) for column in zip(*panels)]
 
     def g_panels(self, cover: bool = True) -> list[Chebyshev]:
         """g(u) = fbar + i (a^2-u)/((n-2) a) fbar_zeta at (sqrt(u), 0); F = u^{(n-3)/2} g."""
         a, n = self.a, self.n
 
         def g(u: np.ndarray) -> np.ndarray:
-            rho = np.sqrt(u)
-            slope = self.slopes(rho, 0.0, 0.0, 1.0)
-            return self.means(rho, 0.0) + 1j * (a**2 - u) / ((n - 2) * a) * slope
+            fbar, slope = self.sample(np.sqrt(u), 0.0, 0.0, 1.0)
+            return (fbar + 1j * (a**2 - u) / ((n - 2) * a) * slope)[:, None]
 
-        return self.u_panels((g, self.slope_noise), cover=cover)[0]
+        return self.u_panels(g, [self.slope_noise], cover=cover)[0]
 
 
-def _chebyshev_fit(fun, nodes: int, domain: list[float]) -> tuple[Chebyshev, float]:
-    """Interpolant of ``fun`` at ``nodes`` first-kind Chebyshev points of ``domain``,
-    and the largest sample magnitude.
+def _chebyshev_fit(fun, nodes: int, domain: list[float]) -> tuple[list[Chebyshev], float]:
+    """Interpolants of the (nodes, q) columns of ``fun`` at ``nodes`` first-kind
+    Chebyshev points of ``domain``, and the largest sample magnitude.
 
     The coefficients are cosine sums of the samples, each cos(j theta_i) taken
     at its angle reduced exactly mod 2 pi: ``Chebyshev.interpolate`` builds
@@ -300,9 +285,11 @@ def _chebyshev_fit(fun, nodes: int, domain: list[float]) -> tuple[Chebyshev, flo
     turns = np.outer(np.arange(nodes), 2 * np.arange(nodes) + 1) % (4 * nodes)
     x = np.cos(np.pi * (2 * np.arange(nodes) + 1) / (2 * nodes))
     samples = fun(domain[0] + 0.5 * (domain[1] - domain[0]) * (x + 1.0))
-    coef = np.cos(np.pi * turns / (2 * nodes)) @ samples * (2.0 / nodes)
-    coef[0] /= 2.0
-    return Chebyshev(coef, domain), float(np.abs(samples).max())
+    cosines = np.cos(np.pi * turns / (2 * nodes))
+    # one product per column, so each column rounds exactly as a 1-D fit of it
+    coef = np.array([cosines @ column for column in samples.T]) * (2.0 / nodes)
+    coef[:, 0] /= 2.0
+    return [Chebyshev(row, domain) for row in coef], float(np.abs(samples).max())
 
 
 def _tail(interp: Chebyshev) -> float:
@@ -358,8 +345,8 @@ def singular_action_r3(f: TestField, y: Sequence[float] | np.ndarray,
     af = _AxialField(f, y, 3, quadrature)
     a = af.a
     g_pieces, ah_pieces = af.u_panels(      # G = fbar(sqrt(u), 0), a H = a fbar_zeta
-        (lambda u: af.means(np.sqrt(u), 0.0), 1.0),
-        (lambda u: a * af.slopes(np.sqrt(u), 0.0, 0.0, 1.0), af.slope_noise))
+        lambda u: np.stack(af.sample(np.sqrt(u), 0.0, 0.0, 1.0), axis=1) * [1.0, a],
+        [1.0, af.slope_noise])
     # rim L0 = G(a^2); single layer: -a Int_0^a (G(a^2-q^2) - L0) / q^2 dq
     (l0,), int1, err1 = _taylor_subtracted(g_pieces, 0, a, quadrature.interval_order)
     l1 = -a * int1
@@ -392,8 +379,8 @@ def singular_action_r4(f: TestField, y: Sequence[float] | np.ndarray,
     _require_smoothness(f, 1, "singular_action_r4")
     af = _AxialField(f, y, 4, quadrature)
     a = af.a
-    d_rho, d_zeta = af.slopes(a, 0.0, [1.0, 0.0], [0.0, 1.0])
-    return complex(af.means(a, 0.0) + a * d_rho - 1j * a * d_zeta)
+    fbar, (d_rho, d_zeta) = af.sample(a, 0.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    return complex(fbar + a * d_rho - 1j * a * d_zeta)
 
 
 def singular_action_even(f: TestField, y: Sequence[float] | np.ndarray, n: int,
@@ -492,8 +479,9 @@ def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
     def integrand(theta: np.ndarray) -> np.ndarray:
         q = a * np.sin(theta)
         gamma = eps + 1j * q
-        fs = af.mean_pq(eps, q)
-        fsp = af.mean_pq_dp(eps, q)
+        # the mean on the spheroid p = eps and its p-slope, along (d rho/dp, d zeta/dp)
+        rho, zeta = oblate_rho_zeta(eps, q, a)
+        fs, fsp = af.sample(rho, zeta, eps * rho / (a**2 + eps**2), q / a)
         return (a * np.cos(theta)) ** (n - 2) * (fs + gamma * fsp / (n - 2)) / gamma ** (n - 1)
 
     def panel(lo: float, hi: float, depth: int):
@@ -557,9 +545,10 @@ def descent_check(f: TestField, y: Sequence[float] | np.ndarray,
                   quadrature: Quadrature = Quadrature()) -> tuple[complex, complex]:
     """Both sides of the descent identity <delta~_n, f> = <delta~_{n+1}, f x 1>.
 
-    The right side lifts f to R^{n+1} as f(x) on the slab |s| <= window
-    (the 4-D source support lives in |s| <= a, so any window covering it
-    with finite-difference margin is exact).
+    The right side lifts f to R^{n+1} as f(x) on the slab |s| <= window, with
+    gradient [grad f(x), 0] there when f has one, so its slopes are exact.  The
+    4-D source support lives in |s| <= a, so any window covering it with FD
+    margin is exact.
     """
     if n != 3:
         raise UnsupportedDimensionError("descent check is implemented for n = 3")
@@ -578,7 +567,12 @@ def descent_check(f: TestField, y: Sequence[float] | np.ndarray,
         vals = f.evaluate(pts[:, :3])
         return np.where(np.abs(pts[:, 3]) <= w, vals, 0.0)
 
+    def lifted_grad(pts: np.ndarray) -> np.ndarray:
+        grad = np.where(np.abs(pts[:, 3:]) <= w, f.gradient_at(pts[:, :3]), 0.0)
+        return np.pad(grad, ((0, 0), (0, 1)))
+
     lifted = TestField(evaluator=lifted_eval, smoothness=f.smoothness,
+                       gradient=None if f.gradient is None else lifted_grad,
                        name=f"lift[{f.name}]")
     lhs = singular_action_r3(f, y, quadrature).value
     rhs = singular_action_r4(lifted, np.append(y, 0.0), quadrature)

@@ -1,9 +1,11 @@
 """Configuration parsing and the command-line surface."""
 
 import dataclasses
+import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -103,6 +105,24 @@ def test_readme_config_block_matches_code():
     for key, text in documented.items():
         attr, parse = DOCUMENTED_KEYS[key]
         assert parse(text) == getattr(defaults, attr), key
+
+
+def test_readme_config_constants_exist():
+    """Every module constant the README's Configuration section names exists there."""
+    readme = (SCHEMA_DIR.parent.parent / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    section = section.split("module constants", 1)[1]
+    named, pending = [], []
+    for token in re.findall(r"`([^`]+)`", section):
+        if re.fullmatch(r"[A-Z][A-Z0-9_]*", token):
+            pending.append(token)
+        elif re.fullmatch(r"cxpt\.\w+", token) and pending:
+            named += [(token, name) for name in pending]
+            pending = []
+    assert not pending, pending
+    assert named
+    for module, name in named:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
 
 
 #: Per Quadrature field: its config line and a subcommand whose output depends on it.

@@ -17,7 +17,15 @@ from cxpt.errors import (
     UnsupportedDimensionError,
     WindowTooSmallError,
 )
-from cxpt.fields import TestField, bump, constant, coordinate, gaussian, polynomial
+from cxpt.fields import (
+    TestField,
+    bump,
+    constant,
+    coordinate,
+    gaussian,
+    plane_wave,
+    polynomial,
+)
 from cxpt.geometry import ComplexPoint
 from cxpt.numerics import (
     IntervalIntegral,
@@ -277,7 +285,10 @@ def test_regularized_small_a_limit():
     for a in (1e-2, 5e-3):
         y = np.array([0.0, 0.0, a])
         af = _AxialField(f, y, 3)
-        limit = af.mean_pq(eps, 0.0) + eps * af.mean_pq_dp(eps, 0.0)
+        # the spheroid's equator: rho = sqrt(a^2 + eps^2), d rho/dp = eps / rho, zeta = 0
+        rho = math.hypot(a, eps)
+        fbar, slope = af.sample(rho, 0.0, eps / rho, 0.0)
+        limit = fbar + eps * slope
         val = regularized_action(f, y, 3, eps)
         assert abs(val - limit) <= 5.0 * a
 
@@ -321,6 +332,17 @@ def test_descent_identity():
     lhs, rhs = descent_check(f_axis, y)
     assert lhs == pytest.approx(-1j * np.linalg.norm(y), abs=1e-9)
     assert abs(lhs - rhs) <= 1e-6
+
+
+@pytest.mark.parametrize("a", [0.5, 0.97, 2.0])
+@pytest.mark.parametrize("f", [gaussian(1.5), plane_wave([0.7, -0.4, 0.3])],
+                         ids=["gaussian", "plane_wave"])
+def test_descent_lift_carries_the_gradient(f, a):
+    """The lifted field takes [grad f, 0] on the slab, so the right side has exact
+    slopes and meets the left at rounding level (FD slopes left 1e-11)."""
+    y = np.array([0.2, -0.3, 0.9])
+    lhs, rhs = descent_check(f, a * y / np.linalg.norm(y))
+    assert abs(lhs - rhs) <= 1e-13
 
 
 def test_descent_window_guard():
@@ -407,6 +429,43 @@ def test_sphere_means_are_batched_and_chunked():
         if n == 5:
             regularized_action(counted, y, 5, 1e-1)
         assert max(sizes["evaluate"] + sizes["gradient"]) <= 4096
+
+
+def _calls(sizes):
+    return {kind: (len(points), sum(points)) for kind, points in sizes.items()}
+
+
+def test_one_sphere_pass_per_sample():
+    """A mean and its slopes come from one evaluator and one gradient call per block
+    of nodes; the singular actions add only the rim pass of |f|."""
+    counted, sizes = _counting(gaussian(1.3, center=np.full(4, 0.1)))
+    singular_action_r4(counted, [0.1, 0.2, 0.9, 0.3])
+    assert sizes == {"evaluate": [1152], "gradient": [1152]}   # both directions, one sphere
+
+    counted, sizes = _counting(gaussian(1.3, center=np.full(3, 0.1)))
+    descent_check(counted, [0.1, 0.2, 0.9])     # was 9 calls on 16,064 points and 1 on 1,024
+    assert _calls(sizes) == {"evaluate": (3, 2240), "gradient": (2, 2176)}
+
+    counted, sizes = _counting(gaussian(1.3, center=np.full(3, 0.1)))
+    singular_action_r3(counted, [0.1, 0.2, 0.9])
+    assert len(sizes["evaluate"]) == len(sizes["gradient"]) + 1
+
+    counted, sizes = _counting(gaussian(1.3, center=np.full(3, 0.1)))
+    regularized_action(counted, [0.1, 0.2, 0.9], 3, 1e-2)
+    assert _calls(sizes)["evaluate"] == _calls(sizes)["gradient"]
+
+
+def test_r3_on_several_u_panels():
+    """A narrow off-axis Gaussian splits [0, a^2] into 5 u-panels, so the single
+    layer's tail is carried through 1/q^2 on the inner ones."""
+    f = gaussian(0.3, center=[0.1, -0.2, 0.05])
+    y = np.array([0.6, 0.0, 0.8])
+    assert len(_AxialField(f, y, 3).g_panels()) == 5
+    act = singular_action_r3(f, y)
+    assert act.value == pytest.approx(singular_action_odd(f, y, 3), abs=1e-12)
+    dense = Quadrature(circle_order=128, interval_order=48)
+    assert act.value == pytest.approx(singular_action_r3(f, y, dense).value, abs=1e-12)
+    assert 0.0 < act.err_estimate <= 1e-11
 
 
 def test_errors_reach_the_caller():
