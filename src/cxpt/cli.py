@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -85,10 +86,12 @@ def _cnum(value: complex) -> dict:
     return {"re": float(np.real(value)), "im": float(np.imag(value))}
 
 
-def _vector(text: str, n: int | None = None) -> np.ndarray:
+def _vector(text: str, n: int | None = None, name: str = "vector") -> np.ndarray:
     vals = np.asarray([float(t) for t in text.split(",")], dtype=float)
     if n is not None and vals.size != n:
-        raise CxptError(f"vector {text!r} has {vals.size} entries, expected {n}")
+        raise CxptError(f"{name} {text!r} has {vals.size} entries, expected {n}")
+    if not np.all(np.isfinite(vals)):
+        raise CxptError(f"{name} must be finite, got {text!r}")
     return vals
 
 
@@ -98,11 +101,20 @@ def _axis(text: str | None, n: int, cfg: Config) -> np.ndarray:
         y = np.zeros(n)
         y[-1] = cfg.default_a
         return y
-    return _vector(text, n)
+    return _vector(text, n, "axis vector y")
+
+
+def _check_floats(args: argparse.Namespace) -> None:
+    """Reject non-finite float flags before a command runs.  Each is a time
+    (``--t``) or a positive size, whose range the command checks."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            rule = "finite" if name == "t" else "positive and finite"
+            raise CxptError(f"{name} must be {rule}, got {value}")
 
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload) + "\n")
+    sys.stdout.write(json.dumps(payload, allow_nan=False) + "\n")
 
 
 def _cmd_gamma(args, cfg: Config) -> int:
@@ -351,6 +363,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
+        _check_floats(args)
         cfg = load_config(args.config) if args.config else config_from_env()
         return args.func(args, cfg)
     except (CxptError, ValueError) as exc:

@@ -39,7 +39,6 @@ import numpy as np
 
 from . import wave as wv
 from .errors import (
-    AmbiguousBranchError,
     DimensionMismatchError,
     NotRegularError,
     OnBoundaryError,
@@ -47,7 +46,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .fields import poly_diff, poly_eval
-from .geometry import ComplexPoint, PointClass, classify_point, complex_distance, oblate_rho_zeta
+from .geometry import ComplexPoint, _branch_gamma, oblate_rho_zeta
 from .numerics import (
     FDScheme,
     Quadrature,
@@ -104,8 +103,6 @@ def _sign_table(ngen: int) -> np.ndarray:
 class CliffordAlgebra:
     """Complex Clifford algebra over an ordered tuple of generator labels."""
 
-    _instances: dict[tuple[int, ...], "CliffordAlgebra"] = {}
-
     def __init__(self, labels: tuple[int, ...]):
         self.labels = tuple(labels)
         if len(set(self.labels)) != len(self.labels) or list(self.labels) != sorted(self.labels):
@@ -114,12 +111,9 @@ class CliffordAlgebra:
         self.dim = 1 << self.ngen
         self._pos = {lab: i for i, lab in enumerate(self.labels)}
 
-    @classmethod
-    def get(cls, labels: Sequence[int]) -> "CliffordAlgebra":
-        key = tuple(labels)
-        if key not in cls._instances:
-            cls._instances[key] = cls(key)
-        return cls._instances[key]
+    @staticmethod
+    def get(labels: Sequence[int]) -> "CliffordAlgebra":
+        return _algebra(tuple(labels))
 
     @property
     def signs(self) -> np.ndarray:
@@ -160,6 +154,12 @@ class CliffordAlgebra:
 
     def __repr__(self) -> str:
         return f"Cl{self.labels}"
+
+
+@lru_cache(maxsize=None)
+def _algebra(labels: tuple[int, ...]) -> CliffordAlgebra:
+    """The one ``CliffordAlgebra`` per label tuple."""
+    return CliffordAlgebra(labels)
 
 
 def Cl(n: int) -> CliffordAlgebra:
@@ -279,16 +279,6 @@ def _batch_mul(alg: CliffordAlgebra, U: np.ndarray, V: np.ndarray) -> np.ndarray
     return out
 
 
-def _blade_mul_batch(alg: CliffordAlgebra, mask: int, V: np.ndarray,
-                     from_left: bool = True) -> np.ndarray:
-    """Product of a single basis blade with a coefficient batch (m, dim)."""
-    masks = np.arange(alg.dim)
-    out = np.zeros_like(V)
-    signs = alg.signs[mask, :] if from_left else alg.signs[:, mask]
-    out[..., masks ^ mask] = V * signs
-    return out
-
-
 # ----------------------------------------------------------------------
 # Polynomial tables: {exponent tuple -> coefficient}
 # ----------------------------------------------------------------------
@@ -386,14 +376,15 @@ def _dirac_evaluator(f: MultivectorField, side: str,
     if f.poly is not None:
         return dirac_field(f, side).batch
     alg = f.algebra
+    gens = _vectors(alg, np.eye(len(f.labels)), f.labels)
 
     def fd(pts: np.ndarray) -> np.ndarray:
         out = np.zeros((pts.shape[0], alg.dim), dtype=complex)
-        for axis, lab in enumerate(f.labels):
+        for axis, e in enumerate(gens):
             ek = np.zeros(f.n)
             ek[axis] = 1.0
             part = derivative(lambda d: f.batch(pts + d * ek), 0.0, scheme, 1)
-            out += _blade_mul_batch(alg, alg.mask_of((lab,)), part, from_left=(side == "left"))
+            out += _batch_mul(alg, e, part) if side == "left" else _batch_mul(alg, part, e)
         return out
 
     return fd
@@ -412,16 +403,7 @@ def cauchy_kernel(z: ComplexPoint | Sequence[float] | np.ndarray,
     gamma = 0, or the branch disk for odd n without an approach side.
     """
     if isinstance(z, ComplexPoint):
-        cls = classify_point(z.x, z.y)
-        if cls is PointClass.ON_RIM:
-            raise SingularPointError("Cauchy kernel is singular on the rim")
-        if z.n % 2 == 1 and cls in (PointClass.ON_DISK_FRONT, PointClass.ON_DISK_BACK):
-            if side is None:
-                raise AmbiguousBranchError("disk point: pass side=+1 or -1")
-        gamma = complex_distance(z, side=side if side is not None else 1).gamma
-        if gamma == 0:
-            raise SingularPointError("gamma = 0")
-        x, y, gamma = z.x, -z.y, np.array([gamma])
+        x, y, gamma = z.x, -z.y, np.array([_branch_gamma(z, z.n, side)])
     else:
         x = np.asarray(z, dtype=float)
         if float(np.linalg.norm(x)) == 0.0:
@@ -444,11 +426,14 @@ def cauchy_kernel_field(x0: Sequence[float] | np.ndarray) -> MultivectorField:
     return MultivectorField(alg, n, evaluator=ev, name=f"C(x - {x0.tolist()})")
 
 
-def _vectors(alg: CliffordAlgebra, comps: np.ndarray) -> np.ndarray:
-    """Blade coefficients (m, dim) of the vectors sum_k comps[:, k] e_{k+1}."""
+def _vectors(alg: CliffordAlgebra, comps: np.ndarray,
+             labels: Sequence[int] | None = None) -> np.ndarray:
+    """Blade coefficients (m, dim) of the vectors sum_k comps[:, k] e_{labels[k]}
+    (labels 1..n by default)."""
+    labels = range(1, comps.shape[1] + 1) if labels is None else labels
     out = np.zeros((comps.shape[0], alg.dim), dtype=complex)
-    for k in range(comps.shape[1]):
-        out[:, alg.mask_of((k + 1,))] = comps[:, k]
+    for k, lab in enumerate(labels):
+        out[:, alg.mask_of((lab,))] = comps[:, k]
     return out
 
 
@@ -520,8 +505,8 @@ class Ball(Domain):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"ball radius must be positive and finite, got {self.radius}")
 
     @property
     def n(self) -> int:
@@ -581,18 +566,23 @@ class Box(Domain):
         half = 0.5 * (self.hi[axis] - self.lo[axis])
         return mid + half * leg.nodes, half * leg.weights
 
+    def _grid(self, axes: Sequence[int]):
+        """Tensor-product Gauss-Legendre nodes (m, len(axes)) and weights over ``axes``."""
+        grids = [self._axis_rule(k) for k in axes]
+        mesh = np.meshgrid(*[g[0] for g in grids], indexing="ij")
+        wmesh = np.meshgrid(*[g[1] for g in grids], indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=1)
+        wts = np.ones(pts.shape[0])
+        for wm in wmesh:
+            wts = wts * wm.ravel()
+        return pts, wts
+
     def boundary_quadrature(self, quadrature: Quadrature = Quadrature()):
         pts_all, nrm_all, wts_all = [], [], []
         n = self.n
         for axis in range(n):
             others = [k for k in range(n) if k != axis]
-            grids = [self._axis_rule(k) for k in others]
-            mesh = np.meshgrid(*[g[0] for g in grids], indexing="ij")
-            wmesh = np.meshgrid(*[g[1] for g in grids], indexing="ij")
-            coords = np.stack([m.ravel() for m in mesh], axis=1)
-            wface = np.ones(coords.shape[0])
-            for wm in wmesh:
-                wface = wface * wm.ravel()
+            coords, wface = self._grid(others)
             for sign, val in ((-1.0, self.lo[axis]), (1.0, self.hi[axis])):
                 pts = np.zeros((coords.shape[0], n))
                 pts[:, others] = coords
@@ -605,14 +595,7 @@ class Box(Domain):
         return np.concatenate(pts_all), np.concatenate(nrm_all), np.concatenate(wts_all)
 
     def volume_quadrature(self, quadrature: Quadrature = Quadrature()):
-        grids = [self._axis_rule(k) for k in range(self.n)]
-        mesh = np.meshgrid(*[g[0] for g in grids], indexing="ij")
-        wmesh = np.meshgrid(*[g[1] for g in grids], indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        wts = np.ones(pts.shape[0])
-        for wm in wmesh:
-            wts = wts * wm.ravel()
-        return pts, wts
+        return self._grid(range(self.n))
 
     def contains(self, x: np.ndarray, margin: float = 0.0) -> bool:
         x = np.asarray(x, dtype=float)
@@ -736,13 +719,19 @@ def borel_pompeiu(f: MultivectorField, M: Domain, x: Sequence[float] | np.ndarra
     return Multivector(alg, term_b - term_v)
 
 
+def _ring(axis: np.ndarray, count: int) -> np.ndarray:
+    """The (count, n) unit vectors cos(phi) f1 + sin(phi) f2, phi = 2 pi k / count, with
+    f1, f2 the first two columns of the ``orthonormal_complement_frame`` of ``axis``."""
+    frame = orthonormal_complement_frame(axis)
+    phis = 2.0 * np.pi * np.arange(count) / count
+    return (np.cos(phis)[:, None] * frame[:, 0][None, :]
+            + np.sin(phis)[:, None] * frame[:, 1][None, :])
+
+
 def _disk_position(M: Domain, x: np.ndarray, y: np.ndarray) -> str:
     """Locate the branch disk x + E0(y) relative to M: 'inside'/'outside'."""
     a = float(np.linalg.norm(y))
-    frame = orthonormal_complement_frame(y)
-    angles = 2.0 * np.pi * np.arange(16) / 16
-    ring = np.cos(angles)[:, None] * frame[:, 0][None, :] + \
-        np.sin(angles)[:, None] * frame[:, 1][None, :]
+    ring = _ring(y, 16)
     samples = [x]
     for rad in (0.5 * a, a):
         samples.extend(x + rad * ring)
@@ -800,11 +789,8 @@ def extended_borel_pompeiu(f: MultivectorField, M: Domain, z: ComplexPoint,
     big_p = math.sqrt(semi**2 - a**2)
     yloc = -y
     yhat = yloc / a
-    frame = orthonormal_complement_frame(yloc)
     q_order, nphi = quadrature.sphere_orders(2)
-    phis = 2.0 * np.pi * np.arange(nphi) / nphi
-    sig = (np.cos(phis)[:, None] * frame[:, 0][None, :]
-           + np.sin(phis)[:, None] * frame[:, 1][None, :])
+    sig = _ring(yloc, nphi)
     wphi = np.full(nphi, 1.0 / nphi)
 
     def rings(p: np.ndarray, q: np.ndarray, w: np.ndarray, term) -> np.ndarray:
@@ -903,11 +889,9 @@ class SpacetimeMultivectorField:
 
 def _dirac_tilde(algebra: CliffordAlgebra, grad: np.ndarray, dt: np.ndarray) -> np.ndarray:
     """Sum_k e_k grad[k] - i e0 dt for coefficient rows grad (n, dim) and dt (dim,)."""
-    out = np.zeros(algebra.dim, dtype=complex)
-    for axis, part in enumerate(grad):
-        out += _blade_mul_batch(algebra, algebra.mask_of((axis + 1,)), part[None, :])[0]
-    out += -1j * _blade_mul_batch(algebra, algebra.mask_of((0,)), dt[None, :])[0]
-    return out
+    n = len(grad)
+    gens = _vectors(algebra, np.eye(n + 1), [*range(1, n + 1), 0])
+    return _batch_mul(algebra, gens, np.vstack([grad, -1j * dt])).sum(axis=0)
 
 
 def dirac_tilde_apply(g: Callable[[np.ndarray, float], np.ndarray],

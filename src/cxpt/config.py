@@ -13,11 +13,12 @@ Recognized keys (defaults in parentheses):
 The four orders make up the ``numerics.Quadrature`` that ``Config.quadrature``
 returns and the CLI hands to every subcommand.  Unknown keys and malformed
 lines are rejected with the line number; all orders must be >= 4 and
-``default.a`` positive.
+``default.a`` positive and finite.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -49,8 +50,8 @@ def _order(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     val = float(text)
-    if val <= 0:
-        raise ValueError(f"must be positive, got {val}")
+    if not (math.isfinite(val) and val > 0):
+        raise ValueError(f"must be positive and finite, got {val}")
     return val
 
 

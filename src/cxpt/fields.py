@@ -113,6 +113,25 @@ class TestField:
         )
 
 
+def _lift(f: TestField, window: float = math.inf) -> TestField:
+    """f(x) on the slab |s| <= ``window`` of R^{n+1} (points (x, s)) and 0 outside,
+    with gradient [grad f(x), 0] there (0 outside) when f has one."""
+
+    def windowed(pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        outside = np.abs(pts[:, -1]) > window
+        if not outside.any():   # no copy when the slab holds every point
+            return vals
+        return np.where(outside.reshape(outside.shape + (1,) * (vals.ndim - 1)), 0.0, vals)
+
+    def grad(pts: np.ndarray) -> np.ndarray:
+        g = windowed(pts, f.gradient_at(pts[:, :-1]))
+        return np.concatenate([g, np.zeros((g.shape[0], 1), dtype=g.dtype)], axis=1)
+
+    return TestField(evaluator=lambda pts: windowed(pts, f.evaluate(pts[:, :-1])),
+                     smoothness=f.smoothness, gradient=None if f.gradient is None else grad,
+                     name=f"lift[{f.name}]")
+
+
 def constant(c: complex = 1.0) -> TestField:
     return TestField(
         evaluator=lambda pts: np.full(pts.shape[0], complex(c)),

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AxisDegenerateError, SingularPointError, YZeroError
+from .errors import AmbiguousBranchError, AxisDegenerateError, SingularPointError, YZeroError
 from .numerics import orthonormal_complement_frame, sphere_area
 
 __all__ = [
@@ -149,6 +149,27 @@ def complex_distance(z: ComplexPoint, side: int = FRONT) -> ComplexDistance:
     elif p == 0.0:
         q = abs(q)
     return ComplexDistance(p, q)
+
+
+def _branch_gamma(z: ComplexPoint, n: int, side: int | None = None) -> complex:
+    """gamma(z) != 0 on the branch Re gamma >= 0, off the singular set of the
+    n-dimensional potential and Cauchy kernel.
+
+    Raises SingularPointError on the rim (gamma = 0), and AmbiguousBranchError
+    on the branch disk for odd n unless ``side`` (+1 front, -1 back) picks the
+    sheet; for even n gamma^{2-n} is single valued there and ``side`` is moot.
+    """
+    cls = classify_point(z.x, z.y)
+    if cls is PointClass.ON_RIM:
+        raise SingularPointError("gamma = 0 on the rim")
+    if (n % 2 == 1 and side is None
+            and cls in (PointClass.ON_DISK_FRONT, PointClass.ON_DISK_BACK)):
+        raise AmbiguousBranchError(
+            "point lies on the branch disk; pass side=+1 (front) or -1 (back)")
+    gamma = complex_distance(z, side=FRONT if side is None else side).gamma
+    if gamma == 0:
+        raise SingularPointError("gamma = 0")
+    return gamma
 
 
 def classify_point(

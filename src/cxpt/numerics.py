@@ -203,8 +203,8 @@ class FDScheme:
     richardson: bool = True
 
     def __post_init__(self) -> None:
-        if self.h <= 0:
-            raise ValueError("FD step h must be positive")
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise ValueError(f"FD step h must be positive and finite, got {self.h}")
         if self.order not in (2, 4):
             raise ValueError("FD accuracy order must be 2 or 4")
 

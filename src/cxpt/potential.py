@@ -17,12 +17,13 @@ outside; the spheroid itself carries the jump.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
-from .errors import AmbiguousBranchError, SingularPointError
-from .geometry import ComplexPoint, PointClass, classify_point, complex_distance
+from .errors import SingularPointError
+from .geometry import ComplexPoint, _branch_gamma, complex_distance
 from .numerics import sphere_area
 
 __all__ = [
@@ -52,18 +53,7 @@ def holomorphic_potential(z: ComplexPoint, n: int, side: int | None = None) -> c
     """
     if n < 3:
         raise ValueError("holomorphic potential implemented for n >= 3")
-    cls = classify_point(z.x, z.y)
-    if cls is PointClass.ON_RIM:
-        raise SingularPointError("gamma = 0 on the rim")
-    if cls in (PointClass.ON_DISK_FRONT, PointClass.ON_DISK_BACK) and n % 2 == 1:
-        if side is None:
-            raise AmbiguousBranchError(
-                "point lies on the branch disk; pass side=+1 (front) or -1 (back)"
-            )
-    gamma = complex_distance(z, side=side if side is not None else 1).gamma
-    if gamma == 0:
-        raise SingularPointError("gamma = 0")
-    return gamma ** (2 - n) / (sphere_area(n) * (2 - n))
+    return _branch_gamma(z, n, side) ** (2 - n) / (sphere_area(n) * (2 - n))
 
 
 def regularized_potential(z: ComplexPoint, n: int, eps: float,
@@ -73,8 +63,8 @@ def regularized_potential(z: ComplexPoint, n: int, eps: float,
     Exactly on p = eps the outside limit is returned; both one-sided
     values are available from :func:`regularized_jump`.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     p = complex_distance(z).p
     if p < eps * (1.0 - 1e-13) :
         return 0.0 + 0.0j
@@ -84,6 +74,6 @@ def regularized_potential(z: ComplexPoint, n: int, eps: float,
 def regularized_jump(z: ComplexPoint, n: int, eps: float,
                      side: int | None = None) -> tuple[complex, complex]:
     """One-sided values (inside, outside) of phi_eps across p = eps."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     return 0.0 + 0.0j, holomorphic_potential(z, n, side=side)

@@ -35,8 +35,9 @@ slope of them at the same nodes (fbar_zeta, fbar_rho or d/dp fbar#),
 which ``_AxialField.sample`` gives at whole arrays of nodes through the
 shared kernel ``numerics.sphere_sums`` (at most ``numerics.MAX_POINTS``
 points per field call): one pass over f and its exact gradient when the
-field has one, central differences of batched means (step ``ZETA_STEP``)
-when it does not.  The singular actions interpolate the means in
+field has one, and when it does not one pass over f at each sphere point
+and at the nodes of its central difference (step ``ZETA_STEP``) along
+the slope direction.  The singular actions interpolate the means in
 u = rho^2, where they are smooth, on 16-node Chebyshev panels in u that are
 halved until their trailing coefficients reach rounding level, or raise
 ``ConvergenceError`` below a^2 / 2^8.  The even-n actions take their rim
@@ -71,12 +72,12 @@ from .errors import (
     UnsupportedDimensionError,
     WindowTooSmallError,
 )
-from .fields import TestField, constant, coordinate
+from .fields import TestField, _lift, constant, coordinate
 from .geometry import oblate_rho_zeta
 from .numerics import (
+    MAX_POINTS,
     FDScheme,
     Quadrature,
-    derivative,
     fd_stencil,
     integrate_interval,
     orthonormal_complement_frame,
@@ -178,37 +179,52 @@ class _AxialField:
         rule = sphere_rule(n - 2, quadrature.sphere_orders(n - 2))
         self._dirs = rule.nodes @ frame.T      # (m, n) unit vectors in y-perp
         self._weights = rule.weights
-        self._zeta_scheme = FDScheme(h=ZETA_STEP * self.a, order=4, richardson=True)
+        # distinct nodes and folded weights of the slopes' central difference
+        self._steps, self._step_weights = fd_stencil(
+            0.0, FDScheme(h=ZETA_STEP * self.a, order=4, richardson=True))
         # rounding of a times a slope sample, in U_ROUNDING: eps a sum|w| for FD stencils
-        weights = fd_stencil(0.0, self._zeta_scheme)[1]
         self.slope_noise = 1.0 if f.gradient is not None else max(
-            1.0, np.finfo(float).eps * self.a * np.abs(weights).sum() / U_ROUNDING)
+            1.0, np.finfo(float).eps * self.a * np.abs(self._step_weights).sum() / U_ROUNDING)
 
-    def _sphere_sums(self, rho: np.ndarray, zeta: np.ndarray, values) -> np.ndarray:
+    def _sphere_sums(self, rho: np.ndarray, zeta: np.ndarray, values,
+                     max_points: int = MAX_POINTS) -> np.ndarray:
         """``numerics.sphere_sums`` over the (n-2)-spheres about zeta y_hat of radius rho."""
-        return sphere_sums(values, zeta[:, None] * self.yhat, rho, self._dirs, self._weights)
-
-    def means(self, rho, zeta) -> np.ndarray:
-        """fbar(rho, zeta) at broadcast arrays of nodes."""
-        rho, zeta = np.broadcast_arrays(np.asarray(rho, dtype=float),
-                                        np.asarray(zeta, dtype=float))
-        sums = self._sphere_sums(rho.ravel(), zeta.ravel(), point_values(self.f))
-        return sums.reshape(rho.shape)
+        return sphere_sums(values, zeta[:, None] * self.yhat, rho, self._dirs, self._weights,
+                           max_points)
 
     def sample(self, rho, zeta, drho, dzeta) -> tuple[np.ndarray, np.ndarray]:
         """fbar(rho, zeta) and the mean of grad f . (drho omega + dzeta y_hat).
 
         The mean has the broadcast shape of (rho, zeta), the slope that of
-        all four.  With an exact gradient both come from one sphere pass at
-        the (rho, zeta) nodes over f, omega . grad f and y_hat . grad f; without
-        one the slope is a central difference of ``means`` along (drho, dzeta).
+        all four; both come from one sphere pass.  With an exact gradient it
+        runs at the (rho, zeta) nodes over f, omega . grad f and y_hat . grad f.
+        Without one it runs at the nodes of all four over f and the central
+        difference (step ``ZETA_STEP``) of f along each point's slope
+        direction drho omega + dzeta y_hat, with a seventh of the points per
+        field call so that no call exceeds ``MAX_POINTS``.
         """
         rho, zeta = np.broadcast_arrays(np.asarray(rho, dtype=float),
                                         np.asarray(zeta, dtype=float))
         if self.f.gradient is None:
-            slope = derivative(lambda s: self.means(rho + s * drho, zeta + s * dzeta),
-                               0.0, self._zeta_scheme, 1)
-            return self.means(rho, zeta), slope
+            nodes_rz = rho.shape
+            rho, zeta, drho, dzeta = np.broadcast_arrays(
+                rho, zeta, np.asarray(drho, dtype=float), np.asarray(dzeta, dtype=float))
+            steps, weights = self._steps, self._step_weights
+            drho_flat, dzeta_flat = drho.ravel(), dzeta.ravel()
+
+            def stencil(pts, dirs, nodes):
+                shift = (drho_flat[nodes, None, None] * dirs
+                         + dzeta_flat[nodes, None, None] * self.yhat)
+                every = np.concatenate([pts[None], pts + steps[:, None, None, None] * shift])
+                vals = self.f.evaluate(every.reshape(-1, self.n)).reshape(every.shape[:3])
+                return np.stack([vals[0], np.tensordot(weights, vals[1:], axes=1)], axis=-1)
+
+            sums = self._sphere_sums(rho.ravel(), zeta.ravel(), stencil,
+                                     MAX_POINTS // (1 + steps.size)).reshape(rho.shape + (2,))
+            # the mean repeats along the axes only (drho, dzeta) span: keep index 0 there
+            padded = (1,) * (rho.ndim - len(nodes_rz)) + nodes_rz
+            keep = tuple(slice(None) if m > 1 else slice(0, 1) for m in padded)
+            return sums[..., 0][keep].reshape(nodes_rz), sums[..., 1]
 
         def values(pts, dirs, nodes):
             flat = pts.reshape(-1, self.n)
@@ -557,23 +573,13 @@ def descent_check(f: TestField, y: Sequence[float] | np.ndarray,
     if a == 0.0:
         raise ValueError("descent check needs y != 0")
     w = 2.0 * a if window is None else float(window)
+    if math.isnan(w):
+        raise ValueError("window must be a number, got nan")
     margin = 1.05 * a
     if w < margin:
         raise WindowTooSmallError(
             f"window {w} does not cover the source support |s| <= {a} with FD margin"
         )
-
-    def lifted_eval(pts: np.ndarray) -> np.ndarray:
-        vals = f.evaluate(pts[:, :3])
-        return np.where(np.abs(pts[:, 3]) <= w, vals, 0.0)
-
-    def lifted_grad(pts: np.ndarray) -> np.ndarray:
-        grad = np.where(np.abs(pts[:, 3:]) <= w, f.gradient_at(pts[:, :3]), 0.0)
-        return np.pad(grad, ((0, 0), (0, 1)))
-
-    lifted = TestField(evaluator=lifted_eval, smoothness=f.smoothness,
-                       gradient=None if f.gradient is None else lifted_grad,
-                       name=f"lift[{f.name}]")
     lhs = singular_action_r3(f, y, quadrature).value
-    rhs = singular_action_r4(lifted, np.append(y, 0.0), quadrature)
+    rhs = singular_action_r4(_lift(f, w), np.append(y, 0.0), quadrature)
     return lhs, rhs

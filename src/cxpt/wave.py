@@ -64,7 +64,7 @@ from .errors import (
     NonFiniteIntegrandError,
     UnsupportedDimensionError,
 )
-from .fields import TestField, _single
+from .fields import TestField, _lift, _single
 from .numerics import (
     FDScheme,
     Quadrature,
@@ -272,7 +272,7 @@ def solve_cauchy(data: CauchyData, x: Sequence[float] | np.ndarray, t: float,
     if x.shape[0] != data.n:
         raise ValueError(f"point has dimension {x.shape[0]}, data has n={data.n}")
     if data.n == 2:
-        lifted = CauchyData(_lift_planar(data.v), _lift_planar(data.w), 3)
+        lifted = CauchyData(_lift(data.v), _lift(data.w), 3)
         return solve_cauchy(lifted, np.append(x, 0.0), t, quadrature)
     if data.n not in (3, 5):
         raise UnsupportedDimensionError(f"solver supports n in {{2, 3, 5}}, got {data.n}")
@@ -284,23 +284,6 @@ def solve_cauchy(data: CauchyData, x: Sequence[float] | np.ndarray, t: float,
     if data.n == 3:
         return _kirchhoff3(data, x, rule, t)
     return _poisson5(data, x, rule, t)
-
-
-def _lift_planar(field: TestField) -> TestField:
-    """Extend a field on R^2 to R^3, constant in the third coordinate (gradient [grad f, 0])."""
-    grad = None
-    if field.gradient is not None:
-        def grad(pts: np.ndarray) -> np.ndarray:
-            g = field.gradient_at(pts[:, :2])
-            return np.column_stack([g, np.zeros(g.shape[0], dtype=g.dtype)])
-
-    return TestField(
-        evaluator=lambda pts: field.evaluate(pts[:, :2]),
-        smoothness=field.smoothness,
-        gradient=grad,
-        support_radius=None,
-        name=f"lift2to3[{field.name}]",
-    )
 
 
 def _extension_point(x: Sequence[float] | np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from cxpt.clifford import (
     Ball,
     Box,
     Cl,
+    CliffordAlgebra,
     Multivector,
     MultivectorField,
     SpacetimeMultivectorField,
@@ -587,6 +588,13 @@ def test_poly_and_evaluator_agree(rng):
     from_eval = ev(pts)
     from_poly = f.batch(pts)  # poly takes precedence
     assert np.max(np.abs(from_eval - from_poly)) <= 1e-12
+
+
+def test_algebra_cache_accepts_any_sequence():
+    assert CliffordAlgebra.get([1, 2, 3]) is CliffordAlgebra.get((1, 2, 3)) is Cl(3)
+    assert CliffordAlgebra.get(range(4)) is spacetime_algebra(3)
+    with pytest.raises(ValueError):
+        CliffordAlgebra.get([2, 1])
 
 
 def test_domain_validation():

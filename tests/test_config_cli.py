@@ -12,12 +12,15 @@ import sys
 import numpy as np
 import pytest
 
-from cxpt.cli import OPERATION_COVERAGE, run
+from cxpt.cli import OPERATION_COVERAGE, _emit, run
+from cxpt.clifford import Ball
 from cxpt.config import DOCUMENTED_KEYS, Config, load_config
 from cxpt.errors import ConfigParseError
-from cxpt.fields import parse_field_spec
-from cxpt.numerics import Quadrature, sphere_rule
-from cxpt.source import moments, singular_action
+from cxpt.fields import gaussian, parse_field_spec
+from cxpt.geometry import ComplexPoint
+from cxpt.numerics import FDScheme, Quadrature, sphere_rule
+from cxpt.potential import regularized_jump, regularized_potential
+from cxpt.source import descent_check, moments, singular_action
 from cxpt.wave import CauchyData, solve_cauchy
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -250,6 +253,57 @@ def test_cli_source_action_rejects_nonfinite_input(capsys, argv, message):
     assert code == 1
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--n", "3", "--x", "nan,0,0", "--y", "0,0,1"],
+    ["gamma", "--n", "3", "--x", "0.5,0,0", "--y", "0,-inf,1"],
+    ["descent-check", "--field", "gaussian:1.5", "--window", "nan"],
+    ["potential", "--n", "3", "--x", "0.2,0,0", "--y", "0,0,1", "--kind", "regularized",
+     "--eps", "nan"],
+    ["clifford", "bp-check", "--radius", "nan"],
+    ["clifford", "ebp-check", "--x", "0.3,inf,0"],
+    ["clifford", "maxwell-demo", "--t", "inf"],
+    ["wave", "--n", "3", "--v", "plane_wave:1,0,0", "--w", "constant:0", "--x", "0,0,0",
+     "--t", "nan"],
+    ["wave-verify", "--n", "3", "--v", "plane_wave:1,0,0", "--w", "constant:0",
+     "--x", "0.2,0,0.1", "--t=-inf"],
+])
+def test_cli_rejects_nonfinite_numbers(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "must be" in err and "finite" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_config_default_a_must_be_finite(tmp_path, capsys, value):
+    path = write(tmp_path, f"default.a = {value}\n")
+    with pytest.raises(ConfigParseError, match="positive and finite"):
+        load_config(path)
+    code, out, err = run_cli(capsys, ["--config", path, "gamma", "--n", "3", "--x", "0.5,0,0"])
+    assert code == 1
+    assert out == ""
+    assert "positive and finite" in err
+
+
+@pytest.mark.parametrize("build", [
+    lambda v: regularized_potential(ComplexPoint([0.2, 0, 0], [0, 0, 1.0]), 3, v),
+    lambda v: regularized_jump(ComplexPoint([0.2, 0, 0], [0, 0, 1.0]), 3, v),
+    lambda v: Ball(np.zeros(3), v),
+    lambda v: descent_check(gaussian(1.5), [0.0, 0.0, 1.0], window=v),
+    lambda v: FDScheme(h=v),
+], ids=["regularized_potential", "regularized_jump", "Ball", "descent_check", "FDScheme"])
+def test_library_rejects_nan_sizes(build):
+    """Each guard of the form 'size <= 0' also refuses NaN, which compares false."""
+    with pytest.raises(ValueError):
+        build(float("nan"))
+
+
+def test_emit_refuses_nonfinite_json(capsys):
+    with pytest.raises(ValueError):
+        _emit({"value": float("nan")})
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_wave_csv(capsys):

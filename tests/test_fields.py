@@ -5,6 +5,8 @@ import pytest
 
 from cxpt.fields import (
     FieldSpec,
+    TestField,
+    _lift,
     bump,
     constant,
     coordinate,
@@ -72,3 +74,36 @@ def test_parse_field_specs():
         FieldSpec("no_such_family").to_field(3)
     with pytest.raises(ValueError):
         parse_field_spec("coordinate:7").to_field(3)
+
+
+def test_lift_window_zeroes_value_and_gradient(rng):
+    """Inside the slab |s| <= window the lift is f(x) with gradient [grad f, 0];
+    outside both are 0, and a field without gradient lifts without one."""
+    f = gaussian(1.2, center=[0.1, -0.2, 0.3])
+    pts = rng.uniform(-1.0, 1.0, size=(64, 4))
+    inside = np.abs(pts[:, 3]) <= 0.5
+    lifted = _lift(f, 0.5)
+    vals, grads = lifted.evaluate(pts), lifted.gradient_at(pts)
+    assert 0 < inside.sum() < inside.size
+    assert np.array_equal(vals[inside], f.evaluate(pts[inside, :3]))
+    assert np.array_equal(grads[inside, :3], f.gradient_at(pts[inside, :3]))
+    assert not np.any(grads[inside, 3])
+    assert not np.any(vals[~inside]) and not np.any(grads[~inside])
+    assert _lift(TestField(f.evaluator), 0.5).gradient is None
+
+
+def test_unwindowed_lift_is_the_planar_lift(rng):
+    """With no window the lift equals, bit for bit, the planar lift R^2 -> R^3 the
+    wave solver used: f(x1, x2) and column_stack([grad f, 0]), array values included."""
+    pts = rng.uniform(-1.0, 1.0, size=(32, 3))
+    rows = TestField(lambda p: np.stack([np.exp(1j * p[:, 0]), p[:, 1] ** 2], axis=1))
+    for f in (plane_wave([0.7, -0.4]), gaussian(0.9), rows):
+        lifted = _lift(f)
+        vals, ref = lifted.evaluate(pts), f.evaluate(pts[:, :2])
+        assert vals.dtype == ref.dtype and vals.tobytes() == ref.tobytes()
+        if f.gradient is None:
+            continue
+        g = f.gradient_at(pts[:, :2])
+        ref_grad = np.column_stack([g, np.zeros(g.shape[0], dtype=g.dtype)])
+        grad = lifted.gradient_at(pts)
+        assert grad.dtype == ref_grad.dtype and grad.tobytes() == ref_grad.tobytes()

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from cxpt.errors import AxisDegenerateError, SingularPointError, YZeroError
+from cxpt.clifford import cauchy_kernel
+from cxpt.errors import AmbiguousBranchError, AxisDegenerateError, SingularPointError, YZeroError
 from cxpt.fields import gaussian
 from cxpt.geometry import (
     ComplexPoint,
@@ -21,6 +22,8 @@ from cxpt.geometry import (
     to_cylindrical,
     to_oblate,
 )
+from cxpt.geometry import _branch_gamma
+from cxpt.potential import holomorphic_potential
 from cxpt.numerics import (
     FDScheme,
     fd_gradient,
@@ -304,3 +307,36 @@ def test_point_struct_helpers():
 def test_sphere_area_in_jacobian():
     # n=3 jacobian uses omega_2 = 2 pi
     assert jacobian_volume(1.0, 0.0, 2.0, 3) == pytest.approx(sphere_area(2) / 2.0)
+
+
+def test_branch_gamma_refuses_the_singular_set():
+    """The one branch-checked gamma: the rim raises, an odd-n disk point needs a
+    side, even n takes it (gamma^{2-n} is single valued there), and side picks the sheet."""
+    with pytest.raises(SingularPointError):
+        _branch_gamma(ComplexPoint([0.0, 1.0, 0.0], [0.0, 0.0, 1.0]), 3)
+    disk = ComplexPoint([0.6, 0.0, 0.0], [0.0, 0.0, 1.0])
+    with pytest.raises(AmbiguousBranchError):
+        _branch_gamma(disk, 3)
+    assert _branch_gamma(disk, 3, side=1) == pytest.approx(0.8j, abs=1e-15)
+    assert _branch_gamma(disk, 3, side=-1) == pytest.approx(-0.8j, abs=1e-15)
+    disk4 = ComplexPoint([0.6, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0])
+    assert _branch_gamma(disk4, 4) == _branch_gamma(disk4, 4, side=1)
+    assert _branch_gamma(disk4, 4) == pytest.approx(0.8j, abs=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["potential", "kernel"])
+def test_potential_and_kernel_share_the_branch_rules(kind):
+    """holomorphic_potential and cauchy_kernel raise alike and take side's sheet."""
+    def value(z, side=None):
+        if kind == "potential":
+            return holomorphic_potential(z, z.n, side=side)
+        return cauchy_kernel(z, side=side).coeffs
+
+    with pytest.raises(SingularPointError):
+        value(ComplexPoint([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]))
+    disk = ComplexPoint([0.6, 0.0, 0.0], [0.0, 0.0, 1.0])
+    with pytest.raises(AmbiguousBranchError):
+        value(disk)
+    value(ComplexPoint([0.6, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]))
+    # gamma = +-0.8i on the two sheets, and both gamma^-1 and gamma^-3 change sign
+    assert np.allclose(value(disk, side=-1), -value(disk, side=1), rtol=1e-14, atol=0.0)

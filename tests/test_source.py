@@ -28,6 +28,7 @@ from cxpt.fields import (
 )
 from cxpt.geometry import ComplexPoint
 from cxpt.numerics import (
+    MAX_POINTS,
     IntervalIntegral,
     Quadrature,
     integrate_interval,
@@ -307,8 +308,8 @@ def test_parity_of_parametrized_halves():
     a = 1.0
     for q in (0.2, 0.5, 0.8):
         rho = math.sqrt(a**2 - q**2)
-        g_plus = af.means(rho, 0.0)
-        g_minus = af.means(-rho, 0.0)
+        g_plus = af.sample(rho, 0.0, 0.0, 1.0)[0]
+        g_minus = af.sample(-rho, 0.0, 0.0, 1.0)[0]
         assert g_plus == pytest.approx(g_minus, abs=1e-12)
 
 
@@ -453,6 +454,45 @@ def test_one_sphere_pass_per_sample():
     counted, sizes = _counting(gaussian(1.3, center=np.full(3, 0.1)))
     regularized_action(counted, [0.1, 0.2, 0.9], 3, 1e-2)
     assert _calls(sizes)["evaluate"] == _calls(sizes)["gradient"]
+
+
+def test_gradient_free_sample_is_one_pass(monkeypatch):
+    """Without a gradient a mean and its slope still take one kernel pass: f at each
+    sphere point and at its 6 stencil nodes together, at most MAX_POINTS per call."""
+    passes, integrand_calls, sizes = [], [], []
+    kernel, integrate = source.sphere_sums, source.integrate_interval
+
+    def counted_kernel(*args, **kwargs):
+        passes.append(1)
+        return kernel(*args, **kwargs)
+
+    def counted_integrate(g, lo, hi, **kwargs):
+        return integrate(lambda t: integrand_calls.append(1) or g(t), lo, hi, **kwargs)
+
+    monkeypatch.setattr(source, "sphere_sums", counted_kernel)
+    monkeypatch.setattr(source, "integrate_interval", counted_integrate)
+    exact = gaussian(1.3, center=np.full(3, 0.1))
+    free = TestField(lambda pts: sizes.append(pts.shape[0]) or exact.evaluator(pts))
+    value = regularized_action(free, [0.3, 0.0, 0.8], 3, 1e-3)
+    assert len(passes) == len(integrand_calls) == 14     # 98 passes before
+    assert (len(sizes), sum(sizes)) == (56, 206976)      # 98 calls on the same points before
+    assert max(sizes) <= MAX_POINTS
+    assert value == pytest.approx(regularized_action(exact, [0.3, 0.0, 0.8], 3, 1e-3),
+                                  abs=1e-13)
+
+
+def test_gradient_free_sample_shapes():
+    """The mean keeps the shape of (rho, zeta) and the slope takes that of all four,
+    as with an exact gradient, whose values the stencil matches."""
+    exact = gaussian(1.3, center=np.full(4, 0.1))
+    y = [0.1, 0.2, 0.9, 0.3]
+    rho = np.array([[0.5], [0.8], [1.0]])
+    dirs = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    mean, slope = _AxialField(TestField(exact.evaluator), y, 4).sample(rho, 0.1, *dirs)
+    ref_mean, ref_slope = _AxialField(exact, y, 4).sample(rho, 0.1, *dirs)
+    assert mean.shape == (3, 1) and slope.shape == (3, 2)
+    assert np.allclose(mean, ref_mean, rtol=0.0, atol=1e-15)
+    assert np.allclose(slope, ref_slope, rtol=0.0, atol=1e-11)
 
 
 def test_r3_on_several_u_panels():
