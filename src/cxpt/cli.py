@@ -36,7 +36,7 @@ from .acceptance import (
     maxwell_demo_field,
     run_acceptance,
 )
-from .config import Config, config_from_env, load_config
+from .config import _COORDINATE_BOUND, Config, config_from_env, load_config
 from .errors import CxptError
 from .fields import parse_field_spec
 from .geometry import ComplexPoint, classify_point, complex_distance
@@ -86,12 +86,15 @@ def _cnum(value: complex) -> dict:
     return {"re": float(np.real(value)), "im": float(np.imag(value))}
 
 
-def _vector(text: str, n: int | None = None, name: str = "vector") -> np.ndarray:
+def _vector(text: str, n: int, name: str) -> np.ndarray:
     vals = np.asarray([float(t) for t in text.split(",")], dtype=float)
-    if n is not None and vals.size != n:
+    if vals.size != n:
         raise CxptError(f"{name} {text!r} has {vals.size} entries, expected {n}")
     if not np.all(np.isfinite(vals)):
         raise CxptError(f"{name} must be finite, got {text!r}")
+    if np.any(np.abs(vals) > _COORDINATE_BOUND):
+        raise CxptError(f"{name} entries must be at most {_COORDINATE_BOUND:g} in magnitude "
+                        f"(their squares overflow), got {text!r}")
     return vals
 
 
@@ -118,7 +121,7 @@ def _emit(payload: dict) -> None:
 
 
 def _cmd_gamma(args, cfg: Config) -> int:
-    x = _vector(args.x, args.n)
+    x = _vector(args.x, args.n, "--x")
     y = _axis(args.y, args.n, cfg)
     side = -1 if args.side == "back" else 1
     dist = complex_distance(ComplexPoint(x, y), side=side)
@@ -128,7 +131,7 @@ def _cmd_gamma(args, cfg: Config) -> int:
 
 
 def _cmd_potential(args, cfg: Config) -> int:
-    x = _vector(args.x, args.n)
+    x = _vector(args.x, args.n, "--x")
     if args.kind == "newtonian":
         value = complex(newtonian(x, args.n))
     else:
@@ -190,7 +193,7 @@ def _cmd_wave(args, cfg: Config) -> int:
     w = parse_field_spec(args.w).to_field(n)
     data = wv.CauchyData(v, w, n)
     quadrature = cfg.quadrature()
-    x0 = _vector(args.x, n)
+    x0 = _vector(args.x, n, "--x")
     cols = [f"x{k + 1}" for k in range(n)] + ["t", "re_u", "im_u"]
     sys.stdout.write(",".join(cols) + "\n")
     offsets = range(-m, m + 1)
@@ -210,7 +213,7 @@ def _cmd_wave_verify(args, cfg: Config) -> int:
     v = parse_field_spec(args.v).to_field(n)
     w = parse_field_spec(args.w).to_field(n)
     data = wv.CauchyData(v, w, n)
-    res = wv.wave_residual(data, _vector(args.x, n), args.t, h=args.step,
+    res = wv.wave_residual(data, _vector(args.x, n, "--x"), args.t, h=args.step,
                            half_points=args.half, quadrature=cfg.quadrature())
     _emit({"residual": res, "step": args.step, "half_points": args.half})
     return 0
@@ -221,14 +224,15 @@ def _cmd_clifford(args, cfg: Config) -> int:
     quadrature = cfg.quadrature()
     if args.mode == "bp-check":
         f = clifford_test_field()
-        x_in = _vector(args.x, 3)
+        x_in = _vector(args.x, 3, "--x")
         interior = (cf.borel_pompeiu(f, ball, x_in, quadrature) - f.value(x_in)).norm()
-        exterior = cf.borel_pompeiu(f, ball, _vector(args.exterior, 3), quadrature).norm()
+        x_out = _vector(args.exterior, 3, "--exterior")
+        exterior = cf.borel_pompeiu(f, ball, x_out, quadrature).norm()
         _emit({"interior_error": interior, "exterior_leakage": exterior})
         return 0
     if args.mode == "ebp-check":
         f = clifford_test_field()
-        z = ComplexPoint(_vector(args.x, 3), _vector(args.y, 3))
+        z = ComplexPoint(_vector(args.x, 3, "--x"), _vector(args.y, 3, "--y"))
         value = cf.extended_borel_pompeiu(f, ball, z, quadrature)
         oracle = ebp_oracle(f, z, quadrature)
         _emit({"value": [_cnum(c) for c in value.coeffs],
@@ -236,8 +240,8 @@ def _cmd_clifford(args, cfg: Config) -> int:
                "abs_diff": (value - oracle).norm()})
         return 0
     # maxwell-demo
-    ft, jt, resid = cf.maxwell_extend(maxwell_demo_field(), _vector(args.x, 3), 0.0, args.t,
-                                      quadrature)
+    x = _vector(args.x, 3, "--x")
+    ft, jt, resid = cf.maxwell_extend(maxwell_demo_field(), x, 0.0, args.t, quadrature)
     _emit({
         "f_extension": [_cnum(c) for c in ft.coeffs],
         "current": [_cnum(c) for c in jt.coeffs],

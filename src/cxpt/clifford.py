@@ -452,11 +452,6 @@ def _kernel_batch(diffs: np.ndarray, y: np.ndarray, alg: CliffordAlgebra,
 # Domains
 # ----------------------------------------------------------------------
 
-#: Gauss-Legendre nodes per radius of a ball's volume rule and of the
-#: Borel-Pompeiu interior rays, and per side of the Duffy square of the
-#: spheroid's volume rule.
-RADIAL_ORDER = 16
-DUFFY_ORDER = 16
 #: FD stencil of the Dirac derivative of fields without a polynomial table,
 #: and that of the continuity residual D~ j~ of the Maxwell current.
 DIRAC_FD = FDScheme(h=1e-2, order=4, richardson=False)
@@ -478,12 +473,14 @@ class Domain:
     def boundary_quadrature(self, quadrature: Quadrature = Quadrature()):
         """Boundary nodes, unit outward normals and area weights.
 
-        ``quadrature`` sets the sphere rule of a round boundary.
+        ``quadrature`` sets the sphere rule of a round boundary and the
+        Gauss-Legendre rule (``interval_order`` nodes) of a flat face.
         """
         raise NotImplementedError
 
     def volume_quadrature(self, quadrature: Quadrature = Quadrature()):
-        """Interior nodes and volume weights."""
+        """Interior nodes and volume weights from the same rules, a ball's radii
+        taking ``interval_order`` Gauss-Legendre nodes."""
         raise NotImplementedError
 
     def contains(self, x: np.ndarray, margin: float = 0.0) -> bool:
@@ -520,7 +517,7 @@ class Ball(Domain):
 
     def volume_quadrature(self, quadrature: Quadrature = Quadrature()):
         rule = sphere_rule(self.n - 1, quadrature.sphere_orders(self.n - 1))
-        leg = gauss_legendre(RADIAL_ORDER)
+        leg = gauss_legendre(quadrature.interval_order)
         radii = 0.5 * self.radius * (leg.nodes + 1.0)
         wr = 0.5 * self.radius * leg.weights
         pts = (self.center[None, None, :]
@@ -548,7 +545,6 @@ class Box(Domain):
 
     lo: np.ndarray
     hi: np.ndarray
-    face_order: int = 16
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lo", np.asarray(self.lo, dtype=float))
@@ -560,15 +556,12 @@ class Box(Domain):
     def n(self) -> int:
         return self.lo.shape[0]
 
-    def _axis_rule(self, axis: int):
-        leg = gauss_legendre(self.face_order)
-        mid = 0.5 * (self.lo[axis] + self.hi[axis])
-        half = 0.5 * (self.hi[axis] - self.lo[axis])
-        return mid + half * leg.nodes, half * leg.weights
-
-    def _grid(self, axes: Sequence[int]):
+    def _grid(self, axes: Sequence[int], order: int):
         """Tensor-product Gauss-Legendre nodes (m, len(axes)) and weights over ``axes``."""
-        grids = [self._axis_rule(k) for k in axes]
+        leg = gauss_legendre(order)
+        mid = 0.5 * (self.lo + self.hi)
+        half = 0.5 * (self.hi - self.lo)
+        grids = [(mid[k] + half[k] * leg.nodes, half[k] * leg.weights) for k in axes]
         mesh = np.meshgrid(*[g[0] for g in grids], indexing="ij")
         wmesh = np.meshgrid(*[g[1] for g in grids], indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
@@ -582,7 +575,7 @@ class Box(Domain):
         n = self.n
         for axis in range(n):
             others = [k for k in range(n) if k != axis]
-            coords, wface = self._grid(others)
+            coords, wface = self._grid(others, quadrature.interval_order)
             for sign, val in ((-1.0, self.lo[axis]), (1.0, self.hi[axis])):
                 pts = np.zeros((coords.shape[0], n))
                 pts[:, others] = coords
@@ -595,7 +588,7 @@ class Box(Domain):
         return np.concatenate(pts_all), np.concatenate(nrm_all), np.concatenate(wts_all)
 
     def volume_quadrature(self, quadrature: Quadrature = Quadrature()):
-        return self._grid(range(self.n))
+        return self._grid(range(self.n), quadrature.interval_order)
 
     def contains(self, x: np.ndarray, margin: float = 0.0) -> bool:
         x = np.asarray(x, dtype=float)
@@ -707,7 +700,7 @@ def borel_pompeiu(f: MultivectorField, M: Domain, x: Sequence[float] | np.ndarra
     dirs_rule = sphere_rule(n - 1, quadrature.sphere_orders(n - 1))
     dirs = dirs_rule.nodes
     t_exit = M.ray_exit(x, dirs)
-    leg = gauss_legendre(RADIAL_ORDER)
+    leg = gauss_legendre(quadrature.interval_order)
     # radial nodes per direction on [0, t_exit]; kernel * r^{n-1} * omega_n = dir
     radii = 0.5 * t_exit[:, None] * (leg.nodes[None, :] + 1.0)
     wrad = 0.5 * t_exit[:, None] * leg.weights[None, :]
@@ -832,7 +825,7 @@ def extended_borel_pompeiu(f: MultivectorField, M: Domain, z: ComplexPoint,
 
     # volume of E_P in oblate coordinates, Duffy-transformed about (p, q) = 0:
     # two triangles per sign of q, (p, q) = (P u, +-a u v) and (P u v, +-a u)
-    duffy = gauss_legendre(DUFFY_ORDER)
+    duffy = gauss_legendre(quadrature.interval_order)
     t_nodes = 0.5 * (duffy.nodes + 1.0)
     t_wts = 0.5 * duffy.weights
     uu, vv = np.meshgrid(t_nodes, t_nodes, indexing="ij")

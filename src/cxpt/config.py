@@ -2,18 +2,21 @@
 
 Recognized keys (defaults in parentheses):
 
-    quadrature.interval.order   (32)   Gauss order N of the Gauss-Kronrod q-integrals
-    quadrature.circle.order     (64)   trapezoid nodes on S^1
-    quadrature.sphere.order     (24)   polar order s on S^2 (azimuth 2s); S^3 and S^4
-                                       take 7s/12 and 5s/12 (rounded down) polar
-                                       nodes per level and a base circle of twice that
-    quadrature.panel.order      (16)   Gauss order N of the regularized action's panels
+    quadrature.interval.order   (16)   Gauss order N of every interval rule: the
+                                       2N+1-node Gauss-Kronrod q-integrals and
+                                       panels of the source actions, and the
+                                       N-node Gauss-Legendre radii, rays, Duffy
+                                       square and box faces of ``clifford``
+    quadrature.sphere.order     (24)   polar order s on S^2 (azimuth 2s); S^1 has
+                                       8s/3 nodes, and S^3 and S^4 take 7s/12 and
+                                       5s/12 polar nodes per level and a base
+                                       circle of twice that (all rounded down)
     default.a                   (1.0)  default |y| for CLI demos
 
-The four orders make up the ``numerics.Quadrature`` that ``Config.quadrature``
+The two orders make up the ``numerics.Quadrature`` that ``Config.quadrature``
 returns and the CLI hands to every subcommand.  Unknown keys and malformed
 lines are rejected with the line number; all orders must be >= 4 and
-``default.a`` positive and finite.
+``default.a`` positive and at most 1e150.
 """
 
 from __future__ import annotations
@@ -31,14 +34,11 @@ __all__ = ["Config", "load_config", "config_from_env", "DOCUMENTED_KEYS"]
 @dataclass(frozen=True)
 class Config:
     interval_order: int = Quadrature.interval_order
-    circle_order: int = Quadrature.circle_order
     sphere_order: int = Quadrature.sphere_order
-    panel_order: int = Quadrature.panel_order
     default_a: float = 1.0
 
     def quadrature(self) -> Quadrature:
-        return Quadrature(interval_order=self.interval_order, panel_order=self.panel_order,
-                          circle_order=self.circle_order, sphere_order=self.sphere_order)
+        return Quadrature(interval_order=self.interval_order, sphere_order=self.sphere_order)
 
 
 def _order(text: str) -> int:
@@ -48,18 +48,23 @@ def _order(text: str) -> int:
     return val
 
 
+#: Largest coordinate magnitude the CLI accepts (in ``default.a`` and vector
+#: flags): squares of larger ones overflow in the complex distance.
+_COORDINATE_BOUND = 1e150
+
+
 def _positive_float(text: str) -> float:
     val = float(text)
     if not (math.isfinite(val) and val > 0):
         raise ValueError(f"must be positive and finite, got {val}")
+    if val > _COORDINATE_BOUND:
+        raise ValueError(f"must be at most {_COORDINATE_BOUND:g}, got {val}")
     return val
 
 
 DOCUMENTED_KEYS = {
     "quadrature.interval.order": ("interval_order", _order),
-    "quadrature.circle.order": ("circle_order", _order),
     "quadrature.sphere.order": ("sphere_order", _order),
-    "quadrature.panel.order": ("panel_order", _order),
     "default.a": ("default_a", _positive_float),
 }
 

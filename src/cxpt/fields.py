@@ -8,6 +8,7 @@ cheap, so finite-difference kernels can be validated against them.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
@@ -198,7 +199,9 @@ def polynomial(n: int, coeffs: Mapping[tuple[int, ...], complex]) -> TestField:
 
 def gaussian(width: float = 1.0, center: Sequence[float] | None = None,
              amplitude: complex = 1.0) -> TestField:
-    """amplitude * exp(-|x - center|^2 / width^2)."""
+    """amplitude * exp(-|x - center|^2 / width^2); width^2 must be positive and finite."""
+    if not 0 < width * width < math.inf:
+        raise ValueError(f"gaussian width^2 must be positive and finite, got width {width}")
     c0 = None if center is None else np.asarray(center, dtype=float)
 
     def ev(pts: np.ndarray) -> np.ndarray:
@@ -267,23 +270,49 @@ class FieldSpec:
     params: tuple = field(default_factory=tuple)
 
     def to_field(self, n: int) -> TestField:
+        """The field on R^n.
+
+        Raises ``ValueError``, naming the spec, unless the parameter count
+        fits the family and every parameter is a finite number: an integral
+        coordinate index in range, a positive gaussian width whose square is
+        finite and nonzero, and non-negative integer polynomial exponents.
+        """
+        try:
+            return self._field(n)
+        except ValueError as exc:
+            raise ValueError(f"field spec {self.family}{list(self.params)}: {exc}") from None
+
+    def _field(self, n: int) -> TestField:
+        if self.family == "polynomial":
+            for alpha, c in self.params:
+                if not all(e >= 0 and e == int(e) for e in alpha):
+                    raise ValueError(f"exponents {alpha} must be non-negative integers")
+                if not cmath.isfinite(c):
+                    raise ValueError(f"coefficient {c} must be finite")
+            return polynomial(n, dict(self.params))
+        counts = {"constant": (0, 1), "coordinate": (1, 1), "gaussian": (0, 1),
+                  "plane_wave": (n, n)}
+        if self.family not in counts:
+            raise ValueError(f"unknown or non-scalar field family {self.family!r}")
+        least, most = counts[self.family]
+        if not least <= len(self.params) <= most:
+            count = most if least == most else f"at most {most}"
+            raise ValueError(f"{self.family} takes {count} parameter(s) on R^{n}")
+        if not all(math.isfinite(p) for p in self.params):
+            raise ValueError("parameters must be finite")
         if self.family == "constant":
             return constant(self.params[0] if self.params else 1.0)
         if self.family == "coordinate":
-            idx = int(self.params[0])
-            if not 0 <= idx < n:
-                raise ValueError(f"coordinate index {idx} out of range for n={n}")
-            return coordinate(idx)
+            idx = self.params[0]
+            if idx != int(idx) or not 0 <= idx < n:
+                raise ValueError(f"coordinate index must be an integer in [0, {n}), got {idx}")
+            return coordinate(int(idx))
         if self.family == "gaussian":
-            return gaussian(float(self.params[0]) if self.params else 1.0)
-        if self.family == "plane_wave":
-            kv = np.asarray(self.params, dtype=float)
-            if kv.size != n:
-                raise ValueError(f"plane_wave needs a {n}-vector, got {kv.size}")
-            return plane_wave(kv)
-        if self.family == "polynomial":
-            return polynomial(n, dict(self.params))
-        raise ValueError(f"unknown or non-scalar field family {self.family!r}")
+            width = self.params[0] if self.params else 1.0
+            if not width > 0:
+                raise ValueError(f"gaussian width must be positive, got {width}")
+            return gaussian(width)
+        return plane_wave(np.asarray(self.params, dtype=float))
 
 
 def parse_field_spec(text: str) -> FieldSpec:

@@ -121,32 +121,30 @@ def sphere_area(n: int) -> float:
 
 @dataclass(frozen=True)
 class Quadrature:
-    """Quadrature orders of every layer: the four order keys of the config file.
+    """Quadrature orders of every layer: one per rule family, the two order keys
+    of the config file.
 
-    ``interval_order`` and ``panel_order`` are the Gauss order N of the
-    2N+1-node Gauss-Kronrod q-integrals of the singular actions and of the
-    regularized action's panels.  ``circle_order`` is the node count of the
-    trapezoid rule on S^1, and ``sphere_order`` the polar order of the
-    product rules on S^2, S^3 and S^4 (see ``sphere_orders``).
+    ``interval_order`` is the Gauss order N of every interval rule: the
+    2N+1-node Gauss-Kronrod q-integrals of the singular actions and the
+    regularized action's panels, and the N-node Gauss-Legendre radii, rays,
+    Duffy square and box faces of ``clifford``.  ``sphere_order`` s sets the
+    product rules on S^1 through S^4 (see ``sphere_orders``).
     """
 
-    interval_order: int = 32
-    panel_order: int = 16
-    circle_order: int = 64
+    interval_order: int = 16
     sphere_order: int = 24
 
     def sphere_orders(self, dim: int) -> tuple[int, ...]:
         """Per-level node counts of the product rule on S^dim, outermost level first.
 
-        S^1 has ``circle_order`` nodes and S^2 ``sphere_order`` polar nodes
-        times twice that many azimuths.  S^3 and S^4 take 7/12 and 5/12 of
-        ``sphere_order`` (rounded down) polar nodes per level and a base
-        circle of twice that: (14, 14, 28) and (10, 10, 10, 20) at the
-        default 24.
+        S^1 has 8s/3 nodes and S^2 s polar nodes times twice that many
+        azimuths.  S^3 and S^4 take 7/12 and 5/12 of s polar nodes per
+        level and a base circle of twice that, all rounded down: (64,),
+        (14, 14, 28) and (10, 10, 10, 20) at the default 24.
         """
         s = self.sphere_order
         if dim == 1:
-            return (self.circle_order,)
+            return (8 * s // 3,)
         if dim == 2:
             return (s, 2 * s)
         if dim in (3, 4):

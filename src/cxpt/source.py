@@ -501,7 +501,7 @@ def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
         return (a * np.cos(theta)) ** (n - 2) * (fs + gamma * fsp / (n - 2)) / gamma ** (n - 1)
 
     def panel(lo: float, hi: float, depth: int):
-        return lo, hi, depth, integrate_interval(integrand, lo, hi, order=quadrature.panel_order)
+        return lo, hi, depth, integrate_interval(integrand, lo, hi, order=quadrature.interval_order)
 
     half = math.pi / 2.0
     breaks = [0.0, min(max(eps / a, 1e-6), half)]

@@ -16,7 +16,7 @@ from cxpt.errors import (
 )
 from cxpt.fields import TestField
 from cxpt.geometry import ComplexPoint
-from cxpt.numerics import FDScheme
+from cxpt.numerics import FDScheme, Quadrature
 from cxpt.clifford import (
     DIRAC_FD,
     Ball,
@@ -226,13 +226,26 @@ def test_borel_pompeiu_monogenic_boundary_only():
     assert float(np.max(np.abs(dv))) * float(np.sum(wts)) <= 1e-6
 
 
+def test_box_rules_follow_the_interval_order():
+    """A box's faces and volume take interval_order Gauss-Legendre nodes per side."""
+    box = Box(np.array([-0.5, -0.6, -0.4]), np.array([0.7, 0.5, 0.6]))
+    for order in (Quadrature().interval_order, 7):
+        quadrature = Quadrature(interval_order=order)
+        pts, normals, wts = box.boundary_quadrature(quadrature)
+        assert pts.shape == normals.shape == (6 * order**2, 3) and wts.shape == (6 * order**2,)
+        vpts, vwts = box.volume_quadrature(quadrature)
+        assert vpts.shape == (order**3, 3) and vwts.shape == (order**3,)
+        assert np.sum(vwts) == pytest.approx(np.prod(box.hi - box.lo), rel=1e-14)
+
+
 def test_borel_pompeiu_box():
     alg = Cl(3)
-    box = Box(np.array([-0.5, -0.6, -0.4]), np.array([0.7, 0.5, 0.6]), face_order=24)
+    box = Box(np.array([-0.5, -0.6, -0.4]), np.array([0.7, 0.5, 0.6]))
+    quadrature = Quadrature(interval_order=24)
     fc = poly_field(alg, 3, {(): {(0, 0, 0): 1.5}})
     x0 = np.array([0.05, -0.1, 0.1])
-    assert (borel_pompeiu(fc, box, x0) - alg.scalar(1.5)).norm() <= 1e-3
-    assert borel_pompeiu(fc, box, np.array([2.0, 0.0, 0.0])).norm() <= 1e-6
+    assert (borel_pompeiu(fc, box, x0, quadrature) - alg.scalar(1.5)).norm() <= 1e-3
+    assert borel_pompeiu(fc, box, np.array([2.0, 0.0, 0.0]), quadrature).norm() <= 1e-6
 
 
 def test_extended_bp_real_reduction_and_oracle():
@@ -358,11 +371,11 @@ def test_extended_bp_small_imaginary_part(a):
 def test_extended_bp_box_domain():
     """The complex-argument formula also holds on a box domain."""
     alg = Cl(3)
-    box = Box(np.array([-1.0, -0.9, -1.1]), np.array([1.1, 1.0, 0.9]), face_order=20)
+    box = Box(np.array([-1.0, -0.9, -1.1]), np.array([1.1, 1.0, 0.9]))
     f = poly_field(alg, 3, {(1,): {(1, 0, 0): 1.0, (0, 2, 0): 0.5},
                             (): {(0, 0, 0): 0.3, (0, 0, 1): -0.2}})
     z = ComplexPoint([0.2, 0.0, -0.1], [0.0, 0.0, 0.06])
-    got = extended_borel_pompeiu(f, box, z)
+    got = extended_borel_pompeiu(f, box, z, Quadrature(interval_order=20))
     oracle = np.zeros(alg.dim, dtype=complex)
     for mask, table in f.poly.items():
         def ev(pts, table=table):

@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -56,15 +57,15 @@ def test_empty_config_gives_defaults(tmp_path):
 
 def test_config_overrides(tmp_path):
     cfg = load_config(write(tmp_path,
-                            "quadrature.panel.order = 24\nquadrature.circle.order = 96\n"))
-    assert cfg.panel_order == 24
-    assert cfg.circle_order == 96
-    assert cfg.interval_order == Config().interval_order
+                            "quadrature.interval.order = 24\nquadrature.sphere.order = 36\n"))
+    assert cfg.interval_order == 24
+    assert cfg.sphere_order == 36
+    assert cfg.default_a == Config().default_a
 
 
 def test_config_comments_and_blanks(tmp_path):
-    cfg = load_config(write(tmp_path, "# comment\n\nquadrature.panel.order = 8\n"))
-    assert cfg.panel_order == 8
+    cfg = load_config(write(tmp_path, "# comment\n\nquadrature.interval.order = 8\n"))
+    assert cfg.interval_order == 8
 
 
 def test_config_rejections(tmp_path):
@@ -85,6 +86,8 @@ def test_config_rejections(tmp_path):
     "quadrature.radial.order = 16",
     "tolerance.classify = 1e-12",
     "output.format = json",
+    "quadrature.panel.order = 16",
+    "quadrature.circle.order = 64",
 ])
 def test_config_deleted_keys_rejected(tmp_path, line):
     """Keys that never reached a computation are gone, not silently accepted."""
@@ -128,31 +131,71 @@ def test_readme_config_constants_exist():
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
 
 
-#: Per Quadrature field: its config line and a subcommand whose output depends on it.
+def readme_cli_examples():
+    """(argv, expected stdout or None) for each ``cxpt`` line of the README's
+    ``## CLI examples`` block, ``\\`` continuations joined; the expected stdout is
+    the next line's comment when that comment is complete JSON."""
+    readme = (SCHEMA_DIR.parent.parent / "README.md").read_text()
+    block = readme.split("## CLI examples", 1)[1].split("```", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    examples = []
+    for line, following in zip(lines, lines[1:] + [""]):
+        if not line.startswith("cxpt "):
+            continue
+        expected = None
+        if following.startswith("#"):
+            comment = following[1:].strip()
+            try:
+                json.loads(comment)
+                expected = comment + "\n"
+            except ValueError:
+                pass
+        examples.append((shlex.split(line)[1:], expected))
+    return examples
+
+
+def test_readme_cli_examples_run(capsys, monkeypatch):
+    """Every CLI example of the README exits 0, and prints what its comment shows."""
+    monkeypatch.delenv("CXPT_CONFIG", raising=False)
+    examples = readme_cli_examples()
+    assert len(examples) == 11
+    assert sum(expected is not None for _, expected in examples) == 1
+    for argv, expected in examples:
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0, argv
+        if expected is not None:
+            assert out == expected, argv
+
+
+#: Per Quadrature field: its config line and subcommands whose output depends on it,
+#: one for each rule the field sets.
 QUADRATURE_PROBES = {
-    "interval_order": ("quadrature.interval.order = 4",
-                       ["source-action", "--n", "3", "--field", "plane_wave:2,1,0"]),
-    "panel_order": ("quadrature.panel.order = 4",
-                    ["source-action", "--n", "3", "--field", "plane_wave:2,1,0", "--eps", "0.1"]),
-    "circle_order": ("quadrature.circle.order = 6",
-                     ["source-action", "--n", "3", "--field", "plane_wave:2,1,0"]),
-    "sphere_order": ("quadrature.sphere.order = 6",
-                     ["source-action", "--n", "4", "--field", "plane_wave:2,1,0,0"]),
+    "interval_order": ("quadrature.interval.order = 4", [
+        ["source-action", "--n", "3", "--field", "plane_wave:2,1,0"],   # q-integrals
+        ["source-action", "--n", "3", "--field", "plane_wave:2,1,0", "--eps", "0.1"],  # panels
+        ["clifford", "bp-check"],   # a ball's radii and the interior rays
+    ]),
+    "sphere_order": ("quadrature.sphere.order = 6", [
+        ["source-action", "--n", "3", "--field", "plane_wave:2,1,0"],   # S^1
+        ["source-action", "--n", "4", "--field", "plane_wave:2,1,0,0"],   # S^2
+    ]),
 }
 
 
 def test_cli_sets_every_quadrature_field(tmp_path, capsys):
-    """Each Quadrature field is set by its config key and changes the CLI's output."""
+    """Each Quadrature field is set by its config key and changes the CLI's output
+    through every rule family it sets."""
     assert set(QUADRATURE_PROBES) == {f.name for f in dataclasses.fields(Quadrature)}
-    for name, (line, argv) in QUADRATURE_PROBES.items():
+    for name, (line, commands) in QUADRATURE_PROBES.items():
         path = write(tmp_path, line + "\n")
         quadrature = load_config(path).quadrature()
         default = getattr(Quadrature(), name)
         assert getattr(quadrature, name) != default, name
         assert dataclasses.replace(quadrature, **{name: default}) == Quadrature(), name
-        _, default_out, _ = run_cli(capsys, argv)
-        code, out, _ = run_cli(capsys, ["--config", path] + argv)
-        assert code == 0 and out != default_out, name
+        for argv in commands:
+            _, default_out, _ = run_cli(capsys, argv)
+            code, out, _ = run_cli(capsys, ["--config", path] + argv)
+            assert code == 0 and out != default_out, (name, argv)
 
 
 def test_config_quadrature_defaults_are_the_library_defaults():
@@ -274,6 +317,52 @@ def test_cli_rejects_nonfinite_numbers(capsys, argv):
     assert code == 1
     assert out == ""
     assert "must be" in err and "finite" in err
+
+
+WAVE = ["wave", "--n", "3", "--w", "constant:0", "--x", "0,0,0", "--t", "0.5",
+        "--lattice-half", "0", "--v"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["source-action", "--n", "3", "--y", "0,0,1", "--field", "gaussian:0"],
+    WAVE + ["gaussian:1e-200"],
+    ["source-action", "--n", "3", "--field", "coordinate:1.5"],
+    ["source-action", "--n", "3", "--field", "gaussian:-1"],
+    ["source-action", "--n", "3", "--field", "gaussian:1,2"],
+    ["source-action", "--n", "3", "--field", "constant:1,2"],
+    ["source-action", "--n", "3", "--field", "polynomial:0,0,-1=1"],
+    WAVE + ["gaussian:nan"],
+    WAVE + ["plane_wave:nan,0,0"],
+    WAVE + ["constant:nan"],
+    WAVE + ["polynomial:0,0,0=nan"],
+])
+def test_cli_rejects_bad_field_specs(capsys, argv):
+    """A field spec whose parameters do not fit its family exits 1 before any output,
+    with an error naming the spec."""
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: field spec ")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["gamma", "--n", "3", "--x", "1e300,0,0", "--y", "0,0,1"], "--x"),
+    (["gamma", "--n", "3", "--x", "0,0,0", "--y", "0,0,-2e150"], "axis vector y"),
+    (["clifford", "bp-check", "--exterior", "1e151,0,0"], "--exterior"),
+])
+def test_cli_rejects_coordinates_whose_squares_overflow(capsys, argv, name):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert f"{name} entries must be at most 1e+150" in err
+
+
+def test_config_default_a_is_bounded(tmp_path, capsys):
+    path = write(tmp_path, "default.a = 1e151\n")
+    code, out, err = run_cli(capsys, ["--config", path, "gamma", "--n", "3", "--x", "0.5,0,0"])
+    assert code == 1
+    assert out == ""
+    assert "must be at most 1e+150" in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

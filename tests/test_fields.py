@@ -76,6 +76,12 @@ def test_parse_field_specs():
         parse_field_spec("coordinate:7").to_field(3)
 
 
+@pytest.mark.parametrize("width", [0.0, 1e-200, 1e200, float("nan"), float("inf")])
+def test_gaussian_rejects_widths_whose_square_is_not_positive_and_finite(width):
+    with pytest.raises(ValueError, match="width"):
+        gaussian(width)
+
+
 def test_lift_window_zeroes_value_and_gradient(rng):
     """Inside the slab |s| <= window the lift is f(x) with gradient [grad f, 0];
     outside both are 0, and a field without gradient lifts without one."""
