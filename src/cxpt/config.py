@@ -10,13 +10,15 @@ Recognized keys (defaults in parentheses):
     quadrature.sphere.order     (24)   polar order s on S^2 (azimuth 2s); S^1 has
                                        8s/3 nodes, and S^3 and S^4 take 7s/12 and
                                        5s/12 polar nodes per level and a base
-                                       circle of twice that (all rounded down)
+                                       circle of twice that (all rounded down);
+                                       the finest rule of the source actions
     default.a                   (1.0)  default |y| for CLI demos
 
 The two orders make up the ``numerics.Quadrature`` that ``Config.quadrature``
 returns and the CLI hands to every subcommand.  Unknown keys and malformed
-lines are rejected with the line number; all orders must be >= 4 and
-``default.a`` positive and at most 1e150.
+lines are rejected with the line number and key; the interval order must
+be >= 4, the sphere order >= 5 (``Quadrature`` checks it) and ``default.a``
+positive and at most 1e150.
 """
 
 from __future__ import annotations
@@ -48,8 +50,13 @@ def _order(text: str) -> int:
     return val
 
 
+def _sphere_order(text: str) -> int:
+    return Quadrature(sphere_order=int(text)).sphere_order
+
+
 #: Largest coordinate magnitude the CLI accepts (in ``default.a`` and vector
-#: flags): squares of larger ones overflow in the complex distance.
+#: flags): squares of larger ones overflow in ``geometry.classify_point`` and the
+#: potentials.
 _COORDINATE_BOUND = 1e150
 
 
@@ -64,7 +71,7 @@ def _positive_float(text: str) -> float:
 
 DOCUMENTED_KEYS = {
     "quadrature.interval.order": ("interval_order", _order),
-    "quadrature.sphere.order": ("sphere_order", _order),
+    "quadrature.sphere.order": ("sphere_order", _sphere_order),
     "default.a": ("default_a", _positive_float),
 }
 
@@ -88,7 +95,7 @@ def load_config(path: str) -> Config:
         try:
             updates[attr] = parser(value.strip())
         except ValueError as exc:
-            raise ConfigParseError(f"{path}:{lineno}: {exc}") from exc
+            raise ConfigParseError(f"{path}:{lineno}: {key}: {exc}") from exc
     return replace(Config(), **updates)
 
 

@@ -139,11 +139,20 @@ def complex_distance(z: ComplexPoint, side: int = FRONT) -> ComplexDistance:
     """Principal branch of gamma(z) = sqrt(z.z) with Re gamma >= 0.
 
     On the branch disk (Re gamma = 0) the imaginary part is double
-    valued; ``side`` (+1 front, -1 back) selects the sheet.
+    valued; ``side`` (+1 front, -1 back) selects the sheet.  Where the
+    squares of x and y would leave the float range (entries beyond 2^+-500),
+    they are taken of x and y scaled by the power of two just above their
+    largest entry, so that no finite input overflows.
     """
-    w = complex(z.r**2 - z.a**2, 2.0 * float(z.x @ z.y))
+    x, y, scale = z.x, z.y, 1.0
+    big = max(map(abs, x.tolist() + y.tolist()))
+    if not 2.0**-500 < big < 2.0**500:
+        scale = math.ldexp(1.0, math.frexp(big)[1])
+        x, y = x / scale, y / scale
+    w = complex(float(np.linalg.norm(x)) ** 2 - float(np.linalg.norm(y)) ** 2,
+                2.0 * float(x @ y))
     g = cmath.sqrt(w)  # principal root already has Re >= 0
-    p, q = g.real, g.imag
+    p, q = g.real * scale, g.imag * scale
     if p == 0.0 and side < 0:
         q = -abs(q)
     elif p == 0.0:

@@ -119,6 +119,11 @@ def sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
+#: Least ``Quadrature.sphere_order``: the least whose S^4 rule, (2, 2, 2, 4),
+#: has a base circle of the 3 nodes ``circle_rule`` needs.
+MIN_SPHERE_ORDER = 5
+
+
 @dataclass(frozen=True)
 class Quadrature:
     """Quadrature orders of every layer: one per rule family, the two order keys
@@ -128,11 +133,21 @@ class Quadrature:
     2N+1-node Gauss-Kronrod q-integrals of the singular actions and the
     regularized action's panels, and the N-node Gauss-Legendre radii, rays,
     Duffy square and box faces of ``clifford``.  ``sphere_order`` s sets the
-    product rules on S^1 through S^4 (see ``sphere_orders``).
+    product rules on S^1 through S^4 (see ``sphere_orders``); it must be at
+    least ``MIN_SPHERE_ORDER``.
+    The wave solver and ``clifford`` take the rule of s itself.  For the
+    source actions s is the finest rule: each action on S^2 and up takes the
+    smallest rule of a ladder below it that agrees with it on a probe (see
+    ``source``).
     """
 
     interval_order: int = 16
     sphere_order: int = 24
+
+    def __post_init__(self) -> None:
+        if self.sphere_order < MIN_SPHERE_ORDER:
+            raise ValueError(
+                f"sphere_order must be >= {MIN_SPHERE_ORDER}, got {self.sphere_order}")
 
     def sphere_orders(self, dim: int) -> tuple[int, ...]:
         """Per-level node counts of the product rule on S^dim, outermost level first.

@@ -37,9 +37,23 @@ shared kernel ``numerics.sphere_sums`` (at most ``numerics.MAX_POINTS``
 points per field call): one pass over f and its exact gradient when the
 field has one, and when it does not one pass over f at each sphere point
 and at the nodes of its central difference (step ``ZETA_STEP``) along
-the slope direction.  The singular actions interpolate the means in
-u = rho^2, where they are smooth, on 16-node Chebyshev panels in u that are
-halved until their trailing coefficients reach rounding level, or raise
+the slope direction.
+
+``Quadrature.sphere_order`` sets the finest sphere rule an action may use.
+Once per action ``_AxialField.fit_rule`` probes the field on four spheres
+up to the largest radius the action samples, with the finest rule and
+then with the rungs of a ladder below it (``RUNGS`` eighths of the
+order), and keeps the first rung that agrees with the finest rule to
+``U_ROUNDING`` of the field scale, else the finest rule, whose last
+rung's disagreement then joins the n = 3 and regularized error
+estimates.  Rules small enough that a u-panel of them fits one field
+call (S^1 at the default order) and the one-sphere n = 4 singular
+action use the finest rule directly.  The wave solver and ``clifford``
+always use the rule of ``sphere_order`` itself.
+
+The singular actions interpolate the means in u = rho^2, where they
+are smooth, on 16-node Chebyshev panels in u that are halved until their
+trailing coefficients reach rounding level, or raise
 ``ConvergenceError`` below a^2 / 2^8.  The even-n actions take their rim
 derivatives inside one panel centred on u = a^2.  The odd-n ones take
 the rim Taylor terms and the Taylor-subtracted q-quotient by exact
@@ -51,14 +65,15 @@ that grow by ``THETA_GROWTH`` from eps / a, each one Gauss-Kronrod call,
 and halves the panel with the largest |K - G| until the estimates sum to
 ``U_ROUNDING`` of Sum |K|, raising ``ConvergenceError`` once a panel has
 been halved ``U_SPLITS`` times.  ``_regularized`` also returns its error
-estimate, (Sum |K - G| + 2^-52 Sum |K|) times the prefactor; the second
-term is the rounding floor of the kernel's cancellation at small eps.
+estimate, (Sum |K - G| + (2^-52 + rule_error) Sum |K|) times the
+prefactor; the 2^-52 term is the rounding floor of the kernel's
+cancellation at small eps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -76,6 +91,7 @@ from .fields import TestField, _lift, constant, coordinate
 from .geometry import oblate_rho_zeta
 from .numerics import (
     MAX_POINTS,
+    MIN_SPHERE_ORDER,
     FDScheme,
     Quadrature,
     fd_stencil,
@@ -113,6 +129,10 @@ U_ROUNDING = 1e-13
 U_SPLITS = 8
 #: Ratio of consecutive theta-panel ends of the regularized action, from eps / a.
 THETA_GROWTH = 4.0
+#: Probe radii of a sphere-rule choice in u = rho^2, as fractions of rho_max^2,
+#: and the ladder's rungs below the finest rule, in eighths of its order.
+PROBE_U = (1.0, 0.75, 0.5, 0.25)
+RUNGS = range(2, 8)
 
 
 @dataclass(frozen=True)
@@ -161,7 +181,9 @@ class _AxialField:
     ``sample`` gives fbar(rho, zeta) over the (n-2)-sphere in y-perp and
     its slope, the mean of grad f . (drho omega + dzeta y_hat), at arrays
     of (rho, zeta) nodes; ``u_panels`` turns functions of u = rho^2 built
-    from them into piecewise Chebyshev interpolants.
+    from them into piecewise Chebyshev interpolants.  ``fit_rule`` picks
+    the sphere rule they use, once per action; until then it is the finest,
+    that of ``quadrature.sphere_order``.
     """
 
     def __init__(self, f: TestField, y: np.ndarray, n: int,
@@ -175,10 +197,12 @@ class _AxialField:
         if self.a == 0.0:
             raise ValueError("axis vector y must be nonzero here")
         self.yhat = self.y / self.a
-        frame = orthonormal_complement_frame(self.y)
-        rule = sphere_rule(n - 2, quadrature.sphere_orders(n - 2))
-        self._dirs = rule.nodes @ frame.T      # (m, n) unit vectors in y-perp
-        self._weights = rule.weights
+        self._frame = orthonormal_complement_frame(self.y)
+        self._quadrature = quadrature
+        self._use_rule(quadrature.sphere_orders(n - 2))
+        #: largest disagreement of the ladder's last rung with the finest rule, in
+        #: units of the field scale, when no rung agreed (else 0)
+        self.rule_error = 0.0
         # distinct nodes and folded weights of the slopes' central difference
         self._steps, self._step_weights = fd_stencil(
             0.0, FDScheme(h=ZETA_STEP * self.a, order=4, richardson=True))
@@ -186,18 +210,76 @@ class _AxialField:
         self.slope_noise = 1.0 if f.gradient is not None else max(
             1.0, np.finfo(float).eps * self.a * np.abs(self._step_weights).sum() / U_ROUNDING)
 
+    def _use_rule(self, orders: tuple[int, ...]) -> None:
+        rule = sphere_rule(self.n - 2, orders)
+        self._dirs = rule.nodes @ self._frame.T      # (m, n) unit vectors in y-perp
+        self._weights = rule.weights
+
+    def fit_rule(self, rho_max: float) -> np.ndarray | None:
+        """Use the smallest rule of the ladder that agrees with the finest one.
+
+        The probe takes, in one ``sample`` pass per rule, the mean, a times
+        the omega- and y_hat-slopes and the mean of |f| on the spheres about
+        0 of radii rho_max sqrt(``PROBE_U``); rho_max is the largest radius
+        the action samples.  After the finest rule the rungs
+        ``sphere_order`` j / 8, j in ``RUNGS``, are tried upwards, each
+        distinct valid rule once, and the first whose probe agrees with the
+        finest one's within ``U_ROUNDING`` times the field scale (the largest
+        of those samples and means of |f|), times ``slope_noise`` for the
+        slopes, is kept.  If none agrees the finest rule stays and
+        ``rule_error`` takes the last rung's largest disagreement in that
+        scale.
+
+        A rule whose ``U_NODES`` nodes of a u-panel fit in one field call is
+        used directly: there the probe's passes cost more than the points
+        they save.  Returns the finest rule's means of |f| at the probe
+        radii, or None when it did not probe.
+        """
+        if U_NODES * self._weights.size <= MAX_POINTS:
+            return None
+        radii = rho_max * np.sqrt(PROBE_U)[:, None]
+
+        def probe() -> tuple[np.ndarray, np.ndarray]:
+            fbar, slopes, magnitude = self.sample(radii, 0.0, np.array([1.0, 0.0]),
+                                                  np.array([0.0, 1.0]), magnitude=True)
+            return np.column_stack([fbar, self.a * slopes]), magnitude[:, 0]
+
+        finest_orders = self._quadrature.sphere_orders(self.n - 2)
+        finest, magnitude = probe()
+        scale = max(float(magnitude.max()), float(np.abs(finest).max()))
+        tolerance = U_ROUNDING * scale * np.array([1.0, self.slope_noise, self.slope_noise])
+        tried, gap = {finest_orders}, None
+        for j in RUNGS:
+            order = self._quadrature.sphere_order * j // 8
+            if order < MIN_SPHERE_ORDER:
+                continue
+            orders = replace(self._quadrature, sphere_order=order).sphere_orders(self.n - 2)
+            if orders in tried:
+                continue
+            tried.add(orders)
+            self._use_rule(orders)
+            gap = np.abs(probe()[0] - finest).max(axis=0)
+            if np.all(gap <= tolerance):
+                return magnitude
+        if gap is not None:
+            self.rule_error = float(gap.max()) / scale if scale else math.inf
+        self._use_rule(finest_orders)
+        return magnitude
+
     def _sphere_sums(self, rho: np.ndarray, zeta: np.ndarray, values,
                      max_points: int = MAX_POINTS) -> np.ndarray:
         """``numerics.sphere_sums`` over the (n-2)-spheres about zeta y_hat of radius rho."""
         return sphere_sums(values, zeta[:, None] * self.yhat, rho, self._dirs, self._weights,
                            max_points)
 
-    def sample(self, rho, zeta, drho, dzeta) -> tuple[np.ndarray, np.ndarray]:
+    def sample(self, rho, zeta, drho, dzeta, magnitude: bool = False) -> tuple[np.ndarray, ...]:
         """fbar(rho, zeta) and the mean of grad f . (drho omega + dzeta y_hat).
 
         The mean has the broadcast shape of (rho, zeta), the slope that of
-        all four; both come from one sphere pass.  With an exact gradient it
-        runs at the (rho, zeta) nodes over f, omega . grad f and y_hat . grad f.
+        all four; both come from one sphere pass, which with ``magnitude``
+        also gives a third array, the mean of |f| in the mean's shape.  With
+        an exact gradient it runs at the (rho, zeta) nodes over f,
+        omega . grad f and y_hat . grad f.
         Without one it runs at the nodes of all four over f and the central
         difference (step ``ZETA_STEP``) of f along each point's slope
         direction drho omega + dzeta y_hat, with a seventh of the points per
@@ -217,26 +299,34 @@ class _AxialField:
                          + dzeta_flat[nodes, None, None] * self.yhat)
                 every = np.concatenate([pts[None], pts + steps[:, None, None, None] * shift])
                 vals = self.f.evaluate(every.reshape(-1, self.n)).reshape(every.shape[:3])
-                return np.stack([vals[0], np.tensordot(weights, vals[1:], axes=1)], axis=-1)
+                columns = [vals[0], np.tensordot(weights, vals[1:], axes=1)]
+                return np.stack(columns + [np.abs(vals[0])] if magnitude else columns, axis=-1)
 
             sums = self._sphere_sums(rho.ravel(), zeta.ravel(), stencil,
-                                     MAX_POINTS // (1 + steps.size)).reshape(rho.shape + (2,))
+                                     MAX_POINTS // (1 + steps.size))
+            sums = sums.reshape(rho.shape + sums.shape[-1:])
             # the mean repeats along the axes only (drho, dzeta) span: keep index 0 there
             padded = (1,) * (rho.ndim - len(nodes_rz)) + nodes_rz
             keep = tuple(slice(None) if m > 1 else slice(0, 1) for m in padded)
-            return sums[..., 0][keep].reshape(nodes_rz), sums[..., 1]
+            means = sums[keep].reshape(nodes_rz + sums.shape[-1:])
+            out = (means[..., 0], sums[..., 1])
+            return out + (means[..., 2].real,) if magnitude else out
 
         def values(pts, dirs, nodes):
             flat = pts.reshape(-1, self.n)
             grad = self.f.gradient_at(flat).reshape(pts.shape)
-            block = np.empty(pts.shape[:2] + (3,), dtype=complex)
+            block = np.empty(pts.shape[:2] + (3 + magnitude,), dtype=complex)
             block[..., 0] = self.f.evaluate(flat).reshape(pts.shape[:2])
             block[..., 1] = np.einsum("bdn,dn->bd", grad, dirs)
             block[..., 2] = grad @ self.yhat
+            if magnitude:
+                block[..., 3] = np.abs(block[..., 0])
             return block
 
-        sums = self._sphere_sums(rho.ravel(), zeta.ravel(), values).reshape(rho.shape + (3,))
-        return sums[..., 0], drho * sums[..., 1] + dzeta * sums[..., 2]
+        sums = self._sphere_sums(rho.ravel(), zeta.ravel(), values)
+        sums = sums.reshape(rho.shape + sums.shape[-1:])
+        out = (sums[..., 0], drho * sums[..., 1] + dzeta * sums[..., 2])
+        return out + (sums[..., 3].real,) if magnitude else out
 
     # -- functions of u = rho^2 on the disk ---------------------------------
     def u_panels(self, fun, noise: Sequence[float], cover: bool = True) -> list[list[Chebyshev]]:
@@ -253,8 +343,13 @@ class _AxialField:
         down, and it is resolved against the rim mean of |f| and its own
         samples, since a rim derivative is as small as the field there.
         """
-        magnitude = point_values(lambda pts: np.abs(self.f.evaluate(pts)))
-        rim = float(self._sphere_sums(np.array([self.a]), np.zeros(1), magnitude)[0].real)
+        # the probe's first radius is the rim when the panels cover [0, a^2]
+        probed = self.fit_rule(self.a if cover else self.a * math.sqrt(1.5))
+        if cover and probed is not None:
+            rim = float(probed[0])
+        else:
+            magnitude = point_values(lambda pts: np.abs(self.f.evaluate(pts)))
+            rim = float(self._sphere_sums(np.array([self.a]), np.zeros(1), magnitude)[0].real)
         level, a2 = rim, self.a**2
         todo, panels = [(0.0, a2, 0) if cover else (0.5 * a2, 1.5 * a2, 0)], []
         while todo:
@@ -381,7 +476,7 @@ def singular_action_r3(f: TestField, y: Sequence[float] | np.ndarray,
         return a * _tail(g_hat) * (1.0 / math.sqrt(a**2 - hi) - 1.0 / math.sqrt(a**2 - lo))
 
     tails = sum(single_tail(g) + _tail(ah) for g, ah in zip(g_pieces, ah_pieces))
-    err = a * err1 + err2 / a + tails + 1e-15 * (abs(l0) + abs(l1) + abs(l2))
+    err = a * err1 + err2 / a + tails + (1e-15 + af.rule_error) * (abs(l0) + abs(l1) + abs(l2))
     value = l0 + l1 + 1j * l2
     return SourceAction(value, {"rim": l0, "single_layer": l1, "double_layer": 1j * l2}, err)
 
@@ -478,8 +573,9 @@ def regularized_action(f: TestField, y: Sequence[float] | np.ndarray, n: int,
 
 def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
                  eps: float, quadrature: Quadrature = Quadrature()) -> SourceAction:
-    """``regularized_action`` with its error estimate: (Sum |K - G| + 2^-52 Sum |K|)
-    times the prefactor, the second term the floor of the kernel's cancellation."""
+    """``regularized_action`` with its error estimate: (Sum |K - G| + (2^-52 +
+    rule_error) Sum |K|) times the prefactor, 2^-52 the floor of the kernel's
+    cancellation and ``rule_error`` the sphere-rule ladder's, if it fell back."""
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if not 3 <= n <= 6:
@@ -491,6 +587,7 @@ def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
     af = _AxialField(f, y, n, quadrature)
     a = af.a
     nu = (n - 3) / 2.0
+    af.fit_rule(math.hypot(a, eps))
 
     def integrand(theta: np.ndarray) -> np.ndarray:
         q = a * np.sin(theta)
@@ -530,7 +627,7 @@ def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
         panels[worst:worst + 1] = [panel(lo, mid, depth + 1), panel(mid, hi, depth + 1)]
     prefactor = (a**2 + eps**2) ** (nu + 1.0) / (a ** (n - 2) * _omega_ratio(n))
     value = prefactor * sum(part.value for *_, part in panels)
-    return SourceAction(value, None, prefactor * (error + 2.0**-52 * scale))
+    return SourceAction(value, None, prefactor * (error + (2.0**-52 + af.rule_error) * scale))
 
 
 def moments(n: int, y: Sequence[float] | np.ndarray,

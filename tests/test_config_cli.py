@@ -531,6 +531,24 @@ def test_cli_config_flag(tmp_path, capsys):
     assert "order must be >=" in err
 
 
+def test_sphere_order_below_5_is_refused_where_it_is_set(tmp_path, capsys):
+    """Order 4 gives S^4 the rule (1, 1, 1, 2), whose 2-node base circle no sphere
+    rule accepts: Quadrature refuses it when built, and the config file at load,
+    naming the key, before any subcommand runs."""
+    with pytest.raises(ValueError, match="sphere_order must be >= 5, got 4"):
+        Quadrature(sphere_order=4)
+    for dim in range(1, 5):
+        sphere_rule(dim, Quadrature(sphere_order=5).sphere_orders(dim))
+    path = write(tmp_path, "quadrature.sphere.order = 4\n")
+    with pytest.raises(ConfigParseError, match=":1: quadrature.sphere.order: .*>= 5, got 4"):
+        load_config(path)
+    code, out, err = run_cli(capsys, ["--config", path, "source-action", "--n", "6",
+                                      "--field", "polynomial:0,0,0,0,0,0=1"])
+    assert code == 1 and out == ""
+    assert "quadrature.sphere.order" in err and "circle rule" not in err
+    assert load_config(write(tmp_path, "quadrature.sphere.order = 5\n")).sphere_order == 5
+
+
 def test_cli_deterministic_output(capsys):
     argv = ["source-action", "--n", "3", "--y", "0,0,1", "--field", "gaussian:1.0"]
     _, out1, _ = run_cli(capsys, argv)

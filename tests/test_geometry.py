@@ -48,6 +48,17 @@ def test_gamma_axis_example():
     assert d.q == 0.0
 
 
+def test_gamma_is_finite_for_large_and_tiny_inputs():
+    """Squares of entries near 1e300 overflow and near 1e-300 underflow; pytest turns
+    numpy's overflow warning into an error, so these pass only without one."""
+    d = complex_distance(ComplexPoint([1e300, 0, 0], [0, 0, 1]))
+    assert (d.p, d.q) == (1e300, 0.0)
+    d = complex_distance(ComplexPoint([3e200, 0, 0], [4e200, 0, 0]))
+    assert (d.p, d.q) == (3e200, 4e200)
+    d = complex_distance(ComplexPoint([3e-300, 0, 0], [0, 4e-300, 0]))
+    assert d.p == 0.0 and d.q == pytest.approx(math.sqrt(7.0) * 1e-300, rel=1e-15)
+
+
 def test_gamma_reduces_to_r_when_y_zero(rng):
     for _ in range(10):
         x = rng.normal(size=4)

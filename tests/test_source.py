@@ -481,6 +481,101 @@ def test_gradient_free_sample_is_one_pass(monkeypatch):
                                   abs=1e-13)
 
 
+def _cubic(n):
+    """Re (x_1 + i x_2)^3, harmonic: its action is Re (-i y_1 + y_2)^3 at y."""
+    return polynomial(n, {(3,) + (0,) * (n - 1): 1.0, (1, 2) + (0,) * (n - 2): -3.0})
+
+
+def test_probe_passes_are_counted_apart(monkeypatch):
+    """The rule choice takes one sphere pass per rule it probes: the finest and, on a
+    cubic, the first rung.  The action then takes one pass per u-panel, plus the rim
+    pass of |f| at even n; at odd n the probe's first radius is the rim."""
+    passes, where = {"probe": 0, "action": 0}, ["action"]
+    kernel, fit = source.sphere_sums, _AxialField.fit_rule
+
+    def counted_kernel(*args, **kwargs):
+        passes[where[-1]] += 1
+        return kernel(*args, **kwargs)
+
+    def counted_fit(self, rho_max):
+        where.append("probe")
+        try:
+            return fit(self, rho_max)
+        finally:
+            where.pop()
+
+    monkeypatch.setattr(source, "sphere_sums", counted_kernel)
+    monkeypatch.setattr(_AxialField, "fit_rule", counted_fit)
+    for n, action_passes in ((5, 1), (6, 2)):
+        passes.update(probe=0, action=0)
+        y = np.zeros(n)
+        y[0], y[-1] = 0.6, 0.8
+        assert singular_action(_cubic(n), y, n) == pytest.approx(0.216j, abs=1e-13)
+        assert passes == {"probe": 2, "action": action_passes}, n
+
+
+def test_n6_cubic_evaluator_points():
+    """Machine-independent cost of an n = 6 action: 340,000 points with the finest
+    S^4 rule at its 16 u-nodes and the rim (17 x 20,000); now the probe's 4 x 20,000
+    and 4 x 32 points, and 17 x 32 with the rule (2, 2, 2, 4) it picks."""
+    counted, sizes = _counting(_cubic(6))
+    y = np.array([0.6, 0.0, 0.0, 0.0, 0.0, 0.8])
+    assert singular_action(counted, y, 6) == pytest.approx(0.216j, abs=1e-13)
+    assert sum(sizes["evaluate"]) == 80_672
+
+
+def _forced_finest(monkeypatch, act):
+    """``act()`` with the finest rule forced: ``fit_rule`` keeps it without probing."""
+    with monkeypatch.context() as patch:
+        patch.setattr(_AxialField, "fit_rule", lambda self, rho_max: None)
+        return act()
+
+
+def _ladder_fields(n):
+    f_sharp, _ = _harmonic_exponential(n, 2.5)
+    free = TestField(gaussian(1.3, center=np.full(n, 0.1)).evaluator, name="gradient-free")
+    # the rim sphere of y below passes 0.93 from the centre: there |f| is about 1e-6
+    narrow = gaussian(0.25, center=np.r_[0.55, np.zeros(n - 2), 0.3])
+    return {"sharp harmonic": f_sharp, "gradient-free": free, "narrow off-axis": narrow}
+
+
+@pytest.mark.parametrize("field", ["sharp harmonic", "gradient-free", "narrow off-axis"])
+@pytest.mark.parametrize("kind", ["singular", "regularized"])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_rule_ladder_matches_the_finest_rule(monkeypatch, n, kind, field):
+    """The rule each action picks gives its value with the finest rule within the odd-n
+    rim floor, on fewer points where the field is smooth."""
+    f = _ladder_fields(n)[field]
+    y = np.zeros(n)
+    y[0], y[-1] = 0.6, 0.8
+
+    def act():
+        sizes = []
+        counted = dataclasses.replace(
+            f, evaluator=lambda pts: sizes.append(pts.shape[0]) or f.evaluator(pts))
+        value = (singular_action(counted, y, n) if kind == "singular"
+                 else regularized_action(counted, y, n, 0.3))
+        return value, sum(sizes)
+
+    (got, points), (want, finest_points) = act(), _forced_finest(monkeypatch, act)
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+    if field == "gradient-free" and (n > 4 or kind == "regularized"):
+        assert points < finest_points / 1.5
+
+
+def test_rule_fallback_joins_the_error_estimate():
+    """exp(i k.x), k = 20 (1, i, 0, 0), about y = (0.6, 0, 0, 0.8) at eps = 0.1 needs
+    more than the finest S^2 rule (24, 48), which is off by 1.7e-5 relative; no rung
+    agrees with it, and the last rung's disagreement joins the estimate (4.4e-13
+    relative without it)."""
+    f, _ = _harmonic_exponential(4, 20j)
+    y = np.array([0.6, 0.0, 0.0, 0.8])
+    act = _regularized(f, y, 4, 0.1)
+    dense = _regularized(f, y, 4, 0.1, Quadrature(sphere_order=48)).value
+    assert abs(act.value - dense) <= act.err_estimate <= 1e-3 * abs(dense)
+    assert abs(act.value - dense) >= 1e-5 * abs(dense)
+
+
 def test_gradient_free_sample_shapes():
     """The mean keeps the shape of (rho, zeta) and the slope takes that of all four,
     as with an exact gradient, whose values the stencil matches."""
