@@ -16,9 +16,9 @@ Recognized keys (defaults in parentheses):
 
 The two orders make up the ``numerics.Quadrature`` that ``Config.quadrature``
 returns and the CLI hands to every subcommand.  Unknown keys and malformed
-lines are rejected with the line number and key; the interval order must
-be >= 4, the sphere order >= 5 (``Quadrature`` checks it) and ``default.a``
-positive and at most 1e150.
+lines are rejected with the line number and key; ``Quadrature`` checks the
+orders (the interval order must be >= 4, the sphere order >= 5) and
+``default.a`` must be positive and at most 1e150.
 """
 
 from __future__ import annotations
@@ -43,15 +43,9 @@ class Config:
         return Quadrature(interval_order=self.interval_order, sphere_order=self.sphere_order)
 
 
-def _order(text: str) -> int:
-    val = int(text)
-    if val < 4:
-        raise ValueError(f"order must be >= 4, got {val}")
-    return val
-
-
-def _sphere_order(text: str) -> int:
-    return Quadrature(sphere_order=int(text)).sphere_order
+def _order(attr: str):
+    """Parser of the ``Quadrature`` order ``attr``, which ``Quadrature`` checks."""
+    return lambda text: getattr(Quadrature(**{attr: int(text)}), attr)
 
 
 #: Largest coordinate magnitude the CLI accepts (in ``default.a`` and vector
@@ -70,8 +64,8 @@ def _positive_float(text: str) -> float:
 
 
 DOCUMENTED_KEYS = {
-    "quadrature.interval.order": ("interval_order", _order),
-    "quadrature.sphere.order": ("sphere_order", _sphere_order),
+    "quadrature.interval.order": ("interval_order", _order("interval_order")),
+    "quadrature.sphere.order": ("sphere_order", _order("sphere_order")),
     "default.a": ("default_a", _positive_float),
 }
 

@@ -119,6 +119,8 @@ def sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
+#: Least ``Quadrature.interval_order`` accepted.
+MIN_INTERVAL_ORDER = 4
 #: Least ``Quadrature.sphere_order``: the least whose S^4 rule, (2, 2, 2, 4),
 #: has a base circle of the 3 nodes ``circle_rule`` needs.
 MIN_SPHERE_ORDER = 5
@@ -133,21 +135,22 @@ class Quadrature:
     2N+1-node Gauss-Kronrod q-integrals of the singular actions and the
     regularized action's panels, and the N-node Gauss-Legendre radii, rays,
     Duffy square and box faces of ``clifford``.  ``sphere_order`` s sets the
-    product rules on S^1 through S^4 (see ``sphere_orders``); it must be at
-    least ``MIN_SPHERE_ORDER``.
+    product rules on S^1 through S^4 (see ``sphere_orders``).  The orders
+    must be at least ``MIN_INTERVAL_ORDER`` and ``MIN_SPHERE_ORDER``.
     The wave solver and ``clifford`` take the rule of s itself.  For the
     source actions s is the finest rule: each action on S^2 and up takes the
-    smallest rule of a ladder below it that agrees with it on a probe (see
-    ``source``).
+    smallest rule of a ladder below it that agrees with the next rule up on
+    a probe (see ``source``).
     """
 
     interval_order: int = 16
     sphere_order: int = 24
 
     def __post_init__(self) -> None:
-        if self.sphere_order < MIN_SPHERE_ORDER:
-            raise ValueError(
-                f"sphere_order must be >= {MIN_SPHERE_ORDER}, got {self.sphere_order}")
+        for name, least in (("interval_order", MIN_INTERVAL_ORDER),
+                            ("sphere_order", MIN_SPHERE_ORDER)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
     def sphere_orders(self, dim: int) -> tuple[int, ...]:
         """Per-level node counts of the product rule on S^dim, outermost level first.

@@ -40,14 +40,17 @@ and at the nodes of its central difference (step ``ZETA_STEP``) along
 the slope direction.
 
 ``Quadrature.sphere_order`` sets the finest sphere rule an action may use.
-Once per action ``_AxialField.fit_rule`` probes the field on four spheres
-up to the largest radius the action samples, with the finest rule and
-then with the rungs of a ladder below it (``RUNGS`` eighths of the
-order), and keeps the first rung that agrees with the finest rule to
-``U_ROUNDING`` of the field scale, else the finest rule, whose last
-rung's disagreement then joins the n = 3 and regularized error
-estimates.  Rules small enough that a u-panel of them fits one field
-call (S^1 at the default order) and the one-sphere n = 4 singular
+Once, at its start, each action calls ``_AxialField.fit_rule``, which
+probes the field on spheres that span those the action samples: about 0
+at four radii up to the largest (a for n = 3, 5, a sqrt(1.5) for the
+n = 6 panel) for the singular actions, and on the spheroid p = eps at
+seven q of both signs for the regularized one.  It walks a ladder of
+rules (``RUNGS`` eighths of the order, then the finest) upwards and
+keeps the first rung whose probe agrees with the next rung's to
+``U_ROUNDING`` of the field scale; if none does, the finest rule stays,
+and the top rung's disagreement with it joins the n = 3 and regularized
+error estimates.  Rules small enough that a u-panel of them fits one
+field call (S^1 at the default order) and the one-sphere n = 4 singular
 action use the finest rule directly.  The wave solver and ``clifford``
 always use the rule of ``sphere_order`` itself.
 
@@ -129,8 +132,9 @@ U_ROUNDING = 1e-13
 U_SPLITS = 8
 #: Ratio of consecutive theta-panel ends of the regularized action, from eps / a.
 THETA_GROWTH = 4.0
-#: Probe radii of a sphere-rule choice in u = rho^2, as fractions of rho_max^2,
-#: and the ladder's rungs below the finest rule, in eighths of its order.
+#: Probe spheres of a sphere-rule choice in u = rho^2, as fractions of the
+#: largest rho^2 the action samples, and the ladder's rungs below the finest
+#: rule, in eighths of its order.
 PROBE_U = (1.0, 0.75, 0.5, 0.25)
 RUNGS = range(2, 8)
 
@@ -183,7 +187,9 @@ class _AxialField:
     of (rho, zeta) nodes; ``u_panels`` turns functions of u = rho^2 built
     from them into piecewise Chebyshev interpolants.  ``fit_rule`` picks
     the sphere rule they use, once per action; until then it is the finest,
-    that of ``quadrature.sphere_order``.
+    that of ``quadrature.sphere_order``.  ``fit_disk_rule`` is ``fit_rule``
+    for the singular actions' disk and gives the rim mean of |f| that
+    ``u_panels`` resolves against.
     """
 
     def __init__(self, f: TestField, y: np.ndarray, n: int,
@@ -199,8 +205,9 @@ class _AxialField:
         self.yhat = self.y / self.a
         self._frame = orthonormal_complement_frame(self.y)
         self._quadrature = quadrature
+        self._orders = None     # the per-level node counts of the rule in use
         self._use_rule(quadrature.sphere_orders(n - 2))
-        #: largest disagreement of the ladder's last rung with the finest rule, in
+        #: largest disagreement of the ladder's top rung with the finest rule, in
         #: units of the field scale, when no rung agreed (else 0)
         self.rule_error = 0.0
         # distinct nodes and folded weights of the slopes' central difference
@@ -211,60 +218,80 @@ class _AxialField:
             1.0, np.finfo(float).eps * self.a * np.abs(self._step_weights).sum() / U_ROUNDING)
 
     def _use_rule(self, orders: tuple[int, ...]) -> None:
+        if orders == self._orders:
+            return
+        self._orders = orders
         rule = sphere_rule(self.n - 2, orders)
         self._dirs = rule.nodes @ self._frame.T      # (m, n) unit vectors in y-perp
         self._weights = rule.weights
 
-    def fit_rule(self, rho_max: float) -> np.ndarray | None:
-        """Use the smallest rule of the ladder that agrees with the finest one.
+    def fit_rule(self, rho: np.ndarray, zeta: np.ndarray | float) -> np.ndarray | None:
+        """Use the smallest rule of the ladder that agrees with the next rule up.
 
         The probe takes, in one ``sample`` pass per rule, the mean, a times
-        the omega- and y_hat-slopes and the mean of |f| on the spheres about
-        0 of radii rho_max sqrt(``PROBE_U``); rho_max is the largest radius
-        the action samples.  After the finest rule the rungs
-        ``sphere_order`` j / 8, j in ``RUNGS``, are tried upwards, each
-        distinct valid rule once, and the first whose probe agrees with the
-        finest one's within ``U_ROUNDING`` times the field scale (the largest
-        of those samples and means of |f|), times ``slope_noise`` for the
-        slopes, is kept.  If none agrees the finest rule stays and
-        ``rule_error`` takes the last rung's largest disagreement in that
-        scale.
+        the omega- and y_hat-slopes and the mean of |f| on the spheres of
+        radii ``rho`` about ``zeta`` y_hat, which should span the spheres the
+        action samples.  The ladder is the rules of ``sphere_order`` j / 8,
+        j in ``RUNGS``, then the finest rule, each distinct valid rule once.
+        Walking it upwards, the first rung whose probe agrees with the next
+        rung's within ``U_ROUNDING`` times the field scale (the largest of
+        every sample and mean of |f| so far), times ``slope_noise`` for the
+        slopes, is kept.  If none agrees, or the field scale is 0 (a field
+        that vanishes on every probe sphere), the finest rule is kept, and
+        ``rule_error`` takes the top rung's largest disagreement with it in
+        that scale.  Each call starts from the finest rule and a
+        ``rule_error`` of 0.
 
         A rule whose ``U_NODES`` nodes of a u-panel fit in one field call is
         used directly: there the probe's passes cost more than the points
-        they save.  Returns the finest rule's means of |f| at the probe
-        radii, or None when it did not probe.
+        they save.  Returns the means of |f| at the probe spheres from the
+        highest rule probed, or None when it did not probe.
         """
-        if U_NODES * self._weights.size <= MAX_POINTS:
-            return None
-        radii = rho_max * np.sqrt(PROBE_U)[:, None]
-
-        def probe() -> tuple[np.ndarray, np.ndarray]:
-            fbar, slopes, magnitude = self.sample(radii, 0.0, np.array([1.0, 0.0]),
-                                                  np.array([0.0, 1.0]), magnitude=True)
-            return np.column_stack([fbar, self.a * slopes]), magnitude[:, 0]
-
-        finest_orders = self._quadrature.sphere_orders(self.n - 2)
-        finest, magnitude = probe()
-        scale = max(float(magnitude.max()), float(np.abs(finest).max()))
-        tolerance = U_ROUNDING * scale * np.array([1.0, self.slope_noise, self.slope_noise])
-        tried, gap = {finest_orders}, None
+        finest = self._quadrature.sphere_orders(self.n - 2)
+        self._use_rule(finest)
+        self.rule_error = 0.0
+        ladder = []
         for j in RUNGS:
             order = self._quadrature.sphere_order * j // 8
-            if order < MIN_SPHERE_ORDER:
-                continue
-            orders = replace(self._quadrature, sphere_order=order).sphere_orders(self.n - 2)
-            if orders in tried:
-                continue
-            tried.add(orders)
+            if order >= MIN_SPHERE_ORDER:
+                orders = replace(self._quadrature, sphere_order=order).sphere_orders(self.n - 2)
+                if orders not in ladder and orders != finest:
+                    ladder.append(orders)
+        if U_NODES * self._weights.size <= MAX_POINTS or not ladder:
+            return None
+        ladder.append(finest)
+        rho, zeta = (np.broadcast_to(np.asarray(v, dtype=float), np.shape(rho))[:, None]
+                     for v in (rho, zeta))
+        scale, tolerance = 0.0, U_ROUNDING * np.array([1.0, self.slope_noise, self.slope_noise])
+
+        def probe(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+            nonlocal scale
             self._use_rule(orders)
-            gap = np.abs(probe()[0] - finest).max(axis=0)
-            if np.all(gap <= tolerance):
+            fbar, slopes, magnitude = self.sample(rho, zeta, np.array([1.0, 0.0]),
+                                                  np.array([0.0, 1.0]), magnitude=True)
+            sums = np.column_stack([fbar, self.a * slopes])
+            scale = max(scale, float(magnitude.max()), float(np.abs(sums).max()))
+            return sums, magnitude[:, 0]
+
+        low, _ = probe(ladder[0])
+        for rung, above in zip(ladder, ladder[1:]):
+            high, magnitude = probe(above)
+            gap = np.abs(high - low).max(axis=0)
+            if scale > 0.0 and np.all(gap <= tolerance * scale):
+                self._use_rule(rung)
                 return magnitude
-        if gap is not None:
-            self.rule_error = float(gap.max()) / scale if scale else math.inf
-        self._use_rule(finest_orders)
+            low = high
+        self.rule_error = float(gap.max()) / scale if scale > 0.0 else 0.0
         return magnitude
+
+    def fit_disk_rule(self, rho_max: float) -> float:
+        """``fit_rule`` on the spheres about 0 of radii rho_max sqrt(``PROBE_U``);
+        returns the rim mean of |f|, the first probe's when rho_max is a."""
+        probed = self.fit_rule(rho_max * np.sqrt(PROBE_U), 0.0)
+        if probed is not None and rho_max == self.a:
+            return float(probed[0])
+        magnitude = point_values(lambda pts: np.abs(self.f.evaluate(pts)))
+        return float(self._sphere_sums(np.array([self.a]), np.zeros(1), magnitude)[0].real)
 
     def _sphere_sums(self, rho: np.ndarray, zeta: np.ndarray, values,
                      max_points: int = MAX_POINTS) -> np.ndarray:
@@ -329,7 +356,8 @@ class _AxialField:
         return out + (sums[..., 3].real,) if magnitude else out
 
     # -- functions of u = rho^2 on the disk ---------------------------------
-    def u_panels(self, fun, noise: Sequence[float], cover: bool = True) -> list[list[Chebyshev]]:
+    def u_panels(self, fun, noise: Sequence[float], rim: float,
+                 cover: bool = True) -> list[list[Chebyshev]]:
         """Piecewise Chebyshev interpolants in u = rho^2, one list of panels per column.
 
         ``fun`` maps u-nodes to (nodes, q) samples in the units of f, whose
@@ -337,19 +365,12 @@ class _AxialField:
         field scale.  A panel is kept when every column's last three
         coefficients are below that rounding, and halved when not.  With
         ``cover`` the panels cover [0, a^2], the rim panel (the one ending
-        at a^2) last, and the scale is the largest of the rim mean of |f|
-        and every sample so far.  Without it there is one panel, centred on
-        a^2 so that rim derivatives are taken inside it, from [a^2/2, 3a^2/2]
-        down, and it is resolved against the rim mean of |f| and its own
+        at a^2) last, and the scale is the largest of ``rim``, the rim mean
+        of |f|, and every sample so far.  Without it there is one panel,
+        centred on a^2 so that rim derivatives are taken inside it, from
+        [a^2/2, 3a^2/2] down, and it is resolved against ``rim`` and its own
         samples, since a rim derivative is as small as the field there.
         """
-        # the probe's first radius is the rim when the panels cover [0, a^2]
-        probed = self.fit_rule(self.a if cover else self.a * math.sqrt(1.5))
-        if cover and probed is not None:
-            rim = float(probed[0])
-        else:
-            magnitude = point_values(lambda pts: np.abs(self.f.evaluate(pts)))
-            rim = float(self._sphere_sums(np.array([self.a]), np.zeros(1), magnitude)[0].real)
         level, a2 = rim, self.a**2
         todo, panels = [(0.0, a2, 0) if cover else (0.5 * a2, 1.5 * a2, 0)], []
         while todo:
@@ -373,7 +394,7 @@ class _AxialField:
         panels.sort(key=lambda panel: panel[0].domain[0])
         return [list(column) for column in zip(*panels)]
 
-    def g_panels(self, cover: bool = True) -> list[Chebyshev]:
+    def g_panels(self, rim: float, cover: bool = True) -> list[Chebyshev]:
         """g(u) = fbar + i (a^2-u)/((n-2) a) fbar_zeta at (sqrt(u), 0); F = u^{(n-3)/2} g."""
         a, n = self.a, self.n
 
@@ -381,7 +402,7 @@ class _AxialField:
             fbar, slope = self.sample(np.sqrt(u), 0.0, 0.0, 1.0)
             return (fbar + 1j * (a**2 - u) / ((n - 2) * a) * slope)[:, None]
 
-        return self.u_panels(g, [self.slope_noise], cover=cover)[0]
+        return self.u_panels(g, [self.slope_noise], rim, cover=cover)[0]
 
 
 def _chebyshev_fit(fun, nodes: int, domain: list[float]) -> tuple[list[Chebyshev], float]:
@@ -455,9 +476,10 @@ def singular_action_r3(f: TestField, y: Sequence[float] | np.ndarray,
     _require_smoothness(f, 1, "singular_action_r3")
     af = _AxialField(f, y, 3, quadrature)
     a = af.a
+    rim = af.fit_disk_rule(a)
     g_pieces, ah_pieces = af.u_panels(      # G = fbar(sqrt(u), 0), a H = a fbar_zeta
         lambda u: np.stack(af.sample(np.sqrt(u), 0.0, 0.0, 1.0), axis=1) * [1.0, a],
-        [1.0, af.slope_noise])
+        [1.0, af.slope_noise], rim)
     # rim L0 = G(a^2); single layer: -a Int_0^a (G(a^2-q^2) - L0) / q^2 dq
     (l0,), int1, err1 = _taylor_subtracted(g_pieces, 0, a, quadrature.interval_order)
     l1 = -a * int1
@@ -506,7 +528,8 @@ def singular_action_even(f: TestField, y: Sequence[float] | np.ndarray, n: int,
     _require_smoothness(f, k, "singular_action_even")
     af = _AxialField(f, y, n, quadrature)
     a = af.a
-    g_hat = af.g_panels(cover=False)[0]
+    rim = af.fit_disk_rule(a * math.sqrt(1.5))
+    g_hat = af.g_panels(rim, cover=False)[0]
     p = (n - 3) / 2.0   # D^k (u^p g) by Leibniz, the power kept analytic
     dk = sum(math.comb(k, j) * math.prod(p - i for i in range(j)) * a ** (2.0 * (p - j))
              * complex(g_hat.deriv(k - j)(a**2)) for j in range(k + 1))
@@ -526,7 +549,8 @@ def singular_action_odd(f: TestField, y: Sequence[float] | np.ndarray, n: int,
     af = _AxialField(f, y, n, quadrature)
     a = af.a
     ratio = _omega_ratio(n)
-    f_pieces = [g * Chebyshev.identity(domain=g.domain) ** k for g in af.g_panels()]
+    rim = af.fit_disk_rule(a)
+    f_pieces = [g * Chebyshev.identity(domain=g.domain) ** k for g in af.g_panels(rim)]
     t2, integral, _ = _taylor_subtracted(f_pieces, k, a, quadrature.interval_order)
     i_power = (1j) ** ((1 - n) % 4)
     v_n = 2.0 * i_power * a / ratio * integral
@@ -587,7 +611,9 @@ def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
     af = _AxialField(f, y, n, quadrature)
     a = af.a
     nu = (n - 3) / 2.0
-    af.fit_rule(math.hypot(a, eps))
+    # the spheroid's spheres of rho^2 = PROBE_U (a^2 + eps^2), at zeta of both signs
+    q = a * np.sqrt(1.0 - np.array(PROBE_U))
+    af.fit_rule(*oblate_rho_zeta(eps, np.unique(np.concatenate([q, -q])), a))
 
     def integrand(theta: np.ndarray) -> np.ndarray:
         q = a * np.sin(theta)

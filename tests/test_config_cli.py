@@ -534,9 +534,11 @@ def test_cli_config_flag(tmp_path, capsys):
 def test_sphere_order_below_5_is_refused_where_it_is_set(tmp_path, capsys):
     """Order 4 gives S^4 the rule (1, 1, 1, 2), whose 2-node base circle no sphere
     rule accepts: Quadrature refuses it when built, and the config file at load,
-    naming the key, before any subcommand runs."""
+    naming the key, before any subcommand runs.  So goes an interval order below 4."""
     with pytest.raises(ValueError, match="sphere_order must be >= 5, got 4"):
         Quadrature(sphere_order=4)
+    with pytest.raises(ValueError, match="interval_order must be >= 4, got 3"):
+        Quadrature(interval_order=3)
     for dim in range(1, 5):
         sphere_rule(dim, Quadrature(sphere_order=5).sphere_orders(dim))
     path = write(tmp_path, "quadrature.sphere.order = 4\n")
@@ -547,6 +549,8 @@ def test_sphere_order_below_5_is_refused_where_it_is_set(tmp_path, capsys):
     assert code == 1 and out == ""
     assert "quadrature.sphere.order" in err and "circle rule" not in err
     assert load_config(write(tmp_path, "quadrature.sphere.order = 5\n")).sphere_order == 5
+    with pytest.raises(ConfigParseError, match=":1: quadrature.interval.order: .*>= 4, got 3"):
+        load_config(write(tmp_path, "quadrature.interval.order = 3\n"))
 
 
 def test_cli_deterministic_output(capsys):

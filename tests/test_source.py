@@ -487,9 +487,9 @@ def _cubic(n):
 
 
 def test_probe_passes_are_counted_apart(monkeypatch):
-    """The rule choice takes one sphere pass per rule it probes: the finest and, on a
-    cubic, the first rung.  The action then takes one pass per u-panel, plus the rim
-    pass of |f| at even n; at odd n the probe's first radius is the rim."""
+    """The rule choice takes one sphere pass per rule it probes: on a cubic the two
+    lowest rungs, which agree.  The action then takes one pass per u-panel, plus the
+    rim pass of |f| at even n; at odd n the probe's first radius is the rim."""
     passes, where = {"probe": 0, "action": 0}, ["action"]
     kernel, fit = source.sphere_sums, _AxialField.fit_rule
 
@@ -497,10 +497,10 @@ def test_probe_passes_are_counted_apart(monkeypatch):
         passes[where[-1]] += 1
         return kernel(*args, **kwargs)
 
-    def counted_fit(self, rho_max):
+    def counted_fit(self, rho, zeta):
         where.append("probe")
         try:
-            return fit(self, rho_max)
+            return fit(self, rho, zeta)
         finally:
             where.pop()
 
@@ -516,18 +516,63 @@ def test_probe_passes_are_counted_apart(monkeypatch):
 
 def test_n6_cubic_evaluator_points():
     """Machine-independent cost of an n = 6 action: 340,000 points with the finest
-    S^4 rule at its 16 u-nodes and the rim (17 x 20,000); now the probe's 4 x 20,000
-    and 4 x 32 points, and 17 x 32 with the rule (2, 2, 2, 4) it picks."""
+    S^4 rule at its 16 u-nodes and the rim (17 x 20,000); now the probe's 4 x 32 and
+    4 x 162 points on the two lowest rungs, which agree, and 17 x 32 with the lowest
+    rule, (2, 2, 2, 4)."""
     counted, sizes = _counting(_cubic(6))
     y = np.array([0.6, 0.0, 0.0, 0.0, 0.0, 0.8])
     assert singular_action(counted, y, 6) == pytest.approx(0.216j, abs=1e-13)
-    assert sum(sizes["evaluate"]) == 80_672
+    assert sum(sizes["evaluate"]) == 1_320
+
+
+def test_fit_rule_starts_from_the_finest_rule():
+    """Each call chooses afresh, and a field that vanishes on every probe sphere (here
+    x_1^20 x_n^2 on the spheres about 0 in y-perp) keeps the finest rule."""
+    y = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+    radii = np.sqrt(source.PROBE_U)
+    af = _AxialField(_cubic(6), y, 6)
+    finest = af._weights.size
+    af.fit_rule(radii, 0.0)
+    lowest = af._weights.size
+    af.fit_rule(radii, 0.0)
+    assert af._weights.size == lowest < finest and af.rule_error == 0.0
+    af.f = polynomial(6, {(20, 0, 0, 0, 0, 2): 1.0})
+    af.fit_rule(radii, 0.0)
+    assert af._weights.size == finest and af.rule_error == 0.0
+
+
+@pytest.mark.parametrize("n, field", [(4, "exp(100 x_1 x_n)"), (5, "exp(100 x_1 x_n)"),
+                                      (6, "exp(100 x_1 x_n)"), (4, "x_1^20 x_n^2"),
+                                      (5, "x_1^20 x_n^2")])
+def test_regularized_rule_is_probed_off_the_plane(monkeypatch, n, field):
+    """About y = e_n these fields do not separate: on the sphere about zeta y_hat of
+    radius rho exp(c x_1 x_n) is exp(c zeta rho omega_1), flat at zeta = 0 and sharp
+    at |zeta| near eps, and x_1^20 x_n^2 vanishes at zeta = 0.  Probes on the spheres
+    the spheroid's mean takes see that; probes about 0 alone would keep rules off by
+    up to 26% (exp, n = 6) and 360% (x_1^20 x_n^2, n = 5) of the action."""
+    if field == "x_1^20 x_n^2":
+        f = polynomial(n, {(20,) + (0,) * (n - 2) + (2,): 1.0})
+    else:
+        def ev(pts):
+            return np.exp(100.0 * pts[:, 0] * pts[:, -1])
+
+        def grad(pts):
+            out = np.zeros_like(pts)
+            out[:, 0], out[:, -1] = 100.0 * pts[:, -1], 100.0 * pts[:, 0]
+            return out * ev(pts)[:, None]
+
+        f = TestField(ev, gradient=grad, name=field)
+    y = np.eye(n)[-1]
+    got = _regularized(f, y, n, 0.1)
+    want = _forced_finest(monkeypatch, lambda: _regularized(f, y, n, 0.1).value)
+    assert abs(got.value - want) <= 1e-12 * abs(want)
+    assert got.err_estimate <= 1e-4 * abs(want)
 
 
 def _forced_finest(monkeypatch, act):
     """``act()`` with the finest rule forced: ``fit_rule`` keeps it without probing."""
     with monkeypatch.context() as patch:
-        patch.setattr(_AxialField, "fit_rule", lambda self, rho_max: None)
+        patch.setattr(_AxialField, "fit_rule", lambda self, rho, zeta: None)
         return act()
 
 
@@ -595,7 +640,8 @@ def test_r3_on_several_u_panels():
     layer's tail is carried through 1/q^2 on the inner ones."""
     f = gaussian(0.3, center=[0.1, -0.2, 0.05])
     y = np.array([0.6, 0.0, 0.8])
-    assert len(_AxialField(f, y, 3).g_panels()) == 5
+    af = _AxialField(f, y, 3)
+    assert len(af.g_panels(af.fit_disk_rule(af.a))) == 5
     act = singular_action_r3(f, y)
     assert act.value == pytest.approx(singular_action_odd(f, y, 3), abs=1e-12)
     dense = Quadrature(interval_order=24, sphere_order=48)   # S^1 takes 128 nodes
