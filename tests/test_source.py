@@ -611,8 +611,8 @@ def test_rule_ladder_matches_the_finest_rule(monkeypatch, n, kind, field):
 def test_rule_fallback_joins_the_error_estimate():
     """exp(i k.x), k = 20 (1, i, 0, 0), about y = (0.6, 0, 0, 0.8) at eps = 0.1 needs
     more than the finest S^2 rule (24, 48), which is off by 1.7e-5 relative; no rung
-    agrees with it, and the last rung's disagreement joins the estimate (4.4e-13
-    relative without it)."""
+    agrees with the next one up, and the top rung's disagreement with the finest
+    joins the estimate (1.9e-5 relative; 4.4e-13 without it)."""
     f, _ = _harmonic_exponential(4, 20j)
     y = np.array([0.6, 0.0, 0.0, 0.8])
     act = _regularized(f, y, 4, 0.1)
