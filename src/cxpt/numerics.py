@@ -33,6 +33,11 @@ Conventions used throughout the library:
   and first moments, say) of one evaluation.  ``mean_on_sphere``, the
   source actions' axial means and the wave solver all reach the field
   through it.
+* ``walk_ladder`` is the one sphere-rule choice: it walks the rules of
+  ``Quadrature.sphere_ladder`` upwards with a caller's probe and keeps the
+  first that agrees with the next one up to ``U_ROUNDING`` of the field
+  scale, else the finest.  The source actions and the wave solver's
+  stencil solves choose their rules through it.
 * ``fd_stencil`` exposes the distinct nodes and folded weights of the
   stencil ``derivative`` applies, so a caller can evaluate all the nodes
   of several stencils in one batch.
@@ -46,7 +51,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -79,7 +84,9 @@ __all__ = [
     "fd_laplacian",
     "orthonormal_complement_frame",
     "sphere_area",
+    "walk_ladder",
     "MAX_POINTS",
+    "U_ROUNDING",
 ]
 
 #: Most points handed to one evaluator or gradient call by ``sphere_sums``;
@@ -124,6 +131,11 @@ MIN_INTERVAL_ORDER = 4
 #: Least ``Quadrature.sphere_order``: the least whose S^4 rule, (2, 2, 2, 4),
 #: has a base circle of the 3 nodes ``circle_rule`` needs.
 MIN_SPHERE_ORDER = 5
+#: Rungs of the sphere-rule ladder below the finest rule, in eighths of its
+#: order, and the rounding level of a sphere-mean sample (about 450 ulps) in
+#: units of the field scale, to which two rungs must agree.
+RUNGS = range(2, 8)
+U_ROUNDING = 1e-13
 
 
 @dataclass(frozen=True)
@@ -137,10 +149,10 @@ class Quadrature:
     Duffy square and box faces of ``clifford``.  ``sphere_order`` s sets the
     product rules on S^1 through S^4 (see ``sphere_orders``).  The orders
     must be at least ``MIN_INTERVAL_ORDER`` and ``MIN_SPHERE_ORDER``.
-    The wave solver and ``clifford`` take the rule of s itself.  For the
-    source actions s is the finest rule: each action on S^2 and up takes the
-    smallest rule of a ladder below it that agrees with the next rule up on
-    a probe (see ``source``).
+    ``clifford`` and the wave solver's one-sphere solves take the rule of s
+    itself.  For the source actions and the wave solver's stencil solves s
+    is the finest rule: each takes the smallest rule of ``sphere_ladder``
+    that agrees with the next rule up on a probe (``walk_ladder``).
     """
 
     interval_order: int = 16
@@ -169,6 +181,23 @@ class Quadrature:
             polar = (7 if dim == 3 else 5) * s // 12
             return (polar,) * (dim - 1) + (2 * polar,)
         raise ValueError(f"no sphere orders for S^{dim}; pass orders")
+
+    def sphere_ladder(self, dim: int) -> list[tuple[int, ...]]:
+        """Per-level orders of the rules on S^dim of ``sphere_order`` j / 8, j in
+        ``RUNGS``, then of the finest rule, each distinct rule once.
+
+        Orders below ``MIN_SPHERE_ORDER`` are left out; when every rung is,
+        the ladder is the finest rule alone.
+        """
+        finest = self.sphere_orders(dim)
+        ladder = []
+        for j in RUNGS:
+            order = self.sphere_order * j // 8
+            if order >= MIN_SPHERE_ORDER:
+                orders = replace(self, sphere_order=order).sphere_orders(dim)
+                if orders not in ladder and orders != finest:
+                    ladder.append(orders)
+        return ladder + [finest]
 
 
 @dataclass(frozen=True)
@@ -383,6 +412,42 @@ def sphere_rule(dim: int, orders: tuple[int, ...] | None = None) -> QuadratureRu
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule("sphere-product", int(np.prod(orders)), nodes, weights)
+
+
+def walk_ladder(ladder: Sequence[tuple[int, ...]], probe,
+                noise=1.0) -> tuple[tuple[int, ...], float]:
+    """The first rung of ``ladder`` whose probe agrees with the next rung's.
+
+    ``probe(orders)`` returns (sums, size): probe sums on the rule of those
+    orders, one row per sphere and one column per quantity, and a size of
+    the field there (a mean of |f|, say).  The field scale is the largest
+    size and |sum| probed so far.  Walking upwards, rung i is kept when
+    every column of |sums_{i+1} - sums_i| is within ``U_ROUNDING`` times
+    ``noise`` (per column, or one number) times the scale; the top rung is
+    probed only when the walk reaches it.  Returns the rung kept and 0, or,
+    when none agrees or the scale is 0, the top rung and the largest
+    disagreement of the last pair in units of the scale (0 for scale 0).
+    A ladder of one rung is returned without a probe.
+    """
+    if len(ladder) < 2:
+        return ladder[-1], 0.0
+    tolerance = U_ROUNDING * np.asarray(noise)
+    scale = 0.0
+
+    def sized(orders: tuple[int, ...]) -> np.ndarray:
+        nonlocal scale
+        sums, size = probe(orders)
+        scale = max(scale, size, float(np.abs(sums).max()))
+        return sums
+
+    low = sized(ladder[0])
+    for rung, above in zip(ladder, ladder[1:]):
+        high = sized(above)
+        gap = np.abs(high - low).max(axis=0)
+        if scale > 0.0 and np.all(gap <= tolerance * scale):
+            return rung, 0.0
+        low = high
+    return ladder[-1], float(gap.max()) / scale if scale > 0.0 else 0.0
 
 
 def _as_batch_eval(f) -> Callable[[np.ndarray], np.ndarray]:

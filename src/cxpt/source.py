@@ -36,23 +36,23 @@ which ``_AxialField.sample`` gives at whole arrays of nodes through the
 shared kernel ``numerics.sphere_sums`` (at most ``numerics.MAX_POINTS``
 points per field call): one pass over f and its exact gradient when the
 field has one, and when it does not one pass over f at each sphere point
-and at the nodes of its central difference (step ``ZETA_STEP``) along
-the slope direction.
+and at the nodes of its central differences (step ``ZETA_STEP``) along
+the slope directions.
 
 ``Quadrature.sphere_order`` sets the finest sphere rule an action may use.
 Once, at its start, each action calls ``_AxialField.fit_rule``, which
 probes the field on spheres that span those the action samples: about 0
 at four radii up to the largest (a for n = 3, 5, a sqrt(1.5) for the
 n = 6 panel) for the singular actions, and on the spheroid p = eps at
-seven q of both signs for the regularized one.  It walks a ladder of
-rules (``RUNGS`` eighths of the order, then the finest) upwards and
-keeps the first rung whose probe agrees with the next rung's to
-``U_ROUNDING`` of the field scale; if none does, the finest rule stays,
-and the top rung's disagreement with it joins the n = 3 and regularized
-error estimates.  Rules small enough that a u-panel of them fits one
-field call (S^1 at the default order) and the one-sphere n = 4 singular
-action use the finest rule directly.  The wave solver and ``clifford``
-always use the rule of ``sphere_order`` itself.
+seven q of both signs for the regularized one.  The shared walk
+``numerics.walk_ladder`` climbs ``Quadrature.sphere_ladder`` (``RUNGS``
+eighths of the order, then the finest) and keeps the first rung whose
+probe agrees with the next rung's to ``U_ROUNDING`` of the field scale;
+if none does, the finest rule stays, and the top rung's disagreement with
+it joins the n = 3 and regularized error estimates.  Rules small enough
+that a u-panel of them fits one field call (S^1 at the default order) and
+the one-sphere n = 4 singular action use the finest rule directly.  The
+wave solver's stencil solves walk the same ladder (see ``wave``).
 
 The singular actions interpolate the means in u = rho^2, where they
 are smooth, on 16-node Chebyshev panels in u that are halved until their
@@ -67,7 +67,9 @@ The regularized action integrates over theta-panels (q = a sin theta)
 that grow by ``THETA_GROWTH`` from eps / a, each one Gauss-Kronrod call,
 and halves the panel with the largest |K - G| until the estimates sum to
 ``U_ROUNDING`` of Sum |K|, raising ``ConvergenceError`` once a panel has
-been halved ``U_SPLITS`` times.  ``_regularized`` also returns its error
+been halved ``U_SPLITS`` times.  A zero action stops at rounding instead:
+halving stops once Sum |K| is below ``U_ROUNDING`` of the Sum |K| a field
+as large as f's means of |f| on the spheroid would give.  ``_regularized`` also returns its error
 estimate, (Sum |K - G| + (2^-52 + rule_error) Sum |K|) times the
 prefactor; the 2^-52 term is the rounding floor of the kernel's
 cancellation at small eps.
@@ -76,7 +78,7 @@ cancellation at small eps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -94,7 +96,7 @@ from .fields import TestField, _lift, constant, coordinate
 from .geometry import oblate_rho_zeta
 from .numerics import (
     MAX_POINTS,
-    MIN_SPHERE_ORDER,
+    U_ROUNDING,
     FDScheme,
     Quadrature,
     fd_stencil,
@@ -104,6 +106,7 @@ from .numerics import (
     sphere_area,
     sphere_rule,
     sphere_sums,
+    walk_ladder,
 )
 
 __all__ = [
@@ -124,19 +127,17 @@ __all__ = [
 #: FD step (relative to a) of the slopes of fields without a gradient.
 ZETA_STEP = 1e-3
 #: Nodes of a u-panel (the rim derivatives amplify rounding by about N^4, so a
-#: panel that 16 nodes miss is halved instead), the rounding level of a sample
-#: (about 450 ulps) and the most halvings of [0, a^2].  The regularized action
-#: halves its theta-panels to the same level, at most as often.
+#: panel that 16 nodes miss is halved instead) and the most halvings of
+#: [0, a^2]; panels are resolved to ``numerics.U_ROUNDING``, the rounding
+#: level of a sample.  The regularized action halves its theta-panels to the
+#: same level, at most as often.
 U_NODES = 16
-U_ROUNDING = 1e-13
 U_SPLITS = 8
 #: Ratio of consecutive theta-panel ends of the regularized action, from eps / a.
 THETA_GROWTH = 4.0
 #: Probe spheres of a sphere-rule choice in u = rho^2, as fractions of the
-#: largest rho^2 the action samples, and the ladder's rungs below the finest
-#: rule, in eighths of its order.
+#: largest rho^2 the action samples.
 PROBE_U = (1.0, 0.75, 0.5, 0.25)
-RUNGS = range(2, 8)
 
 
 @dataclass(frozen=True)
@@ -231,13 +232,12 @@ class _AxialField:
         The probe takes, in one ``sample`` pass per rule, the mean, a times
         the omega- and y_hat-slopes and the mean of |f| on the spheres of
         radii ``rho`` about ``zeta`` y_hat, which should span the spheres the
-        action samples.  The ladder is the rules of ``sphere_order`` j / 8,
-        j in ``RUNGS``, then the finest rule, each distinct valid rule once.
-        Walking it upwards, the first rung whose probe agrees with the next
-        rung's within ``U_ROUNDING`` times the field scale (the largest of
-        every sample and mean of |f| so far), times ``slope_noise`` for the
-        slopes, is kept.  If none agrees, or the field scale is 0 (a field
-        that vanishes on every probe sphere), the finest rule is kept, and
+        action samples.  ``numerics.walk_ladder`` walks
+        ``Quadrature.sphere_ladder`` upwards with it and keeps the first rung
+        that agrees with the next rung up within ``U_ROUNDING`` times the
+        field scale (the largest of every sample and mean of |f| so far),
+        times ``slope_noise`` for the slopes.  If none agrees, or the field
+        vanishes on every probe sphere, the finest rule is kept, and
         ``rule_error`` takes the top rung's largest disagreement with it in
         that scale.  Each call starts from the finest rule and a
         ``rule_error`` of 0.
@@ -247,42 +247,26 @@ class _AxialField:
         they save.  Returns the means of |f| at the probe spheres from the
         highest rule probed, or None when it did not probe.
         """
-        finest = self._quadrature.sphere_orders(self.n - 2)
-        self._use_rule(finest)
+        ladder = self._quadrature.sphere_ladder(self.n - 2)
+        self._use_rule(ladder[-1])
         self.rule_error = 0.0
-        ladder = []
-        for j in RUNGS:
-            order = self._quadrature.sphere_order * j // 8
-            if order >= MIN_SPHERE_ORDER:
-                orders = replace(self._quadrature, sphere_order=order).sphere_orders(self.n - 2)
-                if orders not in ladder and orders != finest:
-                    ladder.append(orders)
-        if U_NODES * self._weights.size <= MAX_POINTS or not ladder:
+        if U_NODES * self._weights.size <= MAX_POINTS or len(ladder) < 2:
             return None
-        ladder.append(finest)
         rho, zeta = (np.broadcast_to(np.asarray(v, dtype=float), np.shape(rho))[:, None]
                      for v in (rho, zeta))
-        scale, tolerance = 0.0, U_ROUNDING * np.array([1.0, self.slope_noise, self.slope_noise])
+        magnitude = None
 
-        def probe(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-            nonlocal scale
+        def probe(orders: tuple[int, ...]) -> tuple[np.ndarray, float]:
+            nonlocal magnitude
             self._use_rule(orders)
             fbar, slopes, magnitude = self.sample(rho, zeta, np.array([1.0, 0.0]),
                                                   np.array([0.0, 1.0]), magnitude=True)
-            sums = np.column_stack([fbar, self.a * slopes])
-            scale = max(scale, float(magnitude.max()), float(np.abs(sums).max()))
-            return sums, magnitude[:, 0]
+            return np.column_stack([fbar, self.a * slopes]), float(magnitude.max())
 
-        low, _ = probe(ladder[0])
-        for rung, above in zip(ladder, ladder[1:]):
-            high, magnitude = probe(above)
-            gap = np.abs(high - low).max(axis=0)
-            if scale > 0.0 and np.all(gap <= tolerance * scale):
-                self._use_rule(rung)
-                return magnitude
-            low = high
-        self.rule_error = float(gap.max()) / scale if scale > 0.0 else 0.0
-        return magnitude
+        rung, self.rule_error = walk_ladder(
+            ladder, probe, np.array([1.0, self.slope_noise, self.slope_noise]))
+        self._use_rule(rung)
+        return magnitude[:, 0]
 
     def fit_disk_rule(self, rho_max: float) -> float:
         """``fit_rule`` on the spheres about 0 of radii rho_max sqrt(``PROBE_U``);
@@ -290,8 +274,12 @@ class _AxialField:
         probed = self.fit_rule(rho_max * np.sqrt(PROBE_U), 0.0)
         if probed is not None and rho_max == self.a:
             return float(probed[0])
-        magnitude = point_values(lambda pts: np.abs(self.f.evaluate(pts)))
-        return float(self._sphere_sums(np.array([self.a]), np.zeros(1), magnitude)[0].real)
+        return float(self.magnitude(np.array([self.a]), np.zeros(1))[0])
+
+    def magnitude(self, rho: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+        """Means of |f| on the spheres of radii ``rho`` about ``zeta`` y_hat, one pass."""
+        values = point_values(lambda pts: np.abs(self.f.evaluate(pts)))
+        return self._sphere_sums(rho, zeta, values).real
 
     def _sphere_sums(self, rho: np.ndarray, zeta: np.ndarray, values,
                      max_points: int = MAX_POINTS) -> np.ndarray:
@@ -307,37 +295,42 @@ class _AxialField:
         also gives a third array, the mean of |f| in the mean's shape.  With
         an exact gradient it runs at the (rho, zeta) nodes over f,
         omega . grad f and y_hat . grad f.
-        Without one it runs at the nodes of all four over f and the central
-        difference (step ``ZETA_STEP``) of f along each point's slope
-        direction drho omega + dzeta y_hat, with a seventh of the points per
-        field call so that no call exceeds ``MAX_POINTS``.
+        Without one it runs at the (rho, zeta) nodes over f, evaluated once
+        per sphere point, and the central difference (step ``ZETA_STEP``) of
+        f along each of the node's slope directions drho omega + dzeta y_hat,
+        on blocks of a seventh of ``MAX_POINTS`` sphere points, whose
+        stencils reach the field at most ``MAX_POINTS`` points per call.
         """
         rho, zeta = np.broadcast_arrays(np.asarray(rho, dtype=float),
                                         np.asarray(zeta, dtype=float))
         if self.f.gradient is None:
-            nodes_rz = rho.shape
-            rho, zeta, drho, dzeta = np.broadcast_arrays(
-                rho, zeta, np.asarray(drho, dtype=float), np.asarray(dzeta, dtype=float))
+            full = np.broadcast_shapes(rho.shape, np.shape(drho), np.shape(dzeta))
+            # the axes that only (drho, dzeta) span, moved last: one row of directions per node
+            padded = (1,) * (len(full) - rho.ndim) + rho.shape
+            spread = [i for i, (m, k) in enumerate(zip(padded, full)) if m == 1 < k]
+            order = [i for i in range(len(full)) if i not in spread] + spread
+            drho_n, dzeta_n = (np.broadcast_to(np.asarray(d, dtype=float), full)
+                               .transpose(order).reshape(rho.size, -1) for d in (drho, dzeta))
             steps, weights = self._steps, self._step_weights
-            drho_flat, dzeta_flat = drho.ravel(), dzeta.ravel()
 
             def stencil(pts, dirs, nodes):
-                shift = (drho_flat[nodes, None, None] * dirs
-                         + dzeta_flat[nodes, None, None] * self.yhat)
-                every = np.concatenate([pts[None], pts + steps[:, None, None, None] * shift])
-                vals = self.f.evaluate(every.reshape(-1, self.n)).reshape(every.shape[:3])
-                columns = [vals[0], np.tensordot(weights, vals[1:], axes=1)]
-                return np.stack(columns + [np.abs(vals[0])] if magnitude else columns, axis=-1)
+                shift = (drho_n[nodes, :, None, None] * dirs
+                         + dzeta_n[nodes, :, None, None] * self.yhat)
+                around = pts[None, :, None] + steps[:, None, None, None, None] * shift
+                flat = np.concatenate([pts.reshape(-1, self.n), around.reshape(-1, self.n)])
+                vals = np.concatenate([self.f.evaluate(flat[i:i + MAX_POINTS])
+                                       for i in range(0, flat.shape[0], MAX_POINTS)])
+                centre = vals[:pts.shape[0] * pts.shape[1]].reshape(pts.shape[:2])
+                slopes = np.tensordot(weights, vals[centre.size:].reshape(around.shape[:-1]), axes=1)
+                columns = [centre, *np.moveaxis(slopes, 1, 0)]
+                return np.stack(columns + [np.abs(centre)] if magnitude else columns, axis=-1)
 
             sums = self._sphere_sums(rho.ravel(), zeta.ravel(), stencil,
                                      MAX_POINTS // (1 + steps.size))
-            sums = sums.reshape(rho.shape + sums.shape[-1:])
-            # the mean repeats along the axes only (drho, dzeta) span: keep index 0 there
-            padded = (1,) * (rho.ndim - len(nodes_rz)) + nodes_rz
-            keep = tuple(slice(None) if m > 1 else slice(0, 1) for m in padded)
-            means = sums[keep].reshape(nodes_rz + sums.shape[-1:])
-            out = (means[..., 0], sums[..., 1])
-            return out + (means[..., 2].real,) if magnitude else out
+            means = sums[:, 0].reshape(rho.shape)
+            slopes = sums[:, 1:1 + drho_n.shape[1]].reshape([full[i] for i in order])
+            out = (means, slopes.transpose(np.argsort(order)))
+            return out + (sums[:, -1].real.reshape(rho.shape),) if magnitude else out
 
         def values(pts, dirs, nodes):
             flat = pts.reshape(-1, self.n)
@@ -590,7 +583,9 @@ def regularized_action(f: TestField, y: Sequence[float] | np.ndarray, n: int,
     (a^2-q^2)^nu endpoint weight) on Gauss-Kronrod theta-panels that grow
     geometrically away from theta = 0, where the kernel (eps + iq)^{1-n}
     peaks; the panel with the largest |K - G| is halved until the sum of
-    those estimates falls to ``U_ROUNDING`` of Sum |K|.
+    those estimates falls to ``U_ROUNDING`` of Sum |K|, or Sum |K| itself
+    falls below ``U_ROUNDING`` of the largest mean of |f| on the spheroid's
+    probe spheres times a bound of the kernel's integral (a zero action).
     """
     return _regularized(f, y, n, eps, quadrature).value
 
@@ -613,7 +608,8 @@ def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
     nu = (n - 3) / 2.0
     # the spheroid's spheres of rho^2 = PROBE_U (a^2 + eps^2), at zeta of both signs
     q = a * np.sqrt(1.0 - np.array(PROBE_U))
-    af.fit_rule(*oblate_rho_zeta(eps, np.unique(np.concatenate([q, -q])), a))
+    spheres = oblate_rho_zeta(eps, np.unique(np.concatenate([q, -q])), a)
+    probed = af.fit_rule(*spheres)
 
     def integrand(theta: np.ndarray) -> np.ndarray:
         q = a * np.sin(theta)
@@ -633,6 +629,7 @@ def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
     panels = []
     for lo, hi in zip(breaks[:-1], breaks[1:]):
         panels += [panel(lo, hi, 0), panel(-hi, -lo, 0)]
+    floor = None
     while True:
         error = sum(part.error for *_, part in panels)
         scale = sum(abs(part.value) for *_, part in panels)
@@ -642,6 +639,14 @@ def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
                 f"size {scale})")
         if error <= U_ROUNDING * scale:
             break
+        if floor is None:
+            # U_ROUNDING of the Sum |K| of a field as large as f is on the spheroid,
+            # the kernel's integral bounded by that of a^(n-3) / (eps^2 + q^2)^((n-1)/2)
+            size = float((af.magnitude(*spheres) if probed is None else probed).max())
+            floor = U_ROUNDING * size * a ** (n - 3) * eps ** (2 - n) * math.sqrt(math.pi) * (
+                math.gamma(n / 2.0 - 1.0) / math.gamma((n - 1) / 2.0))
+        if scale <= floor:
+            break       # the panel sums are rounding noise: the action is 0 to rounding
         worst = max(range(len(panels)), key=lambda i: panels[i][3].error)
         lo, hi, depth, part = panels[worst]
         if depth == U_SPLITS:

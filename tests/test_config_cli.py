@@ -284,6 +284,17 @@ def test_cli_regularized_action(capsys):
     assert abs(payload["value_re"] - 1.0) <= payload["err_estimate"] <= 1e-10
 
 
+def test_cli_zero_regularized_action(capsys):
+    """x_1 x_2 about y = (0.6, 0, 0, 0.8) has zero means on every sphere of the
+    spheroid: the panel sums are rounding noise, and the action stops at the
+    floor of the field's scale there instead of raising ConvergenceError."""
+    code, out, err = run_cli(capsys, ["source-action", "--n", "4", "--y=0.6,0,0,0.8",
+                                      "--field=polynomial:1,1,0,0=1.0", "--eps", "0.1"])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert abs(complex(payload["value_re"], payload["value_im"])) <= 1e-14
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--eps", "nan"], "eps must be positive and finite"),
     (["--eps", "inf"], "eps must be positive and finite"),
@@ -479,8 +490,11 @@ def test_cli_clifford_bp(capsys):
 
 
 def test_cli_clifford_reads_the_sphere_order(tmp_path, capsys):
-    """quadrature.sphere.order reaches every clifford mode, which keeps criterion 11's bounds."""
-    path = write(tmp_path, "quadrature.sphere.order = 16\n")
+    """quadrature.sphere.order reaches every clifford mode, which keeps criterion 11's bounds.
+
+    At 40 the lowest rung of the jets' sphere ladder, (10, 20), is above the
+    (6, 12) rule that maxwell-demo keeps at the default 24 (and at 16)."""
+    path = write(tmp_path, "quadrature.sphere.order = 40\n")
     bounds = {"bp-check": ("interior_error", "exterior_leakage"),
               "ebp-check": ("abs_diff",), "maxwell-demo": ("continuity_residual",)}
     for mode, keys in bounds.items():

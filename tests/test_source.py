@@ -456,6 +456,25 @@ def test_one_sphere_pass_per_sample():
     assert _calls(sizes)["evaluate"] == _calls(sizes)["gradient"]
 
 
+def test_gradient_free_slopes_share_the_centre_values():
+    """Without a gradient f is evaluated once per sphere point for all of a node's
+    slope directions: singular_action_r4 takes 1,152 x (1 + 2 x 6) = 14,976 points
+    (16,128 when each direction evaluated the centre again), with the means and
+    slopes bit for bit those of one direction at a time."""
+    exact = gaussian(1.3, center=np.full(4, 0.1))
+    sizes = []
+    free = TestField(lambda pts: sizes.append(pts.shape[0]) or exact.evaluator(pts))
+    y = np.array([0.1, 0.2, 0.9, 0.3])
+    singular_action_r4(free, y)
+    assert sum(sizes) == 14_976 and max(sizes) <= MAX_POINTS
+    af = _AxialField(free, y, 4)
+    fbar, (d_rho, d_zeta) = af.sample(af.a, 0.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    fbar_rho, d_rho_alone = af.sample(af.a, 0.0, 1.0, 0.0)
+    fbar_zeta, d_zeta_alone = af.sample(af.a, 0.0, 0.0, 1.0)
+    assert fbar == fbar_rho == fbar_zeta
+    assert (d_rho, d_zeta) == (d_rho_alone, d_zeta_alone)
+
+
 def test_gradient_free_sample_is_one_pass(monkeypatch):
     """Without a gradient a mean and its slope still take one kernel pass: f at each
     sphere point and at its 6 stencil nodes together, at most MAX_POINTS per call."""
@@ -619,6 +638,20 @@ def test_rule_fallback_joins_the_error_estimate():
     dense = _regularized(f, y, 4, 0.1, Quadrature(sphere_order=48)).value
     assert abs(act.value - dense) <= act.err_estimate <= 1e-3 * abs(dense)
     assert abs(act.value - dense) >= 1e-5 * abs(dense)
+
+
+@pytest.mark.parametrize("gradient", [True, False])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_zero_regularized_action_stops_at_rounding(n, gradient):
+    """x_1 x_2 about y = 0.6 e_1 + 0.8 e_n has zero means on the spheroid, so the
+    panel sums are rounding noise; the halving stops at the floor of the field's
+    scale there, with or without a gradient."""
+    f = polynomial(n, {(1, 1) + (0,) * (n - 2): 1.0})
+    if not gradient:
+        f = TestField(f.evaluator, name="gradient-free")
+    y = np.zeros(n)
+    y[0], y[-1] = 0.6, 0.8
+    assert abs(regularized_action(f, y, n, 0.1)) <= 1e-13
 
 
 def test_gradient_free_sample_shapes():

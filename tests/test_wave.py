@@ -12,6 +12,7 @@ from cxpt.errors import (
 )
 from cxpt.fields import TestField, bump, constant, cosine_wave, gaussian, plane_wave
 from cxpt.numerics import MAX_POINTS, Quadrature
+from cxpt import wave
 from cxpt.wave import (
     CauchyData,
     SpacetimeField,
@@ -251,20 +252,73 @@ def _counted(field, sizes):
     return TestField(ev, smoothness=field.smoothness)
 
 
+def _rung_points(n):
+    """Points of each rule of the sphere ladder on S^{n-1}, lowest first."""
+    return [math.prod(orders) for orders in Quadrature().sphere_ladder(n - 1)]
+
+
 @pytest.mark.parametrize("n, means, rule_points", [(3, 7, 1152), (5, 14, 20000)])
 def test_solve_takes_each_stencil_radius_once(n, means, rule_points):
-    """One solve evaluates each distinct |r| of its radial stencils once per field."""
+    """One solve probes v and w on the outermost sphere of its stencils, one rung
+    of the ladder at a time, until a rung agrees with the next one up, then
+    evaluates each distinct |r| of its radial stencils once per field on that
+    rung: at t = 0.7 the (6, 12) rule on S^2 (2 x (72 + 162) + 7 x 72 = 972
+    points, against 7 x 1,152 on the finest rule) and the (6, 6, 6, 12) rule
+    on S^4 (2 x 8,838 + 14 x 2,592 = 53,964 points, against 14 x 20,000)."""
     k = np.linspace(0.4, 0.9, n)
     sizes = []
     data = CauchyData(_counted(plane_wave(k), sizes), _counted(cosine_wave(k), sizes), n)
+    points = _rung_points(n)
+    assert points[-1] == rule_points
+
+    def cost(rung):
+        return 2 * sum(points[:rung + 2]) + means * points[rung]
+
     for t in (0.7, -0.25, 0.015):
         sizes.clear()
         solve_cauchy(data, np.full(n, 0.1), t)
-        assert sum(sizes) <= means * rule_points
+        assert sum(sizes) in [cost(rung) for rung in range(len(points) - 1)]
         assert max(sizes) <= MAX_POINTS
     sizes.clear()
     solve_cauchy(data, np.full(n, 0.1), 0.7)
-    assert sum(sizes) == means * rule_points
+    kept = {3: 0, 5: 3}[n]
+    assert sum(sizes) == cost(kept) < means * rule_points
+    assert sizes[-means:] == [points[kept]] * means
+
+
+@pytest.mark.parametrize("t", [0.1, 1.0, -1.0])
+def test_plane_wave_n5_on_the_ladder(t):
+    """n = 5 plane waves with |k| <= 1.5 stay within 1e-10 of the closed form on
+    the rung each solve keeps."""
+    rng = np.random.default_rng(17)
+    for _ in range(6):
+        k = rng.normal(size=5)
+        k *= rng.uniform(0.5, 1.5) / np.linalg.norm(k)
+        x = 0.5 * rng.normal(size=5)
+        data = CauchyData(plane_wave(k), plane_wave(k), 5)
+        want = np.exp(1j * (k @ x)) * (math.cos(np.linalg.norm(k) * t)
+                                      + math.sin(np.linalg.norm(k) * t) / np.linalg.norm(k))
+        assert abs(solve_cauchy(data, x, t) - want) <= 1e-10
+
+
+def test_unresolved_solve_keeps_the_finest_rule(monkeypatch):
+    """At |k| t = 3 (n = 5) no rung agrees with the next one up, so the solve takes
+    the finest rule and its value is bit for bit the finest rule's."""
+    k = np.array([3.0, 0.0, 0.0, 0.0, 0.0])
+    data = CauchyData(plane_wave(k), constant(0.0), 5)
+    kept, walk = [], wave.walk_ladder
+
+    def spy(ladder, probe, noise=1.0):
+        kept.append(walk(ladder, probe, noise))
+        return kept[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(wave, "walk_ladder", spy)
+        got = solve_cauchy(data, np.full(5, 0.1), 1.0)
+    assert kept == [(Quadrature().sphere_orders(4), kept[0][1])] and kept[0][1] > 0.0
+    # the finest rule without a probe
+    monkeypatch.setattr(wave, "walk_ladder", lambda ladder, probe, noise=1.0: (ladder[-1], 0.0))
+    assert got == solve_cauchy(data, np.full(5, 0.1), 1.0)
 
 
 def test_energy_conservation_periodic_cell():
