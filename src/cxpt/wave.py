@@ -42,11 +42,14 @@ with the next one up (``_fit_rule``): once per call, v and w are probed
 on the outermost sphere of the stencils, one ``sphere_sums`` pass per
 field and rung of ``Quadrature.sphere_ladder``, and ``numerics.walk_ladder``,
 the walk the source actions use, keeps the first rung whose sums agree
-with the next rung's to ``U_ROUNDING`` of the field scale.  When none
-does, the finest rule stays and the solve is as without the probe.  A
-smooth n = 5 solve at t = 0.7 takes 53,964 points instead of 280,000;
-one that falls back takes the probe's 74,060 more (+26%).  One-sphere solves
-skip the probe, which would cost more than it saves.
+with the next rung's to ``U_ROUNDING`` of the field scale.  The probe's
+sums on the kept rung stand for the solve's own on that sphere, so each
+sphere is still taken once.  When no rung agrees, the finest rule stays
+and the solve's value is as without the probe, bit for bit.  A smooth
+n = 5 solve at t = 0.7 takes 48,780 points instead of 280,000; one that
+falls back takes 314,060 (the probe's 74,060, less the 40,000 of the
+outermost spheres; +12%).  One-sphere solves skip the probe, which would
+cost more than it saves.
 
 ``extend_jet`` differentiates the n = 3 solution under the sphere means:
 the means M and first moments N_l = mean(omega_l f(x + r omega)) of v and
@@ -160,12 +163,9 @@ def harmonic_mode(k: Sequence[float]) -> SpacetimeField:
     )
 
 
-def _columns(rule, moments: bool) -> np.ndarray:
-    """Weight columns [w] of a mean, or [w, w omega_1, w omega_2, w omega_3] of a
-    mean and its first moments."""
-    if moments:
-        return np.column_stack([rule.weights, rule.weights[:, None] * rule.nodes])
-    return rule.weights[:, None]
+def _columns(rule) -> np.ndarray:
+    """Weight columns [w, w omega_1, w omega_2, w omega_3] of a mean and its first moments."""
+    return np.column_stack([rule.weights, rule.weights[:, None] * rule.nodes])
 
 
 def _fit_rule(data: CauchyData, x: np.ndarray, radius: float, quadrature: Quadrature,
@@ -174,67 +174,82 @@ def _fit_rule(data: CauchyData, x: np.ndarray, radius: float, quadrature: Quadra
 
     The probe takes, per rung, one ``sphere_sums`` pass for v and one for w
     on the sphere of ``radius`` about x, the outermost the solve samples,
-    with the weight columns the solve uses (``_columns``) and the mean of
-    |f|; ``numerics.walk_ladder`` keeps the first rung whose sums of both
-    fields agree with the next rung's to ``U_ROUNDING`` of the field
-    scale, else the finest rule, with which the solve is as before.
+    with the weights the solve uses (the rule's, or ``_columns`` for
+    moments), and the mean of |f| from the same evaluations;
+    ``numerics.walk_ladder`` keeps the first rung whose sums of both fields
+    agree with the next rung's to ``U_ROUNDING`` of the field scale, else
+    the finest rule.
+
+    Returns the rule and, per field, the probe's sums of that sphere on it
+    as {radius: sums} for ``_radial_means``, so the solve does not take it
+    again.  Both sum one sphere per kernel call with the same weights, so
+    the sums are those the solve would take, and a solve on the finest
+    rule is bit for bit as without the probe.
     """
     dim = data.n - 1
+    probed = {}
 
     def probe(orders: tuple[int, ...]) -> tuple[np.ndarray, float]:
         rule = sphere_rule(dim, orders)
-        cols = _columns(rule, moments)
+        weights = _columns(rule) if moments else rule.weights
         sums, size = [], 0.0
         for field in (data.v, data.w):
-            values = point_values(field)
+            values, magnitudes = point_values(field), []
 
-            def with_magnitude(pts: np.ndarray, dirs: np.ndarray, nodes: slice) -> np.ndarray:
+            def recorded(pts: np.ndarray, dirs: np.ndarray, nodes: slice) -> np.ndarray:
                 vals = values(pts, dirs, nodes)
-                vals = vals.reshape(vals.shape[:2] + (-1,))
-                return np.concatenate([vals, np.abs(vals)], axis=-1)
+                magnitudes.append(np.abs(vals[0]))
+                return vals
 
-            out = sphere_sums(with_magnitude, x, [radius], rule.nodes, cols,
-                              max_points=rule.weights.size)[0]
-            half = out.shape[-1] // 2
-            sums.append(out[:, :half].ravel())
-            size = max(size, float(out[0, half:].real.max()))
-        return np.concatenate(sums), size
+            sums.append(sphere_sums(recorded, x, [radius], rule.nodes, weights,
+                                    max_points=rule.weights.size)[0])
+            size = max(size, float(np.max(rule.weights @ np.concatenate(magnitudes))))
+        probed[orders] = [{radius: s} for s in sums]
+        return np.concatenate([np.ravel(s) for s in sums]), size
 
     rung, _ = walk_ladder(quadrature.sphere_ladder(dim), probe)
-    return sphere_rule(dim, rung)
+    # a ladder of one rung is not probed
+    return sphere_rule(dim, rung), probed.get(rung, ({}, {}))
 
 
 def _radial_means(field: TestField, x: np.ndarray, rule, radii,
-                  weights: np.ndarray | None = None) -> np.ndarray:
+                  weights: np.ndarray | None = None,
+                  known: dict[float, np.ndarray] | None = None) -> np.ndarray:
     """Means of ``field`` over the spheres of radii |r| about x, one kernel call.
 
-    Each distinct |r| is evaluated once; the result has one row per
-    entry of ``radii``.  ``weights`` replaces the rule's weights, and an
-    (m, q) matrix gives q sums per radius (``_moments``).  The evaluator
-    gets one sphere per call (or a slice of one, past ``MAX_POINTS``):
-    an array-valued evaluator returns dim values per point, and for the
-    16 blade coefficients of ``maxwell_extend`` several spheres' worth of
-    rows per call (0.9 MB) cost more per point than one sphere's worth,
-    while a scalar evaluator costs the same per point either way.
+    Each distinct |r| is evaluated once, and none of ``known``'s, whose
+    sums (``_fit_rule``'s probe) are taken as they are; the result has one
+    row per entry of ``radii``.  ``weights`` replaces the rule's weights,
+    and an (m, q) matrix gives q sums per radius (``_moments``).  The
+    evaluator gets one sphere per call (or a slice of one, past
+    ``MAX_POINTS``): an array-valued evaluator returns dim values per
+    point, and for the 16 blade coefficients of ``maxwell_extend`` several
+    spheres' worth of rows per call (0.9 MB) cost more per point than one
+    sphere's worth, while a scalar evaluator costs the same per point
+    either way.
     """
     mags = np.abs(np.asarray(radii, dtype=float)).tolist()
-    distinct = sorted(set(mags))
-    means = sphere_sums(point_values(field), x, distinct, rule.nodes,
-                        rule.weights if weights is None else weights,
-                        max_points=rule.weights.size)
-    return means[[distinct.index(r) for r in mags]]
+    sums = dict(known or {})
+    todo = sorted(set(mags) - sums.keys())
+    if todo:
+        sums.update(zip(todo, sphere_sums(point_values(field), x, todo, rule.nodes,
+                                          rule.weights if weights is None else weights,
+                                          max_points=rule.weights.size)))
+    return np.stack([sums[r] for r in mags])
 
 
-def _moments(field: TestField, x: np.ndarray, rule, radii) -> np.ndarray:
+def _moments(field: TestField, x: np.ndarray, rule, radii,
+             known: dict[float, np.ndarray] | None = None) -> np.ndarray:
     """Mean M and first moments N_l = mean(omega_l f(x + r omega)) at signed radii.
 
     Row i is [M, N_1, N_2, N_3] at radii[i], (4,) or (4, dim): one kernel
     call with the weight columns [w, w omega_1, w omega_2, w omega_3],
-    each distinct |r| once.  M is even in r and N odd, so the moments of
-    a negative radius are those of |r| with their sign flipped.
+    each distinct |r| once (``known`` as in ``_radial_means``).  M is even
+    in r and N odd, so the moments of a negative radius are those of |r|
+    with their sign flipped.
     """
     radii = np.asarray(radii, dtype=float)
-    out = _radial_means(field, x, rule, radii, _columns(rule, True))
+    out = _radial_means(field, x, rule, radii, _columns(rule), known)
     out[:, 1:] *= np.sign(radii).reshape((-1,) + (1,) * (out.ndim - 1))
     return out
 
@@ -265,8 +280,8 @@ def _kirchhoff3(data: CauchyData, x: np.ndarray, quadrature: Quadrature, t: floa
         return sphere_sums(values, x, [t], rule.nodes, rule.weights,
                            max_points=rule.weights.size)[0]
     r, c = fd_stencil(t, RADIAL_FD, 1)
-    rule = _fit_rule(data, x, float(np.abs(r).max()), quadrature)
-    mv = _radial_means(data.v, x, rule, r)
+    rule, (known_v, _) = _fit_rule(data, x, float(np.abs(r).max()), quadrature)
+    mv = _radial_means(data.v, x, rule, r, known=known_v)
     mw = _radial_means(data.w, x, rule, [t])
     return _kirchhoff(t, r, c, mv, mw[0])
 
@@ -288,9 +303,10 @@ def _kirchhoff3_jet(data: CauchyData, x: np.ndarray, quadrature: Quadrature, t: 
     r2, c2 = fd_stencil(t, RADIAL_FD, 2)
     k1 = r1.size
     radii = np.concatenate([[t], r1, r2])
-    rule = _fit_rule(data, x, float(np.abs(radii).max()), quadrature, moments=True)
-    mv = _moments(data.v, x, rule, radii)
-    mw = _moments(data.w, x, rule, radii)
+    rule, (known_v, known_w) = _fit_rule(data, x, float(np.abs(radii).max()), quadrature,
+                                         moments=True)
+    mv = _moments(data.v, x, rule, radii, known_v)
+    mw = _moments(data.w, x, rule, radii, known_w)
     v1 = np.tensordot(c1, mv[1:1 + k1], axes=1)
     v2 = np.tensordot(c2, mv[1 + k1:], axes=1)
     w0, w1 = mw[0], np.tensordot(c1, mw[1:1 + k1], axes=1)
@@ -312,9 +328,9 @@ def _poisson5(data: CauchyData, x: np.ndarray, quadrature: Quadrature, t: float)
     r2, c2 = fd_stencil(t, RADIAL_FD, 2)
     k1 = r1.size
     radii = np.concatenate([[t], r1, r2])
-    rule = _fit_rule(data, x, float(np.abs(radii).max()), quadrature)
-    mv = _radial_means(data.v, x, rule, radii)
-    mw = _radial_means(data.w, x, rule, radii[:1 + k1])
+    rule, (known_v, known_w) = _fit_rule(data, x, float(np.abs(radii).max()), quadrature)
+    mv = _radial_means(data.v, x, rule, radii, known=known_v)
+    mw = _radial_means(data.w, x, rule, radii[:1 + k1], known=known_w)
     m0, m1, m2 = mv[0], c1 @ mv[1:1 + k1], c2 @ mv[1 + k1:]
     w0, w1 = mw[0], c1 @ mw[1:]
     return m0 + (5.0 / 3.0) * t * m1 + (t * t / 3.0) * m2 + t * w0 + (t * t / 3.0) * w1

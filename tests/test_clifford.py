@@ -502,9 +502,10 @@ def test_maxwell_continuity_on_the_ladder(xt):
 def test_maxwell_evaluator_cost():
     """One maxwell_extend is 17 jets (the point and the residual's 16 stencil
     points).  Each probes v on the (6, 12) and (9, 18) rules of S^2 (72 and 162
-    points), which agree, then takes 7 radii on the (6, 12) rule: 17 x 9 calls
-    and 17 x 738 points of v (w comes from the exact s-derivative), against
-    17 x 7 calls of 1,152 points on the finest rule."""
+    points), which agree, then takes the 6 radii inside the probe's on the
+    (6, 12) rule, the probe's sums standing for the outermost: 17 x 8 calls and
+    17 x 666 points of v (w comes from the exact s-derivative), against 17 x 7
+    calls of 1,152 points on the finest rule."""
     f = maxwell_demo_field()
     sizes = []
 
@@ -514,7 +515,7 @@ def test_maxwell_evaluator_cost():
 
     g = SpacetimeMultivectorField(f.algebra, 3, ev, s_derivative=f.s_derivative)
     maxwell_extend(g, np.array([0.3, 0.7, -0.2]), 0.0, 0.6)
-    assert (len(sizes), sum(sizes), max(sizes)) == (153, 12_546, 162)
+    assert (len(sizes), sum(sizes), max(sizes)) == (136, 11_322, 162)
 
 
 def test_dirac_tilde_squared_matches_wave_residual():

@@ -261,18 +261,21 @@ def _rung_points(n):
 def test_solve_takes_each_stencil_radius_once(n, means, rule_points):
     """One solve probes v and w on the outermost sphere of its stencils, one rung
     of the ladder at a time, until a rung agrees with the next one up, then
-    evaluates each distinct |r| of its radial stencils once per field on that
-    rung: at t = 0.7 the (6, 12) rule on S^2 (2 x (72 + 162) + 7 x 72 = 972
-    points, against 7 x 1,152 on the finest rule) and the (6, 6, 6, 12) rule
-    on S^4 (2 x 8,838 + 14 x 2,592 = 53,964 points, against 14 x 20,000)."""
+    evaluates each other distinct |r| of its radial stencils once per field on
+    that rung, and takes the outermost one's sums from the probe (v's for
+    n = 3, whose w takes only |t|; v's and w's for n = 5): at t = 0.7 the
+    (6, 12) rule on S^2 (2 x (72 + 162) + 6 x 72 = 900 points, against
+    7 x 1,152 on the finest rule) and the (6, 6, 6, 12) rule on S^4
+    (2 x 8,838 + 12 x 2,592 = 48,780 points, against 14 x 20,000)."""
     k = np.linspace(0.4, 0.9, n)
     sizes = []
     data = CauchyData(_counted(plane_wave(k), sizes), _counted(cosine_wave(k), sizes), n)
     points = _rung_points(n)
     assert points[-1] == rule_points
+    reused = {3: 1, 5: 2}[n]
 
     def cost(rung):
-        return 2 * sum(points[:rung + 2]) + means * points[rung]
+        return 2 * sum(points[:rung + 2]) + (means - reused) * points[rung]
 
     for t in (0.7, -0.25, 0.015):
         sizes.clear()
@@ -283,7 +286,7 @@ def test_solve_takes_each_stencil_radius_once(n, means, rule_points):
     solve_cauchy(data, np.full(n, 0.1), 0.7)
     kept = {3: 0, 5: 3}[n]
     assert sum(sizes) == cost(kept) < means * rule_points
-    assert sizes[-means:] == [points[kept]] * means
+    assert sizes[-(means - reused):] == [points[kept]] * (means - reused)
 
 
 @pytest.mark.parametrize("t", [0.1, 1.0, -1.0])
@@ -301,11 +304,15 @@ def test_plane_wave_n5_on_the_ladder(t):
         assert abs(solve_cauchy(data, x, t) - want) <= 1e-10
 
 
-def test_unresolved_solve_keeps_the_finest_rule(monkeypatch):
-    """At |k| t = 3 (n = 5) no rung agrees with the next one up, so the solve takes
-    the finest rule and its value is bit for bit the finest rule's."""
-    k = np.array([3.0, 0.0, 0.0, 0.0, 0.0])
-    data = CauchyData(plane_wave(k), constant(0.0), 5)
+@pytest.mark.parametrize("n, k0", [(5, 3.0), (3, 20.0)])
+def test_unresolved_solve_keeps_the_finest_rule(monkeypatch, n, k0):
+    """At |k| t = 3 (n = 5) or 20 (n = 3, v without a gradient) no rung agrees with
+    the next one up, so the solve takes the finest rule, takes every sphere
+    again rather than the probe's sums, and its value is bit for bit the
+    finest rule's."""
+    k = np.zeros(n)
+    k[0] = k0
+    data = CauchyData(_counted(plane_wave(k), []), constant(0.0), n)
     kept, walk = [], wave.walk_ladder
 
     def spy(ladder, probe, noise=1.0):
@@ -314,11 +321,11 @@ def test_unresolved_solve_keeps_the_finest_rule(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(wave, "walk_ladder", spy)
-        got = solve_cauchy(data, np.full(5, 0.1), 1.0)
-    assert kept == [(Quadrature().sphere_orders(4), kept[0][1])] and kept[0][1] > 0.0
+        got = solve_cauchy(data, np.full(n, 0.1), 1.0)
+    assert kept == [(Quadrature().sphere_orders(n - 1), kept[0][1])] and kept[0][1] > 0.0
     # the finest rule without a probe
     monkeypatch.setattr(wave, "walk_ladder", lambda ladder, probe, noise=1.0: (ladder[-1], 0.0))
-    assert got == solve_cauchy(data, np.full(5, 0.1), 1.0)
+    assert got == solve_cauchy(data, np.full(n, 0.1), 1.0)
 
 
 def test_energy_conservation_periodic_cell():
