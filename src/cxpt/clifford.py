@@ -916,9 +916,10 @@ def maxwell_extend(f: SpacetimeMultivectorField, x: Sequence[float] | np.ndarray
     Kirchhoff solution are taken under the sphere means about x, not by
     solving again at shifted points.  The residual stays a measurement:
     ``dirac_tilde_apply`` with ``CONTINUITY_FD`` over the jets of its 16
-    stencil points.
+    stencil points.  x, s and t must be finite.
     """
     x = np.asarray(x, dtype=float)
+    wv._check_finite(x=x, s=s, t=t)
     if f.n != 3:
         raise UnsupportedDimensionError("Maxwell extension is fixed at n = 3")
     alg = f.algebra

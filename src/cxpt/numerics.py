@@ -149,10 +149,11 @@ class Quadrature:
     Duffy square and box faces of ``clifford``.  ``sphere_order`` s sets the
     product rules on S^1 through S^4 (see ``sphere_orders``).  The orders
     must be at least ``MIN_INTERVAL_ORDER`` and ``MIN_SPHERE_ORDER``.
-    ``clifford`` and the wave solver's one-sphere solves take the rule of s
-    itself.  For the source actions and the wave solver's stencil solves s
-    is the finest rule: each takes the smallest rule of ``sphere_ladder``
-    that agrees with the next rule up on a probe (``walk_ladder``).
+    ``clifford`` and a single one-sphere wave solve take the rule of s
+    itself.  For the source actions, the wave solver's stencil solves and
+    ``wave_residual``'s batch of one-sphere solves s is the finest rule:
+    each takes the smallest rule of ``sphere_ladder`` that agrees with the
+    next rule up on a probe (``walk_ladder``), the batch that next rule.
     """
 
     interval_order: int = 16

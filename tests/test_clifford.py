@@ -445,6 +445,16 @@ def test_maxwell_initial_conditions():
     assert jt.coeff((0, 1, 2)) == pytest.approx(-math.sin(x[1]), abs=1e-8)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_maxwell_refuses_non_finite_arguments(bad):
+    _, f = _cos_bivector_field()
+    x = np.array([0.1, -0.4, 0.8])
+    for name, args in (("x", ([0.1, bad, 0.8], 0.0, 0.6)), ("s", (x, bad, 0.6)),
+                       ("t", (x, 0.0, bad))):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            maxwell_extend(f, *args)
+
+
 #: Criterion 11's three points, and one time of each sign near and far from 0.
 MAXWELL_POINTS = [((0.3, 0.7, -0.2), 0.6), ((0.0, 0.2, 0.5), 1.1), ((-0.4, 1.0, 0.0), 0.3),
                   ((0.3, 0.7, -0.2), -0.7), ((0.3, 0.7, -0.2), 0.02)]

@@ -1,5 +1,6 @@
 """Spherical-means propagator: closed-form solutions and PDE structure."""
 
+import itertools
 import math
 
 import numpy as np
@@ -229,7 +230,7 @@ def test_wave_residual_plane_wave_and_gaussian():
 
 def test_wave_residual_rejects_bad_lattices():
     data = CauchyData(plane_wave(K_UNIT), constant(0.0), 3)
-    for h in (0.0, -0.05, float("nan")):
+    for h in (0.0, -0.05, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             wave_residual(data, np.zeros(3), 0.4, h=h, half_points=1)
     for half in (0, -1):
@@ -244,12 +245,133 @@ def test_wave_residual_non_finite_sample_raises():
                       h=0.05, half_points=1)
 
 
-def _counted(field, sizes):
-    def ev(pts):
-        sizes.append(pts.shape[0])
-        return field.evaluate(pts)
+def _counted(field, sizes, gradient=False):
+    """``field``'s evaluator (and its gradient, if asked), logging each call's size."""
+    def logged(fn):
+        def wrapped(pts):
+            sizes.append(pts.shape[0])
+            return fn(pts)
+        return wrapped
 
-    return TestField(ev, smoothness=field.smoothness)
+    return TestField(logged(field.evaluate), smoothness=field.smoothness,
+                     gradient=logged(field.gradient) if gradient else None)
+
+
+def _residual_oracle(data, x_center, t_center, h, m):
+    """max |u_tt - Lap u| from one ``solve_cauchy`` per lattice point, each
+    interior point's stencil summed point by point."""
+    n = data.n
+    samples = {}
+
+    def u(offs):
+        if offs not in samples:
+            x = np.asarray(x_center, dtype=float) + np.asarray(offs[:n], dtype=float) * h
+            samples[offs] = solve_cauchy(data, x, t_center + offs[n] * h)
+        return samples[offs]
+
+    def second(offs, axis):
+        up, down = list(offs), list(offs)
+        up[axis] += 1
+        down[axis] -= 1
+        return (u(tuple(up)) - 2.0 * u(offs) + u(tuple(down))) / h**2
+
+    worst = 0.0
+    for offs in itertools.product(range(1 - m, m), repeat=n + 1):
+        lap = 0.0
+        for axis in range(n):
+            lap = lap + second(offs, axis)
+        worst = max(worst, abs(second(offs, n) - lap))
+    return worst
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["plane_wave", "gaussian"])
+@pytest.mark.parametrize("t_center", [0.4, -0.7, 0.05])
+def test_batched_residual_matches_per_point_solves(n, kind, t_center):
+    """v with a gradient: the batched lattice agrees with a solve per point within
+    1e-10, also where the lattice crosses t = 0 (t_center 0.05, m = 2)."""
+    if kind == "plane_wave":
+        k = np.array([0.6, -0.48, 0.64, 0.3])[:n]
+        data = CauchyData(plane_wave(k), plane_wave(k), n)
+    else:
+        data = CauchyData(gaussian(1.2), gaussian(0.9), n)
+    x = np.array([0.2, 0.0, 0.1])[:n]
+    got = wave_residual(data, x, t_center, h=0.05, half_points=2)
+    assert abs(got - _residual_oracle(data, x, t_center, 0.05, 2)) <= 1e-10
+
+
+def test_batched_residual_evaluator_cost():
+    """The 297 samples of criterion 9's lattice (plane wave, n = 3, m = 2, h = 0.05)
+    probe the 27 spheres of largest |t| on the rules (6, 12) and (9, 18), which
+    agree, and take the other 270 on (9, 18): 27 x 72 + 297 x 162 = 50,058 points
+    for each of v, grad v and w, in 42 calls of at most MAX_POINTS points, against
+    891 calls on 1,026,432 points with one finest-rule sphere per solve."""
+    sizes = []
+    pw = plane_wave(K_UNIT)
+    data = CauchyData(_counted(pw, sizes, gradient=True), _counted(pw, sizes), 3)
+    wave_residual(data, np.array([0.2, 0.0, 0.1]), 0.4, h=0.05, half_points=2)
+    assert (len(sizes), sum(sizes)) == (42, 150_174)
+    assert max(sizes) <= MAX_POINTS
+
+
+@pytest.mark.parametrize("case", ["gradient-free", "n5"])
+def test_per_point_residuals_are_unchanged(case):
+    """Gradient-free v and n = 5 solve each lattice point on its own, and the
+    residual is bit for bit the point-by-point sum's."""
+    if case == "n5":
+        k = np.array([0.5, 0.3, -0.2, 0.1, 0.4])
+        data, x = CauchyData(plane_wave(k), plane_wave(k), 5), np.full(5, 0.1)
+    else:
+        bare = TestField(plane_wave(K_UNIT).evaluator)
+        data, x = CauchyData(bare, bare, 3), np.array([0.2, 0.0, 0.1])
+    got = wave_residual(data, x, 0.6, h=0.05, half_points=1)
+    assert got == _residual_oracle(data, x, 0.6, 0.05, 1)
+
+
+def test_batched_residual_fallback():
+    """k = (20, 0, 0) at t = 1: no rung agrees, so the probed layer pays every rung
+    (3,654 points a sphere) and the other 270 spheres take the finest rule,
+    3 x (27 x 3,654 + 270 x 1,152) = 1,229,094 points (1.2 x one finest sphere
+    per sample); the residual stays within 1e-10 of the per-point solves'."""
+    sizes = []
+    k = np.array([20.0, 0.0, 0.0])
+    pw = plane_wave(k)
+    data = CauchyData(_counted(pw, sizes, gradient=True), _counted(pw, sizes), 3)
+    x = np.full(3, 0.1)
+    got = wave_residual(data, x, 1.0, h=0.05, half_points=2)
+    assert sum(sizes) == 1_229_094 <= 1.25 * 297 * 3 * 1152
+    plain = CauchyData(pw, pw, 3)
+    assert abs(got - _residual_oracle(plain, x, 1.0, 0.05, 2)) <= 1e-10
+
+
+def test_batched_residual_non_finite_sample_raises():
+    nan = TestField(lambda pts: np.full(pts.shape[0], np.nan + 0j),
+                    gradient=lambda pts: np.full(pts.shape, np.nan + 0j))
+    with pytest.raises(NonFiniteIntegrandError):
+        wave_residual(CauchyData(nan, constant(0.0), 3), np.zeros(3), 0.4,
+                      h=0.05, half_points=1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_arguments_are_refused(bad):
+    """Each solver entry point names its non-finite argument instead of returning
+    NaN (or warning, for an infinite t)."""
+    data = CauchyData(plane_wave(K_UNIT), plane_wave(K_UNIT), 3)
+    f = harmonic_mode([0.8, 0.0, 0.6])
+    x, x_bad = np.zeros(3), np.array([0.1, bad, 0.0])
+    calls = {
+        "x": [lambda: solve_cauchy(data, x_bad, 0.5), lambda: extend(f, x_bad, 0.0, 0.5),
+              lambda: extend_jet(f, x_bad, 0.0, 0.5)],
+        "t": [lambda: solve_cauchy(data, x, bad), lambda: extend(f, x, 0.0, bad),
+              lambda: extend_jet(f, x, 0.0, bad)],
+        "s": [lambda: extend(f, x, bad, 0.5), lambda: extend_jet(f, x, bad, 0.5)],
+        "x_center": [lambda: wave_residual(data, x_bad, 0.5)],
+        "t_center": [lambda: wave_residual(data, x, bad)],
+    }
+    for name, refused in calls.items():
+        for call in refused:
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                call()
 
 
 def _rung_points(n):
