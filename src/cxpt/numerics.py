@@ -36,8 +36,9 @@ Conventions used throughout the library:
 * ``walk_ladder`` is the one sphere-rule choice: it walks the rules of
   ``Quadrature.sphere_ladder`` upwards with a caller's probe and keeps the
   first that agrees with the next one up to ``U_ROUNDING`` of the field
-  scale, else the finest.  The source actions and the wave solver's
-  stencil solves choose their rules through it.
+  scale, else the finest.  The source actions, the wave solver's
+  stencil solves and ``clifford.extended_borel_pompeiu`` choose their
+  rules through it.
 * ``fd_stencil`` exposes the distinct nodes and folded weights of the
   stencil ``derivative`` applies, so a caller can evaluate all the nodes
   of several stencils in one batch.
@@ -149,9 +150,10 @@ class Quadrature:
     Duffy square and box faces of ``clifford``.  ``sphere_order`` s sets the
     product rules on S^1 through S^4 (see ``sphere_orders``).  The orders
     must be at least ``MIN_INTERVAL_ORDER`` and ``MIN_SPHERE_ORDER``.
-    ``clifford`` and a single one-sphere wave solve take the rule of s
-    itself.  For the source actions, the wave solver's stencil solves and
-    ``wave_residual``'s batch of one-sphere solves s is the finest rule:
+    ``clifford``'s domain rules and a single one-sphere wave solve take the
+    rule of s itself.  For the source actions, the wave solver's stencil
+    solves, ``wave_residual``'s batch of one-sphere solves and the (q, phi)
+    rule of ``extended_borel_pompeiu``'s spheroid s is the finest rule:
     each takes the smallest rule of ``sphere_ladder`` that agrees with the
     next rule up on a probe (``walk_ladder``), the batch that next rule.
     """

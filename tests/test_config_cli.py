@@ -492,10 +492,12 @@ def test_cli_clifford_bp(capsys):
 def test_cli_clifford_reads_the_sphere_order(tmp_path, capsys):
     """quadrature.sphere.order reaches every clifford mode, which keeps criterion 11's bounds.
 
-    bp-check and ebp-check take the rule of the order itself, so the coarser
-    order 16 tests the bounds.  maxwell-demo's jets take the lowest agreeing
-    rung of the order's ladder, (6, 12) at the default 24 and at 16, so it
-    runs at 40, whose lowest rung is (10, 20)."""
+    bp-check takes the rule of the order itself, so the coarser order 16
+    tests the bounds.  ebp-check's spheroid keeps the first agreeing rung of
+    the order's ladder, (9, 18) at the default 24 and (8, 16) at 16, so 16
+    moves it too.  maxwell-demo's jets take the lowest agreeing rung, (6, 12)
+    at the default 24 and at 16, so it runs at 40, whose lowest rung is
+    (10, 20)."""
     coarse = write(tmp_path, "quadrature.sphere.order = 16\n")
     fine = tmp_path / "fine.conf"
     fine.write_text("quadrature.sphere.order = 40\n")
