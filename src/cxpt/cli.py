@@ -192,7 +192,6 @@ def _cmd_wave(args, cfg: Config) -> int:
     v = parse_field_spec(args.v).to_field(n)
     w = parse_field_spec(args.w).to_field(n)
     data = wv.CauchyData(v, w, n)
-    quadrature = cfg.quadrature()
     x0 = _vector(args.x, n, "--x")
     cols = [f"x{k + 1}" for k in range(n)] + ["t", "re_u", "im_u"]
     sys.stdout.write(",".join(cols) + "\n")
@@ -201,7 +200,7 @@ def _cmd_wave(args, cfg: Config) -> int:
         dx = np.asarray([offsets[i] for i in axis_off], dtype=float) * args.step
         for jt in offsets:
             t = args.t + jt * args.step
-            u = wv.solve_cauchy(data, x0 + dx, t, quadrature)
+            u = wv.solve_cauchy(data, x0 + dx, t)
             row = [f"{c:.17g}" for c in (x0 + dx)] + [
                 f"{t:.17g}", f"{np.real(u):.17g}", f"{np.imag(u):.17g}"]
             sys.stdout.write(",".join(row) + "\n")
@@ -214,7 +213,7 @@ def _cmd_wave_verify(args, cfg: Config) -> int:
     w = parse_field_spec(args.w).to_field(n)
     data = wv.CauchyData(v, w, n)
     res = wv.wave_residual(data, _vector(args.x, n, "--x"), args.t, h=args.step,
-                           half_points=args.half, quadrature=cfg.quadrature())
+                           half_points=args.half)
     _emit({"residual": res, "step": args.step, "half_points": args.half})
     return 0
 
@@ -241,7 +240,7 @@ def _cmd_clifford(args, cfg: Config) -> int:
         return 0
     # maxwell-demo
     x = _vector(args.x, 3, "--x")
-    ft, jt, resid = cf.maxwell_extend(maxwell_demo_field(), x, 0.0, args.t, quadrature)
+    ft, jt, resid = cf.maxwell_extend(maxwell_demo_field(), x, 0.0, args.t)
     _emit({
         "f_extension": [_cnum(c) for c in ft.coeffs],
         "current": [_cnum(c) for c in jt.coeffs],

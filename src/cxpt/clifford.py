@@ -50,6 +50,7 @@ from .geometry import ComplexPoint, _branch_gamma, oblate_rho_zeta
 from .numerics import (
     FDScheme,
     Quadrature,
+    _check_finite,
     derivative,
     gauss_legendre,
     orthonormal_complement_frame,
@@ -474,8 +475,9 @@ class Domain:
     def boundary_quadrature(self, quadrature: Quadrature = Quadrature()):
         """Boundary nodes, unit outward normals and area weights.
 
-        ``quadrature`` sets the sphere rule of a round boundary and the
-        Gauss-Legendre rule (``interval_order`` nodes) of a flat face.
+        A round boundary takes the sphere rule of ``numerics.SPHERE_ORDER``
+        and a flat face the Gauss-Legendre rule of ``interval_order`` nodes
+        of ``quadrature``.
         """
         raise NotImplementedError
 
@@ -513,13 +515,13 @@ class Ball(Domain):
         return self.center.shape[0]
 
     def boundary_quadrature(self, quadrature: Quadrature = Quadrature()):
-        rule = sphere_rule(self.n - 1, quadrature.sphere_orders(self.n - 1))
+        rule = sphere_rule(self.n - 1)
         pts = self.center[None, :] + self.radius * rule.nodes
         area = sphere_area(self.n) * self.radius ** (self.n - 1)
         return pts, rule.nodes.copy(), rule.weights * area
 
     def volume_quadrature(self, quadrature: Quadrature = Quadrature()):
-        rule = sphere_rule(self.n - 1, quadrature.sphere_orders(self.n - 1))
+        rule = sphere_rule(self.n - 1)
         leg = gauss_legendre(quadrature.interval_order)
         radii = 0.5 * self.radius * (leg.nodes + 1.0)
         wr = 0.5 * self.radius * leg.weights
@@ -622,7 +624,7 @@ class Box(Domain):
 def _check_arguments(f: MultivectorField | None, M: Domain, **points) -> int:
     """M's dimension n, after refusing with ``ValueError`` a point with an entry
     that is not finite, or a field ``f`` (if given) or point not of dimension n."""
-    wv._check_finite(**points)
+    _check_finite(**points)
     n = M.n
     if f is not None and f.n != n:
         raise ValueError(f"field has dimension {f.n}, domain has dimension {n}")
@@ -718,7 +720,7 @@ def borel_pompeiu(f: MultivectorField, M: Domain, x: Sequence[float] | np.ndarra
         return Multivector(alg, _exterior_sum(f, dirac, M, x, y, quadrature))
 
     term_b = _boundary_term(f, M, x, y, quadrature)
-    dirs_rule = sphere_rule(n - 1, quadrature.sphere_orders(n - 1))
+    dirs_rule = sphere_rule(n - 1)
     dirs = dirs_rule.nodes
     t_exit = M.ray_exit(x, dirs)
     leg = gauss_legendre(quadrature.interval_order)
@@ -781,15 +783,14 @@ def extended_borel_pompeiu(f: MultivectorField, M: Domain, z: ComplexPoint,
     multiplied per point.
 
     The rings' rule in (q, phi), polar q-nodes and twice as many
-    azimuths, is a rung of ``Quadrature.sphere_ladder(2)``:
+    azimuths, is a rung of the sphere-rule ladder on S^2:
     ``numerics.walk_ladder`` probes each rung on the spheroid's boundary
     rings (the outermost), summing the boundary layer and the kernel's
     ring moments of Df in one pass, and keeps the first rung that agrees
     with the next to ``U_ROUNDING`` of the largest |sum|; its boundary
-    sums are the boundary layer.  When no rung agrees, every layer takes
-    the finest rule, the rule of ``sphere_order`` itself, and the probes
-    cost the boundary rings of every rung on top of it (7.7% more points
-    for an evaluator-only field on the unit ball).
+    sums are the boundary layer.  A field that no pair up to (24, 48)
+    resolves climbs on: exp(80i x_1) at the CLI's point keeps (42, 84).
+    Past the top rung, (48, 96), every layer takes that rung.
 
     The Dirac field Df is derived once per call: exactly from the
     polynomial table when there is one, else by finite differences on
@@ -876,9 +877,7 @@ def extended_borel_pompeiu(f: MultivectorField, M: Domain, z: ComplexPoint,
     # (sqrt(a^2+P^2)/a) sqrt(P^2+q^2) dq dphi_normalized * 2 pi.  A rung's probe
     # sums the boundary layer and the kernel-weighted moments of Df, which the
     # volume layer sums on its rings, from one evaluation of f and Df.
-    boundary_sums = {}
-
-    def probe(orders: tuple[int, int]) -> tuple[np.ndarray, float]:
+    def probe(orders: tuple[int, int]):
         leg = gauss_legendre(orders[0])
         q_nodes = a * leg.nodes
         p_nodes = np.full_like(q_nodes, big_p)
@@ -888,14 +887,10 @@ def extended_borel_pompeiu(f: MultivectorField, M: Domain, z: ComplexPoint,
         coefs[:, 0, :dim] = area[:, None]
         coefs[:, :, dim:] = kernel_coefs(p_nodes, q_nodes, area)
         sums = rings(p_nodes, q_nodes, orders[1], boundary, coefs)
-        boundary_sums[orders] = sums[0, :dim]
-        return np.concatenate([sums[0, :dim], sums[:, dim:].ravel()])[None, :], 0.0
+        return (np.concatenate([sums[0, :dim], sums[:, dim:].ravel()])[None, :], 0.0,
+                sums[0, :dim])
 
-    rung, _ = walk_ladder(quadrature.sphere_ladder(2), probe)
-    if rung not in boundary_sums:   # a ladder of one rung is not probed
-        probe(rung)
-    term_b = boundary_sums[rung]
-    q_order, nphi = rung
+    (q_order, nphi), term_b, _ = walk_ladder(2, probe)
 
     # volume of E_P in oblate coordinates, Duffy-transformed about (p, q) = 0:
     # two triangles per sign of q, (p, q) = (P u, +-a u v) and (P u v, +-a u)
@@ -979,8 +974,7 @@ def dirac_tilde_apply(g: Callable[[np.ndarray, float], np.ndarray],
 
 
 def maxwell_extend(f: SpacetimeMultivectorField, x: Sequence[float] | np.ndarray,
-                   s: float, t: float, quadrature: Quadrature = Quadrature()
-                   ) -> tuple[Multivector, Multivector, float]:
+                   s: float, t: float) -> tuple[Multivector, Multivector, float]:
     """Extension f~, current j~ = D~ f~, and the continuity residual |scalar D~ j~|.
 
     n = 3 (the physical Maxwell case: f a bivector field, j a
@@ -993,7 +987,7 @@ def maxwell_extend(f: SpacetimeMultivectorField, x: Sequence[float] | np.ndarray
     stencil points.  x, s and t must be finite.
     """
     x = np.asarray(x, dtype=float)
-    wv._check_finite(x=x, s=s, t=t)
+    _check_finite(x=x, s=s, t=t)
     if f.n != 3:
         raise UnsupportedDimensionError("Maxwell extension is fixed at n = 3")
     alg = f.algebra
@@ -1002,7 +996,7 @@ def maxwell_extend(f: SpacetimeMultivectorField, x: Sequence[float] | np.ndarray
     coeffs = wv.SpacetimeField(f.batch, f.s_derivative, f.smoothness, f.name)
 
     def jet(xx: np.ndarray, tt: float):
-        u, grad, u_t = wv.extend_jet(coeffs, xx, s, tt, quadrature)
+        u, grad, u_t = wv.extend_jet(coeffs, xx, s, tt)
         return u, _dirac_tilde(alg, grad, u_t)
 
     f_val, j_val = jet(x, t)

@@ -7,18 +7,16 @@ Recognized keys (defaults in parentheses):
                                        panels of the source actions, and the
                                        N-node Gauss-Legendre radii, rays, Duffy
                                        square and box faces of ``clifford``
-    quadrature.sphere.order     (24)   polar order s on S^2 (azimuth 2s); S^1 has
-                                       8s/3 nodes, and S^3 and S^4 take 7s/12 and
-                                       5s/12 polar nodes per level and a base
-                                       circle of twice that (all rounded down);
-                                       the finest rule of the source actions
     default.a                   (1.0)  default |y| for CLI demos
 
-The two orders make up the ``numerics.Quadrature`` that ``Config.quadrature``
-returns and the CLI hands to every subcommand.  Unknown keys and malformed
-lines are rejected with the line number and key; ``Quadrature`` checks the
-orders (the interval order must be >= 4, the sphere order >= 5) and
-``default.a`` must be positive and at most 1e150.
+The interval order makes up the ``numerics.Quadrature`` that
+``Config.quadrature`` returns and the CLI hands to the subcommands that
+take interval rules.  Sphere rules are not configurable: each sphere pass
+takes a rung of the fixed ladder ``numerics.SPHERE_LADDER`` chosen by a
+probe of the field, or the rule of ``numerics.SPHERE_ORDER``.  Unknown
+keys (``quadrature.sphere.order`` among them) and malformed lines are
+rejected with the line number and key; ``Quadrature`` checks the order
+(an integer >= 4) and ``default.a`` must be positive and at most 1e150.
 """
 
 from __future__ import annotations
@@ -36,16 +34,15 @@ __all__ = ["Config", "load_config", "config_from_env", "DOCUMENTED_KEYS"]
 @dataclass(frozen=True)
 class Config:
     interval_order: int = Quadrature.interval_order
-    sphere_order: int = Quadrature.sphere_order
     default_a: float = 1.0
 
     def quadrature(self) -> Quadrature:
-        return Quadrature(interval_order=self.interval_order, sphere_order=self.sphere_order)
+        return Quadrature(interval_order=self.interval_order)
 
 
-def _order(attr: str):
-    """Parser of the ``Quadrature`` order ``attr``, which ``Quadrature`` checks."""
-    return lambda text: getattr(Quadrature(**{attr: int(text)}), attr)
+def _interval_order(text: str) -> int:
+    """The interval order of ``text``, which ``Quadrature`` checks."""
+    return Quadrature(interval_order=int(text)).interval_order
 
 
 #: Largest coordinate magnitude the CLI accepts (in ``default.a`` and vector
@@ -64,8 +61,7 @@ def _positive_float(text: str) -> float:
 
 
 DOCUMENTED_KEYS = {
-    "quadrature.interval.order": ("interval_order", _order("interval_order")),
-    "quadrature.sphere.order": ("sphere_order", _order("sphere_order")),
+    "quadrature.interval.order": ("interval_order", _interval_order),
     "default.a": ("default_a", _positive_float),
 }
 

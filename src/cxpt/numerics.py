@@ -33,12 +33,14 @@ Conventions used throughout the library:
   and first moments, say) of one evaluation.  ``mean_on_sphere``, the
   source actions' axial means and the wave solver all reach the field
   through it.
-* ``walk_ladder`` is the one sphere-rule choice: it walks the rules of
-  ``Quadrature.sphere_ladder`` upwards with a caller's probe and keeps the
-  first that agrees with the next one up to ``U_ROUNDING`` of the field
-  scale, else the finest.  The source actions, the wave solver's
-  stencil solves and ``clifford.extended_borel_pompeiu`` choose their
-  rules through it.
+* ``walk_ladder`` is the one sphere-rule choice: it walks the fixed ladder
+  ``SPHERE_LADDER`` upwards with a caller's probe and keeps the first rung
+  that agrees with the next one up to ``U_ROUNDING`` of the field scale.
+  Where no pair up to ``SPHERE_ORDER`` agrees it climbs on, up to sphere
+  order 48, and keeps the top rung when none does.  The source actions,
+  the wave solver's stencil solves and ``clifford.extended_borel_pompeiu``
+  choose their rules through it; every other sphere rule is the fixed
+  rule of ``SPHERE_ORDER``.
 * ``fd_stencil`` exposes the distinct nodes and folded weights of the
   stencil ``derivative`` applies, so a caller can evaluate all the nodes
   of several stencils in one batch.
@@ -51,8 +53,9 @@ from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -85,8 +88,11 @@ __all__ = [
     "fd_laplacian",
     "orthonormal_complement_frame",
     "sphere_area",
+    "sphere_levels",
     "walk_ladder",
     "MAX_POINTS",
+    "SPHERE_LADDER",
+    "SPHERE_ORDER",
     "U_ROUNDING",
 ]
 
@@ -129,78 +135,59 @@ def sphere_area(n: int) -> float:
 
 #: Least ``Quadrature.interval_order`` accepted.
 MIN_INTERVAL_ORDER = 4
-#: Least ``Quadrature.sphere_order``: the least whose S^4 rule, (2, 2, 2, 4),
-#: has a base circle of the 3 nodes ``circle_rule`` needs.
-MIN_SPHERE_ORDER = 5
-#: Rungs of the sphere-rule ladder below the finest rule, in eighths of its
-#: order, and the rounding level of a sphere-mean sample (about 450 ulps) in
-#: units of the field scale, to which two rungs must agree.
-RUNGS = range(2, 8)
+#: Orders of the rungs of the sphere-rule ladder, lowest first (``sphere_levels``
+#: gives a rung's rule on S^dim), and the order of every sphere rule that no
+#: walk chooses, the rung a walk stops at for a field that vanishes on every
+#: probe.  Its rungs up to ``SPHERE_ORDER`` are sphere orders 6 to 24 in steps of
+#: 3; the rest climb for fields that no pair of them resolves.
+SPHERE_LADDER = (6, 9, 12, 15, 18, 21, 24, 30, 36, 42, 48)
+SPHERE_ORDER = 24
+#: Rounding level of a sphere-mean sample (about 450 ulps) in units of the field
+#: scale, to which two rungs must agree.
 U_ROUNDING = 1e-13
 
 
 @dataclass(frozen=True)
 class Quadrature:
-    """Quadrature orders of every layer: one per rule family, the two order keys
-    of the config file.
+    """The settable quadrature order: ``interval_order``, a key of the config file.
 
     ``interval_order`` is the Gauss order N of every interval rule: the
     2N+1-node Gauss-Kronrod q-integrals of the singular actions and the
     regularized action's panels, and the N-node Gauss-Legendre radii, rays,
-    Duffy square and box faces of ``clifford``.  ``sphere_order`` s sets the
-    product rules on S^1 through S^4 (see ``sphere_orders``).  The orders
-    must be at least ``MIN_INTERVAL_ORDER`` and ``MIN_SPHERE_ORDER``.
-    ``clifford``'s domain rules and a single one-sphere wave solve take the
-    rule of s itself.  For the source actions, the wave solver's stencil
-    solves, ``wave_residual``'s batch of one-sphere solves and the (q, phi)
-    rule of ``extended_borel_pompeiu``'s spheroid s is the finest rule:
-    each takes the smallest rule of ``sphere_ladder`` that agrees with the
-    next rule up on a probe (``walk_ladder``), the batch that next rule.
+    Duffy square and box faces of ``clifford``.  It must be an integer of at
+    least ``MIN_INTERVAL_ORDER``.  Sphere rules are not settable: the source
+    actions, the wave solver's stencil solves, ``wave_residual``'s batch of
+    one-sphere solves and the (q, phi) rule of ``extended_borel_pompeiu``'s
+    spheroid take the rung of ``SPHERE_LADDER`` that ``walk_ladder`` keeps,
+    and every other sphere rule is that of ``SPHERE_ORDER``.
     """
 
     interval_order: int = 16
-    sphere_order: int = 24
 
     def __post_init__(self) -> None:
-        for name, least in (("interval_order", MIN_INTERVAL_ORDER),
-                            ("sphere_order", MIN_SPHERE_ORDER)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        order = self.interval_order
+        if not isinstance(order, numbers.Integral):
+            raise ValueError(f"interval_order must be an integer, got {order!r}")
+        if order < MIN_INTERVAL_ORDER:
+            raise ValueError(f"interval_order must be >= {MIN_INTERVAL_ORDER}, got {order}")
 
-    def sphere_orders(self, dim: int) -> tuple[int, ...]:
-        """Per-level node counts of the product rule on S^dim, outermost level first.
 
-        S^1 has 8s/3 nodes and S^2 s polar nodes times twice that many
-        azimuths.  S^3 and S^4 take 7/12 and 5/12 of s polar nodes per
-        level and a base circle of twice that, all rounded down: (64,),
-        (14, 14, 28) and (10, 10, 10, 20) at the default 24.
-        """
-        s = self.sphere_order
-        if dim == 1:
-            return (8 * s // 3,)
-        if dim == 2:
-            return (s, 2 * s)
-        if dim in (3, 4):
-            polar = (7 if dim == 3 else 5) * s // 12
-            return (polar,) * (dim - 1) + (2 * polar,)
-        raise ValueError(f"no sphere orders for S^{dim}; pass orders")
+def sphere_levels(dim: int, order: int = SPHERE_ORDER) -> tuple[int, ...]:
+    """Per-level node counts of the product rule of ``order`` s on S^dim, outermost first.
 
-    def sphere_ladder(self, dim: int) -> list[tuple[int, ...]]:
-        """Per-level orders of the rules on S^dim of ``sphere_order`` j / 8, j in
-        ``RUNGS``, then of the finest rule, each distinct rule once.
-
-        Orders below ``MIN_SPHERE_ORDER`` are left out; when every rung is,
-        the ladder is the finest rule alone.
-        """
-        finest = self.sphere_orders(dim)
-        ladder = []
-        for j in RUNGS:
-            order = self.sphere_order * j // 8
-            if order >= MIN_SPHERE_ORDER:
-                orders = replace(self, sphere_order=order).sphere_orders(dim)
-                if orders not in ladder and orders != finest:
-                    ladder.append(orders)
-        return ladder + [finest]
+    S^1 has 8s/3 nodes and S^2 s polar nodes times twice that many
+    azimuths.  S^3 and S^4 take 7/12 and 5/12 of s polar nodes per level
+    and a base circle of twice that, all rounded down: (64,), (24, 48),
+    (14, 14, 28) and (10, 10, 10, 20) at ``SPHERE_ORDER``.
+    """
+    if dim == 1:
+        return (8 * order // 3,)
+    if dim == 2:
+        return (order, 2 * order)
+    if dim in (3, 4):
+        polar = (7 if dim == 3 else 5) * order // 12
+        return (polar,) * (dim - 1) + (2 * polar,)
+    raise ValueError(f"no sphere orders for S^{dim}; pass orders")
 
 
 @dataclass(frozen=True)
@@ -386,12 +373,12 @@ def sphere_rule(dim: int, orders: tuple[int, ...] | None = None) -> QuadratureRu
 
     ``orders`` gives the per-level node counts, outermost polar level
     first (the last entry is the base circle).  They default to
-    ``Quadrature().sphere_orders(dim)``.
+    ``sphere_levels(dim)``, the rule of ``SPHERE_ORDER``.
     """
     if dim < 1:
         raise ValueError("sphere_rule needs dim >= 1")
     if orders is None:
-        orders = Quadrature().sphere_orders(dim)
+        orders = sphere_levels(dim)
     if len(orders) != dim:
         raise ValueError(f"S^{dim} needs {dim} order entries, got {orders}")
     if dim == 1:
@@ -417,40 +404,46 @@ def sphere_rule(dim: int, orders: tuple[int, ...] | None = None) -> QuadratureRu
     return QuadratureRule("sphere-product", int(np.prod(orders)), nodes, weights)
 
 
-def walk_ladder(ladder: Sequence[tuple[int, ...]], probe,
-                noise=1.0) -> tuple[tuple[int, ...], float]:
-    """The first rung of ``ladder`` whose probe agrees with the next rung's.
+def walk_ladder(dim: int, probe, noise=1.0, upper: bool = False):
+    """The first rung of the sphere-rule ladder on S^dim whose probe agrees with the next rung's.
 
-    ``probe(orders)`` returns (sums, size): probe sums on the rule of those
-    orders, one row per sphere and one column per quantity, and a size of
-    the field there (a mean of |f|, say).  The field scale is the largest
-    size and |sum| probed so far.  Walking upwards, rung i is kept when
-    every column of |sums_{i+1} - sums_i| is within ``U_ROUNDING`` times
-    ``noise`` (per column, or one number) times the scale; the top rung is
-    probed only when the walk reaches it.  Returns the rung kept and 0, or,
-    when none agrees or the scale is 0, the top rung and the largest
-    disagreement of the last pair in units of the scale (0 for scale 0).
-    A ladder of one rung is returned without a probe.
+    The rungs are the rules of ``SPHERE_LADDER`` on S^dim (``sphere_levels``),
+    lowest first.  ``probe(orders)`` returns (sums, size, payload): probe
+    sums on the rule of those orders, one row per sphere and one column per
+    quantity, a size of the field there (a mean of |f|, say), and whatever
+    the caller wants back from the rung it keeps.  The field scale is the
+    largest size and |sum| probed so far.  Walking upwards, rungs i and
+    i + 1 agree when every column of |sums_{i+1} - sums_i| is within
+    ``U_ROUNDING`` times ``noise`` (per column, or one number) times the
+    scale; the walk keeps rung i then, or rung i + 1 with ``upper``, and
+    probes a rung only when it reaches it.  A field whose scale is still 0
+    at the rung of ``SPHERE_ORDER`` keeps that rung, probed no higher.
+
+    Returns the orders of the rung kept, its probe's payload and 0, or,
+    when no pair agrees, the top rung, its payload and the largest
+    disagreement of the top pair in units of the scale.
     """
-    if len(ladder) < 2:
-        return ladder[-1], 0.0
     tolerance = U_ROUNDING * np.asarray(noise)
-    scale = 0.0
-
-    def sized(orders: tuple[int, ...]) -> np.ndarray:
-        nonlocal scale
-        sums, size = probe(orders)
+    scale, low = 0.0, None
+    for order in SPHERE_LADDER:
+        orders = sphere_levels(dim, order)
+        sums, size, payload = probe(orders)
         scale = max(scale, size, float(np.abs(sums).max()))
-        return sums
+        if low is not None:
+            gap = np.abs(sums - low[1]).max(axis=0)
+            if scale > 0.0 and np.all(gap <= tolerance * scale):
+                return (orders, payload, 0.0) if upper else (low[0], low[2], 0.0)
+        if scale == 0.0 and order == SPHERE_ORDER:
+            return orders, payload, 0.0
+        low = orders, sums, payload
+    return orders, payload, float(gap.max()) / scale
 
-    low = sized(ladder[0])
-    for rung, above in zip(ladder, ladder[1:]):
-        high = sized(above)
-        gap = np.abs(high - low).max(axis=0)
-        if scale > 0.0 and np.all(gap <= tolerance * scale):
-            return rung, 0.0
-        low = high
-    return ladder[-1], float(gap.max()) / scale if scale > 0.0 else 0.0
+
+def _check_finite(**values) -> None:
+    """Raise ``ValueError`` naming the first argument with an entry that is not finite."""
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {np.asarray(value).tolist()}")
 
 
 def _as_batch_eval(f) -> Callable[[np.ndarray], np.ndarray]:
@@ -562,9 +555,11 @@ def mean_on_sphere(
     sphere then lies in the hyperplane through ``center`` orthogonal to
     it.  A zero radius returns ``f(center)``.  ``f`` (a TestField-like
     object or a callable) receives (m, n) arrays of the rule's points
-    through ``sphere_sums`` and must accept them.
+    through ``sphere_sums`` and must accept them.  ``center`` and ``radius``
+    must be finite.
     """
     center = np.asarray(center, dtype=float)
+    _check_finite(center=center, radius=radius)
     n = center.shape[0]
     if sphere_dim is None:
         sphere_dim = n - 1

@@ -39,20 +39,20 @@ field has one, and when it does not one pass over f at each sphere point
 and at the nodes of its central differences (step ``ZETA_STEP``) along
 the slope directions.
 
-``Quadrature.sphere_order`` sets the finest sphere rule an action may use.
 Once, at its start, each action calls ``_AxialField.fit_rule``, which
 probes the field on spheres that span those the action samples: about 0
 at four radii up to the largest (a for n = 3, 5, a sqrt(1.5) for the
 n = 6 panel) for the singular actions, and on the spheroid p = eps at
 seven q of both signs for the regularized one.  The shared walk
-``numerics.walk_ladder`` climbs ``Quadrature.sphere_ladder`` (``RUNGS``
-eighths of the order, then the finest) and keeps the first rung whose
-probe agrees with the next rung's to ``U_ROUNDING`` of the field scale;
-if none does, the finest rule stays, and the top rung's disagreement with
-it joins the n = 3 and regularized error estimates.  Rules small enough
-that a u-panel of them fits one field call (S^1 at the default order) and
-the one-sphere n = 4 singular action use the finest rule directly.  The
-wave solver's stencil solves walk the same ladder (see ``wave``).
+``numerics.walk_ladder`` climbs the fixed ladder
+``numerics.SPHERE_LADDER`` (sphere orders 6 to 48) and keeps the first
+rung whose probe agrees with the next rung's to ``U_ROUNDING`` of the
+field scale; if none does, the top rung stays, and the top pair's
+disagreement joins the n = 3 and regularized error estimates.  Rules
+small enough that a u-panel of them fits one field call (S^1) and the
+one-sphere n = 4 singular action take the rule of
+``numerics.SPHERE_ORDER`` directly.  The wave solver's stencil solves
+walk the same ladder (see ``wave``).
 
 The singular actions interpolate the means in u = rho^2, where they
 are smooth, on 16-node Chebyshev panels in u that are halved until their
@@ -104,6 +104,7 @@ from .numerics import (
     orthonormal_complement_frame,
     point_values,
     sphere_area,
+    sphere_levels,
     sphere_rule,
     sphere_sums,
     walk_ladder,
@@ -187,14 +188,13 @@ class _AxialField:
     its slope, the mean of grad f . (drho omega + dzeta y_hat), at arrays
     of (rho, zeta) nodes; ``u_panels`` turns functions of u = rho^2 built
     from them into piecewise Chebyshev interpolants.  ``fit_rule`` picks
-    the sphere rule they use, once per action; until then it is the finest,
-    that of ``quadrature.sphere_order``.  ``fit_disk_rule`` is ``fit_rule``
+    the sphere rule they use, once per action; until then it is that of
+    ``numerics.SPHERE_ORDER``.  ``fit_disk_rule`` is ``fit_rule``
     for the singular actions' disk and gives the rim mean of |f| that
     ``u_panels`` resolves against.
     """
 
-    def __init__(self, f: TestField, y: np.ndarray, n: int,
-                 quadrature: Quadrature = Quadrature()) -> None:
+    def __init__(self, f: TestField, y: np.ndarray, n: int) -> None:
         self.f = f
         self.y = np.asarray(y, dtype=float)
         self.n = n
@@ -205,11 +205,10 @@ class _AxialField:
             raise ValueError("axis vector y must be nonzero here")
         self.yhat = self.y / self.a
         self._frame = orthonormal_complement_frame(self.y)
-        self._quadrature = quadrature
         self._orders = None     # the per-level node counts of the rule in use
-        self._use_rule(quadrature.sphere_orders(n - 2))
-        #: largest disagreement of the ladder's top rung with the finest rule, in
-        #: units of the field scale, when no rung agreed (else 0)
+        self._use_rule(sphere_levels(n - 2))
+        #: largest disagreement of the ladder's top pair of rungs, in units of the
+        #: field scale, when no pair agreed (else 0)
         self.rule_error = 0.0
         # distinct nodes and folded weights of the slopes' central difference
         self._steps, self._step_weights = fd_stencil(
@@ -232,41 +231,39 @@ class _AxialField:
         The probe takes, in one ``sample`` pass per rule, the mean, a times
         the omega- and y_hat-slopes and the mean of |f| on the spheres of
         radii ``rho`` about ``zeta`` y_hat, which should span the spheres the
-        action samples.  ``numerics.walk_ladder`` walks
-        ``Quadrature.sphere_ladder`` upwards with it and keeps the first rung
-        that agrees with the next rung up within ``U_ROUNDING`` times the
-        field scale (the largest of every sample and mean of |f| so far),
-        times ``slope_noise`` for the slopes.  If none agrees, or the field
-        vanishes on every probe sphere, the finest rule is kept, and
-        ``rule_error`` takes the top rung's largest disagreement with it in
-        that scale.  Each call starts from the finest rule and a
+        action samples.  ``numerics.walk_ladder`` walks the sphere-rule
+        ladder upwards with it and keeps the first rung that agrees with the
+        next rung up within ``U_ROUNDING`` times the field scale (the largest
+        of every sample and mean of |f| so far), times ``slope_noise`` for
+        the slopes.  If no pair agrees, the top rung is kept, and
+        ``rule_error`` takes the top pair's largest disagreement in that
+        scale; a field that vanishes on every probe sphere keeps the rule of
+        ``SPHERE_ORDER``.  Each call starts from that rule and a
         ``rule_error`` of 0.
 
         A rule whose ``U_NODES`` nodes of a u-panel fit in one field call is
         used directly: there the probe's passes cost more than the points
-        they save.  Returns the means of |f| at the probe spheres from the
-        highest rule probed, or None when it did not probe.
+        they save.  Returns the means of |f| at the probe spheres on the rule
+        kept, or None when it did not probe.
         """
-        ladder = self._quadrature.sphere_ladder(self.n - 2)
-        self._use_rule(ladder[-1])
+        self._use_rule(sphere_levels(self.n - 2))
         self.rule_error = 0.0
-        if U_NODES * self._weights.size <= MAX_POINTS or len(ladder) < 2:
+        if U_NODES * self._weights.size <= MAX_POINTS:
             return None
         rho, zeta = (np.broadcast_to(np.asarray(v, dtype=float), np.shape(rho))[:, None]
                      for v in (rho, zeta))
-        magnitude = None
 
-        def probe(orders: tuple[int, ...]) -> tuple[np.ndarray, float]:
-            nonlocal magnitude
+        def probe(orders: tuple[int, ...]):
             self._use_rule(orders)
             fbar, slopes, magnitude = self.sample(rho, zeta, np.array([1.0, 0.0]),
                                                   np.array([0.0, 1.0]), magnitude=True)
-            return np.column_stack([fbar, self.a * slopes]), float(magnitude.max())
+            return (np.column_stack([fbar, self.a * slopes]), float(magnitude.max()),
+                    magnitude[:, 0])
 
-        rung, self.rule_error = walk_ladder(
-            ladder, probe, np.array([1.0, self.slope_noise, self.slope_noise]))
+        rung, magnitude, self.rule_error = walk_ladder(
+            self.n - 2, probe, np.array([1.0, self.slope_noise, self.slope_noise]))
         self._use_rule(rung)
-        return magnitude[:, 0]
+        return magnitude
 
     def fit_disk_rule(self, rho_max: float) -> float:
         """``fit_rule`` on the spheres about 0 of radii rho_max sqrt(``PROBE_U``);
@@ -467,7 +464,7 @@ def singular_action_r3(f: TestField, y: Sequence[float] | np.ndarray,
         v = f.evaluate(np.zeros(3))
         return SourceAction(v, {"rim": v, "single_layer": 0j, "double_layer": 0j}, 0.0)
     _require_smoothness(f, 1, "singular_action_r3")
-    af = _AxialField(f, y, 3, quadrature)
+    af = _AxialField(f, y, 3)
     a = af.a
     rim = af.fit_disk_rule(a)
     g_pieces, ah_pieces = af.u_panels(      # G = fbar(sqrt(u), 0), a H = a fbar_zeta
@@ -496,14 +493,14 @@ def singular_action_r3(f: TestField, y: Sequence[float] | np.ndarray,
     return SourceAction(value, {"rim": l0, "single_layer": l1, "double_layer": 1j * l2}, err)
 
 
-def singular_action_r4(f: TestField, y: Sequence[float] | np.ndarray,
-                       quadrature: Quadrature = Quadrature()) -> complex:
-    """Action in R^4: fbar(a,0) + a fbar_rho(a,0) - i a fbar_zeta(a,0)."""
+def singular_action_r4(f: TestField, y: Sequence[float] | np.ndarray) -> complex:
+    """Action in R^4: fbar(a,0) + a fbar_rho(a,0) - i a fbar_zeta(a,0), on the rule
+    of ``SPHERE_ORDER`` (one sphere: a probe would cost more than it saves)."""
     y = np.asarray(y, dtype=float)
     if np.linalg.norm(y) == 0.0:
         return f.evaluate(np.zeros(4))
     _require_smoothness(f, 1, "singular_action_r4")
-    af = _AxialField(f, y, 4, quadrature)
+    af = _AxialField(f, y, 4)
     a = af.a
     fbar, (d_rho, d_zeta) = af.sample(a, 0.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     return complex(fbar + a * d_rho - 1j * a * d_zeta)
@@ -519,7 +516,7 @@ def singular_action_even(f: TestField, y: Sequence[float] | np.ndarray, n: int,
         return f.evaluate(np.zeros(n))
     k = (n - 2) // 2
     _require_smoothness(f, k, "singular_action_even")
-    af = _AxialField(f, y, n, quadrature)
+    af = _AxialField(f, y, n)
     a = af.a
     rim = af.fit_disk_rule(a * math.sqrt(1.5))
     g_hat = af.g_panels(rim, cover=False)[0]
@@ -539,7 +536,7 @@ def singular_action_odd(f: TestField, y: Sequence[float] | np.ndarray, n: int,
         return f.evaluate(np.zeros(n))
     _require_smoothness(f, n - 2, "singular_action_odd")
     k = (n - 3) // 2
-    af = _AxialField(f, y, n, quadrature)
+    af = _AxialField(f, y, n)
     a = af.a
     ratio = _omega_ratio(n)
     rim = af.fit_disk_rule(a)
@@ -567,7 +564,7 @@ def singular_action(f: TestField, y: Sequence[float] | np.ndarray, n: int | None
     if n == 3:
         return singular_action_r3(f, y, quadrature).value
     if n == 4:
-        return singular_action_r4(f, y, quadrature)
+        return singular_action_r4(f, y)
     if n == 5:
         return singular_action_odd(f, y, 5, quadrature)
     if n == 6:
@@ -603,7 +600,7 @@ def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
     if np.linalg.norm(y) == 0.0:
         raise ValueError("regularized action needs y != 0")
     _require_smoothness(f, n - 2, "regularized_action")
-    af = _AxialField(f, y, n, quadrature)
+    af = _AxialField(f, y, n)
     a = af.a
     nu = (n - 3) / 2.0
     # the spheroid's spheres of rho^2 = PROBE_U (a^2 + eps^2), at zeta of both signs
@@ -709,5 +706,5 @@ def descent_check(f: TestField, y: Sequence[float] | np.ndarray,
             f"window {w} does not cover the source support |s| <= {a} with FD margin"
         )
     lhs = singular_action_r3(f, y, quadrature).value
-    rhs = singular_action_r4(_lift(f, w), np.append(y, 0.0), quadrature)
+    rhs = singular_action_r4(_lift(f, w), np.append(y, 0.0))
     return lhs, rhs

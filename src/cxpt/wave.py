@@ -25,11 +25,10 @@ the extension coincides with the analytic continuation in s + it.
 When v carries an exact gradient, an n = 3 solve is one sphere at the
 signed radius t: d/dt(t vbar) = vbar + t mean(omega . grad v), so
 u = mean(v + t omega . grad v + t w) over x + t omega (n = 2 lifts the
-gradient as [grad v, 0]), on the finest rule, that of
-``Quadrature.sphere_order``.  ``wave_residual`` takes all its lattice
-points as one such batch (``_kirchhoff_spheres``): several spheres per
-evaluator call, on one rule for the batch that its probe of the points of
-largest |t| keeps (below).  Otherwise a solve first collects every
+gradient as [grad v, 0]), on the rule of ``numerics.SPHERE_ORDER``.
+``wave_residual`` takes all its lattice points as one such batch
+(``_kirchhoff_spheres``): several spheres per evaluator call, on one rule
+for the batch that its probe of the points of largest |t| keeps (below).  Otherwise a solve first collects every
 radius its Richardson radial stencils touch (``numerics.fd_stencil``), as
 |r| since the means are even in r, and takes the means of v and of w at
 the distinct radii with one call of the shared kernel
@@ -38,28 +37,28 @@ sums of those means.  Such an n = 3 solve takes 7 means (6 of v, 1 of w)
 and an n = 5 solve 14 (7 of each; n = 5 keeps its stencils, since its
 second radial derivative would need a Hessian).  The evaluator gets one
 sphere per call, cut into slices of at most ``numerics.MAX_POINTS``
-points where the rule is larger (S^4 has 20,000 nodes at the finest).
+points where the rule is larger (S^4 has 20,000 nodes at sphere order 24).
 
 These stencil solves take their means on the smallest rule that agrees
 with the next one up (``_fit_rule``): once per call, v and w are probed
 on the outermost sphere of the stencils, one ``sphere_sums`` pass per
-field and rung of ``Quadrature.sphere_ladder``, and ``numerics.walk_ladder``,
+field and rung of ``numerics.SPHERE_LADDER``, and ``numerics.walk_ladder``,
 the walk the source actions use, keeps the first rung whose sums agree
-with the next rung's to ``U_ROUNDING`` of the field scale.  The probe's
-sums on the kept rung stand for the solve's own on that sphere, so each
-sphere is still taken once.  When no rung agrees, the finest rule stays
-and the solve's value is as without the probe, bit for bit.  A smooth
-n = 5 solve at t = 0.7 takes 48,780 points instead of 280,000; one that
-falls back takes 314,060 (the probe's 74,060, less the 40,000 of the
-outermost spheres; +12%).  A single one-sphere solve skips the probe,
-which would cost more than it saves, and keeps the finest rule.  The
+with the next rung's to ``U_ROUNDING`` of the field scale, climbing past
+sphere order 24 where no lower pair agrees, up to the top rung.  The
+probe's sums on the kept rung stand for the solve's own on that sphere,
+so each sphere is still taken once.  A smooth n = 5 solve at t = 0.7
+takes 48,780 points instead of 280,000; the plane wave k = 8 e_1 at
+t = 2, which no pair up to order 24 resolves, climbs to the top rung at
+5,173,588 points.  A single one-sphere solve skips the probe, which would
+cost more than it saves, and takes the rule of ``SPHERE_ORDER``.  The
 residual's batch walks the same ladder once: it probes only its spheres
 of largest |t|, each rung in one pass, and every sphere takes the upper
 rule of the first agreeing pair, on which the probe has already summed
 the outermost ones.  Criterion 9's lattice of 297 solves evaluates
 150,174 points in 42 calls instead of 1,026,432 in 891; a lattice that
-falls back (k = (20, 0, 0) at t = 1) pays its probed layer on every rung,
-1.2 times the points of one finest-rule sphere per solve.
+climbs (k = (20, 0, 0) at t = 1, to (36, 72)) pays its probed layer on
+every rung up to the one kept, 2,751,246 points.
 
 ``extend_jet`` differentiates the n = 3 solution under the sphere means:
 the means M and first moments N_l = mean(omega_l f(x + r omega)) of v and
@@ -92,10 +91,11 @@ from .errors import (
 from .fields import TestField, _lift, _single
 from .numerics import (
     FDScheme,
-    Quadrature,
+    _check_finite,
     derivative,
     fd_stencil,
     point_values,
+    sphere_levels,
     sphere_rule,
     sphere_sums,
     walk_ladder,
@@ -178,28 +178,24 @@ def _columns(rule) -> np.ndarray:
     return np.column_stack([rule.weights, rule.weights[:, None] * rule.nodes])
 
 
-def _fit_rule(data: CauchyData, x: np.ndarray, radius: float, quadrature: Quadrature,
-              moments: bool = False):
-    """The rule of the first rung of ``Quadrature.sphere_ladder`` that agrees with the next.
+def _fit_rule(data: CauchyData, x: np.ndarray, radius: float, moments: bool = False):
+    """The rule of the first rung of the sphere-rule ladder that agrees with the next.
 
     The probe takes, per rung, one ``sphere_sums`` pass for v and one for w
     on the sphere of ``radius`` about x, the outermost the solve samples,
     with the weights the solve uses (the rule's, or ``_columns`` for
     moments), and the mean of |f| from the same evaluations;
     ``numerics.walk_ladder`` keeps the first rung whose sums of both fields
-    agree with the next rung's to ``U_ROUNDING`` of the field scale, else
-    the finest rule.
+    agree with the next rung's to ``U_ROUNDING`` of the field scale.
 
     Returns the rule and, per field, the probe's sums of that sphere on it
     as {radius: sums} for ``_radial_means``, so the solve does not take it
     again.  Both sum one sphere per kernel call with the same weights, so
-    the sums are those the solve would take, and a solve on the finest
-    rule is bit for bit as without the probe.
+    the sums are those the solve would take.
     """
     dim = data.n - 1
-    probed = {}
 
-    def probe(orders: tuple[int, ...]) -> tuple[np.ndarray, float]:
+    def probe(orders: tuple[int, ...]):
         rule = sphere_rule(dim, orders)
         weights = _columns(rule) if moments else rule.weights
         sums, size = [], 0.0
@@ -214,12 +210,10 @@ def _fit_rule(data: CauchyData, x: np.ndarray, radius: float, quadrature: Quadra
             sums.append(sphere_sums(recorded, x, [radius], rule.nodes, weights,
                                     max_points=rule.weights.size)[0])
             size = max(size, float(np.max(rule.weights @ np.concatenate(magnitudes))))
-        probed[orders] = [{radius: s} for s in sums]
-        return np.concatenate([np.ravel(s) for s in sums]), size
+        return np.concatenate([np.ravel(s) for s in sums]), size, [{radius: s} for s in sums]
 
-    rung, _ = walk_ladder(quadrature.sphere_ladder(dim), probe)
-    # a ladder of one rung is not probed
-    return sphere_rule(dim, rung), probed.get(rung, ({}, {}))
+    rung, known, _ = walk_ladder(dim, probe)
+    return sphere_rule(dim, rung), known
 
 
 def _radial_means(field: TestField, x: np.ndarray, rule, radii,
@@ -269,7 +263,7 @@ def _kirchhoff(t: float, r: np.ndarray, c: np.ndarray, mv: np.ndarray, mw_t):
     return (c * r) @ mv + t * mw_t
 
 
-def _kirchhoff_spheres(data: CauchyData, xs: np.ndarray, ts: np.ndarray, ladder):
+def _kirchhoff_spheres(data: CauchyData, xs: np.ndarray, ts: np.ndarray, fit: bool = True):
     """Kirchhoff's u_i = mean(v + t_i omega.grad v + t_i w) over x_i + t_i omega.
 
     For n = 3 data whose v carries a gradient, at (k, 3) centres ``xs`` and
@@ -277,19 +271,18 @@ def _kirchhoff_spheres(data: CauchyData, xs: np.ndarray, ts: np.ndarray, ladder)
     so each solve is one sphere.  The spheres go to ``sphere_sums`` with one
     centre per radius, several per evaluator call up to ``MAX_POINTS``.
 
-    The rule comes from one ``walk_ladder`` over ``ladder`` for the whole
-    batch, probing only the spheres of largest |t| (a lattice's outermost
-    layer, the hardest to resolve), with the mean of |v| + |t|(|omega.grad v|
-    + |w|) as the field's size.  Every sphere takes the upper rule of the
-    first agreeing pair, on which the probe has already summed the
-    outermost spheres, or the top rule when no pair agrees.  A ladder of
-    one rule is not probed: one solve takes it directly.
+    With ``fit`` the rule comes from one ``walk_ladder`` on S^2 for the
+    whole batch, probing only the spheres of largest |t| (a lattice's
+    outermost layer, the hardest to resolve), with the mean of |v| +
+    |t|(|omega.grad v| + |w|) as the field's size.  Every sphere takes the
+    upper rule of the first agreeing pair, on which the probe has already
+    summed the outermost spheres, or the top rule when no pair agrees.
+    Without it, as for one solve, every sphere takes the rule of
+    ``SPHERE_ORDER`` unprobed.
     """
     v_vals, w_vals = point_values(data.v), point_values(data.w)
-    outer = np.abs(ts) == np.abs(ts).max()
-    probed = {}
 
-    def sums(orders: tuple[int, ...], chosen: np.ndarray, sizes: bool = False) -> np.ndarray:
+    def sums(orders: tuple[int, ...], chosen: np.ndarray, sizes: bool = False):
         rule = sphere_rule(2, orders)
         radii = ts[chosen]
 
@@ -304,42 +297,41 @@ def _kirchhoff_spheres(data: CauchyData, xs: np.ndarray, ts: np.ndarray, ladder)
 
         return sphere_sums(values, xs[chosen], radii, rule.nodes, rule.weights)
 
-    def probe(orders: tuple[int, ...]) -> tuple[np.ndarray, float]:
-        found = sums(orders, outer, sizes=True)
-        probed[orders] = found[:, 0]
-        return found[:, :1], float(found[:, 1].real.max())
+    if not fit:
+        return sums(sphere_levels(2), np.ones(ts.shape, dtype=bool))
 
-    rung, _ = walk_ladder(ladder, probe)
-    kept = ladder[min(ladder.index(rung) + 1, len(ladder) - 1)]
+    outer = np.abs(ts) == np.abs(ts).max()
+
+    def probe(orders: tuple[int, ...]):
+        found = sums(orders, outer, sizes=True)
+        return found[:, :1], float(found[:, 1].real.max()), found[:, 0]
+
+    kept, outermost, _ = walk_ladder(2, probe, upper=True)
     out = np.empty(ts.shape, dtype=complex)
-    todo = np.ones(ts.shape, dtype=bool)
-    if kept in probed:
-        out[outer] = probed[kept]
-        todo = ~outer
-    if todo.any():
-        out[todo] = sums(kept, todo)
+    out[outer] = outermost
+    if not outer.all():
+        out[~outer] = sums(kept, ~outer)
     return out
 
 
-def _kirchhoff3(data: CauchyData, x: np.ndarray, quadrature: Quadrature, t: float):
+def _kirchhoff3(data: CauchyData, x: np.ndarray, t: float):
     """n = 3: u = d/dr(r vbar)|_{r=t} + t wbar(t).
 
     When v carries an exact gradient, u is one sphere at the signed radius
-    t on the finest rule (``_kirchhoff_spheres`` with that rule alone).
+    t on the rule of ``SPHERE_ORDER`` (``_kirchhoff_spheres`` unfitted).
     Otherwise vbar is sampled at the radii of ``RADIAL_FD``'s stencil about
     t, on the rule of ``_fit_rule``.
     """
     if data.v.gradient is not None:
-        return _kirchhoff_spheres(data, x[None, :], np.array([t]),
-                                  [quadrature.sphere_orders(2)])[0]
+        return _kirchhoff_spheres(data, x[None, :], np.array([t]), fit=False)[0]
     r, c = fd_stencil(t, RADIAL_FD, 1)
-    rule, (known_v, _) = _fit_rule(data, x, float(np.abs(r).max()), quadrature)
+    rule, (known_v, _) = _fit_rule(data, x, float(np.abs(r).max()))
     mv = _radial_means(data.v, x, rule, r, known=known_v)
     mw = _radial_means(data.w, x, rule, [t])
     return _kirchhoff(t, r, c, mv, mw[0])
 
 
-def _kirchhoff3_jet(data: CauchyData, x: np.ndarray, quadrature: Quadrature, t: float):
+def _kirchhoff3_jet(data: CauchyData, x: np.ndarray, t: float):
     """(u, grad_x u, d_t u) of the n = 3 solution from the sphere samples about x.
 
     The means M and moments N of v and w at the 7 distinct radii of
@@ -356,8 +348,7 @@ def _kirchhoff3_jet(data: CauchyData, x: np.ndarray, quadrature: Quadrature, t: 
     r2, c2 = fd_stencil(t, RADIAL_FD, 2)
     k1 = r1.size
     radii = np.concatenate([[t], r1, r2])
-    rule, (known_v, known_w) = _fit_rule(data, x, float(np.abs(radii).max()), quadrature,
-                                         moments=True)
+    rule, (known_v, known_w) = _fit_rule(data, x, float(np.abs(radii).max()), moments=True)
     mv = _moments(data.v, x, rule, radii, known_v)
     mw = _moments(data.w, x, rule, radii, known_w)
     v1 = np.tensordot(c1, mv[1:1 + k1], axes=1)
@@ -369,7 +360,7 @@ def _kirchhoff3_jet(data: CauchyData, x: np.ndarray, quadrature: Quadrature, t: 
     return u, grad, u_t
 
 
-def _poisson5(data: CauchyData, x: np.ndarray, quadrature: Quadrature, t: float):
+def _poisson5(data: CauchyData, x: np.ndarray, t: float):
     """n = 5 (k = 2) in expanded radial form, valid for every t:
 
     u = m + (5/3) t m' + (1/3) t^2 m'' + t w + (1/3) t^2 w',
@@ -381,7 +372,7 @@ def _poisson5(data: CauchyData, x: np.ndarray, quadrature: Quadrature, t: float)
     r2, c2 = fd_stencil(t, RADIAL_FD, 2)
     k1 = r1.size
     radii = np.concatenate([[t], r1, r2])
-    rule, (known_v, known_w) = _fit_rule(data, x, float(np.abs(radii).max()), quadrature)
+    rule, (known_v, known_w) = _fit_rule(data, x, float(np.abs(radii).max()))
     mv = _radial_means(data.v, x, rule, radii, known=known_v)
     mw = _radial_means(data.w, x, rule, radii[:1 + k1], known=known_w)
     m0, m1, m2 = mv[0], c1 @ mv[1:1 + k1], c2 @ mv[1 + k1:]
@@ -400,15 +391,7 @@ def _check_smoothness(data: CauchyData, k: int) -> None:
         )
 
 
-def _check_finite(**values) -> None:
-    """Raise ``ValueError`` naming the first argument with an entry that is not finite."""
-    for name, value in values.items():
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} must be finite, got {np.asarray(value).tolist()}")
-
-
-def solve_cauchy(data: CauchyData, x: Sequence[float] | np.ndarray, t: float,
-                 quadrature: Quadrature = Quadrature()):
+def solve_cauchy(data: CauchyData, x: Sequence[float] | np.ndarray, t: float):
     """Wave-equation solution u(x, t) from Cauchy data at t = 0 (n in {2, 3, 5}).
 
     x and t must be finite.
@@ -419,7 +402,7 @@ def solve_cauchy(data: CauchyData, x: Sequence[float] | np.ndarray, t: float,
         raise ValueError(f"point has dimension {x.shape[0]}, data has n={data.n}")
     if data.n == 2:
         lifted = CauchyData(_lift(data.v), _lift(data.w), 3)
-        return solve_cauchy(lifted, np.append(x, 0.0), t, quadrature)
+        return solve_cauchy(lifted, np.append(x, 0.0), t)
     if data.n not in (3, 5):
         raise UnsupportedDimensionError(f"solver supports n in {{2, 3, 5}}, got {data.n}")
     k = (data.n - 1) // 2
@@ -427,8 +410,8 @@ def solve_cauchy(data: CauchyData, x: Sequence[float] | np.ndarray, t: float,
     if t == 0.0:
         return data.v.evaluate(x)
     if data.n == 3:
-        return _kirchhoff3(data, x, quadrature, t)
-    return _poisson5(data, x, quadrature, t)
+        return _kirchhoff3(data, x, t)
+    return _poisson5(data, x, t)
 
 
 def _extension_point(x: Sequence[float] | np.ndarray, s: float, t: float) -> np.ndarray:
@@ -466,8 +449,7 @@ def _slices(f: SpacetimeField, s: float) -> CauchyData:
     )
 
 
-def extend(f: SpacetimeField, x: Sequence[float] | np.ndarray, s: float, t: float,
-           quadrature: Quadrature = Quadrature()):
+def extend(f: SpacetimeField, x: Sequence[float] | np.ndarray, s: float, t: float):
     """Extension f~(x, s + it) of a Euclidean-spacetime field (n = 3).
 
     Solves the Cauchy problem with v = f(., s) and w = i f_s(., s); the
@@ -477,11 +459,10 @@ def extend(f: SpacetimeField, x: Sequence[float] | np.ndarray, s: float, t: floa
     x = _extension_point(x, s, t)
     if t == 0.0:
         return f.evaluate(np.append(x, s))
-    return solve_cauchy(_slices(f, s), x, t, quadrature)
+    return solve_cauchy(_slices(f, s), x, t)
 
 
-def extend_jet(f: SpacetimeField, x: Sequence[float] | np.ndarray, s: float, t: float,
-               quadrature: Quadrature = Quadrature()):
+def extend_jet(f: SpacetimeField, x: Sequence[float] | np.ndarray, s: float, t: float):
     """f~(x, s + it), its x-gradient and its t-derivative, from one centre (n = 3).
 
     Returns (u, grad, u_t): u is ``extend``'s value, grad has one row per
@@ -493,11 +474,10 @@ def extend_jet(f: SpacetimeField, x: Sequence[float] | np.ndarray, s: float, t: 
     x = _extension_point(x, s, t)
     data = _slices(f, s)
     _check_smoothness(data, 1)
-    return _kirchhoff3_jet(data, x, quadrature, t)
+    return _kirchhoff3_jet(data, x, t)
 
 
-def _solve_lattice(data: CauchyData, xs: np.ndarray, ts: np.ndarray,
-                   quadrature: Quadrature) -> np.ndarray:
+def _solve_lattice(data: CauchyData, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """``solve_cauchy`` at every (xs[i], ts[i]), one row each.
 
     When v carries a gradient and n is 3 (or 2, lifted), the points with
@@ -505,7 +485,7 @@ def _solve_lattice(data: CauchyData, xs: np.ndarray, ts: np.ndarray,
     those with t = 0 are v(x).  Otherwise each point is its own solve.
     """
     if data.v.gradient is None or data.n not in (2, 3):
-        return np.stack([np.asarray(solve_cauchy(data, x, t, quadrature))
+        return np.stack([np.asarray(solve_cauchy(data, x, t))
                          for x, t in zip(xs, ts)])
     if data.n == 2:
         data = CauchyData(_lift(data.v), _lift(data.w), 3)
@@ -516,14 +496,12 @@ def _solve_lattice(data: CauchyData, xs: np.ndarray, ts: np.ndarray,
     if still.any():
         out[still] = data.v.evaluate(xs[still])
     if not still.all():
-        out[~still] = _kirchhoff_spheres(data, xs[~still], ts[~still],
-                                         quadrature.sphere_ladder(2))
+        out[~still] = _kirchhoff_spheres(data, xs[~still], ts[~still])
     return out
 
 
 def wave_residual(data: CauchyData, x_center: Sequence[float] | np.ndarray,
-                  t_center: float, h: float = 0.05, half_points: int = 2,
-                  quadrature: Quadrature = Quadrature()) -> float:
+                  t_center: float, h: float = 0.05, half_points: int = 2) -> float:
     """Max |u_tt - Lap u| over the interior of a (2m+1)^{n+1} lattice.
 
     The lattice is centred at the finite (x_center, t_center) with a
@@ -547,8 +525,7 @@ def wave_residual(data: CauchyData, x_center: Sequence[float] | np.ndarray,
         raise ValueError(f"x_center has shape {x_center.shape}, data has n={n}")
     offsets = np.indices((2 * m + 1,) * (n + 1)).reshape(n + 1, -1).T - m
     offsets = offsets[np.sum(np.abs(offsets) == m, axis=1) <= 1]
-    u = _solve_lattice(data, x_center + offsets[:, :n] * h, t_center + offsets[:, n] * h,
-                       quadrature)
+    u = _solve_lattice(data, x_center + offsets[:, :n] * h, t_center + offsets[:, n] * h)
     finite = np.isfinite(u).reshape(len(u), -1).all(axis=1)
     if not finite.all():
         raise NonFiniteIntegrandError("solver sample at lattice offset "

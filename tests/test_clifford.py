@@ -17,7 +17,14 @@ from cxpt.errors import (
 )
 from cxpt.fields import TestField, poly_diff
 from cxpt.geometry import ComplexPoint, oblate_rho_zeta
-from cxpt.numerics import FDScheme, Quadrature, gauss_legendre, sphere_area
+from cxpt.numerics import (
+    SPHERE_LADDER,
+    FDScheme,
+    Quadrature,
+    gauss_legendre,
+    sphere_area,
+    sphere_levels,
+)
 from cxpt.clifford import (
     DIRAC_FD,
     _batch_mul,
@@ -413,8 +420,9 @@ def _per_point_ebp(f, M, z, orders, interval_order=16):
     return term_b - term_v - term_d
 
 
-def _kept_rungs(monkeypatch):
-    """The rungs ``extended_borel_pompeiu``'s ladder walks return, in call order."""
+def _kept_rungs(monkeypatch, gaps=None):
+    """The rungs ``extended_borel_pompeiu``'s ladder walks return, in call order, and
+    their disagreements in ``gaps``, if given."""
     from cxpt import clifford
 
     kept, walk = [], clifford.walk_ladder
@@ -422,6 +430,8 @@ def _kept_rungs(monkeypatch):
     def recording(*args, **kwargs):
         rung = walk(*args, **kwargs)
         kept.append(rung[0])
+        if gaps is not None:
+            gaps.append(rung[-1])
         return rung
 
     monkeypatch.setattr(clifford, "walk_ladder", recording)
@@ -459,7 +469,7 @@ def test_extended_bp_ring_moments_match_per_point_layers(monkeypatch):
         got = extended_borel_pompeiu(f, ball, z).coeffs
         want = _per_point_ebp(f, ball, z, kept[-1])
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), kept[-1]
-    assert len(set(kept)) > 1 and Quadrature().sphere_orders(2) not in kept
+    assert len(set(kept)) > 1 and sphere_levels(2) not in kept
 
 
 def _closed_form(f, z):
@@ -482,7 +492,8 @@ def _closed_form(f, z):
 ], ids=["criterion-11-field", "tight-clearance"])
 def test_extended_bp_matches_the_closed_form(monkeypatch, field, clearance, lowest):
     """On degree-2 fields at |y| >= 0.08 the ladder's value is as close to
-    f(x + iy) + (a^2/2) Lap f as the finest rule's per-point layers, to 1e-12.
+    f(x + iy) + (a^2/2) Lap f as the per-point layers on the rule of
+    SPHERE_ORDER, to 1e-12.
 
     A spheroid that barely clears the disk makes the boundary's kernel
     sharp in q, and the ladder climbs to rung ``lowest`` or above there."""
@@ -494,35 +505,55 @@ def test_extended_bp_matches_the_closed_form(monkeypatch, field, clearance, lowe
         z = _disk_inside_point(rng, ball, rng.uniform(0.08, 0.2), rng.uniform(*clearance))
         want = _closed_form(f, z)
         got = extended_borel_pompeiu(f, ball, z).coeffs
-        finest = _per_point_ebp(f, ball, z, Quadrature().sphere_orders(2))
-        assert np.linalg.norm(got - want) <= np.linalg.norm(finest - want) + 1e-12
-    ladder = Quadrature().sphere_ladder(2)
+        fixed = _per_point_ebp(f, ball, z, sphere_levels(2))
+        assert np.linalg.norm(got - want) <= np.linalg.norm(fixed - want) + 1e-12
+    ladder = [sphere_levels(2, order) for order in SPHERE_LADDER]
     assert min(ladder.index(rung) for rung in kept) >= lowest, kept
 
 
-def test_extended_bp_without_an_agreeing_rung_takes_the_finest_rule(monkeypatch):
-    """exp(i 40 x_1) agrees on no rung: the value is the finest rule's, and the
-    probes of every rung cost at most 10 % over the 604,800 points the layers
-    took on the finest rule alone."""
-    alg = Cl(3)
-    sizes = []
-
+def _oscillating_field(alg, frequency, sizes):
+    """exp(i frequency x_1) as the scalar blade of an evaluator-only Cl(3) field,
+    logging each evaluation's size."""
     def ev(pts):
         sizes.append(pts.shape[0])
         out = np.zeros((pts.shape[0], alg.dim), dtype=complex)
-        out[:, 0] = np.exp(40j * pts[:, 0])
+        out[:, 0] = np.exp(1j * frequency * pts[:, 0])
         return out
 
-    kept = _kept_rungs(monkeypatch)
-    f, ball = MultivectorField(alg, 3, evaluator=ev), Ball(np.zeros(3), 1.0)
+    return MultivectorField(alg, 3, evaluator=ev)
+
+
+def test_extended_bp_without_an_agreeing_rung_takes_the_finest_rule(monkeypatch):
+    """exp(i 160 x_1) agrees on no pair of rungs up to the top, (48, 96): the value
+    is that rule's, from its own probe's boundary sums.  The probes' boundary rings
+    of all 11 rungs (16,182 points, 13 evaluations each for f and its FD Dirac
+    derivative) and the top rule's 1,072 volume and branch-cut rings (102,912
+    points, 12 evaluations each for Df) take 1,445,310 points."""
+    alg, sizes, gaps = Cl(3), [], []
+    kept = _kept_rungs(monkeypatch, gaps)
+    f, ball = _oscillating_field(alg, 160.0, sizes), Ball(np.zeros(3), 1.0)
     z = ComplexPoint([0.3, 0.0, 0.0], [0.0, 0.0, 0.05])
     got = extended_borel_pompeiu(f, ball, z).coeffs
     points = sum(sizes)
-    finest = Quadrature().sphere_orders(2)
-    assert kept == [finest]
-    want = _per_point_ebp(f, ball, z, finest)
+    top = sphere_levels(2, SPHERE_LADDER[-1])
+    assert kept == [top] and gaps[0] > 0.0
+    want = _per_point_ebp(f, ball, z, top)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-    assert points <= 1.1 * 604_800
+    assert points == 1_445_310
+
+
+def test_extended_bp_climbs_past_order_24(monkeypatch):
+    """exp(i 80 x_1), whose top pair of rungs up to (24, 48) disagreed by 0.30 of
+    the field scale: the walk climbs and keeps (42, 84), which agrees with
+    (48, 96), and its value is within 1e-10 of the per-point layers on (48, 96)."""
+    alg, gaps = Cl(3), []
+    kept = _kept_rungs(monkeypatch, gaps)
+    f, ball = _oscillating_field(alg, 80.0, []), Ball(np.zeros(3), 1.0)
+    z = ComplexPoint([0.3, 0.0, 0.0], [0.0, 0.0, 0.05])
+    got = extended_borel_pompeiu(f, ball, z).coeffs
+    assert kept == [(42, 84)] and gaps == [0.0]
+    want = _per_point_ebp(f, ball, z, sphere_levels(2, SPHERE_LADDER[-1]))
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("a", [0.02, 0.035])

@@ -19,7 +19,7 @@ from cxpt.config import DOCUMENTED_KEYS, Config, load_config
 from cxpt.errors import ConfigParseError
 from cxpt.fields import gaussian, parse_field_spec
 from cxpt.geometry import ComplexPoint
-from cxpt.numerics import FDScheme, Quadrature, sphere_rule
+from cxpt.numerics import FDScheme, Quadrature, sphere_levels, sphere_rule
 from cxpt.potential import regularized_jump, regularized_potential
 from cxpt.source import descent_check, moments, singular_action
 from cxpt.wave import CauchyData, solve_cauchy
@@ -56,11 +56,9 @@ def test_empty_config_gives_defaults(tmp_path):
 
 
 def test_config_overrides(tmp_path):
-    cfg = load_config(write(tmp_path,
-                            "quadrature.interval.order = 24\nquadrature.sphere.order = 36\n"))
+    cfg = load_config(write(tmp_path, "quadrature.interval.order = 24\ndefault.a = 2\n"))
     assert cfg.interval_order == 24
-    assert cfg.sphere_order == 36
-    assert cfg.default_a == Config().default_a
+    assert cfg.default_a == 2.0
 
 
 def test_config_comments_and_blanks(tmp_path):
@@ -74,7 +72,7 @@ def test_config_rejections(tmp_path):
     with pytest.raises(ConfigParseError, match=":1:"):
         load_config(write(tmp_path, "not a key value line\n"))
     with pytest.raises(ConfigParseError):
-        load_config(write(tmp_path, "quadrature.sphere.order = 3\n"))
+        load_config(write(tmp_path, "quadrature.interval.order = 3\n"))
     with pytest.raises(ConfigParseError):
         load_config(write(tmp_path, "default.a = -1\n"))
 
@@ -88,6 +86,7 @@ def test_config_rejections(tmp_path):
     "output.format = json",
     "quadrature.panel.order = 16",
     "quadrature.circle.order = 64",
+    "quadrature.sphere.order = 24",
 ])
 def test_config_deleted_keys_rejected(tmp_path, line):
     """Keys that never reached a computation are gone, not silently accepted."""
@@ -175,10 +174,6 @@ QUADRATURE_PROBES = {
         ["source-action", "--n", "3", "--field", "plane_wave:2,1,0", "--eps", "0.1"],  # panels
         ["clifford", "bp-check"],   # a ball's radii and the interior rays
     ]),
-    "sphere_order": ("quadrature.sphere.order = 6", [
-        ["source-action", "--n", "3", "--field", "plane_wave:2,1,0"],   # S^1
-        ["source-action", "--n", "4", "--field", "plane_wave:2,1,0,0"],   # S^2
-    ]),
 }
 
 
@@ -199,11 +194,12 @@ def test_cli_sets_every_quadrature_field(tmp_path, capsys):
 
 
 def test_config_quadrature_defaults_are_the_library_defaults():
-    """Config() builds Quadrature(), and sphere_rule's default orders are Quadrature()'s."""
+    """Config() builds Quadrature(), and sphere_rule's default orders are those of
+    SPHERE_ORDER."""
     assert Config().quadrature() == Quadrature()
     expected = {1: (64,), 2: (24, 48), 3: (14, 14, 28), 4: (10, 10, 10, 20)}
     for dim in range(1, 5):
-        orders = Quadrature().sphere_orders(dim)
+        orders = sphere_levels(dim)
         assert orders == expected[dim]
         default, explicit = sphere_rule(dim), sphere_rule(dim, orders)
         assert np.array_equal(default.nodes, explicit.nodes)
@@ -489,25 +485,19 @@ def test_cli_clifford_bp(capsys):
     assert payload["exterior_leakage"] <= 1e-6
 
 
-def test_cli_clifford_reads_the_sphere_order(tmp_path, capsys):
-    """quadrature.sphere.order reaches every clifford mode, which keeps criterion 11's bounds.
-
-    bp-check takes the rule of the order itself, so the coarser order 16
-    tests the bounds.  ebp-check's spheroid keeps the first agreeing rung of
-    the order's ladder, (9, 18) at the default 24 and (8, 16) at 16, so 16
-    moves it too.  maxwell-demo's jets take the lowest agreeing rung, (6, 12)
-    at the default 24 and at 16, so it runs at 40, whose lowest rung is
-    (10, 20)."""
-    coarse = write(tmp_path, "quadrature.sphere.order = 16\n")
-    fine = tmp_path / "fine.conf"
-    fine.write_text("quadrature.sphere.order = 40\n")
-    bounds = {"bp-check": (coarse, ("interior_error", "exterior_leakage")),
-              "ebp-check": (coarse, ("abs_diff",)),
-              "maxwell-demo": (fine, ("continuity_residual",))}
-    for mode, (path, keys) in bounds.items():
+def test_cli_clifford_reads_the_interval_order(tmp_path, capsys):
+    """quadrature.interval.order reaches the clifford modes that take interval rules,
+    which keep criterion 11's bounds at the coarser order 12: bp-check's radii and
+    rays, and ebp-check's Duffy square and its oracle's q-integrals.  maxwell-demo
+    takes no interval rule, so its output does not move."""
+    path = write(tmp_path, "quadrature.interval.order = 12\n")
+    bounds = {"bp-check": ("interior_error", "exterior_leakage"),
+              "ebp-check": ("abs_diff",),
+              "maxwell-demo": ()}
+    for mode, keys in bounds.items():
         _, default_out, _ = run_cli(capsys, ["clifford", mode])
-        code, out, _ = run_cli(capsys, ["--config", str(path), "clifford", mode])
-        assert code == 0 and out != default_out, mode
+        code, out, _ = run_cli(capsys, ["--config", path, "clifford", mode])
+        assert code == 0 and (out != default_out) == bool(keys), mode
         payload = json.loads(out)
         for key in keys:
             assert payload[key] <= 1e-4, (mode, key)
@@ -523,11 +513,12 @@ def test_cli_verify_subset(capsys):
 
 
 def test_cli_verify_ignores_the_config_quadrature(tmp_path, capsys):
-    """``verify`` runs at the default rules, at which its thresholds are calibrated."""
-    conf = write(tmp_path, "quadrature.sphere.order = 12\n")
+    """``verify`` runs at the default rules, at which its thresholds are calibrated:
+    criterion 7's q-integrals do not take the configured interval order."""
+    conf = write(tmp_path, "quadrature.interval.order = 8\n")
     details = []
     for prefix in ([], ["--config", conf]):
-        code, out, _ = run_cli(capsys, [*prefix, "verify", "--suite", "9"])
+        code, out, _ = run_cli(capsys, [*prefix, "verify", "--suite", "7"])
         assert code == 0
         details.append(json.loads(out)["details"])
     assert details[0] == details[1]
@@ -545,7 +536,7 @@ def test_cli_validation_errors(capsys):
 
 def test_cli_config_flag(tmp_path, capsys):
     bad = tmp_path / "bad.conf"
-    bad.write_text("quadrature.sphere.order = 3\n")
+    bad.write_text("quadrature.interval.order = 3\n")
     code, _, err = run_cli(capsys, ["--config", str(bad), "gamma", "--n", "3",
                                     "--x", "2,0,0", "--y", "0,0,1"])
     assert code == 1
@@ -553,23 +544,22 @@ def test_cli_config_flag(tmp_path, capsys):
 
 
 def test_sphere_order_below_5_is_refused_where_it_is_set(tmp_path, capsys):
-    """Order 4 gives S^4 the rule (1, 1, 1, 2), whose 2-node base circle no sphere
-    rule accepts: Quadrature refuses it when built, and the config file at load,
-    naming the key, before any subcommand runs.  So goes an interval order below 4."""
-    with pytest.raises(ValueError, match="sphere_order must be >= 5, got 4"):
+    """No sphere order is settable any more, 4 or any other: Quadrature has no such
+    field, and a config file that sets quadrature.sphere.order is refused at load,
+    naming the line and the key, before any subcommand runs (exit 1).  An interval
+    order below 4 is refused the same way, by Quadrature when built."""
+    with pytest.raises(TypeError, match="sphere_order"):
         Quadrature(sphere_order=4)
     with pytest.raises(ValueError, match="interval_order must be >= 4, got 3"):
         Quadrature(interval_order=3)
-    for dim in range(1, 5):
-        sphere_rule(dim, Quadrature(sphere_order=5).sphere_orders(dim))
-    path = write(tmp_path, "quadrature.sphere.order = 4\n")
-    with pytest.raises(ConfigParseError, match=":1: quadrature.sphere.order: .*>= 5, got 4"):
-        load_config(path)
-    code, out, err = run_cli(capsys, ["--config", path, "source-action", "--n", "6",
-                                      "--field", "polynomial:0,0,0,0,0,0=1"])
-    assert code == 1 and out == ""
-    assert "quadrature.sphere.order" in err and "circle rule" not in err
-    assert load_config(write(tmp_path, "quadrature.sphere.order = 5\n")).sphere_order == 5
+    for order in (4, 24):
+        path = write(tmp_path, f"# sphere rules\nquadrature.sphere.order = {order}\n")
+        with pytest.raises(ConfigParseError, match=":2: unknown key 'quadrature.sphere.order'"):
+            load_config(path)
+        code, out, err = run_cli(capsys, ["--config", path, "source-action", "--n", "6",
+                                          "--field", "polynomial:0,0,0,0,0,0=1"])
+        assert code == 1 and out == ""
+        assert ":2: unknown key 'quadrature.sphere.order'" in err
     with pytest.raises(ConfigParseError, match=":1: quadrature.interval.order: .*>= 4, got 3"):
         load_config(write(tmp_path, "quadrature.interval.order = 3\n"))
 

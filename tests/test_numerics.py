@@ -16,12 +16,16 @@ from cxpt.errors import (
     NonFiniteIntegrandError,
     StencilOutOfDomainError,
 )
-from cxpt.fields import cosine_wave, gaussian, plane_wave, polynomial
+from cxpt.fields import constant, cosine_wave, gaussian, plane_wave, polynomial
 from cxpt.numerics import (
     MAX_POINTS,
+    SPHERE_LADDER,
+    SPHERE_ORDER,
+    U_ROUNDING,
     _gauss,
     _jacobi_recurrence,
     FDScheme,
+    Quadrature,
     circle_rule,
     derivative,
     fd_stencil,
@@ -32,8 +36,10 @@ from cxpt.numerics import (
     orthonormal_complement_frame,
     point_values,
     sphere_area,
+    sphere_levels,
     sphere_rule,
     sphere_sums,
+    walk_ladder,
 )
 
 E_MINUS_1 = math.e - 1.0  # closed-form antiderivative of exp on [0, 1]
@@ -220,6 +226,85 @@ def test_mean_odd_function_cancels(rng):
 def test_mean_negative_radius_raises():
     with pytest.raises(InvalidRadiusError):
         mean_on_sphere(lambda pts: np.ones(pts.shape[0]), np.zeros(3), -0.1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mean_refuses_non_finite_arguments(bad):
+    """A non-finite centre or radius is named in a ValueError, not turned into NaN, a
+    mean of 1 - 4e-16 (NaN radius) or a RuntimeWarning (infinite radius)."""
+    with pytest.raises(ValueError, match="^center must be finite"):
+        mean_on_sphere(constant(1.0), np.array([0.0, bad, 0.0]), 0.5)
+    with pytest.raises(ValueError, match="^radius must be finite"):
+        mean_on_sphere(constant(1.0), np.zeros(3), bad)
+
+
+def test_quadrature_refuses_non_integral_orders():
+    """An interval order that is not an integer is refused when Quadrature is built,
+    not deep inside numpy's rules; numpy integers are integers."""
+    for bad in (16.5, 16.0, "16"):
+        with pytest.raises(ValueError, match="^interval_order must be an integer"):
+            Quadrature(interval_order=bad)
+    order = Quadrature(interval_order=np.int64(16)).interval_order
+    assert gauss_legendre(order).nodes.size == 16
+
+
+def test_ladder_keeps_the_old_rungs_up_to_the_fixed_order():
+    """Up to SPHERE_ORDER the ladder's rungs are those of the ladder that sphere order
+    24 used to set (its eighths 2 to 7, then 24 itself); above it they climb on,
+    each rung a larger rule than the one below."""
+    old = {
+        2: [(6, 12), (9, 18), (12, 24), (15, 30), (18, 36), (21, 42), (24, 48)],
+        3: [(3, 3, 6), (5, 5, 10), (7, 7, 14), (8, 8, 16), (10, 10, 20), (12, 12, 24),
+            (14, 14, 28)],
+        4: [(2, 2, 2, 4), (3, 3, 3, 6), (5, 5, 5, 10), (6, 6, 6, 12), (7, 7, 7, 14),
+            (8, 8, 8, 16), (10, 10, 10, 20)],
+    }
+    for dim, rungs in old.items():
+        ladder = [sphere_levels(dim, order) for order in SPHERE_LADDER]
+        assert ladder[:len(rungs)] == rungs and ladder[len(rungs) - 1] == sphere_levels(dim)
+        assert all(math.prod(a) < math.prod(b) for a, b in zip(ladder, ladder[1:]))
+    assert SPHERE_LADDER.index(SPHERE_ORDER) == 6 and SPHERE_LADDER[-1] == 48
+
+
+def _ladder_probe(values, size=1.0):
+    """A probe whose sums on the i-th rung it is asked for are values[i]; its payload
+    is the rung's orders.  Returns the probe and the list of rungs it took."""
+    probed = []
+
+    def probe(orders):
+        probed.append(orders)
+        return np.array([[values[len(probed) - 1]]]), size, orders
+
+    return probe, probed
+
+
+def test_walk_ladder_keeps_the_first_agreeing_pair():
+    """Rungs 3 and 4 agree: the walk keeps rung 3 (or 4 with ``upper``) with the
+    payload of that rung's probe, and probes no rung above 4."""
+    values = [1.0, 0.5, 0.3, 0.2, 0.2 + 0.5 * U_ROUNDING] + [0.0] * 6
+    ladder = [sphere_levels(2, order) for order in SPHERE_LADDER]
+    for upper, kept in ((False, 3), (True, 4)):
+        probe, probed = _ladder_probe(values)
+        assert walk_ladder(2, probe, upper=upper) == (ladder[kept], ladder[kept], 0.0)
+        assert probed == ladder[:5]
+
+
+def test_walk_ladder_climbs_to_the_top_and_reports_the_gap():
+    """No pair agrees: the walk probes every rung and keeps the top one, with the
+    top pair's disagreement in units of the largest size or |sum| probed."""
+    values = [(-1.0) ** i * 0.1 for i in range(len(SPHERE_LADDER))]
+    probe, probed = _ladder_probe(values, size=2.0)
+    top = sphere_levels(3, SPHERE_LADDER[-1])
+    assert walk_ladder(3, probe) == (top, top, pytest.approx(0.1))
+    assert len(probed) == len(SPHERE_LADDER)
+
+
+def test_walk_ladder_stops_at_the_fixed_rule_on_a_zero_field():
+    """A field whose sums and size are 0 on every probe keeps the rule of
+    SPHERE_ORDER, with no disagreement, and no rung above it is probed."""
+    probe, probed = _ladder_probe([0.0] * len(SPHERE_LADDER), size=0.0)
+    assert walk_ladder(4, probe, upper=True) == (sphere_levels(4), sphere_levels(4), 0.0)
+    assert probed[-1] == sphere_levels(4) and len(probed) == 7
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4])

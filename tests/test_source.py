@@ -27,13 +27,17 @@ from cxpt.fields import (
     polynomial,
 )
 from cxpt.geometry import ComplexPoint
+from cxpt import numerics
 from cxpt.numerics import (
     MAX_POINTS,
+    SPHERE_LADDER,
+    SPHERE_ORDER,
     IntervalIntegral,
     Quadrature,
     integrate_interval,
     mean_on_sphere,
     sphere_area,
+    sphere_levels,
     sphere_rule,
 )
 from cxpt.source import (
@@ -544,20 +548,40 @@ def test_n6_cubic_evaluator_points():
     assert sum(sizes["evaluate"]) == 1_320
 
 
-def test_fit_rule_starts_from_the_finest_rule():
-    """Each call chooses afresh, and a field that vanishes on every probe sphere (here
-    x_1^20 x_n^2 on the spheres about 0 in y-perp) keeps the finest rule."""
+def _probed_rungs(monkeypatch):
+    """Every rung the source actions' ladder walks probe, in call order."""
+    probed, walk = [], source.walk_ladder
+
+    def spy(dim, probe, *args, **kwargs):
+        def logged(orders):
+            probed.append(orders)
+            return probe(orders)
+
+        return walk(dim, logged, *args, **kwargs)
+
+    monkeypatch.setattr(source, "walk_ladder", spy)
+    return probed
+
+
+def test_fit_rule_starts_from_the_fixed_rule(monkeypatch):
+    """Each call starts from the rule of SPHERE_ORDER and chooses afresh, and a field
+    that vanishes on every probe sphere (here x_1^20 x_n^2 on the spheres about 0 in
+    y-perp) keeps that rule, probing no rung above it."""
     y = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
     radii = np.sqrt(source.PROBE_U)
     af = _AxialField(_cubic(6), y, 6)
-    finest = af._weights.size
+    fixed = af._weights.size
+    assert fixed == math.prod(sphere_levels(4))
     af.fit_rule(radii, 0.0)
     lowest = af._weights.size
     af.fit_rule(radii, 0.0)
-    assert af._weights.size == lowest < finest and af.rule_error == 0.0
+    assert af._weights.size == lowest < fixed and af.rule_error == 0.0
+    probed = _probed_rungs(monkeypatch)
     af.f = polynomial(6, {(20, 0, 0, 0, 0, 2): 1.0})
     af.fit_rule(radii, 0.0)
-    assert af._weights.size == finest and af.rule_error == 0.0
+    assert af._weights.size == fixed and af.rule_error == 0.0
+    assert probed == [sphere_levels(4, order) for order in SPHERE_LADDER
+                      if order <= SPHERE_ORDER]
 
 
 @pytest.mark.parametrize("n, field", [(4, "exp(100 x_1 x_n)"), (5, "exp(100 x_1 x_n)"),
@@ -583,13 +607,13 @@ def test_regularized_rule_is_probed_off_the_plane(monkeypatch, n, field):
         f = TestField(ev, gradient=grad, name=field)
     y = np.eye(n)[-1]
     got = _regularized(f, y, n, 0.1)
-    want = _forced_finest(monkeypatch, lambda: _regularized(f, y, n, 0.1).value)
+    want = _forced_fixed(monkeypatch, lambda: _regularized(f, y, n, 0.1).value)
     assert abs(got.value - want) <= 1e-12 * abs(want)
     assert got.err_estimate <= 1e-4 * abs(want)
 
 
-def _forced_finest(monkeypatch, act):
-    """``act()`` with the finest rule forced: ``fit_rule`` keeps it without probing."""
+def _forced_fixed(monkeypatch, act):
+    """``act()`` with the rule of SPHERE_ORDER forced: ``fit_rule`` keeps it unprobed."""
     with monkeypatch.context() as patch:
         patch.setattr(_AxialField, "fit_rule", lambda self, rho, zeta: None)
         return act()
@@ -621,23 +645,35 @@ def test_rule_ladder_matches_the_finest_rule(monkeypatch, n, kind, field):
                  else regularized_action(counted, y, n, 0.3))
         return value, sum(sizes)
 
-    (got, points), (want, finest_points) = act(), _forced_finest(monkeypatch, act)
+    (got, points), (want, finest_points) = act(), _forced_fixed(monkeypatch, act)
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
     if field == "gradient-free" and (n > 4 or kind == "regularized"):
         assert points < finest_points / 1.5
 
 
 def test_rule_fallback_joins_the_error_estimate():
-    """exp(i k.x), k = 20 (1, i, 0, 0), about y = (0.6, 0, 0, 0.8) at eps = 0.1 needs
-    more than the finest S^2 rule (24, 48), which is off by 1.7e-5 relative; no rung
-    agrees with the next one up, and the top rung's disagreement with the finest
-    joins the estimate (1.9e-5 relative; 4.4e-13 without it)."""
-    f, _ = _harmonic_exponential(4, 20j)
+    """exp(i k.x), k = 20 (1, i, 0, 0), about y = (0.6, 0, 0, 0, 0.8) at eps = 0.3
+    needs more than the top S^3 rule (28, 28, 56): no pair of rungs agrees, and the
+    top pair's disagreement (2.6e-8 of the field scale) joins the estimate, which
+    then covers the error against the closed form f(-iy), 7.5e-9 relative."""
+    f, k = _harmonic_exponential(5, 20j)
+    y = np.array([0.6, 0.0, 0.0, 0.0, 0.8])
+    act = _regularized(f, y, 5, 0.3)
+    want = np.exp(k @ (-1j * y))
+    assert abs(act.value - want) <= act.err_estimate <= 1e-6 * abs(want)
+    assert abs(act.value - want) >= 1e-9 * abs(want)
+
+
+def test_regularized_action_climbs_past_order_24():
+    """exp(k.x) with k = 20 (i, -1, 0, 0) about y = (0.6, 0, 0, 0.8) at eps = 0.1:
+    no pair of S^2 rungs up to (24, 48) agrees (that rule was off by 1.7e-5
+    relative), so the walk climbs until one does, and the action is within 1e-9
+    relative of the closed form f(-iy)."""
+    f, k = _harmonic_exponential(4, 20j)
     y = np.array([0.6, 0.0, 0.0, 0.8])
     act = _regularized(f, y, 4, 0.1)
-    dense = _regularized(f, y, 4, 0.1, Quadrature(sphere_order=48)).value
-    assert abs(act.value - dense) <= act.err_estimate <= 1e-3 * abs(dense)
-    assert abs(act.value - dense) >= 1e-5 * abs(dense)
+    want = np.exp(k @ (-1j * y))
+    assert abs(act.value - want) <= 1e-9 * abs(want)
 
 
 @pytest.mark.parametrize("gradient", [True, False])
@@ -668,7 +704,7 @@ def test_gradient_free_sample_shapes():
     assert np.allclose(slope, ref_slope, rtol=0.0, atol=1e-11)
 
 
-def test_r3_on_several_u_panels():
+def test_r3_on_several_u_panels(monkeypatch):
     """A narrow off-axis Gaussian splits [0, a^2] into 5 u-panels, so the single
     layer's tail is carried through 1/q^2 on the inner ones."""
     f = gaussian(0.3, center=[0.1, -0.2, 0.05])
@@ -677,8 +713,11 @@ def test_r3_on_several_u_panels():
     assert len(af.g_panels(af.fit_disk_rule(af.a))) == 5
     act = singular_action_r3(f, y)
     assert act.value == pytest.approx(singular_action_odd(f, y, 3), abs=1e-12)
-    dense = Quadrature(interval_order=24, sphere_order=48)   # S^1 takes 128 nodes
-    assert act.value == pytest.approx(singular_action_r3(f, y, dense).value, abs=1e-12)
+    with monkeypatch.context() as patch:   # S^1 takes 128 nodes, the order-48 rule's
+        patch.setattr(source, "sphere_levels",
+                      lambda dim: numerics.sphere_levels(dim, SPHERE_LADDER[-1]))
+        dense = singular_action_r3(f, y, Quadrature(interval_order=24)).value
+    assert act.value == pytest.approx(dense, abs=1e-12)
     assert 0.0 < act.err_estimate <= 1e-11
 
 
@@ -726,13 +765,16 @@ def test_harmonic_exponential_actions(n, s, rel, a):
     assert abs(singular_action(f, y, n) - want) <= rel * max(1.0, abs(want))
 
 
-def test_larger_sphere_order_resolves_a_sharp_n6_harmonic():
-    """The default S^4 rule (10, 10, 10, 20) leaves exp(3 x_1 + 3i x_2) about
-    |y| = 2 off by 9e-4 at n = 6; sphere_order 36, (15, 15, 15, 30), resolves it."""
+def test_larger_sphere_order_resolves_a_sharp_n6_harmonic(monkeypatch):
+    """The S^4 rule of SPHERE_ORDER, (10, 10, 10, 20), leaves exp(3 x_1 + 3i x_2)
+    about |y| = 2 off by 9e-4 at n = 6, and no pair of rungs up to it agrees; the
+    walk climbs to a larger sphere order, which resolves it within 1e-8."""
     f, k = _harmonic_exponential(6, 3.0)
     y = 2.0 * np.array([0.6, 0.0, 0.0, 0.0, 0.0, 0.8])
     want = np.exp(k @ (-1j * y))
-    assert abs(singular_action(f, y, 6, Quadrature(sphere_order=36)) - want) < 1e-8
+    probed = _probed_rungs(monkeypatch)
+    assert abs(singular_action(f, y, 6) - want) < 1e-8
+    assert probed[-1][0] > sphere_levels(4)[0]
 
 
 def _radial_gaussian_n5_oracle(width, a):

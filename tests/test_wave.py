@@ -12,7 +12,7 @@ from cxpt.errors import (
     UnsupportedDimensionError,
 )
 from cxpt.fields import TestField, bump, constant, cosine_wave, gaussian, plane_wave
-from cxpt.numerics import MAX_POINTS, Quadrature
+from cxpt.numerics import MAX_POINTS, SPHERE_LADDER, SPHERE_ORDER, sphere_levels
 from cxpt import wave
 from cxpt.wave import (
     CauchyData,
@@ -84,22 +84,21 @@ def test_time_symmetry_backward_then_forward():
     """Solve to -t0, use the result as new Cauchy data, solve forward."""
     t0 = 0.4
     data = CauchyData(cosine_wave(K_UNIT), constant(0.0), 3)
-    small = Quadrature(sphere_order=12)
 
     def u_back(pts):
-        return np.asarray([solve_cauchy(data, p, -t0, small) for p in np.atleast_2d(pts)])
+        return np.asarray([solve_cauchy(data, p, -t0) for p in np.atleast_2d(pts)])
 
     def ut_back(pts):
         h = 1e-2
         out = []
         for p in np.atleast_2d(pts):
-            vals = [solve_cauchy(data, p, -t0 + k * h, small) for k in (-2, -1, 1, 2)]
+            vals = [solve_cauchy(data, p, -t0 + k * h) for k in (-2, -1, 1, 2)]
             out.append((vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h))
         return np.asarray(out)
 
     data2 = CauchyData(TestField(u_back), TestField(ut_back), 3)
     x = np.array([0.2, -0.1, 0.3])
-    u_round = solve_cauchy(data2, x, t0, small)
+    u_round = solve_cauchy(data2, x, t0)
     assert u_round == pytest.approx(complex(data.v.evaluate(x)), abs=1e-6)
 
 
@@ -257,16 +256,17 @@ def _counted(field, sizes, gradient=False):
                      gradient=logged(field.gradient) if gradient else None)
 
 
-def _residual_oracle(data, x_center, t_center, h, m):
-    """max |u_tt - Lap u| from one ``solve_cauchy`` per lattice point, each
-    interior point's stencil summed point by point."""
+def _residual_oracle(data, x_center, t_center, h, m, solve=None):
+    """max |u_tt - Lap u| from one ``solve_cauchy`` (or ``solve(x, t)``) per lattice
+    point, each interior point's stencil summed point by point."""
     n = data.n
     samples = {}
+    solve = solve or (lambda x, t: solve_cauchy(data, x, t))
 
     def u(offs):
         if offs not in samples:
             x = np.asarray(x_center, dtype=float) + np.asarray(offs[:n], dtype=float) * h
-            samples[offs] = solve_cauchy(data, x, t_center + offs[n] * h)
+            samples[offs] = solve(x, t_center + offs[n] * h)
         return samples[offs]
 
     def second(offs, axis):
@@ -329,19 +329,24 @@ def test_per_point_residuals_are_unchanged(case):
 
 
 def test_batched_residual_fallback():
-    """k = (20, 0, 0) at t = 1: no rung agrees, so the probed layer pays every rung
-    (3,654 points a sphere) and the other 270 spheres take the finest rule,
-    3 x (27 x 3,654 + 270 x 1,152) = 1,229,094 points (1.2 x one finest sphere
-    per sample); the residual stays within 1e-10 of the per-point solves'."""
+    """k = (20, 0, 0) at t = 1: no pair of rungs up to (24, 48) agrees, so the walk
+    climbs until (30, 60) agrees with (36, 72).  The probed layer pays every rung to
+    (36, 72) (8,046 points a sphere) and the other 270 spheres take (36, 72),
+    3 x (27 x 8,046 + 270 x 2,592) = 2,751,246 points, where the (24, 48) rule
+    of the parent ladder's fallback took 1,229,094.  The residual stays within
+    1e-10 of that of the closed-form solution on the same lattice."""
     sizes = []
     k = np.array([20.0, 0.0, 0.0])
     pw = plane_wave(k)
     data = CauchyData(_counted(pw, sizes, gradient=True), _counted(pw, sizes), 3)
     x = np.full(3, 0.1)
     got = wave_residual(data, x, 1.0, h=0.05, half_points=2)
-    assert sum(sizes) == 1_229_094 <= 1.25 * 297 * 3 * 1152
-    plain = CauchyData(pw, pw, 3)
-    assert abs(got - _residual_oracle(plain, x, 1.0, 0.05, 2)) <= 1e-10
+    assert sum(sizes) == 2_751_246 == 3 * (27 * 8_046 + 270 * 2_592)
+
+    def exact(x, t):
+        return np.exp(1j * (k @ x)) * (math.cos(20.0 * t) + math.sin(20.0 * t) / 20.0)
+
+    assert abs(got - _residual_oracle(data, x, 1.0, 0.05, 2, exact)) <= 1e-10
 
 
 def test_batched_residual_non_finite_sample_raises():
@@ -376,7 +381,7 @@ def test_non_finite_arguments_are_refused(bad):
 
 def _rung_points(n):
     """Points of each rule of the sphere ladder on S^{n-1}, lowest first."""
-    return [math.prod(orders) for orders in Quadrature().sphere_ladder(n - 1)]
+    return [math.prod(sphere_levels(n - 1, order)) for order in SPHERE_LADDER]
 
 
 @pytest.mark.parametrize("n, means, rule_points", [(3, 7, 1152), (5, 14, 20000)])
@@ -387,13 +392,13 @@ def test_solve_takes_each_stencil_radius_once(n, means, rule_points):
     that rung, and takes the outermost one's sums from the probe (v's for
     n = 3, whose w takes only |t|; v's and w's for n = 5): at t = 0.7 the
     (6, 12) rule on S^2 (2 x (72 + 162) + 6 x 72 = 900 points, against
-    7 x 1,152 on the finest rule) and the (6, 6, 6, 12) rule on S^4
+    7 x 1,152 on the rule of SPHERE_ORDER) and the (6, 6, 6, 12) rule on S^4
     (2 x 8,838 + 12 x 2,592 = 48,780 points, against 14 x 20,000)."""
     k = np.linspace(0.4, 0.9, n)
     sizes = []
     data = CauchyData(_counted(plane_wave(k), sizes), _counted(cosine_wave(k), sizes), n)
     points = _rung_points(n)
-    assert points[-1] == rule_points
+    assert points[SPHERE_LADDER.index(SPHERE_ORDER)] == rule_points
     reused = {3: 1, 5: 2}[n]
 
     def cost(rung):
@@ -426,34 +431,79 @@ def test_plane_wave_n5_on_the_ladder(t):
         assert abs(solve_cauchy(data, x, t) - want) <= 1e-10
 
 
+def _walks(monkeypatch):
+    """The rung and disagreement of each of ``wave``'s ladder walks, and every rung
+    its probes take, in call order."""
+    kept, probed, walk = [], [], wave.walk_ladder
+
+    def spy(dim, probe, *args, **kwargs):
+        def logged(orders):
+            probed.append(orders)
+            return probe(orders)
+
+        rung, payload, gap = walk(dim, logged, *args, **kwargs)
+        kept.append((rung, gap))
+        return rung, payload, gap
+
+    monkeypatch.setattr(wave, "walk_ladder", spy)
+    return kept, probed
+
+
 @pytest.mark.parametrize("n, k0", [(5, 3.0), (3, 20.0)])
 def test_unresolved_solve_keeps_the_finest_rule(monkeypatch, n, k0):
-    """At |k| t = 3 (n = 5) or 20 (n = 3, v without a gradient) no rung agrees with
-    the next one up, so the solve takes the finest rule, takes every sphere
-    again rather than the probe's sums, and its value is bit for bit the
-    finest rule's."""
+    """At |k| t = 24 (n = 5) or 60 (n = 3, v without a gradient) no pair of rungs
+    agrees, up to the top of the ladder (sphere order 48), so the solve takes the
+    top rule and reports the top pair's disagreement to the walk.  It reuses the
+    probe's sums of its outermost sphere, which are bit for bit those it would
+    take itself on that rule."""
     k = np.zeros(n)
     k[0] = k0
-    data = CauchyData(_counted(plane_wave(k), []), constant(0.0), n)
-    kept, walk = [], wave.walk_ladder
-
-    def spy(ladder, probe, noise=1.0):
-        kept.append(walk(ladder, probe, noise))
-        return kept[-1]
-
+    t = {5: 8.0, 3: 3.0}[n]
+    pw = plane_wave(k)
+    data = CauchyData(pw if n == 5 else TestField(pw.evaluator), constant(0.0), n)
     with monkeypatch.context() as patch:
-        patch.setattr(wave, "walk_ladder", spy)
-        got = solve_cauchy(data, np.full(n, 0.1), 1.0)
-    assert kept == [(Quadrature().sphere_orders(n - 1), kept[0][1])] and kept[0][1] > 0.0
-    # the finest rule without a probe
-    monkeypatch.setattr(wave, "walk_ladder", lambda ladder, probe, noise=1.0: (ladder[-1], 0.0))
-    assert got == solve_cauchy(data, np.full(n, 0.1), 1.0)
+        kept, _ = _walks(patch)
+        got = solve_cauchy(data, np.full(n, 0.1), t)
+    top = sphere_levels(n - 1, SPHERE_LADDER[-1])
+    assert kept == [(top, kept[0][1])] and kept[0][1] > 0.0
+    # the top rule without a probe, every sphere taken by the solve itself
+    monkeypatch.setattr(wave, "walk_ladder", lambda dim, probe, *args, **kwargs:
+                        (sphere_levels(dim, SPHERE_LADDER[-1]), ({}, {}), 0.0))
+    assert got == solve_cauchy(data, np.full(n, 0.1), t)
+
+
+def test_n5_plane_wave_climbs_past_order_24(monkeypatch):
+    """exp(8 i x_1) with v = w at x = 0, t = 2: no pair of rungs up to sphere order
+    24 agrees (that rule was off by 6.6e-2), so the walk climbs.  The top pair
+    still differs by 2.6e-10 of the field scale, and the top rule's solve is
+    within 1e-10 of cos 16 + sin(16) / 8."""
+    k = np.array([8.0, 0.0, 0.0, 0.0, 0.0])
+    kept, _ = _walks(monkeypatch)
+    got = solve_cauchy(CauchyData(plane_wave(k), plane_wave(k), 5), np.zeros(5), 2.0)
+    assert abs(got - (math.cos(16.0) + math.sin(16.0) / 8.0)) <= 1e-10
+    (rung, gap), = kept
+    assert rung[0] > sphere_levels(4)[0] and 0.0 < gap < 1e-9
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_zero_data_keep_the_fixed_rule_unprobed_above_it(monkeypatch, n):
+    """Data that vanish on every probe sphere keep the rule of SPHERE_ORDER, and no
+    rung above it is probed: the batched residual (n = 3) and a stencil solve
+    (n = 5) cost what they did when that rule topped the ladder."""
+    kept, probed = _walks(monkeypatch)
+    zero = CauchyData(constant(0.0), constant(0.0), n)
+    if n == 3:
+        assert wave_residual(zero, np.zeros(3), 0.5, h=0.05, half_points=1) == 0.0
+    else:
+        assert solve_cauchy(zero, np.zeros(5), 0.7) == 0.0
+    fixed = sphere_levels(n - 1)
+    below = [sphere_levels(n - 1, order) for order in SPHERE_LADDER if order <= SPHERE_ORDER]
+    assert kept == [(fixed, 0.0)] and probed == below
 
 
 def test_energy_conservation_periodic_cell():
     """E(t) = Int (u_t^2 + |grad u|^2) over one periodic cell stays constant."""
     data = CauchyData(cosine_wave([1.0, 0.0, 0.0]), constant(0.0), 3)
-    opts = Quadrature(sphere_order=12)
     m = 6
     cell = 2.0 * math.pi
     grid1d = cell * np.arange(m) / m
@@ -465,14 +515,14 @@ def test_energy_conservation_periodic_cell():
             for iy in grid1d:
                 for iz in grid1d:
                     x = np.array([ix, iy, iz])
-                    ut = (solve_cauchy(data, x, t + h, opts)
-                          - solve_cauchy(data, x, t - h, opts)) / (2 * h)
+                    ut = (solve_cauchy(data, x, t + h)
+                          - solve_cauchy(data, x, t - h)) / (2 * h)
                     grad_sq = 0.0
                     for axis in range(3):
                         step = np.zeros(3)
                         step[axis] = h
-                        dux = (solve_cauchy(data, x + step, t, opts)
-                               - solve_cauchy(data, x - step, t, opts)) / (2 * h)
+                        dux = (solve_cauchy(data, x + step, t)
+                               - solve_cauchy(data, x - step, t)) / (2 * h)
                         grad_sq += abs(dux) ** 2
                     total += abs(ut) ** 2 + grad_sq
         return total * (cell / m) ** 3
