@@ -28,7 +28,6 @@ from .errors import (
 )
 from .numerics import (
     FDScheme,
-    Quadrature,
     QuadratureRule,
     derivative,
     fd_gradient,

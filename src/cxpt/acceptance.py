@@ -29,7 +29,7 @@ from .fields import (
     polynomial,
 )
 from .geometry import ComplexPoint, complex_distance, grad_pq
-from .numerics import FDScheme, Quadrature, fd_gradient, fd_laplacian
+from .numerics import FDScheme, fd_gradient, fd_laplacian
 from .potential import holomorphic_potential
 
 __all__ = [
@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 _SEED = 20260810
+#: Finite-difference stencil of the p, q identities (criterion 2) and of the
+#: potential's Laplacian (criterion 3).
+_ORACLE_FD = FDScheme(h=1e-3, order=4, richardson=True)
 
 
 @dataclass
@@ -104,7 +107,6 @@ def _regular_sample(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.nd
 def criterion_2() -> CriterionResult:
     """Gradient and Laplacian identities of p and q via finite differences."""
     rng = _rng()
-    scheme = FDScheme(h=1e-3, order=4, richardson=True)
     worst = 0.0
     for n in (3, 4):
         for _ in range(50):
@@ -120,8 +122,8 @@ def criterion_2() -> CriterionResult:
             def q_of(pt):
                 return complex_distance(ComplexPoint(pt, y)).q
 
-            gp_fd = np.real(fd_gradient(p_of, x, scheme))
-            gq_fd = np.real(fd_gradient(q_of, x, scheme))
+            gp_fd = np.real(fd_gradient(p_of, x, _ORACLE_FD))
+            gq_fd = np.real(fd_gradient(q_of, x, _ORACLE_FD))
             denom = p**2 + q**2
             checks = [
                 np.max(np.abs(gp_fd - gp)),
@@ -130,9 +132,9 @@ def criterion_2() -> CriterionResult:
                 abs(float(gp_fd @ gp_fd - gq_fd @ gq_fd) - 1.0),
                 abs(float(gp_fd @ gp_fd) - (a**2 + p**2) / denom),
                 abs(float(gq_fd @ gq_fd) - (a**2 - q**2) / denom),
-                abs(np.real(fd_laplacian(p_of, x, scheme)) - (n - 1) * p / denom)
+                abs(np.real(fd_laplacian(p_of, x, _ORACLE_FD)) - (n - 1) * p / denom)
                 / max(1.0, abs(p / denom)),
-                abs(np.real(fd_laplacian(q_of, x, scheme)) + (n - 1) * q / denom)
+                abs(np.real(fd_laplacian(q_of, x, _ORACLE_FD)) + (n - 1) * q / denom)
                 / max(1.0, abs(q / denom)),
             ]
             worst = max(worst, max(checks))
@@ -153,7 +155,6 @@ def _singular_distance(x: np.ndarray, n: int) -> float:
 def criterion_3() -> CriterionResult:
     """Harmonicity of the holomorphic potential, FD Laplacian residual."""
     rng = _rng()
-    scheme = FDScheme(h=1e-3, order=4, richardson=True)
     worst = 0.0
     for n in (3, 4):
         y = np.zeros(n)
@@ -168,7 +169,7 @@ def criterion_3() -> CriterionResult:
             def phi(pt):
                 return holomorphic_potential(ComplexPoint(pt, y), n)
 
-            res = abs(fd_laplacian(phi, x, scheme)) / abs(phi(x))
+            res = abs(fd_laplacian(phi, x, _ORACLE_FD)) / abs(phi(x))
             worst = max(worst, res)
     return CriterionResult(3, "harmonicity of the holomorphic potential",
                            worst <= 1e-5, {"worst_rel": worst})
@@ -402,8 +403,7 @@ def clifford_test_field() -> cf.MultivectorField:
     })
 
 
-def ebp_oracle(f: cf.MultivectorField, z: ComplexPoint,
-               quadrature: Quadrature = Quadrature()) -> cf.Multivector:
+def ebp_oracle(f: cf.MultivectorField, z: ComplexPoint) -> cf.Multivector:
     """f~(z) blade by blade as the R^3 source action <delta~_{-y}, f(. + x)>.
 
     Each blade is handed over by its values only, so the action takes its
@@ -414,7 +414,7 @@ def ebp_oracle(f: cf.MultivectorField, z: ComplexPoint,
     oracle = np.zeros(f.algebra.dim, dtype=complex)
     for mask, table in f.poly.items():
         shifted = TestField(polynomial(3, table).shifted(z.x).evaluator)
-        oracle[mask] = src.singular_action_r3(shifted, -z.y, quadrature).value
+        oracle[mask] = src.singular_action_r3(shifted, -z.y).value
     return cf.Multivector(f.algebra, oracle)
 
 

@@ -149,19 +149,18 @@ def _cmd_potential(args, cfg: Config) -> int:
 def _cmd_source_action(args, cfg: Config) -> int:
     y = _axis(args.y, args.n, cfg)
     f = parse_field_spec(args.field).to_field(args.n)
-    quadrature = cfg.quadrature()
     if args.eps is not None:
-        act = src._regularized(f, y, args.n, args.eps, quadrature)
+        act = src._regularized(f, y, args.n, args.eps)
         _emit({"value_re": act.value.real, "value_im": act.value.imag,
                "parts": None, "err_estimate": act.err_estimate, "eps": args.eps})
         return 0
     if args.n == 3:
-        act = src.singular_action_r3(f, y, quadrature)
+        act = src.singular_action_r3(f, y)
         parts = {k: _cnum(v) for k, v in act.parts.items()}
         _emit({"value_re": act.value.real, "value_im": act.value.imag,
                "parts": parts, "err_estimate": act.err_estimate})
         return 0
-    value = src.singular_action(f, y, args.n, quadrature)
+    value = src.singular_action(f, y, args.n)
     _emit({"value_re": value.real, "value_im": value.imag,
            "parts": None, "err_estimate": None})
     return 0
@@ -169,7 +168,7 @@ def _cmd_source_action(args, cfg: Config) -> int:
 
 def _cmd_moments(args, cfg: Config) -> int:
     y = _axis(args.y, args.n, cfg)
-    q_val, p_vec = src.moments(args.n, y, cfg.quadrature())
+    q_val, p_vec = src.moments(args.n, y)
     _emit({"Q": _cnum(q_val), "P": [_cnum(v) for v in p_vec]})
     return 0
 
@@ -177,7 +176,7 @@ def _cmd_moments(args, cfg: Config) -> int:
 def _cmd_descent(args, cfg: Config) -> int:
     y = _axis(args.y, 3, cfg)
     f = parse_field_spec(args.field).to_field(3)
-    lhs, rhs = src.descent_check(f, y, window=args.window, quadrature=cfg.quadrature())
+    lhs, rhs = src.descent_check(f, y, window=args.window)
     _emit({"lhs": _cnum(lhs), "rhs": _cnum(rhs), "abs_diff": abs(lhs - rhs)})
     return 0
 
@@ -220,20 +219,19 @@ def _cmd_wave_verify(args, cfg: Config) -> int:
 
 def _cmd_clifford(args, cfg: Config) -> int:
     ball = cf.Ball(np.zeros(3), args.radius)
-    quadrature = cfg.quadrature()
     if args.mode == "bp-check":
         f = clifford_test_field()
         x_in = _vector(args.x, 3, "--x")
-        interior = (cf.borel_pompeiu(f, ball, x_in, quadrature) - f.value(x_in)).norm()
+        interior = (cf.borel_pompeiu(f, ball, x_in) - f.value(x_in)).norm()
         x_out = _vector(args.exterior, 3, "--exterior")
-        exterior = cf.borel_pompeiu(f, ball, x_out, quadrature).norm()
+        exterior = cf.borel_pompeiu(f, ball, x_out).norm()
         _emit({"interior_error": interior, "exterior_leakage": exterior})
         return 0
     if args.mode == "ebp-check":
         f = clifford_test_field()
         z = ComplexPoint(_vector(args.x, 3, "--x"), _vector(args.y, 3, "--y"))
-        value = cf.extended_borel_pompeiu(f, ball, z, quadrature)
-        oracle = ebp_oracle(f, z, quadrature)
+        value = cf.extended_borel_pompeiu(f, ball, z)
+        oracle = ebp_oracle(f, z)
         _emit({"value": [_cnum(c) for c in value.coeffs],
                "oracle": [_cnum(c) for c in oracle.coeffs],
                "abs_diff": (value - oracle).norm()})

@@ -48,8 +48,8 @@ from .errors import (
 from .fields import poly_diff, poly_eval
 from .geometry import ComplexPoint, _branch_gamma, oblate_rho_zeta
 from .numerics import (
+    INTERVAL_ORDER,
     FDScheme,
-    Quadrature,
     _check_finite,
     derivative,
     gauss_legendre,
@@ -472,18 +472,18 @@ class Domain:
 
     n: int
 
-    def boundary_quadrature(self, quadrature: Quadrature = Quadrature()):
+    def boundary_quadrature(self):
         """Boundary nodes, unit outward normals and area weights.
 
         A round boundary takes the sphere rule of ``numerics.SPHERE_ORDER``
-        and a flat face the Gauss-Legendre rule of ``interval_order`` nodes
-        of ``quadrature``.
+        and a flat face the Gauss-Legendre rule of ``numerics.INTERVAL_ORDER``
+        nodes a side.
         """
         raise NotImplementedError
 
-    def volume_quadrature(self, quadrature: Quadrature = Quadrature()):
+    def volume_quadrature(self):
         """Interior nodes and volume weights from the same rules, a ball's radii
-        taking ``interval_order`` Gauss-Legendre nodes."""
+        taking ``numerics.INTERVAL_ORDER`` Gauss-Legendre nodes."""
         raise NotImplementedError
 
     def contains(self, x: np.ndarray, margin: float = 0.0) -> bool:
@@ -514,15 +514,15 @@ class Ball(Domain):
     def n(self) -> int:
         return self.center.shape[0]
 
-    def boundary_quadrature(self, quadrature: Quadrature = Quadrature()):
+    def boundary_quadrature(self):
         rule = sphere_rule(self.n - 1)
         pts = self.center[None, :] + self.radius * rule.nodes
         area = sphere_area(self.n) * self.radius ** (self.n - 1)
         return pts, rule.nodes.copy(), rule.weights * area
 
-    def volume_quadrature(self, quadrature: Quadrature = Quadrature()):
+    def volume_quadrature(self):
         rule = sphere_rule(self.n - 1)
-        leg = gauss_legendre(quadrature.interval_order)
+        leg = gauss_legendre(INTERVAL_ORDER)
         radii = 0.5 * self.radius * (leg.nodes + 1.0)
         wr = 0.5 * self.radius * leg.weights
         pts = (self.center[None, None, :]
@@ -564,9 +564,9 @@ class Box(Domain):
     def n(self) -> int:
         return self.lo.shape[0]
 
-    def _grid(self, axes: Sequence[int], order: int):
+    def _grid(self, axes: Sequence[int]):
         """Tensor-product Gauss-Legendre nodes (m, len(axes)) and weights over ``axes``."""
-        leg = gauss_legendre(order)
+        leg = gauss_legendre(INTERVAL_ORDER)
         mid = 0.5 * (self.lo + self.hi)
         half = 0.5 * (self.hi - self.lo)
         grids = [(mid[k] + half[k] * leg.nodes, half[k] * leg.weights) for k in axes]
@@ -578,12 +578,12 @@ class Box(Domain):
             wts = wts * wm.ravel()
         return pts, wts
 
-    def boundary_quadrature(self, quadrature: Quadrature = Quadrature()):
+    def boundary_quadrature(self):
         pts_all, nrm_all, wts_all = [], [], []
         n = self.n
         for axis in range(n):
             others = [k for k in range(n) if k != axis]
-            coords, wface = self._grid(others, quadrature.interval_order)
+            coords, wface = self._grid(others)
             for sign, val in ((-1.0, self.lo[axis]), (1.0, self.hi[axis])):
                 pts = np.zeros((coords.shape[0], n))
                 pts[:, others] = coords
@@ -595,8 +595,8 @@ class Box(Domain):
                 wts_all.append(wface)
         return np.concatenate(pts_all), np.concatenate(nrm_all), np.concatenate(wts_all)
 
-    def volume_quadrature(self, quadrature: Quadrature = Quadrature()):
-        return self._grid(range(self.n), quadrature.interval_order)
+    def volume_quadrature(self):
+        return self._grid(range(self.n))
 
     def contains(self, x: np.ndarray, margin: float = 0.0) -> bool:
         x = np.asarray(x, dtype=float)
@@ -634,8 +634,7 @@ def _check_arguments(f: MultivectorField | None, M: Domain, **points) -> int:
     return n
 
 
-def regular_point(z: ComplexPoint, M: Domain, tol: float = 1e-8,
-                  quadrature: Quadrature = Quadrature()) -> bool:
+def regular_point(z: ComplexPoint, M: Domain, tol: float = 1e-8) -> bool:
     """True iff z - x' stays off the singular set S_n for every boundary x'.
 
     The membership measure minimized over boundary quadrature nodes is
@@ -648,7 +647,7 @@ def regular_point(z: ComplexPoint, M: Domain, tol: float = 1e-8,
     dimension.
     """
     n = _check_arguments(None, M, **{"z.x": z.x, "z.y": z.y})
-    pts, _, wts = M.boundary_quadrature(quadrature)
+    pts, _, wts = M.boundary_quadrature()
     spacing = float(np.max(wts)) ** (1.0 / (n - 1))
     eff_tol = max(tol, spacing)
     # z - x' has real part x - x' and imaginary part y
@@ -671,11 +670,10 @@ def _chunked_sum(count: int, chunk: int, term: Callable[[slice], np.ndarray]) ->
     return sum(term(slice(lo, lo + chunk)) for lo in range(0, count, chunk))
 
 
-def _boundary_term(f: MultivectorField, M: Domain, x: np.ndarray, y: np.ndarray,
-                   quadrature: Quadrature) -> np.ndarray:
+def _boundary_term(f: MultivectorField, M: Domain, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Int_{dM} C(x' - z) n(x') f(x') dS for z = x + iy, on M's boundary rule."""
     alg = f.algebra
-    pts, normals, wts = M.boundary_quadrature(quadrature)
+    pts, normals, wts = M.boundary_quadrature()
 
     def chunk(sl: slice) -> np.ndarray:
         ck = _kernel_batch(pts[sl] - x[None, :], y, alg)
@@ -686,21 +684,20 @@ def _boundary_term(f: MultivectorField, M: Domain, x: np.ndarray, y: np.ndarray,
 
 
 def _exterior_sum(f: MultivectorField, dirac: Callable, M: Domain, x: np.ndarray,
-                  y: np.ndarray, quadrature: Quadrature) -> np.ndarray:
+                  y: np.ndarray) -> np.ndarray:
     """Boundary minus volume term of kernel C(x' - z), z = x + iy, on M's own rules:
     with z's singular set outside M, every integrand is smooth on M-bar."""
     alg = f.algebra
-    vpts, vwts = M.volume_quadrature(quadrature)
+    vpts, vwts = M.volume_quadrature()
 
     def volume(sl: slice) -> np.ndarray:
         ck = _kernel_batch(vpts[sl] - x[None, :], y, alg)
         return _triple_weighted_sum(alg, vwts[sl], ck, dirac(vpts[sl]))
 
-    return _boundary_term(f, M, x, y, quadrature) - _chunked_sum(vwts.size, _EBP_CHUNK, volume)
+    return _boundary_term(f, M, x, y) - _chunked_sum(vwts.size, _EBP_CHUNK, volume)
 
 
-def borel_pompeiu(f: MultivectorField, M: Domain, x: Sequence[float] | np.ndarray,
-                  quadrature: Quadrature = Quadrature()) -> Multivector:
+def borel_pompeiu(f: MultivectorField, M: Domain, x: Sequence[float] | np.ndarray) -> Multivector:
     """Boundary-minus-volume representation of f at a real point x.
 
     Reproduces f(x) for x inside M and 0 outside.  The interior volume
@@ -717,13 +714,13 @@ def borel_pompeiu(f: MultivectorField, M: Domain, x: Sequence[float] | np.ndarra
     dirac = _dirac_evaluator(f, "left", DIRAC_FD)
     y = np.zeros(n)
     if sd < 0:
-        return Multivector(alg, _exterior_sum(f, dirac, M, x, y, quadrature))
+        return Multivector(alg, _exterior_sum(f, dirac, M, x, y))
 
-    term_b = _boundary_term(f, M, x, y, quadrature)
+    term_b = _boundary_term(f, M, x, y)
     dirs_rule = sphere_rule(n - 1)
     dirs = dirs_rule.nodes
     t_exit = M.ray_exit(x, dirs)
-    leg = gauss_legendre(quadrature.interval_order)
+    leg = gauss_legendre(INTERVAL_ORDER)
     # radial nodes per direction on [0, t_exit]; kernel * r^{n-1} * omega_n = dir
     radii = 0.5 * t_exit[:, None] * (leg.nodes[None, :] + 1.0)
     wrad = 0.5 * t_exit[:, None] * leg.weights[None, :]
@@ -760,8 +757,7 @@ def _disk_position(M: Domain, x: np.ndarray, y: np.ndarray) -> str:
     raise NotRegularError("the branch disk straddles the boundary of M")
 
 
-def extended_borel_pompeiu(f: MultivectorField, M: Domain, z: ComplexPoint,
-                           quadrature: Quadrature = Quadrature()) -> Multivector:
+def extended_borel_pompeiu(f: MultivectorField, M: Domain, z: ComplexPoint) -> Multivector:
     """Extension f~_M(z) by boundary-minus-volume quadrature with kernel C(x'-z).
 
     Real z reduces to the usual Borel-Pompeiu formula, and a source disk
@@ -770,7 +766,7 @@ def extended_borel_pompeiu(f: MultivectorField, M: Domain, z: ComplexPoint,
     over an inscribed spheroid E_P is used: its boundary integral is
     smooth, and its volume integral is evaluated in the oblate coordinates
     adapted to (x, -y), where gamma = p + iq exactly and a Duffy
-    substitution (``interval_order`` nodes a side) removes the 1/|gamma|
+    substitution (``numerics.INTERVAL_ORDER`` nodes a side) removes the 1/|gamma|
     corner.
 
     On each (p, q) ring u = zeta yhat + rho sig(phi) of the spheroid the
@@ -800,16 +796,16 @@ def extended_borel_pompeiu(f: MultivectorField, M: Domain, z: ComplexPoint,
     """
     n = _check_arguments(f, M, **{"z.x": z.x, "z.y": z.y})
     if np.linalg.norm(z.y) == 0.0:
-        return borel_pompeiu(f, M, z.x, quadrature)
+        return borel_pompeiu(f, M, z.x)
     if n != 3:
         raise UnsupportedDimensionError("complex-argument formula implemented for n = 3")
-    if not regular_point(z, M, quadrature=quadrature):
+    if not regular_point(z, M):
         raise NotRegularError("z is not regular with respect to the boundary of M")
     alg = f.algebra
     x, y = z.x, z.y
     dirac = _dirac_evaluator(f, "left", DIRAC_FD)
     if _disk_position(M, x, y) == "outside":
-        return Multivector(alg, _exterior_sum(f, dirac, M, x, y, quadrature))
+        return Multivector(alg, _exterior_sum(f, dirac, M, x, y))
 
     # disk inside M: shrink the domain to an inscribed oblate spheroid E_P
     a = float(np.linalg.norm(y))
@@ -894,7 +890,7 @@ def extended_borel_pompeiu(f: MultivectorField, M: Domain, z: ComplexPoint,
 
     # volume of E_P in oblate coordinates, Duffy-transformed about (p, q) = 0:
     # two triangles per sign of q, (p, q) = (P u, +-a u v) and (P u v, +-a u)
-    duffy = gauss_legendre(quadrature.interval_order)
+    duffy = gauss_legendre(INTERVAL_ORDER)
     t_nodes = 0.5 * (duffy.nodes + 1.0)
     t_wts = 0.5 * duffy.weights
     uu, vv = np.meshgrid(t_nodes, t_nodes, indexing="ij")

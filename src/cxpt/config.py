@@ -2,21 +2,15 @@
 
 Recognized keys (defaults in parentheses):
 
-    quadrature.interval.order   (16)   Gauss order N of every interval rule: the
-                                       2N+1-node Gauss-Kronrod q-integrals and
-                                       panels of the source actions, and the
-                                       N-node Gauss-Legendre radii, rays, Duffy
-                                       square and box faces of ``clifford``
-    default.a                   (1.0)  default |y| for CLI demos
+    default.a   (1.0)   default |y| for CLI demos
 
-The interval order makes up the ``numerics.Quadrature`` that
-``Config.quadrature`` returns and the CLI hands to the subcommands that
-take interval rules.  Sphere rules are not configurable: each sphere pass
-takes a rung of the fixed ladder ``numerics.SPHERE_LADDER`` chosen by a
-probe of the field, or the rule of ``numerics.SPHERE_ORDER``.  Unknown
-keys (``quadrature.sphere.order`` among them) and malformed lines are
-rejected with the line number and key; ``Quadrature`` checks the order
-(an integer >= 4) and ``default.a`` must be positive and at most 1e150.
+No numerical rule is configurable: every interval rule has the Gauss order
+``numerics.INTERVAL_ORDER``, and each sphere pass takes a rung of the fixed
+ladder ``numerics.SPHERE_LADDER`` chosen by a probe of the field, or the
+rule of ``numerics.SPHERE_ORDER``.  Unknown keys (``quadrature.interval.order``
+and ``quadrature.sphere.order`` among them) and malformed lines are rejected
+with the line number and key; ``default.a`` must be positive and at most
+1e150.
 """
 
 from __future__ import annotations
@@ -26,23 +20,13 @@ import os
 from dataclasses import dataclass, replace
 
 from .errors import ConfigParseError
-from .numerics import Quadrature
 
 __all__ = ["Config", "load_config", "config_from_env", "DOCUMENTED_KEYS"]
 
 
 @dataclass(frozen=True)
 class Config:
-    interval_order: int = Quadrature.interval_order
     default_a: float = 1.0
-
-    def quadrature(self) -> Quadrature:
-        return Quadrature(interval_order=self.interval_order)
-
-
-def _interval_order(text: str) -> int:
-    """The interval order of ``text``, which ``Quadrature`` checks."""
-    return Quadrature(interval_order=int(text)).interval_order
 
 
 #: Largest coordinate magnitude the CLI accepts (in ``default.a`` and vector
@@ -61,7 +45,6 @@ def _positive_float(text: str) -> float:
 
 
 DOCUMENTED_KEYS = {
-    "quadrature.interval.order": ("interval_order", _interval_order),
     "default.a": ("default_a", _positive_float),
 }
 

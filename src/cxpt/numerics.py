@@ -7,7 +7,9 @@ Conventions used throughout the library:
   and is mapped affinely.  ``integrate_interval`` uses one nested rule:
   the Kronrod rule K_{2N+1} on the N Gauss nodes and N + 1 more, whose
   value is K and whose error estimate is |K - G_N|, from one call of the
-  integrand.
+  integrand.  Every interval rule of the library has Gauss order
+  ``INTERVAL_ORDER``, as every sphere rule no walk chooses has sphere
+  order ``SPHERE_ORDER``; neither is settable.
 * Sphere rules carry the *normalized* measure: weights sum to 1 on every
   S^m.  The area factor omega_n = 2 pi^{n/2} / Gamma(n/2) is applied
   explicitly by callers where a formula demands it, never implicitly.
@@ -53,7 +55,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -68,7 +69,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Quadrature",
     "QuadratureRule",
     "KronrodRule",
     "FDScheme",
@@ -90,6 +90,7 @@ __all__ = [
     "sphere_area",
     "sphere_levels",
     "walk_ladder",
+    "INTERVAL_ORDER",
     "MAX_POINTS",
     "SPHERE_LADDER",
     "SPHERE_ORDER",
@@ -133,8 +134,10 @@ def sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-#: Least ``Quadrature.interval_order`` accepted.
-MIN_INTERVAL_ORDER = 4
+#: Gauss order N of every interval rule: the 2N+1-node Gauss-Kronrod
+#: q-integrals and theta-panels of the source actions, and the N-node
+#: Gauss-Legendre radii, rays, Duffy square and box faces of ``clifford``.
+INTERVAL_ORDER = 16
 #: Orders of the rungs of the sphere-rule ladder, lowest first (``sphere_levels``
 #: gives a rung's rule on S^dim), and the order of every sphere rule that no
 #: walk chooses, the rung a walk stops at for a field that vanishes on every
@@ -145,31 +148,6 @@ SPHERE_ORDER = 24
 #: Rounding level of a sphere-mean sample (about 450 ulps) in units of the field
 #: scale, to which two rungs must agree.
 U_ROUNDING = 1e-13
-
-
-@dataclass(frozen=True)
-class Quadrature:
-    """The settable quadrature order: ``interval_order``, a key of the config file.
-
-    ``interval_order`` is the Gauss order N of every interval rule: the
-    2N+1-node Gauss-Kronrod q-integrals of the singular actions and the
-    regularized action's panels, and the N-node Gauss-Legendre radii, rays,
-    Duffy square and box faces of ``clifford``.  It must be an integer of at
-    least ``MIN_INTERVAL_ORDER``.  Sphere rules are not settable: the source
-    actions, the wave solver's stencil solves, ``wave_residual``'s batch of
-    one-sphere solves and the (q, phi) rule of ``extended_borel_pompeiu``'s
-    spheroid take the rung of ``SPHERE_LADDER`` that ``walk_ladder`` keeps,
-    and every other sphere rule is that of ``SPHERE_ORDER``.
-    """
-
-    interval_order: int = 16
-
-    def __post_init__(self) -> None:
-        order = self.interval_order
-        if not isinstance(order, numbers.Integral):
-            raise ValueError(f"interval_order must be an integer, got {order!r}")
-        if order < MIN_INTERVAL_ORDER:
-            raise ValueError(f"interval_order must be >= {MIN_INTERVAL_ORDER}, got {order}")
 
 
 def sphere_levels(dim: int, order: int = SPHERE_ORDER) -> tuple[int, ...]:
@@ -456,7 +434,7 @@ def integrate_interval(
     g: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
-    order: int = 16,
+    order: int = INTERVAL_ORDER,
 ) -> IntervalIntegral:
     """Gauss-Kronrod integral of ``g`` over [lo, hi] with an error estimate.
 

@@ -61,7 +61,9 @@ trailing coefficients reach rounding level, or raise
 derivatives inside one panel centred on u = a^2.  The odd-n ones take
 the rim Taylor terms and the Taylor-subtracted q-quotient by exact
 division on the panel ending at the rim, and the quotients directly
-elsewhere, where nothing cancels.
+elsewhere, where nothing cancels.  Each u-panel's q-integral is one
+Gauss-Kronrod call of order ``numerics.INTERVAL_ORDER``, as is each
+theta-panel below.
 
 The regularized action integrates over theta-panels (q = a sin theta)
 that grow by ``THETA_GROWTH`` from eps / a, each one Gauss-Kronrod call,
@@ -95,10 +97,10 @@ from .errors import (
 from .fields import TestField, _lift, constant, coordinate
 from .geometry import oblate_rho_zeta
 from .numerics import (
+    INTERVAL_ORDER,
     MAX_POINTS,
     U_ROUNDING,
     FDScheme,
-    Quadrature,
     fd_stencil,
     integrate_interval,
     orthonormal_complement_frame,
@@ -419,8 +421,7 @@ def _tail(interp: Chebyshev) -> float:
     return float(np.abs(interp.coef[-3:]).max())
 
 
-def _integrate_panels(integrand, pieces: list[Chebyshev], a: float,
-                      order: int) -> tuple[complex, float]:
+def _integrate_panels(integrand, pieces: list[Chebyshev], a: float) -> tuple[complex, float]:
     """Sum over u-panels of Int integrand(piece, q) dq on the panel's q = sqrt(a^2 - u) range.
 
     Returns the value and the summed ``integrate_interval`` error estimates.
@@ -429,13 +430,13 @@ def _integrate_panels(integrand, pieces: list[Chebyshev], a: float,
     for piece in pieces:
         lo, hi = piece.domain
         part = integrate_interval(lambda q: integrand(piece, q), math.sqrt(a**2 - hi),
-                                  math.sqrt(a**2 - lo), order=order)
+                                  math.sqrt(a**2 - lo), order=INTERVAL_ORDER)
         value, error = value + part.value, error + part.error
     return value, error
 
 
-def _taylor_subtracted(pieces: list[Chebyshev], k: int, a: float,
-                       order: int) -> tuple[list[complex], complex, float]:
+def _taylor_subtracted(pieces: list[Chebyshev], k: int,
+                       a: float) -> tuple[list[complex], complex, float]:
     """Rim Taylor coefficients T_2m = ((-1)^m / m!) D_u^m F(a^2), m <= k, of the
     panels of F, and Int_0^a (F(a^2-q^2) - Sum_m T_2m q^2m) / q^{2k+2} dq with its error.
 
@@ -453,11 +454,10 @@ def _taylor_subtracted(pieces: list[Chebyshev], k: int, a: float,
         head = sum(t2[m] * q ** (2 * m) for m in range(k + 1))
         return (f_hat(a**2 - q**2) - head) / q ** (2 * k + 2)
 
-    return (t2, *_integrate_panels(integrand, pieces, a, order))
+    return (t2, *_integrate_panels(integrand, pieces, a))
 
 
-def singular_action_r3(f: TestField, y: Sequence[float] | np.ndarray,
-                       quadrature: Quadrature = Quadrature()) -> SourceAction:
+def singular_action_r3(f: TestField, y: Sequence[float] | np.ndarray) -> SourceAction:
     """Action of the extended source in R^3: rim + single layer + i double layer."""
     y = np.asarray(y, dtype=float)
     if np.linalg.norm(y) == 0.0:
@@ -471,12 +471,11 @@ def singular_action_r3(f: TestField, y: Sequence[float] | np.ndarray,
         lambda u: np.stack(af.sample(np.sqrt(u), 0.0, 0.0, 1.0), axis=1) * [1.0, a],
         [1.0, af.slope_noise], rim)
     # rim L0 = G(a^2); single layer: -a Int_0^a (G(a^2-q^2) - L0) / q^2 dq
-    (l0,), int1, err1 = _taylor_subtracted(g_pieces, 0, a, quadrature.interval_order)
+    (l0,), int1, err1 = _taylor_subtracted(g_pieces, 0, a)
     l1 = -a * int1
 
     # double layer: -Int_0^a fbar_zeta(rho(q), 0) dq
-    int2, err2 = _integrate_panels(lambda ah_hat, q: ah_hat(a**2 - q**2), ah_pieces, a,
-                                   quadrature.interval_order)
+    int2, err2 = _integrate_panels(lambda ah_hat, q: ah_hat(a**2 - q**2), ah_pieces, a)
     l2 = -int2 / a
 
     # the q-rules are near exact on polynomials: add the interpolants' tails, carried
@@ -506,8 +505,7 @@ def singular_action_r4(f: TestField, y: Sequence[float] | np.ndarray) -> complex
     return complex(fbar + a * d_rho - 1j * a * d_zeta)
 
 
-def singular_action_even(f: TestField, y: Sequence[float] | np.ndarray, n: int,
-                         quadrature: Quadrature = Quadrature()) -> complex:
+def singular_action_even(f: TestField, y: Sequence[float] | np.ndarray, n: int) -> complex:
     """Action for even n = 2k+2 in {4, 6}: (a sqrt(pi)/Gamma(k+1/2)) D_rho^k F |_{rho=a}."""
     if n % 2 != 0 or not 4 <= n <= 6:
         raise UnsupportedDimensionError(f"even-n action supports n in {{4, 6}}, got {n}")
@@ -526,8 +524,7 @@ def singular_action_even(f: TestField, y: Sequence[float] | np.ndarray, n: int,
     return a * math.sqrt(math.pi) / math.gamma(k + 0.5) * dk
 
 
-def singular_action_odd(f: TestField, y: Sequence[float] | np.ndarray, n: int,
-                        quadrature: Quadrature = Quadrature()) -> complex:
+def singular_action_odd(f: TestField, y: Sequence[float] | np.ndarray, n: int) -> complex:
     """Action for odd n = 2k+3 in {3, 5}: V_n plus the rim Taylor block."""
     if n % 2 != 1 or not 3 <= n <= 5:
         raise UnsupportedDimensionError(f"odd-n action supports n in {{3, 5}}, got {n}")
@@ -541,7 +538,7 @@ def singular_action_odd(f: TestField, y: Sequence[float] | np.ndarray, n: int,
     ratio = _omega_ratio(n)
     rim = af.fit_disk_rule(a)
     f_pieces = [g * Chebyshev.identity(domain=g.domain) ** k for g in af.g_panels(rim)]
-    t2, integral, _ = _taylor_subtracted(f_pieces, k, a, quadrature.interval_order)
+    t2, integral, _ = _taylor_subtracted(f_pieces, k, a)
     i_power = (1j) ** ((1 - n) % 4)
     v_n = 2.0 * i_power * a / ratio * integral
 
@@ -551,8 +548,8 @@ def singular_action_odd(f: TestField, y: Sequence[float] | np.ndarray, n: int,
     return v_n + tail
 
 
-def singular_action(f: TestField, y: Sequence[float] | np.ndarray, n: int | None = None,
-                    quadrature: Quadrature = Quadrature()) -> complex:
+def singular_action(f: TestField, y: Sequence[float] | np.ndarray,
+                    n: int | None = None) -> complex:
     """Dispatch <delta~, f> to the dimension-specific evaluator (n in 3..6)."""
     y = np.asarray(y, dtype=float)
     if n is None:
@@ -562,18 +559,18 @@ def singular_action(f: TestField, y: Sequence[float] | np.ndarray, n: int | None
     if np.linalg.norm(y) == 0.0:
         return f.evaluate(np.zeros(n))
     if n == 3:
-        return singular_action_r3(f, y, quadrature).value
+        return singular_action_r3(f, y).value
     if n == 4:
         return singular_action_r4(f, y)
     if n == 5:
-        return singular_action_odd(f, y, 5, quadrature)
+        return singular_action_odd(f, y, 5)
     if n == 6:
-        return singular_action_even(f, y, 6, quadrature)
+        return singular_action_even(f, y, 6)
     raise UnsupportedDimensionError(f"singular action supports n in 3..6, got {n}")
 
 
 def regularized_action(f: TestField, y: Sequence[float] | np.ndarray, n: int,
-                       eps: float, quadrature: Quadrature = Quadrature()) -> complex:
+                       eps: float) -> complex:
     """Action I_eps of the regularized source supported on the spheroid p = eps.
 
     The q-integral is taken in q = a sin(theta) (absorbing the
@@ -584,11 +581,11 @@ def regularized_action(f: TestField, y: Sequence[float] | np.ndarray, n: int,
     falls below ``U_ROUNDING`` of the largest mean of |f| on the spheroid's
     probe spheres times a bound of the kernel's integral (a zero action).
     """
-    return _regularized(f, y, n, eps, quadrature).value
+    return _regularized(f, y, n, eps).value
 
 
 def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
-                 eps: float, quadrature: Quadrature = Quadrature()) -> SourceAction:
+                 eps: float) -> SourceAction:
     """``regularized_action`` with its error estimate: (Sum |K - G| + (2^-52 +
     rule_error) Sum |K|) times the prefactor, 2^-52 the floor of the kernel's
     cancellation and ``rule_error`` the sphere-rule ladder's, if it fell back."""
@@ -617,7 +614,7 @@ def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
         return (a * np.cos(theta)) ** (n - 2) * (fs + gamma * fsp / (n - 2)) / gamma ** (n - 1)
 
     def panel(lo: float, hi: float, depth: int):
-        return lo, hi, depth, integrate_interval(integrand, lo, hi, order=quadrature.interval_order)
+        return lo, hi, depth, integrate_interval(integrand, lo, hi, order=INTERVAL_ORDER)
 
     half = math.pi / 2.0
     breaks = [0.0, min(max(eps / a, 1e-6), half)]
@@ -658,16 +655,15 @@ def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
     return SourceAction(value, None, prefactor * (error + (2.0**-52 + af.rule_error) * scale))
 
 
-def moments(n: int, y: Sequence[float] | np.ndarray,
-            quadrature: Quadrature = Quadrature()) -> tuple[complex, np.ndarray]:
+def moments(n: int, y: Sequence[float] | np.ndarray) -> tuple[complex, np.ndarray]:
     """Monopole Q and dipole vector P of the source with axis y."""
     y = np.asarray(y, dtype=float)
-    q_val = singular_action(constant(1.0), y, n, quadrature)
-    p_vec = np.asarray([singular_action(coordinate(j), y, n, quadrature) for j in range(n)])
+    q_val = singular_action(constant(1.0), y, n)
+    p_vec = np.asarray([singular_action(coordinate(j), y, n) for j in range(n)])
     return q_val, p_vec
 
 
-def centroid(z_s, quadrature: Quadrature = Quadrature()) -> np.ndarray:
+def centroid(z_s) -> np.ndarray:
     """Centroid of a source placed at complex position z_S in C^3; equals z_S.
 
     Evaluated by translating the coordinate test fields: the component j
@@ -677,13 +673,11 @@ def centroid(z_s, quadrature: Quadrature = Quadrature()) -> np.ndarray:
     y_s = np.asarray(z_s.y, dtype=float)
     if x_s.shape[0] != 3:
         raise UnsupportedDimensionError("centroid is computed for n = 3")
-    return np.asarray([singular_action(coordinate(j).shifted(x_s), -y_s, 3, quadrature)
-                       for j in range(3)])
+    return np.asarray([singular_action(coordinate(j).shifted(x_s), -y_s, 3) for j in range(3)])
 
 
 def descent_check(f: TestField, y: Sequence[float] | np.ndarray,
-                  n: int = 3, window: float | None = None,
-                  quadrature: Quadrature = Quadrature()) -> tuple[complex, complex]:
+                  n: int = 3, window: float | None = None) -> tuple[complex, complex]:
     """Both sides of the descent identity <delta~_n, f> = <delta~_{n+1}, f x 1>.
 
     The right side lifts f to R^{n+1} as f(x) on the slab |s| <= window, with
@@ -705,6 +699,6 @@ def descent_check(f: TestField, y: Sequence[float] | np.ndarray,
         raise WindowTooSmallError(
             f"window {w} does not cover the source support |s| <= {a} with FD margin"
         )
-    lhs = singular_action_r3(f, y, quadrature).value
+    lhs = singular_action_r3(f, y).value
     rhs = singular_action_r4(_lift(f, w), np.append(y, 0.0))
     return lhs, rhs

@@ -28,16 +28,17 @@ u = mean(v + t omega . grad v + t w) over x + t omega (n = 2 lifts the
 gradient as [grad v, 0]), on the rule of ``numerics.SPHERE_ORDER``.
 ``wave_residual`` takes all its lattice points as one such batch
 (``_kirchhoff_spheres``): several spheres per evaluator call, on one rule
-for the batch that its probe of the points of largest |t| keeps (below).  Otherwise a solve first collects every
-radius its Richardson radial stencils touch (``numerics.fd_stencil``), as
-|r| since the means are even in r, and takes the means of v and of w at
-the distinct radii with one call of the shared kernel
-``numerics.sphere_sums`` per field; the stencil sums are then weighted
-sums of those means.  Such an n = 3 solve takes 7 means (6 of v, 1 of w)
-and an n = 5 solve 14 (7 of each; n = 5 keeps its stencils, since its
-second radial derivative would need a Hessian).  The evaluator gets one
-sphere per call, cut into slices of at most ``numerics.MAX_POINTS``
-points where the rule is larger (S^4 has 20,000 nodes at sphere order 24).
+for the batch that its probe of the points of largest |t| keeps (below).
+Otherwise a solve first collects every radius its Richardson radial
+stencils touch (``numerics.fd_stencil``), as |r| since the means are even
+in r, and takes the means of v and of w at the distinct radii with one
+call of the shared kernel ``numerics.sphere_sums`` per field; the stencil
+sums are then weighted sums of those means.  Such an n = 3 solve takes 7
+means (6 of v, 1 of w) and an n = 5 solve 14 (7 of each; n = 5 keeps its
+stencils, since its second radial derivative would need a Hessian).  The
+evaluator gets one sphere per call, cut into slices of at most
+``numerics.MAX_POINTS`` points where the rule is larger (S^4 has 20,000
+nodes at sphere order 24).
 
 These stencil solves take their means on the smallest rule that agrees
 with the next one up (``_fit_rule``): once per call, v and w are probed
@@ -48,17 +49,16 @@ with the next rung's to ``U_ROUNDING`` of the field scale, climbing past
 sphere order 24 where no lower pair agrees, up to the top rung.  The
 probe's sums on the kept rung stand for the solve's own on that sphere,
 so each sphere is still taken once.  A smooth n = 5 solve at t = 0.7
-takes 48,780 points instead of 280,000; the plane wave k = 8 e_1 at
-t = 2, which no pair up to order 24 resolves, climbs to the top rung at
-5,173,588 points.  A single one-sphere solve skips the probe, which would
-cost more than it saves, and takes the rule of ``SPHERE_ORDER``.  The
-residual's batch walks the same ladder once: it probes only its spheres
-of largest |t|, each rung in one pass, and every sphere takes the upper
-rule of the first agreeing pair, on which the probe has already summed
-the outermost ones.  Criterion 9's lattice of 297 solves evaluates
-150,174 points in 42 calls instead of 1,026,432 in 891; a lattice that
-climbs (k = (20, 0, 0) at t = 1, to (36, 72)) pays its probed layer on
-every rung up to the one kept, 2,751,246 points.
+takes 48,780 points; the plane wave k = 8 e_1 at t = 2, which no pair up
+to order 24 resolves, climbs to the top rung at 5,173,588 points.  A
+single one-sphere solve skips the probe, which would cost more than it
+saves, and takes the rule of ``SPHERE_ORDER``.  The residual's batch
+walks the same ladder once: it probes only its spheres of largest |t|,
+each rung in one pass, and every sphere takes the upper rule of the
+first agreeing pair, on which the probe has already summed the outermost
+ones.  Criterion 9's lattice of 297 solves evaluates 150,174 points in
+42 calls; a lattice that climbs (k = (20, 0, 0) at t = 1, to (36, 72))
+pays its probed layer on every rung up to the one kept, 2,751,246 points.
 
 ``extend_jet`` differentiates the n = 3 solution under the sphere means:
 the means M and first moments N_l = mean(omega_l f(x + r omega)) of v and
@@ -505,7 +505,9 @@ def wave_residual(data: CauchyData, x_center: Sequence[float] | np.ndarray,
     """Max |u_tt - Lap u| over the interior of a (2m+1)^{n+1} lattice.
 
     The lattice is centred at the finite (x_center, t_center) with a
-    finite spacing ``h`` > 0 and ``half_points`` m >= 1.  The solver is
+    spacing ``h`` > 0 whose square, the divisor of the second differences,
+    is a finite normal float (h between about 1.5e-154 and 1.3e154), and
+    ``half_points`` m >= 1.  The solver is
     sampled once at each interior point and each face neighbour of one
     (297 points for n = 3 and m = 2), all in one ``_solve_lattice`` call:
     when v carries a gradient (n = 3, or 2), that is one batch of
@@ -514,8 +516,9 @@ def wave_residual(data: CauchyData, x_center: Sequence[float] | np.ndarray,
     sample raises ``NonFiniteIntegrandError`` rather than dropping out of
     the maximum.
     """
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"wave residual needs a finite lattice step h > 0, got {h}")
+    if not (h > 0 and np.finfo(float).tiny <= h * h < math.inf):
+        raise ValueError(f"wave residual needs a lattice step h > 0 whose square h^2 "
+                         f"neither underflows nor overflows, got h = {h}")
     if half_points < 1:
         raise ValueError(f"wave_residual needs half_points >= 1, got {half_points}")
     x_center = np.asarray(x_center, dtype=float)

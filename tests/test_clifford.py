@@ -18,9 +18,9 @@ from cxpt.errors import (
 from cxpt.fields import TestField, poly_diff
 from cxpt.geometry import ComplexPoint, oblate_rho_zeta
 from cxpt.numerics import (
+    INTERVAL_ORDER,
     SPHERE_LADDER,
     FDScheme,
-    Quadrature,
     gauss_legendre,
     sphere_area,
     sphere_levels,
@@ -239,14 +239,17 @@ def test_borel_pompeiu_monogenic_boundary_only():
     assert float(np.max(np.abs(dv))) * float(np.sum(wts)) <= 1e-6
 
 
-def test_box_rules_follow_the_interval_order():
-    """A box's faces and volume take interval_order Gauss-Legendre nodes per side."""
+def test_box_rules_follow_the_interval_order(monkeypatch):
+    """A box's faces and volume take INTERVAL_ORDER Gauss-Legendre nodes per side,
+    the constant as ``clifford`` reads it when the rules are built."""
+    from cxpt import clifford
+
     box = Box(np.array([-0.5, -0.6, -0.4]), np.array([0.7, 0.5, 0.6]))
-    for order in (Quadrature().interval_order, 7):
-        quadrature = Quadrature(interval_order=order)
-        pts, normals, wts = box.boundary_quadrature(quadrature)
+    for order in (INTERVAL_ORDER, 7):
+        monkeypatch.setattr(clifford, "INTERVAL_ORDER", order)
+        pts, normals, wts = box.boundary_quadrature()
         assert pts.shape == normals.shape == (6 * order**2, 3) and wts.shape == (6 * order**2,)
-        vpts, vwts = box.volume_quadrature(quadrature)
+        vpts, vwts = box.volume_quadrature()
         assert vpts.shape == (order**3, 3) and vwts.shape == (order**3,)
         assert np.sum(vwts) == pytest.approx(np.prod(box.hi - box.lo), rel=1e-14)
 
@@ -254,11 +257,10 @@ def test_box_rules_follow_the_interval_order():
 def test_borel_pompeiu_box():
     alg = Cl(3)
     box = Box(np.array([-0.5, -0.6, -0.4]), np.array([0.7, 0.5, 0.6]))
-    quadrature = Quadrature(interval_order=24)
     fc = poly_field(alg, 3, {(): {(0, 0, 0): 1.5}})
     x0 = np.array([0.05, -0.1, 0.1])
-    assert (borel_pompeiu(fc, box, x0, quadrature) - alg.scalar(1.5)).norm() <= 1e-3
-    assert borel_pompeiu(fc, box, np.array([2.0, 0.0, 0.0]), quadrature).norm() <= 1e-6
+    assert (borel_pompeiu(fc, box, x0) - alg.scalar(1.5)).norm() <= 1e-3
+    assert borel_pompeiu(fc, box, np.array([2.0, 0.0, 0.0])).norm() <= 1e-6
 
 
 def test_extended_bp_real_reduction_and_oracle():
@@ -372,11 +374,10 @@ def test_borel_pompeiu_evaluator_cost(call, cost):
     assert (len(sizes), sum(sizes), max(sizes)) == cost
 
 
-def _per_point_ebp(f, M, z, orders, interval_order=16):
+def _per_point_ebp(f, M, z, orders):
     """The disk-inside branch of ``extended_borel_pompeiu`` with every layer's
     kernel and Clifford products taken point by point, on the (q, phi) rule
-    ``orders`` and the Duffy square of ``interval_order``: the layers as they
-    were before the ring moments, without chunks."""
+    ``orders`` and the Duffy square of ``INTERVAL_ORDER``, without chunks."""
     alg, x, y = f.algebra, z.x, z.y
     dirac = _dirac_evaluator(f, "left", DIRAC_FD)
     a = float(np.linalg.norm(y))
@@ -404,7 +405,7 @@ def _per_point_ebp(f, M, z, orders, interval_order=16):
     qn = a * leg.nodes
     area = 2.0 * np.pi * math.sqrt(a**2 + big_p**2) / a * np.sqrt(big_p**2 + qn**2)
     term_b = ring_means(np.full_like(qn, big_p), qn, a * leg.weights * area, boundary)
-    duffy = gauss_legendre(interval_order)
+    duffy = gauss_legendre(INTERVAL_ORDER)
     t, wt = 0.5 * (duffy.nodes + 1.0), 0.5 * duffy.weights
     uu, vv = np.meshgrid(t, t, indexing="ij")
     ps = np.concatenate([(big_p * uu).ravel(), (big_p * uu * vv).ravel()] * 2)
@@ -572,7 +573,7 @@ def test_extended_bp_box_domain():
     f = poly_field(alg, 3, {(1,): {(1, 0, 0): 1.0, (0, 2, 0): 0.5},
                             (): {(0, 0, 0): 0.3, (0, 0, 1): -0.2}})
     z = ComplexPoint([0.2, 0.0, -0.1], [0.0, 0.0, 0.06])
-    got = extended_borel_pompeiu(f, box, z, Quadrature(interval_order=20))
+    got = extended_borel_pompeiu(f, box, z)
     oracle = np.zeros(alg.dim, dtype=complex)
     for mask, table in f.poly.items():
         def ev(pts, table=table):

@@ -1,6 +1,5 @@
 """Configuration parsing and the command-line surface."""
 
-import dataclasses
 import importlib
 import json
 import os
@@ -19,7 +18,7 @@ from cxpt.config import DOCUMENTED_KEYS, Config, load_config
 from cxpt.errors import ConfigParseError
 from cxpt.fields import gaussian, parse_field_spec
 from cxpt.geometry import ComplexPoint
-from cxpt.numerics import FDScheme, Quadrature, sphere_levels, sphere_rule
+from cxpt.numerics import FDScheme
 from cxpt.potential import regularized_jump, regularized_potential
 from cxpt.source import descent_check, moments, singular_action
 from cxpt.wave import CauchyData, solve_cauchy
@@ -56,14 +55,14 @@ def test_empty_config_gives_defaults(tmp_path):
 
 
 def test_config_overrides(tmp_path):
-    cfg = load_config(write(tmp_path, "quadrature.interval.order = 24\ndefault.a = 2\n"))
-    assert cfg.interval_order == 24
+    cfg = load_config(write(tmp_path, "default.a = 2\n"))
     assert cfg.default_a == 2.0
+    assert cfg == Config(default_a=2.0)
 
 
 def test_config_comments_and_blanks(tmp_path):
-    cfg = load_config(write(tmp_path, "# comment\n\nquadrature.interval.order = 8\n"))
-    assert cfg.interval_order == 8
+    cfg = load_config(write(tmp_path, "# comment\n\ndefault.a = 8\n"))
+    assert cfg.default_a == 8.0
 
 
 def test_config_rejections(tmp_path):
@@ -72,7 +71,7 @@ def test_config_rejections(tmp_path):
     with pytest.raises(ConfigParseError, match=":1:"):
         load_config(write(tmp_path, "not a key value line\n"))
     with pytest.raises(ConfigParseError):
-        load_config(write(tmp_path, "quadrature.interval.order = 3\n"))
+        load_config(write(tmp_path, "default.a = 1e151\n"))
     with pytest.raises(ConfigParseError):
         load_config(write(tmp_path, "default.a = -1\n"))
 
@@ -87,11 +86,20 @@ def test_config_rejections(tmp_path):
     "quadrature.panel.order = 16",
     "quadrature.circle.order = 64",
     "quadrature.sphere.order = 24",
+    "quadrature.interval.order = 16",
 ])
-def test_config_deleted_keys_rejected(tmp_path, line):
-    """Keys that never reached a computation are gone, not silently accepted."""
-    with pytest.raises(ConfigParseError, match="unknown key"):
-        load_config(write(tmp_path, line + "\n"))
+def test_config_deleted_keys_rejected(tmp_path, capsys, line):
+    """Keys that never reached a computation, and the quadrature orders that are now
+    module constants, are gone, not silently accepted: a file that sets one is
+    refused at load, naming the line and the key, and the CLI exits 1 with that
+    message."""
+    key = line.partition("=")[0].strip()
+    path = write(tmp_path, "default.a = 2\n" + line + "\n")
+    with pytest.raises(ConfigParseError, match=f":2: unknown key '{re.escape(key)}'"):
+        load_config(path)
+    code, out, err = run_cli(capsys, ["--config", path, "gamma", "--n", "3", "--x", "2,0,0"])
+    assert code == 1 and out == ""
+    assert f":2: unknown key '{key}'" in err
 
 
 def test_readme_config_block_matches_code():
@@ -164,46 +172,6 @@ def test_readme_cli_examples_run(capsys, monkeypatch):
         assert code == 0, argv
         if expected is not None:
             assert out == expected, argv
-
-
-#: Per Quadrature field: its config line and subcommands whose output depends on it,
-#: one for each rule the field sets.
-QUADRATURE_PROBES = {
-    "interval_order": ("quadrature.interval.order = 4", [
-        ["source-action", "--n", "3", "--field", "plane_wave:2,1,0"],   # q-integrals
-        ["source-action", "--n", "3", "--field", "plane_wave:2,1,0", "--eps", "0.1"],  # panels
-        ["clifford", "bp-check"],   # a ball's radii and the interior rays
-    ]),
-}
-
-
-def test_cli_sets_every_quadrature_field(tmp_path, capsys):
-    """Each Quadrature field is set by its config key and changes the CLI's output
-    through every rule family it sets."""
-    assert set(QUADRATURE_PROBES) == {f.name for f in dataclasses.fields(Quadrature)}
-    for name, (line, commands) in QUADRATURE_PROBES.items():
-        path = write(tmp_path, line + "\n")
-        quadrature = load_config(path).quadrature()
-        default = getattr(Quadrature(), name)
-        assert getattr(quadrature, name) != default, name
-        assert dataclasses.replace(quadrature, **{name: default}) == Quadrature(), name
-        for argv in commands:
-            _, default_out, _ = run_cli(capsys, argv)
-            code, out, _ = run_cli(capsys, ["--config", path] + argv)
-            assert code == 0 and out != default_out, (name, argv)
-
-
-def test_config_quadrature_defaults_are_the_library_defaults():
-    """Config() builds Quadrature(), and sphere_rule's default orders are those of
-    SPHERE_ORDER."""
-    assert Config().quadrature() == Quadrature()
-    expected = {1: (64,), 2: (24, 48), 3: (14, 14, 28), 4: (10, 10, 10, 20)}
-    for dim in range(1, 5):
-        orders = sphere_levels(dim)
-        assert orders == expected[dim]
-        default, explicit = sphere_rule(dim), sphere_rule(dim, orders)
-        assert np.array_equal(default.nodes, explicit.nodes)
-        assert np.array_equal(default.weights, explicit.weights)
 
 
 def test_cli_matches_the_library_at_default_config(capsys):
@@ -421,7 +389,8 @@ def test_cli_wave_verify(capsys):
     assert json.loads(out)["residual"] <= 1e-3
 
 
-@pytest.mark.parametrize("extra", [["--step", "0"], ["--step", "-0.05"], ["--half", "0"]])
+@pytest.mark.parametrize("extra", [["--step", "0"], ["--step", "-0.05"], ["--half", "0"],
+                                   ["--step", "1e-160"], ["--step", "1e155"]])
 def test_cli_wave_verify_rejects_bad_lattice(capsys, extra):
     code, out, err = run_cli(capsys, ["wave-verify", "--n", "3",
                                       "--v", "plane_wave:1,0,0", "--w", "constant:0",
@@ -485,24 +454,6 @@ def test_cli_clifford_bp(capsys):
     assert payload["exterior_leakage"] <= 1e-6
 
 
-def test_cli_clifford_reads_the_interval_order(tmp_path, capsys):
-    """quadrature.interval.order reaches the clifford modes that take interval rules,
-    which keep criterion 11's bounds at the coarser order 12: bp-check's radii and
-    rays, and ebp-check's Duffy square and its oracle's q-integrals.  maxwell-demo
-    takes no interval rule, so its output does not move."""
-    path = write(tmp_path, "quadrature.interval.order = 12\n")
-    bounds = {"bp-check": ("interior_error", "exterior_leakage"),
-              "ebp-check": ("abs_diff",),
-              "maxwell-demo": ()}
-    for mode, keys in bounds.items():
-        _, default_out, _ = run_cli(capsys, ["clifford", mode])
-        code, out, _ = run_cli(capsys, ["--config", path, "clifford", mode])
-        assert code == 0 and (out != default_out) == bool(keys), mode
-        payload = json.loads(out)
-        for key in keys:
-            assert payload[key] <= 1e-4, (mode, key)
-
-
 def test_cli_verify_subset(capsys):
     code, out, err = run_cli(capsys, ["verify", "--suite", "1,12"])
     assert code == 0
@@ -510,18 +461,6 @@ def test_cli_verify_subset(capsys):
     assert [entry["criterion"] for entry in lines] == [1, 12]
     assert all(entry["passed"] for entry in lines)
     assert "PASS" in err
-
-
-def test_cli_verify_ignores_the_config_quadrature(tmp_path, capsys):
-    """``verify`` runs at the default rules, at which its thresholds are calibrated:
-    criterion 7's q-integrals do not take the configured interval order."""
-    conf = write(tmp_path, "quadrature.interval.order = 8\n")
-    details = []
-    for prefix in ([], ["--config", conf]):
-        code, out, _ = run_cli(capsys, [*prefix, "verify", "--suite", "7"])
-        assert code == 0
-        details.append(json.loads(out)["details"])
-    assert details[0] == details[1]
 
 
 def test_cli_validation_errors(capsys):
@@ -536,22 +475,17 @@ def test_cli_validation_errors(capsys):
 
 def test_cli_config_flag(tmp_path, capsys):
     bad = tmp_path / "bad.conf"
-    bad.write_text("quadrature.interval.order = 3\n")
+    bad.write_text("default.a = 0\n")
     code, _, err = run_cli(capsys, ["--config", str(bad), "gamma", "--n", "3",
                                     "--x", "2,0,0", "--y", "0,0,1"])
     assert code == 1
-    assert "order must be >=" in err
+    assert "default.a: must be positive" in err
 
 
 def test_sphere_order_below_5_is_refused_where_it_is_set(tmp_path, capsys):
-    """No sphere order is settable any more, 4 or any other: Quadrature has no such
-    field, and a config file that sets quadrature.sphere.order is refused at load,
-    naming the line and the key, before any subcommand runs (exit 1).  An interval
-    order below 4 is refused the same way, by Quadrature when built."""
-    with pytest.raises(TypeError, match="sphere_order"):
-        Quadrature(sphere_order=4)
-    with pytest.raises(ValueError, match="interval_order must be >= 4, got 3"):
-        Quadrature(interval_order=3)
+    """No sphere order is settable, 4 or any other: a config file that sets
+    quadrature.sphere.order is refused at load, naming the line and the key, before
+    any subcommand runs (exit 1)."""
     for order in (4, 24):
         path = write(tmp_path, f"# sphere rules\nquadrature.sphere.order = {order}\n")
         with pytest.raises(ConfigParseError, match=":2: unknown key 'quadrature.sphere.order'"):
@@ -560,8 +494,6 @@ def test_sphere_order_below_5_is_refused_where_it_is_set(tmp_path, capsys):
                                           "--field", "polynomial:0,0,0,0,0,0=1"])
         assert code == 1 and out == ""
         assert ":2: unknown key 'quadrature.sphere.order'" in err
-    with pytest.raises(ConfigParseError, match=":1: quadrature.interval.order: .*>= 4, got 3"):
-        load_config(write(tmp_path, "quadrature.interval.order = 3\n"))
 
 
 def test_cli_deterministic_output(capsys):
@@ -599,6 +531,8 @@ def test_cli_outputs_match_schemas(capsys):
         (["wave-verify", "--n", "3", "--v", "constant:0", "--w", "constant:1",
           "--x", "0,0,0", "--t", "0.3", "--half", "1"], "wave-verify.schema.json"),
         (["clifford", "bp-check"], "clifford.schema.json"),
+        (["clifford", "ebp-check"], "clifford.schema.json"),
+        (["clifford", "maxwell-demo"], "clifford.schema.json"),
         (["verify", "--suite", "12"], "verify.schema.json"),
     ]
     for argv, schema_name in cases:

@@ -18,6 +18,7 @@ from cxpt.errors import (
 )
 from cxpt.fields import constant, cosine_wave, gaussian, plane_wave, polynomial
 from cxpt.numerics import (
+    INTERVAL_ORDER,
     MAX_POINTS,
     SPHERE_LADDER,
     SPHERE_ORDER,
@@ -25,7 +26,6 @@ from cxpt.numerics import (
     _gauss,
     _jacobi_recurrence,
     FDScheme,
-    Quadrature,
     circle_rule,
     derivative,
     fd_stencil,
@@ -238,14 +238,20 @@ def test_mean_refuses_non_finite_arguments(bad):
         mean_on_sphere(constant(1.0), np.zeros(3), bad)
 
 
-def test_quadrature_refuses_non_integral_orders():
-    """An interval order that is not an integer is refused when Quadrature is built,
-    not deep inside numpy's rules; numpy integers are integers."""
-    for bad in (16.5, 16.0, "16"):
-        with pytest.raises(ValueError, match="^interval_order must be an integer"):
-            Quadrature(interval_order=bad)
-    order = Quadrature(interval_order=np.int64(16)).interval_order
-    assert gauss_legendre(order).nodes.size == 16
+def test_rule_defaults_are_the_fixed_orders():
+    """integrate_interval's default rule is the Gauss-Kronrod rule of INTERVAL_ORDER,
+    16, and sphere_rule's default orders are those of SPHERE_ORDER."""
+    assert INTERVAL_ORDER == 16
+    default = integrate_interval(np.exp, 0.0, 1.0)
+    assert default == integrate_interval(np.exp, 0.0, 1.0, order=INTERVAL_ORDER)
+    assert default != integrate_interval(np.exp, 0.0, 1.0, order=8)
+    expected = {1: (64,), 2: (24, 48), 3: (14, 14, 28), 4: (10, 10, 10, 20)}
+    for dim in range(1, 5):
+        orders = sphere_levels(dim)
+        assert orders == expected[dim]
+        default, explicit = sphere_rule(dim), sphere_rule(dim, orders)
+        assert np.array_equal(default.nodes, explicit.nodes)
+        assert np.array_equal(default.weights, explicit.weights)
 
 
 def test_ladder_keeps_the_old_rungs_up_to_the_fixed_order():

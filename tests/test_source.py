@@ -33,7 +33,6 @@ from cxpt.numerics import (
     SPHERE_LADDER,
     SPHERE_ORDER,
     IntervalIntegral,
-    Quadrature,
     integrate_interval,
     mean_on_sphere,
     sphere_area,
@@ -716,7 +715,8 @@ def test_r3_on_several_u_panels(monkeypatch):
     with monkeypatch.context() as patch:   # S^1 takes 128 nodes, the order-48 rule's
         patch.setattr(source, "sphere_levels",
                       lambda dim: numerics.sphere_levels(dim, SPHERE_LADDER[-1]))
-        dense = singular_action_r3(f, y, Quadrature(interval_order=24)).value
+        patch.setattr(source, "INTERVAL_ORDER", 24)
+        dense = singular_action_r3(f, y).value
     assert act.value == pytest.approx(dense, abs=1e-12)
     assert 0.0 < act.err_estimate <= 1e-11
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -235,6 +236,17 @@ def test_wave_residual_rejects_bad_lattices():
     for half in (0, -1):
         with pytest.raises(ValueError):
             wave_residual(data, np.zeros(3), 0.4, h=0.05, half_points=half)
+
+
+def test_wave_residual_refuses_a_step_whose_square_leaves_the_float_range():
+    """h^2 is the divisor of the second differences: below about 1.49e-154 it
+    underflows and above about 1.34e154 it overflows, and the step is refused by
+    name instead of giving inf, nan or an OverflowError."""
+    data = CauchyData(constant(0.0), constant(1.0), 3)
+    for h in (1e-160, 1e-200, 1e-300, 1e155):
+        with pytest.raises(ValueError, match=re.escape(f"got h = {h}") + "$"):
+            wave_residual(data, np.zeros(3), 0.3, h=h, half_points=1)
+    assert wave_residual(data, np.zeros(3), 0.3, h=1e-150, half_points=1) == 0.0
 
 
 def test_wave_residual_non_finite_sample_raises():
