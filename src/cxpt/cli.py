@@ -219,17 +219,28 @@ def _cmd_wave_verify(args, cfg: Config) -> int:
 
 def _cmd_clifford(args, cfg: Config) -> int:
     ball = cf.Ball(np.zeros(3), args.radius)
+    inside = f"inside the ball of --radius {args.radius:g} by more than {cf.BOUNDARY_TOL:g}"
     if args.mode == "bp-check":
         f = clifford_test_field()
         x_in = _vector(args.x, 3, "--x")
-        interior = (cf.borel_pompeiu(f, ball, x_in) - f.value(x_in)).norm()
         x_out = _vector(args.exterior, 3, "--exterior")
+        if ball.signed_boundary_distance(x_in) <= cf.BOUNDARY_TOL:
+            raise ValueError(f"--x must lie {inside}")
+        if ball.signed_boundary_distance(x_out) >= -cf.BOUNDARY_TOL:
+            raise ValueError(f"--exterior must lie outside the ball of --radius {args.radius:g} "
+                             f"by more than {cf.BOUNDARY_TOL:g}")
+        interior = (cf.borel_pompeiu(f, ball, x_in) - f.value(x_in)).norm()
         exterior = cf.borel_pompeiu(f, ball, x_out).norm()
         _emit({"interior_error": interior, "exterior_leakage": exterior})
         return 0
     if args.mode == "ebp-check":
         f = clifford_test_field()
         z = ComplexPoint(_vector(args.x, 3, "--x"), _vector(args.y, 3, "--y"))
+        # the branch disk x + E0(y) reaches |x|^2 + 2 |x cross y| + |y|^2 in squared
+        # distance from the centre; the oracle f~(z) is f~_M(z) only with it inside M
+        if math.sqrt(z.x @ z.x + 2.0 * np.linalg.norm(np.cross(z.x, z.y)) + z.y @ z.y) \
+                >= args.radius - cf.BOUNDARY_TOL:
+            raise ValueError(f"--x and --y must put the branch disk x + E0(y) {inside}")
         value = cf.extended_borel_pompeiu(f, ball, z)
         oracle = ebp_oracle(f, z)
         _emit({"value": [_cnum(c) for c in value.coeffs],

@@ -32,15 +32,16 @@ Conventions used throughout the library:
   centers) at once, handing the field at most ``MAX_POINTS`` points per
   call.  Values may carry a trailing axis, so (m, dim) evaluators give
   (dim,) means, and an (m, q) weight matrix gives q weighted sums (a mean
-  and first moments, say) of one evaluation.  ``mean_on_sphere``, the
-  source actions' axial means and the wave solver all reach the field
-  through it.
+  and first moments, say) of one evaluation; values returned with their
+  sizes (moduli, say) also give the sizes' means, as the wave solver's
+  probes take them.  ``mean_on_sphere``, the source actions' axial means
+  and the wave solver all reach the field through it.
 * ``walk_ladder`` is the one sphere-rule choice: it walks the fixed ladder
   ``SPHERE_LADDER`` upwards with a caller's probe and keeps the first rung
   that agrees with the next one up to ``U_ROUNDING`` of the field scale.
   Where no pair up to ``SPHERE_ORDER`` agrees it climbs on, up to sphere
   order 48, and keeps the top rung when none does.  The source actions,
-  the wave solver's stencil solves and ``clifford.extended_borel_pompeiu``
+  the wave solver's batches and ``clifford.extended_borel_pompeiu``
   choose their rules through it; every other sphere rule is the fixed
   rule of ``SPHERE_ORDER``.
 * ``fd_stencil`` exposes the distinct nodes and folded weights of the
@@ -382,20 +383,21 @@ def sphere_rule(dim: int, orders: tuple[int, ...] | None = None) -> QuadratureRu
     return QuadratureRule("sphere-product", int(np.prod(orders)), nodes, weights)
 
 
-def walk_ladder(dim: int, probe, noise=1.0, upper: bool = False):
+def walk_ladder(dim: int, probe, noise=1.0):
     """The first rung of the sphere-rule ladder on S^dim whose probe agrees with the next rung's.
 
     The rungs are the rules of ``SPHERE_LADDER`` on S^dim (``sphere_levels``),
     lowest first.  ``probe(orders)`` returns (sums, size, payload): probe
     sums on the rule of those orders, one row per sphere and one column per
     quantity, a size of the field there (a mean of |f|, say), and whatever
-    the caller wants back from the rung it keeps.  The field scale is the
-    largest size and |sum| probed so far.  Walking upwards, rungs i and
-    i + 1 agree when every column of |sums_{i+1} - sums_i| is within
-    ``U_ROUNDING`` times ``noise`` (per column, or one number) times the
-    scale; the walk keeps rung i then, or rung i + 1 with ``upper``, and
-    probes a rung only when it reaches it.  A field whose scale is still 0
-    at the rung of ``SPHERE_ORDER`` keeps that rung, probed no higher.
+    the caller wants back from the rung it keeps, such as the sums
+    themselves for reuse.  The field scale is the largest size and |sum|
+    probed so far.  Walking upwards, rungs i and i + 1 agree when every
+    column of |sums_{i+1} - sums_i| is within ``U_ROUNDING`` times
+    ``noise`` (per column, or one number) times the scale; the walk keeps
+    the lower rung i then, and probes a rung only when it reaches it.  A
+    field whose scale is still 0 at the rung of ``SPHERE_ORDER`` keeps that
+    rung, probed no higher.
 
     Returns the orders of the rung kept, its probe's payload and 0, or,
     when no pair agrees, the top rung, its payload and the largest
@@ -410,7 +412,7 @@ def walk_ladder(dim: int, probe, noise=1.0, upper: bool = False):
         if low is not None:
             gap = np.abs(sums - low[1]).max(axis=0)
             if scale > 0.0 and np.all(gap <= tolerance * scale):
-                return (orders, payload, 0.0) if upper else (low[0], low[2], 0.0)
+                return low[0], low[2], 0.0
         if scale == 0.0 and order == SPHERE_ORDER:
             return orders, payload, 0.0
         low = orders, sums, payload
@@ -471,6 +473,10 @@ def sphere_sums(values, centers, radii, dirs: np.ndarray, weights: np.ndarray,
     ``weights`` may also be an (m, q) matrix, one column per weighting of
     the same evaluations (the columns w and w * dirs[:, l] give a mean and
     the first moments); the result is then (k, q) or (k, q, dim).
+    ``values`` may also return a pair of such arrays, the values and their
+    sizes (moduli, say); the result is then the pair of the values' sums and
+    the sizes' sums with the first weight column (a mean), each summed
+    exactly as alone.
     """
     radii = np.asarray(radii, dtype=float)
     k = radii.size
@@ -482,7 +488,7 @@ def sphere_sums(values, centers, radii, dirs: np.ndarray, weights: np.ndarray,
         weights = np.ascontiguousarray(weights.T)
     m = weights.shape[-1]
     per_slice = math.ceil(m / math.ceil(m / cap))
-    out = None
+    out = {}
     for lo in range(0, m, per_slice):
         part_dirs = dirs[lo:lo + per_slice]
         part_weights = weights[..., lo:lo + per_slice]
@@ -491,17 +497,19 @@ def sphere_sums(values, centers, radii, dirs: np.ndarray, weights: np.ndarray,
             nodes = slice(i, i + block)
             at = centers if centers.ndim == 1 else centers[nodes, None, :]
             pts = at + radii[nodes, None, None] * part_dirs
-            vals = np.asarray(values(pts, part_dirs, nodes))
-            if part_weights.ndim == 1:
-                # (b, s) @ (s,) -> (b,);  (s,) @ (b, s, dim) -> (b, dim)
-                sums = vals @ part_weights if vals.ndim == 2 else part_weights @ vals
-            else:
-                sums = np.stack([vals @ w if vals.ndim == 2 else w @ vals
-                                 for w in part_weights], axis=1)
-            if out is None:
-                out = np.zeros((k,) + sums.shape[1:], dtype=complex)
-            out[nodes] += sums
-    return out
+            got = values(pts, part_dirs, nodes)
+            for j, vals in enumerate(got if isinstance(got, tuple) else (got,)):
+                vals = np.asarray(vals)
+                w = part_weights if j == 0 or part_weights.ndim == 1 else part_weights[0]
+                if w.ndim == 1:
+                    # (b, s) @ (s,) -> (b,);  (s,) @ (b, s, dim) -> (b, dim)
+                    sums = vals @ w if vals.ndim == 2 else w @ vals
+                else:
+                    sums = np.stack([vals @ c if vals.ndim == 2 else c @ vals for c in w], axis=1)
+                if j not in out:
+                    out[j] = np.zeros((k,) + sums.shape[1:], dtype=complex)
+                out[j][nodes] += sums
+    return tuple(out.values()) if isinstance(got, tuple) else out[0]
 
 
 def point_values(f):

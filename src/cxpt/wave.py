@@ -22,51 +22,51 @@ w = i f_s(., s).  Then f~ -> f as t -> 0, f~ obeys the wave equation in
 (x, t), and (d_s + i d_t) f~ = 0 at t = 0; when f is harmonic in (x, s)
 the extension coincides with the analytic continuation in s + it.
 
-When v carries an exact gradient, an n = 3 solve is one sphere at the
-signed radius t: d/dt(t vbar) = vbar + t mean(omega . grad v), so
-u = mean(v + t omega . grad v + t w) over x + t omega (n = 2 lifts the
-gradient as [grad v, 0]), on the rule of ``numerics.SPHERE_ORDER``.
-``wave_residual`` takes all its lattice points as one such batch
-(``_kirchhoff_spheres``): several spheres per evaluator call, on one rule
-for the batch that its probe of the points of largest |t| keeps (below).
-Otherwise a solve first collects every radius its Richardson radial
-stencils touch (``numerics.fd_stencil``), as |r| since the means are even
-in r, and takes the means of v and of w at the distinct radii with one
-call of the shared kernel ``numerics.sphere_sums`` per field; the stencil
-sums are then weighted sums of those means.  Such an n = 3 solve takes 7
-means (6 of v, 1 of w) and an n = 5 solve 14 (7 of each; n = 5 keeps its
-stencils, since its second radial derivative would need a Hessian).  The
-evaluator gets one sphere per call, cut into slices of at most
-``numerics.MAX_POINTS`` points where the rule is larger (S^4 has 20,000
-nodes at sphere order 24).
+Every solve is a batch: ``_solve_lattice`` solves a whole lattice of
+points (x_i, t_i) in one pass, and ``solve_cauchy`` is a batch of one
+point.  Each formula samples through one sampler, ``_sample``, which hands
+``numerics.sphere_sums`` one centre per sphere and takes each distinct
+sphere once:
 
-These stencil solves take their means on the smallest rule that agrees
-with the next one up (``_fit_rule``): once per call, v and w are probed
-on the outermost sphere of the stencils, one ``sphere_sums`` pass per
-field and rung of ``numerics.SPHERE_LADDER``, and ``numerics.walk_ladder``,
-the walk the source actions use, keeps the first rung whose sums agree
-with the next rung's to ``U_ROUNDING`` of the field scale, climbing past
-sphere order 24 where no lower pair agrees, up to the top rung.  The
-probe's sums on the kept rung stand for the solve's own on that sphere,
-so each sphere is still taken once.  A smooth n = 5 solve at t = 0.7
-takes 48,780 points; the plane wave k = 8 e_1 at t = 2, which no pair up
-to order 24 resolves, climbs to the top rung at 5,173,588 points.  A
-single one-sphere solve skips the probe, which would cost more than it
-saves, and takes the rule of ``SPHERE_ORDER``.  The residual's batch
-walks the same ladder once: it probes only its spheres of largest |t|,
-each rung in one pass, and every sphere takes the upper rule of the
-first agreeing pair, on which the probe has already summed the outermost
-ones.  Criterion 9's lattice of 297 solves evaluates 150,174 points in
-42 calls; a lattice that climbs (k = (20, 0, 0) at t = 1, to (36, 72))
-pays its probed layer on every rung up to the one kept, 2,751,246 points.
+* When v carries an exact gradient, an n = 3 solve is one sphere at the
+  signed radius t: d/dt(t vbar) = vbar + t mean(omega . grad v), so
+  u = mean(v + t omega . grad v + t w) over x + t omega (n = 2 lifts the
+  gradient as [grad v, 0]).
+* Otherwise a solve samples every radius its Richardson radial stencils
+  touch (``numerics.fd_stencil``), as |r| since the means are even in r,
+  and its stencil sums are weighted sums of those means: 7 means for
+  n = 3 (6 of v, 1 of w) and 14 for n = 5 (7 of each; n = 5 keeps its
+  stencils, since its second radial derivative would need a Hessian).
+* ``extend_jet`` differentiates the n = 3 solution under the sphere
+  means: the means M and first moments N_l = mean(omega_l f(x + r omega))
+  of v and w at the 7 radii of the first- and second-derivative stencils
+  about t, taken with the weight columns [w, w omega], give grad u and
+  d_t u through d_l M = r^-2 d_r(r^2 N_l) (the divergence theorem), so
+  the x- and t-derivatives of an extension cost no solves at shifted
+  points.
 
-``extend_jet`` differentiates the n = 3 solution under the sphere means:
-the means M and first moments N_l = mean(omega_l f(x + r omega)) of v and
-w at the 7 radii of the first- and second-derivative stencils about t,
-from one kernel call per field with the weight columns [w, w omega], give
-grad u and d_t u through d_l M = r^-2 d_r(r^2 N_l) (the divergence
-theorem), so the x- and t-derivatives of an extension cost no solves at
-shifted points.  Its probe takes the same weight columns.
+A batch takes one rule for all its spheres.  When the spheres fit in one
+evaluator call on the rule of ``numerics.SPHERE_ORDER`` (at most
+``numerics.MAX_POINTS`` points, as for a single one-sphere solve), it
+takes that rule unprobed: a probe would cost more than it saves.
+Otherwise one ``numerics.walk_ladder``, the walk the source actions use,
+probes the fields on the outermost sphere of each point of largest |t|
+(the hardest to resolve), summing what the batch sums, one
+``sphere_sums`` pass per field and rung of ``numerics.SPHERE_LADDER``.
+It keeps the lower rung of the first pair whose sums agree to
+``U_ROUNDING`` of the field scale, climbing past sphere order 24 where no
+lower pair agrees, up to the top rung, and the probe's sums on that rung
+stand for the batch's own on those spheres, so each sphere is still
+taken once.  A probe visits only the spheres of largest |t|, so a lattice
+pays one walk, not one per point.
+
+A batch of one point hands the evaluator one sphere per call (cut into
+slices of at most ``MAX_POINTS`` points where the rule is larger: S^4 has
+20,000 nodes at sphere order 24), so a single solve's sums do not depend
+on what else shares a call; several spheres per call would move them in
+the last bits, and for the 16 blade coefficients of ``maxwell_extend``
+several spheres' rows a call cost more per point than one sphere's.  A
+larger batch packs up to ``MAX_POINTS`` points a call.
 
 Evaluators may be array-valued, mapping (m, n) points to (m, dim) rows:
 sphere means and radial derivatives act row-wise, so ``solve_cauchy``
@@ -79,6 +79,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,6 +91,7 @@ from .errors import (
 )
 from .fields import TestField, _lift, _single
 from .numerics import (
+    MAX_POINTS,
     FDScheme,
     _check_finite,
     derivative,
@@ -178,205 +180,165 @@ def _columns(rule) -> np.ndarray:
     return np.column_stack([rule.weights, rule.weights[:, None] * rule.nodes])
 
 
-def _fit_rule(data: CauchyData, x: np.ndarray, radius: float, moments: bool = False):
-    """The rule of the first rung of the sphere-rule ladder that agrees with the next.
+def _point_field(f: TestField):
+    """``_sample``'s form of a field: ``field(r)`` gives its ``numerics.sphere_sums``
+    values on spheres of radii r, and ``field(r, sized=True)`` them and their moduli."""
+    values = point_values(f)
 
-    The probe takes, per rung, one ``sphere_sums`` pass for v and one for w
-    on the sphere of ``radius`` about x, the outermost the solve samples,
-    with the weights the solve uses (the rule's, or ``_columns`` for
-    moments), and the mean of |f| from the same evaluations;
-    ``numerics.walk_ladder`` keeps the first rung whose sums of both fields
-    agree with the next rung's to ``U_ROUNDING`` of the field scale.
+    def bind(r: np.ndarray, sized: bool = False):
+        def both(pts: np.ndarray, dirs: np.ndarray, nodes: slice):
+            vals = values(pts, dirs, nodes)
+            return vals, np.abs(vals)
 
-    Returns the rule and, per field, the probe's sums of that sphere on it
-    as {radius: sums} for ``_radial_means``, so the solve does not take it
-    again.  Both sum one sphere per kernel call with the same weights, so
-    the sums are those the solve would take.
-    """
-    dim = data.n - 1
+        return both if sized else values
 
-    def probe(orders: tuple[int, ...]):
-        rule = sphere_rule(dim, orders)
-        weights = _columns(rule) if moments else rule.weights
-        sums, size = [], 0.0
-        for field in (data.v, data.w):
-            values, magnitudes = point_values(field), []
-
-            def recorded(pts: np.ndarray, dirs: np.ndarray, nodes: slice) -> np.ndarray:
-                vals = values(pts, dirs, nodes)
-                magnitudes.append(np.abs(vals[0]))
-                return vals
-
-            sums.append(sphere_sums(recorded, x, [radius], rule.nodes, weights,
-                                    max_points=rule.weights.size)[0])
-            size = max(size, float(np.max(rule.weights @ np.concatenate(magnitudes))))
-        return np.concatenate([np.ravel(s) for s in sums]), size, [{radius: s} for s in sums]
-
-    rung, known, _ = walk_ladder(dim, probe)
-    return sphere_rule(dim, rung), known
+    return bind
 
 
-def _radial_means(field: TestField, x: np.ndarray, rule, radii,
-                  weights: np.ndarray | None = None,
-                  known: dict[float, np.ndarray] | None = None) -> np.ndarray:
-    """Means of ``field`` over the spheres of radii |r| about x, one kernel call.
-
-    Each distinct |r| is evaluated once, and none of ``known``'s, whose
-    sums (``_fit_rule``'s probe) are taken as they are; the result has one
-    row per entry of ``radii``.  ``weights`` replaces the rule's weights,
-    and an (m, q) matrix gives q sums per radius (``_moments``).  The
-    evaluator gets one sphere per call (or a slice of one, past
-    ``MAX_POINTS``): an array-valued evaluator returns dim values per
-    point, and for the 16 blade coefficients of ``maxwell_extend`` several
-    spheres' worth of rows per call (0.9 MB) cost more per point than one
-    sphere's worth, while a scalar evaluator costs the same per point
-    either way.
-    """
-    mags = np.abs(np.asarray(radii, dtype=float)).tolist()
-    sums = dict(known or {})
-    todo = sorted(set(mags) - sums.keys())
-    if todo:
-        sums.update(zip(todo, sphere_sums(point_values(field), x, todo, rule.nodes,
-                                          rule.weights if weights is None else weights,
-                                          max_points=rule.weights.size)))
-    return np.stack([sums[r] for r in mags])
-
-
-def _moments(field: TestField, x: np.ndarray, rule, radii,
-             known: dict[float, np.ndarray] | None = None) -> np.ndarray:
-    """Mean M and first moments N_l = mean(omega_l f(x + r omega)) at signed radii.
-
-    Row i is [M, N_1, N_2, N_3] at radii[i], (4,) or (4, dim): one kernel
-    call with the weight columns [w, w omega_1, w omega_2, w omega_3],
-    each distinct |r| once (``known`` as in ``_radial_means``).  M is even
-    in r and N odd, so the moments of a negative radius are those of |r|
-    with their sign flipped.
-    """
-    radii = np.asarray(radii, dtype=float)
-    out = _radial_means(field, x, rule, radii, _columns(rule), known)
-    out[:, 1:] *= np.sign(radii).reshape((-1,) + (1,) * (out.ndim - 1))
-    return out
-
-
-def _kirchhoff(t: float, r: np.ndarray, c: np.ndarray, mv: np.ndarray, mw_t):
-    """u = d/dr(r vbar)|_{r=t} + t wbar(t), from vbar at the stencil nodes r (weights c)."""
-    return (c * r) @ mv + t * mw_t
-
-
-def _kirchhoff_spheres(data: CauchyData, xs: np.ndarray, ts: np.ndarray, fit: bool = True):
-    """Kirchhoff's u_i = mean(v + t_i omega.grad v + t_i w) over x_i + t_i omega.
-
-    For n = 3 data whose v carries a gradient, at (k, 3) centres ``xs`` and
-    k nonzero signed radii ``ts``: d/dr(r vbar) = vbar + r mean(omega.grad v),
-    so each solve is one sphere.  The spheres go to ``sphere_sums`` with one
-    centre per radius, several per evaluator call up to ``MAX_POINTS``.
-
-    With ``fit`` the rule comes from one ``walk_ladder`` on S^2 for the
-    whole batch, probing only the spheres of largest |t| (a lattice's
-    outermost layer, the hardest to resolve), with the mean of |v| +
-    |t|(|omega.grad v| + |w|) as the field's size.  Every sphere takes the
-    upper rule of the first agreeing pair, on which the probe has already
-    summed the outermost spheres, or the top rule when no pair agrees.
-    Without it, as for one solve, every sphere takes the rule of
-    ``SPHERE_ORDER`` unprobed.
-    """
+def _slope_field(data: CauchyData):
+    """Kirchhoff's one-sphere integrand v + r (omega . grad v + w) at the signed radii r,
+    sized by |v| + |r| (|omega . grad v| + |w|): n = 3 data whose v carries a gradient,
+    in the form of ``_point_field``."""
     v_vals, w_vals = point_values(data.v), point_values(data.w)
 
-    def sums(orders: tuple[int, ...], chosen: np.ndarray, sizes: bool = False):
-        rule = sphere_rule(2, orders)
-        radii = ts[chosen]
-
-        def values(pts: np.ndarray, dirs: np.ndarray, nodes: slice) -> np.ndarray:
+    def bind(r: np.ndarray, sized: bool = False):
+        def values(pts: np.ndarray, dirs: np.ndarray, nodes: slice):
             grad = data.v.gradient_at(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape)
             slope = np.einsum("bsn,sn->bs", grad, dirs)
-            v, w, t = v_vals(pts, dirs, nodes), w_vals(pts, dirs, nodes), radii[nodes, None]
+            v, w, t = v_vals(pts, dirs, nodes), w_vals(pts, dirs, nodes), r[nodes, None]
             u = v + t * (slope + w)
-            if not sizes:
-                return u
-            return np.stack([u, np.abs(v) + np.abs(t) * (np.abs(slope) + np.abs(w))], axis=-1)
+            return (u, np.abs(v) + np.abs(t) * (np.abs(slope) + np.abs(w))) if sized else u
 
-        return sphere_sums(values, xs[chosen], radii, rule.nodes, rule.weights)
+        return values
 
-    if not fit:
-        return sums(sphere_levels(2), np.ones(ts.shape, dtype=bool))
+    return bind
 
-    outer = np.abs(ts) == np.abs(ts).max()
+
+def _sample(fields, xs: np.ndarray, ts: np.ndarray, radii, moments: bool = False) -> list:
+    """Sums of each field over its spheres about the k centres ``xs``, on one rule.
+
+    Field j (``_point_field`` or ``_slope_field``) is summed over the spheres
+    of radii ``radii[j]``, a (k, p_j) array, about xs, each distinct
+    (point, radius) once, with the rule's weights or, with ``moments``,
+    ``_columns``: one (k, p_j, ...) array per field.  The rule is that of
+    ``SPHERE_ORDER`` when its spheres all fit in one evaluator call
+    (``MAX_POINTS``).  Otherwise ``numerics.walk_ladder`` probes every
+    field, with the same weights, on the outermost sphere of each point of
+    largest |t| (the hardest to resolve), and the largest mean size of a
+    field there is the field's size; the batch takes the lower rung of the
+    first agreeing pair, and the probe's sums on it stand for the batch's
+    own on those spheres.  A batch of one point hands the evaluator one
+    sphere per call (or a slice of one, past ``MAX_POINTS``), a larger
+    batch up to ``MAX_POINTS`` points.
+    """
+    k, dim = xs.shape[0], xs.shape[1] - 1
+    rows = [rad.tolist() for rad in radii]
+    spheres = [sorted({(i, r) for i, row in enumerate(f) for r in row}) for f in rows]
+
+    def weighted(orders: tuple[int, ...]):
+        rule = sphere_rule(dim, orders)
+        return rule, _columns(rule) if moments else rule.weights
+
+    def sums(field, rule, weights: np.ndarray, at: np.ndarray, r: np.ndarray, sized=False):
+        return sphere_sums(field(r, sized), xs[at], r, rule.nodes, weights,
+                           rule.weights.size if k == 1 else MAX_POINTS)
 
     def probe(orders: tuple[int, ...]):
-        found = sums(orders, outer, sizes=True)
-        return found[:, :1], float(found[:, 1].real.max()), found[:, 0]
+        ruled = weighted(orders)
+        found, sizes = zip(*(sums(field, *ruled, outer, rho, sized=True) for field in fields))
+        return (np.column_stack([s.reshape(len(outer), -1) for s in found]),
+                max(float(s.real.max()) for s in sizes), found)
 
-    kept, outermost, _ = walk_ladder(2, probe, upper=True)
-    out = np.empty(ts.shape, dtype=complex)
-    out[outer] = outermost
-    if not outer.all():
-        out[~outer] = sums(kept, ~outer)
+    orders, known, probed = sphere_levels(dim), [None] * len(fields), []
+    if sum(map(len, spheres)) * math.prod(orders) > MAX_POINTS:
+        # the outermost sphere of each point of largest |t|
+        outer = np.flatnonzero(np.abs(ts) == np.abs(ts).max())
+        probed = [(i, max(chain(*(f[i] for f in rows)), key=abs)) for i in outer.tolist()]
+        rho = np.array([r for _, r in probed])
+        orders, known, _ = walk_ladder(dim, probe)
+    ruled, out, done = weighted(orders), [], set(probed)
+    for field, f, todo, got in zip(fields, rows, spheres, known):
+        todo = [sphere for sphere in todo if sphere not in done]
+        if todo:
+            at, r = zip(*todo)
+            taken = sums(field, *ruled, np.array(at), np.array(r))
+            got = taken if got is None else np.concatenate([got, taken])
+        # the rows of got are the probe's spheres' sums, then those of the rest
+        row_of = {sphere: j for j, sphere in enumerate(probed + todo)}
+        out.append(got[[[row_of[i, r] for r in row] for i, row in enumerate(f)]])
     return out
 
 
-def _kirchhoff3(data: CauchyData, x: np.ndarray, t: float):
-    """n = 3: u = d/dr(r vbar)|_{r=t} + t wbar(t).
+def _stencil_sum(c: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Row i is c_i @ means[i], for (p,) or (k, p) weights c and (k, p, ...) means."""
+    k, p = means.shape[:2]
+    return np.matmul(c[..., None, :], means.reshape(k, p, -1)).reshape((k,) + means.shape[2:])
 
-    When v carries an exact gradient, u is one sphere at the signed radius
-    t on the rule of ``SPHERE_ORDER`` (``_kirchhoff_spheres`` unfitted).
-    Otherwise vbar is sampled at the radii of ``RADIAL_FD``'s stencil about
-    t, on the rule of ``_fit_rule``.
+
+def _kirchhoff3(data: CauchyData, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """n = 3: u = d/dr(r vbar)|_{r=t} + t wbar(t) at every (xs[i], ts[i]), t != 0.
+
+    When v carries an exact gradient, d/dr(r vbar) = vbar + r mean(omega . grad v),
+    so each u is one sphere at the signed radius t (``_slope_field``).
+    Otherwise vbar is sampled at the radii of ``RADIAL_FD``'s stencil about t.
     """
     if data.v.gradient is not None:
-        return _kirchhoff_spheres(data, x[None, :], np.array([t]), fit=False)[0]
-    r, c = fd_stencil(t, RADIAL_FD, 1)
-    rule, (known_v, _) = _fit_rule(data, x, float(np.abs(r).max()))
-    mv = _radial_means(data.v, x, rule, r, known=known_v)
-    mw = _radial_means(data.w, x, rule, [t])
-    return _kirchhoff(t, r, c, mv, mw[0])
+        return _sample([_slope_field(data)], xs, ts, [ts[:, None]])[0][:, 0]
+    r, c = fd_stencil(ts[:, None], RADIAL_FD, 1)
+    mv, mw = _sample([_point_field(data.v), _point_field(data.w)], xs, ts,
+                     [np.abs(r), np.abs(ts)[:, None]])
+    t = ts.reshape((-1,) + (1,) * (mv.ndim - 2))
+    return _stencil_sum(c * r, mv) + t * mw[:, 0]
 
 
 def _kirchhoff3_jet(data: CauchyData, x: np.ndarray, t: float):
     """(u, grad_x u, d_t u) of the n = 3 solution from the sphere samples about x.
 
     The means M and moments N of v and w at the 7 distinct radii of
-    ``RADIAL_FD``'s first- and second-derivative stencils about t, on the
-    rule of ``_fit_rule``, give, with the divergence theorem
-    d_l M(x, r) = r^-2 d_r(r^2 N_l(x, r)),
+    ``RADIAL_FD``'s first- and second-derivative stencils about t, from one
+    ``_sample`` batch with the weight columns ``_columns``, give, with the
+    divergence theorem d_l M(x, r) = r^-2 d_r(r^2 N_l(x, r)),
 
         grad u = 3 N_v' + t N_v'' + 2 N_w + t N_w',
         d_t u  = 2 M_v' + t M_v'' + M_w + t M_w',
 
-    and u is ``_kirchhoff3``'s stencil sum (v at t = 0).
+    and u is ``_kirchhoff3``'s stencil sum (v at t = 0).  M is even in r
+    and N odd, so the moments of a negative radius are those of |r| with N
+    negated.
     """
     r1, c1 = fd_stencil(t, RADIAL_FD, 1)
     r2, c2 = fd_stencil(t, RADIAL_FD, 2)
     k1 = r1.size
     radii = np.concatenate([[t], r1, r2])
-    rule, (known_v, known_w) = _fit_rule(data, x, float(np.abs(radii).max()), moments=True)
-    mv = _moments(data.v, x, rule, radii, known_v)
-    mw = _moments(data.w, x, rule, radii, known_w)
+    mv, mw = (m[0] for m in _sample([_point_field(data.v), _point_field(data.w)], x[None, :],
+                                     np.array([t]), [np.abs(radii)[None, :]] * 2, moments=True))
+    for m in (mv, mw):
+        m[:, 1:] *= np.sign(radii).reshape((-1,) + (1,) * (m.ndim - 1))
     v1 = np.tensordot(c1, mv[1:1 + k1], axes=1)
     v2 = np.tensordot(c2, mv[1 + k1:], axes=1)
     w0, w1 = mw[0], np.tensordot(c1, mw[1:1 + k1], axes=1)
-    u = data.v.evaluate(x) if t == 0.0 else _kirchhoff(t, r1, c1, mv[1:1 + k1, 0], w0[0])
+    u = data.v.evaluate(x) if t == 0.0 else (c1 * r1) @ mv[1:1 + k1, 0] + t * w0[0]
     grad = 3.0 * v1[1:] + t * v2[1:] + 2.0 * w0[1:] + t * w1[1:]
     u_t = 2.0 * v1[0] + t * v2[0] + w0[0] + t * w1[0]
     return u, grad, u_t
 
 
-def _poisson5(data: CauchyData, x: np.ndarray, t: float):
+def _poisson5(data: CauchyData, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """n = 5 (k = 2) in expanded radial form, valid for every t:
 
     u = m + (5/3) t m' + (1/3) t^2 m'' + t w + (1/3) t^2 w',
 
-    from the means at the radii of ``RADIAL_FD``'s stencils about t on the
-    rule of ``_fit_rule``.
+    from the means at the radii of ``RADIAL_FD``'s stencils about each t.
     """
-    r1, c1 = fd_stencil(t, RADIAL_FD, 1)
-    r2, c2 = fd_stencil(t, RADIAL_FD, 2)
-    k1 = r1.size
-    radii = np.concatenate([[t], r1, r2])
-    rule, (known_v, known_w) = _fit_rule(data, x, float(np.abs(radii).max()))
-    mv = _radial_means(data.v, x, rule, radii, known=known_v)
-    mw = _radial_means(data.w, x, rule, radii[:1 + k1], known=known_w)
-    m0, m1, m2 = mv[0], c1 @ mv[1:1 + k1], c2 @ mv[1 + k1:]
-    w0, w1 = mw[0], c1 @ mw[1:]
+    r1, c1 = fd_stencil(ts[:, None], RADIAL_FD, 1)
+    r2, c2 = fd_stencil(ts[:, None], RADIAL_FD, 2)
+    k1 = r1.shape[1]
+    radii = np.abs(np.concatenate([ts[:, None], r1, r2], axis=1))
+    mv, mw = _sample([_point_field(data.v), _point_field(data.w)], xs, ts,
+                     [radii, radii[:, :1 + k1]])
+    t = ts.reshape((-1,) + (1,) * (mv.ndim - 2))
+    m0, m1, m2 = mv[:, 0], _stencil_sum(c1, mv[:, 1:1 + k1]), _stencil_sum(c2, mv[:, 1 + k1:])
+    w0, w1 = mw[:, 0], _stencil_sum(c1, mw[:, 1:])
     return m0 + (5.0 / 3.0) * t * m1 + (t * t / 3.0) * m2 + t * w0 + (t * t / 3.0) * w1
 
 
@@ -394,24 +356,16 @@ def _check_smoothness(data: CauchyData, k: int) -> None:
 def solve_cauchy(data: CauchyData, x: Sequence[float] | np.ndarray, t: float):
     """Wave-equation solution u(x, t) from Cauchy data at t = 0 (n in {2, 3, 5}).
 
-    x and t must be finite.
+    A batch of one point of ``_solve_lattice``, whose t = 0 value v(x) is
+    returned as ``TestField.evaluate`` returns a point's.  x and t must be
+    finite.
     """
     x = np.asarray(x, dtype=float)
     _check_finite(x=x, t=t)
     if x.shape[0] != data.n:
         raise ValueError(f"point has dimension {x.shape[0]}, data has n={data.n}")
-    if data.n == 2:
-        lifted = CauchyData(_lift(data.v), _lift(data.w), 3)
-        return solve_cauchy(lifted, np.append(x, 0.0), t)
-    if data.n not in (3, 5):
-        raise UnsupportedDimensionError(f"solver supports n in {{2, 3, 5}}, got {data.n}")
-    k = (data.n - 1) // 2
-    _check_smoothness(data, k)
-    if t == 0.0:
-        return data.v.evaluate(x)
-    if data.n == 3:
-        return _kirchhoff3(data, x, t)
-    return _poisson5(data, x, t)
+    u = _solve_lattice(data, x[None, :], np.array([t], dtype=float))
+    return _single(u) if t == 0.0 else u[0]
 
 
 def _extension_point(x: Sequence[float] | np.ndarray, s: float, t: float) -> np.ndarray:
@@ -478,25 +432,28 @@ def extend_jet(f: SpacetimeField, x: Sequence[float] | np.ndarray, s: float, t: 
 
 
 def _solve_lattice(data: CauchyData, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """``solve_cauchy`` at every (xs[i], ts[i]), one row each.
+    """``solve_cauchy`` at every (xs[i], ts[i]), one row each, as one batch.
 
-    When v carries a gradient and n is 3 (or 2, lifted), the points with
-    t != 0 are one ``_kirchhoff_spheres`` batch on the ladder of S^2, and
-    those with t = 0 are v(x).  Otherwise each point is its own solve.
+    n = 2 is lifted to R^3 (Hadamard descent: data constant in the
+    suppressed coordinate).  The points with t = 0 are v(x); the others are
+    one ``_kirchhoff3`` or ``_poisson5`` call, whose spheres ``_sample``
+    takes on one rule.
     """
-    if data.v.gradient is None or data.n not in (2, 3):
-        return np.stack([np.asarray(solve_cauchy(data, x, t))
-                         for x, t in zip(xs, ts)])
     if data.n == 2:
         data = CauchyData(_lift(data.v), _lift(data.w), 3)
         xs = np.column_stack([xs, np.zeros(len(xs))])
-    _check_smoothness(data, 1)
-    out = np.empty(ts.shape, dtype=complex)
-    still = ts == 0.0
-    if still.any():
-        out[still] = data.v.evaluate(xs[still])
+    if data.n not in (3, 5):
+        raise UnsupportedDimensionError(f"solver supports n in {{2, 3, 5}}, got {data.n}")
+    _check_smoothness(data, (data.n - 1) // 2)
+    solve, still = _kirchhoff3 if data.n == 3 else _poisson5, ts == 0.0
+    if not still.any():
+        return solve(data, xs, ts)
+    parts = [(still, data.v.evaluate(xs[still]))]
     if not still.all():
-        out[~still] = _kirchhoff_spheres(data, xs[~still], ts[~still])
+        parts.append((~still, solve(data, xs[~still], ts[~still])))
+    out = np.empty((len(ts),) + parts[0][1].shape[1:], dtype=complex)
+    for rows, values in parts:
+        out[rows] = values
     return out
 
 
@@ -509,12 +466,10 @@ def wave_residual(data: CauchyData, x_center: Sequence[float] | np.ndarray,
     is a finite normal float (h between about 1.5e-154 and 1.3e154), and
     ``half_points`` m >= 1.  The solver is
     sampled once at each interior point and each face neighbour of one
-    (297 points for n = 3 and m = 2), all in one ``_solve_lattice`` call:
-    when v carries a gradient (n = 3, or 2), that is one batch of
-    one-sphere solves on the rule its probe of the points of largest |t|
-    keeps.  The second differences are then array slices.  A non-finite
-    sample raises ``NonFiniteIntegrandError`` rather than dropping out of
-    the maximum.
+    (297 points for n = 3 and m = 2), all in one ``_solve_lattice`` batch
+    on one rule, for every n and whether or not v carries a gradient.  The
+    second differences are then array slices.  A non-finite sample raises
+    ``NonFiniteIntegrandError`` rather than dropping out of the maximum.
     """
     if not (h > 0 and np.finfo(float).tiny <= h * h < math.inf):
         raise ValueError(f"wave residual needs a lattice step h > 0 whose square h^2 "

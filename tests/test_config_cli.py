@@ -454,6 +454,22 @@ def test_cli_clifford_bp(capsys):
     assert payload["exterior_leakage"] <= 1e-6
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["bp-check", "--x", "2,0,0"], "--x must lie inside"),
+    (["bp-check", "--exterior", "0.1,0,0"], "--exterior must lie outside"),
+    (["ebp-check", "--x", "1.5,0,0"], "--x and --y must put the branch disk"),
+    (["ebp-check", "--radius", "0.1"], "--radius 0.1"),
+])
+def test_cli_clifford_refuses_points_on_the_wrong_side(capsys, argv, flag):
+    """bp-check needs --x inside the ball and --exterior outside it, and ebp-check
+    the branch disk x + E0(y) inside it; otherwise the error they printed had no
+    meaning (interior_error 2.02, exterior_leakage 0.316, abs_diff 1.53 and 0.48)."""
+    code, out, err = run_cli(capsys, ["clifford"] + argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and flag in err
+
+
 def test_cli_verify_subset(capsys):
     code, out, err = run_cli(capsys, ["verify", "--suite", "1,12"])
     assert code == 0

@@ -285,14 +285,13 @@ def _ladder_probe(values, size=1.0):
 
 
 def test_walk_ladder_keeps_the_first_agreeing_pair():
-    """Rungs 3 and 4 agree: the walk keeps rung 3 (or 4 with ``upper``) with the
-    payload of that rung's probe, and probes no rung above 4."""
+    """Rungs 3 and 4 agree: the walk keeps the lower rung 3 with the payload of
+    that rung's probe, and probes no rung above 4."""
     values = [1.0, 0.5, 0.3, 0.2, 0.2 + 0.5 * U_ROUNDING] + [0.0] * 6
     ladder = [sphere_levels(2, order) for order in SPHERE_LADDER]
-    for upper, kept in ((False, 3), (True, 4)):
-        probe, probed = _ladder_probe(values)
-        assert walk_ladder(2, probe, upper=upper) == (ladder[kept], ladder[kept], 0.0)
-        assert probed == ladder[:5]
+    probe, probed = _ladder_probe(values)
+    assert walk_ladder(2, probe) == (ladder[3], ladder[3], 0.0)
+    assert probed == ladder[:5]
 
 
 def test_walk_ladder_climbs_to_the_top_and_reports_the_gap():
@@ -309,7 +308,7 @@ def test_walk_ladder_stops_at_the_fixed_rule_on_a_zero_field():
     """A field whose sums and size are 0 on every probe keeps the rule of
     SPHERE_ORDER, with no disagreement, and no rung above it is probed."""
     probe, probed = _ladder_probe([0.0] * len(SPHERE_LADDER), size=0.0)
-    assert walk_ladder(4, probe, upper=True) == (sphere_levels(4), sphere_levels(4), 0.0)
+    assert walk_ladder(4, probe) == (sphere_levels(4), sphere_levels(4), 0.0)
     assert probed[-1] == sphere_levels(4) and len(probed) == 7
 
 
@@ -366,6 +365,30 @@ def test_sphere_sums_weight_matrix_matches_columns(rng, max_points):
                                      np.ascontiguousarray(c), max_points) for c in cols.T], axis=1)
         assert got.shape == want.shape == (radii.size, 4) + want.shape[2:]
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dim, max_points", [(2, MAX_POINTS), (2, 500), (4, MAX_POINTS)])
+def test_sphere_sums_of_values_and_sizes(rng, dim, max_points):
+    """values returning (f, |f|) give f's sums and |f|'s sums with the first weight
+    column, each bit for bit the sums of a call with that array alone, also where
+    the rule is cut into slices (S^4)."""
+    rule = sphere_rule(dim)
+    k = rng.normal(size=dim + 1)
+    radii = np.array([0.0, 0.3, 1.2, -0.7])
+    centers = rng.normal(size=(radii.size, dim + 1))
+    values = point_values(lambda pts: np.exp(1j * pts @ k) + pts[:, 0] ** 2)
+
+    def sized(pts, dirs, nodes):
+        return np.abs(values(pts, dirs, nodes))
+
+    for weights in (rule.weights, np.column_stack([rule.weights, rule.weights * rule.nodes[:, 0]])):
+        got, sizes = sphere_sums(lambda *args: (values(*args), sized(*args)), centers, radii,
+                                 rule.nodes, weights, max_points)
+        first = np.ascontiguousarray(weights.reshape(weights.shape[0], -1)[:, 0])
+        assert np.array_equal(got, sphere_sums(values, centers, radii, rule.nodes, weights,
+                                               max_points))
+        assert np.array_equal(sizes, sphere_sums(sized, centers, radii, rule.nodes, first,
+                                                 max_points))
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])

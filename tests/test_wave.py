@@ -213,6 +213,37 @@ def test_gradient_solve_takes_one_sphere():
     assert sorted(calls) == [("grad", 1152), ("v", 1152), ("w", 1152)]
 
 
+#: ``repr`` of single solves, recorded before every solve became a batch of
+#: ``_solve_lattice``: a batch of one point keeps them bit for bit.
+PINNED_SOLVES = {
+    "n2-gradient": "np.complex128(1.3461263134937858+0.4164056653169955j)",
+    "n3-gradient": "np.complex128(1.4090486020582127+0.0056362244681286144j)",
+    "n3-gradient-free": "np.complex128(0.7215026903961128+0.0028860261537404838j)",
+    "n5": "np.complex128(1.4247009703000693+0.57732021081021j)",
+    "extend_jet": "((0.8308738278891943+0.7287327632877243j), "
+                  "[(-0.5829862106294175+0.6646990623110314j), "
+                  "(-4.79063904408916e-13+3.920573927040073e-13j), "
+                  "(-0.43723965797188524+0.4985242967332203j)], "
+                  "(-0.7287327633050054+0.8308738278864192j))",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SOLVES))
+def test_single_solves_keep_their_bits(case):
+    x = np.array([0.3, 0.1, -0.2, 0.05, 0.4])
+    if case == "extend_jet":
+        u, grad, u_t = extend_jet(harmonic_mode([0.8, 0.0, 0.6]), x[:3], 0.1, 0.6)
+        got = (complex(u), [complex(g) for g in grad], complex(u_t))
+    else:
+        n, t = {"n2-gradient": (2, 0.7), "n3-gradient": (3, 0.7),
+                "n3-gradient-free": (3, -0.25), "n5": (5, 0.7)}[case]
+        pw = plane_wave({2: np.array([0.8, 0.6]), 3: K_UNIT,
+                         5: np.array([0.5, 0.3, -0.2, 0.1, 0.4])}[n])
+        v = TestField(pw.evaluator) if case == "n3-gradient-free" else pw
+        got = solve_cauchy(CauchyData(v, v, n), x[:n], t)
+    assert repr(got) == PINNED_SOLVES[case]
+
+
 def test_wave_residual_zero_data():
     data = CauchyData(constant(0.0), constant(0.0), 3)
     assert wave_residual(data, np.zeros(3), 0.5, h=0.05, half_points=1) == 0.0
@@ -315,45 +346,57 @@ def test_batched_residual_matches_per_point_solves(n, kind, t_center):
 def test_batched_residual_evaluator_cost():
     """The 297 samples of criterion 9's lattice (plane wave, n = 3, m = 2, h = 0.05)
     probe the 27 spheres of largest |t| on the rules (6, 12) and (9, 18), which
-    agree, and take the other 270 on (9, 18): 27 x 72 + 297 x 162 = 50,058 points
-    for each of v, grad v and w, in 42 calls of at most MAX_POINTS points, against
-    891 calls on 1,026,432 points with one finest-rule sphere per solve."""
+    agree, and take the other 270 on the lower, (6, 12): 27 x (72 + 162) + 270 x 72
+    = 25,758 points for each of v, grad v and w, in 24 calls of at most MAX_POINTS
+    points, against 891 calls on 1,026,432 points with one finest-rule sphere per
+    solve."""
     sizes = []
     pw = plane_wave(K_UNIT)
     data = CauchyData(_counted(pw, sizes, gradient=True), _counted(pw, sizes), 3)
     wave_residual(data, np.array([0.2, 0.0, 0.1]), 0.4, h=0.05, half_points=2)
-    assert (len(sizes), sum(sizes)) == (42, 150_174)
+    assert (len(sizes), sum(sizes)) == (24, 77_274)
     assert max(sizes) <= MAX_POINTS
 
 
+#: Rounding floor of n = 5 values from RADIAL_FD's stencils: on the plane wave of
+#: ``test_lattice_residual_matches_per_point_solves`` a lattice's values and a solve
+#: per point differ by up to 1.6e-11, each within 1.2e-11 of the closed form.
+N5_FLOOR = 2e-11
+
+
 @pytest.mark.parametrize("case", ["gradient-free", "n5"])
-def test_per_point_residuals_are_unchanged(case):
-    """Gradient-free v and n = 5 solve each lattice point on its own, and the
-    residual is bit for bit the point-by-point sum's."""
+def test_lattice_residual_matches_per_point_solves(monkeypatch, case):
+    """Gradient-free v and n = 5 take their lattice in one batch on one ladder walk.
+    The gradient-free residual is within 1e-10 of the point-by-point sum's; the
+    n = 5 one within its values' stencil floor times the 20 / h^2 that the residual's
+    second differences weigh them with."""
     if case == "n5":
         k = np.array([0.5, 0.3, -0.2, 0.1, 0.4])
-        data, x = CauchyData(plane_wave(k), plane_wave(k), 5), np.full(5, 0.1)
+        data, x, m = CauchyData(plane_wave(k), plane_wave(k), 5), np.full(5, 0.1), 1
+        tol = 20 * N5_FLOOR / 0.05**2
     else:
         bare = TestField(plane_wave(K_UNIT).evaluator)
-        data, x = CauchyData(bare, bare, 3), np.array([0.2, 0.0, 0.1])
-    got = wave_residual(data, x, 0.6, h=0.05, half_points=1)
-    assert got == _residual_oracle(data, x, 0.6, 0.05, 1)
+        data, x, m, tol = CauchyData(bare, bare, 3), np.array([0.2, 0.0, 0.1]), 2, 1e-10
+    with monkeypatch.context() as patch:
+        kept, _ = _walks(patch)
+        got = wave_residual(data, x, 0.6, h=0.05, half_points=m)
+    assert len(kept) == 1
+    assert abs(got - _residual_oracle(data, x, 0.6, 0.05, m)) <= tol
 
 
 def test_batched_residual_fallback():
     """k = (20, 0, 0) at t = 1: no pair of rungs up to (24, 48) agrees, so the walk
     climbs until (30, 60) agrees with (36, 72).  The probed layer pays every rung to
-    (36, 72) (8,046 points a sphere) and the other 270 spheres take (36, 72),
-    3 x (27 x 8,046 + 270 x 2,592) = 2,751,246 points, where the (24, 48) rule
-    of the parent ladder's fallback took 1,229,094.  The residual stays within
-    1e-10 of that of the closed-form solution on the same lattice."""
+    (36, 72) (8,046 points a sphere) and the other 270 spheres take the lower,
+    (30, 60): 3 x (27 x 8,046 + 270 x 1,800) = 2,109,726 points.  The residual
+    stays within 1e-10 of that of the closed-form solution on the same lattice."""
     sizes = []
     k = np.array([20.0, 0.0, 0.0])
     pw = plane_wave(k)
     data = CauchyData(_counted(pw, sizes, gradient=True), _counted(pw, sizes), 3)
     x = np.full(3, 0.1)
     got = wave_residual(data, x, 1.0, h=0.05, half_points=2)
-    assert sum(sizes) == 2_751_246 == 3 * (27 * 8_046 + 270 * 2_592)
+    assert sum(sizes) == 2_109_726 == 3 * (27 * 8_046 + 270 * 1_800)
 
     def exact(x, t):
         return np.exp(1j * (k @ x)) * (math.cos(20.0 * t) + math.sin(20.0 * t) / 20.0)
@@ -479,8 +522,8 @@ def test_unresolved_solve_keeps_the_finest_rule(monkeypatch, n, k0):
     top = sphere_levels(n - 1, SPHERE_LADDER[-1])
     assert kept == [(top, kept[0][1])] and kept[0][1] > 0.0
     # the top rule without a probe, every sphere taken by the solve itself
-    monkeypatch.setattr(wave, "walk_ladder", lambda dim, probe, *args, **kwargs:
-                        (sphere_levels(dim, SPHERE_LADDER[-1]), ({}, {}), 0.0))
+    monkeypatch.setattr(wave, "MAX_POINTS", math.inf)
+    monkeypatch.setattr(wave, "sphere_levels", lambda dim: sphere_levels(dim, SPHERE_LADDER[-1]))
     assert got == solve_cauchy(data, np.full(n, 0.1), t)
 
 
