@@ -40,6 +40,7 @@ from .config import _COORDINATE_BOUND, Config, config_from_env, load_config
 from .errors import CxptError
 from .fields import parse_field_spec
 from .geometry import ComplexPoint, classify_point, complex_distance
+from .numerics import MAX_POINTS, _check_finite
 from .potential import holomorphic_potential, newtonian, regularized_potential
 
 __all__ = ["main", "run", "OPERATION_COVERAGE"]
@@ -151,18 +152,14 @@ def _cmd_source_action(args, cfg: Config) -> int:
     f = parse_field_spec(args.field).to_field(args.n)
     if args.eps is not None:
         act = src._regularized(f, y, args.n, args.eps)
-        _emit({"value_re": act.value.real, "value_im": act.value.imag,
-               "parts": None, "err_estimate": act.err_estimate, "eps": args.eps})
-        return 0
-    if args.n == 3:
+    elif args.n == 3:
         act = src.singular_action_r3(f, y)
-        parts = {k: _cnum(v) for k, v in act.parts.items()}
-        _emit({"value_re": act.value.real, "value_im": act.value.imag,
-               "parts": parts, "err_estimate": act.err_estimate})
-        return 0
-    value = src.singular_action(f, y, args.n)
-    _emit({"value_re": value.real, "value_im": value.imag,
-           "parts": None, "err_estimate": None})
+    else:
+        act = src.SourceAction(src.singular_action(f, y, args.n), None, None)
+    parts = None if act.parts is None else {k: _cnum(v) for k, v in act.parts.items()}
+    payload = {"value_re": act.value.real, "value_im": act.value.imag,
+               "parts": parts, "err_estimate": act.err_estimate}
+    _emit(payload if args.eps is None else {**payload, "eps": args.eps})
     return 0
 
 
@@ -181,38 +178,38 @@ def _cmd_descent(args, cfg: Config) -> int:
     return 0
 
 
+def _cauchy_data(args) -> wv.CauchyData:
+    return wv.CauchyData(parse_field_spec(args.v).to_field(args.n),
+                         parse_field_spec(args.w).to_field(args.n), args.n)
+
+
 def _cmd_wave(args, cfg: Config) -> int:
-    n = args.n
-    m = args.lattice_half
+    n, m = args.n, args.lattice_half
     if m < 0:
         raise ValueError(f"--lattice-half must be >= 0, got {m}")
     if m > 0 and not args.step > 0:
         raise ValueError(f"--step must be > 0 on a lattice, got {args.step}")
-    v = parse_field_spec(args.v).to_field(n)
-    w = parse_field_spec(args.w).to_field(n)
-    data = wv.CauchyData(v, w, n)
+    data = _cauchy_data(args)
     x0 = _vector(args.x, n, "--x")
+    # each coordinate is monotone in its offset, so the corners are the extremes
+    for corner in (-m, m):
+        _check_finite(x=x0 + corner * args.step, t=args.t + corner * args.step)
     cols = [f"x{k + 1}" for k in range(n)] + ["t", "re_u", "im_u"]
     sys.stdout.write(",".join(cols) + "\n")
-    offsets = range(-m, m + 1)
-    for axis_off in np.ndindex(*((2 * m + 1,) * n)):
-        dx = np.asarray([offsets[i] for i in axis_off], dtype=float) * args.step
-        for jt in offsets:
-            t = args.t + jt * args.step
-            u = wv.solve_cauchy(data, x0 + dx, t)
-            row = [f"{c:.17g}" for c in (x0 + dx)] + [
-                f"{t:.17g}", f"{np.real(u):.17g}", f"{np.imag(u):.17g}"]
-            sys.stdout.write(",".join(row) + "\n")
+    # wave_residual's lattice order (t fastest), solved MAX_POINTS points at a time
+    shape = (2 * m + 1,) * (n + 1)
+    for lo in range(0, math.prod(shape), MAX_POINTS):
+        block = np.arange(lo, min(lo + MAX_POINTS, math.prod(shape)))
+        offsets = np.column_stack(np.unravel_index(block, shape)) - m
+        xs, ts = x0 + offsets[:, :n] * args.step, args.t + offsets[:, n] * args.step
+        for x, t, u in zip(xs, ts, wv._solve_lattice(data, xs, ts)):
+            sys.stdout.write(",".join(f"{c:.17g}" for c in (*x, t, u.real, u.imag)) + "\n")
     return 0
 
 
 def _cmd_wave_verify(args, cfg: Config) -> int:
-    n = args.n
-    v = parse_field_spec(args.v).to_field(n)
-    w = parse_field_spec(args.w).to_field(n)
-    data = wv.CauchyData(v, w, n)
-    res = wv.wave_residual(data, _vector(args.x, n, "--x"), args.t, h=args.step,
-                           half_points=args.half)
+    res = wv.wave_residual(_cauchy_data(args), _vector(args.x, args.n, "--x"), args.t,
+                           h=args.step, half_points=args.half)
     _emit({"residual": res, "step": args.step, "half_points": args.half})
     return 0
 

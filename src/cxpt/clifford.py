@@ -52,6 +52,7 @@ from .numerics import (
     FDScheme,
     _check_finite,
     derivative,
+    fd_stencil,
     gauss_legendre,
     orthonormal_complement_frame,
     sphere_area,
@@ -799,12 +800,14 @@ def extended_borel_pompeiu(f: MultivectorField, M: Domain, z: ComplexPoint) -> M
         return borel_pompeiu(f, M, z.x)
     if n != 3:
         raise UnsupportedDimensionError("complex-argument formula implemented for n = 3")
-    if not regular_point(z, M):
-        raise NotRegularError("z is not regular with respect to the boundary of M")
     alg = f.algebra
     x, y = z.x, z.y
     dirac = _dirac_evaluator(f, "left", DIRAC_FD)
     if _disk_position(M, x, y) == "outside":
+        # the exterior sum runs on M's own rules; inside, the clearance check
+        # below puts the disk and E_P in the ball B(x, s_max) within M
+        if not regular_point(z, M):
+            raise NotRegularError("z is not regular with respect to the boundary of M")
         return Multivector(alg, _exterior_sum(f, dirac, M, x, y))
 
     # disk inside M: shrink the domain to an inscribed oblate spheroid E_P
@@ -952,6 +955,25 @@ def _dirac_tilde(algebra: CliffordAlgebra, grad: np.ndarray, dt: np.ndarray) -> 
     return _batch_mul(algebra, gens, np.vstack([grad, -1j * dt])).sum(axis=0)
 
 
+def _dirac_tilde_stencil(x: np.ndarray, t: float, scheme: FDScheme):
+    """Points (xs, ts) of D~ by ``scheme`` about (x, t), and the stencil's weights.
+
+    Row a m + j, for the m nodes of ``fd_stencil``, moves axis a (x_1..x_n,
+    then t) by node j, in the order ``derivative`` visits them.
+    """
+    steps, weights = fd_stencil(0.0, scheme, 1)
+    shift = np.kron(np.eye(x.size + 1), steps[:, None])
+    return x + shift[:, :-1], t + shift[:, -1], weights
+
+
+def _dirac_tilde_sum(algebra: CliffordAlgebra, weights: np.ndarray, values) -> np.ndarray:
+    """D~ from coefficient rows at the points of ``_dirac_tilde_stencil``, each
+    derivative summed in ``derivative``'s node order."""
+    parts = [sum(w * v for w, v in zip(weights, values[lo:lo + weights.size]))
+             for lo in range(0, len(values), weights.size)]
+    return _dirac_tilde(algebra, parts[:-1], parts[-1])
+
+
 def dirac_tilde_apply(g: Callable[[np.ndarray, float], np.ndarray],
                       algebra: CliffordAlgebra, x: np.ndarray, t: float,
                       scheme: FDScheme) -> np.ndarray:
@@ -959,14 +981,8 @@ def dirac_tilde_apply(g: Callable[[np.ndarray, float], np.ndarray],
 
     The spatial axes are those of ``x`` (e_1..e_n for n = ``x.size``).
     """
-    n = x.size
-    grad = []
-    for axis in range(n):
-        ek = np.zeros(n)
-        ek[axis] = 1.0
-        grad.append(derivative(lambda d: g(x + d * ek, t), 0.0, scheme, 1))
-    dt_part = derivative(lambda d: g(x, t + d), 0.0, scheme, 1)
-    return _dirac_tilde(algebra, grad, dt_part)
+    xs, ts, weights = _dirac_tilde_stencil(x, t, scheme)
+    return _dirac_tilde_sum(algebra, weights, [g(xx, float(tt)) for xx, tt in zip(xs, ts)])
 
 
 def maxwell_extend(f: SpacetimeMultivectorField, x: Sequence[float] | np.ndarray,
@@ -979,8 +995,10 @@ def maxwell_extend(f: SpacetimeMultivectorField, x: Sequence[float] | np.ndarray
     ``wave.extend_jet`` at (x, t): the x- and t-derivatives of the
     Kirchhoff solution are taken under the sphere means about x, not by
     solving again at shifted points.  The residual stays a measurement:
-    ``dirac_tilde_apply`` with ``CONTINUITY_FD`` over the jets of its 16
-    stencil points.  x, s and t must be finite.
+    D~ by ``CONTINUITY_FD`` over j~ at its 16 stencil points, whose jets
+    are one ``wave._extension_jets`` batch (one ladder walk, one sphere per
+    evaluator call), summed as ``dirac_tilde_apply`` sums its values.  x, s
+    and t must be finite.
     """
     x = np.asarray(x, dtype=float)
     _check_finite(x=x, s=s, t=t)
@@ -990,12 +1008,9 @@ def maxwell_extend(f: SpacetimeMultivectorField, x: Sequence[float] | np.ndarray
     # every blade coefficient is extended at once: the wave solver's means
     # and moments act row-wise on the (m, dim) coefficient batch
     coeffs = wv.SpacetimeField(f.batch, f.s_derivative, f.smoothness, f.name)
-
-    def jet(xx: np.ndarray, tt: float):
-        u, grad, u_t = wv.extend_jet(coeffs, xx, s, tt)
-        return u, _dirac_tilde(alg, grad, u_t)
-
-    f_val, j_val = jet(x, t)
-    dj = dirac_tilde_apply(lambda xx, tt: jet(xx, tt)[1], alg, x, t, CONTINUITY_FD)
+    f_val, grad, u_t = wv.extend_jet(coeffs, x, s, t)
+    xs, ts, weights = _dirac_tilde_stencil(x, t, CONTINUITY_FD)
+    _, grads, u_ts = wv._extension_jets(coeffs, xs, s, ts)
+    dj = _dirac_tilde_sum(alg, weights, [_dirac_tilde(alg, g, d) for g, d in zip(grads, u_ts)])
     residual = abs(dj[0])
-    return Multivector(alg, f_val), Multivector(alg, j_val), float(residual)
+    return Multivector(alg, f_val), Multivector(alg, _dirac_tilde(alg, grad, u_t)), float(residual)

@@ -43,7 +43,9 @@ sphere once:
   about t, taken with the weight columns [w, w omega], give grad u and
   d_t u through d_l M = r^-2 d_r(r^2 N_l) (the divergence theorem), so
   the x- and t-derivatives of an extension cost no solves at shifted
-  points.
+  points.  It is a batch of one point of ``_extension_jets``, whose
+  batches of several points serve ``clifford.maxwell_extend``'s
+  continuity stencil.
 
 A batch takes one rule for all its spheres.  When the spheres fit in one
 evaluator call on the rule of ``numerics.SPHERE_ORDER`` (at most
@@ -60,19 +62,23 @@ stand for the batch's own on those spheres, so each sphere is still
 taken once.  A probe visits only the spheres of largest |t|, so a lattice
 pays one walk, not one per point.
 
-A batch of one point hands the evaluator one sphere per call (cut into
-slices of at most ``MAX_POINTS`` points where the rule is larger: S^4 has
-20,000 nodes at sphere order 24), so a single solve's sums do not depend
-on what else shares a call; several spheres per call would move them in
-the last bits, and for the 16 blade coefficients of ``maxwell_extend``
-several spheres' rows a call cost more per point than one sphere's.  A
-larger batch packs up to ``MAX_POINTS`` points a call.
+The packing rule: a batch of one point, and a batch of jets (the
+moments of ``_kirchhoff3_jet``) of any size, hands the evaluator one
+sphere per call (cut into slices of at most ``MAX_POINTS`` points where
+the rule is larger: S^4 has 20,000 nodes at sphere order 24).  So a
+single solve's sums do not depend on what else shares a call (several
+spheres per call would move them in the last bits), and a jet of a batch
+keeps the bits of the same jet alone wherever the batch keeps its rung;
+for the 16 blade coefficients of ``maxwell_extend``, several spheres'
+rows a call also cost more memory than one sphere's.  Every other batch
+packs up to ``MAX_POINTS`` points a call.
 
 Evaluators may be array-valued, mapping (m, n) points to (m, dim) rows:
 sphere means and radial derivatives act row-wise, so ``solve_cauchy``
 and ``extend`` then return a (dim,) array.  ``clifford.maxwell_extend``
-extends all blade coefficients of a multivector field this way, and
-takes its current from ``extend_jet``.
+extends all blade coefficients of a multivector field this way, takes
+its current from ``extend_jet`` and its continuity residual from one
+``_extension_jets`` batch of 16 points.
 """
 
 from __future__ import annotations
@@ -227,9 +233,9 @@ def _sample(fields, xs: np.ndarray, ts: np.ndarray, radii, moments: bool = False
     largest |t| (the hardest to resolve), and the largest mean size of a
     field there is the field's size; the batch takes the lower rung of the
     first agreeing pair, and the probe's sums on it stand for the batch's
-    own on those spheres.  A batch of one point hands the evaluator one
-    sphere per call (or a slice of one, past ``MAX_POINTS``), a larger
-    batch up to ``MAX_POINTS`` points.
+    own on those spheres.  A batch of one point or of moments hands the
+    evaluator one sphere per call (or a slice of one, past ``MAX_POINTS``),
+    any other batch up to ``MAX_POINTS`` points.
     """
     k, dim = xs.shape[0], xs.shape[1] - 1
     rows = [rad.tolist() for rad in radii]
@@ -241,7 +247,7 @@ def _sample(fields, xs: np.ndarray, ts: np.ndarray, radii, moments: bool = False
 
     def sums(field, rule, weights: np.ndarray, at: np.ndarray, r: np.ndarray, sized=False):
         return sphere_sums(field(r, sized), xs[at], r, rule.nodes, weights,
-                           rule.weights.size if k == 1 else MAX_POINTS)
+                           rule.weights.size if k == 1 or moments else MAX_POINTS)
 
     def probe(orders: tuple[int, ...]):
         ruled = weighted(orders)
@@ -291,35 +297,41 @@ def _kirchhoff3(data: CauchyData, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return _stencil_sum(c * r, mv) + t * mw[:, 0]
 
 
-def _kirchhoff3_jet(data: CauchyData, x: np.ndarray, t: float):
-    """(u, grad_x u, d_t u) of the n = 3 solution from the sphere samples about x.
+def _kirchhoff3_jet(data: CauchyData, xs: np.ndarray, ts: np.ndarray):
+    """(u, grad_x u, d_t u) of the n = 3 solution at every (xs[i], ts[i]), one row each.
 
     The means M and moments N of v and w at the 7 distinct radii of
-    ``RADIAL_FD``'s first- and second-derivative stencils about t, from one
-    ``_sample`` batch with the weight columns ``_columns``, give, with the
-    divergence theorem d_l M(x, r) = r^-2 d_r(r^2 N_l(x, r)),
+    ``RADIAL_FD``'s first- and second-derivative stencils about each t,
+    from one ``_sample`` batch with the weight columns ``_columns``, give,
+    with the divergence theorem d_l M(x, r) = r^-2 d_r(r^2 N_l(x, r)),
 
         grad u = 3 N_v' + t N_v'' + 2 N_w + t N_w',
         d_t u  = 2 M_v' + t M_v'' + M_w + t M_w',
 
     and u is ``_kirchhoff3``'s stencil sum (v at t = 0).  M is even in r
     and N odd, so the moments of a negative radius are those of |r| with N
-    negated.
+    negated.  grad[i] has one row per axis of x.  The batch's spheres share
+    one rule and each goes to the evaluator alone (``_sample``'s moments),
+    so a point's values are those of a batch of it alone wherever the
+    batch keeps the rung that point would keep.
     """
-    r1, c1 = fd_stencil(t, RADIAL_FD, 1)
-    r2, c2 = fd_stencil(t, RADIAL_FD, 2)
-    k1 = r1.size
-    radii = np.concatenate([[t], r1, r2])
-    mv, mw = (m[0] for m in _sample([_point_field(data.v), _point_field(data.w)], x[None, :],
-                                     np.array([t]), [np.abs(radii)[None, :]] * 2, moments=True))
+    r1, c1 = fd_stencil(ts[:, None], RADIAL_FD, 1)
+    r2, c2 = fd_stencil(ts[:, None], RADIAL_FD, 2)
+    k1 = r1.shape[1]
+    radii = np.concatenate([ts[:, None], r1, r2], axis=1)
+    mv, mw = _sample([_point_field(data.v), _point_field(data.w)], xs, ts,
+                     [np.abs(radii)] * 2, moments=True)
     for m in (mv, mw):
-        m[:, 1:] *= np.sign(radii).reshape((-1,) + (1,) * (m.ndim - 1))
-    v1 = np.tensordot(c1, mv[1:1 + k1], axes=1)
-    v2 = np.tensordot(c2, mv[1 + k1:], axes=1)
-    w0, w1 = mw[0], np.tensordot(c1, mw[1:1 + k1], axes=1)
-    u = data.v.evaluate(x) if t == 0.0 else (c1 * r1) @ mv[1:1 + k1, 0] + t * w0[0]
-    grad = 3.0 * v1[1:] + t * v2[1:] + 2.0 * w0[1:] + t * w1[1:]
-    u_t = 2.0 * v1[0] + t * v2[0] + w0[0] + t * w1[0]
+        m[:, :, 1:] *= np.sign(radii).reshape(radii.shape + (1,) * (m.ndim - 2))
+    v1, v2 = _stencil_sum(c1, mv[:, 1:1 + k1]), _stencil_sum(c2, mv[:, 1 + k1:])
+    w0, w1 = mw[:, 0], _stencil_sum(c1, mw[:, 1:1 + k1])
+    t = ts.reshape((-1,) + (1,) * (mv.ndim - 2))
+    u = _stencil_sum(c1 * r1, mv[:, 1:1 + k1, 0]) + t[:, 0] * w0[:, 0]
+    still = ts == 0.0
+    if still.any():
+        u[still] = data.v.evaluate(xs[still])
+    grad = 3.0 * v1[:, 1:] + t * v2[:, 1:] + 2.0 * w0[:, 1:] + t * w1[:, 1:]
+    u_t = 2.0 * v1[:, 0] + t[:, 0] * v2[:, 0] + w0[:, 0] + t[:, 0] * w1[:, 0]
     return u, grad, u_t
 
 
@@ -423,12 +435,20 @@ def extend_jet(f: SpacetimeField, x: Sequence[float] | np.ndarray, s: float, t: 
     axis of x.  All three come from the sphere means and first moments
     of v and w about x at the 7 radii of ``RADIAL_FD``'s first- and
     second-derivative stencils about t, so no solve is repeated at
-    shifted points.  x, s and t must be finite.
+    shifted points.  A batch of one point of ``_extension_jets``.  x, s
+    and t must be finite.
     """
     x = _extension_point(x, s, t)
+    u, grad, u_t = _extension_jets(f, x[None, :], s, np.array([t], dtype=float))
+    return _single(u) if t == 0.0 else u[0], grad[0], u_t[0]
+
+
+def _extension_jets(f: SpacetimeField, xs: np.ndarray, s: float, ts: np.ndarray):
+    """``extend_jet`` at every (xs[i], s + i ts[i]) as one ``_kirchhoff3_jet`` batch:
+    (u, grad, u_t) with one row each."""
     data = _slices(f, s)
     _check_smoothness(data, 1)
-    return _kirchhoff3_jet(data, x, t)
+    return _kirchhoff3_jet(data, xs, ts)
 
 
 def _solve_lattice(data: CauchyData, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -448,12 +468,11 @@ def _solve_lattice(data: CauchyData, xs: np.ndarray, ts: np.ndarray) -> np.ndarr
     solve, still = _kirchhoff3 if data.n == 3 else _poisson5, ts == 0.0
     if not still.any():
         return solve(data, xs, ts)
-    parts = [(still, data.v.evaluate(xs[still]))]
+    v = data.v.evaluate(xs[still])
+    out = np.empty((len(ts),) + v.shape[1:], dtype=complex)
+    out[still] = v
     if not still.all():
-        parts.append((~still, solve(data, xs[~still], ts[~still])))
-    out = np.empty((len(ts),) + parts[0][1].shape[1:], dtype=complex)
-    for rows, values in parts:
-        out[rows] = values
+        out[~still] = solve(data, xs[~still], ts[~still])
     return out
 
 

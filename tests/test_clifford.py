@@ -29,6 +29,7 @@ from cxpt.clifford import (
     DIRAC_FD,
     _batch_mul,
     _dirac_evaluator,
+    _dirac_tilde,
     _kernel_batch,
     _ring,
     _vectors,
@@ -52,11 +53,13 @@ from cxpt.clifford import (
     regular_point,
     spacetime_algebra,
 )
+from cxpt import wave
 from cxpt.source import singular_action_r3
 from cxpt.wave import (
     CauchyData,
     SpacetimeField,
     extend,
+    extend_jet,
     from_cauchy_data,
     wave_residual,
 )
@@ -608,6 +611,20 @@ def test_extended_bp_not_regular():
         extended_borel_pompeiu(f, ball, ComplexPoint([0.95, 0, 0], [0, 0, 0.2]))
 
 
+@pytest.mark.parametrize("x1, diff", [(0.9, 1e-12), (0.93, 1e-12), (0.94, None)])
+def test_extended_bp_near_the_boundary(x1, diff):
+    """With the disk inside, the clearance check alone decides: points within the
+    boundary rule's mesh spacing of the sphere (0.129 on the unit ball) are regular."""
+    f = clifford_test_field()
+    ball = Ball(np.zeros(3), 1.0)
+    z = ComplexPoint([x1, 0.0, 0.0], [0.0, 0.0, 0.05])
+    if diff is None:
+        with pytest.raises(NotRegularError, match="insufficient clearance"):
+            extended_borel_pompeiu(f, ball, z)
+    else:
+        assert (extended_borel_pompeiu(f, ball, z) - ebp_oracle(f, z)).norm() <= diff
+
+
 def _cos_bivector_field():
     st = spacetime_algebra(3)
     mask01 = st.mask_of((0, 1))
@@ -708,12 +725,14 @@ def test_maxwell_continuity_on_the_ladder(xt):
 
 
 def test_maxwell_evaluator_cost():
-    """One maxwell_extend is 17 jets (the point and the residual's 16 stencil
-    points).  Each probes v on the (6, 12) and (9, 18) rules of S^2 (72 and 162
-    points), which agree, then takes the 6 radii inside the probe's on the
-    (6, 12) rule, the probe's sums standing for the outermost: 17 x 8 calls and
-    17 x 666 points of v (w comes from the exact s-derivative), against 17 x 7
-    calls of 1,152 points on the finest rule."""
+    """One maxwell_extend is the point's jet and one batch of the residual's 16
+    stencil jets.  The jet probes v on the (6, 12) and (9, 18) rules of S^2 (72
+    and 162 points), which agree, then takes the 6 radii inside the probe's on
+    the (6, 12) rule: 8 calls and 666 points of v (w comes from the exact
+    s-derivative).  The batch probes the outermost sphere of its latest jet
+    (t + 0.06) the same way, then takes its other 111 distinct spheres on
+    (6, 12), one a call: 113 calls and 8,226 points, against 16 x 8 calls and
+    16 x 666 points with one walk per jet."""
     f = maxwell_demo_field()
     sizes = []
 
@@ -723,7 +742,47 @@ def test_maxwell_evaluator_cost():
 
     g = SpacetimeMultivectorField(f.algebra, 3, ev, s_derivative=f.s_derivative)
     maxwell_extend(g, np.array([0.3, 0.7, -0.2]), 0.0, 0.6)
-    assert (len(sizes), sum(sizes), max(sizes)) == (136, 11_322, 162)
+    assert (len(sizes), sum(sizes), max(sizes)) == (121, 8_892, 162)
+
+
+@pytest.mark.parametrize("xt", MAXWELL_POINTS[:1] + [((0.1, -0.4, 0.8), 0.0)])
+def test_maxwell_walks_the_ladder_at_most_twice(monkeypatch, xt):
+    """The point's jet takes one ladder walk and the 16 stencil jets one more
+    (a walk per jet made 17)."""
+    walks, walk = [], wave.walk_ladder
+
+    def spy(*args, **kwargs):
+        walks.append(args[0])
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(wave, "walk_ladder", spy)
+    maxwell_extend(maxwell_demo_field(), np.asarray(xt[0]), 0.0, xt[1])
+    assert walks == [2, 2]
+
+
+@pytest.mark.parametrize("xt", MAXWELL_POINTS)
+def test_maxwell_fields_keep_their_bits(xt):
+    """f~ and j~ come from a lone ``extend_jet`` at (x, t) on its own walk, bit for
+    bit, whatever rung the stencil's batch keeps."""
+    f = maxwell_demo_field()
+    x, t = np.asarray(xt[0]), xt[1]
+    ft, jt, _ = maxwell_extend(f, x, 0.0, t)
+    u, grad, u_t = extend_jet(SpacetimeField(f.batch, f.s_derivative), x, 0.0, t)
+    assert ft.coeffs.tobytes() == np.asarray(u, dtype=complex).tobytes()
+    assert jt.coeffs.tobytes() == _dirac_tilde(f.algebra, grad, u_t).tobytes()
+
+
+#: ``repr`` of the continuity residual at criterion 11's points, recorded while
+#: every jet of ``maxwell_extend`` walked the ladder alone.
+PINNED_RESIDUALS = [7.350390237635524e-12, 2.544809416348832e-11, 5.135032276900541e-12]
+
+
+@pytest.mark.parametrize("xt, residual", zip(MAXWELL_POINTS[:3], PINNED_RESIDUALS))
+def test_maxwell_residual_keeps_its_bits(xt, residual):
+    """At criterion 11's points the batch keeps every jet's rung, so the residual
+    is the one of 16 jets on their own walks."""
+    _, _, got = maxwell_extend(maxwell_demo_field(), np.asarray(xt[0]), 0.0, xt[1])
+    assert repr(got) == repr(residual)
 
 
 def test_dirac_tilde_squared_matches_wave_residual():

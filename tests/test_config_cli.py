@@ -381,6 +381,99 @@ def test_cli_wave_csv(capsys):
     assert float(row[4]) == pytest.approx(np.cos(0.5), abs=1e-9)
 
 
+def _wave_argv(n, v, w, x, t, m, step):
+    return ["wave", "--n", str(n), "--v", v, "--w", w, "--x", ",".join(map(str, x)),
+            "--t", str(t), "--lattice-half", str(m), "--step", str(step)]
+
+
+def _per_point_rows(n, v, w, x, t, m, step):
+    """(x, t text, u) of each lattice row as one ``solve_cauchy`` per point gives
+    them, in the CLI's order: x in C order of the offsets, t fastest."""
+    data = CauchyData(parse_field_spec(v).to_field(n), parse_field_spec(w).to_field(n), n)
+    offsets, rows = range(-m, m + 1), []
+    for axis_off in np.ndindex(*((2 * m + 1,) * n)):
+        xx = np.asarray(x, dtype=float) + np.asarray(
+            [offsets[i] for i in axis_off], dtype=float) * step
+        for jt in offsets:
+            tt = t + jt * step
+            rows.append(([f"{c:.17g}" for c in xx] + [f"{tt:.17g}"], solve_cauchy(data, xx, tt)))
+    return rows
+
+
+@pytest.mark.parametrize("n, v, w, x, tol", [
+    (2, "plane_wave:1,0.5", "gaussian:1.0", (0.1, 0.2), 1e-14),
+    (3, "plane_wave:1,0,0", "plane_wave:1,0,0", (0, 0, 0), 1e-14),
+    (3, "gaussian:1.0", "coordinate:1", (0.1, -0.2, 0.3), 1e-14),
+    (5, "plane_wave:1,0,0,0,0", "constant:0", (0, 0, 0, 0, 0), 1e-11),
+], ids=["n2", "n3-plane-wave", "n3-gaussian", "n5"])
+def test_cli_wave_lattice_matches_per_point_solves(capsys, n, v, w, x, tol):
+    """A lattice is one batch on one rule: its rows keep their x and t text and stay
+    within rounding of a solve per point (the n = 5 stencils' floor at n = 5)."""
+    code, out, _ = run_cli(capsys, _wave_argv(n, v, w, x, 0.5, 1, 0.1))
+    assert code == 0
+    lines = out.splitlines()[1:]
+    want = _per_point_rows(n, v, w, x, 0.5, 1, 0.1)
+    assert len(lines) == len(want) == 3 ** (n + 1)
+    for line, (text, u) in zip(lines, want):
+        cells = line.split(",")
+        assert cells[:-2] == text
+        assert abs(complex(float(cells[-2]), float(cells[-1])) - u) <= tol
+
+
+@pytest.mark.parametrize("n, v", [(2, "plane_wave:1,0.5"), (3, "gaussian:1.0"),
+                                  (5, "plane_wave:1,0,0,0,0")])
+def test_cli_wave_single_point_keeps_its_bytes(capsys, n, v):
+    x = (0.1,) * n
+    code, out, _ = run_cli(capsys, _wave_argv(n, v, "constant:0.5", x, 0.7, 0, 0.1))
+    assert code == 0
+    [(text, u)] = _per_point_rows(n, v, "constant:0.5", x, 0.7, 0, 0.1)
+    assert out.splitlines()[1] == ",".join(text + [f"{np.real(u):.17g}", f"{np.imag(u):.17g}"])
+
+
+def test_cli_wave_solves_in_blocks(capsys, monkeypatch):
+    """A lattice of 17^3 = 4,913 points is solved in blocks of at most MAX_POINTS."""
+    from cxpt import wave
+    from cxpt.numerics import MAX_POINTS
+
+    blocks = []
+
+    def solve(data, xs, ts):
+        blocks.append(len(ts))
+        return np.zeros(len(ts), dtype=complex)
+
+    monkeypatch.setattr(wave, "_solve_lattice", solve)
+    code, out, _ = run_cli(capsys, _wave_argv(2, "plane_wave:1,0", "constant:0", (0, 0),
+                                               0.0, 8, 0.25))
+    assert code == 0
+    assert blocks == [MAX_POINTS, 17**3 - MAX_POINTS]
+    lines = out.splitlines()
+    assert len(lines) == 1 + 17**3
+    assert lines[1].startswith("-2,-2,-2,") and lines[-1].startswith("2,2,2,")
+    # the row after the first block: 4,096 = (14 * 17 + 2) * 17 + 16, so offsets (6, -6, 8)
+    assert lines[1 + MAX_POINTS].startswith("1.5,-1.5,2,")
+
+
+@pytest.mark.parametrize("t, m, message", [("0", 2, "x must be finite"),
+                                          ("1e308", 1, "t must be finite")])
+def test_cli_wave_refuses_an_overflowing_lattice(capsys, t, m, message):
+    """Lattice points past the float range are refused as solve_cauchy refuses them,
+    before any row is printed (a batch would print inf and nan rows)."""
+    code, out, err = run_cli(capsys, _wave_argv(3, "plane_wave:1,0,0", "constant:0",
+                                                (0, 0, 0), t, m, 1e308))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: " + message)
+
+
+def test_cli_ebp_check_near_the_boundary(capsys):
+    """A point within the ball's boundary-rule spacing of the sphere, its branch disk
+    well inside, is regular (it was refused as 'z is not regular')."""
+    code, out, err = run_cli(capsys, ["clifford", "ebp-check", "--x", "0.9,0,0",
+                                      "--y", "0,0,0.05"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["abs_diff"] <= 1e-12
+
+
 def test_cli_wave_verify(capsys):
     code, out, _ = run_cli(capsys, ["wave-verify", "--n", "3",
                                     "--v", "plane_wave:1,0,0", "--w", "constant:0",

@@ -471,6 +471,27 @@ def test_solve_takes_each_stencil_radius_once(n, means, rule_points):
     assert sizes[-(means - reused):] == [points[kept]] * (means - reused)
 
 
+def test_moment_batches_take_one_sphere_per_call():
+    """A batch of jets hands the evaluator one sphere per call, probe and batch
+    alike, as a single jet does, so each jet's sums do not depend on what else
+    shares the batch; a lattice of solves packs several spheres a call."""
+    mode = harmonic_mode([0.8, 0.0, 0.6])
+    sizes = []
+
+    def ev(pts):
+        sizes.append(pts.shape[0])
+        return mode.evaluator(pts)
+
+    xs = np.array([[0.3, 0.1, -0.2], [0.0, 0.2, 0.5], [-0.4, 1.0, 0.0]])
+    wave._extension_jets(SpacetimeField(ev, mode.s_derivative), xs, 0.1,
+                         np.array([0.6, 1.1, 0.3]))
+    assert len(sizes) > 21 and set(sizes) <= set(_rung_points(3))
+    sizes.clear()
+    wave._solve_lattice(CauchyData(_counted(plane_wave(K_UNIT), sizes), constant(0.0), 3),
+                        xs, np.array([0.6, 1.1, 0.3]))
+    assert max(sizes) > max(_rung_points(3)[:SPHERE_LADDER.index(SPHERE_ORDER) + 1])
+
+
 @pytest.mark.parametrize("t", [0.1, 1.0, -1.0])
 def test_plane_wave_n5_on_the_ladder(t):
     """n = 5 plane waves with |k| <= 1.5 stay within 1e-10 of the closed form on
