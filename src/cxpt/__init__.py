@@ -21,7 +21,6 @@ from .errors import (
     NotRegularError,
     OnBoundaryError,
     SingularPointError,
-    StencilOutOfDomainError,
     UnsupportedDimensionError,
     WindowTooSmallError,
     YZeroError,

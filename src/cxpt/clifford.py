@@ -49,6 +49,7 @@ from .fields import poly_diff, poly_eval
 from .geometry import ComplexPoint, _branch_gamma, oblate_rho_zeta
 from .numerics import (
     INTERVAL_ORDER,
+    SLOPE_FD,
     FDScheme,
     _check_finite,
     derivative,
@@ -337,7 +338,9 @@ def poly_field(algebra: CliffordAlgebra, n: int,
 
 
 def dirac_field(f: MultivectorField, side: str = "left") -> MultivectorField:
-    """Exact Dirac derivative of a polynomial field, again a polynomial field."""
+    """Exact Dirac derivative of a polynomial field, again a polynomial field:
+    D f for ``side`` 'left', f D for 'right'."""
+    _check_side(side)
     if f.poly is None:
         raise ValueError("dirac_field needs the exact polynomial representation")
     alg = f.algebra
@@ -358,26 +361,28 @@ def dirac_field(f: MultivectorField, side: str = "left") -> MultivectorField:
 
 
 def dirac_apply(f: MultivectorField, x: Sequence[float] | np.ndarray,
-                side: str = "left", scheme: FDScheme | None = None) -> Multivector:
+                side: str = "left") -> Multivector:
     """Left- or right-acting Dirac operator at a point.
 
     Exact from the polynomial table when the field has one; otherwise
-    central differences of the evaluator with ``scheme`` (default
-    h = 1e-5, order 4, one Richardson level).
+    central differences ``numerics.SLOPE_FD`` of the evaluator.
     """
     x = np.asarray(x, dtype=float)
-    dirac = _dirac_evaluator(f, side, scheme or FDScheme(h=1e-5, order=4, richardson=True))
-    return Multivector(f.algebra, dirac(x[None, :])[0])
+    return Multivector(f.algebra, _dirac_evaluator(f, side)(x[None, :])[0])
 
 
-def _dirac_evaluator(f: MultivectorField, side: str,
-                     scheme: FDScheme) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch evaluator of D f (side 'left') or f D ('right'): the exact
-    polynomial field's when f has a table, else ``scheme``'s central differences."""
+def _check_side(side: str) -> None:
     if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+
+def _dirac_evaluator(f: MultivectorField, side: str) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch evaluator of D f (side 'left') or f D ('right'): the exact
+    polynomial field's when f has a table, else ``numerics.SLOPE_FD``'s
+    central differences."""
     if f.poly is not None:
         return dirac_field(f, side).batch
+    _check_side(side)
     alg = f.algebra
     gens = _vectors(alg, np.eye(len(f.labels)), f.labels)
 
@@ -386,7 +391,7 @@ def _dirac_evaluator(f: MultivectorField, side: str,
         for axis, e in enumerate(gens):
             ek = np.zeros(f.n)
             ek[axis] = 1.0
-            part = derivative(lambda d: f.batch(pts + d * ek), 0.0, scheme, 1)
+            part = derivative(lambda d: f.batch(pts + d * ek), 0.0, SLOPE_FD)
             out += _batch_mul(alg, e, part) if side == "left" else _batch_mul(alg, part, e)
         return out
 
@@ -455,9 +460,7 @@ def _kernel_batch(diffs: np.ndarray, y: np.ndarray, alg: CliffordAlgebra,
 # Domains
 # ----------------------------------------------------------------------
 
-#: FD stencil of the Dirac derivative of fields without a polynomial table,
-#: and that of the continuity residual D~ j~ of the Maxwell current.
-DIRAC_FD = FDScheme(h=1e-2, order=4, richardson=False)
+#: FD stencil of the continuity residual D~ j~ of the Maxwell current.
 CONTINUITY_FD = FDScheme(h=3e-2, order=4, richardson=False)
 #: Distance to the boundary below which ``borel_pompeiu`` refuses a point.
 BOUNDARY_TOL = 1e-9
@@ -712,7 +715,7 @@ def borel_pompeiu(f: MultivectorField, M: Domain, x: Sequence[float] | np.ndarra
     sd = M.signed_boundary_distance(x)
     if abs(sd) <= BOUNDARY_TOL:
         raise OnBoundaryError("x lies on the boundary (trace limits out of scope)")
-    dirac = _dirac_evaluator(f, "left", DIRAC_FD)
+    dirac = _dirac_evaluator(f, "left")
     y = np.zeros(n)
     if sd < 0:
         return Multivector(alg, _exterior_sum(f, dirac, M, x, y))
@@ -790,10 +793,10 @@ def extended_borel_pompeiu(f: MultivectorField, M: Domain, z: ComplexPoint) -> M
     Past the top rung, (48, 96), every layer takes that rung.
 
     The Dirac field Df is derived once per call: exactly from the
-    polynomial table when there is one, else by finite differences on
-    each chunk of points.  Every layer is evaluated in chunks of at most
-    ``_EBP_CHUNK`` points: whole rings inside, runs of the domain's
-    quadrature points outside.  z must be finite and of M's dimension.
+    polynomial table when there is one, else by the central differences
+    ``numerics.SLOPE_FD`` on each chunk of points.  Every layer is
+    evaluated in chunks of at most ``_EBP_CHUNK`` points: whole rings
+    inside, runs of the domain's quadrature points outside.  z must be finite and of M's dimension.
     """
     n = _check_arguments(f, M, **{"z.x": z.x, "z.y": z.y})
     if np.linalg.norm(z.y) == 0.0:
@@ -802,7 +805,7 @@ def extended_borel_pompeiu(f: MultivectorField, M: Domain, z: ComplexPoint) -> M
         raise UnsupportedDimensionError("complex-argument formula implemented for n = 3")
     alg = f.algebra
     x, y = z.x, z.y
-    dirac = _dirac_evaluator(f, "left", DIRAC_FD)
+    dirac = _dirac_evaluator(f, "left")
     if _disk_position(M, x, y) == "outside":
         # the exterior sum runs on M's own rules; inside, the clearance check
         # below puts the disk and E_P in the ball B(x, s_max) within M

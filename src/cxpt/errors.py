@@ -4,7 +4,6 @@ __all__ = [
     "CxptError",
     "NonFiniteIntegrandError",
     "InvalidRadiusError",
-    "StencilOutOfDomainError",
     "SingularPointError",
     "AmbiguousBranchError",
     "AxisDegenerateError",
@@ -31,10 +30,6 @@ class NonFiniteIntegrandError(CxptError):
 
 class InvalidRadiusError(CxptError):
     """A sphere mean was requested with a negative radius."""
-
-
-class StencilOutOfDomainError(CxptError):
-    """A finite-difference stencil leaves the declared domain."""
 
 
 class SingularPointError(CxptError):

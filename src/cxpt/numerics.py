@@ -46,7 +46,9 @@ Conventions used throughout the library:
   rule of ``SPHERE_ORDER``.
 * ``fd_stencil`` exposes the distinct nodes and folded weights of the
   stencil ``derivative`` applies, so a caller can evaluate all the nodes
-  of several stencils in one batch.
+  of several stencils in one batch.  Every caller names its scheme;
+  ``SLOPE_FD`` is the one first derivative of a field without an exact
+  one, wherever the library takes it.
 * Importing this module pads glibc's heap (``_pad_heap``), so the
   transients of the sphere-sum chunks reuse memory instead of faulting
   it in afresh; other C libraries are left alone.
@@ -63,16 +65,13 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidRadiusError,
-    NonFiniteIntegrandError,
-    StencilOutOfDomainError,
-)
+from .errors import InvalidRadiusError, NonFiniteIntegrandError
 
 __all__ = [
     "QuadratureRule",
     "KronrodRule",
     "FDScheme",
+    "SLOPE_FD",
     "IntervalIntegral",
     "gauss_legendre",
     "gauss_kronrod",
@@ -221,6 +220,12 @@ class FDScheme:
             raise ValueError(f"FD step h must be positive and finite, got {self.h}")
         if self.order not in (2, 4):
             raise ValueError("FD accuracy order must be 2 or 4")
+
+
+#: The one first-derivative stencil of a field that has no exact derivative:
+#: the source actions' slopes, the s-derivative of an extension's Cauchy data
+#: and the Dirac derivative of a field without a polynomial table (4 nodes).
+SLOPE_FD = FDScheme(h=1e-3, order=4, richardson=False)
 
 
 @lru_cache(maxsize=None)
@@ -578,7 +583,7 @@ _STENCILS: dict[tuple[int, int], tuple[tuple[int, ...], tuple[float, ...]]] = {
 }
 
 
-def fd_stencil(at: float, scheme: FDScheme | None = None,
+def fd_stencil(at: float, scheme: FDScheme,
                order_of_derivative: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Distinct nodes and weights of ``derivative``'s stencil about ``at``.
 
@@ -587,8 +592,6 @@ def fd_stencil(at: float, scheme: FDScheme | None = None,
     folded into the weights, and a node shared by both levels (at +- h)
     appears once.
     """
-    if scheme is None:
-        scheme = FDScheme()
     if not 1 <= order_of_derivative <= 4:
         raise ValueError("order_of_derivative must be in 1..4")
     steps, weights = _folded_stencil(scheme, order_of_derivative)
@@ -615,27 +618,15 @@ def _folded_stencil(scheme: FDScheme, order_of_derivative: int) -> tuple[np.ndar
     return steps, weights
 
 
-def derivative(
-    g: Callable[[float], complex],
-    at: float,
-    scheme: FDScheme | None = None,
-    order_of_derivative: int = 1,
-    domain: tuple[float, float] | None = None,
-):
+def derivative(g: Callable[[float], complex], at: float, scheme: FDScheme,
+               order_of_derivative: int = 1):
     """Central finite-difference derivative of a scalar-argument function.
 
     Supports derivative orders 1-4 at accuracy 2 or 4, with one optional
     Richardson level (``scheme.richardson``).  ``g`` may return complex
     scalars or numpy arrays; it is called once per node of ``fd_stencil``.
-    ``domain`` bounds, when given, are enforced for every stencil point.
     """
     nodes, weights = fd_stencil(at, scheme, order_of_derivative)
-    if domain is not None:
-        lo, hi = domain
-        if nodes.min() < lo or nodes.max() > hi:
-            raise StencilOutOfDomainError(
-                f"stencil around {at} (reach {np.abs(nodes - at).max()}) leaves [{lo}, {hi}]"
-            )
     return sum(w * g(float(x)) for x, w in zip(nodes, weights))
 
 
@@ -643,7 +634,7 @@ def partial_derivative(
     func,
     point: Sequence[float] | np.ndarray,
     axis: int,
-    scheme: FDScheme | None = None,
+    scheme: FDScheme,
     order_of_derivative: int = 1,
 ):
     """Partial derivative along a coordinate axis of a field on R^n.
@@ -662,7 +653,7 @@ def partial_derivative(
     return derivative(g, float(point[axis]), scheme, order_of_derivative)
 
 
-def fd_gradient(func, point, scheme: FDScheme | None = None) -> np.ndarray:
+def fd_gradient(func, point, scheme: FDScheme) -> np.ndarray:
     """Finite-difference gradient of a scalar field at one point."""
     point = np.asarray(point, dtype=float)
     return np.asarray(
@@ -670,7 +661,7 @@ def fd_gradient(func, point, scheme: FDScheme | None = None) -> np.ndarray:
     )
 
 
-def fd_laplacian(func, point, scheme: FDScheme | None = None):
+def fd_laplacian(func, point, scheme: FDScheme):
     """Finite-difference Laplacian (sum of second partials) at one point."""
     point = np.asarray(point, dtype=float)
     total = None

@@ -36,8 +36,8 @@ which ``_AxialField.sample`` gives at whole arrays of nodes through the
 shared kernel ``numerics.sphere_sums`` (at most ``numerics.MAX_POINTS``
 points per field call): one pass over f and its exact gradient when the
 field has one, and when it does not one pass over f at each sphere point
-and at the nodes of its central differences (step ``ZETA_STEP``) along
-the slope directions.
+and at the 4 nodes of ``numerics.SLOPE_FD`` (step 1e-3) along each slope
+direction.
 
 Once, at its start, each action calls ``_AxialField.fit_rule``, which
 probes the field on spheres that span those the action samples: about 0
@@ -99,8 +99,8 @@ from .geometry import oblate_rho_zeta
 from .numerics import (
     INTERVAL_ORDER,
     MAX_POINTS,
+    SLOPE_FD,
     U_ROUNDING,
-    FDScheme,
     fd_stencil,
     integrate_interval,
     orthonormal_complement_frame,
@@ -127,8 +127,6 @@ __all__ = [
 ]
 
 
-#: FD step (relative to a) of the slopes of fields without a gradient.
-ZETA_STEP = 1e-3
 #: Nodes of a u-panel (the rim derivatives amplify rounding by about N^4, so a
 #: panel that 16 nodes miss is halved instead) and the most halvings of
 #: [0, a^2]; panels are resolved to ``numerics.U_ROUNDING``, the rounding
@@ -212,12 +210,10 @@ class _AxialField:
         #: largest disagreement of the ladder's top pair of rungs, in units of the
         #: field scale, when no pair agreed (else 0)
         self.rule_error = 0.0
-        # distinct nodes and folded weights of the slopes' central difference
-        self._steps, self._step_weights = fd_stencil(
-            0.0, FDScheme(h=ZETA_STEP * self.a, order=4, richardson=True))
         # rounding of a times a slope sample, in U_ROUNDING: eps a sum|w| for FD stencils
         self.slope_noise = 1.0 if f.gradient is not None else max(
-            1.0, np.finfo(float).eps * self.a * np.abs(self._step_weights).sum() / U_ROUNDING)
+            1.0, np.finfo(float).eps * self.a * np.abs(fd_stencil(0.0, SLOPE_FD)[1]).sum()
+            / U_ROUNDING)
 
     def _use_rule(self, orders: tuple[int, ...]) -> None:
         if orders == self._orders:
@@ -295,9 +291,9 @@ class _AxialField:
         an exact gradient it runs at the (rho, zeta) nodes over f,
         omega . grad f and y_hat . grad f.
         Without one it runs at the (rho, zeta) nodes over f, evaluated once
-        per sphere point, and the central difference (step ``ZETA_STEP``) of
-        f along each of the node's slope directions drho omega + dzeta y_hat,
-        on blocks of a seventh of ``MAX_POINTS`` sphere points, whose
+        per sphere point, and the central difference ``numerics.SLOPE_FD``
+        of f along each of the node's slope directions drho omega + dzeta
+        y_hat, on blocks of a fifth of ``MAX_POINTS`` sphere points, whose
         stencils reach the field at most ``MAX_POINTS`` points per call.
         """
         rho, zeta = np.broadcast_arrays(np.asarray(rho, dtype=float),
@@ -310,7 +306,7 @@ class _AxialField:
             order = [i for i in range(len(full)) if i not in spread] + spread
             drho_n, dzeta_n = (np.broadcast_to(np.asarray(d, dtype=float), full)
                                .transpose(order).reshape(rho.size, -1) for d in (drho, dzeta))
-            steps, weights = self._steps, self._step_weights
+            steps, weights = fd_stencil(0.0, SLOPE_FD)
 
             def stencil(pts, dirs, nodes):
                 shift = (drho_n[nodes, :, None, None] * dirs

@@ -98,6 +98,7 @@ from .errors import (
 from .fields import TestField, _lift, _single
 from .numerics import (
     MAX_POINTS,
+    SLOPE_FD,
     FDScheme,
     _check_finite,
     derivative,
@@ -121,10 +122,8 @@ __all__ = [
 ]
 
 
-#: Radial stencils of the Kirchhoff and Poisson formulas, and the s-stencil of
-#: ``extend`` for fields without an exact s-derivative.
+#: Radial stencils of the Kirchhoff and Poisson formulas.
 RADIAL_FD = FDScheme(h=1e-2, order=4, richardson=True)
-S_FD = FDScheme(h=1e-3, order=4, richardson=True)
 
 
 @dataclass(frozen=True)
@@ -308,7 +307,7 @@ def _kirchhoff3_jet(data: CauchyData, xs: np.ndarray, ts: np.ndarray):
         grad u = 3 N_v' + t N_v'' + 2 N_w + t N_w',
         d_t u  = 2 M_v' + t M_v'' + M_w + t M_w',
 
-    and u is ``_kirchhoff3``'s stencil sum (v at t = 0).  M is even in r
+    and u is ``_kirchhoff3``'s stencil sum.  M is even in r
     and N odd, so the moments of a negative radius are those of |r| with N
     negated.  grad[i] has one row per axis of x.  The batch's spheres share
     one rule and each goes to the evaluator alone (``_sample``'s moments),
@@ -327,9 +326,6 @@ def _kirchhoff3_jet(data: CauchyData, xs: np.ndarray, ts: np.ndarray):
     w0, w1 = mw[:, 0], _stencil_sum(c1, mw[:, 1:1 + k1])
     t = ts.reshape((-1,) + (1,) * (mv.ndim - 2))
     u = _stencil_sum(c1 * r1, mv[:, 1:1 + k1, 0]) + t[:, 0] * w0[:, 0]
-    still = ts == 0.0
-    if still.any():
-        u[still] = data.v.evaluate(xs[still])
     grad = 3.0 * v1[:, 1:] + t * v2[:, 1:] + 2.0 * w0[:, 1:] + t * w1[:, 1:]
     u_t = 2.0 * v1[:, 0] + t[:, 0] * v2[:, 0] + w0[:, 0] + t[:, 0] * w1[:, 0]
     return u, grad, u_t
@@ -392,7 +388,7 @@ def _slices(f: SpacetimeField, s: float) -> CauchyData:
     """Cauchy data v = f(., s) and w = i f_s(., s) of the extension at s (n = 3).
 
     w uses the exact s-derivative when the field carries one, else the
-    ``S_FD`` stencil in s.
+    ``numerics.SLOPE_FD`` stencil in s.
     """
     def v_eval(pts: np.ndarray) -> np.ndarray:
         return f.evaluate(np.column_stack([pts, np.full(pts.shape[0], s)]))
@@ -406,7 +402,7 @@ def _slices(f: SpacetimeField, s: float) -> CauchyData:
             def slice_at(ss: float) -> np.ndarray:
                 return f.evaluate(np.column_stack([pts, np.full(pts.shape[0], ss)]))
 
-            return 1j * derivative(slice_at, s, S_FD, 1)
+            return 1j * derivative(slice_at, s, SLOPE_FD)
 
     return CauchyData(
         TestField(v_eval, smoothness=f.smoothness, name="extend-v"),
@@ -435,12 +431,12 @@ def extend_jet(f: SpacetimeField, x: Sequence[float] | np.ndarray, s: float, t: 
     axis of x.  All three come from the sphere means and first moments
     of v and w about x at the 7 radii of ``RADIAL_FD``'s first- and
     second-derivative stencils about t, so no solve is repeated at
-    shifted points.  A batch of one point of ``_extension_jets``.  x, s
-    and t must be finite.
+    shifted points; at t = 0, u is f(x, s), as ``extend`` returns it.  A
+    batch of one point of ``_extension_jets``.  x, s and t must be finite.
     """
     x = _extension_point(x, s, t)
     u, grad, u_t = _extension_jets(f, x[None, :], s, np.array([t], dtype=float))
-    return _single(u) if t == 0.0 else u[0], grad[0], u_t[0]
+    return f.evaluate(np.append(x, s)) if t == 0.0 else u[0], grad[0], u_t[0]
 
 
 def _extension_jets(f: SpacetimeField, xs: np.ndarray, s: float, ts: np.ndarray):

@@ -19,6 +19,7 @@ from cxpt.fields import TestField, poly_diff
 from cxpt.geometry import ComplexPoint, oblate_rho_zeta
 from cxpt.numerics import (
     INTERVAL_ORDER,
+    SLOPE_FD,
     SPHERE_LADDER,
     FDScheme,
     gauss_legendre,
@@ -26,7 +27,6 @@ from cxpt.numerics import (
     sphere_levels,
 )
 from cxpt.clifford import (
-    DIRAC_FD,
     _batch_mul,
     _dirac_evaluator,
     _dirac_tilde,
@@ -152,8 +152,20 @@ def test_dirac_fd_matches_exact(rng):
     for _ in range(5):
         x = rng.normal(size=3)
         exact = dirac_apply(f, x)
-        fd = dirac_apply(g, x, scheme=FDScheme(h=1e-4))
+        fd = dirac_apply(g, x)
         assert 0.0 < (exact - fd).norm() <= 1e-8
+
+
+def test_dirac_refuses_an_unknown_side():
+    """``side`` is 'left' or 'right': anything else raises, where it used to act
+    from the right."""
+    alg = Cl(3)
+    f = poly_field(alg, 3, {(1,): {(1, 0, 0): 1.0}, (2,): {(0, 0, 1): 2.0}})
+    with pytest.raises(ValueError, match="side"):
+        dirac_field(f, "up")
+    for g in (f, MultivectorField(alg, 3, evaluator=f.batch)):
+        with pytest.raises(ValueError, match="side"):
+            dirac_apply(g, [0.1, 0.2, 0.3], side="up")
 
 
 def test_cauchy_kernel_values():
@@ -177,12 +189,11 @@ def test_cauchy_kernel_values():
 
 def test_kernel_is_monogenic_fd(rng):
     field = cauchy_kernel_field(np.zeros(3))
-    scheme = FDScheme(h=1e-5, order=4, richardson=True)
     for _ in range(50):
         x = rng.normal(size=3)
         if np.linalg.norm(x) < 0.4:
             continue
-        dv = dirac_apply(field, x, scheme=scheme)
+        dv = dirac_apply(field, x)
         assert dv.norm() <= 1e-6
 
 
@@ -238,7 +249,7 @@ def test_borel_pompeiu_monogenic_boundary_only():
     from cxpt.clifford import _dirac_evaluator
 
     pts, wts = ball.volume_quadrature()
-    dv = _dirac_evaluator(field, "left", FDScheme(h=1e-5, order=4, richardson=True))(pts)
+    dv = _dirac_evaluator(field, "left")(pts)
     assert float(np.max(np.abs(dv))) * float(np.sum(wts)) <= 1e-6
 
 
@@ -382,7 +393,7 @@ def _per_point_ebp(f, M, z, orders):
     kernel and Clifford products taken point by point, on the (q, phi) rule
     ``orders`` and the Duffy square of ``INTERVAL_ORDER``, without chunks."""
     alg, x, y = f.algebra, z.x, z.y
-    dirac = _dirac_evaluator(f, "left", DIRAC_FD)
+    dirac = _dirac_evaluator(f, "left")
     a = float(np.linalg.norm(y))
     big_p = math.sqrt((0.8 * M.signed_boundary_distance(x)) ** 2 - a**2)
     yhat = -y / a
@@ -685,22 +696,37 @@ def _demo_current(st, x, t):
 @pytest.mark.parametrize("xt", MAXWELL_POINTS)
 def test_maxwell_current_from_one_jet(xt):
     """j~ from the sphere moments about x: the closed form, the nested-FD oracle
-    (D~ by DIRAC_FD over ``extend``), and f~ equal to ``extend``'s value."""
+    (D~ by SLOPE_FD over ``extend``), and f~ equal to ``extend``'s value."""
     f = maxwell_demo_field()
     st = f.algebra
     x, t = np.asarray(xt[0]), xt[1]
     ft, jt, _ = maxwell_extend(f, x, 0.0, t)
     assert (jt - _demo_current(st, x, t)).norm() <= 1e-10
     coeffs = SpacetimeField(f.batch, f.s_derivative)
-    oracle = dirac_tilde_apply(lambda xx, tt: extend(coeffs, xx, 0.0, tt), st, x, t, DIRAC_FD)
+    oracle = dirac_tilde_apply(lambda xx, tt: extend(coeffs, xx, 0.0, tt), st, x, t, SLOPE_FD)
     assert np.max(np.abs(jt.coeffs - oracle)) <= 1e-9
     want = extend(coeffs, x, 0.0, t)
     assert np.max(np.abs(ft.coeffs - want)) <= 1e-15 * np.max(np.abs(want))
     assert np.all(np.delete(ft.coeffs, st.mask_of((0, 1))) == 0.0)
 
 
+def test_maxwell_at_rest_evaluates_f_once():
+    """At t = 0, f~ is f at the one point: maxwell_extend makes 84 evaluator calls
+    on 6,247 points (85 on 6,259 while each t = 0 jet of the continuity batch also
+    evaluated f, and the batch discarded it)."""
+    f = maxwell_demo_field()
+    sizes = []
+    counted = SpacetimeMultivectorField(
+        f.algebra, 3, lambda pts: sizes.append(len(pts)) or f.evaluator(pts), f.s_derivative)
+    x = np.array([0.3, -0.2, 0.1])
+    ft, _, residual = maxwell_extend(counted, x, 0.0, 0.0)
+    assert (len(sizes), sum(sizes)) == (84, 6247)
+    assert np.array_equal(ft.coeffs, f.value(x, 0.0).coeffs)
+    assert residual <= 1e-20
+
+
 def test_maxwell_current_without_s_derivative():
-    """A field without an exact s-derivative takes w from the S_FD stencil in s."""
+    """A field without an exact s-derivative takes w from the SLOPE_FD stencil in s."""
     f = maxwell_demo_field()
     seen_s = set()
 

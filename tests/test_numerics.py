@@ -1,5 +1,6 @@
 """Quadrature and finite-difference kernels against closed-form oracles."""
 
+import ast
 import math
 import os
 import pathlib
@@ -14,12 +15,12 @@ from scipy.special import roots_jacobi
 from cxpt.errors import (
     InvalidRadiusError,
     NonFiniteIntegrandError,
-    StencilOutOfDomainError,
 )
 from cxpt.fields import constant, cosine_wave, gaussian, plane_wave, polynomial
 from cxpt.numerics import (
     INTERVAL_ORDER,
     MAX_POINTS,
+    SLOPE_FD,
     SPHERE_LADDER,
     SPHERE_ORDER,
     U_ROUNDING,
@@ -425,7 +426,7 @@ def test_derivative_evaluates_each_stencil_node_once(order, scheme):
 
 
 def test_derivative_examples():
-    assert derivative(lambda x: x**2, 1.0) == pytest.approx(2.0, abs=1e-10)
+    assert derivative(lambda x: x**2, 1.0, SLOPE_FD) == pytest.approx(2.0, abs=1e-10)
     scheme = FDScheme(h=1e-4, order=4, richardson=False)
     assert derivative(np.sin, 0.0, scheme) == pytest.approx(1.0, abs=1e-8)
     # second derivatives need a roundoff-aware step (eps/h^2 floor)
@@ -439,9 +440,67 @@ def test_derivative_orders_3_4():
     assert derivative(np.exp, 0.2, scheme, 4) == pytest.approx(math.exp(0.2), abs=1e-7)
 
 
-def test_derivative_domain_guard():
-    with pytest.raises(StencilOutOfDomainError):
-        derivative(np.sqrt, 1e-6, FDScheme(h=1e-4), domain=(0.0, 1.0))
+def test_src_builds_four_fd_schemes():
+    """The library constructs exactly four FDSchemes, each a named module constant:
+    the one first-derivative stencil of a field without an exact derivative, the
+    wave solver's radial stencils, the Maxwell continuity residual and the
+    acceptance oracles' own stencil, which must not share the code it checks."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "cxpt"
+    built, named = 0, set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "FDScheme":
+                built += 1
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                    and getattr(node.value.func, "id", None) == "FDScheme"):
+                named |= {f"{path.stem}.{target.id}" for target in node.targets}
+    assert built == len(named) == 4
+    assert named == {"numerics.SLOPE_FD", "wave.RADIAL_FD", "clifford.CONTINUITY_FD",
+                     "acceptance._ORACLE_FD"}
+
+
+def _slope_layer(layer: str, seen: list) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Take one first derivative of a field without an exact one in ``layer``,
+    recording every point it evaluates in ``seen``; returns the points the
+    derivative is taken about and its directions."""
+    from cxpt.clifford import Cl, MultivectorField, _dirac_evaluator
+    from cxpt.fields import TestField
+    from cxpt.source import _AxialField
+    from cxpt.wave import SpacetimeField, _slices
+
+    def record(pts, width=()):
+        seen.append(np.array(pts, dtype=float))
+        return np.zeros((len(pts),) + width, dtype=complex)
+
+    if layer == "source-slopes":
+        af = _AxialField(TestField(record), np.array([0.0, 0.0, 0.8]), 3)
+        af.sample(0.8, 0.0, 0.0, 1.0)
+        return 0.8 * af._dirs, [af.yhat]
+    if layer == "extension-w":
+        xs = np.array([[0.1, 0.2, 0.3], [-0.4, 0.0, 0.5]])
+        _slices(SpacetimeField(record), 0.3).w.evaluate(xs)
+        return np.column_stack([xs, np.full(2, 0.3)]), [np.eye(4)[3]]
+    x = np.array([[0.1, 0.2, 0.3]])
+    _dirac_evaluator(MultivectorField(Cl(3), 3, evaluator=lambda p: record(p, (8,))), "left")(x)
+    return x, list(np.eye(3))
+
+
+@pytest.mark.parametrize("layer", ["source-slopes", "extension-w", "dirac"])
+def test_fields_without_derivatives_share_one_stencil(layer):
+    """The source actions' slopes, the w = i f_s of an extension's Cauchy data and
+    the Dirac derivative of a field without a polynomial table each evaluate f at
+    the 4 nodes +-1e-3, +-2e-3 of SLOPE_FD along each direction about every point
+    (the source slopes also take f at the point itself, for its mean)."""
+    seen = []
+    centres, directions = _slope_layer(layer, seen)
+    points = np.concatenate(seen)
+    nearest = np.argmin(np.linalg.norm(points[:, None] - centres[None], axis=2), axis=1)
+    offsets = points - centres[nearest]
+    moved = np.any(offsets != 0.0, axis=1)
+    assert np.count_nonzero(~moved) in (0, len(centres))
+    got = sorted(map(tuple, np.round(offsets[moved] / 1e-3, 6)))
+    want = sorted(tuple(k * d) for d in directions for k in (-2, -1, 1, 2) for _ in centres)
+    assert got == want
 
 
 def test_derivative_matches_exact_gradients(rng):
@@ -453,7 +512,7 @@ def test_derivative_matches_exact_gradients(rng):
     for f in fields:
         for _ in range(3):
             x = rng.normal(size=3)
-            got = fd_gradient(f, x)
+            got = fd_gradient(f, x, SLOPE_FD)
             exact = f.gradient_at(x)
             scale = max(1.0, float(np.max(np.abs(exact))))
             assert np.max(np.abs(got - exact)) / scale <= 1e-6

@@ -461,15 +461,16 @@ def test_one_sphere_pass_per_sample():
 
 def test_gradient_free_slopes_share_the_centre_values():
     """Without a gradient f is evaluated once per sphere point for all of a node's
-    slope directions: singular_action_r4 takes 1,152 x (1 + 2 x 6) = 14,976 points
-    (16,128 when each direction evaluated the centre again), with the means and
-    slopes bit for bit those of one direction at a time."""
+    slope directions: singular_action_r4 takes 1,152 x (1 + 2 x 4) = 10,368 points
+    for the 4 nodes of SLOPE_FD per direction (14,976 with the 6 nodes of the
+    Richardson stencil before it, 16,128 when each direction evaluated the centre
+    again), with the means and slopes bit for bit those of one direction at a time."""
     exact = gaussian(1.3, center=np.full(4, 0.1))
     sizes = []
     free = TestField(lambda pts: sizes.append(pts.shape[0]) or exact.evaluator(pts))
     y = np.array([0.1, 0.2, 0.9, 0.3])
     singular_action_r4(free, y)
-    assert sum(sizes) == 14_976 and max(sizes) <= MAX_POINTS
+    assert sum(sizes) == 10_368 and max(sizes) <= MAX_POINTS
     af = _AxialField(free, y, 4)
     fbar, (d_rho, d_zeta) = af.sample(af.a, 0.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     fbar_rho, d_rho_alone = af.sample(af.a, 0.0, 1.0, 0.0)
@@ -480,7 +481,7 @@ def test_gradient_free_slopes_share_the_centre_values():
 
 def test_gradient_free_sample_is_one_pass(monkeypatch):
     """Without a gradient a mean and its slope still take one kernel pass: f at each
-    sphere point and at its 6 stencil nodes together, at most MAX_POINTS per call."""
+    sphere point and at its 4 SLOPE_FD nodes together, at most MAX_POINTS per call."""
     passes, integrand_calls, sizes = [], [], []
     kernel, integrate = source.sphere_sums, source.integrate_interval
 
@@ -497,7 +498,8 @@ def test_gradient_free_sample_is_one_pass(monkeypatch):
     free = TestField(lambda pts: sizes.append(pts.shape[0]) or exact.evaluator(pts))
     value = regularized_action(free, [0.3, 0.0, 0.8], 3, 1e-3)
     assert len(passes) == len(integrand_calls) == 14     # 98 passes before
-    assert (len(sizes), sum(sizes)) == (56, 206976)      # 98 calls on the same points before
+    # 56 calls on 206,976 points with the 6-node Richardson stencil before SLOPE_FD
+    assert (len(sizes), sum(sizes)) == (42, 147840)
     assert max(sizes) <= MAX_POINTS
     assert value == pytest.approx(regularized_action(exact, [0.3, 0.0, 0.8], 3, 1e-3),
                                   abs=1e-13)

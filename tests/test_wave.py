@@ -165,7 +165,7 @@ def test_extend_cauchy_riemann_at_t0():
 def test_extend_jet_harmonic_mode():
     """(f~, grad f~, d_t f~) from one centre: the continuation exp(i k.x + |k| (s + it))
     and its derivatives i k f~ and i |k| f~, with u equal to ``extend``'s value; a
-    copy without the exact s-derivative takes the S_FD stencil in s."""
+    copy without the exact s-derivative takes the SLOPE_FD stencil in s."""
     k = np.array([0.8, 0.0, 0.6])
     f = harmonic_mode(k)
     bare = SpacetimeField(f.evaluator)
