@@ -107,7 +107,6 @@ from .clifford import (
     cauchy_kernel_field,
     dirac_apply,
     dirac_field,
-    dirac_tilde_apply,
     extended_borel_pompeiu,
     maxwell_extend,
     mv_mul,

@@ -80,7 +80,6 @@ __all__ = [
     "regular_point",
     "borel_pompeiu",
     "extended_borel_pompeiu",
-    "dirac_tilde_apply",
     "maxwell_extend",
     "poly_field",
 ]
@@ -977,17 +976,6 @@ def _dirac_tilde_sum(algebra: CliffordAlgebra, weights: np.ndarray, values) -> n
     return _dirac_tilde(algebra, parts[:-1], parts[-1])
 
 
-def dirac_tilde_apply(g: Callable[[np.ndarray, float], np.ndarray],
-                      algebra: CliffordAlgebra, x: np.ndarray, t: float,
-                      scheme: FDScheme) -> np.ndarray:
-    """Hyperbolic Dirac D~ = D - i e0 d_t applied by FD to coefficient-valued g(x, t).
-
-    The spatial axes are those of ``x`` (e_1..e_n for n = ``x.size``).
-    """
-    xs, ts, weights = _dirac_tilde_stencil(x, t, scheme)
-    return _dirac_tilde_sum(algebra, weights, [g(xx, float(tt)) for xx, tt in zip(xs, ts)])
-
-
 def maxwell_extend(f: SpacetimeMultivectorField, x: Sequence[float] | np.ndarray,
                    s: float, t: float) -> tuple[Multivector, Multivector, float]:
     """Extension f~, current j~ = D~ f~, and the continuity residual |scalar D~ j~|.
@@ -999,9 +987,9 @@ def maxwell_extend(f: SpacetimeMultivectorField, x: Sequence[float] | np.ndarray
     Kirchhoff solution are taken under the sphere means about x, not by
     solving again at shifted points.  The residual stays a measurement:
     D~ by ``CONTINUITY_FD`` over j~ at its 16 stencil points, whose jets
-    are one ``wave._extension_jets`` batch (one ladder walk, one sphere per
-    evaluator call), summed as ``dirac_tilde_apply`` sums its values.  x, s
-    and t must be finite.
+    are one ``wave._extension_jets`` batch (one ladder walk), each
+    derivative summed in ``derivative``'s node order.  x, s and t must be
+    finite.
     """
     x = np.asarray(x, dtype=float)
     _check_finite(x=x, s=s, t=t)

@@ -155,13 +155,19 @@ def coordinate(index: int) -> TestField:
 
 
 def poly_eval(table: Mapping[tuple[int, ...], complex], pts: np.ndarray) -> np.ndarray:
-    """sum_alpha c_alpha x^alpha at an (m, n) point array, from an exponent table."""
+    """sum_alpha c_alpha x^alpha at an (m, n) point array, from an exponent table.
+
+    Each power x_k^e is taken once per call and shared by the terms that use it.
+    """
     out = np.zeros(pts.shape[0], dtype=complex)
+    powers: dict[tuple[int, int], np.ndarray] = {}
     for alpha, c in table.items():
-        term = np.full(pts.shape[0], complex(c))
+        term = complex(c)
         for k, e in enumerate(alpha):
             if e:
-                term = term * pts[:, k] ** e
+                if (k, e) not in powers:
+                    powers[k, e] = pts[:, k] ** e
+                term = term * powers[k, e]
         out += term
     return out
 

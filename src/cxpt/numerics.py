@@ -32,10 +32,12 @@ Conventions used throughout the library:
   centers) at once, handing the field at most ``MAX_POINTS`` points per
   call.  Values may carry a trailing axis, so (m, dim) evaluators give
   (dim,) means, and an (m, q) weight matrix gives q weighted sums (a mean
-  and first moments, say) of one evaluation; values returned with their
-  sizes (moduli, say) also give the sizes' means, as the wave solver's
-  probes take them.  ``mean_on_sphere``, the source actions' axial means
-  and the wave solver all reach the field through it.
+  and first moments, say) of one evaluation; values returned as a tuple
+  (several fields at the same points, or values and their moduli, as the
+  wave solver's passes take them) give a tuple of sums.  Each sphere is
+  summed as alone, whatever shares its call.  ``mean_on_sphere``, the
+  source actions' axial means and the wave solver all reach the field
+  through it.
 * ``walk_ladder`` is the one sphere-rule choice: it walks the fixed ladder
   ``SPHERE_LADDER`` upwards with a caller's probe and keeps the first rung
   that agrees with the next one up to ``U_ROUNDING`` of the field scale.
@@ -99,6 +101,8 @@ __all__ = [
 
 #: Most points handed to one evaluator or gradient call by ``sphere_sums``;
 #: bounds the memory of a batch of sphere means (S^4 rules have 20,000 nodes).
+#: The wave solver's passes hand each call whole spheres, up to it divided by
+#: the number of components of the field's values.
 MAX_POINTS = 4096
 
 
@@ -478,10 +482,14 @@ def sphere_sums(values, centers, radii, dirs: np.ndarray, weights: np.ndarray,
     ``weights`` may also be an (m, q) matrix, one column per weighting of
     the same evaluations (the columns w and w * dirs[:, l] give a mean and
     the first moments); the result is then (k, q) or (k, q, dim).
-    ``values`` may also return a pair of such arrays, the values and their
-    sizes (moduli, say); the result is then the pair of the values' sums and
-    the sizes' sums with the first weight column (a mean), each summed
-    exactly as alone.
+    ``values`` may also return a tuple of such arrays (several fields at
+    the same points, or values and their moduli); the result is then the
+    tuple of their sums, each array taking every weight column.
+
+    Each array is summed one sphere at a time, with one product per
+    sphere and weight column, so a sphere's sums are, bit for bit, those
+    of a call with that sphere alone and the same ``max_points``: they do
+    not depend on which spheres share its calls.
     """
     radii = np.asarray(radii, dtype=float)
     k = radii.size
@@ -491,6 +499,11 @@ def sphere_sums(values, centers, radii, dirs: np.ndarray, weights: np.ndarray,
         # one contiguous row per column, each summed as its own product, so a
         # column sums exactly as a 1-D call with it does
         weights = np.ascontiguousarray(weights.T)
+
+    def per_sphere(vals: np.ndarray, w: np.ndarray) -> np.ndarray:
+        # (b, 1, s) @ (s,) -> (b, 1) and (s,) @ (b, s, dim) -> (b, dim): one product a sphere
+        return (vals[:, None] @ w)[:, 0] if vals.ndim == 2 else w @ vals
+
     m = weights.shape[-1]
     per_slice = math.ceil(m / math.ceil(m / cap))
     out = {}
@@ -505,12 +518,10 @@ def sphere_sums(values, centers, radii, dirs: np.ndarray, weights: np.ndarray,
             got = values(pts, part_dirs, nodes)
             for j, vals in enumerate(got if isinstance(got, tuple) else (got,)):
                 vals = np.asarray(vals)
-                w = part_weights if j == 0 or part_weights.ndim == 1 else part_weights[0]
-                if w.ndim == 1:
-                    # (b, s) @ (s,) -> (b,);  (s,) @ (b, s, dim) -> (b, dim)
-                    sums = vals @ w if vals.ndim == 2 else w @ vals
+                if part_weights.ndim == 1:
+                    sums = per_sphere(vals, part_weights)
                 else:
-                    sums = np.stack([vals @ c if vals.ndim == 2 else c @ vals for c in w], axis=1)
+                    sums = np.stack([per_sphere(vals, c) for c in part_weights], axis=1)
                 if j not in out:
                     out[j] = np.zeros((k,) + sums.shape[1:], dtype=complex)
                 out[j][nodes] += sums

@@ -54,7 +54,7 @@ takes that rule unprobed: a probe would cost more than it saves.
 Otherwise one ``numerics.walk_ladder``, the walk the source actions use,
 probes the fields on the outermost sphere of each point of largest |t|
 (the hardest to resolve), summing what the batch sums, one
-``sphere_sums`` pass per field and rung of ``numerics.SPHERE_LADDER``.
+``sphere_sums`` pass for all fields per rung of ``numerics.SPHERE_LADDER``.
 It keeps the lower rung of the first pair whose sums agree to
 ``U_ROUNDING`` of the field scale, climbing past sphere order 24 where no
 lower pair agrees, up to the top rung, and the probe's sums on that rung
@@ -62,16 +62,15 @@ stand for the batch's own on those spheres, so each sphere is still
 taken once.  A probe visits only the spheres of largest |t|, so a lattice
 pays one walk, not one per point.
 
-The packing rule: a batch of one point, and a batch of jets (the
-moments of ``_kirchhoff3_jet``) of any size, hands the evaluator one
-sphere per call (cut into slices of at most ``MAX_POINTS`` points where
-the rule is larger: S^4 has 20,000 nodes at sphere order 24).  So a
-single solve's sums do not depend on what else shares a call (several
-spheres per call would move them in the last bits), and a jet of a batch
-keeps the bits of the same jet alone wherever the batch keeps its rung;
-for the 16 blade coefficients of ``maxwell_extend``, several spheres'
-rows a call also cost more memory than one sphere's.  Every other batch
-packs up to ``MAX_POINTS`` points a call.
+Every pass hands the evaluator whole spheres, as many as fit in
+``MAX_POINTS`` points divided by the number of components of the
+values the pass has already seen (the last probe's sums), and fields
+left with the same spheres (v and w of ``_poisson5`` and of
+``_kirchhoff3_jet``) share one pass.  ``sphere_sums`` sums each sphere
+as alone, so no value depends on which spheres share a call: a single
+solve keeps the bits it has as a batch of one point, and a point of a
+batch keeps those of the same batch of it alone wherever the batch keeps
+its rung.
 
 Evaluators may be array-valued, mapping (m, n) points to (m, dim) rows:
 sphere means and radial derivatives act row-wise, so ``solve_cauchy``
@@ -187,15 +186,16 @@ def _columns(rule) -> np.ndarray:
 
 def _point_field(f: TestField):
     """``_sample``'s form of a field: ``field(r)`` gives its ``numerics.sphere_sums``
-    values on spheres of radii r, and ``field(r, sized=True)`` them and their moduli."""
+    values on spheres of radii r as a 1-tuple, and ``field(r, sized=True)`` them
+    and their moduli."""
     values = point_values(f)
 
     def bind(r: np.ndarray, sized: bool = False):
-        def both(pts: np.ndarray, dirs: np.ndarray, nodes: slice):
+        def sample(pts: np.ndarray, dirs: np.ndarray, nodes: slice) -> tuple:
             vals = values(pts, dirs, nodes)
-            return vals, np.abs(vals)
+            return (vals, np.abs(vals)) if sized else (vals,)
 
-        return both if sized else values
+        return sample
 
     return bind
 
@@ -207,14 +207,14 @@ def _slope_field(data: CauchyData):
     v_vals, w_vals = point_values(data.v), point_values(data.w)
 
     def bind(r: np.ndarray, sized: bool = False):
-        def values(pts: np.ndarray, dirs: np.ndarray, nodes: slice):
+        def sample(pts: np.ndarray, dirs: np.ndarray, nodes: slice) -> tuple:
             grad = data.v.gradient_at(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape)
             slope = np.einsum("bsn,sn->bs", grad, dirs)
             v, w, t = v_vals(pts, dirs, nodes), w_vals(pts, dirs, nodes), r[nodes, None]
             u = v + t * (slope + w)
-            return (u, np.abs(v) + np.abs(t) * (np.abs(slope) + np.abs(w))) if sized else u
+            return (u, np.abs(v) + np.abs(t) * (np.abs(slope) + np.abs(w))) if sized else (u,)
 
-        return values
+        return sample
 
     return bind
 
@@ -226,33 +226,48 @@ def _sample(fields, xs: np.ndarray, ts: np.ndarray, radii, moments: bool = False
     of radii ``radii[j]``, a (k, p_j) array, about xs, each distinct
     (point, radius) once, with the rule's weights or, with ``moments``,
     ``_columns``: one (k, p_j, ...) array per field.  The rule is that of
-    ``SPHERE_ORDER`` when its spheres all fit in one evaluator call
-    (``MAX_POINTS``).  Otherwise ``numerics.walk_ladder`` probes every
-    field, with the same weights, on the outermost sphere of each point of
-    largest |t| (the hardest to resolve), and the largest mean size of a
-    field there is the field's size; the batch takes the lower rung of the
-    first agreeing pair, and the probe's sums on it stand for the batch's
-    own on those spheres.  A batch of one point or of moments hands the
-    evaluator one sphere per call (or a slice of one, past ``MAX_POINTS``),
-    any other batch up to ``MAX_POINTS`` points.
+    ``SPHERE_ORDER`` when the spheres of all fields fit in one evaluator call
+    (``MAX_POINTS`` points).  Otherwise ``numerics.walk_ladder`` probes all
+    fields in one ``sphere_sums`` pass per rung, with the same weights, on
+    the outermost sphere of each point of largest |t| (the hardest to
+    resolve), and the largest mean size of a field there is the field's
+    size; the batch takes the lower rung of the first agreeing pair, and
+    the probe's sums on it stand for the batch's own on those spheres.
+    Fields left with the same spheres share one pass.  Every pass hands
+    each evaluator whole spheres, as many as fit in ``MAX_POINTS`` points
+    divided by the largest number of components of a field's values in
+    the last probe's sums (one before any probe), or one sphere (cut into
+    slices past ``MAX_POINTS``) where a sphere alone is larger;
+    ``sphere_sums`` sums each sphere as alone, so no sum depends on how
+    the spheres are packed.
     """
-    k, dim = xs.shape[0], xs.shape[1] - 1
+    dim = xs.shape[1] - 1
     rows = [rad.tolist() for rad in radii]
     spheres = [sorted({(i, r) for i, row in enumerate(f) for r in row}) for f in rows]
+    width = 1  # components of the widest field's values, read from the last probe
 
     def weighted(orders: tuple[int, ...]):
         rule = sphere_rule(dim, orders)
         return rule, _columns(rule) if moments else rule.weights
 
-    def sums(field, rule, weights: np.ndarray, at: np.ndarray, r: np.ndarray, sized=False):
-        return sphere_sums(field(r, sized), xs[at], r, rule.nodes, weights,
-                           rule.weights.size if k == 1 or moments else MAX_POINTS)
+    def sums(group, rule, weights: np.ndarray, at: np.ndarray, r: np.ndarray,
+             sized=False) -> tuple:
+        bound = [fields[j](r, sized) for j in group]
+
+        def values(pts: np.ndarray, dirs: np.ndarray, nodes: slice) -> tuple:
+            return tuple(chain.from_iterable(field(pts, dirs, nodes) for field in bound))
+
+        # a lone field's tuple is already the pass's
+        return sphere_sums(values if len(bound) > 1 else bound[0], xs[at], r, rule.nodes,
+                           weights, max(rule.weights.size, MAX_POINTS // width))
 
     def probe(orders: tuple[int, ...]):
-        ruled = weighted(orders)
-        found, sizes = zip(*(sums(field, *ruled, outer, rho, sized=True) for field in fields))
+        nonlocal width
+        found = sums(range(len(fields)), *weighted(orders), outer, rho, sized=True)
+        found, sizes = found[0::2], found[1::2]
+        width = max(math.prod(s.shape[1 + moments:]) for s in found)
         return (np.column_stack([s.reshape(len(outer), -1) for s in found]),
-                max(float(s.real.max()) for s in sizes), found)
+                max(float((s[:, 0] if moments else s).real.max()) for s in sizes), found)
 
     orders, known, probed = sphere_levels(dim), [None] * len(fields), []
     if sum(map(len, spheres)) * math.prod(orders) > MAX_POINTS:
@@ -261,15 +276,19 @@ def _sample(fields, xs: np.ndarray, ts: np.ndarray, radii, moments: bool = False
         probed = [(i, max(chain(*(f[i] for f in rows)), key=abs)) for i in outer.tolist()]
         rho = np.array([r for _, r in probed])
         orders, known, _ = walk_ladder(dim, probe)
-    ruled, out, done = weighted(orders), [], set(probed)
-    for field, f, todo, got in zip(fields, rows, spheres, known):
-        todo = [sphere for sphere in todo if sphere not in done]
-        if todo:
-            at, r = zip(*todo)
-            taken = sums(field, *ruled, np.array(at), np.array(r))
-            got = taken if got is None else np.concatenate([got, taken])
+    ruled, done, known, out = weighted(orders), set(probed), list(known), []
+    todo = [[sphere for sphere in f if sphere not in done] for f in spheres]
+    passes: dict[tuple, list[int]] = {}
+    for j, left in enumerate(todo):
+        if left:
+            passes.setdefault(tuple(left), []).append(j)
+    for left, group in passes.items():
+        at, r = zip(*left)
+        for j, taken in zip(group, sums(group, *ruled, np.array(at), np.array(r))):
+            known[j] = taken if known[j] is None else np.concatenate([known[j], taken])
+    for f, left, got in zip(rows, todo, known):
         # the rows of got are the probe's spheres' sums, then those of the rest
-        row_of = {sphere: j for j, sphere in enumerate(probed + todo)}
+        row_of = {sphere: j for j, sphere in enumerate(probed + left)}
         out.append(got[[[row_of[i, r] for r in row] for i, row in enumerate(f)]])
     return out
 
@@ -310,9 +329,8 @@ def _kirchhoff3_jet(data: CauchyData, xs: np.ndarray, ts: np.ndarray):
     and u is ``_kirchhoff3``'s stencil sum.  M is even in r
     and N odd, so the moments of a negative radius are those of |r| with N
     negated.  grad[i] has one row per axis of x.  The batch's spheres share
-    one rule and each goes to the evaluator alone (``_sample``'s moments),
-    so a point's values are those of a batch of it alone wherever the
-    batch keeps the rung that point would keep.
+    one rule, so a point's values are those of a batch of it alone wherever
+    the batch keeps the rung that point would keep.
     """
     r1, c1 = fd_stencil(ts[:, None], RADIAL_FD, 1)
     r2, c2 = fd_stencil(ts[:, None], RADIAL_FD, 2)

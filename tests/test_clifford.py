@@ -30,6 +30,8 @@ from cxpt.clifford import (
     _batch_mul,
     _dirac_evaluator,
     _dirac_tilde,
+    _dirac_tilde_stencil,
+    _dirac_tilde_sum,
     _kernel_batch,
     _ring,
     _vectors,
@@ -45,7 +47,6 @@ from cxpt.clifford import (
     cauchy_kernel_field,
     dirac_apply,
     dirac_field,
-    dirac_tilde_apply,
     extended_borel_pompeiu,
     maxwell_extend,
     mv_mul,
@@ -686,6 +687,13 @@ MAXWELL_POINTS = [((0.3, 0.7, -0.2), 0.6), ((0.0, 0.2, 0.5), 1.1), ((-0.4, 1.0, 
                   ((0.3, 0.7, -0.2), -0.7), ((0.3, 0.7, -0.2), 0.02)]
 
 
+def dirac_tilde_apply(g, algebra, x, t, scheme):
+    """Nested-FD oracle: D~ = D - i e0 d_t by ``scheme`` over coefficient rows
+    g(x, t), one call of g per stencil point (e_1..e_n for n = ``x.size``)."""
+    xs, ts, weights = _dirac_tilde_stencil(x, t, scheme)
+    return _dirac_tilde_sum(algebra, weights, [g(xx, float(tt)) for xx, tt in zip(xs, ts)])
+
+
 def _demo_current(st, x, t):
     """j~ of cos(x_2) e0e1: (-sin x_2 cos t) e2 e0e1 + (i cos x_2 sin t) e0 e0e1."""
     e01 = st.blade((0, 1))
@@ -711,16 +719,17 @@ def test_maxwell_current_from_one_jet(xt):
 
 
 def test_maxwell_at_rest_evaluates_f_once():
-    """At t = 0, f~ is f at the one point: maxwell_extend makes 84 evaluator calls
+    """At t = 0, f~ is f at the one point: maxwell_extend makes 32 evaluator calls
     on 6,247 points (85 on 6,259 while each t = 0 jet of the continuity batch also
-    evaluated f, and the batch discarded it)."""
+    evaluated f, and the batch discarded it; 84 while the jets took one sphere a
+    call)."""
     f = maxwell_demo_field()
     sizes = []
     counted = SpacetimeMultivectorField(
         f.algebra, 3, lambda pts: sizes.append(len(pts)) or f.evaluator(pts), f.s_derivative)
     x = np.array([0.3, -0.2, 0.1])
     ft, _, residual = maxwell_extend(counted, x, 0.0, 0.0)
-    assert (len(sizes), sum(sizes)) == (84, 6247)
+    assert (len(sizes), sum(sizes)) == (32, 6247)
     assert np.array_equal(ft.coeffs, f.value(x, 0.0).coeffs)
     assert residual <= 1e-20
 
@@ -754,11 +763,13 @@ def test_maxwell_evaluator_cost():
     """One maxwell_extend is the point's jet and one batch of the residual's 16
     stencil jets.  The jet probes v on the (6, 12) and (9, 18) rules of S^2 (72
     and 162 points), which agree, then takes the 6 radii inside the probe's on
-    the (6, 12) rule: 8 calls and 666 points of v (w comes from the exact
+    the (6, 12) rule, three a call (216 points, within MAX_POINTS / 16 for the 16
+    blade coefficients): 4 calls and 666 points of v (w comes from the exact
     s-derivative).  The batch probes the outermost sphere of its latest jet
     (t + 0.06) the same way, then takes its other 111 distinct spheres on
-    (6, 12), one a call: 113 calls and 8,226 points, against 16 x 8 calls and
-    16 x 666 points with one walk per jet."""
+    (6, 12), three a call: 39 calls and 8,226 points, against 16 x 8 calls and
+    16 x 666 points with one walk per jet, and 121 calls in all with one
+    sphere a call."""
     f = maxwell_demo_field()
     sizes = []
 
@@ -768,7 +779,7 @@ def test_maxwell_evaluator_cost():
 
     g = SpacetimeMultivectorField(f.algebra, 3, ev, s_derivative=f.s_derivative)
     maxwell_extend(g, np.array([0.3, 0.7, -0.2]), 0.0, 0.6)
-    assert (len(sizes), sum(sizes), max(sizes)) == (121, 8_892, 162)
+    assert (len(sizes), sum(sizes), max(sizes)) == (43, 8_892, 216)
 
 
 @pytest.mark.parametrize("xt", MAXWELL_POINTS[:1] + [((0.1, -0.4, 0.8), 0.0)])

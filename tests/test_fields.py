@@ -14,6 +14,7 @@ from cxpt.fields import (
     gaussian,
     parse_field_spec,
     plane_wave,
+    poly_eval,
     polynomial,
 )
 
@@ -32,6 +33,30 @@ def test_polynomial_and_gradient(rng):
     assert grad[0] == pytest.approx(1.5 * 2 * 0.5 * 2.0)
     assert grad[1] == pytest.approx(-2.0)
     assert grad[2] == pytest.approx(1.5 * 0.25)
+
+
+def _poly_eval_loop(table, pts):
+    """The reference: one np.full per term, each power taken afresh."""
+    out = np.zeros(pts.shape[0], dtype=complex)
+    for alpha, c in table.items():
+        term = np.full(pts.shape[0], complex(c))
+        for k, e in enumerate(alpha):
+            if e:
+                term = term * pts[:, k] ** e
+        out += term
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_poly_eval_matches_the_term_loop_bit_for_bit(rng, n):
+    """Sharing each power x_k^e across the terms keeps every bit of the loop that
+    takes them per term, on random tables with a constant term and complex
+    coefficients."""
+    for _ in range(5):
+        alphas = {(0,) * n} | {tuple(rng.integers(0, 5, size=n).tolist()) for _ in range(12)}
+        table = {alpha: complex(*rng.normal(size=2)) for alpha in alphas}
+        pts = rng.normal(size=(257, n)) * rng.uniform(0.1, 3.0)
+        assert poly_eval(table, pts).tobytes() == _poly_eval_loop(table, pts).tobytes()
 
 
 def test_gaussian_plane_wave_values():

@@ -370,9 +370,9 @@ def test_sphere_sums_weight_matrix_matches_columns(rng, max_points):
 
 @pytest.mark.parametrize("dim, max_points", [(2, MAX_POINTS), (2, 500), (4, MAX_POINTS)])
 def test_sphere_sums_of_values_and_sizes(rng, dim, max_points):
-    """values returning (f, |f|) give f's sums and |f|'s sums with the first weight
-    column, each bit for bit the sums of a call with that array alone, also where
-    the rule is cut into slices (S^4)."""
+    """values returning (f, |f|) give f's sums and |f|'s sums, each with every
+    weight column and bit for bit the sums of a call with that array alone, also
+    where the rule is cut into slices (S^4)."""
     rule = sphere_rule(dim)
     k = rng.normal(size=dim + 1)
     radii = np.array([0.0, 0.3, 1.2, -0.7])
@@ -385,11 +385,44 @@ def test_sphere_sums_of_values_and_sizes(rng, dim, max_points):
     for weights in (rule.weights, np.column_stack([rule.weights, rule.weights * rule.nodes[:, 0]])):
         got, sizes = sphere_sums(lambda *args: (values(*args), sized(*args)), centers, radii,
                                  rule.nodes, weights, max_points)
-        first = np.ascontiguousarray(weights.reshape(weights.shape[0], -1)[:, 0])
         assert np.array_equal(got, sphere_sums(values, centers, radii, rule.nodes, weights,
                                                max_points))
-        assert np.array_equal(sizes, sphere_sums(sized, centers, radii, rule.nodes, first,
+        assert np.array_equal(sizes, sphere_sums(sized, centers, radii, rule.nodes, weights,
                                                  max_points))
+
+
+@pytest.mark.parametrize("dim, order, max_points",
+                         [(2, 24, MAX_POINTS), (2, 9, 500), (3, 9, 500), (4, 24, MAX_POINTS)])
+def test_sphere_sums_do_not_depend_on_what_shares_a_call(rng, dim, order, max_points):
+    """With several spheres a call (one a call, in slices, for the 20,000-node S^4
+    rule), each sphere's sums are, bit for bit, those of a call with that sphere
+    alone: (m,) and (m, dim) values, 1-D and 2-D weights, one centre or one
+    centre per radius, and tuples of arrays."""
+    rule = sphere_rule(dim, sphere_levels(dim, order))
+    k = rng.normal(size=dim + 1)
+    radii = np.array([0.0, 0.05, 0.3, 0.3, 1.2, -0.7, 2.0])
+    centers = rng.normal(size=(radii.size, dim + 1))
+    scalar = point_values(lambda pts: np.exp(1j * pts @ k) + pts[:, 0] ** 2)
+    rows = point_values(lambda pts: np.column_stack([np.exp(1j * pts @ k), pts[:, -1]]))
+    packed = []
+
+    def both(pts, dirs, nodes):
+        packed.append(pts.shape[0])  # spheres in the call
+        return scalar(pts, dirs, nodes), rows(pts, dirs, nodes)
+
+    columns = np.column_stack([rule.weights, rule.weights[:, None] * rule.nodes])
+    for weights in (rule.weights, columns):
+        for c in (centers, centers[0]):
+            for values in (scalar, rows, both):
+                got = sphere_sums(values, c, radii, rule.nodes, weights, max_points)
+                for i in range(radii.size):
+                    alone = sphere_sums(values, c if c.ndim == 1 else c[i:i + 1],
+                                        radii[i:i + 1], rule.nodes, weights, max_points)
+                    for g, a in zip(got if values is both else (got,),
+                                    alone if values is both else (alone,)):
+                        assert g[i].tobytes() == a[0].tobytes()
+    # every call but the S^4 rule's slices holds several spheres
+    assert max(packed) == (1 if rule.weights.size > MAX_POINTS else max_points // rule.weights.size)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])

@@ -244,6 +244,52 @@ def test_single_solves_keep_their_bits(case):
     assert repr(got) == PINNED_SOLVES[case]
 
 
+def _complex_source(n, s, y):
+    """Cauchy data of the complex-source wave Psi = sigma^(-(n-1)/2), where
+    sigma = (x - iy).(x - iy) - (t - is)^2, and Psi itself.  With s > |y|, sigma
+    never vanishes at real (x, t), so Psi solves the wave equation everywhere;
+    n = 2 takes the principal branch, which is continuous for y = 0 (sigma is
+    real only at t = 0, where it is |x|^2 + s^2 > 0)."""
+    a, y = -(n - 1) / 2.0, np.asarray(y, dtype=float)
+
+    def sigma0(pts):
+        d = pts - 1j * y
+        return np.sum(d * d, axis=1) + s * s
+
+    v = TestField(lambda pts: sigma0(pts) ** a,
+                  gradient=lambda pts: (2 * a * sigma0(pts) ** (a - 1))[:, None] * (pts - 1j * y))
+    w = TestField(lambda pts: 2j * s * a * sigma0(pts) ** (a - 1))
+
+    def psi(x, t):
+        d = np.asarray(x) - 1j * y
+        return complex(d @ d - (t - 1j * s) ** 2) ** a
+
+    return CauchyData(v, w, n), psi
+
+
+#: Ten times the worst relative error against Psi (s = 1, y = 0) of the solves at
+#: ``test_complex_source_wave``'s points, single and as one lattice: 3.0e-16 and
+#: 1.2e-14 (n = 2), 4.6e-16 and 2.0e-13 (n = 3), 6.4e-13 and 6.4e-13 (n = 5).
+COMPLEX_SOURCE_BOUNDS = {2: (3e-15, 1.3e-13), 3: (4.6e-15, 2.1e-12), 5: (6.4e-12, 6.4e-12)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_complex_source_wave(n):
+    """The complex-source wave at s = 1, y = 0, at random x in [-1, 1]^n and
+    |t| <= 1.5 (4 points, 2 for n = 5), solved one point at a time and as one
+    lattice.  A single n = 2 or 3 solve takes one unprobed sphere of sphere order
+    24; a lattice keeps the rung its probe at the largest |t| keeps."""
+    data, psi = _complex_source(n, 1.0, np.zeros(n))
+    rng = np.random.default_rng(1)
+    xs = rng.uniform(-1.0, 1.0, size=(4 if n < 5 else 2, n))
+    ts = rng.uniform(-1.5, 1.5, size=len(xs))
+    want = np.array([psi(x, t) for x, t in zip(xs, ts)])
+    single = np.array([solve_cauchy(data, x, t) for x, t in zip(xs, ts)])
+    lattice = wave._solve_lattice(data, xs, ts)
+    for got, bound in zip((single, lattice), COMPLEX_SOURCE_BOUNDS[n]):
+        assert np.max(np.abs(got - want) / np.abs(want)) <= bound
+
+
 def test_wave_residual_zero_data():
     data = CauchyData(constant(0.0), constant(0.0), 3)
     assert wave_residual(data, np.zeros(3), 0.5, h=0.05, half_points=1) == 0.0
@@ -448,7 +494,10 @@ def test_solve_takes_each_stencil_radius_once(n, means, rule_points):
     n = 3, whose w takes only |t|; v's and w's for n = 5): at t = 0.7 the
     (6, 12) rule on S^2 (2 x (72 + 162) + 6 x 72 = 900 points, against
     7 x 1,152 on the rule of SPHERE_ORDER) and the (6, 6, 6, 12) rule on S^4
-    (2 x 8,838 + 12 x 2,592 = 48,780 points, against 14 x 20,000)."""
+    (2 x 8,838 + 12 x 2,592 = 48,780 points, against 14 x 20,000).  After the
+    probe each pass packs whole spheres up to MAX_POINTS points a call: v's
+    other 5 spheres on S^2 in one call of 360 points, then w's one, but one
+    S^4 sphere of 2,592 points a call."""
     k = np.linspace(0.4, 0.9, n)
     sizes = []
     data = CauchyData(_counted(plane_wave(k), sizes), _counted(cosine_wave(k), sizes), n)
@@ -468,13 +517,17 @@ def test_solve_takes_each_stencil_radius_once(n, means, rule_points):
     solve_cauchy(data, np.full(n, 0.1), 0.7)
     kept = {3: 0, 5: 3}[n]
     assert sum(sizes) == cost(kept) < means * rule_points
-    assert sizes[-(means - reused):] == [points[kept]] * (means - reused)
+    rest = {3: [5 * points[kept], points[kept]], 5: [points[kept]] * (means - reused)}[n]
+    assert sizes[-len(rest):] == rest
 
 
-def test_moment_batches_take_one_sphere_per_call():
-    """A batch of jets hands the evaluator one sphere per call, probe and batch
-    alike, as a single jet does, so each jet's sums do not depend on what else
-    shares the batch; a lattice of solves packs several spheres a call."""
+def test_moment_batches_pack_whole_spheres():
+    """A batch of jets packs whole spheres into each evaluator call, as a lattice
+    of solves does: three jets probe v on the outermost sphere of the latest
+    (t = 1.1) on (6, 12), (9, 18) and (12, 24), keep (9, 18), and take their
+    other 20 spheres in one call of 3,240 points.  The latest jet keeps, bit for
+    bit, its values alone (its walk probes the same sphere), since each sphere is
+    summed as alone whatever shares its call."""
     mode = harmonic_mode([0.8, 0.0, 0.6])
     sizes = []
 
@@ -483,13 +536,37 @@ def test_moment_batches_take_one_sphere_per_call():
         return mode.evaluator(pts)
 
     xs = np.array([[0.3, 0.1, -0.2], [0.0, 0.2, 0.5], [-0.4, 1.0, 0.0]])
-    wave._extension_jets(SpacetimeField(ev, mode.s_derivative), xs, 0.1,
-                         np.array([0.6, 1.1, 0.3]))
-    assert len(sizes) > 21 and set(sizes) <= set(_rung_points(3))
+    ts = np.array([0.6, 1.1, 0.3])
+    jets = wave._extension_jets(SpacetimeField(ev, mode.s_derivative), xs, 0.1, ts)
+    assert sizes == [72, 162, 288, 20 * 162]
+    alone = wave._extension_jets(mode, xs[1:2], 0.1, ts[1:2])
+    for got, want in zip(jets, alone):
+        assert got[1].tobytes() == want[0].tobytes()
     sizes.clear()
     wave._solve_lattice(CauchyData(_counted(plane_wave(K_UNIT), sizes), constant(0.0), 3),
-                        xs, np.array([0.6, 1.1, 0.3]))
+                        xs, ts)
     assert max(sizes) > max(_rung_points(3)[:SPHERE_LADDER.index(SPHERE_ORDER) + 1])
+
+
+def test_wide_fields_keep_to_the_point_budget():
+    """A field of (m, 16) values gets whole spheres, at most MAX_POINTS // 16 points
+    a call, or one sphere where a sphere alone is larger, once a probe has read its
+    width.  Four jets probe their two latest outermost spheres on (6, 12) in one
+    call (the width is not known yet), then one on (9, 18) a call, keep (6, 12),
+    and take their other 26 spheres three a call."""
+    mode = harmonic_mode([0.8, 0.0, 0.6])
+    scale = np.arange(1.0, 17.0)
+    sizes = []
+
+    def ev(pts):
+        sizes.append(pts.shape[0])
+        return mode.evaluator(pts)[:, None] * scale
+
+    field = SpacetimeField(ev, lambda pts: mode.s_derivative(pts)[:, None] * scale)
+    xs = np.array([[0.3, 0.1, -0.2], [0.0, 0.2, 0.5], [-0.4, 1.0, 0.0], [0.1, 0.1, 0.1]])
+    wave._extension_jets(field, xs, 0.1, np.array([0.2, 0.3, 0.25, 0.3]))
+    assert sizes == [2 * 72, 162, 162] + [3 * 72] * 8 + [2 * 72]
+    assert all(size <= MAX_POINTS // 16 or size in _rung_points(3) for size in sizes[1:])
 
 
 @pytest.mark.parametrize("t", [0.1, 1.0, -1.0])
