@@ -7,9 +7,10 @@ Conventions used throughout the library:
   and is mapped affinely.  ``integrate_interval`` uses one nested rule:
   the Kronrod rule K_{2N+1} on the N Gauss nodes and N + 1 more, whose
   value is K and whose error estimate is |K - G_N|, from one call of the
-  integrand.  Every interval rule of the library has Gauss order
-  ``INTERVAL_ORDER``, as every sphere rule no walk chooses has sphere
-  order ``SPHERE_ORDER``; neither is settable.
+  integrand for a whole set of panels, each summed as alone.  Every
+  interval rule of the library has Gauss order ``INTERVAL_ORDER``, as
+  every sphere rule no walk chooses has sphere order ``SPHERE_ORDER``;
+  neither is settable.
 * Sphere rules carry the *normalized* measure: weights sum to 1 on every
   S^m.  The area factor omega_n = 2 pi^{n/2} / Gamma(n/2) is applied
   explicitly by callers where a formula demands it, never implicitly.
@@ -25,8 +26,8 @@ Conventions used throughout the library:
 * Summation order within a rule is fixed (ascending node index), so a
   given invocation is bitwise reproducible.
 * Integrands and field evaluators are vectorized: ``integrate_interval``
-  hands the integrand the array of a rule's nodes in one call.  Errors
-  they raise reach the caller unchanged.
+  hands the integrand the array of a rule's nodes on every panel of a
+  set in one call.  Errors they raise reach the caller unchanged.
 * ``sphere_sums`` is the one sphere-mean kernel: rule-weighted sums over
   the spheres ``center + radius * dirs`` for a whole array of radii (and
   centers) at once, handing the field at most ``MAX_POINTS`` points per
@@ -443,27 +444,46 @@ def _as_batch_eval(f) -> Callable[[np.ndarray], np.ndarray]:
 
 def integrate_interval(
     g: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
+    lo: float | np.ndarray,
+    hi: float | np.ndarray,
     order: int = INTERVAL_ORDER,
-) -> IntervalIntegral:
-    """Gauss-Kronrod integral of ``g`` over [lo, hi] with an error estimate.
+) -> IntervalIntegral | list[IntervalIntegral]:
+    """Gauss-Kronrod integrals of ``g`` over [lo, hi] with error estimates.
 
-    ``g`` receives the array of the 2N+1 nodes of ``gauss_kronrod(order)``
-    in one call and must accept it; it returns one value per node or a
-    scalar, which is broadcast.  The value is the Kronrod sum K, and the
-    error estimate |K - G| against the Gauss rule on every other node.
+    ``lo`` and ``hi`` are numbers, one panel, or equal-length 1-D arrays of
+    panel ends.  ``g`` receives, in one call, the 1-D array of the 2N+1
+    nodes of ``gauss_kronrod(order)`` on every panel, panel after panel,
+    and must accept it; it returns one value per node or a scalar, which
+    is broadcast.  A panel's value is the Kronrod sum K, and its error
+    estimate |K - G| against the Gauss rule on every other node.  Each
+    panel is summed with its own products, so it is, bit for bit, what a
+    call with that panel alone gives.  Returns one ``IntervalIntegral``
+    for numbers and a list of them, one per panel, for arrays.
     """
-    if not lo < hi:
-        raise ValueError(f"integrate_interval needs lo < hi, got [{lo}, {hi}]")
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if lo.shape != hi.shape or lo.ndim > 1:
+        raise ValueError("integrate_interval needs lo and hi as numbers or equal-length "
+                         f"1-D arrays, got shapes {lo.shape} and {hi.shape}")
+    batch = lo.ndim == 1
+    lo, hi = np.atleast_1d(lo, hi)
+    bad = np.flatnonzero(~(lo < hi))
+    if bad.size:
+        raise ValueError(f"integrate_interval needs lo < hi, got [{lo[bad[0]]}, {hi[bad[0]]}]")
     rule = gauss_kronrod(order)
     half = 0.5 * (hi - lo)
-    x = half * rule.nodes + 0.5 * (hi + lo)
-    vals = np.broadcast_to(g(x), x.shape)
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteIntegrandError(f"integrand returned a non-finite value on [{lo}, {hi}]")
-    value = complex(half * np.dot(rule.weights, vals))
-    return IntervalIntegral(value, abs(value - complex(half * np.dot(rule.gauss_weights, vals))))
+    x = half[:, None] * rule.nodes + (0.5 * (hi + lo))[:, None]
+    vals = np.broadcast_to(g(x.ravel()), x.size).reshape(x.shape)
+    bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
+    if bad.size:
+        raise NonFiniteIntegrandError(
+            f"integrand returned a non-finite value on [{lo[bad[0]]}, {hi[bad[0]]}]")
+    parts = []
+    for h, row in zip(half, vals):
+        # one product per panel and rule: a shared matrix product would move bits
+        value = complex(h * np.dot(rule.weights, row))
+        gauss = complex(h * np.dot(rule.gauss_weights, row))
+        parts.append(IntervalIntegral(value, abs(value - gauss)))
+    return parts if batch else parts[0]
 
 
 def sphere_sums(values, centers, radii, dirs: np.ndarray, weights: np.ndarray,

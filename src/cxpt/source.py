@@ -62,14 +62,15 @@ derivatives inside one panel centred on u = a^2.  The odd-n ones take
 the rim Taylor terms and the Taylor-subtracted q-quotient by exact
 division on the panel ending at the rim, and the quotients directly
 elsewhere, where nothing cancels.  Each u-panel's q-integral is one
-Gauss-Kronrod call of order ``numerics.INTERVAL_ORDER``, as is each
-theta-panel below.
+Gauss-Kronrod call of order ``numerics.INTERVAL_ORDER``.
 
 The regularized action integrates over theta-panels (q = a sin theta)
-that grow by ``THETA_GROWTH`` from eps / a, each one Gauss-Kronrod call,
-and halves the panel with the largest |K - G| until the estimates sum to
-``U_ROUNDING`` of Sum |K|, raising ``ConvergenceError`` once a panel has
-been halved ``U_SPLITS`` times.  A zero action stops at rounding instead:
+that grow by ``THETA_GROWTH`` from eps / a, on both sides of theta = 0,
+all in one Gauss-Kronrod call of the same order (so one field pass), and
+halves the panel with the largest |K - G|, its two halves in one call
+(one pass each halving), until the estimates sum to ``U_ROUNDING`` of
+Sum |K|, raising ``ConvergenceError`` once a panel has been halved
+``U_SPLITS`` times.  A zero action stops at rounding instead:
 halving stops once Sum |K| is below ``U_ROUNDING`` of the Sum |K| a field
 as large as f's means of |f| on the spheroid would give.  ``_regularized`` also returns its error
 estimate, (Sum |K - G| + (2^-52 + rule_error) Sum |K|) times the
@@ -572,10 +573,12 @@ def regularized_action(f: TestField, y: Sequence[float] | np.ndarray, n: int,
     The q-integral is taken in q = a sin(theta) (absorbing the
     (a^2-q^2)^nu endpoint weight) on Gauss-Kronrod theta-panels that grow
     geometrically away from theta = 0, where the kernel (eps + iq)^{1-n}
-    peaks; the panel with the largest |K - G| is halved until the sum of
-    those estimates falls to ``U_ROUNDING`` of Sum |K|, or Sum |K| itself
-    falls below ``U_ROUNDING`` of the largest mean of |f| on the spheroid's
-    probe spheres times a bound of the kernel's integral (a zero action).
+    peaks, all integrated in one call of the integrand, so one pass over
+    the field; the panel with the largest |K - G| is halved, its two
+    halves taking one more pass, until the sum of those estimates falls
+    to ``U_ROUNDING`` of Sum |K|, or Sum |K| itself falls below
+    ``U_ROUNDING`` of the largest mean of |f| on the spheroid's probe
+    spheres times a bound of the kernel's integral (a zero action).
     """
     return _regularized(f, y, n, eps).value
 
@@ -609,16 +612,20 @@ def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
         fs, fsp = af.sample(rho, zeta, eps * rho / (a**2 + eps**2), q / a)
         return (a * np.cos(theta)) ** (n - 2) * (fs + gamma * fsp / (n - 2)) / gamma ** (n - 1)
 
-    def panel(lo: float, hi: float, depth: int):
-        return lo, hi, depth, integrate_interval(integrand, lo, hi, order=INTERVAL_ORDER)
+    def integrated(lo: list[float], hi: list[float], depth: int):
+        """The theta-panels [lo_i, hi_i], all from one integrand call."""
+        parts = integrate_interval(integrand, np.array(lo), np.array(hi), order=INTERVAL_ORDER)
+        return [(l, h, depth, part) for l, h, part in zip(lo, hi, parts)]
 
     half = math.pi / 2.0
     breaks = [0.0, min(max(eps / a, 1e-6), half)]
     while breaks[-1] < half:
         breaks.append(min(half, THETA_GROWTH * breaks[-1]))
-    panels = []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        panels += [panel(lo, hi, 0), panel(-hi, -lo, 0)]
+    lo, hi = [], []
+    for start, end in zip(breaks, breaks[1:]):
+        lo += [start, -end]        # each geometric panel, then its mirror image
+        hi += [end, -start]
+    panels = integrated(lo, hi, 0)
     floor = None
     while True:
         error = sum(part.error for *_, part in panels)
@@ -645,7 +652,7 @@ def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
                 f"|y| = {a:g} is not resolved on theta-panels halved {U_SPLITS} times "
                 f"(estimate {part.error:.2e} on [{lo:.3g}, {hi:.3g}], size {scale:.2e})")
         mid = 0.5 * (lo + hi)
-        panels[worst:worst + 1] = [panel(lo, mid, depth + 1), panel(mid, hi, depth + 1)]
+        panels[worst:worst + 1] = integrated([lo, mid], [mid, hi], depth + 1)
     prefactor = (a**2 + eps**2) ** (nu + 1.0) / (a ** (n - 2) * _omega_ratio(n))
     value = prefactor * sum(part.value for *_, part in panels)
     return SourceAction(value, None, prefactor * (error + (2.0**-52 + af.rule_error) * scale))

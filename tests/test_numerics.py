@@ -27,6 +27,7 @@ from cxpt.numerics import (
     _gauss,
     _jacobi_recurrence,
     FDScheme,
+    IntervalIntegral,
     circle_rule,
     derivative,
     fd_stencil,
@@ -164,6 +165,58 @@ def test_interval_one_call_on_kronrod_nodes():
     x = 0.5 * (rule.nodes + 1.0)
     assert err == pytest.approx(abs(0.5 * ((rule.weights - rule.gauss_weights) @ x**40)),
                                 rel=1e-12)
+
+
+#: Panels of mixed widths and signs, a tiny one and a wide one among them.
+PANELS = ([-1.3, -0.2, 0.0, 0.7, 1e-6, 2.5], [-0.4, -0.05, 0.7, 3.0, 2e-6, 2.5000001])
+
+
+@pytest.mark.parametrize("order", [8, 16])
+@pytest.mark.parametrize("g", [lambda q: np.exp(-q**2) * np.cos(7.0 * q),
+                               lambda q: np.exp(5j * q) / (0.1 + 1j * q) ** 2],
+                         ids=["real", "complex"])
+def test_interval_panels_match_one_panel_calls(order, g):
+    """A panel set takes one integrand call, on every panel's nodes in turn, and each
+    panel's value and estimate are, bit for bit, those of a call with it alone."""
+    seen = []
+
+    def recorded(q):
+        seen.append(q.copy())
+        return g(q)
+
+    lo, hi = PANELS
+    parts = integrate_interval(recorded, np.array(lo), np.array(hi), order=order)
+    assert len(seen) == 1 and seen[0].shape == (len(lo) * (2 * order + 1),)
+    batch_nodes = seen.pop()
+    alone = [integrate_interval(recorded, l, h, order=order) for l, h in zip(lo, hi)]
+    assert np.array_equal(batch_nodes, np.concatenate(seen))
+    assert repr(parts) == repr(alone)
+
+
+def test_interval_nonfinite_names_the_first_bad_panel():
+    lo, hi = np.array([0.0, 1.0, 2.0]), np.array([0.5, 1.5, 2.5])
+    with pytest.raises(NonFiniteIntegrandError, match=r"on \[1\.0, 1\.5\]$"):
+        integrate_interval(lambda q: np.where(q > 1.0, np.inf, q), lo, hi)
+
+
+def test_interval_scalar_call_keeps_its_types():
+    """Numbers give one IntervalIntegral of a complex and a float; arrays, a list."""
+    for lo, hi in ((0.0, 1.0), (0, 1), (np.float64(0.0), np.float64(1.0))):
+        part = integrate_interval(np.exp, lo, hi)
+        assert type(part) is IntervalIntegral
+        assert (type(part.value), type(part.error)) == (complex, float)
+    (one,) = integrate_interval(np.exp, np.array([0.0]), np.array([1.0]))
+    assert repr(one) == repr(part)
+    assert (type(one.value), type(one.error)) == (complex, float)
+
+
+def test_interval_panels_reject_bad_ends():
+    with pytest.raises(ValueError, match="equal-length 1-D arrays"):
+        integrate_interval(np.exp, np.zeros(2), np.ones(3))
+    with pytest.raises(ValueError, match="equal-length 1-D arrays"):
+        integrate_interval(np.exp, np.zeros((2, 1)), np.ones((2, 1)))
+    with pytest.raises(ValueError, match=r"lo < hi, got \[1\.0, 1\.0\]"):
+        integrate_interval(np.exp, np.array([0.0, 1.0]), np.array([1.0, 1.0]))
 
 
 def test_rule_weight_sums():

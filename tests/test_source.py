@@ -481,7 +481,8 @@ def test_gradient_free_slopes_share_the_centre_values():
 
 def test_gradient_free_sample_is_one_pass(monkeypatch):
     """Without a gradient a mean and its slope still take one kernel pass: f at each
-    sphere point and at its 4 SLOPE_FD nodes together, at most MAX_POINTS per call."""
+    sphere point and at its 4 SLOPE_FD nodes together, at most MAX_POINTS per call.
+    All 14 theta-panels at eps = 1e-3 share that pass, as one integrand call."""
     passes, integrand_calls, sizes = [], [], []
     kernel, integrate = source.sphere_sums, source.integrate_interval
 
@@ -497,10 +498,12 @@ def test_gradient_free_sample_is_one_pass(monkeypatch):
     exact = gaussian(1.3, center=np.full(3, 0.1))
     free = TestField(lambda pts: sizes.append(pts.shape[0]) or exact.evaluator(pts))
     value = regularized_action(free, [0.3, 0.0, 0.8], 3, 1e-3)
-    assert len(passes) == len(integrand_calls) == 14     # 98 passes before
-    # 56 calls on 206,976 points with the 6-node Richardson stencil before SLOPE_FD
-    assert (len(sizes), sum(sizes)) == (42, 147840)
-    assert max(sizes) <= MAX_POINTS
+    # 14, one per panel, before the panels shared a call; 98 before that
+    assert len(passes) == len(integrand_calls) == 1
+    # 42 calls on the same points with a pass per panel; 56 calls on 206,976 points
+    # with the 6-node Richardson stencil before SLOPE_FD
+    assert (len(sizes), sum(sizes)) == (39, 147840)
+    assert max(sizes) == 3840 <= MAX_POINTS
     assert value == pytest.approx(regularized_action(exact, [0.3, 0.0, 0.8], 3, 1e-3),
                                   abs=1e-13)
 
@@ -858,13 +861,45 @@ def test_regularized_error_estimate_covers_the_error(n, eps_set):
         assert abs(act.value - want) <= act.err_estimate <= 1e-6 * abs(want), eps
 
 
+#: ``repr`` of ``_regularized``'s (value, err_estimate), recorded while each theta-panel
+#: took its own integrand call: one call per panel set keeps them bit for bit.  The
+#: fields are exp(k.x) with k = (1, i, 0, ...) about y = 0.48 e_1 + 0.64 e_n, a
+#: gradient-free Gaussian, and k = 20 (1, i, 0), whose theta-panels are halved.
+PINNED_REGULARIZED = {
+    "n3-eps0.1": "((0.8869949227792839-0.46177917554148323j), 9.109586386663286e-15)",
+    "n3-eps0.01": "((0.8869949227792864-0.46177917554148373j), 4.082875116387187e-13)",
+    "n3-eps0.001": "((0.8869949227793944-0.4617791755414854j), 4.419667200091117e-12)",
+    "n4-eps0.1": "((0.8869949227792898-0.46177917554148384j), 1.6085476510109144e-13)",
+    "n4-eps0.01": "((0.8869949227796674-0.4617791755416237j), 7.415624930132072e-11)",
+    "n4-eps0.001": "((0.8869949228415628-0.4617791755415081j), 7.525052876764928e-09)",
+    "n5-eps0.1": "((0.8869949227793595-0.46177917554161657j), 6.9003181727945155e-12)",
+    "gradient-free": "((0.3443420254864564-0.09691526598230531j), 3.2511704810810304e-12)",
+    "halving": "((162754.79141968268+7.899687261669896e-08j), 2.43527885961521e-08)",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_REGULARIZED))
+def test_regularized_actions_keep_their_bits(case):
+    if case == "gradient-free":
+        f = TestField(gaussian(1.3, center=np.full(3, 0.1)).evaluator)
+        act = _regularized(f, [0.3, 0.0, 0.8], 3, 1e-3)
+    elif case == "halving":
+        act = _regularized(_harmonic_exponential(3, 20j)[0], [0.6, 0.0, 0.8], 3, 0.1)
+    else:
+        n, eps = int(case[1]), float(case.split("eps")[1])
+        y = np.zeros(n)
+        y[0], y[-1] = 0.48, 0.64
+        act = _regularized(_harmonic_exponential(n, 1.0)[0], y, n, eps)
+    assert repr((act.value, act.err_estimate)) == PINNED_REGULARIZED[case]
+
+
 def test_regularized_refines_a_sharp_field(monkeypatch):
     """exp(i k.x) with isotropic k = 20 (1, i, 0) is harmonic; its theta-panels are halved
     until |K - G| reaches rounding, and the action still equals f(-iy)."""
     panels = []
 
     def counted(g, lo, hi, *args, **kwargs):
-        panels.append((lo, hi))
+        panels.extend(zip(lo, hi))
         return integrate_interval(g, lo, hi, *args, **kwargs)
 
     monkeypatch.setattr(source, "integrate_interval", counted)
@@ -888,16 +923,16 @@ def test_regularized_unresolved_field_raises_convergence_error():
 
 def test_regularized_nonfinite_estimate_stops_at_once(monkeypatch):
     """A NaN estimate neither passes nor drives the halving: it raises at once."""
-    panels = []
+    calls = []
 
     def nan_estimate(g, lo, hi, *args, **kwargs):
-        panels.append((lo, hi))
-        return IntervalIntegral(1.0 + 0.0j, math.nan)
+        calls.append(len(lo))
+        return [IntervalIntegral(1.0 + 0.0j, math.nan) for _ in lo]
 
     monkeypatch.setattr(source, "integrate_interval", nan_estimate)
     with pytest.raises(NonFiniteIntegrandError):
         regularized_action(gaussian(1.0), [0.0, 0.0, 1.0], 3, 0.1)
-    assert len(panels) == 6     # the geometric panels, none halved
+    assert calls == [6]     # one call of the geometric panels, none halved
     monkeypatch.undo()
     nan_field = TestField(lambda pts: np.full(pts.shape[0], math.nan))
     with pytest.raises(NonFiniteIntegrandError):
