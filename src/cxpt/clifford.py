@@ -951,10 +951,13 @@ class SpacetimeMultivectorField:
 
 
 def _dirac_tilde(algebra: CliffordAlgebra, grad: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """Sum_k e_k grad[k] - i e0 dt for coefficient rows grad (n, dim) and dt (dim,)."""
-    n = len(grad)
+    """Sum_k e_k grad[..., k, :] - i e0 dt for coefficient rows grad (..., n, dim) and
+    dt (..., dim): a stack of jets takes one product, each row as alone."""
+    grad = np.asarray(grad)
+    n = grad.shape[-2]
     gens = _vectors(algebra, np.eye(n + 1), [*range(1, n + 1), 0])
-    return _batch_mul(algebra, gens, np.vstack([grad, -1j * dt])).sum(axis=0)
+    jets = np.concatenate([grad, -1j * np.asarray(dt)[..., None, :]], axis=-2)
+    return _batch_mul(algebra, gens, jets).sum(axis=-2)
 
 
 def _dirac_tilde_stencil(x: np.ndarray, t: float, scheme: FDScheme):
@@ -1002,6 +1005,6 @@ def maxwell_extend(f: SpacetimeMultivectorField, x: Sequence[float] | np.ndarray
     f_val, grad, u_t = wv.extend_jet(coeffs, x, s, t)
     xs, ts, weights = _dirac_tilde_stencil(x, t, CONTINUITY_FD)
     _, grads, u_ts = wv._extension_jets(coeffs, xs, s, ts)
-    dj = _dirac_tilde_sum(alg, weights, [_dirac_tilde(alg, g, d) for g, d in zip(grads, u_ts)])
+    dj = _dirac_tilde_sum(alg, weights, _dirac_tilde(alg, grads, u_ts))
     residual = abs(dj[0])
     return Multivector(alg, f_val), Multivector(alg, _dirac_tilde(alg, grad, u_t)), float(residual)

@@ -39,12 +39,15 @@ Conventions used throughout the library:
   summed as alone, whatever shares its call.  ``mean_on_sphere``, the
   source actions' axial means and the wave solver all reach the field
   through it.
-* ``walk_ladder`` is the one sphere-rule choice: it walks the fixed ladder
-  ``SPHERE_LADDER`` upwards with a caller's probe and keeps the first rung
-  that agrees with the next one up to ``U_ROUNDING`` of the field scale.
-  Where no pair up to ``SPHERE_ORDER`` agrees it climbs on, up to sphere
-  order 48, and keeps the top rung when none does.  The source actions,
-  the wave solver's batches and ``clifford.extended_borel_pompeiu``
+* ``walk_ladder`` is the one sphere-rule choice, probe or not: told how
+  many spheres its caller samples, it keeps the rule of ``SPHERE_ORDER``
+  unprobed when they fit in one ``MAX_POINTS`` call.  Otherwise it walks
+  the fixed ladder ``SPHERE_LADDER`` upwards with the caller's probe and
+  keeps the first rung that agrees with the next one up (on S^1, the next
+  two) to ``U_ROUNDING`` of the field scale.  Where none up to
+  ``SPHERE_ORDER`` is kept it climbs on, up to sphere order 48, and keeps
+  the top rung when none is.  The source actions, the wave solver's
+  batches and ``clifford.extended_borel_pompeiu`` (which always probes)
   choose their rules through it; every other sphere rule is the fixed
   rule of ``SPHERE_ORDER``.
 * ``fd_stencil`` exposes the distinct nodes and folded weights of the
@@ -393,8 +396,14 @@ def sphere_rule(dim: int, orders: tuple[int, ...] | None = None) -> QuadratureRu
     return QuadratureRule("sphere-product", int(np.prod(orders)), nodes, weights)
 
 
-def walk_ladder(dim: int, probe, noise=1.0):
-    """The first rung of the sphere-rule ladder on S^dim whose probe agrees with the next rung's.
+def walk_ladder(dim: int, probe, noise=1.0, spheres: int | None = None):
+    """The first rung of the sphere-rule ladder on S^dim whose probe agrees with the next rungs'.
+
+    ``spheres`` is the number of spheres the caller will sample on the rule
+    kept.  When that many spheres of the rule of ``SPHERE_ORDER`` fit in
+    one ``MAX_POINTS`` call, a probe would cost more than it saves: the
+    walk keeps that rule unprobed and returns it with a payload of None
+    and 0.  Without ``spheres`` it always walks.
 
     The rungs are the rules of ``SPHERE_LADDER`` on S^dim (``sphere_levels``),
     lowest first.  ``probe(orders)`` returns (sums, size, payload): probe
@@ -402,30 +411,38 @@ def walk_ladder(dim: int, probe, noise=1.0):
     quantity, a size of the field there (a mean of |f|, say), and whatever
     the caller wants back from the rung it keeps, such as the sums
     themselves for reuse.  The field scale is the largest size and |sum|
-    probed so far.  Walking upwards, rungs i and i + 1 agree when every
-    column of |sums_{i+1} - sums_i| is within ``U_ROUNDING`` times
+    probed so far.  Walking upwards, a higher rung agrees with rung i when
+    every column of |sums - sums_i| is within ``U_ROUNDING`` times
     ``noise`` (per column, or one number) times the scale; the walk keeps
-    the lower rung i then, and probes a rung only when it reaches it.  A
-    field whose scale is still 0 at the rung of ``SPHERE_ORDER`` keeps that
-    rung, probed no higher.
+    rung i once rung i + 1 agrees with it, and probes a rung only when it
+    reaches it.  On S^1 rung i also needs rung i + 2 to agree: its
+    equispaced rungs alias shared Fourier modes (16 and 24 nodes both take
+    the mode 48 for a constant), so one agreeing pair may both be wrong.
+    A field whose scale is still 0 at the rung of ``SPHERE_ORDER`` keeps
+    that rung, probed no higher.
 
     Returns the orders of the rung kept, its probe's payload and 0, or,
-    when no pair agrees, the top rung, its payload and the largest
-    disagreement of the top pair in units of the scale.
+    when no rung is kept, the top rung, its payload and the largest
+    disagreement, in units of the scale, of the last rung checked with the
+    rungs above it (the top pair's, off S^1).
     """
+    if spheres is not None and spheres * math.prod(sphere_levels(dim)) <= MAX_POINTS:
+        return sphere_levels(dim), None, 0.0
+    checks = 2 if dim == 1 else 1   # higher rungs that must agree with a rung kept
     tolerance = U_ROUNDING * np.asarray(noise)
-    scale, low = 0.0, None
+    scale, rungs = 0.0, []
     for order in SPHERE_LADDER:
         orders = sphere_levels(dim, order)
         sums, size, payload = probe(orders)
         scale = max(scale, size, float(np.abs(sums).max()))
-        if low is not None:
-            gap = np.abs(sums - low[1]).max(axis=0)
+        rungs = (rungs + [(orders, sums, payload)])[-1 - checks:]
+        if len(rungs) > checks:
+            kept, low, kept_payload = rungs[0]
+            gap = np.max([np.abs(high - low).max(axis=0) for _, high, _ in rungs[1:]], axis=0)
             if scale > 0.0 and np.all(gap <= tolerance * scale):
-                return low[0], low[2], 0.0
+                return kept, kept_payload, 0.0
         if scale == 0.0 and order == SPHERE_ORDER:
             return orders, payload, 0.0
-        low = orders, sums, payload
     return orders, payload, float(gap.max()) / scale
 
 

@@ -46,13 +46,18 @@ n = 6 panel) for the singular actions, and on the spheroid p = eps at
 seven q of both signs for the regularized one.  The shared walk
 ``numerics.walk_ladder`` climbs the fixed ladder
 ``numerics.SPHERE_LADDER`` (sphere orders 6 to 48) and keeps the first
-rung whose probe agrees with the next rung's to ``U_ROUNDING`` of the
-field scale; if none does, the top rung stays, and the top pair's
-disagreement joins the n = 3 and regularized error estimates.  Rules
-small enough that a u-panel of them fits one field call (S^1) and the
-one-sphere n = 4 singular action take the rule of
-``numerics.SPHERE_ORDER`` directly.  The wave solver's stencil solves
-walk the same ladder (see ``wave``).
+rung whose probe agrees with the next rung's (the next two rungs' on
+S^1, whose equispaced rules alias shared modes) to ``U_ROUNDING`` of the
+field scale; if none does, the top rung stays, and the walk's last
+disagreement joins the n = 3 and regularized error estimates.  Each
+action tells the walk how many spheres it samples in one pass:
+``U_NODES`` for a u-panel of a singular action, 1 for
+``singular_action_r4`` and the theta-nodes of the geometric panels for
+the regularized one.  Where that many spheres of the rule of
+``numerics.SPHERE_ORDER`` fit in one field call, the walk keeps that
+rule unprobed: the n = 3 singular actions and the one-sphere n = 4
+singular action.  The wave solver's stencil solves walk the same ladder
+(see ``wave``).
 
 The singular actions interpolate the means in u = rho^2, where they
 are smooth, on 16-node Chebyshev panels in u that are halved until their
@@ -208,8 +213,8 @@ class _AxialField:
         self._frame = orthonormal_complement_frame(self.y)
         self._orders = None     # the per-level node counts of the rule in use
         self._use_rule(sphere_levels(n - 2))
-        #: largest disagreement of the ladder's top pair of rungs, in units of the
-        #: field scale, when no pair agreed (else 0)
+        #: the ladder walk's last disagreement (its top pair's, off S^1), in units
+        #: of the field scale, when it kept no rung (else 0)
         self.rule_error = 0.0
         # rounding of a times a slope sample, in U_ROUNDING: eps a sum|w| for FD stencils
         self.slope_noise = 1.0 if f.gradient is not None else max(
@@ -224,31 +229,30 @@ class _AxialField:
         self._dirs = rule.nodes @ self._frame.T      # (m, n) unit vectors in y-perp
         self._weights = rule.weights
 
-    def fit_rule(self, rho: np.ndarray, zeta: np.ndarray | float) -> np.ndarray | None:
-        """Use the smallest rule of the ladder that agrees with the next rule up.
+    def fit_rule(self, rho: np.ndarray, zeta: np.ndarray | float,
+                 spheres: int) -> np.ndarray | None:
+        """Use the smallest rule of the ladder that agrees with the next rules up.
 
         The probe takes, in one ``sample`` pass per rule, the mean, a times
         the omega- and y_hat-slopes and the mean of |f| on the spheres of
         radii ``rho`` about ``zeta`` y_hat, which should span the spheres the
         action samples.  ``numerics.walk_ladder`` walks the sphere-rule
         ladder upwards with it and keeps the first rung that agrees with the
-        next rung up within ``U_ROUNDING`` times the field scale (the largest
-        of every sample and mean of |f| so far), times ``slope_noise`` for
-        the slopes.  If no pair agrees, the top rung is kept, and
-        ``rule_error`` takes the top pair's largest disagreement in that
-        scale; a field that vanishes on every probe sphere keeps the rule of
-        ``SPHERE_ORDER``.  Each call starts from that rule and a
+        next rung up (the next two on S^1) within ``U_ROUNDING`` times the
+        field scale (the largest of every sample and mean of |f| so far),
+        times ``slope_noise`` for the slopes.  If none is kept, the top rung
+        is, and ``rule_error`` takes the walk's last disagreement (the top
+        pair's, off S^1) in that scale; a field that vanishes on every probe sphere keeps the
+        rule of ``SPHERE_ORDER``.  Each call starts from that rule and a
         ``rule_error`` of 0.
 
-        A rule whose ``U_NODES`` nodes of a u-panel fit in one field call is
-        used directly: there the probe's passes cost more than the points
-        they save.  Returns the means of |f| at the probe spheres on the rule
-        kept, or None when it did not probe.
+        ``spheres`` is the number of spheres the action then samples in one
+        pass; the walk keeps the rule of ``SPHERE_ORDER`` unprobed when they
+        fit in one field call on it.  Returns the means of |f| at the probe
+        spheres on the rule kept, or None when it did not probe.
         """
         self._use_rule(sphere_levels(self.n - 2))
         self.rule_error = 0.0
-        if U_NODES * self._weights.size <= MAX_POINTS:
-            return None
         rho, zeta = (np.broadcast_to(np.asarray(v, dtype=float), np.shape(rho))[:, None]
                      for v in (rho, zeta))
 
@@ -260,14 +264,15 @@ class _AxialField:
                     magnitude[:, 0])
 
         rung, magnitude, self.rule_error = walk_ladder(
-            self.n - 2, probe, np.array([1.0, self.slope_noise, self.slope_noise]))
+            self.n - 2, probe, np.array([1.0, self.slope_noise, self.slope_noise]), spheres)
         self._use_rule(rung)
         return magnitude
 
     def fit_disk_rule(self, rho_max: float) -> float:
-        """``fit_rule`` on the spheres about 0 of radii rho_max sqrt(``PROBE_U``);
-        returns the rim mean of |f|, the first probe's when rho_max is a."""
-        probed = self.fit_rule(rho_max * np.sqrt(PROBE_U), 0.0)
+        """``fit_rule`` on the spheres about 0 of radii rho_max sqrt(``PROBE_U``), for
+        the ``U_NODES`` spheres of a u-panel; returns the rim mean of |f|, the first
+        probe's when rho_max is a."""
+        probed = self.fit_rule(rho_max * np.sqrt(PROBE_U), 0.0, U_NODES)
         if probed is not None and rho_max == self.a:
             return float(probed[0])
         return float(self.magnitude(np.array([self.a]), np.zeros(1))[0])
@@ -490,14 +495,16 @@ def singular_action_r3(f: TestField, y: Sequence[float] | np.ndarray) -> SourceA
 
 
 def singular_action_r4(f: TestField, y: Sequence[float] | np.ndarray) -> complex:
-    """Action in R^4: fbar(a,0) + a fbar_rho(a,0) - i a fbar_zeta(a,0), on the rule
-    of ``SPHERE_ORDER`` (one sphere: a probe would cost more than it saves)."""
+    """Action in R^4: fbar(a,0) + a fbar_rho(a,0) - i a fbar_zeta(a,0), one sphere
+    on the rule ``fit_rule`` keeps for it (that of ``SPHERE_ORDER``, which one
+    field call holds, unprobed)."""
     y = np.asarray(y, dtype=float)
     if np.linalg.norm(y) == 0.0:
         return f.evaluate(np.zeros(4))
     _require_smoothness(f, 1, "singular_action_r4")
     af = _AxialField(f, y, 4)
     a = af.a
+    af.fit_rule(np.array([a]), 0.0, 1)
     fbar, (d_rho, d_zeta) = af.sample(a, 0.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     return complex(fbar + a * d_rho - 1j * a * d_zeta)
 
@@ -599,10 +606,6 @@ def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
     af = _AxialField(f, y, n)
     a = af.a
     nu = (n - 3) / 2.0
-    # the spheroid's spheres of rho^2 = PROBE_U (a^2 + eps^2), at zeta of both signs
-    q = a * np.sqrt(1.0 - np.array(PROBE_U))
-    spheres = oblate_rho_zeta(eps, np.unique(np.concatenate([q, -q])), a)
-    probed = af.fit_rule(*spheres)
 
     def integrand(theta: np.ndarray) -> np.ndarray:
         q = a * np.sin(theta)
@@ -625,6 +628,11 @@ def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
     for start, end in zip(breaks, breaks[1:]):
         lo += [start, -end]        # each geometric panel, then its mirror image
         hi += [end, -start]
+    # the spheroid's spheres of rho^2 = PROBE_U (a^2 + eps^2), at zeta of both signs,
+    # for the geometric panels' theta-nodes
+    q = a * np.sqrt(1.0 - np.array(PROBE_U))
+    spheres = oblate_rho_zeta(eps, np.unique(np.concatenate([q, -q])), a)
+    probed = af.fit_rule(*spheres, len(lo) * (2 * INTERVAL_ORDER + 1))
     panels = integrated(lo, hi, 0)
     floor = None
     while True:

@@ -47,12 +47,13 @@ sphere once:
   batches of several points serve ``clifford.maxwell_extend``'s
   continuity stencil.
 
-A batch takes one rule for all its spheres.  When the spheres fit in one
-evaluator call on the rule of ``numerics.SPHERE_ORDER`` (at most
-``numerics.MAX_POINTS`` points, as for a single one-sphere solve), it
-takes that rule unprobed: a probe would cost more than it saves.
-Otherwise one ``numerics.walk_ladder``, the walk the source actions use,
-probes the fields on the outermost sphere of each point of largest |t|
+A batch takes one rule for all its spheres, from one
+``numerics.walk_ladder``, the walk the source actions use, told how many
+distinct spheres the batch takes.  When they fit in one evaluator call on
+the rule of ``numerics.SPHERE_ORDER`` (at most ``numerics.MAX_POINTS``
+points, as for a single one-sphere solve), the walk keeps that rule
+unprobed: a probe would cost more than it saves.  Otherwise it probes the
+fields on the outermost sphere of each point of largest |t|
 (the hardest to resolve), summing what the batch sums, one
 ``sphere_sums`` pass for all fields per rung of ``numerics.SPHERE_LADDER``.
 It keeps the lower rung of the first pair whose sums agree to
@@ -103,7 +104,6 @@ from .numerics import (
     derivative,
     fd_stencil,
     point_values,
-    sphere_levels,
     sphere_rule,
     sphere_sums,
     walk_ladder,
@@ -225,9 +225,10 @@ def _sample(fields, xs: np.ndarray, ts: np.ndarray, radii, moments: bool = False
     Field j (``_point_field`` or ``_slope_field``) is summed over the spheres
     of radii ``radii[j]``, a (k, p_j) array, about xs, each distinct
     (point, radius) once, with the rule's weights or, with ``moments``,
-    ``_columns``: one (k, p_j, ...) array per field.  The rule is that of
-    ``SPHERE_ORDER`` when the spheres of all fields fit in one evaluator call
-    (``MAX_POINTS`` points).  Otherwise ``numerics.walk_ladder`` probes all
+    ``_columns``: one (k, p_j, ...) array per field.  ``numerics.walk_ladder``
+    is told the number of distinct spheres of all fields: when they fit in
+    one evaluator call on the rule of ``SPHERE_ORDER`` (``MAX_POINTS``
+    points), it keeps that rule unprobed.  Otherwise it probes all
     fields in one ``sphere_sums`` pass per rung, with the same weights, on
     the outermost sphere of each point of largest |t| (the hardest to
     resolve), and the largest mean size of a field there is the field's
@@ -269,13 +270,13 @@ def _sample(fields, xs: np.ndarray, ts: np.ndarray, radii, moments: bool = False
         return (np.column_stack([s.reshape(len(outer), -1) for s in found]),
                 max(float((s[:, 0] if moments else s).real.max()) for s in sizes), found)
 
-    orders, known, probed = sphere_levels(dim), [None] * len(fields), []
-    if sum(map(len, spheres)) * math.prod(orders) > MAX_POINTS:
-        # the outermost sphere of each point of largest |t|
-        outer = np.flatnonzero(np.abs(ts) == np.abs(ts).max())
-        probed = [(i, max(chain(*(f[i] for f in rows)), key=abs)) for i in outer.tolist()]
-        rho = np.array([r for _, r in probed])
-        orders, known, _ = walk_ladder(dim, probe)
+    # the outermost sphere of each point of largest |t|
+    outer = np.flatnonzero(np.abs(ts) == np.abs(ts).max())
+    probed = [(i, max(chain(*(f[i] for f in rows)), key=abs)) for i in outer.tolist()]
+    rho = np.array([r for _, r in probed])
+    orders, known, _ = walk_ladder(dim, probe, spheres=sum(map(len, spheres)))
+    if known is None:   # kept unprobed
+        known, probed = [None] * len(fields), []
     ruled, done, known, out = weighted(orders), set(probed), list(known), []
     todo = [[sphere for sphere in f if sphere not in done] for f in spheres]
     passes: dict[tuple, list[int]] = {}

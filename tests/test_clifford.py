@@ -27,6 +27,7 @@ from cxpt.numerics import (
     sphere_levels,
 )
 from cxpt.clifford import (
+    CONTINUITY_FD,
     _batch_mul,
     _dirac_evaluator,
     _dirac_tilde,
@@ -807,6 +808,22 @@ def test_maxwell_fields_keep_their_bits(xt):
     u, grad, u_t = extend_jet(SpacetimeField(f.batch, f.s_derivative), x, 0.0, t)
     assert ft.coeffs.tobytes() == np.asarray(u, dtype=complex).tobytes()
     assert jt.coeffs.tobytes() == _dirac_tilde(f.algebra, grad, u_t).tobytes()
+
+
+@pytest.mark.parametrize("xt", MAXWELL_POINTS)
+def test_stacked_dirac_tilde_matches_one_jet_at_a_time(xt):
+    """D~ of the 16 continuity jets, stacked (16, 4, dim) into one product, is bit
+    for bit D~ of each jet alone, and so is the residual ``maxwell_extend`` sums
+    from them."""
+    f = maxwell_demo_field()
+    x, t = np.asarray(xt[0]), xt[1]
+    xs, ts, weights = _dirac_tilde_stencil(x, t, CONTINUITY_FD)
+    _, grads, u_ts = wave._extension_jets(SpacetimeField(f.batch, f.s_derivative), xs, 0.0, ts)
+    one_by_one = np.array([_dirac_tilde(f.algebra, g, d) for g, d in zip(grads, u_ts)])
+    assert grads.shape == (16, 3, f.algebra.dim)
+    assert _dirac_tilde(f.algebra, grads, u_ts).tobytes() == one_by_one.tobytes()
+    residual = abs(_dirac_tilde_sum(f.algebra, weights, list(one_by_one))[0])
+    assert repr(maxwell_extend(f, x, 0.0, t)[2]) == repr(float(residual))
 
 
 #: ``repr`` of the continuity residual at criterion 11's points, recorded while

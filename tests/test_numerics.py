@@ -366,6 +366,52 @@ def test_walk_ladder_stops_at_the_fixed_rule_on_a_zero_field():
     assert probed[-1] == sphere_levels(4) and len(probed) == 7
 
 
+def test_walk_ladder_keeps_the_fixed_rule_unprobed_where_it_fits():
+    """Told how many spheres its caller samples, the walk keeps the rule of
+    SPHERE_ORDER without a probe, with a payload of None, when that many of its
+    spheres fit in one MAX_POINTS call (3 of 1,152 nodes on S^2), and walks from
+    one sphere more; without a count it always walks."""
+    values = [1.0, 0.5, 0.3, 0.2, 0.2] + [0.0] * 6
+    fits = MAX_POINTS // math.prod(sphere_levels(2))
+    assert fits == 3
+    probe, probed = _ladder_probe(values)
+    assert walk_ladder(2, probe, spheres=fits) == (sphere_levels(2), None, 0.0)
+    assert probed == []
+    kept = sphere_levels(2, SPHERE_LADDER[3])
+    for spheres in (fits + 1, None):
+        probe, probed = _ladder_probe(values)
+        assert walk_ladder(2, probe, spheres=spheres) == (kept, kept, 0.0)
+        assert len(probed) == 5
+
+
+def test_walk_ladder_keeps_a_circle_rung_that_the_next_two_agree_with():
+    """Equispaced circle rules alias shared modes: 16 and 24 nodes both take the
+    mode 48 for a constant, so on S^1 a rung is kept only when the next two rungs
+    agree with it.  Here rungs 0 and 1 agree and rung 2 does not, so the walk goes
+    on to keep rung 2, which rungs 3 and 4 agree with.  On S^2 the first agreeing
+    pair is kept."""
+    values = [0.5, 0.5, 0.2, 0.2, 0.2 + 0.5 * U_ROUNDING] + [0.0] * 6
+    circle = [sphere_levels(1, order) for order in SPHERE_LADDER]
+    probe, probed = _ladder_probe(values)
+    assert walk_ladder(1, probe) == (circle[2], circle[2], 0.0)
+    assert probed == circle[:5]
+    probe, probed = _ladder_probe(values)
+    assert walk_ladder(2, probe) == (sphere_levels(2, SPHERE_LADDER[0]),) * 2 + (0.0,)
+    assert len(probed) == 2
+
+
+def test_walk_ladder_on_the_circle_reports_the_last_check():
+    """No circle rung has two agreeing rungs above it, though the top pair agrees:
+    the walk keeps the top rung and reports the largest disagreement of the last
+    rung checked, the third from the top, with the two above it."""
+    values = [(-1.0) ** ((i + 1) // 2) * 0.1 for i in range(len(SPHERE_LADDER))]
+    assert values[-1] == values[-2] != values[-3]
+    probe, probed = _ladder_probe(values, size=2.0)
+    top = sphere_levels(1, SPHERE_LADDER[-1])
+    assert walk_ladder(1, probe) == (top, top, pytest.approx(0.1))
+    assert len(probed) == len(SPHERE_LADDER)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 4])
 def test_sphere_sums_matches_direct_means(rng, dim):
     """One multi-radius kernel call equals per-radius weights @ f(center + r nodes)."""

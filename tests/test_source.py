@@ -482,28 +482,42 @@ def test_gradient_free_slopes_share_the_centre_values():
 def test_gradient_free_sample_is_one_pass(monkeypatch):
     """Without a gradient a mean and its slope still take one kernel pass: f at each
     sphere point and at its 4 SLOPE_FD nodes together, at most MAX_POINTS per call.
-    All 14 theta-panels at eps = 1e-3 share that pass, as one integrand call."""
-    passes, integrand_calls, sizes = [], [], []
-    kernel, integrate = source.sphere_sums, source.integrate_interval
+    All 14 theta-panels at eps = 1e-3 share that pass, as one integrand call.  The
+    rule choice's passes, one per rung it probes (16, 24 and 32 circle nodes, the
+    lowest kept), are counted apart."""
+    passes, integrand_calls = {"probe": 0, "action": 0}, []
+    sizes, where = {"probe": [], "action": []}, ["action"]
+    kernel, integrate, fit = source.sphere_sums, source.integrate_interval, _AxialField.fit_rule
 
     def counted_kernel(*args, **kwargs):
-        passes.append(1)
+        passes[where[-1]] += 1
         return kernel(*args, **kwargs)
 
     def counted_integrate(g, lo, hi, **kwargs):
         return integrate(lambda t: integrand_calls.append(1) or g(t), lo, hi, **kwargs)
 
+    def counted_fit(self, *args):
+        where.append("probe")
+        try:
+            return fit(self, *args)
+        finally:
+            where.pop()
+
     monkeypatch.setattr(source, "sphere_sums", counted_kernel)
     monkeypatch.setattr(source, "integrate_interval", counted_integrate)
+    monkeypatch.setattr(_AxialField, "fit_rule", counted_fit)
     exact = gaussian(1.3, center=np.full(3, 0.1))
-    free = TestField(lambda pts: sizes.append(pts.shape[0]) or exact.evaluator(pts))
+    free = TestField(lambda pts: sizes[where[-1]].append(pts.shape[0]) or exact.evaluator(pts))
     value = regularized_action(free, [0.3, 0.0, 0.8], 3, 1e-3)
     # 14, one per panel, before the panels shared a call; 98 before that
-    assert len(passes) == len(integrand_calls) == 1
-    # 42 calls on the same points with a pass per panel; 56 calls on 206,976 points
-    # with the 6-node Richardson stencil before SLOPE_FD
-    assert (len(sizes), sum(sizes)) == (39, 147840)
-    assert max(sizes) == 3840 <= MAX_POINTS
+    assert passes == {"probe": 3, "action": 1} and len(integrand_calls) == 1
+    # 7 probe circles of 16 + 24 + 32 nodes, 9 points each
+    assert (len(sizes["probe"]), sum(sizes["probe"])) == (3, 4_536)
+    # 462 circles of 16 nodes, 5 points each; 39 calls on 147,840 points with the
+    # unprobed 64-node circle, 56 calls on 206,976 points with the 6-node Richardson
+    # stencil before SLOPE_FD
+    assert (len(sizes["action"]), sum(sizes["action"])) == (10, 36_960)
+    assert max(sizes["action"]) == 4080 <= MAX_POINTS
     assert value == pytest.approx(regularized_action(exact, [0.3, 0.0, 0.8], 3, 1e-3),
                                   abs=1e-13)
 
@@ -524,10 +538,10 @@ def test_probe_passes_are_counted_apart(monkeypatch):
         passes[where[-1]] += 1
         return kernel(*args, **kwargs)
 
-    def counted_fit(self, rho, zeta):
+    def counted_fit(self, *args):
         where.append("probe")
         try:
-            return fit(self, rho, zeta)
+            return fit(self, *args)
         finally:
             where.pop()
 
@@ -576,13 +590,13 @@ def test_fit_rule_starts_from_the_fixed_rule(monkeypatch):
     af = _AxialField(_cubic(6), y, 6)
     fixed = af._weights.size
     assert fixed == math.prod(sphere_levels(4))
-    af.fit_rule(radii, 0.0)
+    af.fit_rule(radii, 0.0, source.U_NODES)
     lowest = af._weights.size
-    af.fit_rule(radii, 0.0)
+    af.fit_rule(radii, 0.0, source.U_NODES)
     assert af._weights.size == lowest < fixed and af.rule_error == 0.0
     probed = _probed_rungs(monkeypatch)
     af.f = polynomial(6, {(20, 0, 0, 0, 0, 2): 1.0})
-    af.fit_rule(radii, 0.0)
+    af.fit_rule(radii, 0.0, source.U_NODES)
     assert af._weights.size == fixed and af.rule_error == 0.0
     assert probed == [sphere_levels(4, order) for order in SPHERE_LADDER
                       if order <= SPHERE_ORDER]
@@ -619,7 +633,7 @@ def test_regularized_rule_is_probed_off_the_plane(monkeypatch, n, field):
 def _forced_fixed(monkeypatch, act):
     """``act()`` with the rule of SPHERE_ORDER forced: ``fit_rule`` keeps it unprobed."""
     with monkeypatch.context() as patch:
-        patch.setattr(_AxialField, "fit_rule", lambda self, rho, zeta: None)
+        patch.setattr(_AxialField, "fit_rule", lambda self, *args: None)
         return act()
 
 
@@ -718,8 +732,8 @@ def test_r3_on_several_u_panels(monkeypatch):
     act = singular_action_r3(f, y)
     assert act.value == pytest.approx(singular_action_odd(f, y, 3), abs=1e-12)
     with monkeypatch.context() as patch:   # S^1 takes 128 nodes, the order-48 rule's
-        patch.setattr(source, "sphere_levels",
-                      lambda dim: numerics.sphere_levels(dim, SPHERE_LADDER[-1]))
+        patch.setattr(source, "walk_ladder", lambda dim, *args: (
+            numerics.sphere_levels(dim, SPHERE_LADDER[-1]), None, 0.0))
         patch.setattr(source, "INTERVAL_ORDER", 24)
         dense = singular_action_r3(f, y).value
     assert act.value == pytest.approx(dense, abs=1e-12)
@@ -864,16 +878,19 @@ def test_regularized_error_estimate_covers_the_error(n, eps_set):
 #: ``repr`` of ``_regularized``'s (value, err_estimate), recorded while each theta-panel
 #: took its own integrand call: one call per panel set keeps them bit for bit.  The
 #: fields are exp(k.x) with k = (1, i, 0, ...) about y = 0.48 e_1 + 0.64 e_n, a
-#: gradient-free Gaussian, and k = 20 (1, i, 0), whose theta-panels are halved.
+#: gradient-free Gaussian, and k = 20 (1, i, 0), whose theta-panels are halved.  The
+#: n = 3 entries but "halving" were recorded again once the n = 3 action probed its
+#: circle rule and kept 16 nodes (the unprobed rule had 64); their errors against
+#: f(-iy) went from 4.0e-16, 2.4e-15 and 1.1e-13 to 1.3e-15, 1.1e-14 and 2.3e-14.
 PINNED_REGULARIZED = {
-    "n3-eps0.1": "((0.8869949227792839-0.46177917554148323j), 9.109586386663286e-15)",
-    "n3-eps0.01": "((0.8869949227792864-0.46177917554148373j), 4.082875116387187e-13)",
-    "n3-eps0.001": "((0.8869949227793944-0.4617791755414854j), 4.419667200091117e-12)",
+    "n3-eps0.1": "((0.8869949227792854-0.46177917554148323j), 8.578673011348653e-15)",
+    "n3-eps0.01": "((0.8869949227792949-0.46177917554148057j), 4.139588696843367e-13)",
+    "n3-eps0.001": "((0.8869949227793069-0.46177917554148484j), 4.477975216898916e-12)",
     "n4-eps0.1": "((0.8869949227792898-0.46177917554148384j), 1.6085476510109144e-13)",
     "n4-eps0.01": "((0.8869949227796674-0.4617791755416237j), 7.415624930132072e-11)",
     "n4-eps0.001": "((0.8869949228415628-0.4617791755415081j), 7.525052876764928e-09)",
     "n5-eps0.1": "((0.8869949227793595-0.46177917554161657j), 6.9003181727945155e-12)",
-    "gradient-free": "((0.3443420254864564-0.09691526598230531j), 3.2511704810810304e-12)",
+    "gradient-free": "((0.3443420254865246-0.0969152659823058j), 3.284513297878031e-12)",
     "halving": "((162754.79141968268+7.899687261669896e-08j), 2.43527885961521e-08)",
 }
 
@@ -891,6 +908,42 @@ def test_regularized_actions_keep_their_bits(case):
         y[0], y[-1] = 0.48, 0.64
         act = _regularized(_harmonic_exponential(n, 1.0)[0], y, n, eps)
     assert repr((act.value, act.err_estimate)) == PINNED_REGULARIZED[case]
+
+
+def _circle_mode(m):
+    """(x_1 + i x_2)^m, harmonic, with its exact gradient: about y = e_3 its action is
+    f(-iy) = 0, and on each circle about that axis it is the Fourier mode m."""
+    def ev(pts):
+        return (pts[:, 0] + 1j * pts[:, 1]) ** m
+
+    def grad(pts):
+        d = m * (pts[:, 0] + 1j * pts[:, 1]) ** (m - 1)
+        return np.column_stack([d, 1j * d, np.zeros_like(d)])
+
+    return TestField(ev, gradient=grad, name=f"(x_1 + i x_2)^{m}")
+
+
+@pytest.mark.parametrize("m", [48, 64])
+def test_n3_regularized_circle_rule_is_not_aliased(m):
+    """An N-node circle rule takes the mode m for a constant where N divides m.  The
+    unprobed 64-node circle returned |value| 13.8 for m = 64 (estimate 1.3e-12);
+    the rungs of 16 and 24 nodes both alias m = 48, and a walk that kept a circle
+    rung on one agreeing pair returned 11.1 for it.  Keeping a rung only when the
+    next two agree resolves both."""
+    assert abs(regularized_action(_circle_mode(m), [0.0, 0.0, 1.0], 3, 0.1)) <= 1e-12
+
+
+def test_n3_regularized_keeps_the_16_node_circle(monkeypatch):
+    """On the harmonic cubic at n = 3, eps = 0.1 the walk probes circles of 16, 24 and
+    32 nodes on the spheroid's 7 probe spheres and keeps 16 nodes for the 6 geometric
+    theta-panels' 198 circles: 7 x 72 + 198 x 16 = 3,672 points of f and of its
+    gradient, against 198 x 64 = 12,672 on the unprobed 64-node circle."""
+    probed = _probed_rungs(monkeypatch)
+    counted, sizes = _counting(_cubic(3))
+    got = regularized_action(counted, [0.6, 0.0, 0.8], 3, 0.1)
+    assert got == pytest.approx(0.216j, abs=1e-13)
+    assert probed == [(16,), (24,), (32,)]
+    assert sum(sizes["evaluate"]) == sum(sizes["gradient"]) == 3_672
 
 
 def test_regularized_refines_a_sharp_field(monkeypatch):

@@ -620,8 +620,7 @@ def test_unresolved_solve_keeps_the_finest_rule(monkeypatch, n, k0):
     top = sphere_levels(n - 1, SPHERE_LADDER[-1])
     assert kept == [(top, kept[0][1])] and kept[0][1] > 0.0
     # the top rule without a probe, every sphere taken by the solve itself
-    monkeypatch.setattr(wave, "MAX_POINTS", math.inf)
-    monkeypatch.setattr(wave, "sphere_levels", lambda dim: sphere_levels(dim, SPHERE_LADDER[-1]))
+    monkeypatch.setattr(wave, "walk_ladder", lambda dim, probe, **_: (top, None, 0.0))
     assert got == solve_cauchy(data, np.full(n, 0.1), t)
 
 
