@@ -1,6 +1,8 @@
 """Command-line front end and machine-readable reporting.
 
-Subcommands map one-to-one onto the library surface:
+Each subcommand runs one part of the library; the rest of it (sphere
+means, oblate coordinates, the Cauchy extension and the Clifford
+products and kernels among others) is reached from Python only:
 
     gamma           complex distance and point classification
     potential       newtonian / holomorphic / regularized potentials
@@ -43,45 +45,7 @@ from .geometry import ComplexPoint, classify_point, complex_distance
 from .numerics import MAX_POINTS, _check_finite
 from .potential import holomorphic_potential, newtonian, regularized_potential
 
-__all__ = ["main", "run", "OPERATION_COVERAGE"]
-
-#: Spec operation -> owning subcommand (numerics kernels are exercised by verify).
-OPERATION_COVERAGE = {
-    "integrate_interval": "verify",
-    "mean_on_sphere": "verify",
-    "derivative": "verify",
-    "complex_distance": "gamma",
-    "classify_point": "gamma",
-    "to_oblate": "gamma",
-    "from_oblate": "gamma",
-    "jacobian_volume": "gamma",
-    "grad_pq": "gamma",
-    "newtonian": "potential",
-    "holomorphic_potential": "potential",
-    "regularized_potential": "potential",
-    "lambda_coeff": "source-action",
-    "regularized_action": "source-action",
-    "singular_action_r3": "source-action",
-    "singular_action_r4": "source-action",
-    "singular_action_even": "source-action",
-    "singular_action_odd": "source-action",
-    "moments": "moments",
-    "centroid": "moments",
-    "descent_check": "descent-check",
-    "solve_cauchy": "wave",
-    "extend": "wave",
-    "wave_residual": "wave-verify",
-    "mv_mul": "clifford",
-    "dirac_apply": "clifford",
-    "cauchy_kernel": "clifford",
-    "regular_point": "clifford",
-    "borel_pompeiu": "clifford",
-    "extended_borel_pompeiu": "clifford",
-    "maxwell_extend": "clifford",
-    "run": "verify",
-    "load_config": "verify",
-}
-
+__all__ = ["main", "run"]
 
 def _cnum(value: complex) -> dict:
     return {"re": float(np.real(value)), "im": float(np.imag(value))}

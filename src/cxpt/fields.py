@@ -1,9 +1,9 @@
 """Built-in test fields and the declarative field-spec catalog.
 
 A ``TestField`` bundles a batch evaluator R^n -> C with a declared
-smoothness order, an optional exact gradient and an optional support
-radius.  All built-ins are C-infinity and carry exact gradients where
-cheap, so finite-difference kernels can be validated against them.
+smoothness order and an optional exact gradient.  All built-ins are
+C-infinity and carry exact gradients where cheap, so finite-difference
+kernels can be validated against them.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ class TestField:
     evaluator: Evaluator
     smoothness: float = math.inf
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
-    support_radius: float | None = None
     name: str = ""
 
     def evaluate(self, points: np.ndarray):
@@ -82,7 +81,6 @@ class TestField:
             self,
             evaluator=lambda pts: self.evaluator(pts + x0),
             gradient=grad,
-            support_radius=None,
             name=f"{self.name}@shift",
         )
 
@@ -101,15 +99,11 @@ class TestField:
         grad = None
         if self.gradient is not None and other.gradient is not None:
             grad = lambda pts: self.gradient(pts) + other.gradient(pts)  # noqa: E731
-        sup = None
-        if self.support_radius is not None and other.support_radius is not None:
-            sup = max(self.support_radius, other.support_radius)
         return TestField(
             evaluator=lambda pts: np.asarray(self.evaluator(pts))
             + np.asarray(other.evaluator(pts)),
             smoothness=min(self.smoothness, other.smoothness),
             gradient=grad,
-            support_radius=sup,
             name=f"{self.name}+{other.name}",
         )
 
@@ -258,10 +252,7 @@ def bump(radius: float = 1.0, center: Sequence[float] | None = None,
         out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - t[inside]))
         return out
 
-    sup = radius
-    if c0 is not None:
-        sup = radius + float(np.linalg.norm(c0))
-    return TestField(evaluator=ev, support_radius=sup, name=f"bump(R={radius})")
+    return TestField(evaluator=ev, name=f"bump(R={radius})")
 
 
 @dataclass(frozen=True)

@@ -50,14 +50,15 @@ rung whose probe agrees with the next rung's (the next two rungs' on
 S^1, whose equispaced rules alias shared modes) to ``U_ROUNDING`` of the
 field scale; if none does, the top rung stays, and the walk's last
 disagreement joins the n = 3 and regularized error estimates.  Each
-action tells the walk how many spheres it samples in one pass:
-``U_NODES`` for a u-panel of a singular action, 1 for
-``singular_action_r4`` and the theta-nodes of the geometric panels for
-the regularized one.  Where that many spheres of the rule of
-``numerics.SPHERE_ORDER`` fit in one field call, the walk keeps that
-rule unprobed: the n = 3 singular actions and the one-sphere n = 4
-singular action.  The wave solver's stencil solves walk the same ladder
-(see ``wave``).
+singular action tells the walk how many spheres it samples in one pass:
+``U_NODES`` for a u-panel, 1 for ``singular_action_r4``.  Where that
+many spheres of the rule of ``numerics.SPHERE_ORDER`` fit in one field
+call, the walk keeps that rule unprobed: the n = 3 singular actions and
+the one-sphere n = 4 singular action.  The regularized action always
+probes: its first pass takes the spheres of the 33 theta-nodes of at
+least two geometric panels, more than one call holds on any such rule,
+and its probe's means of |f| give the scale of its zero-action floor.
+The wave solver's stencil solves walk the same ladder (see ``wave``).
 
 The singular actions interpolate the means in u = rho^2, where they
 are smooth, on 16-node Chebyshev panels in u that are halved until their
@@ -191,7 +192,7 @@ class _AxialField:
     """Sphere means of a test field relative to a fixed axis y != 0.
 
     ``sample`` gives fbar(rho, zeta) over the (n-2)-sphere in y-perp and
-    its slope, the mean of grad f . (drho omega + dzeta y_hat), at arrays
+    its slopes, means of grad f . (drho omega + dzeta y_hat), at arrays
     of (rho, zeta) nodes; ``u_panels`` turns functions of u = rho^2 built
     from them into piecewise Chebyshev interpolants.  ``fit_rule`` picks
     the sphere rule they use, once per action; until then it is that of
@@ -230,7 +231,7 @@ class _AxialField:
         self._weights = rule.weights
 
     def fit_rule(self, rho: np.ndarray, zeta: np.ndarray | float,
-                 spheres: int) -> np.ndarray | None:
+                 spheres: int | None = None) -> np.ndarray | None:
         """Use the smallest rule of the ladder that agrees with the next rules up.
 
         The probe takes, in one ``sample`` pass per rule, the mean, a times
@@ -246,22 +247,21 @@ class _AxialField:
         rule of ``SPHERE_ORDER``.  Each call starts from that rule and a
         ``rule_error`` of 0.
 
-        ``spheres`` is the number of spheres the action then samples in one
-        pass; the walk keeps the rule of ``SPHERE_ORDER`` unprobed when they
-        fit in one field call on it.  Returns the means of |f| at the probe
-        spheres on the rule kept, or None when it did not probe.
+        ``spheres``, if given, is the number of spheres the action then
+        samples in one pass; the walk keeps the rule of ``SPHERE_ORDER``
+        unprobed when they fit in one field call on it.  Without it the walk
+        always probes.  Returns the means of |f| at the probe spheres on the
+        rule kept, or None when it did not probe.
         """
         self._use_rule(sphere_levels(self.n - 2))
         self.rule_error = 0.0
-        rho, zeta = (np.broadcast_to(np.asarray(v, dtype=float), np.shape(rho))[:, None]
-                     for v in (rho, zeta))
 
         def probe(orders: tuple[int, ...]):
             self._use_rule(orders)
-            fbar, slopes, magnitude = self.sample(rho, zeta, np.array([1.0, 0.0]),
-                                                  np.array([0.0, 1.0]), magnitude=True)
-            return (np.column_stack([fbar, self.a * slopes]), float(magnitude.max()),
-                    magnitude[:, 0])
+            fbar, d_rho, d_zeta, magnitude = self.sample(rho, zeta, ((1.0, 0.0), (0.0, 1.0)),
+                                                         magnitude=True)
+            return (np.column_stack([fbar, self.a * d_rho, self.a * d_zeta]),
+                    float(magnitude.max()), magnitude)
 
         rung, magnitude, self.rule_error = walk_ladder(
             self.n - 2, probe, np.array([1.0, self.slope_noise, self.slope_noise]), spheres)
@@ -288,30 +288,27 @@ class _AxialField:
         return sphere_sums(values, zeta[:, None] * self.yhat, rho, self._dirs, self._weights,
                            max_points)
 
-    def sample(self, rho, zeta, drho, dzeta, magnitude: bool = False) -> tuple[np.ndarray, ...]:
-        """fbar(rho, zeta) and the mean of grad f . (drho omega + dzeta y_hat).
+    def sample(self, rho, zeta, slopes, magnitude: bool = False) -> tuple[np.ndarray, ...]:
+        """fbar(rho, zeta) and, per (drho, dzeta) pair of ``slopes``, the mean of
+        grad f . (drho omega + dzeta y_hat).
 
-        The mean has the broadcast shape of (rho, zeta), the slope that of
-        all four; both come from one sphere pass, which with ``magnitude``
-        also gives a third array, the mean of |f| in the mean's shape.  With
-        an exact gradient it runs at the (rho, zeta) nodes over f,
-        omega . grad f and y_hat . grad f.
-        Without one it runs at the (rho, zeta) nodes over f, evaluated once
-        per sphere point, and the central difference ``numerics.SLOPE_FD``
-        of f along each of the node's slope directions drho omega + dzeta
-        y_hat, on blocks of a fifth of ``MAX_POINTS`` sphere points, whose
-        stencils reach the field at most ``MAX_POINTS`` points per call.
+        Each drho and dzeta is a number or an array of the nodes' shape, the
+        broadcast shape of (rho, zeta); the mean and each slope take that
+        shape, and all come from one sphere pass, which with ``magnitude``
+        also gives a last array, the mean of |f|.  With an exact gradient
+        it runs at the nodes over f, omega . grad f and y_hat . grad f, and
+        combines the last two per pair.  Without one it runs at the nodes
+        over f, evaluated once per sphere point, and the central difference
+        ``numerics.SLOPE_FD`` of f along each pair's direction drho omega +
+        dzeta y_hat, on blocks of a fifth of ``MAX_POINTS`` sphere points,
+        whose stencils reach the field at most ``MAX_POINTS`` points per call.
         """
         rho, zeta = np.broadcast_arrays(np.asarray(rho, dtype=float),
                                         np.asarray(zeta, dtype=float))
         if self.f.gradient is None:
-            full = np.broadcast_shapes(rho.shape, np.shape(drho), np.shape(dzeta))
-            # the axes that only (drho, dzeta) span, moved last: one row of directions per node
-            padded = (1,) * (len(full) - rho.ndim) + rho.shape
-            spread = [i for i, (m, k) in enumerate(zip(padded, full)) if m == 1 < k]
-            order = [i for i in range(len(full)) if i not in spread] + spread
-            drho_n, dzeta_n = (np.broadcast_to(np.asarray(d, dtype=float), full)
-                               .transpose(order).reshape(rho.size, -1) for d in (drho, dzeta))
+            # each pair's drho and dzeta at every node, one column per pair
+            drho_n, dzeta_n = np.moveaxis([np.broadcast_arrays(rho, *pair)[1:] for pair in slopes],
+                                          0, -1).reshape(2, rho.size, len(slopes))
             steps, weights = fd_stencil(0.0, SLOPE_FD)
 
             def stencil(pts, dirs, nodes):
@@ -322,16 +319,15 @@ class _AxialField:
                 vals = np.concatenate([self.f.evaluate(flat[i:i + MAX_POINTS])
                                        for i in range(0, flat.shape[0], MAX_POINTS)])
                 centre = vals[:pts.shape[0] * pts.shape[1]].reshape(pts.shape[:2])
-                slopes = np.tensordot(weights, vals[centre.size:].reshape(around.shape[:-1]), axes=1)
-                columns = [centre, *np.moveaxis(slopes, 1, 0)]
+                diffs = np.tensordot(weights, vals[centre.size:].reshape(around.shape[:-1]), axes=1)
+                columns = [centre, *np.moveaxis(diffs, 1, 0)]
                 return np.stack(columns + [np.abs(centre)] if magnitude else columns, axis=-1)
 
             sums = self._sphere_sums(rho.ravel(), zeta.ravel(), stencil,
                                      MAX_POINTS // (1 + steps.size))
-            means = sums[:, 0].reshape(rho.shape)
-            slopes = sums[:, 1:1 + drho_n.shape[1]].reshape([full[i] for i in order])
-            out = (means, slopes.transpose(np.argsort(order)))
-            return out + (sums[:, -1].real.reshape(rho.shape),) if magnitude else out
+            sums = sums.reshape(rho.shape + sums.shape[-1:])
+            out = tuple(np.moveaxis(sums[..., :1 + len(slopes)], -1, 0))
+            return out + (sums[..., -1].real,) if magnitude else out
 
         def values(pts, dirs, nodes):
             flat = pts.reshape(-1, self.n)
@@ -346,7 +342,8 @@ class _AxialField:
 
         sums = self._sphere_sums(rho.ravel(), zeta.ravel(), values)
         sums = sums.reshape(rho.shape + sums.shape[-1:])
-        out = (sums[..., 0], drho * sums[..., 1] + dzeta * sums[..., 2])
+        out = (sums[..., 0],) + tuple(drho * sums[..., 1] + dzeta * sums[..., 2]
+                                      for drho, dzeta in slopes)
         return out + (sums[..., 3].real,) if magnitude else out
 
     # -- functions of u = rho^2 on the disk ---------------------------------
@@ -393,7 +390,7 @@ class _AxialField:
         a, n = self.a, self.n
 
         def g(u: np.ndarray) -> np.ndarray:
-            fbar, slope = self.sample(np.sqrt(u), 0.0, 0.0, 1.0)
+            fbar, slope = self.sample(np.sqrt(u), 0.0, ((0.0, 1.0),))
             return (fbar + 1j * (a**2 - u) / ((n - 2) * a) * slope)[:, None]
 
         return self.u_panels(g, [self.slope_noise], rim, cover=cover)[0]
@@ -470,7 +467,7 @@ def singular_action_r3(f: TestField, y: Sequence[float] | np.ndarray) -> SourceA
     a = af.a
     rim = af.fit_disk_rule(a)
     g_pieces, ah_pieces = af.u_panels(      # G = fbar(sqrt(u), 0), a H = a fbar_zeta
-        lambda u: np.stack(af.sample(np.sqrt(u), 0.0, 0.0, 1.0), axis=1) * [1.0, a],
+        lambda u: np.stack(af.sample(np.sqrt(u), 0.0, ((0.0, 1.0),)), axis=1) * [1.0, a],
         [1.0, af.slope_noise], rim)
     # rim L0 = G(a^2); single layer: -a Int_0^a (G(a^2-q^2) - L0) / q^2 dq
     (l0,), int1, err1 = _taylor_subtracted(g_pieces, 0, a)
@@ -505,7 +502,7 @@ def singular_action_r4(f: TestField, y: Sequence[float] | np.ndarray) -> complex
     af = _AxialField(f, y, 4)
     a = af.a
     af.fit_rule(np.array([a]), 0.0, 1)
-    fbar, (d_rho, d_zeta) = af.sample(a, 0.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    fbar, d_rho, d_zeta = af.sample(a, 0.0, ((1.0, 0.0), (0.0, 1.0)))
     return complex(fbar + a * d_rho - 1j * a * d_zeta)
 
 
@@ -612,7 +609,7 @@ def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
         gamma = eps + 1j * q
         # the mean on the spheroid p = eps and its p-slope, along (d rho/dp, d zeta/dp)
         rho, zeta = oblate_rho_zeta(eps, q, a)
-        fs, fsp = af.sample(rho, zeta, eps * rho / (a**2 + eps**2), q / a)
+        fs, fsp = af.sample(rho, zeta, ((eps * rho / (a**2 + eps**2), q / a),))
         return (a * np.cos(theta)) ** (n - 2) * (fs + gamma * fsp / (n - 2)) / gamma ** (n - 1)
 
     def integrated(lo: list[float], hi: list[float], depth: int):
@@ -632,7 +629,7 @@ def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
     # for the geometric panels' theta-nodes
     q = a * np.sqrt(1.0 - np.array(PROBE_U))
     spheres = oblate_rho_zeta(eps, np.unique(np.concatenate([q, -q])), a)
-    probed = af.fit_rule(*spheres, len(lo) * (2 * INTERVAL_ORDER + 1))
+    size = float(af.fit_rule(*spheres).max())     # the largest probe mean of |f|
     panels = integrated(lo, hi, 0)
     floor = None
     while True:
@@ -647,7 +644,6 @@ def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
         if floor is None:
             # U_ROUNDING of the Sum |K| of a field as large as f is on the spheroid,
             # the kernel's integral bounded by that of a^(n-3) / (eps^2 + q^2)^((n-1)/2)
-            size = float((af.magnitude(*spheres) if probed is None else probed).max())
             floor = U_ROUNDING * size * a ** (n - 3) * eps ** (2 - n) * math.sqrt(math.pi) * (
                 math.gamma(n / 2.0 - 1.0) / math.gamma((n - 1) / 2.0))
         if scale <= floor:

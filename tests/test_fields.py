@@ -71,7 +71,7 @@ def test_bump_support():
     assert f.evaluate(np.array([1.0, 0.0])) == pytest.approx(1.0)
     assert f.evaluate(np.array([1.6, 0.0])) == 0.0
     assert f.evaluate(np.array([1.49, 0.0])) != 0.0
-    assert f.support_radius == pytest.approx(1.5)
+    assert f.evaluate(np.array([1.5, 0.0])) == 0.0
 
 
 def test_combinators(rng):

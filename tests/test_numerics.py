@@ -606,7 +606,7 @@ def _slope_layer(layer: str, seen: list) -> tuple[np.ndarray, list[np.ndarray]]:
 
     if layer == "source-slopes":
         af = _AxialField(TestField(record), np.array([0.0, 0.0, 0.8]), 3)
-        af.sample(0.8, 0.0, 0.0, 1.0)
+        af.sample(0.8, 0.0, ((0.0, 1.0),))
         return 0.8 * af._dirs, [af.yhat]
     if layer == "extension-w":
         xs = np.array([[0.1, 0.2, 0.3], [-0.4, 0.0, 0.5]])

@@ -291,7 +291,7 @@ def test_regularized_small_a_limit():
         af = _AxialField(f, y, 3)
         # the spheroid's equator: rho = sqrt(a^2 + eps^2), d rho/dp = eps / rho, zeta = 0
         rho = math.hypot(a, eps)
-        fbar, slope = af.sample(rho, 0.0, eps / rho, 0.0)
+        fbar, slope = af.sample(rho, 0.0, ((eps / rho, 0.0),))
         limit = fbar + eps * slope
         val = regularized_action(f, y, 3, eps)
         assert abs(val - limit) <= 5.0 * a
@@ -311,8 +311,8 @@ def test_parity_of_parametrized_halves():
     a = 1.0
     for q in (0.2, 0.5, 0.8):
         rho = math.sqrt(a**2 - q**2)
-        g_plus = af.sample(rho, 0.0, 0.0, 1.0)[0]
-        g_minus = af.sample(-rho, 0.0, 0.0, 1.0)[0]
+        g_plus = af.sample(rho, 0.0, ((0.0, 1.0),))[0]
+        g_minus = af.sample(-rho, 0.0, ((0.0, 1.0),))[0]
         assert g_plus == pytest.approx(g_minus, abs=1e-12)
 
 
@@ -472,9 +472,9 @@ def test_gradient_free_slopes_share_the_centre_values():
     singular_action_r4(free, y)
     assert sum(sizes) == 10_368 and max(sizes) <= MAX_POINTS
     af = _AxialField(free, y, 4)
-    fbar, (d_rho, d_zeta) = af.sample(af.a, 0.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    fbar_rho, d_rho_alone = af.sample(af.a, 0.0, 1.0, 0.0)
-    fbar_zeta, d_zeta_alone = af.sample(af.a, 0.0, 0.0, 1.0)
+    fbar, d_rho, d_zeta = af.sample(af.a, 0.0, ((1.0, 0.0), (0.0, 1.0)))
+    fbar_rho, d_rho_alone = af.sample(af.a, 0.0, ((1.0, 0.0),))
+    fbar_zeta, d_zeta_alone = af.sample(af.a, 0.0, ((0.0, 1.0),))
     assert fbar == fbar_rho == fbar_zeta
     assert (d_rho, d_zeta) == (d_rho_alone, d_zeta_alone)
 
@@ -631,9 +631,14 @@ def test_regularized_rule_is_probed_off_the_plane(monkeypatch, n, field):
 
 
 def _forced_fixed(monkeypatch, act):
-    """``act()`` with the rule of SPHERE_ORDER forced: ``fit_rule`` keeps it unprobed."""
+    """``act()`` with the rule of SPHERE_ORDER forced: ``fit_rule`` keeps it unprobed,
+    and gives a regularized action, which counts no spheres, the means of |f| on
+    the probe spheres that its zero-action floor takes."""
+    def fixed(self, rho, zeta, spheres=None):
+        return None if spheres is not None else self.magnitude(*np.broadcast_arrays(rho, zeta))
+
     with monkeypatch.context() as patch:
-        patch.setattr(_AxialField, "fit_rule", lambda self, *args: None)
+        patch.setattr(_AxialField, "fit_rule", fixed)
         return act()
 
 
@@ -709,17 +714,18 @@ def test_zero_regularized_action_stops_at_rounding(n, gradient):
 
 
 def test_gradient_free_sample_shapes():
-    """The mean keeps the shape of (rho, zeta) and the slope takes that of all four,
-    as with an exact gradient, whose values the stencil matches."""
+    """The mean and each pair's slope keep the shape of (rho, zeta), for pairs of
+    numbers and of arrays of that shape alike, as with an exact gradient, whose
+    values the stencil matches."""
     exact = gaussian(1.3, center=np.full(4, 0.1))
     y = [0.1, 0.2, 0.9, 0.3]
     rho = np.array([[0.5], [0.8], [1.0]])
-    dirs = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    mean, slope = _AxialField(TestField(exact.evaluator), y, 4).sample(rho, 0.1, *dirs)
-    ref_mean, ref_slope = _AxialField(exact, y, 4).sample(rho, 0.1, *dirs)
-    assert mean.shape == (3, 1) and slope.shape == (3, 2)
+    pairs = ((1.0, 0.0), (0.0, 1.0), (rho, 1.0 - rho))
+    mean, *slopes = _AxialField(TestField(exact.evaluator), y, 4).sample(rho, 0.1, pairs)
+    ref_mean, *ref_slopes = _AxialField(exact, y, 4).sample(rho, 0.1, pairs)
+    assert mean.shape == (3, 1) and [slope.shape for slope in slopes] == [(3, 1)] * 3
     assert np.allclose(mean, ref_mean, rtol=0.0, atol=1e-15)
-    assert np.allclose(slope, ref_slope, rtol=0.0, atol=1e-11)
+    assert np.allclose(slopes, ref_slopes, rtol=0.0, atol=1e-11)
 
 
 def test_r3_on_several_u_panels(monkeypatch):
@@ -908,6 +914,75 @@ def test_regularized_actions_keep_their_bits(case):
         y[0], y[-1] = 0.48, 0.64
         act = _regularized(_harmonic_exponential(n, 1.0)[0], y, n, eps)
     assert repr((act.value, act.err_estimate)) == PINNED_REGULARIZED[case]
+
+
+#: ``repr`` of actions on a gradient-free Gaussian, whose slopes all come from the
+#: SLOPE_FD stencils of ``_AxialField.sample``, recorded while ``sample`` took
+#: (drho, dzeta) as two arrays broadcast against the nodes; the regularized entries
+#: are (value, err_estimate) of ``_regularized`` at eps = 0.1.
+PINNED_GRADIENT_FREE = {
+    "singular-n3": "(0.1891770338015516-0.11173879520941292j)",
+    "singular-n4": "(-0.09444387811341526-0.08996616635499269j)",
+    "singular-n5": "(-0.31332147816591416-0.07087480253355238j)",
+    "singular-n6": "(-0.47604198748874954-0.05421905842188114j)",
+    "even-n4": "(-0.09444387811356124-0.08996616635499517j)",
+    "even-n6": "(-0.47604198748874954-0.05421905842188114j)",
+    "odd-n3": "(0.1891770338015516-0.11173879520944724j)",
+    "odd-n5": "(-0.31332147816591416-0.07087480253355238j)",
+    "r4": "(-0.06538469084855647-0.0991734663319922j)",
+    "descent": "((0.6019569117553752-0.10033665734392554j), "
+               "(0.6019569117554906-0.10033665734392384j))",
+    "regularized-n4": "((0.005671742301064201-0.08977782763957001j), 4.749683646627519e-13)",
+    "regularized-n5": "((-0.14755124366055578-0.07165763368228972j), 1.2869894368746614e-11)",
+    "regularized-n6": "((-0.2671755295954113-0.055921157895025775j), 2.2649452150874935e-10)",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_GRADIENT_FREE))
+def test_gradient_free_actions_keep_their_bits(case):
+    kind, n = case.rsplit("-n", 1) if "-n" in case else (case, "3")
+    n = int(n)
+    f = TestField(gaussian(1.3, center=np.full(n, 0.1)).evaluator, name="gradient-free")
+    y = np.zeros(n)
+    y[0], y[-1] = 0.6, 0.8
+    if kind == "singular":
+        got = singular_action(f, y, n)
+    elif kind == "even":
+        got = singular_action_even(f, y, n)
+    elif kind == "odd":
+        got = singular_action_odd(f, y, n)
+    elif kind == "r4":
+        got = singular_action_r4(TestField(gaussian(1.3, center=np.full(4, 0.1)).evaluator),
+                                 [0.1, 0.2, 0.9, 0.3])
+    elif kind == "descent":
+        got = descent_check(f, [0.3, 0.2, 0.5])
+    else:
+        act = _regularized(f, y, n, 0.1)
+        got = (act.value, act.err_estimate)
+    assert repr(got) == PINNED_GRADIENT_FREE[case]
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.1, 2.0])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_every_regularized_action_probes(monkeypatch, n, eps):
+    """The first pass of a regularized action takes the 33 theta-nodes' spheres of at
+    least two geometric panels (one on each side of theta = 0 once eps / a passes
+    pi / 2), 66 spheres, more than one field call holds even on the 64-node circle:
+    so the walk always probes, and the probe's means of |f| give the zero-action
+    floor its scale."""
+    walks, walk = [], source.walk_ladder
+
+    def spy(*args, **kwargs):
+        walks.append(walk(*args, **kwargs))
+        return walks[-1]
+
+    monkeypatch.setattr(source, "walk_ladder", spy)
+    y = np.zeros(n)
+    y[0], y[-1] = 0.6, 0.8
+    _regularized(_harmonic_exponential(n, 1.0)[0], y, n, eps)
+    assert len(walks) == 1
+    (orders, payload, _), = walks
+    assert payload is not None and payload.shape == (7,) and np.all(payload > 0.0)
 
 
 def _circle_mode(m):
