@@ -31,7 +31,7 @@ setting j~ = D~ f~ yields D~ j~ = 0 with f~, j~ matching f, Df at t = 0
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
@@ -45,7 +45,7 @@ from .errors import (
     SingularPointError,
     UnsupportedDimensionError,
 )
-from .fields import poly_diff, poly_eval
+from .fields import _PolyMatrix, _poly_matrix, _poly_values, poly_diff
 from .geometry import ComplexPoint, _branch_gamma, oblate_rho_zeta
 from .numerics import (
     INTERVAL_ORDER,
@@ -306,19 +306,28 @@ class MultivectorField:
     labels: tuple[int, ...] | None = None
     name: str = ""
 
+    #: the blade masks of ``poly`` and their ``fields._PolyMatrix``, built with the field
+    _blades: tuple[list[int], _PolyMatrix] | None = field(
+        default=None, init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         if self.evaluator is None and self.poly is None:
             raise ValueError("field needs an evaluator or a polynomial table")
         if self.labels is None:
             object.__setattr__(self, "labels", self.algebra.labels[: self.n])
+        if self.poly:
+            masks = list(self.poly)
+            object.__setattr__(self, "_blades", (masks, _poly_matrix(
+                [self.poly[mask] for mask in masks], self.n)))
 
     def batch(self, pts: np.ndarray) -> np.ndarray:
         """Blade coefficients at an (m, n) point array, shape (m, dim)."""
         pts = np.asarray(pts, dtype=float)
         if self.poly is not None:
             out = np.zeros((pts.shape[0], self.algebra.dim), dtype=complex)
-            for mask, table in self.poly.items():
-                out[:, mask] = poly_eval(table, pts)
+            if self._blades is not None:
+                masks, matrix = self._blades
+                out[:, masks] = _poly_values(matrix, pts)
             return out
         return np.asarray(self.evaluator(pts))
 

@@ -182,7 +182,8 @@ class QuadratureRule:
 
     ``kind`` is one of ``"gauss-legendre"`` or ``"gauss-kronrod"``
     (interval [-1, 1], weights sum to 2), ``"circle-trapezoid"`` (S^1,
-    weights sum to 1) or ``"sphere-product"`` (S^m, weights sum to 1).
+    weights sum to 1), ``"sphere-product"`` (S^m, weights sum to 1) or
+    ``"sphere-folded"`` (the upper half of an S^2 rule, weights sum to 1).
     ``nodes`` has shape (m,) for intervals and (m, d) with unit rows for
     spheres.
     """
@@ -396,6 +397,29 @@ def sphere_rule(dim: int, orders: tuple[int, ...] | None = None) -> QuadratureRu
     return QuadratureRule("sphere-product", int(np.prod(orders)), nodes, weights)
 
 
+@lru_cache(maxsize=None)
+def _folded_rule(orders: tuple[int, ...]) -> QuadratureRule:
+    """``sphere_rule(2, orders)`` folded about its polar axis, for fields even in it.
+
+    A field that depends on the polar coordinate xi of S^2 only through |xi|
+    (lifted data, constant in the lifted coordinate) takes one value at the
+    nodes of the levels xi and -xi, which share their other coordinates.
+    The fold keeps the levels xi > 0 at doubled weight, and the level
+    xi = 0 of an odd polar count once: half the nodes, and the same sums up
+    to rounding.  Hadamard descent samples its lifted spheres on it: the
+    n = 2 wave solver, which drops xi and evaluates the data on the unit
+    disk, and ``source.descent_check``.
+    """
+    rule = sphere_rule(2, orders)
+    xi = rule.nodes[:, 2]
+    upper = xi >= 0.0
+    nodes = rule.nodes[upper]
+    weights = np.where(xi[upper] > 0.0, 2.0, 1.0) * rule.weights[upper]
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return QuadratureRule("sphere-folded", rule.order, nodes, weights)
+
+
 def walk_ladder(dim: int, probe, noise=1.0, spheres: int | None = None):
     """The first rung of the sphere-rule ladder on S^dim whose probe agrees with the next rungs'.
 
@@ -448,6 +472,8 @@ def walk_ladder(dim: int, probe, noise=1.0, spheres: int | None = None):
 
 def _check_finite(**values) -> None:
     """Raise ``ValueError`` naming the first argument with an entry that is not finite."""
+    if np.isfinite(np.concatenate([np.ravel(value) for value in values.values()])).all():
+        return
     for name, value in values.items():
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite, got {np.asarray(value).tolist()}")
@@ -503,6 +529,12 @@ def integrate_interval(
     return parts if batch else parts[0]
 
 
+def _sphere_product(vals: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """One product a sphere: (b, 1, s) @ (s,) -> (b, 1) for (b, s) values, and
+    (s,) @ (b, s, dim) -> (b, dim) for (b, s, dim) values."""
+    return (vals[:, None] @ w)[:, 0] if vals.ndim == 2 else w @ vals
+
+
 def sphere_sums(values, centers, radii, dirs: np.ndarray, weights: np.ndarray,
                 max_points: int = MAX_POINTS) -> np.ndarray:
     """Rule-weighted sums over ``dirs`` of ``values`` at centers_i + radii_i dirs_j.
@@ -536,14 +568,9 @@ def sphere_sums(values, centers, radii, dirs: np.ndarray, weights: np.ndarray,
         # one contiguous row per column, each summed as its own product, so a
         # column sums exactly as a 1-D call with it does
         weights = np.ascontiguousarray(weights.T)
-
-    def per_sphere(vals: np.ndarray, w: np.ndarray) -> np.ndarray:
-        # (b, 1, s) @ (s,) -> (b, 1) and (s,) @ (b, s, dim) -> (b, dim): one product a sphere
-        return (vals[:, None] @ w)[:, 0] if vals.ndim == 2 else w @ vals
-
     m = weights.shape[-1]
     per_slice = math.ceil(m / math.ceil(m / cap))
-    out = {}
+    out: list[np.ndarray] = []
     for lo in range(0, m, per_slice):
         part_dirs = dirs[lo:lo + per_slice]
         part_weights = weights[..., lo:lo + per_slice]
@@ -551,18 +578,18 @@ def sphere_sums(values, centers, radii, dirs: np.ndarray, weights: np.ndarray,
         for i in range(0, k, block):
             nodes = slice(i, i + block)
             at = centers if centers.ndim == 1 else centers[nodes, None, :]
-            pts = at + radii[nodes, None, None] * part_dirs
-            got = values(pts, part_dirs, nodes)
-            for j, vals in enumerate(got if isinstance(got, tuple) else (got,)):
+            got = values(at + radii[nodes, None, None] * part_dirs, part_dirs, nodes)
+            lone = not isinstance(got, tuple)
+            for j, vals in enumerate((got,) if lone else got):
                 vals = np.asarray(vals)
                 if part_weights.ndim == 1:
-                    sums = per_sphere(vals, part_weights)
+                    sums = _sphere_product(vals, part_weights)
                 else:
-                    sums = np.stack([per_sphere(vals, c) for c in part_weights], axis=1)
-                if j not in out:
-                    out[j] = np.zeros((k,) + sums.shape[1:], dtype=complex)
+                    sums = np.stack([_sphere_product(vals, c) for c in part_weights], axis=1)
+                if j == len(out):
+                    out.append(np.zeros((k,) + sums.shape[1:], dtype=complex))
                 out[j][nodes] += sums
-    return tuple(out.values()) if isinstance(got, tuple) else out[0]
+    return out[0] if lone else tuple(out)
 
 
 def point_values(f):

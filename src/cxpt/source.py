@@ -108,6 +108,7 @@ from .numerics import (
     MAX_POINTS,
     SLOPE_FD,
     U_ROUNDING,
+    _folded_rule,
     fd_stencil,
     integrate_interval,
     orthonormal_complement_frame,
@@ -198,10 +199,12 @@ class _AxialField:
     the sphere rule they use, once per action; until then it is that of
     ``numerics.SPHERE_ORDER``.  ``fit_disk_rule`` is ``fit_rule``
     for the singular actions' disk and gives the rim mean of |f| that
-    ``u_panels`` resolves against.
+    ``u_panels`` resolves against.  A ``lifted`` field (n = 4, even in its
+    last coordinate s, with y in s = 0: ``descent_check``'s) takes its
+    S^2 rules folded about s, half the points.
     """
 
-    def __init__(self, f: TestField, y: np.ndarray, n: int) -> None:
+    def __init__(self, f: TestField, y: np.ndarray, n: int, lifted: bool = False) -> None:
         self.f = f
         self.y = np.asarray(y, dtype=float)
         self.n = n
@@ -211,7 +214,15 @@ class _AxialField:
         if self.a == 0.0:
             raise ValueError("axis vector y must be nonzero here")
         self.yhat = self.y / self.a
-        self._frame = orthonormal_complement_frame(self.y)
+        self._lifted = lifted
+        if lifted:
+            # n = 4, f even in its last coordinate s and y in s = 0: e_s is pinned as
+            # the polar axis of the S^2 rule, whose levels +-xi then fold onto one
+            self._frame = np.zeros((n, n - 1))
+            self._frame[:-1, :-1] = orthonormal_complement_frame(self.y[:-1])
+            self._frame[-1, -1] = 1.0
+        else:
+            self._frame = orthonormal_complement_frame(self.y)
         self._orders = None     # the per-level node counts of the rule in use
         self._use_rule(sphere_levels(n - 2))
         #: the ladder walk's last disagreement (its top pair's, off S^1), in units
@@ -226,7 +237,7 @@ class _AxialField:
         if orders == self._orders:
             return
         self._orders = orders
-        rule = sphere_rule(self.n - 2, orders)
+        rule = _folded_rule(orders) if self._lifted else sphere_rule(self.n - 2, orders)
         self._dirs = rule.nodes @ self._frame.T      # (m, n) unit vectors in y-perp
         self._weights = rule.weights
 
@@ -499,7 +510,11 @@ def singular_action_r4(f: TestField, y: Sequence[float] | np.ndarray) -> complex
     if np.linalg.norm(y) == 0.0:
         return f.evaluate(np.zeros(4))
     _require_smoothness(f, 1, "singular_action_r4")
-    af = _AxialField(f, y, 4)
+    return _action_r4(_AxialField(f, y, 4))
+
+
+def _action_r4(af: _AxialField) -> complex:
+    """``singular_action_r4`` of the field and axis of ``af``."""
     a = af.a
     af.fit_rule(np.array([a]), 0.0, 1)
     fbar, d_rho, d_zeta = af.sample(a, 0.0, ((1.0, 0.0), (0.0, 1.0)))
@@ -690,7 +705,10 @@ def descent_check(f: TestField, y: Sequence[float] | np.ndarray,
     The right side lifts f to R^{n+1} as f(x) on the slab |s| <= window, with
     gradient [grad f(x), 0] there when f has one, so its slopes are exact.  The
     4-D source support lives in |s| <= a, so any window covering it with FD
-    margin is exact.
+    margin is exact.  The lift is even in s, so its sphere is sampled as the
+    n = 2 wave solver samples lifted data: s is the polar axis of the S^2 rule,
+    folded onto s >= 0 (``numerics._folded_rule``), and each distinct point
+    is evaluated once.
     """
     if n != 3:
         raise UnsupportedDimensionError("descent check is implemented for n = 3")
@@ -707,5 +725,6 @@ def descent_check(f: TestField, y: Sequence[float] | np.ndarray,
             f"window {w} does not cover the source support |s| <= {a} with FD margin"
         )
     lhs = singular_action_r3(f, y).value
-    rhs = singular_action_r4(_lift(f, w), np.append(y, 0.0))
+    # singular_action_r3 has checked the smoothness the r4 action needs
+    rhs = _action_r4(_AxialField(_lift(f, w), np.append(y, 0.0), 4, lifted=True))
     return lhs, rhs

@@ -12,8 +12,13 @@ radius r about x (unit-mass measure),
     c_n = 1 / (n-2)!!,
 
 so u = d/dt(t vbar) + t wbar for n = 3 (Kirchhoff) and the k = 2 form for
-n = 5.  Even n = 2 is obtained by Hadamard descent: lift the data to R^3
-constant in the suppressed coordinate and evaluate the n = 3 formula.
+n = 5.  Even n = 2 is obtained by Hadamard descent: the n = 3 formula for
+the data lifted to R^3, constant in the suppressed coordinate.  A sphere
+of R^3 meets the plane twice over, so the S^2 rule, whose polar axis is
+the suppressed coordinate, is folded onto its upper half: its levels +-xi
+at doubled weight and the level xi = 0 once (``numerics._folded_rule``).
+That is a rule on the unit disk, and the data are evaluated once at each
+of its 2-D points (576 for the rule (24, 48), not 1,152).
 No sign of t is assumed; t < 0 solves the final-value problem.
 
 The same machinery evaluates the extension f~(x, s+it) of a field f(x, s)
@@ -26,12 +31,13 @@ Every solve is a batch: ``_solve_lattice`` solves a whole lattice of
 points (x_i, t_i) in one pass, and ``solve_cauchy`` is a batch of one
 point.  Each formula samples through one sampler, ``_sample``, which hands
 ``numerics.sphere_sums`` one centre per sphere and takes each distinct
-sphere once:
+sphere once, calling the fields' evaluators and gradients directly on
+the (m, n) point blocks:
 
 * When v carries an exact gradient, an n = 3 solve is one sphere at the
   signed radius t: d/dt(t vbar) = vbar + t mean(omega . grad v), so
-  u = mean(v + t omega . grad v + t w) over x + t omega (n = 2 lifts the
-  gradient as [grad v, 0]).
+  u = mean(v + t omega . grad v + t w) over x + t omega (at n = 2, omega
+  is a node of the folded rule and omega . grad v takes its 2-D part).
 * Otherwise a solve samples every radius its Richardson radial stencils
   touch (``numerics.fd_stencil``), as |r| since the means are even in r,
   and its stencil sums are weighted sums of those means: 7 means for
@@ -52,9 +58,9 @@ A batch takes one rule for all its spheres, from one
 distinct spheres the batch takes.  When they fit in one evaluator call on
 the rule of ``numerics.SPHERE_ORDER`` (at most ``numerics.MAX_POINTS``
 points, as for a single one-sphere solve), the walk keeps that rule
-unprobed: a probe would cost more than it saves.  Otherwise it probes the
-fields on the outermost sphere of each point of largest |t|
-(the hardest to resolve), summing what the batch sums, one
+unprobed: a probe would cost more than it saves, and no probe sphere is
+built.  Otherwise it probes the fields on the outermost sphere of each
+point of largest |t| (the hardest to resolve), summing what the batch sums, one
 ``sphere_sums`` pass for all fields per rung of ``numerics.SPHERE_LADDER``.
 It keeps the lower rung of the first pair whose sums agree to
 ``U_ROUNDING`` of the field scale, climbing past sphere order 24 where no
@@ -95,15 +101,15 @@ from .errors import (
     NonFiniteIntegrandError,
     UnsupportedDimensionError,
 )
-from .fields import TestField, _lift, _single
+from .fields import TestField, _single
 from .numerics import (
     MAX_POINTS,
     SLOPE_FD,
     FDScheme,
     _check_finite,
+    _folded_rule,
     derivative,
     fd_stencil,
-    point_values,
     sphere_rule,
     sphere_sums,
     walk_ladder,
@@ -179,44 +185,58 @@ def harmonic_mode(k: Sequence[float]) -> SpacetimeField:
     )
 
 
-def _columns(rule) -> np.ndarray:
+def _rule(n: int, orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Directions and weights of a solve's sphere rule in R^n on the rung ``orders``.
+
+    S^{n-1}'s rule, and for n = 2 (Hadamard descent) ``numerics._folded_rule``:
+    the S^2 rule whose polar axis is the lifted coordinate, folded onto its
+    upper half and projected to the plane of the data, so each distinct
+    point of a lifted sphere is evaluated once.
+    """
+    if n == 2:
+        rule = _folded_rule(orders)
+        return rule.nodes[:, :2], rule.weights
+    rule = sphere_rule(n - 1, orders)
+    return rule.nodes, rule.weights
+
+
+def _columns(dirs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Weight columns [w, w omega_1, w omega_2, w omega_3] of a mean and its first moments."""
-    return np.column_stack([rule.weights, rule.weights[:, None] * rule.nodes])
+    return np.column_stack([weights, weights[:, None] * dirs])
 
 
 def _point_field(f: TestField):
-    """``_sample``'s form of a field: ``field(r)`` gives its ``numerics.sphere_sums``
-    values on spheres of radii r as a 1-tuple, and ``field(r, sized=True)`` them
-    and their moduli."""
-    values = point_values(f)
+    """``_sample``'s form of a field: ``field(pts, dirs, r, sized)`` gives its values
+    at the (b, s, n) points of spheres of radii r as a 1-tuple, and with ``sized``
+    them and their moduli."""
+    evaluator = f.evaluator
 
-    def bind(r: np.ndarray, sized: bool = False):
-        def sample(pts: np.ndarray, dirs: np.ndarray, nodes: slice) -> tuple:
-            vals = values(pts, dirs, nodes)
-            return (vals, np.abs(vals)) if sized else (vals,)
+    def field(pts: np.ndarray, dirs: np.ndarray, r: np.ndarray, sized: bool) -> tuple:
+        vals = np.asarray(evaluator(pts.reshape(-1, pts.shape[-1])))
+        vals = vals.reshape(pts.shape[:2] + vals.shape[1:])
+        return (vals, np.abs(vals)) if sized else (vals,)
 
-        return sample
-
-    return bind
+    return field
 
 
 def _slope_field(data: CauchyData):
     """Kirchhoff's one-sphere integrand v + r (omega . grad v + w) at the signed radii r,
-    sized by |v| + |r| (|omega . grad v| + |w|): n = 3 data whose v carries a gradient,
-    in the form of ``_point_field``."""
-    v_vals, w_vals = point_values(data.v), point_values(data.w)
+    sized by |v| + |r| (|omega . grad v| + |w|): data whose v carries a gradient, in
+    the form of ``_point_field``."""
+    v, gradient, w = data.v.evaluator, data.v.gradient, data.w.evaluator
 
-    def bind(r: np.ndarray, sized: bool = False):
-        def sample(pts: np.ndarray, dirs: np.ndarray, nodes: slice) -> tuple:
-            grad = data.v.gradient_at(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape)
-            slope = np.einsum("bsn,sn->bs", grad, dirs)
-            v, w, t = v_vals(pts, dirs, nodes), w_vals(pts, dirs, nodes), r[nodes, None]
-            u = v + t * (slope + w)
-            return (u, np.abs(v) + np.abs(t) * (np.abs(slope) + np.abs(w))) if sized else (u,)
+    def field(pts: np.ndarray, dirs: np.ndarray, r: np.ndarray, sized: bool) -> tuple:
+        flat, shape = pts.reshape(-1, pts.shape[-1]), pts.shape[:2]
+        terms = np.asarray(gradient(flat)).reshape(pts.shape) * dirs
+        slope = terms[..., 0]
+        for axis in range(1, dirs.shape[1]):   # omega . grad v, summed axis by axis
+            slope = slope + terms[..., axis]
+        vals, wvals, t = np.asarray(v(flat)), np.asarray(w(flat)), r[:, None]
+        vals, wvals = vals.reshape(shape + vals.shape[1:]), wvals.reshape(shape + wvals.shape[1:])
+        u = vals + t * (slope + wvals)
+        return (u, np.abs(vals) + np.abs(t) * (np.abs(slope) + np.abs(wvals))) if sized else (u,)
 
-        return sample
-
-    return bind
+    return field
 
 
 def _sample(fields, xs: np.ndarray, ts: np.ndarray, radii, moments: bool = False) -> list:
@@ -225,69 +245,78 @@ def _sample(fields, xs: np.ndarray, ts: np.ndarray, radii, moments: bool = False
     Field j (``_point_field`` or ``_slope_field``) is summed over the spheres
     of radii ``radii[j]``, a (k, p_j) array, about xs, each distinct
     (point, radius) once, with the rule's weights or, with ``moments``,
-    ``_columns``: one (k, p_j, ...) array per field.  ``numerics.walk_ladder``
-    is told the number of distinct spheres of all fields: when they fit in
-    one evaluator call on the rule of ``SPHERE_ORDER`` (``MAX_POINTS``
-    points), it keeps that rule unprobed.  Otherwise it probes all
-    fields in one ``sphere_sums`` pass per rung, with the same weights, on
-    the outermost sphere of each point of largest |t| (the hardest to
-    resolve), and the largest mean size of a field there is the field's
-    size; the batch takes the lower rung of the first agreeing pair, and
-    the probe's sums on it stand for the batch's own on those spheres.
-    Fields left with the same spheres share one pass.  Every pass hands
-    each evaluator whole spheres, as many as fit in ``MAX_POINTS`` points
-    divided by the largest number of components of a field's values in
-    the last probe's sums (one before any probe), or one sphere (cut into
-    slices past ``MAX_POINTS``) where a sphere alone is larger;
-    ``sphere_sums`` sums each sphere as alone, so no sum depends on how
-    the spheres are packed.
+    ``_columns``: one (k, p_j, ...) array per field.  The rule is ``_rule``'s
+    for the points' dimension n, so n = 2 takes the folded S^2 rule on the
+    disk.  ``numerics.walk_ladder`` is told the number of distinct spheres
+    of all fields: when they fit in one evaluator call on the rule of
+    ``SPHERE_ORDER`` (``MAX_POINTS`` points; spheres of the unfolded S^2
+    at n = 2 too, so the fold leaves every choice of rule as it was), it
+    keeps that rule unprobed, and no probe sphere is built.  Otherwise it probes all fields in one
+    ``sphere_sums`` pass per rung, with the same weights, on the outermost
+    sphere of each point of largest |t| (the hardest to resolve), and the
+    largest mean size of a field there is the field's size; the batch
+    takes the lower rung of the first agreeing pair, and the probe's sums
+    on it stand for the batch's own on those spheres.  Fields left with
+    the same spheres share one pass.  Every pass hands each evaluator
+    whole spheres, as many as fit in ``MAX_POINTS`` points divided by the
+    largest number of components of a field's values in the last probe's
+    sums (one before any probe), or one sphere (cut into slices past
+    ``MAX_POINTS``) where a sphere alone is larger; ``sphere_sums`` sums
+    each sphere as alone, so no sum depends on how the spheres are packed.
     """
-    dim = xs.shape[1] - 1
+    n = xs.shape[1]
     rows = [rad.tolist() for rad in radii]
     spheres = [sorted({(i, r) for i, row in enumerate(f) for r in row}) for f in rows]
     width = 1  # components of the widest field's values, read from the last probe
+    probed: list[tuple[int, float]] = []   # the probe's spheres, built by its first rung
 
     def weighted(orders: tuple[int, ...]):
-        rule = sphere_rule(dim, orders)
-        return rule, _columns(rule) if moments else rule.weights
+        dirs, weights = _rule(n, orders)
+        return dirs, _columns(dirs, weights) if moments else weights
 
-    def sums(group, rule, weights: np.ndarray, at: np.ndarray, r: np.ndarray,
-             sized=False) -> tuple:
-        bound = [fields[j](r, sized) for j in group]
+    def sums(group, dirs: np.ndarray, weights: np.ndarray, at, r, sized: bool = False) -> tuple:
+        at, r = np.array(at), np.array(r)
+        if len(group) == 1:
+            field = fields[group[0]]
 
-        def values(pts: np.ndarray, dirs: np.ndarray, nodes: slice) -> tuple:
-            return tuple(chain.from_iterable(field(pts, dirs, nodes) for field in bound))
+            def values(pts: np.ndarray, dirs: np.ndarray, nodes: slice) -> tuple:
+                return field(pts, dirs, r[nodes], sized)
+        else:
+            def values(pts: np.ndarray, dirs: np.ndarray, nodes: slice) -> tuple:
+                return tuple(chain.from_iterable(fields[j](pts, dirs, r[nodes], sized)
+                                                 for j in group))
 
-        # a lone field's tuple is already the pass's
-        return sphere_sums(values if len(bound) > 1 else bound[0], xs[at], r, rule.nodes,
-                           weights, max(rule.weights.size, MAX_POINTS // width))
+        return sphere_sums(values, xs[at], r, dirs, weights, max(len(dirs), MAX_POINTS // width))
 
     def probe(orders: tuple[int, ...]):
         nonlocal width
-        found = sums(range(len(fields)), *weighted(orders), outer, rho, sized=True)
+        if not probed:
+            # the outermost sphere of each point of largest |t|
+            for i in np.flatnonzero(np.abs(ts) == np.abs(ts).max()).tolist():
+                probed.append((i, max(chain(*(f[i] for f in rows)), key=abs)))
+        found = sums(range(len(fields)), *weighted(orders), *zip(*probed), sized=True)
         found, sizes = found[0::2], found[1::2]
         width = max(math.prod(s.shape[1 + moments:]) for s in found)
-        return (np.column_stack([s.reshape(len(outer), -1) for s in found]),
+        return (np.column_stack([s.reshape(len(probed), -1) for s in found]),
                 max(float((s[:, 0] if moments else s).real.max()) for s in sizes), found)
 
-    # the outermost sphere of each point of largest |t|
-    outer = np.flatnonzero(np.abs(ts) == np.abs(ts).max())
-    probed = [(i, max(chain(*(f[i] for f in rows)), key=abs)) for i in outer.tolist()]
-    rho = np.array([r for _, r in probed])
-    orders, known, _ = walk_ladder(dim, probe, spheres=sum(map(len, spheres)))
-    if known is None:   # kept unprobed
-        known, probed = [None] * len(fields), []
-    ruled, done, known, out = weighted(orders), set(probed), list(known), []
-    todo = [[sphere for sphere in f if sphere not in done] for f in spheres]
+    orders, known, _ = walk_ladder(max(n - 1, 2), probe, spheres=sum(map(len, spheres)))
+    ruled, done = weighted(orders), set(probed)
+    known = [None] * len(fields) if known is None else list(known)   # None: kept unprobed
+    todo = [[sphere for sphere in f if sphere not in done] for f in spheres] if done else spheres
     passes: dict[tuple, list[int]] = {}
     for j, left in enumerate(todo):
         if left:
             passes.setdefault(tuple(left), []).append(j)
     for left, group in passes.items():
-        at, r = zip(*left)
-        for j, taken in zip(group, sums(group, *ruled, np.array(at), np.array(r))):
+        for j, taken in zip(group, sums(group, *ruled, *zip(*left))):
             known[j] = taken if known[j] is None else np.concatenate([known[j], taken])
-    for f, left, got in zip(rows, todo, known):
+    out = []
+    for f, rad, left, got in zip(rows, radii, todo, known):
+        if not done and len(left) == rad.size and all(row == sorted(row) for row in f):
+            # the rows of got are the spheres of f in order
+            out.append(got.reshape(rad.shape + got.shape[1:]))
+            continue
         # the rows of got are the probe's spheres' sums, then those of the rest
         row_of = {sphere: j for j, sphere in enumerate(probed + left)}
         out.append(got[[[row_of[i, r] for r in row] for i, row in enumerate(f)]])
@@ -384,13 +413,13 @@ def solve_cauchy(data: CauchyData, x: Sequence[float] | np.ndarray, t: float):
     """Wave-equation solution u(x, t) from Cauchy data at t = 0 (n in {2, 3, 5}).
 
     A batch of one point of ``_solve_lattice``, whose t = 0 value v(x) is
-    returned as ``TestField.evaluate`` returns a point's.  x and t must be
-    finite.
+    returned as ``TestField.evaluate`` returns a point's.  x must be a
+    finite point of shape (n,) and t finite.
     """
     x = np.asarray(x, dtype=float)
     _check_finite(x=x, t=t)
-    if x.shape[0] != data.n:
-        raise ValueError(f"point has dimension {x.shape[0]}, data has n={data.n}")
+    if x.shape != (data.n,):
+        raise ValueError(f"point has shape {x.shape}, data has n={data.n}")
     u = _solve_lattice(data, x[None, :], np.array([t], dtype=float))
     return _single(u) if t == 0.0 else u[0]
 
@@ -469,18 +498,16 @@ def _extension_jets(f: SpacetimeField, xs: np.ndarray, s: float, ts: np.ndarray)
 def _solve_lattice(data: CauchyData, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """``solve_cauchy`` at every (xs[i], ts[i]), one row each, as one batch.
 
-    n = 2 is lifted to R^3 (Hadamard descent: data constant in the
-    suppressed coordinate).  The points with t = 0 are v(x); the others are
-    one ``_kirchhoff3`` or ``_poisson5`` call, whose spheres ``_sample``
-    takes on one rule.
+    The points with t = 0 are v(x); the others are one ``_kirchhoff3``
+    (n = 2 and 3) or ``_poisson5`` call, whose spheres ``_sample`` takes on
+    one rule.  n = 2 is Hadamard descent: the n = 3 formula for data lifted
+    to R^3, constant in the lifted coordinate, whose spheres ``_rule`` folds
+    onto the disk, so the data are evaluated on the plane.
     """
-    if data.n == 2:
-        data = CauchyData(_lift(data.v), _lift(data.w), 3)
-        xs = np.column_stack([xs, np.zeros(len(xs))])
-    if data.n not in (3, 5):
+    if data.n not in (2, 3, 5):
         raise UnsupportedDimensionError(f"solver supports n in {{2, 3, 5}}, got {data.n}")
-    _check_smoothness(data, (data.n - 1) // 2)
-    solve, still = _kirchhoff3 if data.n == 3 else _poisson5, ts == 0.0
+    _check_smoothness(data, data.n // 2)   # n = 2 needs the smoothness of n = 3
+    solve, still = _poisson5 if data.n == 5 else _kirchhoff3, ts == 0.0
     if not still.any():
         return solve(data, xs, ts)
     v = data.v.evaluate(xs[still])

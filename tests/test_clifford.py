@@ -760,6 +760,22 @@ def test_maxwell_continuity_on_the_ladder(xt):
     assert residual <= 1e-9
 
 
+#: ``repr`` of criterion 11's first Maxwell point (the demo field at x = (0.3, 0.7,
+#: -0.2), s = 0, t = 0.6): the blade coefficients of f~ and j~ and the continuity
+#: residual, recorded before the wave solver's sphere passes were made lean.
+PINNED_MAXWELL = (
+    "([0j, 0j, 0j, (0.6312514969513089+0j), 0j, 0j, 0j, 0j, 0j, 0j, 0j, 0j, 0j, 0j, 0j, "
+    "0j], [0j, (-1.5363217064264418e-13+0j), 0.4318623844161016j, 0j, 0j, 0j, 0j, "
+    "(-0.5316958010324924+0j), 0j, 0j, 0j, (1.2250501539116477e-12+0j), 0j, 0j, 0j, 0j], "
+    "7.350390237635524e-12)")
+
+
+def test_maxwell_extend_keeps_its_bits():
+    ft, jt, residual = maxwell_extend(maxwell_demo_field(), np.array([0.3, 0.7, -0.2]), 0.0, 0.6)
+    got = ([complex(c) for c in ft.coeffs], [complex(c) for c in jt.coeffs], residual)
+    assert repr(got) == PINNED_MAXWELL
+
+
 def test_maxwell_evaluator_cost():
     """One maxwell_extend is the point's jet and one batch of the residual's 16
     stencil jets.  The jet probes v on the (6, 12) and (9, 18) rules of S^2 (72

@@ -420,6 +420,36 @@ def _counting(f):
     return counted, sizes
 
 
+def test_descent_lift_takes_each_distinct_point_once(monkeypatch):
+    """descent_check's lifted sphere is the S^2 rule (24, 48) in y-perp with the
+    lifted axis s as its polar axis, folded onto s >= 0: the lift's evaluator and
+    gradient each get the 576 distinct points once (1,152 before the fold), and the
+    right side stays within rounding of the unfolded r4 action of the same lift
+    (2.8e-14 relative apart)."""
+    lift, seen = source._lift, []
+
+    def logged(kind, fn):
+        def wrapped(pts):
+            seen.append((kind, pts))
+            return fn(pts)
+        return wrapped
+
+    def logged_lift(f, window):
+        lifted = lift(f, window)
+        return dataclasses.replace(lifted, evaluator=logged("evaluate", lifted.evaluator),
+                                   gradient=logged("gradient", lifted.gradient))
+
+    monkeypatch.setattr(source, "_lift", logged_lift)
+    f, y = gaussian(1.5), np.array([0.2, -0.3, 0.9])
+    _, rhs = descent_check(f, y)
+    assert sorted((kind, pts.shape) for kind, pts in seen) == [("evaluate", (576, 4)),
+                                                               ("gradient", (576, 4))]
+    for _, pts in seen:
+        assert (pts[:, 3] >= 0.0).all() and len(np.unique(pts[:, :3], axis=0)) == 576
+    unfolded = singular_action_r4(lift(f, 2.0 * np.linalg.norm(y)), np.append(y, 0.0))
+    assert abs(rhs - unfolded) <= 1e-13 * abs(unfolded)
+
+
 def test_sphere_means_are_batched_and_chunked():
     counted, sizes = _counting(gaussian(1.0, center=[0.3, -0.1, 0.2]))
     singular_action(counted, [0.2, -0.4, 0.9], 3)
@@ -447,8 +477,10 @@ def test_one_sphere_pass_per_sample():
     assert sizes == {"evaluate": [1152], "gradient": [1152]}   # both directions, one sphere
 
     counted, sizes = _counting(gaussian(1.3, center=np.full(3, 0.1)))
-    descent_check(counted, [0.1, 0.2, 0.9])     # was 9 calls on 16,064 points and 1 on 1,024
-    assert _calls(sizes) == {"evaluate": (3, 2240), "gradient": (2, 2176)}
+    # was 9 calls on 16,064 points and 1 on 1,024; the lifted sphere folded takes
+    # 576 points, not 1,152 (2,240 and 2,176 points before the fold)
+    descent_check(counted, [0.1, 0.2, 0.9])
+    assert _calls(sizes) == {"evaluate": (3, 1664), "gradient": (2, 1600)}
 
     counted, sizes = _counting(gaussian(1.3, center=np.full(3, 0.1)))
     singular_action_r3(counted, [0.1, 0.2, 0.9])
@@ -919,7 +951,9 @@ def test_regularized_actions_keep_their_bits(case):
 #: ``repr`` of actions on a gradient-free Gaussian, whose slopes all come from the
 #: SLOPE_FD stencils of ``_AxialField.sample``, recorded while ``sample`` took
 #: (drho, dzeta) as two arrays broadcast against the nodes; the regularized entries
-#: are (value, err_estimate) of ``_regularized`` at eps = 0.1.
+#: are (value, err_estimate) of ``_regularized`` at eps = 0.1.  The descent entry's
+#: right side was re-recorded when the lifted sphere was folded onto its 576
+#: distinct points; it was (0.6019569117554906-0.10033665734392384j).
 PINNED_GRADIENT_FREE = {
     "singular-n3": "(0.1891770338015516-0.11173879520941292j)",
     "singular-n4": "(-0.09444387811341526-0.08996616635499269j)",
@@ -931,7 +965,7 @@ PINNED_GRADIENT_FREE = {
     "odd-n5": "(-0.31332147816591416-0.07087480253355238j)",
     "r4": "(-0.06538469084855647-0.0991734663319922j)",
     "descent": "((0.6019569117553752-0.10033665734392554j), "
-               "(0.6019569117554906-0.10033665734392384j))",
+               "(0.6019569117554915-0.10033665734392383j))",
     "regularized-n4": "((0.005671742301064201-0.08977782763957001j), 4.749683646627519e-13)",
     "regularized-n5": "((-0.14755124366055578-0.07165763368228972j), 1.2869894368746614e-11)",
     "regularized-n6": "((-0.2671755295954113-0.055921157895025775j), 2.2649452150874935e-10)",

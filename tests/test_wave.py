@@ -213,8 +213,49 @@ def test_gradient_solve_takes_one_sphere():
     assert sorted(calls) == [("grad", 1152), ("v", 1152), ("w", 1152)]
 
 
+@pytest.mark.parametrize("with_gradient", [True, False])
+def test_n2_solve_takes_each_distinct_point_once(with_gradient):
+    """Hadamard descent samples S^2 rules folded about the lifted axis: their levels
+    +-xi meet the plane at the same points, so every call hands a field distinct
+    2-D points.  With a gradient the solve is one sphere on the default rule
+    (24, 48): 576 points for each of v, grad v and w, not 1,152.  Without one the
+    walk probes (6, 12) and (9, 18), folded to 36 and 90 points (the level xi = 0
+    of an odd count once), and keeps (6, 12) for the other 5 spheres of v."""
+    calls = []
+
+    def logged(name, fn):
+        def wrapped(pts):
+            assert pts.shape[1] == 2 and len(np.unique(pts, axis=0)) == len(pts)
+            calls.append((name, len(pts)))
+            return fn(pts)
+        return wrapped
+
+    k = np.array([0.8, 0.6])
+    pw, cw = plane_wave(k), cosine_wave(k)
+    v = TestField(logged("v", pw.evaluator),
+                  gradient=logged("grad", pw.gradient) if with_gradient else None)
+    solve_cauchy(CauchyData(v, TestField(logged("w", cw.evaluator)), 2), np.full(2, 0.1), 0.7)
+    if with_gradient:
+        assert sorted(calls) == [("grad", 576), ("v", 576), ("w", 576)]
+    else:
+        assert calls == [("v", 36), ("w", 36), ("v", 90), ("w", 90), ("v", 5 * 36), ("w", 36)]
+
+
+@pytest.mark.parametrize("n, x, error", [
+    (3, 0.5, "()"), (3, np.ones((3, 1)), "(3, 1)"), (2, np.ones((2, 1)), "(2, 1)"),
+    (3, np.ones(2), "(2,)"), (5, np.ones(3), "(3,)")])
+def test_solve_refuses_a_point_of_the_wrong_shape(n, x, error):
+    """A point must have shape (n,): a scalar, a column or a point of another
+    dimension raises ValueError naming its shape (a scalar used to raise
+    IndexError, and a column a numpy broadcast or concatenate error)."""
+    data = CauchyData(plane_wave(np.ones(n)), constant(0.0), n)
+    with pytest.raises(ValueError, match=re.escape(f"point has shape {error}, data has n={n}")):
+        solve_cauchy(data, x, 0.5)
+
+
 #: ``repr`` of single solves, recorded before every solve became a batch of
-#: ``_solve_lattice``: a batch of one point keeps them bit for bit.
+#: ``_solve_lattice``: a batch of one point keeps them bit for bit.  The n = 2
+#: entry also kept its bits when its lifted sphere was folded onto the disk.
 PINNED_SOLVES = {
     "n2-gradient": "np.complex128(1.3461263134937858+0.4164056653169955j)",
     "n3-gradient": "np.complex128(1.4090486020582127+0.0056362244681286144j)",
@@ -225,15 +266,39 @@ PINNED_SOLVES = {
                   "(-4.79063904408916e-13+3.920573927040073e-13j), "
                   "(-0.43723965797188524+0.4985242967332203j)], "
                   "(-0.7287327633050054+0.8308738278864192j))",
+    # recorded before the sphere passes were made lean and n = 2 was folded
+    "n3-gaussian-gradient": "np.complex128(0.8199888798786358+0j)",
+    "n3-gaussian-gradient-free": "np.complex128(-0.9447369502945479+0j)",
+    "n5-gaussian": "np.complex128(-0.5239818410784449-0.21797268214351065j)",
+    "extend": "np.complex128(0.8308738278891943+0.7287327632877243j)",
+    "extend-s-fd": "np.complex128(0.7299543760146133+0.3707919294870807j)",
+    "wave_residual": "0.00018068995041599272",
 }
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_SOLVES))
 def test_single_solves_keep_their_bits(case):
     x = np.array([0.3, 0.1, -0.2, 0.05, 0.4])
+    mode = harmonic_mode([0.8, 0.0, 0.6])
+    bell, cw = gaussian(0.9, center=[0.1, 0.0, -0.2]), cosine_wave(K_UNIT)
     if case == "extend_jet":
-        u, grad, u_t = extend_jet(harmonic_mode([0.8, 0.0, 0.6]), x[:3], 0.1, 0.6)
+        u, grad, u_t = extend_jet(mode, x[:3], 0.1, 0.6)
         got = (complex(u), [complex(g) for g in grad], complex(u_t))
+    elif case == "extend":
+        got = extend(mode, x[:3], 0.1, 0.6)
+    elif case == "extend-s-fd":
+        got = extend(SpacetimeField(mode.evaluator), x[:3], -0.2, 0.35)
+    elif case == "wave_residual":
+        pw = plane_wave(K_UNIT)
+        got = wave_residual(CauchyData(pw, pw, 3), np.array([0.2, 0.0, 0.1]), 0.4,
+                            h=0.05, half_points=2)
+    elif case == "n3-gaussian-gradient":
+        got = solve_cauchy(CauchyData(bell, cw, 3), x[:3], 0.45)
+    elif case == "n3-gaussian-gradient-free":
+        got = solve_cauchy(CauchyData(TestField(bell.evaluator), cw, 3), x[:3], -0.8)
+    elif case == "n5-gaussian":
+        got = solve_cauchy(CauchyData(gaussian(1.1), plane_wave(np.array([0.5, 0.3, -0.2, 0.1, 0.4])),
+                                      5), x, -0.6)
     else:
         n, t = {"n2-gradient": (2, 0.7), "n3-gradient": (3, 0.7),
                 "n3-gradient-free": (3, -0.25), "n5": (5, 0.7)}[case]
