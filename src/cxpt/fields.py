@@ -117,7 +117,7 @@ class TestField:
         )
 
 
-def _lift(f: TestField, window: float = math.inf) -> TestField:
+def _lift(f: TestField, window: float) -> TestField:
     """f(x) on the slab |s| <= ``window`` of R^{n+1} (points (x, s)) and 0 outside,
     with gradient [grad f(x), 0] there (0 outside) when f has one."""
 

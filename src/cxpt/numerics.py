@@ -35,8 +35,11 @@ Conventions used throughout the library:
   (dim,) means, and an (m, q) weight matrix gives q weighted sums (a mean
   and first moments, say) of one evaluation; values returned as a tuple
   (several fields at the same points, or values and their moduli, as the
-  wave solver's passes take them) give a tuple of sums.  Each sphere is
-  summed as alone, whatever shares its call.  ``mean_on_sphere``, the
+  wave solver's passes take them) give a tuple of sums, each with every
+  weight column or with its own weighting, which may fold a trailing
+  axis (a gradient's sums with w * dirs).  A list of rules takes each
+  sphere on all of them in the same calls.  Each sphere is summed as
+  alone, whatever shares its call.  ``mean_on_sphere``, the
   source actions' axial means and the wave solver all reach the field
   through it.
 * ``walk_ladder`` is the one sphere-rule choice, probe or not: told how
@@ -535,8 +538,34 @@ def _sphere_product(vals: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (vals[:, None] @ w)[:, 0] if vals.ndim == 2 else w @ vals
 
 
-def sphere_sums(values, centers, radii, dirs: np.ndarray, weights: np.ndarray,
-                max_points: int = MAX_POINTS) -> np.ndarray:
+def _folded_product(vals: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """One product a sphere of (b, s, d) values and (s, d) weights, summed over s and d:
+    (b, 1, s d) @ (s d,) -> (b,), on the (re, im) pairs of complex values, so that
+    the real weights are not cast to complex."""
+    flat = vals.reshape(vals.shape[0], -1)
+    if not np.iscomplexobj(flat):
+        return _sphere_product(flat, w.reshape(-1))
+    pairs = w.reshape(-1) @ flat.view(flat.real.dtype).reshape(flat.shape + (2,))
+    return pairs[:, 0] + 1j * pairs[:, 1]
+
+
+def _rows(weights):
+    """A weighting with a matrix's columns as contiguous rows, each summed as its own
+    product, so that a column sums exactly as a 1-D call with it does."""
+    if isinstance(weights, tuple) or weights.ndim == 1:
+        return weights
+    return np.ascontiguousarray(weights.T)
+
+
+def _cut(weights, lo: int, hi: int):
+    """Directions lo to hi of a weighting: a vector, rows of columns or a tuple of
+    vectors and folds."""
+    if isinstance(weights, tuple):
+        return tuple(w[lo:hi] for w in weights)
+    return weights[..., lo:hi]
+
+
+def sphere_sums(values, centers, radii, dirs, weights, max_points: int = MAX_POINTS):
     """Rule-weighted sums over ``dirs`` of ``values`` at centers_i + radii_i dirs_j.
 
     ``radii`` is a 1-D array of k radii and ``centers`` one (n,) center
@@ -553,43 +582,76 @@ def sphere_sums(values, centers, radii, dirs: np.ndarray, weights: np.ndarray,
     the first moments); the result is then (k, q) or (k, q, dim).
     ``values`` may also return a tuple of such arrays (several fields at
     the same points, or values and their moduli); the result is then the
-    tuple of their sums, each array taking every weight column.
+    tuple of their sums, each array taking every weight column, or, when
+    ``weights`` is a tuple too, its own entry of it: a vector, or an
+    (m, d) fold for (b, s, d) values, whose sums also run over d (a
+    gradient's (b,) sums with w * dirs, say).
+
+    ``dirs`` and ``weights`` may also be lists, one entry per rule, and
+    the result is the list of the rules' results.  When a sphere on every
+    rule fits in ``max_points`` points, each block holds its spheres on
+    all the rules, in the same calls; otherwise each rule takes its own.
 
     Each array is summed one sphere at a time, with one product per
-    sphere and weight column, so a sphere's sums are, bit for bit, those
-    of a call with that sphere alone and the same ``max_points``: they do
-    not depend on which spheres share its calls.
+    sphere, weight column and rule, so a sphere's sums are, bit for bit,
+    those of a call with that sphere alone on that rule alone and the same
+    ``max_points``: they do not depend on which spheres or rules share
+    its calls.
     """
     radii = np.asarray(radii, dtype=float)
     k = radii.size
     centers = np.asarray(centers, dtype=float)
     cap = min(max_points, MAX_POINTS)
-    if weights.ndim == 2:
-        # one contiguous row per column, each summed as its own product, so a
-        # column sums exactly as a 1-D call with it does
-        weights = np.ascontiguousarray(weights.T)
-    m = weights.shape[-1]
+    rules = isinstance(dirs, list)
+    if rules and (len(dirs) == 1 or sum(len(d) for d in dirs) > cap):
+        # a lone rule, or rules that one call cannot hold a sphere of: each its own calls
+        return [sphere_sums(values, centers, radii, d, w, max_points)
+                for d, w in zip(dirs, weights)]
+    out: list[list[np.ndarray]] = [[] for _ in dirs] if rules else [[]]
+    if rules:   # one slice holds every rule, each in its own run of its directions
+        joined, runs, lo = np.concatenate(dirs), [], 0
+        for found, d, w in zip(out, dirs, weights):
+            runs.append((found, slice(lo, lo + len(d)), _rows(w)))
+            lo += len(d)
+    else:       # a lone rule, which may be cut into slices
+        joined, weights = dirs, _rows(weights)
+    m = joined.shape[0]
     per_slice = math.ceil(m / math.ceil(m / cap))
-    out: list[np.ndarray] = []
     for lo in range(0, m, per_slice):
-        part_dirs = dirs[lo:lo + per_slice]
-        part_weights = weights[..., lo:lo + per_slice]
-        block = cap // part_weights.shape[-1]
+        part_dirs = joined[lo:lo + per_slice]
+        pieces = runs if rules else [(out[0], None, _cut(weights, lo, lo + per_slice))]
+        block = cap // part_dirs.shape[0]
         for i in range(0, k, block):
             nodes = slice(i, i + block)
             at = centers if centers.ndim == 1 else centers[nodes, None, :]
-            got = values(at + radii[nodes, None, None] * part_dirs, part_dirs, nodes)
-            lone = not isinstance(got, tuple)
-            for j, vals in enumerate((got,) if lone else got):
-                vals = np.asarray(vals)
-                if part_weights.ndim == 1:
-                    sums = _sphere_product(vals, part_weights)
-                else:
-                    sums = np.stack([_sphere_product(vals, c) for c in part_weights], axis=1)
-                if j == len(out):
-                    out.append(np.zeros((k,) + sums.shape[1:], dtype=complex))
-                out[j][nodes] += sums
-    return out[0] if lone else tuple(out)
+            # a block's values are let go before the next block's are made
+            lone = _add_sums(values(at + radii[nodes, None, None] * part_dirs, part_dirs, nodes),
+                             pieces, nodes, k)
+    if rules:
+        return [sums[0] if lone else tuple(sums) for sums in out]
+    return out[0][0] if lone else tuple(out[0])
+
+
+def _add_sums(got, pieces: list, nodes: slice, k: int) -> bool:
+    """Add one block's sums to each rule's list of sums in ``pieces``, from its run of
+    the block (all of it when None) with its weights there; returns whether
+    ``values`` gave one array rather than a tuple."""
+    lone = not isinstance(got, tuple)
+    for j, vals in enumerate((got,) if lone else got):
+        vals = np.asarray(vals)
+        for found, run, w in pieces:
+            part = vals if run is None else vals[:, run]
+            if isinstance(w, tuple):    # this array's own weighting: a vector or a fold
+                w = w[j]
+                sums = _sphere_product(part, w) if w.ndim == 1 else _folded_product(part, w)
+            elif w.ndim == 1:
+                sums = _sphere_product(part, w)
+            else:
+                sums = np.stack([_sphere_product(part, c) for c in w], axis=1)
+            if j == len(found):
+                found.append(np.zeros((k,) + sums.shape[1:], dtype=complex))
+            found[j][nodes] += sums
+    return lone
 
 
 def point_values(f):

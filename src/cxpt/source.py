@@ -37,7 +37,10 @@ shared kernel ``numerics.sphere_sums`` (at most ``numerics.MAX_POINTS``
 points per field call): one pass over f and its exact gradient when the
 field has one, and when it does not one pass over f at each sphere point
 and at the 4 nodes of ``numerics.SLOPE_FD`` (step 1e-3) along each slope
-direction.
+direction.  With a gradient, the slope across the axis is summed only
+when asked for (the u-panels take fbar_zeta alone), as one product a
+sphere of the gradients with the rule's weights times its directions;
+a rule's directions are built by the first pass on it.
 
 Once, at its start, each action calls ``_AxialField.fit_rule``, which
 probes the field on spheres that span those the action samples: about 0
@@ -49,12 +52,15 @@ seven q of both signs for the regularized one.  The shared walk
 rung whose probe agrees with the next rung's (the next two rungs' on
 S^1, whose equispaced rules alias shared modes) to ``U_ROUNDING`` of the
 field scale; if none does, the top rung stays, and the walk's last
-disagreement joins the n = 3 and regularized error estimates.  Each
-singular action tells the walk how many spheres it samples in one pass:
-``U_NODES`` for a u-panel, 1 for ``singular_action_r4``.  Where that
-many spheres of the rule of ``numerics.SPHERE_ORDER`` fit in one field
-call, the walk keeps that rule unprobed: the n = 3 singular actions and
-the one-sphere n = 4 singular action.  The regularized action always
+disagreement joins the n = 3 and regularized error estimates.  A walk
+that probes always probes the lowest rung and the one (two on S^1) it is
+checked against, so one pass takes those rungs together, one field call
+for all their probe spheres, and each rung above takes a pass of its
+own.  Each singular action tells the walk how many spheres it samples
+in one pass: ``U_NODES`` for a u-panel, 1 for ``singular_action_r4``.
+Where that many spheres of the rule of ``numerics.SPHERE_ORDER`` fit in
+one field call, the walk keeps that rule unprobed: the n = 3 singular
+actions and the one-sphere n = 4 singular action.  The regularized action always
 probes: its first pass takes the spheres of the 33 theta-nodes of at
 least two geometric panels, more than one call holds on any such rule,
 and its probe's means of |f| give the scale of its zero-action floor.
@@ -107,6 +113,7 @@ from .numerics import (
     INTERVAL_ORDER,
     MAX_POINTS,
     SLOPE_FD,
+    SPHERE_LADDER,
     U_ROUNDING,
     _folded_rule,
     fd_stencil,
@@ -189,6 +196,38 @@ def _require_smoothness(f: TestField, needed: float, op: str) -> None:
         )
 
 
+def _axis(y: Sequence[float] | np.ndarray, n: int | None) -> np.ndarray:
+    """The axis y as a float vector of n entries (n = its length when None), or ValueError."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1 or n not in (None, y.shape[0]):
+        want = "be a 1-D vector" if n is None else f"have shape ({n},) for n = {n}"
+        raise ValueError(f"axis vector y must {want}, got shape {y.shape}")
+    return y
+
+
+class _Rule:
+    """A sphere rule of an ``_AxialField``: its orders and weights and, built on first
+    use, its directions in y-perp and the fold w * omega, whose one product with a
+    sphere's gradients is the weighted sum of its omega-slopes."""
+
+    def __init__(self, orders: tuple[int, ...], rule, frame: np.ndarray) -> None:
+        self.orders, self.weights = orders, rule.weights
+        self._nodes, self._frame = rule.nodes, frame
+        self._dirs = self._fold = None
+
+    @property
+    def dirs(self) -> np.ndarray:
+        if self._dirs is None:
+            self._dirs = self._nodes @ self._frame.T      # (m, n) unit vectors in y-perp
+        return self._dirs
+
+    @property
+    def fold(self) -> np.ndarray:
+        if self._fold is None:
+            self._fold = self.weights[:, None] * self.dirs
+        return self._fold
+
+
 class _AxialField:
     """Sphere means of a test field relative to a fixed axis y != 0.
 
@@ -197,11 +236,13 @@ class _AxialField:
     of (rho, zeta) nodes; ``u_panels`` turns functions of u = rho^2 built
     from them into piecewise Chebyshev interpolants.  ``fit_rule`` picks
     the sphere rule they use, once per action; until then it is that of
-    ``numerics.SPHERE_ORDER``.  ``fit_disk_rule`` is ``fit_rule``
-    for the singular actions' disk and gives the rim mean of |f| that
-    ``u_panels`` resolves against.  A ``lifted`` field (n = 4, even in its
-    last coordinate s, with y in s = 0: ``descent_check``'s) takes its
-    S^2 rules folded about s, half the points.
+    ``numerics.SPHERE_ORDER``.  A rule's directions are built by the first
+    pass on it, so the rule that a probing walk replaces costs nothing.
+    ``fit_disk_rule`` is ``fit_rule`` for the singular actions' disk and
+    gives the rim mean of |f| that ``u_panels`` resolves against.  A
+    ``lifted`` field (n = 4, even in its last coordinate s, with y in
+    s = 0: ``descent_check``'s) takes its S^2 rules folded about s, half
+    the points.
     """
 
     def __init__(self, f: TestField, y: np.ndarray, n: int, lifted: bool = False) -> None:
@@ -223,8 +264,7 @@ class _AxialField:
             self._frame[-1, -1] = 1.0
         else:
             self._frame = orthonormal_complement_frame(self.y)
-        self._orders = None     # the per-level node counts of the rule in use
-        self._use_rule(sphere_levels(n - 2))
+        self._rule = self._rule_of(sphere_levels(n - 2))
         #: the ladder walk's last disagreement (its top pair's, off S^1), in units
         #: of the field scale, when it kept no rung (else 0)
         self.rule_error = 0.0
@@ -233,30 +273,33 @@ class _AxialField:
             1.0, np.finfo(float).eps * self.a * np.abs(fd_stencil(0.0, SLOPE_FD)[1]).sum()
             / U_ROUNDING)
 
-    def _use_rule(self, orders: tuple[int, ...]) -> None:
-        if orders == self._orders:
-            return
-        self._orders = orders
+    def _rule_of(self, orders: tuple[int, ...]) -> _Rule:
         rule = _folded_rule(orders) if self._lifted else sphere_rule(self.n - 2, orders)
-        self._dirs = rule.nodes @ self._frame.T      # (m, n) unit vectors in y-perp
-        self._weights = rule.weights
+        return _Rule(orders, rule, self._frame)
+
+    def _use_rule(self, orders: tuple[int, ...]) -> None:
+        if orders != self._rule.orders:
+            self._rule = self._rule_of(orders)
 
     def fit_rule(self, rho: np.ndarray, zeta: np.ndarray | float,
                  spheres: int | None = None) -> np.ndarray | None:
         """Use the smallest rule of the ladder that agrees with the next rules up.
 
-        The probe takes, in one ``sample`` pass per rule, the mean, a times
-        the omega- and y_hat-slopes and the mean of |f| on the spheres of
-        radii ``rho`` about ``zeta`` y_hat, which should span the spheres the
-        action samples.  ``numerics.walk_ladder`` walks the sphere-rule
-        ladder upwards with it and keeps the first rung that agrees with the
-        next rung up (the next two on S^1) within ``U_ROUNDING`` times the
-        field scale (the largest of every sample and mean of |f| so far),
-        times ``slope_noise`` for the slopes.  If none is kept, the top rung
-        is, and ``rule_error`` takes the walk's last disagreement (the top
-        pair's, off S^1) in that scale; a field that vanishes on every probe sphere keeps the
-        rule of ``SPHERE_ORDER``.  Each call starts from that rule and a
-        ``rule_error`` of 0.
+        The probe takes the mean, a times the omega- and y_hat-slopes and the
+        mean of |f| on the spheres of radii ``rho`` about ``zeta`` y_hat,
+        which should span the spheres the action samples.
+        ``numerics.walk_ladder`` walks the sphere-rule ladder upwards with it
+        and keeps the first rung that agrees with the next rung up (the next
+        two on S^1) within ``U_ROUNDING`` times the field scale (the largest
+        of every sample and mean of |f| so far), times ``slope_noise`` for
+        the slopes.  A walk that probes always probes the lowest rung and
+        the one (two on S^1) it is checked against: one ``sample`` pass takes
+        those rungs together, each rung's sums bit for bit those of a pass on
+        it alone, and each rung above takes a pass of its own.  If none is
+        kept, the top rung is, and ``rule_error`` takes the walk's last
+        disagreement (the top pair's, off S^1) in that scale; a field that
+        vanishes on every probe sphere keeps the rule of ``SPHERE_ORDER``.
+        Each call starts from that rule and a ``rule_error`` of 0.
 
         ``spheres``, if given, is the number of spheres the action then
         samples in one pass; the walk keeps the rule of ``SPHERE_ORDER``
@@ -266,17 +309,29 @@ class _AxialField:
         """
         self._use_rule(sphere_levels(self.n - 2))
         self.rule_error = 0.0
+        pairs = ((1.0, 0.0), (0.0, 1.0))
+        first = [sphere_levels(self.n - 2, order)
+                 for order in SPHERE_LADDER[:3 if self.n == 3 else 2]]
+        ahead: dict[tuple[int, ...], tuple] = {}    # the first rungs' rules and samples
 
         def probe(orders: tuple[int, ...]):
-            self._use_rule(orders)
-            fbar, d_rho, d_zeta, magnitude = self.sample(rho, zeta, ((1.0, 0.0), (0.0, 1.0)),
-                                                         magnitude=True)
+            if orders == first[0]:
+                rules = [self._rule_of(rung) for rung in first]
+                ahead.update(zip(first, zip(rules, self._sample(rho, zeta, pairs, True, rules))))
+            if orders in ahead:
+                fbar, d_rho, d_zeta, magnitude = ahead[orders][1]
+            else:
+                self._use_rule(orders)
+                fbar, d_rho, d_zeta, magnitude = self.sample(rho, zeta, pairs, magnitude=True)
             return (np.column_stack([fbar, self.a * d_rho, self.a * d_zeta]),
                     float(magnitude.max()), magnitude)
 
         rung, magnitude, self.rule_error = walk_ladder(
             self.n - 2, probe, np.array([1.0, self.slope_noise, self.slope_noise]), spheres)
-        self._use_rule(rung)
+        if rung in ahead:
+            self._rule = ahead[rung][0]
+        else:
+            self._use_rule(rung)
         return magnitude
 
     def fit_disk_rule(self, rho_max: float) -> float:
@@ -291,13 +346,15 @@ class _AxialField:
     def magnitude(self, rho: np.ndarray, zeta: np.ndarray) -> np.ndarray:
         """Means of |f| on the spheres of radii ``rho`` about ``zeta`` y_hat, one pass."""
         values = point_values(lambda pts: np.abs(self.f.evaluate(pts)))
-        return self._sphere_sums(rho, zeta, values).real
+        return self._sphere_sums(rho, zeta, values, [self._rule])[0].real
 
-    def _sphere_sums(self, rho: np.ndarray, zeta: np.ndarray, values,
-                     max_points: int = MAX_POINTS) -> np.ndarray:
-        """``numerics.sphere_sums`` over the (n-2)-spheres about zeta y_hat of radius rho."""
-        return sphere_sums(values, zeta[:, None] * self.yhat, rho, self._dirs, self._weights,
-                           max_points)
+    def _sphere_sums(self, rho: np.ndarray, zeta: np.ndarray, values, rules: list[_Rule],
+                     weights: list | None = None, max_points: int = MAX_POINTS) -> list:
+        """``numerics.sphere_sums`` over the (n-2)-spheres about zeta y_hat of radius rho,
+        on each of ``rules`` in the same pass, with its weights or its entry of
+        ``weights``: one result per rule."""
+        return sphere_sums(values, zeta[:, None] * self.yhat, rho, [rule.dirs for rule in rules],
+                           weights or [rule.weights for rule in rules], max_points)
 
     def sample(self, rho, zeta, slopes, magnitude: bool = False) -> tuple[np.ndarray, ...]:
         """fbar(rho, zeta) and, per (drho, dzeta) pair of ``slopes``, the mean of
@@ -307,13 +364,20 @@ class _AxialField:
         broadcast shape of (rho, zeta); the mean and each slope take that
         shape, and all come from one sphere pass, which with ``magnitude``
         also gives a last array, the mean of |f|.  With an exact gradient
-        it runs at the nodes over f, omega . grad f and y_hat . grad f, and
-        combines the last two per pair.  Without one it runs at the nodes
-        over f, evaluated once per sphere point, and the central difference
-        ``numerics.SLOPE_FD`` of f along each pair's direction drho omega +
-        dzeta y_hat, on blocks of a fifth of ``MAX_POINTS`` sphere points,
-        whose stencils reach the field at most ``MAX_POINTS`` points per call.
+        it runs at the nodes over f and y_hat . grad f, one product a sphere
+        of the rule's weights with both, and, only when some pair has a
+        drho that is not 0, the omega-slope: one product a sphere of its
+        gradients with the rule's fold w * omega.  Without one it runs at
+        the nodes over f, evaluated once per sphere point, and the central
+        difference ``numerics.SLOPE_FD`` of f along each pair's direction
+        drho omega + dzeta y_hat, on blocks of a fifth of ``MAX_POINTS``
+        sphere points, whose stencils reach the field at most
+        ``MAX_POINTS`` points per call.
         """
+        return self._sample(rho, zeta, slopes, magnitude, [self._rule])[0]
+
+    def _sample(self, rho, zeta, slopes, magnitude: bool, rules: list[_Rule]) -> list[tuple]:
+        """``sample`` on each of ``rules``, all in one pass: one tuple per rule."""
         rho, zeta = np.broadcast_arrays(np.asarray(rho, dtype=float),
                                         np.asarray(zeta, dtype=float))
         if self.f.gradient is None:
@@ -334,28 +398,41 @@ class _AxialField:
                 columns = [centre, *np.moveaxis(diffs, 1, 0)]
                 return np.stack(columns + [np.abs(centre)] if magnitude else columns, axis=-1)
 
-            sums = self._sphere_sums(rho.ravel(), zeta.ravel(), stencil,
-                                     MAX_POINTS // (1 + steps.size))
-            sums = sums.reshape(rho.shape + sums.shape[-1:])
-            out = tuple(np.moveaxis(sums[..., :1 + len(slopes)], -1, 0))
-            return out + (sums[..., -1].real,) if magnitude else out
+            found = []
+            for sums in self._sphere_sums(rho.ravel(), zeta.ravel(), stencil, rules,
+                                          max_points=MAX_POINTS // (1 + steps.size)):
+                sums = sums.reshape(rho.shape + sums.shape[-1:])
+                out = tuple(np.moveaxis(sums[..., :1 + len(slopes)], -1, 0))
+                found.append(out + (sums[..., -1].real,) if magnitude else out)
+            return found
+
+        asks = [bool(np.any(drho)) for drho, _ in slopes]     # which pairs take the omega-slope
+        omega = any(asks)
 
         def values(pts, dirs, nodes):
             flat = pts.reshape(-1, self.n)
             grad = self.f.gradient_at(flat).reshape(pts.shape)
-            block = np.empty(pts.shape[:2] + (3 + magnitude,), dtype=complex)
+            # [f, y_hat . grad f], with magnitude [f, y_hat . grad f, |f|, 0]: BLAS sums
+            # 3 columns in another order than 4, and a probe's sums keep those of 4
+            block = np.empty(pts.shape[:2] + (4 if magnitude else 2,), dtype=complex)
             block[..., 0] = self.f.evaluate(flat).reshape(pts.shape[:2])
-            block[..., 1] = np.einsum("bdn,dn->bd", grad, dirs)
-            block[..., 2] = grad @ self.yhat
+            block[..., 1] = grad @ self.yhat
             if magnitude:
-                block[..., 3] = np.abs(block[..., 0])
-            return block
+                block[..., 2] = np.abs(block[..., 0])
+                block[..., 3] = 0.0
+            return (block, grad) if omega else block
 
-        sums = self._sphere_sums(rho.ravel(), zeta.ravel(), values)
-        sums = sums.reshape(rho.shape + sums.shape[-1:])
-        out = (sums[..., 0],) + tuple(drho * sums[..., 1] + dzeta * sums[..., 2]
-                                      for drho, dzeta in slopes)
-        return out + (sums[..., 3].real,) if magnitude else out
+        found = []
+        for sums in self._sphere_sums(rho.ravel(), zeta.ravel(), values, rules,
+                                      [(rule.weights, rule.fold) for rule in rules]
+                                      if omega else None):
+            sums, folded = sums if omega else (sums, None)
+            sums = sums.reshape(rho.shape + sums.shape[-1:])
+            out = (sums[..., 0],) + tuple(
+                drho * folded.reshape(rho.shape) + dzeta * sums[..., 1] if ask
+                else dzeta * sums[..., 1] for (drho, dzeta), ask in zip(slopes, asks))
+            found.append(out + (sums[..., 2].real,) if magnitude else out)
+        return found
 
     # -- functions of u = rho^2 on the disk ---------------------------------
     def u_panels(self, fun, noise: Sequence[float], rim: float,
@@ -469,7 +546,7 @@ def _taylor_subtracted(pieces: list[Chebyshev], k: int,
 
 def singular_action_r3(f: TestField, y: Sequence[float] | np.ndarray) -> SourceAction:
     """Action of the extended source in R^3: rim + single layer + i double layer."""
-    y = np.asarray(y, dtype=float)
+    y = _axis(y, 3)
     if np.linalg.norm(y) == 0.0:
         v = f.evaluate(np.zeros(3))
         return SourceAction(v, {"rim": v, "single_layer": 0j, "double_layer": 0j}, 0.0)
@@ -506,7 +583,7 @@ def singular_action_r4(f: TestField, y: Sequence[float] | np.ndarray) -> complex
     """Action in R^4: fbar(a,0) + a fbar_rho(a,0) - i a fbar_zeta(a,0), one sphere
     on the rule ``fit_rule`` keeps for it (that of ``SPHERE_ORDER``, which one
     field call holds, unprobed)."""
-    y = np.asarray(y, dtype=float)
+    y = _axis(y, 4)
     if np.linalg.norm(y) == 0.0:
         return f.evaluate(np.zeros(4))
     _require_smoothness(f, 1, "singular_action_r4")
@@ -525,7 +602,7 @@ def singular_action_even(f: TestField, y: Sequence[float] | np.ndarray, n: int) 
     """Action for even n = 2k+2 in {4, 6}: (a sqrt(pi)/Gamma(k+1/2)) D_rho^k F |_{rho=a}."""
     if n % 2 != 0 or not 4 <= n <= 6:
         raise UnsupportedDimensionError(f"even-n action supports n in {{4, 6}}, got {n}")
-    y = np.asarray(y, dtype=float)
+    y = _axis(y, n)
     if np.linalg.norm(y) == 0.0:
         return f.evaluate(np.zeros(n))
     k = (n - 2) // 2
@@ -544,7 +621,7 @@ def singular_action_odd(f: TestField, y: Sequence[float] | np.ndarray, n: int) -
     """Action for odd n = 2k+3 in {3, 5}: V_n plus the rim Taylor block."""
     if n % 2 != 1 or not 3 <= n <= 5:
         raise UnsupportedDimensionError(f"odd-n action supports n in {{3, 5}}, got {n}")
-    y = np.asarray(y, dtype=float)
+    y = _axis(y, n)
     if np.linalg.norm(y) == 0.0:
         return f.evaluate(np.zeros(n))
     _require_smoothness(f, n - 2, "singular_action_odd")
@@ -567,11 +644,8 @@ def singular_action_odd(f: TestField, y: Sequence[float] | np.ndarray, n: int) -
 def singular_action(f: TestField, y: Sequence[float] | np.ndarray,
                     n: int | None = None) -> complex:
     """Dispatch <delta~, f> to the dimension-specific evaluator (n in 3..6)."""
-    y = np.asarray(y, dtype=float)
-    if n is None:
-        n = y.shape[0]
-    if y.shape[0] != n:
-        raise ValueError(f"axis vector has dimension {y.shape[0]}, expected {n}")
+    y = _axis(y, n)
+    n = y.shape[0]
     if np.linalg.norm(y) == 0.0:
         return f.evaluate(np.zeros(n))
     if n == 3:
@@ -611,7 +685,7 @@ def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if not 3 <= n <= 6:
         raise UnsupportedDimensionError(f"regularized action supports n in 3..6, got {n}")
-    y = np.asarray(y, dtype=float)
+    y = _axis(y, n)
     if np.linalg.norm(y) == 0.0:
         raise ValueError("regularized action needs y != 0")
     _require_smoothness(f, n - 2, "regularized_action")
@@ -679,7 +753,7 @@ def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
 
 def moments(n: int, y: Sequence[float] | np.ndarray) -> tuple[complex, np.ndarray]:
     """Monopole Q and dipole vector P of the source with axis y."""
-    y = np.asarray(y, dtype=float)
+    y = _axis(y, n)
     q_val = singular_action(constant(1.0), y, n)
     p_vec = np.asarray([singular_action(coordinate(j), y, n) for j in range(n)])
     return q_val, p_vec
@@ -712,7 +786,7 @@ def descent_check(f: TestField, y: Sequence[float] | np.ndarray,
     """
     if n != 3:
         raise UnsupportedDimensionError("descent check is implemented for n = 3")
-    y = np.asarray(y, dtype=float)
+    y = _axis(y, 3)
     a = float(np.linalg.norm(y))
     if a == 0.0:
         raise ValueError("descent check needs y != 0")

@@ -182,13 +182,14 @@ def test_lift_window_zeroes_value_and_gradient(rng):
     assert _lift(TestField(f.evaluator), 0.5).gradient is None
 
 
-def test_unwindowed_lift_is_the_planar_lift(rng):
-    """With no window the lift equals, bit for bit, the planar lift R^2 -> R^3 the
-    wave solver used: f(x1, x2) and column_stack([grad f, 0]), array values included."""
+def test_lift_on_a_slab_holding_every_point_is_the_planar_lift(rng):
+    """On points that its slab holds, as descent_check's lifted sphere (|s| <= a
+    inside the window 2a), the lift returns f's own arrays, uncopied: bit for bit
+    f(x) and column_stack([grad f, 0]), array values included."""
     pts = rng.uniform(-1.0, 1.0, size=(32, 3))
     rows = TestField(lambda p: np.stack([np.exp(1j * p[:, 0]), p[:, 1] ** 2], axis=1))
     for f in (plane_wave([0.7, -0.4]), gaussian(0.9), rows):
-        lifted = _lift(f)
+        lifted = _lift(f, 2.0)
         vals, ref = lifted.evaluate(pts), f.evaluate(pts[:, :2])
         assert vals.dtype == ref.dtype and vals.tobytes() == ref.tobytes()
         if f.gradient is None:
@@ -197,3 +198,6 @@ def test_unwindowed_lift_is_the_planar_lift(rng):
         ref_grad = np.column_stack([g, np.zeros(g.shape[0], dtype=g.dtype)])
         grad = lifted.gradient_at(pts)
         assert grad.dtype == ref_grad.dtype and grad.tobytes() == ref_grad.tobytes()
+    made = []
+    kept = _lift(TestField(lambda p: made.append(np.exp(1j * p[:, 0])) or made[-1]), 2.0)
+    assert kept.evaluate(pts) is made[-1]

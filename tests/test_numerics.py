@@ -524,6 +524,70 @@ def test_sphere_sums_do_not_depend_on_what_shares_a_call(rng, dim, order, max_po
     assert max(packed) == (1 if rule.weights.size > MAX_POINTS else max_points // rule.weights.size)
 
 
+@pytest.mark.parametrize("dim, max_points",
+                         [(1, MAX_POINTS), (2, 600), (4, MAX_POINTS), (3, 100)])
+def test_sphere_sums_of_several_rules(rng, dim, max_points):
+    """A list of rules gives each rule's sums bit for bit as a call with that rule
+    alone.  When a sphere on every rule fits in max_points, each call holds whole
+    spheres on all of them; otherwise (the three lowest S^3 rungs' 990 directions
+    against 100) each rule takes its own calls."""
+    rules = [sphere_rule(dim, sphere_levels(dim, order)) for order in SPHERE_LADDER[:3]]
+    k = rng.normal(size=dim + 1)
+    radii = np.array([0.0, 0.3, 1.2, -0.7, 2.0])
+    centers = rng.normal(size=(radii.size, dim + 1))
+    calls = []
+
+    def values(pts, dirs, nodes):
+        calls.append(pts.shape[:2])
+        return np.exp(1j * pts @ k) + pts[..., 0] ** 2, np.abs(pts[..., -1])
+
+    together = sum(rule.weights.size for rule in rules)
+    got = sphere_sums(values, centers, radii, [rule.nodes for rule in rules],
+                      [rule.weights for rule in rules], max_points)
+    shared, calls[:] = list(calls), []
+    for rule, sums in zip(rules, got):
+        alone = sphere_sums(values, centers, radii, rule.nodes, rule.weights, max_points)
+        assert all(g.tobytes() == a.tobytes() for g, a in zip(sums, alone))
+    if together <= max_points:
+        assert {s for _, s in shared} == {together} and sum(b for b, _ in shared) == radii.size
+    else:
+        assert shared == calls
+    assert max(b * s for b, s in shared) <= max_points
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("dim, max_points", [(2, MAX_POINTS), (2, 500), (4, MAX_POINTS)])
+def test_sphere_sums_fold_a_trailing_axis(rng, dim, max_points, complex_values):
+    """A tuple of weightings pairs each array that values returns with its own: the
+    mean takes the weights, and the gradient the fold w * dirs, whose sums run over
+    the directions and the gradient's axis, within 4 ulps of sum |terms| of the exact
+    sum, each sphere's bit for bit that of the sphere alone, also where the rule
+    (S^4's 20,000 directions) is cut into slices."""
+    rule = sphere_rule(dim)
+    n = dim + 1
+    k = rng.normal(size=n) + (1j * rng.normal(size=n) if complex_values else 0.0)
+    radii = np.array([0.0, 0.3, 1.2, -0.7])
+    centers = rng.normal(size=(radii.size, n))
+    fold = rule.weights[:, None] * rule.nodes
+
+    def values(pts, dirs, nodes):
+        e = np.exp(pts @ k)
+        return e, e[..., None] * k
+
+    means, slopes = sphere_sums(values, centers, radii, rule.nodes, (rule.weights, fold),
+                                max_points)
+    assert np.array_equal(means, sphere_sums(lambda *args: values(*args)[0], centers, radii,
+                                             rule.nodes, rule.weights, max_points))
+    for i, (c, r) in enumerate(zip(centers, radii)):
+        terms = (fold * np.exp((c + r * rule.nodes) @ k)[:, None] * k).ravel()
+        want = math.fsum(terms.real) + 1j * math.fsum(np.imag(terms))
+        scale = np.abs(terms.real).sum() + np.abs(np.imag(terms)).sum()
+        assert abs(slopes[i] - want) <= 4 * np.finfo(float).eps * scale
+        _, alone = sphere_sums(values, c[None], radii[i:i + 1], rule.nodes,
+                               (rule.weights, fold), max_points)
+        assert alone[0].tobytes() == slopes[i].tobytes()
+
+
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 @pytest.mark.parametrize("scheme", [FDScheme(h=5e-2, order=4, richardson=True),
                                     FDScheme(h=5e-2, order=2, richardson=False)])
@@ -607,7 +671,7 @@ def _slope_layer(layer: str, seen: list) -> tuple[np.ndarray, list[np.ndarray]]:
     if layer == "source-slopes":
         af = _AxialField(TestField(record), np.array([0.0, 0.0, 0.8]), 3)
         af.sample(0.8, 0.0, ((0.0, 1.0),))
-        return 0.8 * af._dirs, [af.yhat]
+        return 0.8 * af._rule.dirs, [af.yhat]
     if layer == "extension-w":
         xs = np.array([[0.1, 0.2, 0.3], [-0.4, 0.0, 0.5]])
         _slices(SpacetimeField(record), 0.3).w.evaluate(xs)

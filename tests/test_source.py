@@ -26,7 +26,7 @@ from cxpt.fields import (
     plane_wave,
     polynomial,
 )
-from cxpt.geometry import ComplexPoint
+from cxpt.geometry import ComplexPoint, oblate_rho_zeta
 from cxpt import numerics
 from cxpt.numerics import (
     MAX_POINTS,
@@ -515,8 +515,8 @@ def test_gradient_free_sample_is_one_pass(monkeypatch):
     """Without a gradient a mean and its slope still take one kernel pass: f at each
     sphere point and at its 4 SLOPE_FD nodes together, at most MAX_POINTS per call.
     All 14 theta-panels at eps = 1e-3 share that pass, as one integrand call.  The
-    rule choice's passes, one per rung it probes (16, 24 and 32 circle nodes, the
-    lowest kept), are counted apart."""
+    rule choice's pass, counted apart, takes the three rungs the walk probes (16,
+    24 and 32 circle nodes, the lowest kept) together, in one kernel pass."""
     passes, integrand_calls = {"probe": 0, "action": 0}, []
     sizes, where = {"probe": [], "action": []}, ["action"]
     kernel, integrate, fit = source.sphere_sums, source.integrate_interval, _AxialField.fit_rule
@@ -542,9 +542,11 @@ def test_gradient_free_sample_is_one_pass(monkeypatch):
     free = TestField(lambda pts: sizes[where[-1]].append(pts.shape[0]) or exact.evaluator(pts))
     value = regularized_action(free, [0.3, 0.0, 0.8], 3, 1e-3)
     # 14, one per panel, before the panels shared a call; 98 before that
-    assert passes == {"probe": 3, "action": 1} and len(integrand_calls) == 1
-    # 7 probe circles of 16 + 24 + 32 nodes, 9 points each
-    assert (len(sizes["probe"]), sum(sizes["probe"])) == (3, 4_536)
+    assert passes == {"probe": 1, "action": 1} and len(integrand_calls) == 1
+    # 7 probe circles of 16 + 24 + 32 nodes, 9 points each, in one stencil call: its
+    # 4,536 points take 2 calls of at most MAX_POINTS (3 calls, one per rung, before)
+    assert (len(sizes["probe"]), sum(sizes["probe"])) == (2, 4_536)
+    assert max(sizes["probe"]) <= MAX_POINTS
     # 462 circles of 16 nodes, 5 points each; 39 calls on 147,840 points with the
     # unprobed 64-node circle, 56 calls on 206,976 points with the 6-node Richardson
     # stencil before SLOPE_FD
@@ -560,9 +562,10 @@ def _cubic(n):
 
 
 def test_probe_passes_are_counted_apart(monkeypatch):
-    """The rule choice takes one sphere pass per rule it probes: on a cubic the two
-    lowest rungs, which agree.  The action then takes one pass per u-panel, plus the
-    rim pass of |f| at even n; at odd n the probe's first radius is the rim."""
+    """The rule choice takes its first rungs in one sphere pass: on a cubic the two
+    lowest, which agree (one pass per rung before).  The action then takes one pass
+    per u-panel, plus the rim pass of |f| at even n; at odd n the probe's first
+    radius is the rim."""
     passes, where = {"probe": 0, "action": 0}, ["action"]
     kernel, fit = source.sphere_sums, _AxialField.fit_rule
 
@@ -584,7 +587,7 @@ def test_probe_passes_are_counted_apart(monkeypatch):
         y = np.zeros(n)
         y[0], y[-1] = 0.6, 0.8
         assert singular_action(_cubic(n), y, n) == pytest.approx(0.216j, abs=1e-13)
-        assert passes == {"probe": 2, "action": action_passes}, n
+        assert passes == {"probe": 1, "action": action_passes}, n
 
 
 def test_n6_cubic_evaluator_points():
@@ -620,16 +623,16 @@ def test_fit_rule_starts_from_the_fixed_rule(monkeypatch):
     y = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
     radii = np.sqrt(source.PROBE_U)
     af = _AxialField(_cubic(6), y, 6)
-    fixed = af._weights.size
+    fixed = af._rule.weights.size
     assert fixed == math.prod(sphere_levels(4))
     af.fit_rule(radii, 0.0, source.U_NODES)
-    lowest = af._weights.size
+    lowest = af._rule.weights.size
     af.fit_rule(radii, 0.0, source.U_NODES)
-    assert af._weights.size == lowest < fixed and af.rule_error == 0.0
+    assert af._rule.weights.size == lowest < fixed and af.rule_error == 0.0
     probed = _probed_rungs(monkeypatch)
     af.f = polynomial(6, {(20, 0, 0, 0, 0, 2): 1.0})
     af.fit_rule(radii, 0.0, source.U_NODES)
-    assert af._weights.size == fixed and af.rule_error == 0.0
+    assert af._rule.weights.size == fixed and af.rule_error == 0.0
     assert probed == [sphere_levels(4, order) for order in SPHERE_LADDER
                       if order <= SPHERE_ORDER]
 
@@ -920,6 +923,9 @@ def test_regularized_error_estimate_covers_the_error(n, eps_set):
 #: n = 3 entries but "halving" were recorded again once the n = 3 action probed its
 #: circle rule and kept 16 nodes (the unprobed rule had 64); their errors against
 #: f(-iy) went from 4.0e-16, 2.4e-15 and 1.1e-13 to 1.3e-15, 1.1e-14 and 2.3e-14.
+#: "halving" was recorded again once the omega-slope became one product of the
+#: gradients with w * omega: it was ((162754.79141968268+7.899687261669896e-08j),
+#: 2.43527885961521e-08), 4.19859e-12 relative from f(-iy), now 4.19924e-12.
 PINNED_REGULARIZED = {
     "n3-eps0.1": "((0.8869949227792854-0.46177917554148323j), 8.578673011348653e-15)",
     "n3-eps0.01": "((0.8869949227792949-0.46177917554148057j), 4.139588696843367e-13)",
@@ -929,7 +935,7 @@ PINNED_REGULARIZED = {
     "n4-eps0.001": "((0.8869949228415628-0.4617791755415081j), 7.525052876764928e-09)",
     "n5-eps0.1": "((0.8869949227793595-0.46177917554161657j), 6.9003181727945155e-12)",
     "gradient-free": "((0.3443420254865246-0.0969152659823058j), 3.284513297878031e-12)",
-    "halving": "((162754.79141968268+7.899687261669896e-08j), 2.43527885961521e-08)",
+    "halving": "((162754.79141968273+7.940105206216686e-08j), 2.4471054252146358e-08)",
 }
 
 
@@ -994,6 +1000,154 @@ def test_gradient_free_actions_keep_their_bits(case):
         act = _regularized(f, y, n, 0.1)
         got = (act.value, act.err_estimate)
     assert repr(got) == PINNED_GRADIENT_FREE[case]
+
+
+#: ``repr`` of actions on the Gaussian exp(-|x - 0.1|^2 / 1.69) with its exact gradient
+#: about y = 0.6 e_1 + 0.8 e_n (r4 about (0.1, 0.2, 0.9, 0.3), the descent about
+#: (0.3, 0.2, 0.5)), and of ``fit_rule``'s kept rung and means of |f| on the
+#: regularized action's 7 probe spheres at eps = 0.1, recorded while the omega-slope
+#: was summed point by point and each probe rung took its own pass.  The three that
+#: take the omega-slope were recorded again once it became one product of the
+#: gradients with w * omega: singular-n4 was (-0.0944438781135567-0.08996616635505199j),
+#: 3.48e-14 relative from even-n4, now 3.65e-14; r4 (-0.06538469084870024-
+#: 0.09917346633206028j), 1.19e-14 from the even-n4 formula, now 4.6e-15; the
+#: descent's right side (0.6019569117554042-0.10033665734399329j), 4.75e-14 from its
+#: left, now 4.82e-14.
+PINNED_EXACT = {
+    "singular-n3": "(0.1891770338015516-0.11173879520948748j)",
+    "singular-n4": "(-0.09444387811355648-0.08996616635505199j)",
+    "singular-n5": "(-0.31332147816591416-0.07087480253299216j)",
+    "singular-n6": "(-0.476041987488434-0.054219058421894714j)",
+    "even-n4": "(-0.09444387811356124-0.08996616635505221j)",
+    "even-n6": "(-0.476041987488434-0.054219058421894714j)",
+    "odd-n3": "(0.1891770338015516-0.11173879520948998j)",
+    "odd-n5": "(-0.31332147816591416-0.07087480253299216j)",
+    "r4": "(-0.06538469084869858-0.09917346633206028j)",
+    "descent": "((0.6019569117553752-0.1003366573439932j), "
+               "(0.6019569117554047-0.10033665734399329j))",
+    "fit-n3": ("((16,), [0.8310820448949103, 0.7193523545611119, 0.6231405162187722, "
+               "0.5424223980116868, 0.6335507381814907, 0.736406338622608, "
+               "0.8552768520330121])"),
+    "fit-n4": ("((6, 12), [0.8264126177817689, 0.7155129053400635, "
+               "0.6199897169056432, 0.5398321412654414, 0.630347301430487, "
+               "0.7324758659894507, 0.850471486610119])"),
+    "fit-n5": ("((5, 5, 10), [0.8216532475476833, 0.7114928240458797, "
+               "0.6165935044358271, 0.5369509229726354, 0.6268943516362263, "
+               "0.7283604789638237, 0.845573559604629])"),
+    "fit-n6": ("((5, 5, 5, 10), [0.8168750835624684, 0.7074153328207903, "
+               "0.613111933143485, 0.5339644014172977, 0.6233546170099508, "
+               "0.7241863209662923, 0.8406562917164889])"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_EXACT))
+def test_exact_gradient_actions_keep_their_bits(case):
+    kind, n = case.rsplit("-n", 1) if "-n" in case else (case, "3")
+    n = int(n)
+    f = gaussian(1.3, center=np.full(n, 0.1))
+    y = np.zeros(n)
+    y[0], y[-1] = 0.6, 0.8
+    if kind == "singular":
+        got = singular_action(f, y, n)
+    elif kind == "even":
+        got = singular_action_even(f, y, n)
+    elif kind == "odd":
+        got = singular_action_odd(f, y, n)
+    elif kind == "r4":
+        got = singular_action_r4(gaussian(1.3, center=np.full(4, 0.1)), [0.1, 0.2, 0.9, 0.3])
+    elif kind == "descent":
+        got = descent_check(f, [0.3, 0.2, 0.5])
+    else:
+        af = _AxialField(f, y, n)
+        q = af.a * np.sqrt(1.0 - np.array(source.PROBE_U))
+        magnitude = af.fit_rule(*oblate_rho_zeta(0.1, np.unique(np.concatenate([q, -q])), af.a))
+        got = (af._rule.orders, magnitude.tolist())
+    assert repr(got) == PINNED_EXACT[case]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_folded_omega_slope_is_the_point_sum(rng, n):
+    """The omega-slope, one product of a sphere's gradients with the rule's w * omega,
+    is within 4 ulps of sum_j w_j sum_d |omega_jd d_d f| of the point-by-point sum
+    sum_j w_j omega_j . grad f, for polynomials (real gradients) and exponentials
+    (complex ones) on the ladder's lowest rules; and each sphere's is, bit for bit,
+    that of the sphere alone."""
+    k = rng.normal(size=n) + 1j * rng.normal(size=n)
+    fields = [random_poly_field(rng, n),
+              TestField(lambda p: np.exp(p @ k), gradient=lambda p: k * np.exp(p @ k)[:, None])]
+    rho, zeta = rng.uniform(0.1, 1.5, size=5), rng.uniform(-1.0, 1.0, size=5)
+    for f in fields:
+        af = _AxialField(f, rng.normal(size=n), n)
+        for order in SPHERE_LADDER[:4]:
+            af._use_rule(sphere_levels(n - 2, order))
+            dirs, w = af._rule.dirs, af._rule.weights
+            _, slope = af.sample(rho, zeta, ((1.0, 0.0),))
+            for i in range(rho.size):
+                terms = (w[:, None] * dirs * f.gradient_at(zeta[i] * af.yhat + rho[i] * dirs)).ravel()
+                want = math.fsum(terms.real) + 1j * math.fsum(np.imag(terms))
+                scale = np.abs(terms.real).sum() + np.abs(np.imag(terms)).sum()
+                assert abs(slope[i] - want) <= 4 * np.finfo(float).eps * scale
+                _, alone = af.sample(rho[i], zeta[i], ((1.0, 0.0),))
+                assert alone.tobytes() == slope[i].tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_first_probe_rungs_take_one_call(n):
+    """The walk always probes its 2 lowest rungs (3 on S^1, where a rung kept needs the
+    next two): one sample pass takes them, one evaluator and one gradient call on the
+    probe spheres of all of them.  On a cubic the lowest is kept, probed no higher."""
+    counted, sizes = _counting(_cubic(n))
+    y = np.zeros(n)
+    y[0], y[-1] = 0.6, 0.8
+    af = _AxialField(counted, y, n)
+    af.fit_rule(af.a * np.sqrt(source.PROBE_U), 0.0)
+    rungs = [sphere_levels(n - 2, order) for order in SPHERE_LADDER[:3 if n == 3 else 2]]
+    points = len(source.PROBE_U) * sum(math.prod(orders) for orders in rungs)
+    assert sizes == {"evaluate": [points], "gradient": [points]}
+    assert af._rule.orders == rungs[0]
+
+
+def test_rule_directions_are_built_on_first_use():
+    """An n = 6 _AxialField builds no directions (20,000 x 6 on the rule of
+    SPHERE_ORDER) before its first pass, nor for the rule a probing walk replaces;
+    a pass builds them, and w * omega only once a pair asks for the omega-slope."""
+    y = np.zeros(6)
+    y[0], y[-1] = 0.6, 0.8
+    af = _AxialField(gaussian(1.3, center=np.full(6, 0.1)), y, 6)
+    fixed = af._rule
+    assert fixed._dirs is None and fixed.weights.size == 20_000
+    af.fit_rule(af.a * np.sqrt(source.PROBE_U), 0.0)
+    assert af._rule is not fixed and fixed._dirs is None
+    af._use_rule(fixed.orders)
+    af.sample(af.a, 0.0, ((0.0, 1.0),))
+    assert af._rule._dirs.shape == (20_000, 6) and af._rule._fold is None
+    af.sample(af.a, 0.0, ((1.0, 0.0),))
+    assert af._rule._fold.shape == (20_000, 6)
+
+
+_F = gaussian(1.0)
+_COLUMN = np.full((3, 1), 0.5)
+
+
+@pytest.mark.parametrize("act, message", [
+    (lambda: regularized_action(_F, [0.5] * 4, 3, 0.1), r"shape \(3,\) for n = 3, got shape \(4,\)"),
+    (lambda: singular_action_r3(_F, [0.5] * 4), r"shape \(3,\) for n = 3, got shape \(4,\)"),
+    (lambda: singular_action_r4(_F, [0.5] * 3), r"shape \(4,\) for n = 4, got shape \(3,\)"),
+    (lambda: singular_action_even(_F, [0.5] * 5, 6), r"shape \(6,\) for n = 6, got shape \(5,\)"),
+    (lambda: singular_action_odd(_F, [0.5] * 4, 5), r"shape \(5,\) for n = 5, got shape \(4,\)"),
+    (lambda: singular_action(_F, 0.5, 3), r"shape \(3,\) for n = 3, got shape \(\)"),
+    (lambda: singular_action(_F, 0.5), r"be a 1-D vector, got shape \(\)"),
+    (lambda: singular_action(_F, _COLUMN), r"be a 1-D vector, got shape \(3, 1\)"),
+    (lambda: singular_action(_F, _COLUMN, 3), r"shape \(3,\) for n = 3, got shape \(3, 1\)"),
+    (lambda: regularized_action(_F, _COLUMN, 3, 0.1), r"shape \(3,\) for n = 3, got shape \(3, 1\)"),
+    (lambda: moments(3, _COLUMN), r"shape \(3,\) for n = 3, got shape \(3, 1\)"),
+    (lambda: descent_check(_F, _COLUMN), r"shape \(3,\) for n = 3, got shape \(3, 1\)"),
+])
+def test_actions_check_the_axis_shape(act, message):
+    """An axis of the wrong shape raises ValueError naming its shape and n; these
+    raised numpy's matmul, broadcast and index errors from inside the actions."""
+    with pytest.raises(ValueError, match="axis vector y must " + ".*" + message):
+        act()
 
 
 @pytest.mark.parametrize("eps", [1e-3, 0.1, 2.0])
