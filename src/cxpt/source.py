@@ -62,8 +62,9 @@ Where that many spheres of the rule of ``numerics.SPHERE_ORDER`` fit in
 one field call, the walk keeps that rule unprobed: the n = 3 singular
 actions and the one-sphere n = 4 singular action.  The regularized action always
 probes: its first pass takes the spheres of the 33 theta-nodes of at
-least two geometric panels, more than one call holds on any such rule,
-and its probe's means of |f| give the scale of its zero-action floor.
+least two direct panels, more than one call holds on any such rule,
+and its probe's means of |f| give the scale of its zero-action floor
+and of its fits.
 The wave solver's stencil solves walk the same ladder (see ``wave``).
 
 The singular actions interpolate the means in u = rho^2, where they
@@ -78,20 +79,32 @@ Gauss-Kronrod call of order ``numerics.INTERVAL_ORDER``.
 
 The regularized action integrates over theta-panels (q = a sin theta)
 that grow by ``THETA_GROWTH`` from eps / a, on both sides of theta = 0,
-all in one Gauss-Kronrod call of the same order (so one field pass), and
-halves the panel with the largest |K - G|, its two halves in one call
-(one pass each halving), until the estimates sum to ``U_ROUNDING`` of
-Sum |K|, raising ``ConvergenceError`` once a panel has been halved
-``U_SPLITS`` times.  A zero action stops at rounding instead:
-halving stops once Sum |K| is below ``U_ROUNDING`` of the Sum |K| a field
-as large as f's means of |f| on the spheroid would give.  ``_regularized`` also returns its error
+in Gauss-Kronrod calls of the same order.  Only the kernel
+(eps + iq)^{1-n} is sharp, and it carries its weight within
+theta_c = 16 eps / a: the first three panels a side, out to theta_c, are
+sampled directly.  Beyond theta_c the smooth field part
+h = (a cos theta)^{n-2} (f#bar + gamma f#bar_p / (n-2)) is fitted on each
+side by one Chebyshev interpolant at 32 first-kind nodes, tripled while
+its last three coefficients are above rounding, and the outer panels
+integrate the interpolant over gamma^{n-1}.  The direct panels' nodes
+and the fits' take one field pass, so the cost does not depend on eps
+once 16 eps / a < pi / 2; at eps >= pi a / 32 every panel is direct.
+The panel with the largest |K - G| is halved, its two halves in one call
+(one pass each halving of a direct panel, none of a fitted one), until
+the estimates sum to ``U_ROUNDING`` of Sum |K|, raising
+``ConvergenceError`` once a panel has been halved ``U_SPLITS`` times.
+A zero action stops at rounding instead: halving stops once Sum |K| is
+below ``U_ROUNDING`` of the Sum |K| a field as large as f's means of |f|
+on the spheroid would give.  ``_regularized`` also returns its error
 estimate, (Sum |K - G| + (2^-52 + rule_error) Sum |K|) times the
-prefactor; the 2^-52 term is the rounding floor of the kernel's
-cancellation at small eps.
+prefactor, plus each fit's tail relative to its largest sample times the
+Sum |K| of its panels; the 2^-52 term is the rounding floor of the
+kernel's cancellation at small eps.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -151,6 +164,13 @@ U_NODES = 16
 U_SPLITS = 8
 #: Ratio of consecutive theta-panel ends of the regularized action, from eps / a.
 THETA_GROWTH = 4.0
+#: The regularized action samples the field directly on the first geometric
+#: theta-panels a side, out to 16 eps / a, where its kernel carries its weight,
+#: and beyond fits the field part on first-kind Chebyshev nodes a side, tripled
+#: (the nodes nest) at most ``_FIT_TRIPLINGS`` times.
+_DIRECT_PANELS = 3
+_FIT_NODES = 32
+_FIT_TRIPLINGS = 2
 #: Probe spheres of a sphere-rule choice in u = rho^2, as fractions of the
 #: largest rho^2 the action samples.
 PROBE_U = (1.0, 0.75, 0.5, 0.25)
@@ -370,9 +390,12 @@ class _AxialField:
         gradients with the rule's fold w * omega.  Without one it runs at
         the nodes over f, evaluated once per sphere point, and the central
         difference ``numerics.SLOPE_FD`` of f along each pair's direction
-        drho omega + dzeta y_hat, on blocks of a fifth of ``MAX_POINTS``
-        sphere points, whose stencils reach the field at most
-        ``MAX_POINTS`` points per call.
+        drho omega + dzeta y_hat, on blocks of ``MAX_POINTS`` / (1 + 4 x pairs)
+        sphere points, so that each block's points and stencils are one field
+        call of at most ``MAX_POINTS`` points.  A rule with more directions
+        than such a block holds is cut into slices as for one pair, a fifth
+        of ``MAX_POINTS``, so its sums are those of one pair at a time, and
+        its stencils are split into calls of at most ``MAX_POINTS`` points.
         """
         return self._sample(rho, zeta, slopes, magnitude, [self._rule])[0]
 
@@ -398,9 +421,15 @@ class _AxialField:
                 columns = [centre, *np.moveaxis(diffs, 1, 0)]
                 return np.stack(columns + [np.abs(centre)] if magnitude else columns, axis=-1)
 
+            # a block's sphere points and their stencils in one call of at most MAX_POINTS;
+            # a rule with more directions than that is cut as for one pair, so that its
+            # sums do not depend on the pairs, and its stencils take several calls
+            cap = MAX_POINTS // (1 + steps.size * len(slopes))
+            if max(rule.weights.size for rule in rules) > cap:
+                cap = MAX_POINTS // (1 + steps.size)
             found = []
             for sums in self._sphere_sums(rho.ravel(), zeta.ravel(), stencil, rules,
-                                          max_points=MAX_POINTS // (1 + steps.size)):
+                                          max_points=cap):
                 sums = sums.reshape(rho.shape + sums.shape[-1:])
                 out = tuple(np.moveaxis(sums[..., :1 + len(slopes)], -1, 0))
                 found.append(out + (sums[..., -1].real,) if magnitude else out)
@@ -493,19 +522,63 @@ def _chebyshev_fit(fun, nodes: int, domain: list[float]) -> tuple[list[Chebyshev
     them by a recurrence whose rounding made harmonic n = 6 actions 7 times,
     and acceptance criterion 4, 12 times less accurate.
     """
-    turns = np.outer(np.arange(nodes), 2 * np.arange(nodes) + 1) % (4 * nodes)
-    x = np.cos(np.pi * (2 * np.arange(nodes) + 1) / (2 * nodes))
-    samples = fun(domain[0] + 0.5 * (domain[1] - domain[0]) * (x + 1.0))
-    cosines = np.cos(np.pi * turns / (2 * nodes))
+    samples = fun(_first_kind(nodes, domain))
+    cosines = _cosines(nodes, np.arange(nodes))
     # one product per column, so each column rounds exactly as a 1-D fit of it
     coef = np.array([cosines @ column for column in samples.T]) * (2.0 / nodes)
     coef[:, 0] /= 2.0
     return [Chebyshev(row, domain) for row in coef], float(np.abs(samples).max())
 
 
+def _cosines(nodes: int, degrees: np.ndarray) -> np.ndarray:
+    """cos(j t_i) for each degree j at the first-kind angles t_i = pi (2i+1) / (2 nodes),
+    each at its angle reduced exactly mod 2 pi: a (degrees, nodes) array."""
+    turns = np.outer(degrees, 2 * np.arange(nodes) + 1) % (4 * nodes)
+    return np.cos(np.pi * turns / (2 * nodes))
+
+
+@functools.cache
+def _first_kind_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first-kind Chebyshev points cos(t_i) of [-1, 1], their barycentric weights
+    (-1)^i sin(t_i) and the cosines of the last three degrees at them, built once
+    per node count (read-only)."""
+    angles = np.pi * (2 * np.arange(nodes) + 1) / (2 * nodes)
+    rule = (np.cos(angles), np.where(np.arange(nodes) % 2, -1.0, 1.0) * np.sin(angles),
+            _cosines(nodes, np.arange(nodes - 3, nodes)))
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
+
+def _first_kind(nodes: int, domain) -> np.ndarray:
+    """The first-kind Chebyshev points of [-1, 1] mapped onto ``domain``."""
+    return domain[0] + 0.5 * (domain[1] - domain[0]) * (_first_kind_rule(nodes)[0] + 1.0)
+
+
 def _tail(interp: Chebyshev) -> float:
     """Largest of the last three Chebyshev coefficients in magnitude."""
     return float(np.abs(interp.coef[-3:]).max())
+
+
+def _sample_tail(samples: np.ndarray) -> float:
+    """``_tail`` of the interpolant of samples at the first-kind points, from the
+    cosine sums of ``_chebyshev_fit`` for its last three coefficients alone."""
+    nodes = samples.size
+    return float(np.abs(_first_kind_rule(nodes)[2] @ samples).max() * (2.0 / nodes))
+
+
+def _barycentric(samples: np.ndarray, domain, t: np.ndarray) -> np.ndarray:
+    """The interpolant of samples at the first-kind points of ``domain``, at the points
+    t, in the barycentric form of the first kind: one (t, nodes) product."""
+    points, weights, _ = _first_kind_rule(samples.size)
+    x = (2.0 * t - (domain[0] + domain[1])) / (domain[1] - domain[0])
+    gaps = x[:, None] - points
+    hits = np.nonzero(gaps == 0.0)
+    gaps[hits] = 1.0
+    terms = weights / gaps
+    values = (terms @ samples) / terms.sum(axis=1)
+    values[hits[0]] = samples[hits[1]]      # a point on a node takes its sample
+    return values
 
 
 def _integrate_panels(integrand, pieces: list[Chebyshev], a: float) -> tuple[complex, float]:
@@ -666,10 +739,13 @@ def regularized_action(f: TestField, y: Sequence[float] | np.ndarray, n: int,
     The q-integral is taken in q = a sin(theta) (absorbing the
     (a^2-q^2)^nu endpoint weight) on Gauss-Kronrod theta-panels that grow
     geometrically away from theta = 0, where the kernel (eps + iq)^{1-n}
-    peaks, all integrated in one call of the integrand, so one pass over
-    the field; the panel with the largest |K - G| is halved, its two
-    halves taking one more pass, until the sum of those estimates falls
-    to ``U_ROUNDING`` of Sum |K|, or Sum |K| itself falls below
+    peaks.  Within 16 eps / a the panels sample the field; beyond it they
+    integrate one Chebyshev fit a side of the smooth field part, whose
+    nodes share the direct panels' one pass over the field, so the cost
+    does not depend on eps below pi a / 32.  The panel with the largest
+    |K - G| is halved, its two halves taking one more pass when it
+    samples the field, until the sum of those estimates falls to
+    ``U_ROUNDING`` of Sum |K|, or Sum |K| itself falls below
     ``U_ROUNDING`` of the largest mean of |f| on the spheroid's probe
     spheres times a bound of the kernel's integral (a zero action).
     """
@@ -680,7 +756,22 @@ def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
                  eps: float) -> SourceAction:
     """``regularized_action`` with its error estimate: (Sum |K - G| + (2^-52 +
     rule_error) Sum |K|) times the prefactor, 2^-52 the floor of the kernel's
-    cancellation and ``rule_error`` the sphere-rule ladder's, if it fell back."""
+    cancellation and ``rule_error`` the sphere-rule ladder's, if it fell back,
+    plus each side's fit tail, relative to its largest sample, times the Sum |K|
+    of its panels.
+
+    The field is sampled at the Gauss-Kronrod nodes of the first
+    ``_DIRECT_PANELS`` geometric theta-panels a side, out to theta_c = 16 eps / a,
+    and, in the same pass, at ``_FIT_NODES`` first-kind Chebyshev points of
+    each side's range beyond theta_c, [theta_c, pi/2] and its mirror image.  The
+    field part h = (a cos theta)^{n-2} (f#bar + gamma f#bar_p / (n-2)) is smooth
+    there; a fit is kept when its last three coefficients are within
+    ``U_ROUNDING`` (times ``slope_noise``) of the largest of its samples and
+    a^{n-2} times the probe's largest mean of |f|, and otherwise its nodes are
+    tripled, each tripling one more pass, at most ``_FIT_TRIPLINGS`` times
+    before ``ConvergenceError``.  The outer panels integrate h from the fit's
+    barycentric interpolant over gamma^{n-1}, so halving them takes no pass.
+    When eps >= pi a / 32 there is no outer range and every panel is direct."""
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if not 3 <= n <= 6:
@@ -693,18 +784,20 @@ def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
     a = af.a
     nu = (n - 3) / 2.0
 
-    def integrand(theta: np.ndarray) -> np.ndarray:
+    def field_part(theta: np.ndarray) -> np.ndarray:
+        """h(theta) = (a cos theta)^{n-2} (f#bar + gamma f#bar_p / (n-2)), one pass."""
         q = a * np.sin(theta)
         gamma = eps + 1j * q
         # the mean on the spheroid p = eps and its p-slope, along (d rho/dp, d zeta/dp)
         rho, zeta = oblate_rho_zeta(eps, q, a)
         fs, fsp = af.sample(rho, zeta, ((eps * rho / (a**2 + eps**2), q / a),))
-        return (a * np.cos(theta)) ** (n - 2) * (fs + gamma * fsp / (n - 2)) / gamma ** (n - 1)
+        return (a * np.cos(theta)) ** (n - 2) * (fs + gamma * fsp / (n - 2))
 
-    def integrated(lo: list[float], hi: list[float], depth: int):
-        """The theta-panels [lo_i, hi_i], all from one integrand call."""
-        parts = integrate_interval(integrand, np.array(lo), np.array(hi), order=INTERVAL_ORDER)
-        return [(l, h, depth, part) for l, h, part in zip(lo, hi, parts)]
+    def kernel(theta: np.ndarray) -> np.ndarray:
+        return (eps + 1j * (a * np.sin(theta))) ** (n - 1)
+
+    def integrand(theta: np.ndarray) -> np.ndarray:
+        return field_part(theta) / kernel(theta)
 
     half = math.pi / 2.0
     breaks = [0.0, min(max(eps / a, 1e-6), half)]
@@ -714,16 +807,74 @@ def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
     for start, end in zip(breaks, breaks[1:]):
         lo += [start, -end]        # each geometric panel, then its mirror image
         hi += [end, -start]
+    direct = 2 * _DIRECT_PANELS    # the panels sampled directly; those after them are fitted
+    cut = breaks[min(_DIRECT_PANELS, len(breaks) - 1)]
+    sides = [(cut, half), (-half, -cut)] if cut < half else []
+    fits: list[np.ndarray] = []    # each side's samples of h at its first-kind points
+
+    def first(theta: np.ndarray) -> np.ndarray:
+        """The direct panels' integrand, with the fits' first points in its pass."""
+        values = field_part(np.concatenate(
+            [theta] + [_first_kind(_FIT_NODES, side) for side in sides]))
+        fits.extend(np.split(values[theta.size:], len(sides)))
+        return values[:theta.size] / kernel(theta)
+
+    def from_fits(theta: np.ndarray) -> np.ndarray:
+        """h / gamma^{n-1} with h from each side's interpolant: no pass."""
+        h = np.empty(theta.shape, dtype=complex)
+        up = theta > 0.0
+        for side, samples, on in zip(sides, fits, (up, ~up)):
+            h[on] = _barycentric(samples, side, theta[on])
+        return h / kernel(theta)
+
+    def integrated(lo: list[float], hi: list[float], depth: int, fitted: bool, g=None):
+        """The theta-panels [lo_i, hi_i], all from one call of g: by default the
+        integrand, on the fits if ``fitted`` and on the field if not."""
+        g = g or (from_fits if fitted else integrand)
+        parts = integrate_interval(g, np.array(lo), np.array(hi), order=INTERVAL_ORDER)
+        return [(l, h, depth, part, fitted) for l, h, part in zip(lo, hi, parts)]
+
     # the spheroid's spheres of rho^2 = PROBE_U (a^2 + eps^2), at zeta of both signs,
-    # for the geometric panels' theta-nodes
+    # for the theta-nodes of the direct panels and the fits
     q = a * np.sqrt(1.0 - np.array(PROBE_U))
     spheres = oblate_rho_zeta(eps, np.unique(np.concatenate([q, -q])), a)
     size = float(af.fit_rule(*spheres).max())     # the largest probe mean of |f|
-    panels = integrated(lo, hi, 0)
+    panels = integrated(lo[:direct], hi[:direct], 0, False, first if sides else None)
+    tails = []
+    while sides:
+        if not np.isfinite(np.concatenate(fits)).all():
+            raise NonFiniteIntegrandError(
+                f"regularized action at eps = {eps:g}: the field part is not finite "
+                f"beyond theta = {cut:.3g}")
+        tails = [_sample_tail(samples) for samples in fits]
+        # h of a field as large as f's probe means is a^{n-2} size
+        levels = [max(a ** (n - 2) * size, float(np.abs(samples).max())) for samples in fits]
+        misses = [i for i, (tail, level) in enumerate(zip(tails, levels))
+                  if tail > U_ROUNDING * af.slope_noise * level]
+        if not misses:
+            break
+        for i in misses:
+            if fits[i].size == _FIT_NODES * 3**_FIT_TRIPLINGS:
+                raise ConvergenceError(
+                    f"regularized action of {f.name or 'the field'} at eps = {eps:g}, "
+                    f"|y| = {a:g}: its field part on theta in [{sides[i][0]:.3g}, "
+                    f"{sides[i][1]:.3g}] is not resolved by {fits[i].size} Chebyshev nodes "
+                    f"(tail {tails[i]:.2e}, field scale {levels[i]:.2e})")
+        # triple the nodes of each side that misses, in one pass: its old nodes are
+        # the new ones from the second on, every third
+        fresh = [np.delete(_first_kind(3 * fits[i].size, sides[i]), np.s_[1::3]) for i in misses]
+        values = np.split(field_part(np.concatenate(fresh)),
+                          np.cumsum([points.size for points in fresh])[:-1])
+        for i, new in zip(misses, values):
+            grown = np.empty(3 * fits[i].size, dtype=complex)
+            grown[1::3], grown[np.arange(grown.size) % 3 != 1] = fits[i], new
+            fits[i] = grown
+    if sides:
+        panels += integrated(lo[direct:], hi[direct:], 0, True)
     floor = None
     while True:
-        error = sum(part.error for *_, part in panels)
-        scale = sum(abs(part.value) for *_, part in panels)
+        error = sum(part.error for *_, part, _ in panels)
+        scale = sum(abs(part.value) for *_, part, _ in panels)
         if not math.isfinite(error + scale):
             raise NonFiniteIntegrandError(
                 f"regularized action at eps = {eps:g} is not finite (estimate {error}, "
@@ -738,17 +889,25 @@ def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
         if scale <= floor:
             break       # the panel sums are rounding noise: the action is 0 to rounding
         worst = max(range(len(panels)), key=lambda i: panels[i][3].error)
-        lo, hi, depth, part = panels[worst]
+        lo, hi, depth, part, fitted = panels[worst]
         if depth == U_SPLITS:
             raise ConvergenceError(
                 f"regularized action of {f.name or 'the field'} at eps = {eps:g}, "
                 f"|y| = {a:g} is not resolved on theta-panels halved {U_SPLITS} times "
                 f"(estimate {part.error:.2e} on [{lo:.3g}, {hi:.3g}], size {scale:.2e})")
         mid = 0.5 * (lo + hi)
-        panels[worst:worst + 1] = integrated([lo, mid], [mid, hi], depth + 1)
+        panels[worst:worst + 1] = integrated([lo, mid], [mid, hi], depth + 1, fitted)
+    # each fit's tail relative to its largest sample, carried through its side's Sum |K|
+    fit_error = 0.0
+    for (start, _), samples, tail in zip(sides, fits, tails):
+        peak = float(np.abs(samples).max())
+        outer = sum(abs(part.value) for lo, _, _, part, fitted in panels
+                    if fitted and (lo > 0.0) == (start > 0.0))
+        fit_error += tail / peak * outer if peak else 0.0
     prefactor = (a**2 + eps**2) ** (nu + 1.0) / (a ** (n - 2) * _omega_ratio(n))
-    value = prefactor * sum(part.value for *_, part in panels)
-    return SourceAction(value, None, prefactor * (error + (2.0**-52 + af.rule_error) * scale))
+    value = prefactor * sum(part.value for *_, part, _ in panels)
+    return SourceAction(value, None,
+                        prefactor * (error + (2.0**-52 + af.rule_error) * scale + fit_error))
 
 
 def moments(n: int, y: Sequence[float] | np.ndarray) -> tuple[complex, np.ndarray]:
