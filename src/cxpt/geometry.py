@@ -52,7 +52,6 @@ __all__ = [
 ]
 
 FRONT = 1
-BACK = -1
 
 
 @dataclass(frozen=True)

@@ -67,15 +67,17 @@ and its probe's means of |f| give the scale of its zero-action floor
 and of its fits.
 The wave solver's stencil solves walk the same ladder (see ``wave``).
 
-The singular actions interpolate the means in u = rho^2, where they
-are smooth, on 16-node Chebyshev panels in u that are halved until their
-trailing coefficients reach rounding level, or raise
-``ConvergenceError`` below a^2 / 2^8.  The even-n actions take their rim
-derivatives inside one panel centred on u = a^2.  The odd-n ones take
-the rim Taylor terms and the Taylor-subtracted q-quotient by exact
-division on the panel ending at the rim, and the quotients directly
-elsewhere, where nothing cancels.  Each u-panel's q-integral is one
-Gauss-Kronrod call of order ``numerics.INTERVAL_ORDER``.
+The singular actions interpolate the means in u = rho^2, where they are
+smooth, on 16-node Chebyshev panels in u (coefficient arrays of cosine sums)
+that are halved until their last three coefficients reach rounding level, or
+raise ``ConvergenceError`` below a^2 / 2^8.  Synthetic division by (u - a^2)
+in the Chebyshev basis leaves the rim Taylor terms as its remainders: the
+even-n actions take their rim derivatives so, inside one panel centred on
+u = a^2, and the odd-n ones (F = u^k g, an exact product) take its quotient
+as the Taylor-subtracted q-integrand on the panel ending at the rim, and the
+quotients directly elsewhere, where nothing cancels.  Each u-panel's
+q-integral is one Gauss-Kronrod call of order ``numerics.INTERVAL_ORDER`` on
+the barycentric form of the panel's values at its first-kind points.
 
 The regularized action integrates over theta-panels (q = a sin theta)
 that grow by ``THETA_GROWTH`` from eps / a, on both sides of theta = 0,
@@ -110,7 +112,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import Chebyshev
 
 from .errors import (
     ConvergenceError,
@@ -465,8 +466,9 @@ class _AxialField:
 
     # -- functions of u = rho^2 on the disk ---------------------------------
     def u_panels(self, fun, noise: Sequence[float], rim: float,
-                 cover: bool = True) -> list[list[Chebyshev]]:
-        """Piecewise Chebyshev interpolants in u = rho^2, one list of panels per column.
+                 cover: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """Piecewise Chebyshev interpolants in u = rho^2: the panels' (panels, 2) domains
+        in increasing u and their (columns, panels, ``U_NODES``) coefficients.
 
         ``fun`` maps u-nodes to (nodes, q) samples in the units of f, whose
         column j has a rounding of ``noise[j]`` times ``U_ROUNDING`` of the
@@ -483,11 +485,11 @@ class _AxialField:
         todo, panels = [(0.0, a2, 0) if cover else (0.5 * a2, 1.5 * a2, 0)], []
         while todo:
             lo, hi, depth = todo.pop()
-            fits, peak = _chebyshev_fit(fun, U_NODES, [lo, hi])
+            coef, peak = _chebyshev_fit(fun, U_NODES, (lo, hi))
             level = max(level, peak) if cover else max(rim, peak)
-            tail = max(_tail(interp) / scale for interp, scale in zip(fits, noise))
+            tail = max(_tail(column) / scale for column, scale in zip(coef, noise))
             if tail <= U_ROUNDING * level:
-                panels.append(fits)
+                panels.append(((lo, hi), coef))
                 continue
             if depth == U_SPLITS:
                 raise ConvergenceError(
@@ -499,52 +501,51 @@ class _AxialField:
                 todo += [(mid, hi, depth + 1), (lo, mid, depth + 1)]
             else:
                 todo.append((0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi, depth + 1))
-        panels.sort(key=lambda panel: panel[0].domain[0])
-        return [list(column) for column in zip(*panels)]
+        panels.sort(key=lambda panel: panel[0][0])
+        return np.array([d for d, _ in panels]), np.stack([c for _, c in panels], axis=1)
 
-    def g_panels(self, rim: float, cover: bool = True) -> list[Chebyshev]:
-        """g(u) = fbar + i (a^2-u)/((n-2) a) fbar_zeta at (sqrt(u), 0); F = u^{(n-3)/2} g."""
+    def g_panels(self, rim: float, cover: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """``u_panels`` of g(u) = fbar + i (a^2-u)/((n-2) a) fbar_zeta at (sqrt(u), 0)."""
         a, n = self.a, self.n
 
         def g(u: np.ndarray) -> np.ndarray:
             fbar, slope = self.sample(np.sqrt(u), 0.0, ((0.0, 1.0),))
             return (fbar + 1j * (a**2 - u) / ((n - 2) * a) * slope)[:, None]
 
-        return self.u_panels(g, [self.slope_noise], rim, cover=cover)[0]
+        return self.u_panels(g, [self.slope_noise], rim, cover=cover)
 
 
-def _chebyshev_fit(fun, nodes: int, domain: list[float]) -> tuple[list[Chebyshev], float]:
-    """Interpolants of the (nodes, q) columns of ``fun`` at ``nodes`` first-kind
-    Chebyshev points of ``domain``, and the largest sample magnitude.
-
-    The coefficients are cosine sums of the samples, each cos(j theta_i) taken
-    at its angle reduced exactly mod 2 pi: ``Chebyshev.interpolate`` builds
-    them by a recurrence whose rounding made harmonic n = 6 actions 7 times,
-    and acceptance criterion 4, 12 times less accurate.
-    """
+# -- Chebyshev series: coefficient arrays on a domain ------------------------
+def _chebyshev_fit(fun, nodes: int, domain) -> tuple[np.ndarray, float]:
+    """Coefficients of the interpolants of the (nodes, q) columns of ``fun`` at
+    ``nodes`` first-kind Chebyshev points of ``domain``, a (q, nodes) array, and
+    the largest sample magnitude.  They are cosine sums of the samples, each
+    cos(j theta_i) at its angle reduced exactly mod 2 pi: a recurrence's rounding
+    made harmonic n = 6 actions 7 times, and criterion 4, 12 times less accurate."""
     samples = fun(_first_kind(nodes, domain))
-    cosines = _cosines(nodes, np.arange(nodes))
+    cosines = _cosines(nodes)
     # one product per column, so each column rounds exactly as a 1-D fit of it
     coef = np.array([cosines @ column for column in samples.T]) * (2.0 / nodes)
     coef[:, 0] /= 2.0
-    return [Chebyshev(row, domain) for row in coef], float(np.abs(samples).max())
-
-
-def _cosines(nodes: int, degrees: np.ndarray) -> np.ndarray:
-    """cos(j t_i) for each degree j at the first-kind angles t_i = pi (2i+1) / (2 nodes),
-    each at its angle reduced exactly mod 2 pi: a (degrees, nodes) array."""
-    turns = np.outer(degrees, 2 * np.arange(nodes) + 1) % (4 * nodes)
-    return np.cos(np.pi * turns / (2 * nodes))
+    return coef, float(np.abs(samples).max())
 
 
 @functools.cache
-def _first_kind_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first-kind Chebyshev points cos(t_i) of [-1, 1], their barycentric weights
-    (-1)^i sin(t_i) and the cosines of the last three degrees at them, built once
-    per node count (read-only)."""
+def _cosines(nodes: int, first: int = 0) -> np.ndarray:
+    """cos(j t_i), first <= j < nodes, at the first-kind angles t_i = pi (2i+1) / (2 nodes)
+    reduced exactly mod 2 pi: read-only (degrees, nodes); coef @ it is the series there."""
+    turns = np.outer(np.arange(first, nodes), 2 * np.arange(nodes) + 1) % (4 * nodes)
+    cosines = np.cos(np.pi * turns / (2 * nodes))
+    cosines.flags.writeable = False
+    return cosines
+
+
+@functools.cache
+def _first_kind_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first-kind Chebyshev points cos(t_i) of [-1, 1] and their barycentric
+    weights (-1)^i sin(t_i), built once per node count (read-only)."""
     angles = np.pi * (2 * np.arange(nodes) + 1) / (2 * nodes)
-    rule = (np.cos(angles), np.where(np.arange(nodes) % 2, -1.0, 1.0) * np.sin(angles),
-            _cosines(nodes, np.arange(nodes - 3, nodes)))
+    rule = (np.cos(angles), np.where(np.arange(nodes) % 2, -1.0, 1.0) * np.sin(angles))
     for array in rule:
         array.flags.writeable = False
     return rule
@@ -555,22 +556,15 @@ def _first_kind(nodes: int, domain) -> np.ndarray:
     return domain[0] + 0.5 * (domain[1] - domain[0]) * (_first_kind_rule(nodes)[0] + 1.0)
 
 
-def _tail(interp: Chebyshev) -> float:
+def _tail(coef: np.ndarray) -> float:
     """Largest of the last three Chebyshev coefficients in magnitude."""
-    return float(np.abs(interp.coef[-3:]).max())
-
-
-def _sample_tail(samples: np.ndarray) -> float:
-    """``_tail`` of the interpolant of samples at the first-kind points, from the
-    cosine sums of ``_chebyshev_fit`` for its last three coefficients alone."""
-    nodes = samples.size
-    return float(np.abs(_first_kind_rule(nodes)[2] @ samples).max() * (2.0 / nodes))
+    return float(np.abs(coef[-3:]).max())
 
 
 def _barycentric(samples: np.ndarray, domain, t: np.ndarray) -> np.ndarray:
     """The interpolant of samples at the first-kind points of ``domain``, at the points
     t, in the barycentric form of the first kind: one (t, nodes) product."""
-    points, weights, _ = _first_kind_rule(samples.size)
+    points, weights = _first_kind_rule(samples.size)
     x = (2.0 * t - (domain[0] + domain[1])) / (domain[1] - domain[0])
     gaps = x[:, None] - points
     hits = np.nonzero(gaps == 0.0)
@@ -581,40 +575,65 @@ def _barycentric(samples: np.ndarray, domain, t: np.ndarray) -> np.ndarray:
     return values
 
 
-def _integrate_panels(integrand, pieces: list[Chebyshev], a: float) -> tuple[complex, float]:
-    """Sum over u-panels of Int integrand(piece, q) dq on the panel's q = sqrt(a^2 - u) range.
+def _times_u(coef: np.ndarray, domains: np.ndarray) -> np.ndarray:
+    """The (panels, N) series on ``domains`` times u = mid + half x, exactly: (panels, N + 1)."""
+    lo, hi = domains[:, :1], domains[:, 1:]
+    padded = np.pad(coef, ((0, 0), (1, 2)))            # c_{j-1} at j
+    times_x = 0.5 * (padded[:, :-2] + padded[:, 2:])   # x T_j = (T_{j+1} + T_{|j-1|}) / 2
+    times_x[:, 1] += 0.5 * coef[:, 0]
+    return 0.5 * (hi - lo) * times_x + 0.5 * (lo + hi) * padded[:, 1:-1]
 
-    Returns the value and the summed ``integrate_interval`` error estimates.
-    """
+
+def _divide(coef: np.ndarray, domain, c: float, times: int) -> tuple[np.ndarray, list[complex]]:
+    """The series on ``domain`` divided ``times`` times by (u - c): the quotient's
+    coefficients and the remainders, the Taylor coefficients D_u^j p(c) / j!, j < times:
+    synthetic division in the Chebyshev basis, p = (x - x_c) (b_1 + 2 Sum_{j>1} b_j T_{j-1})
+    + p(x_c), b_j the Clenshaw sums of p at c's point x_c and u - c = half (x - x_c)."""
+    lo, hi = float(domain[0]), float(domain[1])
+    half, x_c = 0.5 * (hi - lo), (2.0 * c - (lo + hi)) / (hi - lo)
+    taylor = []
+    for _ in range(times):
+        series, quotient, b1, b2 = coef.tolist(), [], 0j, 0j
+        for c_j in series[:0:-1]:
+            b1, b2 = c_j + 2.0 * x_c * b1 - b2, b1
+            quotient.append(2.0 * b1)
+        quotient[-1] = b1
+        taylor.append(series[0] + x_c * b1 - b2)
+        coef = np.array(quotient[::-1]) / half
+    return coef, taylor
+
+
+def _integrate_panels(form, pieces, domains, a: float) -> tuple[complex, float]:
+    """Sum over u-panels of Int form(p(a^2 - q^2), q) dq on each q = sqrt(a^2 - u) range, p
+    the panel's series, by ``_barycentric`` from its values at its first-kind points
+    (one product), and the sum of the ``integrate_interval`` error estimates."""
     value, error = 0j, 0.0
-    for piece in pieces:
-        lo, hi = piece.domain
-        part = integrate_interval(lambda q: integrand(piece, q), math.sqrt(a**2 - hi),
-                                  math.sqrt(a**2 - lo), order=INTERVAL_ORDER)
+    for coef, (lo, hi) in zip(pieces, domains):
+        values = coef @ _cosines(coef.size)
+        part = integrate_interval(
+            lambda q: form(_barycentric(values, (lo, hi), a**2 - q**2), q),
+            math.sqrt(a**2 - hi), math.sqrt(a**2 - lo), order=INTERVAL_ORDER)
         value, error = value + part.value, error + part.error
     return value, error
 
 
-def _taylor_subtracted(pieces: list[Chebyshev], k: int,
+def _taylor_subtracted(pieces: np.ndarray, domains: np.ndarray, k: int,
                        a: float) -> tuple[list[complex], complex, float]:
     """Rim Taylor coefficients T_2m = ((-1)^m / m!) D_u^m F(a^2), m <= k, of the
     panels of F, and Int_0^a (F(a^2-q^2) - Sum_m T_2m q^2m) / q^{2k+2} dq with its error.
 
-    On the rim panel F = (u - a^2)^{k+1} Q + R with R the Taylor polynomial, so
-    the integrand is (-1)^{k+1} Q(a^2-q^2) and nothing cancels near q = 0; on
-    the other panels it is taken directly.
+    On the rim panel F = (u - a^2)^{k+1} Q + R by ``_divide``, so the integrand is
+    (-1)^{k+1} Q(a^2-q^2) and nothing cancels near q = 0; elsewhere it is direct.
     """
-    rim_f = pieces[-1]
-    quotient, taylor = divmod(rim_f, Chebyshev.fromroots([a**2] * (k + 1), domain=rim_f.domain))
-    t2 = [(-1.0) ** m / math.factorial(m) * complex(taylor.deriv(m)(a**2)) for m in range(k + 1)]
+    quotient, taylor = _divide(pieces[-1], domains[-1], a**2, k + 1)
+    t2 = [(-1.0) ** m * taylor[m] for m in range(k + 1)]
 
-    def integrand(f_hat: Chebyshev, q: np.ndarray) -> np.ndarray:
-        if f_hat is rim_f:
-            return (-1.0) ** (k + 1) * quotient(a**2 - q**2)
-        head = sum(t2[m] * q ** (2 * m) for m in range(k + 1))
-        return (f_hat(a**2 - q**2) - head) / q ** (2 * k + 2)
-
-    return (t2, *_integrate_panels(integrand, pieces, a))
+    value, error = _integrate_panels(
+        lambda f_hat, q: (f_hat - sum(t2[m] * q ** (2 * m) for m in range(k + 1)))
+        / q ** (2 * k + 2), pieces[:-1], domains[:-1], a)
+    rim, rim_error = _integrate_panels(lambda q_hat, q: (-1.0) ** (k + 1) * q_hat,
+                                       [quotient], domains[-1:], a)
+    return t2, value + rim, error + rim_error
 
 
 def singular_action_r3(f: TestField, y: Sequence[float] | np.ndarray) -> SourceAction:
@@ -627,26 +646,25 @@ def singular_action_r3(f: TestField, y: Sequence[float] | np.ndarray) -> SourceA
     af = _AxialField(f, y, 3)
     a = af.a
     rim = af.fit_disk_rule(a)
-    g_pieces, ah_pieces = af.u_panels(      # G = fbar(sqrt(u), 0), a H = a fbar_zeta
+    domains, (g_pieces, ah_pieces) = af.u_panels(   # G = fbar(sqrt(u), 0), a H = a fbar_zeta
         lambda u: np.stack(af.sample(np.sqrt(u), 0.0, ((0.0, 1.0),)), axis=1) * [1.0, a],
         [1.0, af.slope_noise], rim)
     # rim L0 = G(a^2); single layer: -a Int_0^a (G(a^2-q^2) - L0) / q^2 dq
-    (l0,), int1, err1 = _taylor_subtracted(g_pieces, 0, a)
+    (l0,), int1, err1 = _taylor_subtracted(g_pieces, domains, 0, a)
     l1 = -a * int1
 
     # double layer: -Int_0^a fbar_zeta(rho(q), 0) dq
-    int2, err2 = _integrate_panels(lambda ah_hat, q: ah_hat(a**2 - q**2), ah_pieces, a)
+    int2, err2 = _integrate_panels(lambda ah_hat, q: ah_hat, ah_pieces, domains, a)
     l2 = -int2 / a
 
     # the q-rules are near exact on polynomials: add the interpolants' tails, carried
     # through the single layer's 1/q^2 or, on the rim panel, through Q by Markov
-    def single_tail(g_hat: Chebyshev) -> float:
-        lo, hi = g_hat.domain
-        if g_hat is g_pieces[-1]:
+    def single_tail(g_hat: np.ndarray, lo: float, hi: float) -> float:
+        if hi == domains[-1, 1]:
             return (1.0 + 2.0 * U_NODES**2 * a**2 / (hi - lo)) * _tail(g_hat)
         return a * _tail(g_hat) * (1.0 / math.sqrt(a**2 - hi) - 1.0 / math.sqrt(a**2 - lo))
 
-    tails = sum(single_tail(g) + _tail(ah) for g, ah in zip(g_pieces, ah_pieces))
+    tails = sum(single_tail(g, *d) + _tail(ah) for g, ah, d in zip(g_pieces, ah_pieces, domains))
     err = a * err1 + err2 / a + tails + (1e-15 + af.rule_error) * (abs(l0) + abs(l1) + abs(l2))
     value = l0 + l1 + 1j * l2
     return SourceAction(value, {"rim": l0, "single_layer": l1, "double_layer": 1j * l2}, err)
@@ -683,10 +701,11 @@ def singular_action_even(f: TestField, y: Sequence[float] | np.ndarray, n: int) 
     af = _AxialField(f, y, n)
     a = af.a
     rim = af.fit_disk_rule(a * math.sqrt(1.5))
-    g_hat = af.g_panels(rim, cover=False)[0]
+    domains, (g,) = af.g_panels(rim, cover=False)
+    _, taylor = _divide(g[0], domains[0], a**2, k + 1)     # D_u^m g(a^2) / m!, m <= k
     p = (n - 3) / 2.0   # D^k (u^p g) by Leibniz, the power kept analytic
     dk = sum(math.comb(k, j) * math.prod(p - i for i in range(j)) * a ** (2.0 * (p - j))
-             * complex(g_hat.deriv(k - j)(a**2)) for j in range(k + 1))
+             * math.factorial(k - j) * taylor[k - j] for j in range(k + 1))
     return a * math.sqrt(math.pi) / math.gamma(k + 0.5) * dk
 
 
@@ -703,8 +722,10 @@ def singular_action_odd(f: TestField, y: Sequence[float] | np.ndarray, n: int) -
     a = af.a
     ratio = _omega_ratio(n)
     rim = af.fit_disk_rule(a)
-    f_pieces = [g * Chebyshev.identity(domain=g.domain) ** k for g in af.g_panels(rim)]
-    t2, integral, _ = _taylor_subtracted(f_pieces, k, a)
+    domains, (f_pieces,) = af.g_panels(rim)
+    for _ in range(k):
+        f_pieces = _times_u(f_pieces, domains)      # F = u^k g
+    t2, integral, _ = _taylor_subtracted(f_pieces, domains, k, a)
     i_power = (1j) ** ((1 - n) % 4)
     v_n = 2.0 * i_power * a / ratio * integral
 
@@ -846,7 +867,7 @@ def _regularized(f: TestField, y: Sequence[float] | np.ndarray, n: int,
             raise NonFiniteIntegrandError(
                 f"regularized action at eps = {eps:g}: the field part is not finite "
                 f"beyond theta = {cut:.3g}")
-        tails = [_sample_tail(samples) for samples in fits]
+        tails = [_tail(_cosines(x.size, x.size - 3) @ x) * (2.0 / x.size) for x in fits]
         # h of a field as large as f's probe means is a^{n-2} size
         levels = [max(a ** (n - 2) * size, float(np.abs(samples).max())) for samples in fits]
         misses = [i for i, (tail, level) in enumerate(zip(tails, levels))

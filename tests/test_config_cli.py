@@ -532,6 +532,31 @@ def test_cli_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    """The singular and regularized actions keep their Chebyshev series as
+    coefficient arrays: importing the CLI and running its source actions at
+    n = 3 to 6 loads no ``numpy.polynomial`` module."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH"))
+                                          if p))
+    env.pop("CXPT_CONFIG", None)
+    commands = [["source-action", "--n", str(n), "--field", "gaussian:1.0"] for n in (3, 4, 5, 6)]
+    commands.append(["source-action", "--n", "4", "--field", "gaussian:1.0", "--eps", "1e-2"])
+    probe = (
+        "import contextlib, io, sys\n"
+        "import cxpt.cli\n"
+        "loaded = 'numpy.polynomial' in sys.modules\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cxpt.cli.run(argv) == 0, argv\n"
+        "print(loaded, sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False []"
+
+
 def test_cli_descent(capsys):
     code, out, _ = run_cli(capsys, ["descent-check", "--y", "0,0,1",
                                     "--field", "gaussian:1.5"])

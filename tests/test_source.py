@@ -773,7 +773,8 @@ def test_r3_on_several_u_panels(monkeypatch):
     f = gaussian(0.3, center=[0.1, -0.2, 0.05])
     y = np.array([0.6, 0.0, 0.8])
     af = _AxialField(f, y, 3)
-    assert len(af.g_panels(af.fit_disk_rule(af.a))) == 5
+    domains, _ = af.g_panels(af.fit_disk_rule(af.a))
+    assert len(domains) == 5
     act = singular_action_r3(f, y)
     assert act.value == pytest.approx(singular_action_odd(f, y, 3), abs=1e-12)
     with monkeypatch.context() as patch:   # S^1 takes 128 nodes, the order-48 rule's
@@ -783,6 +784,46 @@ def test_r3_on_several_u_panels(monkeypatch):
         dense = singular_action_r3(f, y).value
     assert act.value == pytest.approx(dense, abs=1e-12)
     assert 0.0 < act.err_estimate <= 1e-11
+
+
+@pytest.mark.parametrize("domain", [(0.0, 1.0), (0.5, 1.5), (0.75, 1.0), (-2.0, 2.0),
+                                    (0.25, 4.25)])
+def test_chebyshev_toolkit_matches_numpy_polynomial(rng, domain):
+    """The coefficient-array toolkit of the singular actions against
+    ``numpy.polynomial.Chebyshev`` (imported here only) on random complex 16-term
+    series: the value at given points, the product by u and u^2, and division by
+    (u - c)^m at both ends and the middle, its quotient and its remainders, the
+    Taylor coefficients D^j p(c) / j! (against the derivatives at c: numpy's own
+    remainder series cancels to ~1e-12).  The domains have power-of-two widths, so
+    both sides map the points and c onto [-1, 1] exactly.  The tolerance is 32
+    ulps of Sum |c_j| times (N^2 / half)^j for a j-th derivative or a quotient by
+    (u - c)^j (the Markov factor of that derivative): both sides evaluate near
+    the ends, where the recurrences and the barycentric form at rounded points
+    lose about N ulps."""
+    from numpy.polynomial import Chebyshev
+
+    lo, hi = domain
+    half, nodes = 0.5 * (hi - lo), 16
+    for _ in range(20):
+        coef = rng.normal(size=nodes) + 1j * rng.normal(size=nodes)
+        ref = Chebyshev(coef, domain)
+        ulps = 32 * np.finfo(float).eps * np.abs(coef).sum()
+        t = lo + half * (rng.integers(-64, 65, size=40) / 64.0 + 1.0)
+        got = source._barycentric(coef @ source._cosines(nodes), domain, t)
+        assert np.abs(got - ref(t)).max() <= ulps
+        product = coef[None]
+        for k in (1, 2):
+            product = source._times_u(product, np.array([domain]))
+            want = (ref * Chebyshev.identity(domain=domain) ** k).coef
+            assert np.abs(product[0] - want).max() <= ulps * max(abs(lo), abs(hi)) ** k
+        for c in (lo, 0.5 * (lo + hi), hi):
+            for m in (1, 2, 3):
+                quotient, taylor = source._divide(coef, domain, c, m)
+                want = ref // Chebyshev.fromroots([c] * m, domain=domain)
+                assert np.abs(quotient - want.coef).max() <= ulps * (nodes**2 / half) ** m
+                for j in range(m):
+                    assert (abs(math.factorial(j) * taylor[j] - ref.deriv(j)(c))
+                            <= ulps * (nodes**2 / half) ** j)
 
 
 def test_errors_reach_the_caller():
@@ -1045,18 +1086,22 @@ def test_regularized_actions_keep_their_bits(case):
 #: (drho, dzeta) as two arrays broadcast against the nodes; the regularized entries
 #: are (value, err_estimate) of ``_regularized`` at eps = 0.1.  The descent entry's
 #: right side was re-recorded when the lifted sphere was folded onto its 576
-#: distinct points; it was (0.6019569117554906-0.10033665734392384j).
+#: distinct points; it was (0.6019569117554906-0.10033665734392384j).  The n = 3 and
+#: n = 5 singular and odd entries and the descent's left side were recorded again once
+#: the u-panels became coefficient arrays (the rim Taylor terms by synthetic division,
+#: the panels evaluated in barycentric form), each within 2.9e-16 relative of its old
+#: value (listed in CHANGES.md).
 PINNED_GRADIENT_FREE = {
-    "singular-n3": "(0.1891770338015516-0.11173879520941292j)",
+    "singular-n3": "(0.18917703380155165-0.11173879520941292j)",
     "singular-n4": "(-0.09444387811341526-0.08996616635499269j)",
-    "singular-n5": "(-0.31332147816591416-0.07087480253355238j)",
+    "singular-n5": "(-0.31332147816591416-0.07087480253355236j)",
     "singular-n6": "(-0.47604198748874954-0.05421905842188114j)",
     "even-n4": "(-0.09444387811356124-0.08996616635499517j)",
     "even-n6": "(-0.47604198748874954-0.05421905842188114j)",
-    "odd-n3": "(0.1891770338015516-0.11173879520944724j)",
-    "odd-n5": "(-0.31332147816591416-0.07087480253355238j)",
+    "odd-n3": "(0.18917703380155165-0.11173879520944727j)",
+    "odd-n5": "(-0.31332147816591416-0.07087480253355236j)",
     "r4": "(-0.06538469084855647-0.0991734663319922j)",
-    "descent": "((0.6019569117553752-0.10033665734392554j), "
+    "descent": "((0.6019569117553754-0.10033665734392554j), "
                "(0.6019569117554915-0.10033665734392383j))",
     "regularized-n4": "((0.005671742301064201-0.08977782763957001j), 4.749683646627519e-13)",
     "regularized-n5": "((-0.14755124366055578-0.07165763368228972j), 1.2869894368746614e-11)",
@@ -1098,18 +1143,22 @@ def test_gradient_free_actions_keep_their_bits(case):
 #: 3.48e-14 relative from even-n4, now 3.65e-14; r4 (-0.06538469084870024-
 #: 0.09917346633206028j), 1.19e-14 from the even-n4 formula, now 4.6e-15; the
 #: descent's right side (0.6019569117554042-0.10033665734399329j), 4.75e-14 from its
-#: left, now 4.82e-14.
+#: left, now 4.82e-14.  The n = 3 singular and odd entries, the n = 6 singular and even
+#: ones and the descent's left side were recorded again once the u-panels became
+#: coefficient arrays, each within 5.8e-16 relative of its old value (listed in
+#: CHANGES.md); odd-n3 is now 2.55e-15 from singular-n3 (was 2.50e-15), and the
+#: descent's sides 2.93e-14 apart (was 2.94e-14).
 PINNED_EXACT = {
-    "singular-n3": "(0.1891770338015516-0.11173879520948748j)",
+    "singular-n3": "(0.18917703380155165-0.11173879520948748j)",
     "singular-n4": "(-0.09444387811355648-0.08996616635505199j)",
     "singular-n5": "(-0.31332147816591416-0.07087480253299216j)",
-    "singular-n6": "(-0.476041987488434-0.054219058421894714j)",
+    "singular-n6": "(-0.47604198748843374-0.054219058421894714j)",
     "even-n4": "(-0.09444387811356124-0.08996616635505221j)",
-    "even-n6": "(-0.476041987488434-0.054219058421894714j)",
-    "odd-n3": "(0.1891770338015516-0.11173879520948998j)",
+    "even-n6": "(-0.47604198748843374-0.054219058421894714j)",
+    "odd-n3": "(0.18917703380155165-0.11173879520949004j)",
     "odd-n5": "(-0.31332147816591416-0.07087480253299216j)",
     "r4": "(-0.06538469084869858-0.09917346633206028j)",
-    "descent": "((0.6019569117553752-0.1003366573439932j), "
+    "descent": "((0.6019569117553754-0.1003366573439932j), "
                "(0.6019569117554047-0.10033665734399329j))",
     "fit-n3": ("((16,), [0.8310820448949103, 0.7193523545611119, 0.6231405162187722, "
                "0.5424223980116868, 0.6335507381814907, 0.736406338622608, "
